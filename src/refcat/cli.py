@@ -32,20 +32,6 @@ from .represent import (
 )
 from .textio import LoadError, Workspace
 
-SUITES = (
-    "laws",
-    "ff",
-    "preservation",
-    "factorization",
-    "genday",
-    "duality",
-    "negative-encoding",
-    "notnot-tensor",
-    "rapp",
-    "all",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -249,6 +235,21 @@ def _rapp_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRepor
     return [adjunction_check(adj), rapp_check(adj)]
 
 
+# Every suite, in the order `all` runs them: name -> reports for
+# (workspace, system key, system, size guard, cross-check flag).
+SUITES = {
+    "laws": lambda ws, key, s, guard, cross: [_laws_report(s)],
+    "ff": lambda ws, key, s, guard, cross: [representation_ff_check(s)],
+    "preservation": lambda ws, key, s, guard, cross: [preservation_check(s)],
+    "factorization": lambda ws, key, s, guard, cross: [factorization_check(s)],
+    "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s, guard),
+    "duality": lambda ws, key, s, guard, cross: _duality_suite(s, guard, cross),
+    "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s, guard),
+    "notnot-tensor": lambda ws, key, s, guard, cross: _notnot_suite(ws, key, s),
+    "rapp": lambda ws, key, s, guard, cross: _rapp_suite(ws, key, s),
+}
+
+
 def run_suite(
     ws: Workspace,
     system: str | None,
@@ -256,32 +257,14 @@ def run_suite(
     size_guard: int = 200000,
     cross_check: bool = False,
 ) -> list[CheckReport]:
-    """All reports of one verification suite, in canonical order."""
+    """All reports of one verification suite, or of every suite for
+    "all", in canonical order."""
     key, s = _system_entry(ws, system)
-    if suite == "laws":
-        return [_laws_report(s)]
-    if suite == "ff":
-        return [representation_ff_check(s)]
-    if suite == "preservation":
-        return [preservation_check(s)]
-    if suite == "factorization":
-        return [factorization_check(s)]
-    if suite == "genday":
-        return _genday_suite(ws, key, s, size_guard)
-    if suite == "duality":
-        return _duality_suite(s, size_guard, cross_check)
-    if suite == "negative-encoding":
-        return _negenc_suite(s, size_guard)
-    if suite == "notnot-tensor":
-        return _notnot_suite(ws, key, s)
-    if suite == "rapp":
-        return _rapp_suite(ws, key, s)
     if suite == "all":
-        reports = []
-        for sub in SUITES[:-1]:
-            reports.extend(run_suite(ws, system, sub, size_guard, cross_check))
-        return reports
-    raise UsageError(f"unknown suite {suite!r}")
+        return [r for sub in SUITES for r in run_suite(ws, system, sub, size_guard, cross_check)]
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}")
+    return SUITES[suite](ws, key, s, size_guard, cross_check)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = with_system(sub.add_parser("verify", parents=[common], help="run a verification suite"))
     sp.add_argument("file")
-    sp.add_argument("suite", choices=SUITES)
+    sp.add_argument("suite", choices=(*SUITES, "all"))
 
     sp = sub.add_parser("fixtures", parents=[common], help="emit builder fixtures")
     sp.add_argument("action", choices=("gen",))

@@ -13,13 +13,17 @@ one-sided image constructions demand, and that pushforwards and fiber
 tensors are recovered from their negative encodings up to double
 dualization.
 
-Duals are computed pointwise over the indexing slice or coslice; the
-functor-category route through the residual presheaf is kept behind an
-optional cross-check flag because it is exponential in general.
+Every mirror image is taken from the opposite system: the coslice of a
+system is the slice of `sys.op()`, and the right dual is the left dual
+computed in `sys.op()`.  Only the left, positive, pull side is written
+out.  Duals are computed pointwise over the indexing slice or coslice;
+the functor-category route through the residual presheaf is kept behind
+an optional cross-check flag because it is exponential in general.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .fincat import (
@@ -84,9 +88,21 @@ def judgment_category(sys: RefinementSystem, size_guard: int = 200000) -> Judgme
     if "_jdg_cache" in sys.__dict__:
         return sys.__dict__["_jdg_cache"]
     D, T, t = sys.D, sys.T, sys.t
+
+    # Sizes first, without allocating: a judgment is (P, c, Q), a morphism
+    # is (beta, gamma, c2) with c2 : t(cod beta) -> t(dom gamma).
+    def size(left, right) -> int:
+        lc, rc = Counter(map(sys.shape, left)), Counter(map(sys.shape, right))
+        return sum(lc[A] * rc[B] * len(T.hom(A, B)) for A in lc for B in rc)
+
+    mors = range(D.n_morphisms)
+    for what, n in (
+        ("judgment objects", size(range(D.n_objects), range(D.n_objects))),
+        ("judgment morphisms", size(map(D.cod, mors), map(D.dom, mors))),
+    ):
+        if n > size_guard:
+            raise SizeGuardExceeded(what, n, size_guard)
     obj_tags = tuple(sys.judgments())
-    if len(obj_tags) > size_guard:
-        raise SizeGuardExceeded("judgment objects", len(obj_tags), size_guard)
     obj_index = {tag: i for i, tag in enumerate(obj_tags)}
     obj_names = [sys.judgment_name(P, c, Q) for (P, c, Q) in obj_tags]
 
@@ -104,10 +120,6 @@ def judgment_category(sys: RefinementSystem, size_guard: int = 200000) -> Judgme
                 si = obj_index[(P1, c1, Q1)]
                 ti = obj_index[(P2, c2, Q2)]
                 mor_tags.append((beta, gamma, si, ti))
-                if len(mor_tags) > size_guard:
-                    raise SizeGuardExceeded(
-                        "judgment morphisms", len(mor_tags), size_guard
-                    )
     mor_index = {tag: k for k, tag in enumerate(mor_tags)}
     morphisms = [
         (f"({D.mor_names[b]},{D.mor_names[g]})#{si}->{ti}", si, ti)
@@ -156,8 +168,8 @@ def der_presheaf(sys: RefinementSystem, size_guard: int = 200000) -> Presheaf:
 
 def bracket(sys: RefinementSystem, B: int, size_guard: int = 200000) -> FunctorData:
     """The pairing functor slice x coslice -> judgments over one base
-    object, sending ((P,c),(d,R)) to (P, c;d, R).  The product base is
-    stashed on the functor as `prod`."""
+    object, sending ((P,c),(d,R)) to (P, c;d, R).  Its source is the
+    product category."""
     cache = sys.__dict__.setdefault("_bracket_cache", {})
     if B not in cache:
         jdg = judgment_category(sys, size_guard)
@@ -185,11 +197,9 @@ def bracket(sys: RefinementSystem, B: int, size_guard: int = 200000) -> FunctorD
                     )
                 ]
             )
-        F = FunctorData(
+        cache[B] = FunctorData(
             f"cut[{T.objects[B]}]", prod, jdg.cat, tuple(omap), tuple(mmap)
         )
-        F.prod = prod
-        cache[B] = F
     return cache[B]
 
 
@@ -215,7 +225,7 @@ def extranat_check(sys: RefinementSystem, size_guard: int = 200000) -> CheckRepo
         cutA, cutB = bracket(sys, A), bracket(sys, B)
         Fsl = slice_action(sys, c)
         Fco = coslice_action(sys, c)
-        prodA, prodB = cutA.prod, cutB.prod
+        prodA, prodB = cutA.source, cutB.source
         bad = None
         for i in range(SA.cat.n_objects):
             for j in range(CsB.cat.n_objects):
@@ -244,46 +254,30 @@ def extranat_check(sys: RefinementSystem, size_guard: int = 200000) -> CheckRepo
 # Dualization by the direct end formula
 
 
-def _cut_presheaf(sys: RefinementSystem, B: int, fixed: str, idx: int) -> tuple[Presheaf, list[dict[int, int]]]:
-    """Derivation sets (P, c;d, R) with one side of the bracket fixed.
-
-    fixed="coslice": the coslice point idx is fixed; result lives over the
-    slice with precomposition action.  fixed="slice": mirror image.  Also
-    returns per-object position dicts for the derivation payloads.
-    Cached per system: these tables are shared by every dualization over
-    the same base object."""
+def _cut_presheaf(sys: RefinementSystem, B: int, idx: int) -> tuple[Presheaf, list[dict[int, int]]]:
+    """Derivation sets (P, c;d, R) over the slice of B, with the coslice
+    point idx = (R, d) fixed; slice morphisms act by precomposition.  Also
+    returns per-object position dicts for the derivation payloads.  In
+    `sys.op()` this is the mirror image, over the coslice with the slice
+    point fixed.  Cached per system: these tables are shared by every
+    dualization over the same base object."""
     cache = sys.__dict__.setdefault("_cut_psh_cache", {})
-    key = (B, fixed, idx)
+    key = (B, idx)
     if key in cache:
         return cache[key]
     D, T = sys.D, sys.T
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
-    if fixed == "coslice":
-        base, tags = S, S.obj_tags
-        (R, d) = Cs.obj_tags[idx]
-        sets = [
-            sys.derivations(P, T.compose(c, d), R) for (P, c) in tags
-        ]
-        name = f"cut(-,{Cs.obj_name(idx)})"
-    else:
-        base, tags = Cs, Cs.obj_tags
-        (P, c) = S.obj_tags[idx]
-        sets = [
-            sys.derivations(P, T.compose(c, d), R) for (R, d) in tags
-        ]
-        name = f"cut({S.obj_name(idx)},-)"
+    (R, d) = Cs.obj_tags[idx]
+    sets = [sys.derivations(P, T.compose(c, d), R) for (P, c) in S.obj_tags]
     pos = [{x: k for k, x in enumerate(s)} for s in sets]
-    action = []
-    for (m, s, u) in base.mor_tags:
-        if fixed == "coslice":
-            action.append(tuple(pos[s][D.compose(m, x)] for x in sets[u]))
-        else:
-            action.append(tuple(pos[s][D.compose(x, m)] for x in sets[u]))
+    action = tuple(
+        tuple(pos[s][D.compose(m, x)] for x in sets[u]) for (m, s, u) in S.mor_tags
+    )
     psh = Presheaf(
-        name,
-        base.cat,
+        f"cut(-,{Cs.obj_name(idx)})",
+        S.cat,
         tuple(tuple(D.mor_names[x] for x in s) for s in sets),
-        tuple(action),
+        action,
         tuple(tuple(s) for s in sets),
     )
     cache[key] = (psh, pos)
@@ -309,9 +303,10 @@ def dual_left(
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if phi.base is not S.cat:
         raise StructuralError(
-            f"dual_left: {phi.name} does not live over the slice of {sys.T.objects[B]}"
+            f"dual_left: {phi.name} does not live over the slice of "
+            f"{sys.T.objects[B]} in {sys.name}"
         )
-    cuts = [_cut_presheaf(sys, B, "coslice", j) for j in range(Cs.cat.n_objects)]
+    cuts = [_cut_presheaf(sys, B, j) for j in range(Cs.cat.n_objects)]
     fams_at = [natural_families(phi, psi) for (psi, _pos) in cuts]
     fam_index = [{fam: k for k, fam in enumerate(fams)} for fams in fams_at]
     elements = tuple(
@@ -358,46 +353,11 @@ def dual_right(
 ) -> Presheaf:
     """The right dual of a presheaf over the coslice of B: at a slice
     point (P,c), the natural families sending psi(d,R) into derivations
-    (P, c;d, R); slice morphisms act by precomposing every value."""
-    D = sys.D
-    S, Cs = slice_of(sys, B), coslice_of(sys, B)
-    if psi.base is not Cs.cat:
-        raise StructuralError(
-            f"dual_right: {psi.name} does not live over the coslice of {sys.T.objects[B]}"
-        )
-    cuts = [_cut_presheaf(sys, B, "slice", i) for i in range(S.cat.n_objects)]
-    fams_at = [natural_families(psi, chi) for (chi, _pos) in cuts]
-    fam_index = [{fam: k for k, fam in enumerate(fams)} for fams in fams_at]
-    elements = tuple(
-        tuple(f"s{i}.{k}" for k in range(len(fams_at[i])))
-        for i in range(S.cat.n_objects)
-    )
-    action = []
-    for mk, (alpha, s, u) in enumerate(S.mor_tags):
-        chi_u, _ = cuts[u]
-        _, pos_s = cuts[s]
-        row = []
-        for fam in fams_at[u]:
-            moved = tuple(
-                tuple(
-                    pos_s[j][D.compose(alpha, chi_u.payloads[j][v])] for v in fam[j]
-                )
-                for j in range(Cs.cat.n_objects)
-            )
-            k = fam_index[s].get(moved)
-            if k is None:
-                raise StructuralError(
-                    f"dual_right: moved family not natural along {S.mor_name(mk)}"
-                )
-            row.append(k)
-        action.append(tuple(row))
-    out = Presheaf(
-        f"dualR({psi.name})",
-        S.cat,
-        elements,
-        tuple(action),
-        tuple(tuple(fams) for fams in fams_at),
-    )
+    (P, c;d, R); slice morphisms act by precomposing every value.  This is
+    the left dual in the opposite system.  The cross-check stays on `sys`,
+    so it is an independent reference for the mirrored computation."""
+    out = dual_left(sys.op(), B, psi)
+    out.name = f"dualR({psi.name})"
     if cross_check:
         _dual_cross_check(sys, B, psi, out, "right", size_guard)
     return out
@@ -411,9 +371,9 @@ def _dual_cross_check(sys, B, inp, out, side, size_guard):
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     res, fc = residual_psh(side, inp, jdg.der, size_guard)
     if side == "left":
-        curry = _curry_into(fc, cut.prod, cut, Cs.cat, "second", "lambda-cut")
+        curry = _curry_into(fc, cut.source, cut, Cs.cat, "second", "lambda-cut")
     else:
-        curry = _curry_into(fc, cut.prod, cut, S.cat, "first", "rho-cut")
+        curry = _curry_into(fc, cut.source, cut, S.cat, "first", "rho-cut")
     crossed = pull_psh(curry, res)
     for j in range(out.base.n_objects):
         if crossed.payloads[j] != out.payloads[j]:
@@ -470,25 +430,18 @@ def _restrict_dual(v_comps, dl_target: Presheaf, dl_source: Presheaf):
     return tuple(comps)
 
 
-def dual_adjunction_check(
-    sys: RefinementSystem,
-    B: int,
-    extra_pos: tuple[Presheaf, ...] = (),
-    extra_neg: tuple[Presheaf, ...] = (),
-    size_guard: int = 200000,
-) -> CheckReport:
+def dual_adjunction_check(sys: RefinementSystem, B: int, size_guard: int = 200000) -> CheckReport:
     """The two dualizers are adjoint on the right: a subtyping into a
     right dual, a subtyping into a left dual, and a bracket-compatible
-    pairing are equivalent data.  Checked on representables plus any
-    supplied presheaves; additionally the unit into the double dual
-    exists for every input and the triangle composite on the left dual
-    is the identity."""
+    pairing are equivalent data.  Checked on the representables over B;
+    additionally the unit into the double dual exists for every input and
+    the triangle composite on the left dual is the identity."""
     rep = CheckReport(
         f"dual-adjunction[{sys.name}@{sys.T.objects[B]}]",
         "dualization is a contravariant adjunction between slice and coslice presheaves",
     )
-    pool_pos = [pos_rep(sys, Q) for Q in sys.fiber(B)] + list(extra_pos)
-    pool_neg = [neg_rep(sys, P) for P in sys.fiber(B)] + list(extra_neg)
+    pool_pos = [pos_rep(sys, Q) for Q in sys.fiber(B)]
+    pool_neg = [neg_rep(sys, P) for P in sys.fiber(B)]
 
     jdg = None
     cut = None
@@ -510,7 +463,7 @@ def dual_adjunction_check(
                 f"phi={phi.name} psi={psi.name}: into-right-dual {e1}, into-left-dual {e2}"
             )
             if jdg is not None:
-                box, _ = tensor_psh(phi, psi, cut.prod)
+                box, _ = tensor_psh(phi, psi, cut.source)
                 e3 = bool(psh_derivations(box, cut, jdg.der))
                 agree = agree and e2 == e3
                 detail += f", pairing {e3}"
@@ -570,7 +523,7 @@ def duality_check(sys: RefinementSystem, Q: int, size_guard: int = 200000) -> Ch
     try:
         jdg = judgment_category(sys, size_guard)
         cut = bracket(sys, B, size_guard)
-        prod = cut.prod
+        prod = cut.source
         j0 = Cs.obj_index[(Q, T.identity[B])]
         kQ = FunctorData(
             f"cut(-,{Cs.obj_name(j0)})",
@@ -627,6 +580,26 @@ def duality_check(sys: RefinementSystem, Q: int, size_guard: int = 200000) -> Ch
 # Duals against push and pull
 
 
+def _push_pull_square(sys: RefinementSystem, c: int, phi: Presheaf):
+    """Left duals around the push/pull square of c : A -> B, for phi over
+    the slice of A.  Returns the left dual of the pushed phi, whether the
+    pulled left dual is isomorphic to it, and for the one-way composite
+    (the pushed left dual of the push) whether it compares into the left
+    dual of phi, back, and isomorphically."""
+    A, B = sys.T.dom(c), sys.T.cod(c)
+    dl_phi = dual_left(sys, A, phi)
+    dl_pushed = dual_left(sys, B, push_psh(slice_action(sys, c), phi))
+    pulled = pull_psh(coslice_action(sys, c), dl_phi)
+    one = push_psh(coslice_action(sys, c), dl_pushed)
+    return (
+        dl_pushed,
+        vertical_iso_psh(pulled, dl_pushed) is not None,
+        bool(natural_families(one, dl_phi)),
+        bool(natural_families(dl_phi, one)),
+        vertical_iso_psh(one, dl_phi) is not None,
+    )
+
+
 def notpush_check(
     sys: RefinementSystem,
     c: int,
@@ -638,54 +611,28 @@ def notpush_check(
     coslice of B, defaulting to the left dual of the pushed phi):
 
     (1) pulling the left dual back equals the left dual of the push (iso);
-    (2) mirror image for right duals of coslice presheaves (iso);
+    (2) mirror image for right duals of coslice presheaves (iso), which is
+    (1) for psi in the opposite system;
     (3),(4) the corresponding composites around the squares admit one-way
     comparisons whose invertibility is recorded per instance, never
     asserted."""
     T = sys.T
-    A, B = T.dom(c), T.cod(c)
     rep = CheckReport(
         f"notpush[{sys.name}:{T.mor_names[c]}:{phi.name}]",
         "dualization exchanges push and pull across a base morphism",
     )
-    if phi.base is not slice_of(sys, A).cat:
-        raise StructuralError(f"notpush_check: {phi.name} must live over the slice of {T.objects[A]}")
-    pushed = push_psh(slice_action(sys, c), phi)
-    dl_pushed = dual_left(sys, B, pushed)
-    lhs = pull_psh(coslice_action(sys, c), dual_left(sys, A, phi))
-    rep.check(
-        vertical_iso_psh(lhs, dl_pushed) is not None,
-        "pulled left dual differs from left dual of the push",
-    )
-
-    if psi is None:
-        psi = dl_pushed
-    pushed_n = push_psh(coslice_action(sys, c), psi)
-    dr_pushed = dual_right(sys, A, pushed_n)
-    lhs2 = pull_psh(slice_action(sys, c), dual_right(sys, B, psi))
-    rep.check(
-        vertical_iso_psh(lhs2, dr_pushed) is not None,
-        "pulled right dual differs from right dual of the push",
-    )
-
-    # One-way composites around the same squares.
-    one = push_psh(coslice_action(sys, c), dl_pushed)
-    fams = natural_families(one, dual_left(sys, A, phi))
-    rep.check(bool(fams), "no comparison from the pushed left dual of the push")
-    back = natural_families(dual_left(sys, A, phi), one)
-    rep.note(
-        f"converse comparison {'exists' if back else 'absent'}; "
-        f"iso {'yes' if vertical_iso_psh(one, dual_left(sys, A, phi)) else 'no'}"
-    )
-
-    two = push_psh(slice_action(sys, c), dr_pushed)
-    fams = natural_families(two, dual_right(sys, B, psi))
-    rep.check(bool(fams), "no comparison from the pushed right dual of the push")
-    back = natural_families(dual_right(sys, B, psi), two)
-    rep.note(
-        f"mirror converse {'exists' if back else 'absent'}; "
-        f"iso {'yes' if vertical_iso_psh(two, dual_right(sys, B, psi)) else 'no'}"
-    )
+    if phi.base is not slice_of(sys, T.dom(c)).cat:
+        raise StructuralError(f"notpush_check: {phi.name} must live over the slice of {T.objects[T.dom(c)]}")
+    left = _push_pull_square(sys, c, phi)
+    right = _push_pull_square(sys.op(), c, left[0] if psi is None else psi)
+    rep.check(left[1], "pulled left dual differs from left dual of the push")
+    rep.check(right[1], "pulled right dual differs from right dual of the push")
+    for side, lead, (_, _, ok, back, iso) in (
+        ("left", "converse comparison", left),
+        ("right", "mirror converse", right),
+    ):
+        rep.check(ok, f"no comparison from the pushed {side} dual of the push")
+        rep.note(f"{lead} {'exists' if back else 'absent'}; iso {'yes' if iso else 'no'}")
     return rep.done()
 
 

@@ -175,12 +175,6 @@ class FinCategory:
             self._compose_memo[(f, g)] = h
         return h
 
-    def compose_many(self, *fs: int) -> int:
-        out = fs[0]
-        for f in fs[1:]:
-            out = self.compose(out, f)
-        return out
-
     def composable_pairs(self) -> Iterator[tuple[int, int]]:
         for b in range(self.n_objects):
             for f in self.mor_in(b):

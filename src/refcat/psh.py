@@ -11,7 +11,7 @@ the bottom is shared by every higher construction in the package
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .fincat import (
@@ -286,6 +286,23 @@ def push_transpose(
     return kappa
 
 
+def _factoring_failure(vert, down, composite, where: str, count: str) -> str | None:
+    """Does v |-> composite(v) biject the vertical derivations `vert` onto
+    the derivations `down`?  None if so, else why not."""
+    down_set = set(down)
+    seen = set()
+    for v in vert:
+        c = composite(v)
+        if c not in down_set:
+            return f"factoring {where} leaves the image"
+        if c in seen:
+            return f"two factorings {where} collide"
+        seen.add(c)
+    if len(seen) != len(down):
+        return f"{len(down)} derivations {count} but {len(seen)} factorings"
+    return None
+
+
 def opcartesian_factoring_check(
     pr: PushResult,
     F: FunctorData,
@@ -296,27 +313,19 @@ def opcartesian_factoring_check(
     phi =>_F push_F(phi): for each test codomain omega over the target base,
     postcomposition with the unit must biject vertical derivations
     push_F(phi) => omega with derivations phi =>_F omega."""
-    pushed = pr.presheaf
     for omega in test_codomains:
-        down = natural_families(phi, omega, F)
-        vert = natural_families(pushed, omega, None)
-        seen = set()
-        down_set = {d for d in down}
-        for v in vert:
-            composite = tuple(
+        why = _factoring_failure(
+            natural_families(pr.presheaf, omega, None),
+            natural_families(phi, omega, F),
+            lambda v: tuple(
                 tuple(v[F.obj(a)][cls] for cls in pr.unit[a])
                 for a in range(phi.base.n_objects)
-            )
-            if composite not in down_set:
-                return (False, f"factoring through {omega.name} leaves the image")
-            if composite in seen:
-                return (False, f"two factorings through {omega.name} collide")
-            seen.add(composite)
-        if len(seen) != len(down):
-            return (
-                False,
-                f"{len(down)} derivations into {omega.name} but {len(seen)} factorings",
-            )
+            ),
+            f"through {omega.name}",
+            f"into {omega.name}",
+        )
+        if why is not None:
+            return (False, why)
     return (True, None)
 
 
@@ -330,25 +339,18 @@ def cartesian_factoring_check(
     phi =>_F omega."""
     psi0, omega, F = theta.source, theta.target, theta.functor
     for phi in test_domains:
-        down = natural_families(phi, omega, F)
-        vert = natural_families(phi, psi0, None)
-        seen = set()
-        down_set = {d for d in down}
-        for v in vert:
-            composite = tuple(
+        why = _factoring_failure(
+            natural_families(phi, psi0, None),
+            natural_families(phi, omega, F),
+            lambda v: tuple(
                 tuple(theta.components[a][y] for y in v[a])
                 for a in range(phi.base.n_objects)
-            )
-            if composite not in down_set:
-                return (False, f"factoring from {phi.name} leaves the image")
-            if composite in seen:
-                return (False, f"two factorings from {phi.name} collide")
-            seen.add(composite)
-        if len(seen) != len(down):
-            return (
-                False,
-                f"{len(down)} derivations from {phi.name} but {len(seen)} factorings",
-            )
+            ),
+            f"from {phi.name}",
+            f"from {phi.name}",
+        )
+        if why is not None:
+            return (False, why)
     return (True, None)
 
 

@@ -9,7 +9,7 @@ computed from the derivation index built here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fincat import (
     FinCategory,
@@ -276,21 +276,17 @@ def is_fibration(sys: RefinementSystem) -> tuple[bool, list[tuple[int, int]]]:
 
 
 def is_opfibration(sys: RefinementSystem) -> tuple[bool, list[tuple[int, int]]]:
-    missing = []
-    for c in range(sys.T.n_morphisms):
-        for P in sys.fiber(sys.T.dom(c)):
-            if find_pushforward(sys, c, P) is None:
-                missing.append((c, P))
-    return (not missing, missing)
+    """True when every (c, P) with P refining dom c has a pushforward:
+    a fibration of the opposite system."""
+    return is_fibration(sys.op())
 
 
 class _LiftCache:
-    """Memoised lift searches for one system."""
+    """Memoised pullback searches for one system."""
 
     def __init__(self, sys: RefinementSystem):
         self.sys = sys
         self.pulls: dict[tuple[int, int], LiftCertificate | None] = {}
-        self.pushes: dict[tuple[int, int], LiftCertificate | None] = {}
 
     def pull(self, c: int, Q: int) -> LiftCertificate | None:
         key = (c, Q)
@@ -298,126 +294,80 @@ class _LiftCache:
             self.pulls[key] = find_pullback(self.sys, c, Q)
         return self.pulls[key]
 
-    def push(self, c: int, P: int) -> LiftCertificate | None:
-        key = (c, P)
-        if key not in self.pushes:
-            self.pushes[key] = find_pushforward(self.sys, c, P)
-        return self.pushes[key]
-
 
 def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
     """Functoriality and monotonicity of pullback and pushforward.
 
     Whenever both sides exist: pulling along d then c agrees with pulling
     along d;c up to vertical iso, identities pull to the same type up to
-    vertical iso, pulling preserves subtyping; dually for pushing.
-    Instances where a needed lift does not exist are skipped, since the
-    laws only speak about types the system can actually form.
+    vertical iso, pulling preserves subtyping; dually for pushing, which
+    is pulling in the opposite system.  Instances where a needed lift does
+    not exist are skipped, since the laws only speak about types the
+    system can actually form.
     """
     report = CheckReport(
         name="pull-push-laws",
         statement="pullbacks and pushforwards compose, respect identities, "
         "and are monotone in the subject",
     )
-    cache = _LiftCache(sys)
     T = sys.T
-
-    def nm(P):
-        return sys.D.object_name(P)
-
-    def nc(c):
-        return T.morphism_name(c)
+    nm, nc = sys.D.object_name, T.morphism_name
+    # Subtyping in the opposite system runs the other way.
+    sides = (
+        (_LiftCache(sys), "pull", "pullback", "<="),
+        (_LiftCache(sys.op()), "push", "pushforward", ">="),
+    )
 
     # identity laws
     for A in range(T.n_objects):
-        idA = T.identity[A]
         for Q in sys.fiber(A):
-            cert = cache.pull(idA, Q)
-            if cert is None:
-                report.record_skip("identity pullback missing")
-                continue
-            report.check(
-                sys.vertical_iso(cert.result, Q) is not None,
-                f"pull along id_{T.object_name(A)} of {nm(Q)} gave "
-                f"{nm(cert.result)}, not iso to {nm(Q)}",
-            )
-            cert2 = cache.push(idA, Q)
-            if cert2 is None:
-                report.record_skip("identity pushforward missing")
-                continue
-            report.check(
-                sys.vertical_iso(cert2.result, Q) is not None,
-                f"push along id_{T.object_name(A)} of {nm(Q)} gave "
-                f"{nm(cert2.result)}, not iso to {nm(Q)}",
-            )
+            for lifts, verb, lift, _ in sides:
+                cert = lifts.pull(T.identity[A], Q)
+                if cert is None:
+                    report.record_skip(f"identity {lift} missing")
+                    break
+                report.check(
+                    sys.vertical_iso(cert.result, Q) is not None,
+                    f"{verb} along id_{T.object_name(A)} of {nm(Q)} gave "
+                    f"{nm(cert.result)}, not iso to {nm(Q)}",
+                )
 
-    # composition laws
+    # composition laws: pull along c then d, push along d then c
     for d in range(T.n_morphisms):
         for c in T.mor_out(T.cod(d)):
             dc = T.compose(d, c)
-            for Q in sys.fiber(T.cod(c)):
-                inner = cache.pull(c, Q)
-                whole = cache.pull(dc, Q)
-                if inner is None or whole is None:
-                    report.record_skip("composite pullback instance missing")
-                else:
-                    outer = cache.pull(d, inner.result)
+            for (lifts, verb, lift, _), first, then in zip(sides, (c, d), (d, c)):
+                s = lifts.sys
+                for X in s.fiber(s.T.cod(first)):
+                    inner, whole = lifts.pull(first, X), lifts.pull(dc, X)
+                    outer = None if inner is None or whole is None else lifts.pull(then, inner.result)
                     if outer is None:
-                        report.record_skip("composite pullback instance missing")
-                    else:
-                        report.check(
-                            sys.vertical_iso(whole.result, outer.result) is not None,
-                            f"pull {nc(d)};{nc(c)} of {nm(Q)}: {nm(whole.result)} "
-                            f"vs staged {nm(outer.result)}",
-                        )
-            for P in sys.fiber(T.dom(d)):
-                inner = cache.push(d, P)
-                whole = cache.push(dc, P)
-                if inner is None or whole is None:
-                    report.record_skip("composite pushforward instance missing")
-                else:
-                    outer = cache.push(c, inner.result)
-                    if outer is None:
-                        report.record_skip("composite pushforward instance missing")
-                    else:
-                        report.check(
-                            sys.vertical_iso(whole.result, outer.result) is not None,
-                            f"push {nc(d)};{nc(c)} of {nm(P)}: {nm(whole.result)} "
-                            f"vs staged {nm(outer.result)}",
-                        )
+                        report.record_skip(f"composite {lift} instance missing")
+                        continue
+                    report.check(
+                        sys.vertical_iso(whole.result, outer.result) is not None,
+                        f"{verb} {nc(d)};{nc(c)} of {nm(X)}: {nm(whole.result)} "
+                        f"vs staged {nm(outer.result)}",
+                    )
 
     # monotonicity
     for c in range(T.n_morphisms):
-        B = T.cod(c)
-        A = T.dom(c)
-        for Q1 in sys.fiber(B):
-            for Q2 in sys.fiber(B):
-                if not sys.subtypings(Q1, Q2):
-                    continue
-                c1 = cache.pull(c, Q1)
-                c2 = cache.pull(c, Q2)
-                if c1 is None or c2 is None:
-                    report.record_skip("monotonicity pullback instance missing")
-                    continue
-                report.check(
-                    bool(sys.subtypings(c1.result, c2.result)),
-                    f"{nm(Q1)} <= {nm(Q2)} but pull_{nc(c)} results "
-                    f"{nm(c1.result)} !<= {nm(c2.result)}",
-                )
-        for P1 in sys.fiber(A):
-            for P2 in sys.fiber(A):
-                if not sys.subtypings(P1, P2):
-                    continue
-                c1 = cache.push(c, P1)
-                c2 = cache.push(c, P2)
-                if c1 is None or c2 is None:
-                    report.record_skip("monotonicity pushforward instance missing")
-                    continue
-                report.check(
-                    bool(sys.subtypings(c1.result, c2.result)),
-                    f"{nm(P1)} <= {nm(P2)} but push_{nc(c)} results "
-                    f"{nm(c1.result)} !<= {nm(c2.result)}",
-                )
+        for lifts, verb, lift, le in sides:
+            s = lifts.sys
+            fib = s.fiber(s.T.cod(c))
+            for X1 in fib:
+                for X2 in fib:
+                    if not s.subtypings(X1, X2):
+                        continue
+                    c1, c2 = lifts.pull(c, X1), lifts.pull(c, X2)
+                    if c1 is None or c2 is None:
+                        report.record_skip(f"monotonicity {lift} instance missing")
+                        continue
+                    report.check(
+                        bool(s.subtypings(c1.result, c2.result)),
+                        f"{nm(X1)} {le} {nm(X2)} but {verb}_{nc(c)} results "
+                        f"{nm(c1.result)} !{le} {nm(c2.result)}",
+                    )
     return report.done()
 
 
@@ -657,7 +607,7 @@ def adjunction_check(adj: RefSysAdjunction) -> CheckReport:
     return report.done()
 
 
-def rapp_check(adj: RefSysAdjunction, max_instances: int | None = None) -> CheckReport:
+def rapp_check(adj: RefSysAdjunction) -> CheckReport:
     """Right adjoints preserve pullbacks, verified constructively.
 
     For every base morphism c and every refinement Q of its codomain that
@@ -680,7 +630,6 @@ def rapp_check(adj: RefSysAdjunction, max_instances: int | None = None) -> Check
     eta, eps = adj.unit_ref, adj.counit_ref
     eta_b, eps_b = adj.unit_base, adj.counit_base
     Tb, Tt = e.T, s.T
-    instances = 0
 
     for c in range(Tb.n_morphisms):
         A, B = Tb.dom(c), Tb.cod(c)
@@ -689,10 +638,6 @@ def rapp_check(adj: RefSysAdjunction, max_instances: int | None = None) -> Check
             if cert is None:
                 report.record_skip("no pullback in the target system")
                 continue
-            if max_instances is not None and instances >= max_instances:
-                report.record_skip("instance budget reached")
-                continue
-            instances += 1
             cQ = cert.result
             ell = cert.structural
 
@@ -836,11 +781,11 @@ def rapp_check(adj: RefSysAdjunction, max_instances: int | None = None) -> Check
     return report.done()
 
 
-def lapp_check(adj: RefSysAdjunction, max_instances: int | None = None) -> CheckReport:
+def lapp_check(adj: RefSysAdjunction) -> CheckReport:
     """Left adjoints preserve pushforwards: the same statement as
     rapp_check applied to the opposite adjunction, where pushforwards
     become pullbacks and the left adjoint becomes the right one."""
-    report = rapp_check(adj.op(), max_instances=max_instances)
+    report = rapp_check(adj.op())
     report.name = f"lapp:{adj.name}"
     report.statement = (
         "the left adjoint maps certified pushforwards to certified "
@@ -864,6 +809,21 @@ class MonoidalStructure:
     unit: int
     obj_tensor: dict[tuple[int, int], int]
     mor_tensor: dict[tuple[int, int], int]
+    _reversed: MonoidalStructure | None = field(default=None, repr=False, compare=False)
+
+    def reversed(self) -> MonoidalStructure:
+        """The tensor with its arguments swapped, a (x)' b = b (x) a.  Every
+        right-hand construction is the left-hand one here.  Built once;
+        reversing it again gives back this structure."""
+        if self._reversed is None:
+            self._reversed = MonoidalStructure(
+                self.cat,
+                self.unit,
+                {(b, a): x for (a, b), x in self.obj_tensor.items()},
+                {(g, f): h for (f, g), h in self.mor_tensor.items()},
+            )
+            self._reversed._reversed = self
+        return self._reversed
 
     def tobj(self, a: int, b: int) -> int:
         return self.obj_tensor[(a, b)]
@@ -977,21 +937,9 @@ def find_right_residual(
 ) -> tuple[int, int] | None:
     """The right residual of b and c: an object x with plug : x (x) b -> c
     such that u |-> (u (x) id_b) ; plug is a bijection hom(a, x) ->
-    hom(a (x) b, c) for every a."""
-    cat = mon.cat
-    idb = cat.identity[b]
-    for x in range(cat.n_objects):
-        for plug in cat.hom(mon.tobj(x, b), c):
-            if all(
-                _bijective_by_composite(
-                    cat,
-                    [(u, cat.compose(mon.tmor(u, idb), plug)) for u in cat.hom(a, x)],
-                    cat.hom(mon.tobj(a, b), c),
-                )
-                for a in range(cat.n_objects)
-            ):
-                return (x, plug)
-    return None
+    hom(a (x) b, c) for every a.  It is the left residual of the reversed
+    tensor."""
+    return find_left_residual(mon.reversed(), b, c)
 
 
 def _bijective_by_composite(
@@ -1026,19 +974,9 @@ def right_curry(
     mon: MonoidalStructure, p: int, a: int, b: int, x: int, plug: int
 ) -> int:
     """Transpose p : a (x) b -> c through a certified right residual (x,
-    plug : x (x) b -> c): the unique u : a -> x with (u (x) id_b) ; plug = p."""
-    cat = mon.cat
-    found = None
-    for u in cat.hom(a, x):
-        if cat.compose(mon.tmor(u, cat.identity[b]), plug) == p:
-            if found is not None:
-                raise StructuralError("right residual transpose is not unique")
-            found = u
-    if found is None:
-        raise StructuralError(
-            f"no right-residual transpose for {cat.morphism_name(p)}"
-        )
-    return found
+    plug : x (x) b -> c): the unique u : a -> x with (u (x) id_b) ; plug = p.
+    It is the left transpose of the reversed tensor."""
+    return left_curry(mon.reversed(), p, b, a, x, plug)
 
 
 @dataclass
@@ -1048,6 +986,16 @@ class MonoidalRefinementSystem:
     sys: RefinementSystem
     mon_ref: MonoidalStructure  # on D
     mon_base: MonoidalStructure  # on T
+    _reversed: MonoidalRefinementSystem | None = field(default=None, repr=False, compare=False)
+
+    def reversed(self) -> MonoidalRefinementSystem:
+        """The same system with both tensors reversed, built once."""
+        if self._reversed is None:
+            self._reversed = MonoidalRefinementSystem(
+                self.sys, self.mon_ref.reversed(), self.mon_base.reversed()
+            )
+            self._reversed._reversed = self
+        return self._reversed
 
     def validate(self) -> ValidationReport:
         report = self.sys.validate()

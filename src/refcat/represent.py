@@ -11,6 +11,12 @@ factorizations through pointed categories and through the comma category,
 and transports monoidal structure on t into Day-style structure on the
 slices.
 
+Each mirror image comes from a one-sided construction: the coslice, the
+negative representation and everything about pushforwards are the
+slice, the positive representation and pullbacks of `sys.op()`, and the
+right residuals are the left residuals of the reversed tensor
+(`MonoidalRefinementSystem.reversed()`).
+
 All constructions are cached on the RefinementSystem instance, which is
 load-bearing: presheaf pullback requires base categories to be identical
 objects, not merely isomorphic copies.
@@ -54,9 +60,7 @@ from .refsys import (
     find_left_residual,
     find_pullback,
     find_pushforward,
-    find_right_residual,
     left_curry,
-    right_curry,
 )
 from .reports import CheckReport
 
@@ -171,8 +175,7 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
     """The presheaf of derivations into Q over the slice of t(Q).
 
     Elements at (P, c) are the derivations of (P, c, Q), carried as
-    payloads; morphisms act by precomposition.  The representing slice
-    object (Q, id) is stored on the presheaf as `rep_obj`."""
+    payloads; morphisms act by precomposition."""
     cache = sys.__dict__.setdefault("_pos_rep_cache", {})
     if Q not in cache:
         D = sys.D
@@ -190,15 +193,13 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
             action.append(
                 tuple(pos[s][D.compose(alpha, sigma)] for sigma in payloads[u])
             )
-        psh = Presheaf(
+        cache[Q] = Presheaf(
             f"rep({D.objects[Q]})",
             S.cat,
             tuple(elements),
             tuple(action),
             tuple(payloads),
         )
-        psh.rep_obj = S.obj_index[(Q, sys.T.identity[sys.shape(Q)])]
-        cache[Q] = psh
     return cache[Q]
 
 
@@ -234,11 +235,7 @@ def neg_rep_derivation(sys: RefinementSystem, sigma: int, name: str | None = Non
     return pos_rep_derivation(sys.op(), sigma, name)
 
 
-def representation_ff_check(
-    sys: RefinementSystem,
-    variance: str = "both",
-    max_judgments: int | None = None,
-) -> CheckReport:
+def representation_ff_check(sys: RefinementSystem, variance: str = "both") -> CheckReport:
     """Soundness and completeness of the representations: for every
     judgment (Q1, c, Q2), postcomposition maps the derivation set
     bijectively onto the presheaf derivations rep(Q1) => rep(Q2) over the
@@ -251,12 +248,7 @@ def representation_ff_check(
     for use_op in directions:
         s = sys.op() if use_op else sys
         side = "neg" if use_op else "pos"
-        count = 0
         for (Q1, c, Q2) in s.judgments():
-            if max_judgments is not None and count >= max_judgments:
-                rep.record_skip(f"{side}: judgment budget {max_judgments} reached")
-                break
-            count += 1
             ders = s.derivations(Q1, c, Q2)
             phi, psi = pos_rep(s, Q1), pos_rep(s, Q2)
             F = slice_action(s, c)
@@ -388,7 +380,7 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
     for Q in range(D.n_objects):
         phi = pos_rep(sys, Q)
         S = slice_of(sys, sys.shape(Q))
-        point = phi.rep_obj
+        point = S.obj_index[(Q, T.identity[sys.shape(Q)])]
         bad = None
         trans: list[dict[int, int]] = []
         for i in range(len(S.obj_tags)):
@@ -498,55 +490,54 @@ def factorization_check(sys: RefinementSystem, size_guard: int = 60000) -> Check
 # Preservation of pullbacks (and pushforwards, contravariantly)
 
 
+def _pulled_reps(s: RefinementSystem, c: int, rep: CheckReport, lift: str, failure: str):
+    """For every refinement Q of cod c with a certified pullback along c,
+    check that the comparison rep(c*Q) => rep(Q) pulled along c is a
+    vertical iso; skip the others.  `failure` is formatted with R = c*Q,
+    Q and c.  Returns the certificates found."""
+    certs = []
+    for Q in s.fiber(s.T.cod(c)):
+        cert = find_pullback(s, c, Q)
+        if cert is None:
+            rep.record_skip(f"no {lift} of {s.D.objects[Q]} along {s.T.mor_names[c]}")
+            continue
+        comparison = pos_rep_derivation(s, cert.structural)
+        pulled = pull_psh(slice_action(s, c), pos_rep(s, Q))
+        rep.check(
+            is_vertical_iso(comparison.components, pos_rep(s, cert.result), pulled),
+            failure.format(R=s.D.objects[cert.result], Q=s.D.objects[Q], c=s.T.mor_names[c]),
+        )
+        certs.append(cert)
+    return certs
+
+
 def preservation_check(sys: RefinementSystem) -> CheckReport:
     """Certified pullbacks become isomorphisms of positive representations;
     certified pushforwards become isomorphisms of negative representations
-    onto pullbacks.  The one-way comparison out of the pushed positive
-    representation is always constructed; its invertibility is recorded as
-    a note, not asserted."""
+    onto pullbacks, which is the same statement in the opposite system.
+    The one-way comparison out of the pushed positive representation is
+    always constructed; its invertibility is recorded as a note, not
+    asserted."""
     rep = CheckReport(
         f"preservation[{sys.name}]",
         "representations preserve certified lifts as vertical isomorphisms",
     )
     T = sys.T
-    ops = sys.op()
     one_way_iso = 0
     one_way_total = 0
     for c in range(T.n_morphisms):
         if T.is_identity(c):
             continue
-        A, B = T.dom(c), T.cod(c)
-        for Q in sys.fiber(B):
-            cert = find_pullback(sys, c, Q)
-            if cert is None:
-                rep.record_skip(
-                    f"no pullback of {sys.D.objects[Q]} along {T.mor_names[c]}"
-                )
-                continue
-            comparison = pos_rep_derivation(sys, cert.structural)
-            pulled = pull_psh(slice_action(sys, c), pos_rep(sys, Q))
-            rep.check(
-                is_vertical_iso(comparison.components, pos_rep(sys, cert.result), pulled),
-                f"rep({sys.D.objects[cert.result]}) is not pulled rep({sys.D.objects[Q]}) along {T.mor_names[c]}",
-            )
-        for P in sys.fiber(A):
-            cert = find_pushforward(sys, c, P)
-            if cert is None:
-                rep.record_skip(
-                    f"no pushforward of {sys.D.objects[P]} along {T.mor_names[c]}"
-                )
-                continue
-            comparison = neg_rep_derivation(sys, cert.structural)
-            pulled = pull_psh(coslice_action(sys, c), neg_rep(sys, P))
-            rep.check(
-                is_vertical_iso(comparison.components, neg_rep(sys, cert.result), pulled),
-                f"negative rep of {sys.D.objects[cert.result]} is not pulled along {T.mor_names[c]}",
-            )
+        _pulled_reps(sys, c, rep, "pullback", "rep({R}) is not pulled rep({Q}) along {c}")
+        pushes = _pulled_reps(
+            sys.op(), c, rep, "pushforward", "negative rep of {R} is not pulled along {c}"
+        )
+        for cert in pushes:
             # One-way comparison on the positive side: push the positive
             # representation and factor the postcomposition derivation
             # through it.
             F = slice_action(sys, c)
-            pr = push_psh_full(F, pos_rep(sys, P))
+            pr = push_psh_full(F, pos_rep(sys, cert.subject))
             theta = pos_rep_derivation(sys, cert.structural)
             kappa = push_transpose(pr, F, pos_rep(sys, cert.result), theta.components)
             one_way_total += 1
@@ -686,18 +677,9 @@ def _strict_left_residual(mrs: MonoidalRefinementSystem, P: int, R: int):
 
 
 def _strict_right_residual(mrs: MonoidalRefinementSystem, Q: int, R: int):
-    t = mrs.sys.t
-    resT = find_right_residual(mrs.mon_base, t.obj(Q), t.obj(R))
-    if resT is None:
-        return None
-    resD = find_right_residual(mrs.mon_ref, Q, R)
-    if resD is None:
-        return None
-    YD, plugD = resD
-    YT, plugT = resT
-    if t.obj(YD) != YT or t.mor(plugD) != plugT:
-        return None
-    return (YD, plugD, YT, plugT)
+    """Residual data for R / Q: the strict left residual of the reversed
+    tensors."""
+    return _strict_left_residual(mrs.reversed(), Q, R)
 
 
 def _curry_into(
@@ -763,17 +745,17 @@ def _comparison_components(
     phi: Presheaf,
     omega: Presheaf,
     res: Presheaf,
+    fc: FunctorCategory,
     curryF: FunctorData,
     plugD: int,
-    order: str,
 ):
     """Components of the canonical comparison from lhs into the pullback of
     the residual presheaf along curryF.
 
     An element sigma of lhs at i becomes the family sending tau in phi(a)
-    to (tau (x) carrier(sigma)) ; plugD (order "left"), or with the tensor
-    flipped (order "right"); the family is then located among the stored
-    natural families at the functor curryF(i).  Returns (components, None)
+    to (tau (x) carrier(sigma)) ; plugD; the family is then located among
+    the stored natural families at the functor curryF(i), an object of the
+    functor category fc that res lives over.  Returns (components, None)
     or (None, failure message)."""
     D = mrs.sys.D
     tmor = mrs.mon_ref.tmor
@@ -794,12 +776,8 @@ def _comparison_components(
             for a in range(phi.base.n_objects):
                 vals = []
                 for tau in phi.payloads[a]:
-                    if order == "left":
-                        der = D.compose(tmor(tau, sig), plugD)
-                    else:
-                        der = D.compose(tmor(sig, tau), plugD)
-                    o = _curry_obj_image(mrs, res, Gi, a)
-                    pos = omega_pos[o].get(der)
+                    der = D.compose(tmor(tau, sig), plugD)
+                    pos = omega_pos[fc.functors[Gi].obj(a)].get(der)
                     if pos is None:
                         return (
                             None,
@@ -818,12 +796,6 @@ def _comparison_components(
     return (tuple(comps), None)
 
 
-def _curry_obj_image(mrs, res, Gi, a):
-    # res lives over a functor category; its decoder is stashed by the
-    # callers below so the comparison can evaluate functors pointwise.
-    return res._fc.functors[Gi].obj(a)
-
-
 def genday_check(
     mrs: MonoidalRefinementSystem,
     P: int,
@@ -839,7 +811,8 @@ def genday_check(
     (b) rep(P \\ R) is the pullback of the presheaf residual along the
         currying of tensor-then-plug, with the comparison certified
         cartesian;
-    (c) mirror image for the right residual R / Q.
+    (c) mirror image for the right residual R / Q, which is (b) for the
+        reversed tensor.
 
     Clauses (b) and (c) require the residuals to exist with the refinement
     residual lying strictly over the base one; otherwise they are skipped
@@ -875,18 +848,18 @@ def genday_check(
     if resL is None:
         rep.record_skip(f"(b) no strict left residual for ({nm[P]}, {nm[R]})")
     else:
-        _genday_residual_clause(mrs, rep, "(b)", P, R, resL, "left", size_guard)
+        _genday_residual_clause(mrs, rep, "(b)", P, R, resL, size_guard)
 
     # (c) right residual clause
     resR = _strict_right_residual(mrs, Q, R)
     if resR is None:
         rep.record_skip(f"(c) no strict right residual for ({nm[Q]}, {nm[R]})")
     else:
-        _genday_residual_clause(mrs, rep, "(c)", Q, R, resR, "right", size_guard)
+        _genday_residual_clause(mrs.reversed(), rep, "(c)", Q, R, resR, size_guard)
     return rep.done()
 
 
-def _genday_residual_clause(mrs, rep, label, P, R, resdata, side, size_guard):
+def _genday_residual_clause(mrs, rep, label, P, R, resdata, size_guard):
     sys = mrs.sys
     D = sys.D
     nm = D.objects
@@ -896,24 +869,17 @@ def _genday_residual_clause(mrs, rep, label, P, R, resdata, side, size_guard):
     omega = pos_rep(sys, R)
     SX = slice_of(sys, XT)
 
-    if side == "left":
-        Fm, prod = m_functor(mrs, sys.shape(P), XT)
-        arg = "second"
-    else:
-        Fm, prod = m_functor(mrs, XT, sys.shape(P))
-        arg = "first"
+    Fm, prod = m_functor(mrs, sys.shape(P), XT)
     plugged = compose_functors(Fm, slice_action(sys, plugT))
 
     try:
-        res, fc = residual_psh(side, phi, omega, size_guard)
+        res, fc = residual_psh("left", phi, omega, size_guard)
     except SizeGuardExceeded as exc:
         rep.record_skip(f"{label} residual presheaf skipped: {exc}")
         return
-    res._fc = fc
-    curryF = _curry_into(fc, prod, plugged, SX.cat, arg, f"costr{label}")
-    order = "left" if side == "left" else "right"
+    curryF = _curry_into(fc, prod, plugged, SX.cat, "second", f"costr{label}")
     comps, why = _comparison_components(
-        mrs, lhs, lambda s: s, phi, omega, res, curryF, plugD, order
+        mrs, lhs, lambda s: s, phi, omega, res, fc, curryF, plugD
     )
     if comps is None:
         rep.record_fail(f"{label} {why}")
@@ -942,28 +908,23 @@ def fiber_tensor(mrs: MonoidalRefinementSystem, mo: MonoidObject, P: int, Q: int
     return find_pushforward(mrs.sys, mo.p, mrs.mon_ref.tobj(P, Q))
 
 
-def _multiplication_curry(mrs: MonoidalRefinementSystem, mo: MonoidObject, side: str):
-    """The currying of the multiplication through the base residual:
-    (X, plug, curry) with curry : W -> X, or None."""
+def _multiplication_curry(mrs: MonoidalRefinementSystem, mo: MonoidObject):
+    """The currying of the multiplication through the base left residual:
+    (X, plug, curry) with curry : W -> X, or None.  The right currying is
+    this one for `mrs.reversed()`."""
     mon = mrs.mon_base
-    if side == "left":
-        found = find_left_residual(mon, mo.W, mo.W)
-        if found is None:
-            return None
-        X, plug = found
-        return (X, plug, left_curry(mon, mo.p, mo.W, mo.W, X, plug))
-    found = find_right_residual(mon, mo.W, mo.W)
+    found = find_left_residual(mon, mo.W, mo.W)
     if found is None:
         return None
     X, plug = found
-    return (X, plug, right_curry(mon, mo.p, mo.W, mo.W, X, plug))
+    return (X, plug, left_curry(mon, mo.p, mo.W, mo.W, X, plug))
 
 
 def fiber_residual_left(mrs: MonoidalRefinementSystem, mo: MonoidObject, P: int, R: int):
     """The fiber residual P -o_W R: the pullback along the left currying of
     the multiplication of the strict refinement residual, or None when any
     hypothesis is unmet."""
-    data = _multiplication_curry(mrs, mo, "left")
+    data = _multiplication_curry(mrs, mo)
     strict = _strict_left_residual(mrs, P, R)
     if data is None or strict is None:
         return None
@@ -972,12 +933,8 @@ def fiber_residual_left(mrs: MonoidalRefinementSystem, mo: MonoidObject, P: int,
 
 
 def fiber_residual_right(mrs: MonoidalRefinementSystem, mo: MonoidObject, Q: int, R: int):
-    data = _multiplication_curry(mrs, mo, "right")
-    strict = _strict_right_residual(mrs, Q, R)
-    if data is None or strict is None:
-        return None
-    _X, _plug, rho = data
-    return find_pullback(mrs.sys, rho, strict[0])
+    """The fiber residual R o-_W Q: the left one for the reversed tensors."""
+    return fiber_residual_left(mrs.reversed(), mo, Q, R)
 
 
 def monoid_lax_check(
@@ -1036,22 +993,19 @@ def monoid_lax_check(
     if coercion_total:
         rep.note(f"coercion invertible in {iso_count}/{coercion_total} instances")
 
-    for side, mate in (("left", fiber_residual_left), ("right", fiber_residual_right)):
-        data = _multiplication_curry(mrs, mo, side)
+    # The right residuals are the left ones of the reversed tensors.
+    for side, m in (("left", mrs), ("right", mrs.reversed())):
+        Fm, prod = m_functor(m, mo.W, mo.W)
+        Fday = compose_functors(Fm, slice_action(sys, mo.p))
         for P in fib:
             for R in fib:
-                cert = mate(mrs, mo, P, R)
+                cert = fiber_residual_left(m, mo, P, R)
                 if cert is None:
                     rep.record_skip(
                         f"{side} residual hypotheses unmet for ({nm[P]}, {nm[R]})"
                     )
                     continue
-                strict = (
-                    _strict_left_residual(mrs, P, R)
-                    if side == "left"
-                    else _strict_right_residual(mrs, P, R)
-                )
-                XD, plugD, _XT, _plugT = strict
+                XD, plugD, _XT, _plugT = _strict_left_residual(m, P, R)
                 lhs = pos_rep(sys, cert.result)
                 phi = pos_rep(sys, P)
                 omega = pos_rep(sys, R)
@@ -1060,23 +1014,20 @@ def monoid_lax_check(
                 except SizeGuardExceeded as exc:
                     rep.record_skip(f"{side} residual presheaf skipped: {exc}")
                     continue
-                res._fc = fc
-                arg = "second" if side == "left" else "first"
                 curryW = _curry_into(
-                    fc, prod, Fday, slice_of(sys, mo.W).cat, arg, f"day-curry-{side}"
+                    fc, prod, Fday, slice_of(sys, mo.W).cat, "second", f"day-curry-{side}"
                 )
                 ell = cert.structural
-                order = "left" if side == "left" else "right"
                 comps, why = _comparison_components(
-                    mrs,
+                    m,
                     lhs,
                     lambda s, _e=ell, _D=D: _D.compose(s, _e),
                     phi,
                     omega,
                     res,
+                    fc,
                     curryW,
                     plugD,
-                    order,
                 )
                 if comps is None:
                     rep.record_fail(f"{side} residual at ({nm[P]}, {nm[R]}): {why}")

@@ -159,8 +159,8 @@ def test_verify_skew_system_is_green(skew_file, capsys):
 def test_corrupted_tables_turn_the_suite_red(skew_file, capsys):
     orig = duality_mod._cut_presheaf
 
-    def tampered(s, B, fixed, idx):
-        psh, pos = orig(s, B, fixed, idx)
+    def tampered(s, B, idx):
+        psh, pos = orig(s, B, idx)
         rows = list(psh.action)
         for i, row in enumerate(rows):
             if len(set(row)) >= 2 and not psh.base.is_identity(i):

@@ -22,7 +22,7 @@ from refcat.duality import (
     notpush_check,
 )
 from refcat.fincat import FinCategory, SizeGuardExceeded, validate_category, validate_functor
-from refcat.fixtures import bang_system
+from refcat.fixtures import bang_system, build_hoare, default_hoare_spec
 from refcat.psh import Presheaf, natural_families, validate_presheaf, vertical_iso_psh
 from refcat.represent import neg_rep, pos_rep
 from tests.conftest import image_oracle, pred_set
@@ -64,6 +64,20 @@ def test_judgment_category_counts_from_pair_oracle(hoare):
                     if composite_command(composite_command(d, names_T[c2]), e) == names_T[c1]:
                         expected += 1
     assert J.cat.n_morphisms == expected == 5776
+
+
+def test_judgment_guard_reports_the_true_size_before_building():
+    sys = build_hoare(default_hoare_spec())
+
+    def untouched(*args):
+        raise AssertionError("the guard must trip before any judgment is listed")
+
+    sys.judgments = sys.derivations = untouched
+    with pytest.raises(SizeGuardExceeded) as exc:
+        judgment_category(sys, size_guard=5000)
+    assert exc.value.estimate == 5776
+    del sys.judgments, sys.derivations
+    assert judgment_category(sys).cat.n_morphisms == 5776
 
 
 def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
@@ -183,8 +197,8 @@ def test_corrupted_derivation_action_is_detected():
 
     orig = duality_mod._cut_presheaf
 
-    def tampered(s, B, fixed, idx):
-        psh, pos = orig(s, B, fixed, idx)
+    def tampered(s, B, idx):
+        psh, pos = orig(s, B, idx)
         rows = list(psh.action)
         for i, row in enumerate(rows):
             if len(set(row)) >= 2 and not psh.base.is_identity(i):

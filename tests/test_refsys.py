@@ -1,14 +1,17 @@
 """Refinement systems: judgments, lifts against independent oracles, laws."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refcat.fincat import identity_functor
+from refcat.fincat import discrete_category, identity_functor
 from refcat.fixtures import (
     collapse_lattice_fixture,
     random_refsys,
 )
 from refcat.refsys import (
+    MonoidalStructure,
     RefSysMorphism,
     find_left_residual,
     find_pullback,
@@ -17,7 +20,9 @@ from refcat.refsys import (
     fully_faithful_check,
     is_fibration,
     is_opfibration,
+    left_curry,
     pullpush_laws_check,
+    right_curry,
 )
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
 
@@ -137,6 +142,45 @@ def test_residuals_match_set_implication(collapse):
             right = find_right_residual(mon, a, c)
             assert left is not None and names[left[0]] == want
             assert right is not None and names[right[0]] == want
+
+
+def s3_tensor():
+    """The discrete category on the six permutations of three points, with
+    composition of permutations as a strict tensor that does not commute.
+    Returns the structure and the table of inverses."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = {
+        (a, b): index[tuple(perms[a][perms[b][k]] for k in range(3))]
+        for a in range(6)
+        for b in range(6)
+    }
+    cat = discrete_category(["".join(map(str, p)) for p in perms])
+    # discrete_category numbers each identity like its object
+    mon = MonoidalStructure(cat, index[(0, 1, 2)], table, dict(table))
+    inv = [next(b for b in range(6) if table[(a, b)] == mon.unit) for a in range(6)]
+    return mon, inv
+
+
+def test_right_constructions_on_a_noncommutative_tensor():
+    mon, inv = s3_tensor()
+    assert mon.validate().ok
+    assert any(mon.tobj(a, b) != mon.tobj(b, a) for a in range(6) for b in range(6))
+    for a in range(6):
+        for c in range(6):
+            assert find_left_residual(mon, a, c) == (mon.tobj(inv[a], c), c)
+            assert find_right_residual(mon, a, c) == (mon.tobj(c, inv[a]), c)
+    for a in range(6):
+        for b in range(6):
+            p = mon.tobj(a, b)
+            x, plug = find_left_residual(mon, a, p)
+            assert x == b and left_curry(mon, p, a, b, x, plug) == b
+            x, plug = find_right_residual(mon, b, p)
+            assert x == a and right_curry(mon, p, a, b, x, plug) == a
+    rev = mon.reversed()
+    assert all(rev.tobj(a, b) == mon.tobj(b, a) for a in range(6) for b in range(6))
+    back = rev.reversed()
+    assert back.obj_tensor == mon.obj_tensor and back.mor_tensor == mon.mor_tensor
 
 
 @given(st.integers(min_value=0, max_value=4000))

@@ -13,6 +13,8 @@ from refcat.represent import (
     coslice_action,
     coslice_of,
     factorization_check,
+    fiber_residual_left,
+    fiber_residual_right,
     fiber_tensor,
     genday_check,
     m_derivation,
@@ -244,6 +246,20 @@ def test_monoid_lax_counts(collapse, ident):
     for mo in ident.monoids:
         rep = monoid_lax_check(ident.mrs, mo)
         assert (rep.failed, rep.skipped) == (0, 0)
+
+
+def test_fiber_residuals_agree_on_a_commutative_tensor(collapse):
+    # meet commutes, so the two sides certify the same refinement
+    mrs = collapse.mrs
+    for mo in collapse.monoids:
+        fib = mrs.sys.fiber(mo.W)
+        for P in fib:
+            for R in fib:
+                left = fiber_residual_left(mrs, mo, P, R)
+                right = fiber_residual_right(mrs, mo, P, R)
+                assert (left is None) == (right is None)
+                if left is not None:
+                    assert (left.result, left.structural) == (right.result, right.structural)
 
 
 def test_m_functor_and_m_derivation_validate(collapse):
