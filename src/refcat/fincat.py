@@ -62,10 +62,13 @@ class ValidationReport:
 class FinCategory:
     """A finite category given by explicit tables.
 
-    `compose` may be a dict over composable pairs or a callable; derived
-    categories (products, functor categories) use a callable with a memo so
-    large tables are never materialized eagerly.  Semantically the table is
-    total on composable pairs either way.
+    `compose` may be a dict over composable pairs (hand-written tables) or
+    a callable (derived categories: opposites, products, slices, commas,
+    judgment and functor categories).  Either way composition is read from
+    one row per morphism f: the composites f;g for g in mor_out(cod f), in
+    that order.  A row is filled once, on first use, so a large derived
+    table is only ever computed for the morphisms something composes.  A
+    pair missing from a dict is stored as -1 and raises on use.
     """
 
     def __init__(
@@ -83,12 +86,9 @@ class FinCategory:
         self.mor_cod = tuple(m[2] for m in morphisms)
         self.identity = tuple(identity)
         if isinstance(compose, dict):
-            self._compose_table: dict[tuple[int, int], int] | None = compose
-            self._compose_fn: Callable[[int, int], int] | None = None
-        else:
-            self._compose_table = None
-            self._compose_fn = compose
-        self._compose_memo: dict[tuple[int, int], int] = {}
+            compose = lambda f, g, _table=compose: _table.get((f, g), -1)
+        self._compose = compose
+        self._rows: list[tuple[int, ...] | None] = [None] * len(self.mor_names)
         self._check_indices()
         self._hom: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mor_out: dict[int, tuple[int, ...]] = {}
@@ -110,13 +110,18 @@ class FinCategory:
         buckets: dict[tuple[int, int], list[int]] = {}
         out: dict[int, list[int]] = {}
         inc: dict[int, list[int]] = {}
+        out_pos = []
         for i in range(self.n_morphisms):
             buckets.setdefault((self.mor_dom[i], self.mor_cod[i]), []).append(i)
-            out.setdefault(self.mor_dom[i], []).append(i)
+            from_dom = out.setdefault(self.mor_dom[i], [])
+            out_pos.append(len(from_dom))
+            from_dom.append(i)
             inc.setdefault(self.mor_cod[i], []).append(i)
         self._hom = {k: tuple(v) for k, v in buckets.items()}
         self._mor_out = {k: tuple(v) for k, v in out.items()}
         self._mor_in = {k: tuple(v) for k, v in inc.items()}
+        # g's position in mor_out(dom g): the index of f;g in the row of f.
+        self._out_pos = tuple(out_pos)
 
     @property
     def n_objects(self) -> int:
@@ -156,23 +161,29 @@ class FinCategory:
     def mor_in(self, b: int) -> tuple[int, ...]:
         return self._mor_in.get(b, ())
 
+    def _row(self, f: int) -> tuple[int, ...]:
+        """The composites f;g for g in mor_out(cod f), -1 where a dict has
+        no entry; filled on first use."""
+        row = self._rows[f]
+        if row is None:
+            outs = self.mor_out(self.mor_cod[f])
+            row = self._rows[f] = tuple(self._compose(f, g) for g in outs)
+        return row
+
+    def _missing(self, f: int, g: int) -> StructuralError:
+        return StructuralError(
+            f"{self.name}: missing composite {self.mor_names[f]};{self.mor_names[g]}"
+        )
+
     def compose(self, f: int, g: int) -> int:
         """Diagrammatic composite f;g, defined when cod(f) = dom(g)."""
         if self.mor_cod[f] != self.mor_dom[g]:
             raise StructuralError(
                 f"{self.name}: compose({self.mor_names[f]}, {self.mor_names[g]}) is not composable"
             )
-        if self._compose_table is not None:
-            try:
-                return self._compose_table[(f, g)]
-            except KeyError:
-                raise StructuralError(
-                    f"{self.name}: missing composite {self.mor_names[f]};{self.mor_names[g]}"
-                ) from None
-        h = self._compose_memo.get((f, g))
-        if h is None:
-            h = self._compose_fn(f, g)
-            self._compose_memo[(f, g)] = h
+        h = (self._rows[f] or self._row(f))[self._out_pos[g]]
+        if h < 0:
+            raise self._missing(f, g)
         return h
 
     def composable_pairs(self) -> Iterator[tuple[int, int]]:
@@ -186,41 +197,58 @@ class FinCategory:
 
 
 def validate_category(cat: FinCategory) -> ValidationReport:
-    """Exhaustively check identity, endpoint and associativity laws."""
+    """Exhaustively check identity, endpoint and associativity laws.
+
+    Identity and associativity are only checked once every identity is an
+    endomorphism and every composite exists with the right endpoints;
+    otherwise the report stops at those structural violations.
+    """
     report = ValidationReport(f"category {cat.name}")
+    names, dom, cod = cat.mor_names, cat.mor_dom, cat.mor_cod
     for a in range(cat.n_objects):
         e = cat.id_of(a)
-        if cat.dom(e) != a or cat.cod(e) != a:
+        if dom[e] != a or cod[e] != a:
             report.add("identity-endpoints", f"id of {cat.objects[a]} is not an endomorphism")
-    for f, g in cat.composable_pairs():
-        try:
-            h = cat.compose(f, g)
-        except StructuralError as exc:
-            report.add("composition-totality", str(exc))
-            continue
-        if cat.dom(h) != cat.dom(f) or cat.cod(h) != cat.cod(g):
-            report.add(
-                "composition-endpoints",
-                f"{cat.mor_names[f]};{cat.mor_names[g]} = {cat.mor_names[h]} has wrong endpoints",
-            )
-    for f in range(cat.n_morphisms):
-        left = cat.compose(cat.id_of(cat.dom(f)), f)
-        right = cat.compose(f, cat.id_of(cat.cod(f)))
-        if left != f:
-            report.add("left-identity", f"id;{cat.mor_names[f]} = {cat.mor_names[left]}")
-        if right != f:
-            report.add("right-identity", f"{cat.mor_names[f]};id = {cat.mor_names[right]}")
-    # Associativity over all composable triples.
     for b in range(cat.n_objects):
+        outs = cat.mor_out(b)
         for f in cat.mor_in(b):
-            for g in cat.mor_out(b):
-                fg = cat.compose(f, g)
-                for h in cat.mor_out(cat.cod(g)):
+            for g, h in zip(outs, cat._row(f)):
+                if h < 0:
+                    report.add("composition-totality", str(cat._missing(f, g)))
+                elif dom[h] != dom[f] or cod[h] != cod[g]:
+                    report.add(
+                        "composition-endpoints",
+                        f"{names[f]};{names[g]} = {names[h]} has wrong endpoints",
+                    )
+    if report.violations:
+        return report
+    for f in range(cat.n_morphisms):
+        left = cat.compose(cat.id_of(dom[f]), f)
+        right = cat.compose(f, cat.id_of(cod[f]))
+        if left != f:
+            report.add("left-identity", f"id;{names[f]} = {names[left]}")
+        if right != f:
+            report.add("right-identity", f"{names[f]};id = {names[right]}")
+    # Associativity over all composable triples, one row at a time: with
+    # the endpoint laws in hand, row(f;g) and row(g) are both indexed by
+    # mor_out(cod g), and (f;g);h = f;(g;h) for every h is
+    # row(f;g) == [row(f)[pos(g;h)] for g;h in row(g)].
+    pos = cat._out_pos
+    row_pos = [tuple(map(pos.__getitem__, cat._row(g))) for g in range(cat.n_morphisms)]
+    for b in range(cat.n_objects):
+        outs = cat.mor_out(b)
+        for f in cat.mor_in(b):
+            row_f = cat._row(f)
+            at_f = row_f.__getitem__
+            for g, fg in zip(outs, row_f):
+                if cat._row(fg) == tuple(map(at_f, row_pos[g])):
+                    continue
+                for h in cat.mor_out(cod[g]):
                     if cat.compose(fg, h) != cat.compose(f, cat.compose(g, h)):
                         report.add(
                             "associativity",
-                            f"({cat.mor_names[f]};{cat.mor_names[g]});{cat.mor_names[h]} != "
-                            f"{cat.mor_names[f]};({cat.mor_names[g]};{cat.mor_names[h]})",
+                            f"({names[f]};{names[g]});{names[h]} != "
+                            f"{names[f]};({names[g]};{names[h]})",
                         )
     return report
 

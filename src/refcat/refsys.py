@@ -325,7 +325,7 @@ def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
                 cert = lifts.pull(T.identity[A], Q)
                 if cert is None:
                     report.record_skip(f"identity {lift} missing")
-                    break
+                    continue
                 report.check(
                     sys.vertical_iso(cert.result, Q) is not None,
                     f"{verb} along id_{T.object_name(A)} of {nm(Q)} gave "

@@ -596,14 +596,16 @@ class MonoidObject:
 
 def m_functor(mrs: MonoidalRefinementSystem, B1: int, B2: int) -> tuple[FunctorData, ProductCategory]:
     """Tensor-of-tags functor from the product of two slices into the slice
-    of the tensor, cached together with its product base."""
+    of the tensor, cached together with its product base.  The product
+    depends only on (sys, B1, B2), so `mrs` and `mrs.reversed()` share it."""
     cache = mrs.__dict__.setdefault("_m_cache", {})
     key = (B1, B2)
     if key not in cache:
         sys = mrs.sys
         S1, S2 = slice_of(sys, B1), slice_of(sys, B2)
         S12 = slice_of(sys, mrs.mon_base.tobj(B1, B2))
-        prod = product(S1.cat, S2.cat)
+        twin = mrs._reversed.__dict__.get("_m_cache", {}) if mrs._reversed else {}
+        prod = twin[key][1] if key in twin else product(S1.cat, S2.cat)
         omap = []
         for x in range(prod.n_objects):
             i, j = prod.split_obj(x)

@@ -179,6 +179,31 @@ def test_corrupted_tables_turn_the_suite_red(skew_file, capsys):
     assert "failed 1" in out or "failed" in out
 
 
+def test_composite_with_wrong_endpoints_is_named(tmp_path, capsys):
+    # e;e lands in hom(a, b); validation reports that, not the
+    # non-composable pair an associativity sweep would then ask for.
+    p = tmp_path / "endpoints.fix"
+    p.write_text(
+        "category D\n"
+        "  objects a b\n"
+        "  mor e : a -> a\n"
+        "  mor f : a -> b\n"
+        "  compose e ; e = f\n"
+        "  compose e ; f = f\n"
+        "category T\n"
+        "  objects w\n"
+        "functor t : D -> T\n"
+        "  obj a = w\n"
+        "  obj b = w\n"
+        "  mor e = id_w\n"
+        "  mor f = id_w\n"
+        "refsys S : t\n"
+    )
+    assert main(["verify", str(p), "all"]) == 2
+    err = capsys.readouterr().err
+    assert "category D: composition-endpoints: e;e = f has wrong endpoints" in err
+
+
 def test_fixture_gen_roundtrips(tmp_path, capsys):
     for kind, extra in (
         ("hoare", []),

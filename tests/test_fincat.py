@@ -8,6 +8,7 @@ from refcat.fincat import (
     FunctorData,
     NatTransData,
     StructuralError,
+    ValidationReport,
     compose_functors,
     curry_functor,
     discrete_category,
@@ -22,6 +23,8 @@ from refcat.fincat import (
     validate_functor,
     validate_nat_trans,
 )
+from refcat.fixtures import random_refsys
+from refcat.represent import comma_system
 
 
 def walking_arrow():
@@ -93,8 +96,13 @@ def test_identity_law_violation_detected():
 def test_missing_composite_raises():
     bad = FinCategory("gap", ["a"], [("id", 0, 0), ("g", 0, 0)], [0],
                       {(0, 0): 0, (0, 1): 1, (1, 0): 1})
-    with pytest.raises(StructuralError):
-        validate_category(bad)
+    with pytest.raises(StructuralError, match="missing composite g;g"):
+        bad.compose(1, 1)
+    # validation names the gap and stops before the law sweeps
+    rep = validate_category(bad)
+    assert [str(v) for v in rep.violations] == [
+        "composition-totality: gap: missing composite g;g"
+    ]
 
 
 def test_opposite_is_involutive():
@@ -179,3 +187,154 @@ def test_chain_categories_validate_with_expected_size(n):
     c = chain_category(n)
     assert validate_category(c).ok
     assert c.n_morphisms == n * (n + 1) // 2
+
+
+def reference_validate(cat):
+    """The naive law check that validate_category must agree with: every
+    composite read through compose(), associativity one triple at a time."""
+    report = ValidationReport(f"category {cat.name}")
+    nm = cat.mor_names
+    for a in range(cat.n_objects):
+        e = cat.id_of(a)
+        if cat.dom(e) != a or cat.cod(e) != a:
+            report.add("identity-endpoints", f"id of {cat.objects[a]} is not an endomorphism")
+    for f, g in cat.composable_pairs():
+        try:
+            h = cat.compose(f, g)
+        except StructuralError as exc:
+            report.add("composition-totality", str(exc))
+            continue
+        if cat.dom(h) != cat.dom(f) or cat.cod(h) != cat.cod(g):
+            report.add("composition-endpoints", f"{nm[f]};{nm[g]} = {nm[h]} has wrong endpoints")
+    if report.violations:
+        return report
+    for f in range(cat.n_morphisms):
+        left = cat.compose(cat.id_of(cat.dom(f)), f)
+        right = cat.compose(f, cat.id_of(cat.cod(f)))
+        if left != f:
+            report.add("left-identity", f"id;{nm[f]} = {nm[left]}")
+        if right != f:
+            report.add("right-identity", f"{nm[f]};id = {nm[right]}")
+    compose = cat.compose
+    for b in range(cat.n_objects):
+        for f in cat.mor_in(b):
+            for g in cat.mor_out(b):
+                fg = compose(f, g)
+                for h in cat.mor_out(cat.cod(g)):
+                    if compose(fg, h) != compose(f, compose(g, h)):
+                        report.add(
+                            "associativity",
+                            f"({nm[f]};{nm[g]});{nm[h]} != {nm[f]};({nm[g]};{nm[h]})",
+                        )
+    return report
+
+
+def assert_matches_reference(cat):
+    got = [(v.law, v.detail) for v in validate_category(cat).violations]
+    want = [(v.law, v.detail) for v in reference_validate(cat).violations]
+    assert got == want
+
+
+def skew_table():
+    comp = {
+        (0, 0): 0, (0, 1): 1, (0, 2): 2,
+        (1, 0): 1, (2, 0): 2,
+        (1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 1,
+    }
+    return FinCategory("skew", ["x"], [("e", 0, 0), ("g", 0, 0), ("h", 0, 0)], [0], comp)
+
+
+def test_validation_matches_the_reference_on_shipped_fixtures(hoare, linctx, collapse, ident, galois):
+    systems = [hoare, linctx, collapse.mrs.sys, ident.mrs.sys, random_refsys(5)]
+    systems += [galois.left.source, galois.left.target]
+    for s in systems:
+        for cat in (s.D, s.T):
+            assert_matches_reference(cat)
+
+
+def test_validation_matches_the_reference_on_derived_categories(hoare):
+    comma = comma_system(hoare).sys.D
+    for cat in (comma, opposite(hoare.D), opposite(chain_category(4)),
+                product(walking_arrow(), chain_category(3))):
+        assert_matches_reference(cat)
+
+
+def test_validation_matches_the_reference_on_broken_tables():
+    badid = FinCategory("badid", ["x"], [("e", 0, 0), ("g", 0, 0)], [0],
+                        {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1})
+    for cat in (skew_table(), badid):
+        assert not validate_category(cat).ok
+        assert_matches_reference(cat)
+
+
+def table_of(cat):
+    return {(f, g): cat.compose(f, g) for f, g in cat.composable_pairs()}
+
+
+def rebuilt(cat, name, comp):
+    morphisms = list(zip(cat.mor_names, cat.mor_dom, cat.mor_cod))
+    return FinCategory(name, cat.objects, morphisms, cat.identity, comp)
+
+
+@given(st.data())
+def test_one_corrupted_entry_matches_the_reference(data):
+    base = data.draw(st.sampled_from([walking_arrow(), chain_category(3), chain_category(4), skew_table()]))
+    comp = table_of(base)
+    key = data.draw(st.sampled_from(sorted(comp)))
+    value = data.draw(st.one_of(st.none(), st.integers(0, base.n_morphisms - 1)))
+    if value is None:
+        del comp[key]
+    else:
+        comp[key] = value
+    assert_matches_reference(rebuilt(base, f"{base.name}*", comp))
+
+
+def test_compose_agrees_with_its_source(hoare):
+    comp = table_of(chain_category(4))
+    c = rebuilt(chain_category(4), "chain4", comp)
+    assert sorted(c.composable_pairs()) == sorted(comp)
+    assert all(c.compose(f, g) == h for (f, g), h in comp.items())
+    op = opposite(c)
+    assert all(op.compose(g, f) == h for (f, g), h in comp.items())
+    a, b = walking_arrow(), chain_category(3)
+    p = product(a, b)
+    for m1, m2 in p.composable_pairs():
+        (f1, g1), (f2, g2) = p.split_mor(m1), p.split_mor(m2)
+        assert p.compose(m1, m2) == p.pair_mor(a.compose(f1, f2), b.compose(g1, g2))
+    cs = comma_system(hoare)
+    D, T = hoare.D, hoare.T
+    for f, g in cs.sys.D.composable_pairs():
+        a1, e1, s, _ = cs.mor_tags[f]
+        a2, e2, _, u = cs.mor_tags[g]
+        want = cs.mor_index[(D.compose(a1, a2), T.compose(e1, e2), s, u)]
+        assert cs.sys.D.compose(f, g) == want
+
+
+def test_compose_rejects_bad_pairs():
+    c = chain_category(3)
+    f = c.hom(1, 2)[0]
+    with pytest.raises(StructuralError, match="is not composable"):
+        c.compose(f, f)
+    comp = table_of(c)
+    del comp[(c.id_of(0), c.hom(0, 2)[0])]
+    gap = rebuilt(c, "gap3", comp)
+    assert gap.compose(c.hom(0, 1)[0], c.hom(1, 2)[0]) == c.hom(0, 2)[0]
+    with pytest.raises(StructuralError, match="missing composite c0<=c0;c0<=c2"):
+        gap.compose(c.id_of(0), c.hom(0, 2)[0])
+
+
+def test_comma_validation_runs_its_compose_once_per_pair(hoare, monkeypatch):
+    # The comma composite calls hoare's D.compose exactly once, so this
+    # counts calls of the comma category's compose callable.
+    cat = comma_system(hoare).sys.D
+    calls = {}
+    real = FinCategory.compose
+
+    def counted(self, f, g):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real(self, f, g)
+
+    monkeypatch.setattr(FinCategory, "compose", counted)
+    assert validate_category(cat).ok
+    assert sum(1 for _ in cat.composable_pairs()) == 32640
+    assert calls[id(hoare.D)] == 32640

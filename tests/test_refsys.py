@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refcat.refsys as refsys_mod
 from refcat.fincat import discrete_category, identity_functor
 from refcat.fixtures import (
     collapse_lattice_fixture,
@@ -84,6 +85,23 @@ def test_pullpush_laws(hoare):
     rep = pullpush_laws_check(hoare)
     assert rep.ok and rep.failed == 0
     assert rep.passed > 0
+
+
+def test_pullpush_identity_laws_count_each_side_on_its_own(hoare, monkeypatch):
+    # With every identity pullback missing, the pull side of each identity
+    # law is a skip and the push side is still checked.
+    plain = pullpush_laws_check(hoare)
+
+    def no_identity_pullback(s, c, Q):
+        if s is hoare and hoare.T.is_identity(c):
+            return None
+        return find_pullback(s, c, Q)
+
+    monkeypatch.setattr(refsys_mod, "find_pullback", no_identity_pullback)
+    rep = pullpush_laws_check(hoare)
+    assert rep.attempted == plain.attempted
+    assert "identity pullback missing" in rep.skip_reasons
+    assert rep.failed == 0 and rep.passed >= hoare.D.n_objects
 
 
 def test_op_is_an_involution_on_tables(hoare):

@@ -5,7 +5,9 @@ Linear-context expectations come from a brute-force proof counter that only
 reads the rule declarations, never the built category.
 """
 
+import refcat.represent as represent_mod
 from refcat.fincat import compose_functors, functors_equal, validate_category, validate_functor
+from refcat.fixtures import collapse_lattice_fixture
 from refcat.psh import validate_psh_derivation
 from refcat.refsys import fully_faithful_check
 from refcat.represent import (
@@ -268,3 +270,23 @@ def test_m_functor_and_m_derivation_validate(collapse):
     assert validate_functor(F).ok
     d = m_derivation(collapse.mrs, 1, 2)
     assert validate_psh_derivation(d).ok
+
+
+def test_m_functor_shares_its_product_with_the_reversed_tensor(monkeypatch):
+    built = []
+    real_product = represent_mod.product
+
+    def counted(left, right):
+        built.append((left, right))
+        return real_product(left, right)
+
+    monkeypatch.setattr(represent_mod, "product", counted)
+    mrs = collapse_lattice_fixture().mrs
+    n = mrs.sys.T.n_objects
+    for B1 in range(n):
+        for B2 in range(n):
+            F, prod = m_functor(mrs.reversed(), B1, B2)
+            G, same = m_functor(mrs, B1, B2)
+            assert same is prod
+            assert validate_functor(F).ok and validate_functor(G).ok
+    assert len(built) == n * n
