@@ -16,9 +16,12 @@ dualization.
 Every mirror image is taken from the opposite system: the coslice of a
 system is the slice of `sys.op()`, and the right dual is the left dual
 computed in `sys.op()`.  Only the left, positive, pull side is written
-out.  Duals are computed pointwise over the indexing slice or coslice;
-the functor-category route through the residual presheaf is kept behind
-an optional cross-check flag because it is exponential in general.
+out.  A dual is computed pointwise over the indexing coslice (slice, for
+the right dual), and at each point it reads the cut derivation sets only
+on the support of its input: the support is a sieve, so a natural family
+is () off it and is determined by its values there.  The functor-category
+route through the residual presheaf is kept behind an optional
+cross-check flag because it is exponential in general.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .fincat import (
 )
 from .psh import (
     Presheaf,
+    _closing,
+    _families_on_support,
+    _on_objects,
     natural_families,
     psh_derivations,
     pull_psh,
@@ -254,34 +260,72 @@ def extranat_check(sys: RefinementSystem, size_guard: int = 200000) -> CheckRepo
 # Dualization by the direct end formula
 
 
-def _cut_presheaf(sys: RefinementSystem, B: int, idx: int) -> tuple[Presheaf, list[dict[int, int]]]:
-    """Derivation sets (P, c;d, R) over the slice of B, with the coslice
-    point idx = (R, d) fixed; slice morphisms act by precomposition.  Also
-    returns per-object position dicts for the derivation payloads.  In
-    `sys.op()` this is the mirror image, over the coslice with the slice
-    point fixed.  Cached per system: these tables are shared by every
-    dualization over the same base object."""
-    cache = sys.__dict__.setdefault("_cut_psh_cache", {})
-    key = (B, idx)
-    if key in cache:
-        return cache[key]
-    D, T = sys.D, sys.T
-    S, Cs = slice_of(sys, B), coslice_of(sys, B)
-    (R, d) = Cs.obj_tags[idx]
-    sets = [sys.derivations(P, T.compose(c, d), R) for (P, c) in S.obj_tags]
-    pos = [{x: k for k, x in enumerate(s)} for s in sets]
-    action = tuple(
-        tuple(pos[s][D.compose(m, x)] for x in sets[u]) for (m, s, u) in S.mor_tags
-    )
-    psh = Presheaf(
-        f"cut(-,{Cs.obj_name(idx)})",
-        S.cat,
-        tuple(tuple(D.mor_names[x] for x in s) for s in sets),
-        action,
-        tuple(tuple(s) for s in sets),
-    )
-    cache[key] = (psh, pos)
-    return psh, pos
+class _Cut:
+    """cut(-, j): the derivation sets (P, c;d, R) over the slice of B, with
+    the coslice point j = (R, d) fixed; slice morphisms act by
+    precomposition.  In `sys.op()` this is the mirror image, over the
+    coslice with the slice point fixed.
+
+    Nothing is computed up front: each slice point's derivation set and
+    position map, and each slice morphism's action row, is filled on first
+    use and kept, so every dualization over B shares it.  A row is checked
+    for arity and range as a `Presheaf` would check it."""
+
+    def __init__(self, sys: RefinementSystem, B: int, j: int):
+        self.sys = sys
+        self.slice = slice_of(sys, B)
+        Cs = coslice_of(sys, B)
+        self.point = Cs.obj_tags[j]
+        self.name = f"cut(-,{Cs.obj_name(j)})"
+        self._ders: dict[int, tuple[int, ...]] = {}
+        self._pos: dict[int, dict[int, int]] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
+
+    def ders(self, i: int) -> tuple[int, ...]:
+        got = self._ders.get(i)
+        if got is None:
+            (P, c), (R, d) = self.slice.obj_tags[i], self.point
+            got = self._ders[i] = self.sys.derivations(P, self.sys.T.compose(c, d), R)
+        return got
+
+    def pos(self, i: int) -> dict[int, int]:
+        got = self._pos.get(i)
+        if got is None:
+            got = self._pos[i] = {x: k for k, x in enumerate(self.ders(i))}
+        return got
+
+    def row(self, m: int) -> tuple[int, ...]:
+        got = self._rows.get(m)
+        if got is None:
+            got = _cut_row(self, m)
+            _alpha, s, u = self.slice.mor_tags[m]
+            if len(got) != len(self.ders(u)):
+                raise self._bad_row(m, "has wrong arity")
+            if not all(0 <= v < len(self.ders(s)) for v in got):
+                raise self._bad_row(m, "hits a bad index")
+            self._rows[m] = got
+        return got
+
+    def _bad_row(self, m: int, what: str) -> StructuralError:
+        return StructuralError(
+            f"presheaf {self.name}: action at {self.slice.mor_name(m)} {what}"
+        )
+
+
+def _cut_row(cut: _Cut, m: int) -> tuple[int, ...]:
+    """The action of the slice morphism m on cut(-, j): precomposition."""
+    alpha, s, u = cut.slice.mor_tags[m]
+    pos, D = cut.pos(s), cut.sys.D
+    return tuple(pos[D.compose(alpha, x)] for x in cut.ders(u))
+
+
+def _cut(sys: RefinementSystem, B: int, j: int) -> _Cut:
+    """The memoized cut(-, j) over the slice of B, cached per system."""
+    cache = sys.__dict__.setdefault("_cut_cache", {})
+    got = cache.get((B, j))
+    if got is None:
+        got = cache[(B, j)] = _Cut(sys, B, j)
+    return got
 
 
 def dual_left(
@@ -295,6 +339,14 @@ def dual_left(
     (d,R), the natural families sending phi(P,c) into derivations
     (P, c;d, R); coslice morphisms act by postcomposing every value.
 
+    Only the support of phi is read.  It is a sieve: if phi(P2,c2) is
+    nonempty, so is phi at the source of every slice morphism into
+    (P2,c2).  A family is () off the support and naturality there is
+    vacuous, so each family is a choice on the support, natural along the
+    slice morphisms between support points; the cut derivation sets and
+    action rows are looked up only there.  Families are returned on every
+    slice object, () off the support.
+
     With cross_check the dual is recomputed by pulling the residual
     presheaf of derivations back along the curried bracket and compared
     elementwise; that route materializes a functor category and is the
@@ -306,8 +358,16 @@ def dual_left(
             f"dual_left: {phi.name} does not live over the slice of "
             f"{sys.T.objects[B]} in {sys.name}"
         )
-    cuts = [_cut_presheaf(sys, B, j) for j in range(Cs.cat.n_objects)]
-    fams_at = [natural_families(phi, psi) for (psi, _pos) in cuts]
+    support = phi.support()
+    sizes = [phi.size(a) for a in support]
+    closing = _closing(phi, support)
+    cuts = [_cut(sys, B, j) for j in range(Cs.cat.n_objects)]
+    fams_at = [
+        _families_on_support(
+            sizes, [len(cut.ders(a)) for a in support], lambda: closing, cut.row
+        )
+        for cut in cuts
+    ]
     fam_index = [{fam: k for k, fam in enumerate(fams)} for fams in fams_at]
     elements = tuple(
         tuple(f"s{j}.{k}" for k in range(len(fams_at[j])))
@@ -315,15 +375,12 @@ def dual_left(
     )
     action = []
     for mk, (gamma, s, u) in enumerate(Cs.mor_tags):
-        psi_u, _ = cuts[u]
-        _, pos_s = cuts[s]
+        src, dst = cuts[s], cuts[u]
         row = []
         for fam in fams_at[u]:
             moved = tuple(
-                tuple(
-                    pos_s[i][D.compose(psi_u.payloads[i][v], gamma)] for v in fam[i]
-                )
-                for i in range(S.cat.n_objects)
+                tuple(src.pos(a)[D.compose(dst.ders(a)[v], gamma)] for v in comp)
+                for a, comp in zip(support, fam)
             )
             k = fam_index[s].get(moved)
             if k is None:
@@ -332,12 +389,13 @@ def dual_left(
                 )
             row.append(k)
         action.append(tuple(row))
+    n = S.cat.n_objects
     out = Presheaf(
         f"dualL({phi.name})",
         Cs.cat,
         elements,
         tuple(action),
-        tuple(tuple(fams) for fams in fams_at),
+        tuple(tuple(_on_objects(fam, support, n) for fam in fams) for fams in fams_at),
     )
     if cross_check:
         _dual_cross_check(sys, B, phi, out, "left", size_guard)

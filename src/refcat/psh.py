@@ -49,6 +49,7 @@ class Presheaf:
         self.elements = elements
         self.action = action
         self.payloads = payloads
+        self._support: tuple[int, ...] | None = None
         if len(elements) != base.n_objects:
             raise StructuralError(f"presheaf {name}: element table has wrong length")
         if len(action) != base.n_morphisms:
@@ -71,7 +72,10 @@ class Presheaf:
         return sum(len(e) for e in self.elements)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(a for a in range(self.base.n_objects) if self.elements[a])
+        """The objects with a nonempty element set, in index order."""
+        if self._support is None:
+            self._support = tuple(a for a, e in enumerate(self.elements) if e)
+        return self._support
 
     def apply(self, f: int, x: int) -> int:
         return self.action[f][x]
@@ -385,6 +389,83 @@ def tensor_psh(
     )
 
 
+def _closing(
+    phi: Presheaf, support: tuple[int, ...]
+) -> list[list[tuple[int, int, int, tuple[int, ...]]]]:
+    """The naturality constraints of a family out of phi, grouped by the
+    step of a backtracking search over `support` at which they close.
+
+    A constraint is (u, k, k2, phi.action[u]) for u : a -> a2 with a2 the
+    k2-th support point; a is then the k-th, since phi(a2) nonempty forces
+    phi(a) nonempty.  Morphisms into the complement constrain nothing."""
+    pos = {a: k for k, a in enumerate(support)}
+    closing: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in support]
+    A = phi.base
+    for k2, a2 in enumerate(support):
+        for u in A.mor_in(a2):
+            k = pos[A.dom(u)]
+            closing[max(k, k2)].append((u, k, k2, phi.action[u]))
+    return closing
+
+
+def _families_on_support(
+    sizes: list[int],
+    targets: list[int],
+    closing,
+    row,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The backtracking core of `natural_families`, on support-indexed tables.
+
+    Step k picks a component t_k : sizes[k] -> targets[k]; the constraints
+    closing()[k] (as from `_closing`) are checked as soon as their step is
+    reached: t_k[phi_row[x]] == row(u)[t_k2[x]] for every x.  The
+    constraints and the target's action rows are asked for only when the
+    search needs them: not at all if some target is empty or every set is
+    a singleton.  Families come back as one component per step, in
+    candidate order."""
+    n = len(sizes)
+    if any(m == 0 for m in targets):
+        return []
+    if all(m == 1 for m in sizes) and all(m == 1 for m in targets):
+        return [((0,),) * n]
+    checks = [[(k, k2, prow, row(u)) for (u, k, k2, prow) in cl] for cl in closing()]
+    choices = [list(itertools.product(range(m), repeat=s)) for s, m in zip(sizes, targets)]
+    out: list[tuple[tuple[int, ...], ...]] = []
+    assigned: list[tuple[int, ...]] = [()] * n
+
+    def extend(step: int) -> None:
+        if step == n:
+            out.append(tuple(assigned))
+            return
+        for cand in choices[step]:
+            assigned[step] = cand
+            if _closes(checks[step], assigned):
+                extend(step + 1)
+
+    extend(0)
+    return out
+
+
+def _closes(checks, assigned: list[tuple[int, ...]]) -> bool:
+    """Do the constraints closing at this step hold for the components
+    assigned so far?"""
+    for k, k2, prow, qrow in checks:
+        t = assigned[k]
+        if any(t[p] != qrow[y] for p, y in zip(prow, assigned[k2])):
+            return False
+    return True
+
+
+def _on_objects(
+    family: tuple[tuple[int, ...], ...], support: tuple[int, ...], n_objects: int
+) -> tuple[tuple[int, ...], ...]:
+    """A support-indexed family as a full table: () off the support."""
+    table: list[tuple[int, ...]] = [()] * n_objects
+    for a, comp in zip(support, family):
+        table[a] = comp
+    return tuple(table)
+
+
 def natural_families(
     phi: Presheaf, psi: Presheaf, F: FunctorData | None = None
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -393,9 +474,9 @@ def natural_families(
 
     Returned component tables are indexed by phi's base objects; objects
     outside phi's support get the empty tuple.  Enumeration is by
-    backtracking over support objects in index order with incremental
-    naturality pruning, with a closed-form fast path when every element set
-    involved has at most one element.
+    `_families_on_support`: backtracking over support objects in index
+    order with incremental naturality pruning, with a closed-form fast path
+    when every element set involved has one element.
     """
     A = phi.base
     if F is None:
@@ -409,57 +490,13 @@ def natural_families(
         f_obj = F.obj
         f_mor = F.mor
     support = phi.support()
-    if not support:
-        return [tuple(() for _ in range(A.n_objects))]
-    thin = all(phi.size(a) == 1 for a in support) and all(
-        psi.size(f_obj(a)) <= 1 for a in support
+    fams = _families_on_support(
+        [phi.size(a) for a in support],
+        [psi.size(f_obj(a)) for a in support],
+        lambda: _closing(phi, support),
+        lambda u: psi.action[f_mor(u)],
     )
-    if thin:
-        if all(psi.size(f_obj(a)) == 1 for a in support):
-            table = tuple((0,) if phi.elements[a] else () for a in range(A.n_objects))
-            return [table]
-        return []
-    pos = {a: k for k, a in enumerate(support)}
-    # Constraints grouped by the backtracking step at which they close.
-    constraints: list[list[tuple[int, int, int]]] = [[] for _ in support]
-    for u in range(A.n_morphisms):
-        a, a2 = A.dom(u), A.cod(u)
-        if not phi.elements[a2]:
-            continue
-        constraints[max(pos[a], pos[a2])].append((u, a, a2))
-    choices: list[list[tuple[int, ...]]] = []
-    for a in support:
-        m = psi.size(f_obj(a))
-        if m == 0:
-            return []
-        choices.append(list(itertools.product(range(m), repeat=phi.size(a))))
-    out: list[tuple[tuple[int, ...], ...]] = []
-    assigned: dict[int, tuple[int, ...]] = {}
-
-    def ok(step: int) -> bool:
-        for u, a, a2 in constraints[step]:
-            ta, ta2 = assigned[a], assigned[a2]
-            fu = f_mor(u)
-            for x2 in range(phi.size(a2)):
-                if ta[phi.apply(u, x2)] != psi.apply(fu, ta2[x2]):
-                    return False
-        return True
-
-    def extend(step: int) -> None:
-        if step == len(support):
-            out.append(
-                tuple(assigned[a] if a in assigned else () for a in range(A.n_objects))
-            )
-            return
-        a = support[step]
-        for cand in choices[step]:
-            assigned[a] = cand
-            if ok(step):
-                extend(step + 1)
-        del assigned[a]
-
-    extend(0)
-    return out
+    return [_on_objects(fam, support, A.n_objects) for fam in fams]
 
 
 def psh_derivations(
@@ -523,7 +560,7 @@ def vertical_iso_psh(
     for a in range(A.n_objects):
         if phi.size(a) != psi.size(a):
             return None
-    support = sorted(phi.support(), key=lambda a: (phi.size(a), a))
+    support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
     if not support:
         empty = tuple(() for _ in range(A.n_objects))
         return (empty, empty)
@@ -534,40 +571,27 @@ def vertical_iso_psh(
         if validate_psh_derivation(cand).ok:
             return (table, table)
         return None
-    pos = {a: k for k, a in enumerate(support)}
-    constraints: list[list[tuple[int, int, int]]] = [[] for _ in support]
-    for u in range(A.n_morphisms):
-        a, a2 = A.dom(u), A.cod(u)
-        if not phi.elements[a2]:
-            continue
-        constraints[max(pos[a], pos[a2])].append((u, a, a2))
-    assigned: dict[int, tuple[int, ...]] = {}
-
-    def ok(step: int) -> bool:
-        for u, a, a2 in constraints[step]:
-            ta, ta2 = assigned[a], assigned[a2]
-            for x2 in range(phi.size(a2)):
-                if ta[phi.apply(u, x2)] != psi.apply(u, ta2[x2]):
-                    return False
-        return True
+    checks = [
+        [(k, k2, prow, psi.action[u]) for (u, k, k2, prow) in cl]
+        for cl in _closing(phi, support)
+    ]
+    assigned: list[tuple[int, ...]] = [()] * len(support)
 
     def extend(step: int):
         if step == len(support):
-            return {a: v for a, v in assigned.items()}
-        a = support[step]
-        for perm in itertools.permutations(range(phi.size(a))):
-            assigned[a] = perm
-            if ok(step):
+            return tuple(assigned)
+        for perm in itertools.permutations(range(phi.size(support[step]))):
+            assigned[step] = perm
+            if _closes(checks[step], assigned):
                 res = extend(step + 1)
                 if res is not None:
                     return res
-        del assigned[a]
         return None
 
     res = extend(0)
     if res is None:
         return None
-    fwd = tuple(res.get(a, ()) for a in range(A.n_objects))
+    fwd = _on_objects(res, support, A.n_objects)
     inv = []
     for a in range(A.n_objects):
         row = [0] * len(fwd[a])

@@ -24,6 +24,7 @@ objects, not merely isomorphic copies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .fincat import (
@@ -293,9 +294,28 @@ class CommaSystem:
     embed: RefSysMorphism
 
 
+def comma_morphism_count(base: RefinementSystem) -> int:
+    """The number of comma category morphisms, counted without listing
+    them: a derivation alpha over a, times the squares (c1, e, c2) with c1
+    out of dom a, c2 out of cod a and c1;e = a;c2.  Squares are counted by
+    the composite x: #{(c1, e) : c1;e = x} times #{c2 : a;c2 = x}."""
+    T = base.T
+    paths = [
+        Counter(T.compose(c1, e) for c1 in T.mor_out(A) for e in T.mor_out(T.cod(c1)))
+        for A in range(T.n_objects)
+    ]
+    over = Counter(base.t.mor(alpha) for alpha in range(base.D.n_morphisms))
+    total = 0
+    for a, k in over.items():
+        ends = Counter(T.compose(a, c2) for c2 in T.mor_out(T.cod(a)))
+        total += k * sum(paths[T.dom(a)][x] * n for x, n in ends.items())
+    return total
+
+
 def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem:
     """Materialize the comma category of t over T with its cod projection,
-    plus the vertical embedding P |-> (P, id)."""
+    plus the vertical embedding P |-> (P, id).  Both sizes are checked
+    against the guard before anything is built."""
     D, T, t = base.D, base.T, base.t
     obj_tags = [
         (Q, c)
@@ -305,6 +325,9 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
     ]
     if len(obj_tags) > size_guard:
         raise SizeGuardExceeded("comma category objects", len(obj_tags), size_guard)
+    n_mor = comma_morphism_count(base)
+    if n_mor > size_guard:
+        raise SizeGuardExceeded("comma category morphisms", n_mor, size_guard)
     obj_index = {tag: i for i, tag in enumerate(obj_tags)}
     obj_names = [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags]
 
@@ -316,10 +339,6 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
                 for e in T.hom(T.cod(c1), T.cod(c2)):
                     if T.compose(c1, e) == lhs:
                         mor_tags.append((alpha, e, si, ti))
-                        if len(mor_tags) > size_guard:
-                            raise SizeGuardExceeded(
-                                "comma category morphisms", len(mor_tags), size_guard
-                            )
     mor_index = {tag: k for k, tag in enumerate(mor_tags)}
     morphisms = [
         (f"({D.mor_names[alpha]},{T.mor_names[e]})#{si}->{ti}", si, ti)

@@ -13,7 +13,6 @@ import pytest
 
 import refcat.duality as duality_mod
 from refcat.cli import main
-from refcat.psh import Presheaf
 
 SKEW = """
 category D
@@ -157,24 +156,28 @@ def test_verify_skew_system_is_green(skew_file, capsys):
 
 
 def test_corrupted_tables_turn_the_suite_red(skew_file, capsys):
-    orig = duality_mod._cut_presheaf
+    orig = duality_mod._cut_row
 
-    def tampered(s, B, idx):
-        psh, pos = orig(s, B, idx)
-        rows = list(psh.action)
-        for i, row in enumerate(rows):
-            if len(set(row)) >= 2 and not psh.base.is_identity(i):
-                rows[i] = tuple(reversed(row))
-                break
-        else:
-            return psh, pos
-        return Presheaf(psh.name, psh.base, psh.elements, tuple(rows), psh.payloads), pos
+    def tampered(cut, m):
+        # reverse the first non-identity action row of this cut(-, j)
+        # that has at least two distinct entries
+        S = cut.slice.cat
+        first = next(
+            (
+                k
+                for k in range(S.n_morphisms)
+                if not S.is_identity(k) and len(set(orig(cut, k))) >= 2
+            ),
+            None,
+        )
+        row = orig(cut, m)
+        return tuple(reversed(row)) if m == first else row
 
-    duality_mod._cut_presheaf = tampered
+    duality_mod._cut_row = tampered
     try:
         assert main(["verify", skew_file, "duality"]) == 1
     finally:
-        duality_mod._cut_presheaf = orig
+        duality_mod._cut_row = orig
     out = capsys.readouterr().out
     assert "failed 1" in out or "failed" in out
 

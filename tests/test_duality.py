@@ -1,11 +1,17 @@
 """Judgment category, cut brackets, dualization, and the encoding checks.
 
-The corruption test at the bottom deliberately breaks an internal action
-table and asserts the machinery notices; it guards against the checks
-degenerating into comparisons of a value with itself.
+The corruption test deliberately breaks an internal action table and
+asserts the machinery notices; it guards against the checks degenerating
+into comparisons of a value with itself.  The dualizers, which read the
+cut derivation sets only on the support of their input, are compared with
+a dense reference that builds every cut presheaf over the whole slice.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
 from refcat.duality import (
@@ -21,10 +27,24 @@ from refcat.duality import (
     notnottensor_check,
     notpush_check,
 )
-from refcat.fincat import FinCategory, SizeGuardExceeded, validate_category, validate_functor
-from refcat.fixtures import bang_system, build_hoare, default_hoare_spec
-from refcat.psh import Presheaf, natural_families, validate_presheaf, vertical_iso_psh
-from refcat.represent import neg_rep, pos_rep
+from refcat.fincat import (
+    FinCategory,
+    SizeGuardExceeded,
+    StructuralError,
+    validate_category,
+    validate_functor,
+)
+from refcat.fixtures import (
+    TruncationParams,
+    bang_system,
+    build_hoare,
+    build_linctx,
+    default_hoare_spec,
+    default_linear_spec,
+    random_refsys,
+)
+from refcat.psh import Presheaf, natural_families, push_psh, validate_presheaf, vertical_iso_psh
+from refcat.represent import coslice_of, neg_rep, pos_rep, slice_action, slice_of
 from tests.conftest import image_oracle, pred_set
 from tests.test_fincat import chain_category
 from tests.test_represent import composite_command
@@ -195,20 +215,24 @@ def test_corrupted_derivation_action_is_detected():
     clean = sum(duality_check(sys, Q).failed for Q in range(2))
     assert clean == 0
 
-    orig = duality_mod._cut_presheaf
+    orig = duality_mod._cut_row
 
-    def tampered(s, B, idx):
-        psh, pos = orig(s, B, idx)
-        rows = list(psh.action)
-        for i, row in enumerate(rows):
-            if len(set(row)) >= 2 and not psh.base.is_identity(i):
-                rows[i] = tuple(reversed(row))
-                break
-        else:
-            return psh, pos
-        return Presheaf(psh.name, psh.base, psh.elements, tuple(rows), psh.payloads), pos
+    def tampered(cut, m):
+        # reverse the first non-identity action row of this cut(-, j)
+        # that has at least two distinct entries
+        S = cut.slice.cat
+        first = next(
+            (
+                k
+                for k in range(S.n_morphisms)
+                if not S.is_identity(k) and len(set(orig(cut, k))) >= 2
+            ),
+            None,
+        )
+        row = orig(cut, m)
+        return tuple(reversed(row)) if m == first else row
 
-    duality_mod._cut_presheaf = tampered
+    duality_mod._cut_row = tampered
     try:
         poisoned = bang_system(skew_pair())
         failures = 0
@@ -220,4 +244,206 @@ def test_corrupted_derivation_action_is_detected():
         assert failures >= 1
         assert cex and "dual" in cex
     finally:
-        duality_mod._cut_presheaf = orig
+        duality_mod._cut_row = orig
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda row: row + (0,), "has wrong arity"),
+        (lambda row: tuple(v + 99 for v in row), "hits a bad index"),
+    ],
+)
+def test_cut_rows_are_checked_like_presheaf_rows(monkeypatch, corrupt, message):
+    orig = duality_mod._cut_row
+    monkeypatch.setattr(duality_mod, "_cut_row", lambda cut, m: corrupt(orig(cut, m)))
+    sys = bang_system(skew_pair())
+    with pytest.raises(StructuralError, match=message):
+        for Q in range(sys.D.n_objects):
+            dual_left(sys, 0, pos_rep(sys, Q))
+
+
+# ---------------------------------------------------------------------------
+# Dense reference for the dualizers: every cut(-, j) is a full presheaf over
+# the slice, and the families are enumerated over the whole slice by a
+# search of their own, not by the library's enumerator.
+
+
+def reference_families(phi, psi):
+    """Natural families phi => psi over one base: backtracking over phi's
+    nonempty objects in index order, checking every square at an object
+    as soon as both of its ends are assigned."""
+    A = phi.base
+    support = [a for a in range(A.n_objects) if phi.elements[a]]
+    assigned = {}
+    out = []
+
+    def natural_at(a):
+        for u in A.mor_in(a) + A.mor_out(a):
+            d, c = A.dom(u), A.cod(u)
+            if d in assigned and c in assigned:
+                for x in range(phi.size(c)):
+                    if assigned[d][phi.action[u][x]] != psi.action[u][assigned[c][x]]:
+                        return False
+        return True
+
+    def extend(k):
+        if k == len(support):
+            out.append(tuple(assigned.get(a, ()) for a in range(A.n_objects)))
+            return
+        a = support[k]
+        for cand in itertools.product(range(psi.size(a)), repeat=phi.size(a)):
+            assigned[a] = cand
+            if natural_at(a):
+                extend(k + 1)
+        assigned.pop(a, None)
+
+    extend(0)
+    return out
+
+
+def dense_cut(sys, B, idx):
+    cache = sys.__dict__.setdefault("_dense_cut_reference", {})
+    if (B, idx) in cache:
+        return cache[(B, idx)]
+    D, T = sys.D, sys.T
+    S, Cs = slice_of(sys, B), coslice_of(sys, B)
+    (R, d) = Cs.obj_tags[idx]
+    sets = [sys.derivations(P, T.compose(c, d), R) for (P, c) in S.obj_tags]
+    pos = [{x: k for k, x in enumerate(s)} for s in sets]
+    action = tuple(
+        tuple(pos[s][D.compose(m, x)] for x in sets[u]) for (m, s, u) in S.mor_tags
+    )
+    psh = Presheaf(
+        f"cut(-,{Cs.obj_name(idx)})",
+        S.cat,
+        tuple(tuple(D.mor_names[x] for x in s) for s in sets),
+        action,
+        tuple(tuple(s) for s in sets),
+    )
+    cache[(B, idx)] = (psh, pos)
+    return psh, pos
+
+
+def dense_dual_left(sys, B, phi):
+    D = sys.D
+    S, Cs = slice_of(sys, B), coslice_of(sys, B)
+    assert phi.base is S.cat
+    cuts = [dense_cut(sys, B, j) for j in range(Cs.cat.n_objects)]
+    fams_at = [reference_families(phi, psi) for (psi, _pos) in cuts]
+    fam_index = [{fam: k for k, fam in enumerate(fams)} for fams in fams_at]
+    elements = tuple(
+        tuple(f"s{j}.{k}" for k in range(len(fams_at[j])))
+        for j in range(Cs.cat.n_objects)
+    )
+    action = []
+    for (gamma, s, u) in Cs.mor_tags:
+        psi_u, _ = cuts[u]
+        _, pos_s = cuts[s]
+        row = []
+        for fam in fams_at[u]:
+            moved = tuple(
+                tuple(pos_s[i][D.compose(psi_u.payloads[i][v], gamma)] for v in fam[i])
+                for i in range(S.cat.n_objects)
+            )
+            row.append(fam_index[s][moved])
+        action.append(tuple(row))
+    return Presheaf(
+        f"dualL({phi.name})", Cs.cat, elements, tuple(action),
+        tuple(tuple(fams) for fams in fams_at),
+    )
+
+
+def dense_dual_right(sys, B, psi):
+    out = dense_dual_left(sys.op(), B, psi)
+    out.name = f"dualR({psi.name})"
+    return out
+
+
+def assert_same_dual(got, want):
+    assert got.name == want.name
+    assert got.elements == want.elements
+    assert got.action == want.action
+    assert got.payloads == want.payloads
+
+
+def assert_duals_match_on_every_refinement(sys, fiber_bound=None):
+    for Q in range(sys.D.n_objects):
+        B = sys.shape(Q)
+        if fiber_bound is not None and B > fiber_bound:
+            continue
+        phi, psi = pos_rep(sys, Q), neg_rep(sys, Q)
+        assert_same_dual(dual_left(sys, B, phi), dense_dual_left(sys, B, phi))
+        assert_same_dual(dual_right(sys, B, psi), dense_dual_right(sys, B, psi))
+
+
+def test_sparse_duals_match_the_dense_reference(hoare, collapse, ident, galois):
+    systems = [
+        hoare,
+        collapse.mrs.sys,
+        ident.mrs.sys,
+        galois.left.source,
+        galois.left.target,
+        bang_system(chain_category(2)),
+        bang_system(chain_category(3)),
+        bang_system(skew_pair()),
+    ]
+    for sys in systems:
+        assert_duals_match_on_every_refinement(sys)
+
+
+def test_sparse_duals_match_the_dense_reference_on_short_contexts(linctx):
+    # base objects are context lengths; length 3 is left to the golden run
+    assert_duals_match_on_every_refinement(linctx, fiber_bound=2)
+
+
+def test_sparse_duals_match_the_dense_reference_on_wider_supports(hoare, collapse):
+    # inputs that are not representations: pushed representations, and
+    # duals fed back to the other dualizer
+    for sys in (hoare, collapse.mrs.sys):
+        T = sys.T
+        for c in range(T.n_morphisms):
+            A, B = T.dom(c), T.cod(c)
+            for P in sys.fiber(A):
+                pushed = push_psh(slice_action(sys, c), pos_rep(sys, P))
+                assert_same_dual(dual_left(sys, B, pushed), dense_dual_left(sys, B, pushed))
+        for Q in range(sys.D.n_objects):
+            B = sys.shape(Q)
+            dl = dual_left(sys, B, pos_rep(sys, Q))
+            assert_same_dual(dual_right(sys, B, dl), dense_dual_right(sys, B, dl))
+            drdl = dual_right(sys, B, dl)
+            assert_same_dual(dual_left(sys, B, drdl), dense_dual_left(sys, B, drdl))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_sparse_duals_match_the_dense_reference_on_random_systems(seed):
+    sys = random_refsys(seed)
+    assert_duals_match_on_every_refinement(sys)
+    for Q in range(sys.D.n_objects):
+        B = sys.shape(Q)
+        dl = dual_left(sys, B, pos_rep(sys, Q))
+        assert_same_dual(dual_right(sys, B, dl), dense_dual_right(sys, B, dl))
+
+
+def test_cold_dual_reads_derivations_only_on_the_support():
+    sys = build_linctx(default_linear_spec(), TruncationParams())
+    B = 3
+    n_coslice = coslice_of(sys, B).cat.n_objects
+    n_slice = slice_of(sys, B).cat.n_objects
+    orig = sys.derivations
+    for Q in (sys.fiber(B)[0], sys.fiber(B)[-1]):
+        phi = pos_rep(sys, Q)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return orig(*args)
+
+        sys.derivations = counted
+        try:
+            dual_left(sys, B, phi)
+        finally:
+            del sys.derivations
+        assert 0 < calls <= n_coslice * len(phi.support()) < n_coslice * n_slice

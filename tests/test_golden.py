@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # golden file -> (workspace line, extra verify arguments)
 CASES = {
     "hoare": ("fixture hoare hoare", []),
+    "linctx": ("fixture linctx linctx", []),
     "lattice-collapse": ("fixture collapse lattice-collapse", []),
     "lattice-identity": ("fixture identity lattice-identity", []),
     "galois": ("fixture galois galois", ["--system", "galois"]),

@@ -5,12 +5,21 @@ Linear-context expectations come from a brute-force proof counter that only
 reads the rule declarations, never the built category.
 """
 
+import pytest
+
 import refcat.represent as represent_mod
-from refcat.fincat import compose_functors, functors_equal, validate_category, validate_functor
-from refcat.fixtures import collapse_lattice_fixture
+from refcat.fincat import (
+    SizeGuardExceeded,
+    compose_functors,
+    functors_equal,
+    validate_category,
+    validate_functor,
+)
+from refcat.fixtures import collapse_lattice_fixture, random_refsys
 from refcat.psh import validate_psh_derivation
 from refcat.refsys import fully_faithful_check
 from refcat.represent import (
+    comma_morphism_count,
     comma_system,
     coslice_action,
     coslice_of,
@@ -193,6 +202,29 @@ def test_factorization_counts(hoare, linctx):
     fl = factorization_check(linctx)
     assert fl.ok and (fl.passed, fl.failed, fl.skipped) == (70, 0, 2)
     assert all("comma" in r for r in fl.skip_reasons)
+
+
+def test_comma_count_matches_the_built_category(hoare, collapse, galois):
+    systems = [hoare, collapse.mrs.sys, galois.left.source, galois.left.target]
+    systems += [random_refsys(seed) for seed in range(4)]
+    for sys in systems:
+        for s in (sys, sys.op()):
+            assert comma_morphism_count(s) == len(comma_system(s).mor_tags), s.name
+
+
+def test_comma_guard_reports_the_true_size_before_building(hoare, linctx):
+    with pytest.raises(SizeGuardExceeded) as exc:
+        comma_system(hoare, size_guard=700)
+    assert exc.value.estimate == 768
+    for s, size in ((linctx, 115762), (linctx.op(), 110073)):
+        with pytest.raises(SizeGuardExceeded) as exc:
+            comma_system(s)
+        assert exc.value.estimate == size
+    fl = factorization_check(linctx)
+    assert [r.split(": ")[-1] for r in fl.skip_reasons] == [
+        "estimated 115762 > guard 60000",
+        "estimated 110073 > guard 60000",
+    ]
 
 
 def test_comma_system_embedding(hoare):
