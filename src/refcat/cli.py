@@ -157,8 +157,9 @@ def _duality_suite(s: RefinementSystem, size_guard: int, cross_check: bool) -> l
 
 
 def _negenc_suite(s: RefinementSystem, size_guard: int) -> list[CheckReport]:
-    if "linctx_data" in s.__dict__:
-        mc = s.__dict__["linctx_data"][0]
+    data = fx.linctx_data(s)
+    if data is not None:
+        mc = data[0]
         if not mc.tensors:
             return [
                 _skip_report(

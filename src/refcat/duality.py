@@ -90,9 +90,11 @@ class JudgmentCategory:
 
 def judgment_category(sys: RefinementSystem, size_guard: int = 200000) -> JudgmentCategory:
     """Materialize the judgment category with its derivation presheaf,
-    cached on the system after the first successful build."""
-    if "_jdg_cache" in sys.__dict__:
-        return sys.__dict__["_jdg_cache"]
+    kept on the system after the first successful build."""
+    return sys.memo(("judgments",), lambda: _build_judgments(sys, size_guard))
+
+
+def _build_judgments(sys: RefinementSystem, size_guard: int) -> JudgmentCategory:
     D, T, t = sys.D, sys.T, sys.t
 
     # Sizes first, without allocating: a judgment is (P, c, Q), a morphism
@@ -162,9 +164,7 @@ def judgment_category(sys: RefinementSystem, size_guard: int = 200000) -> Judgme
     der = Presheaf(
         f"der({sys.name})", cat, tuple(elements), tuple(action), tuple(payloads)
     )
-    jdg = JudgmentCategory(sys, cat, obj_tags, tuple(mor_tags), obj_index, mor_index, der)
-    sys.__dict__["_jdg_cache"] = jdg
-    return jdg
+    return JudgmentCategory(sys, cat, obj_tags, tuple(mor_tags), obj_index, mor_index, der)
 
 
 def der_presheaf(sys: RefinementSystem, size_guard: int = 200000) -> Presheaf:
@@ -175,9 +175,9 @@ def der_presheaf(sys: RefinementSystem, size_guard: int = 200000) -> Presheaf:
 def bracket(sys: RefinementSystem, B: int, size_guard: int = 200000) -> FunctorData:
     """The pairing functor slice x coslice -> judgments over one base
     object, sending ((P,c),(d,R)) to (P, c;d, R).  Its source is the
-    product category."""
-    cache = sys.__dict__.setdefault("_bracket_cache", {})
-    if B not in cache:
+    product category.  Built once per system."""
+
+    def build() -> FunctorData:
         jdg = judgment_category(sys, size_guard)
         T = sys.T
         S, Cs = slice_of(sys, B), coslice_of(sys, B)
@@ -203,10 +203,11 @@ def bracket(sys: RefinementSystem, B: int, size_guard: int = 200000) -> FunctorD
                     )
                 ]
             )
-        cache[B] = FunctorData(
+        return FunctorData(
             f"cut[{T.objects[B]}]", prod, jdg.cat, tuple(omap), tuple(mmap)
         )
-    return cache[B]
+
+    return sys.memo(("bracket", B), build)
 
 
 def extranat_check(sys: RefinementSystem, size_guard: int = 200000) -> CheckReport:
@@ -268,8 +269,8 @@ class _Cut:
 
     Nothing is computed up front: each slice point's derivation set and
     position map, and each slice morphism's action row, is filled on first
-    use and kept, so every dualization over B shares it.  A row is checked
-    for arity and range as a `Presheaf` would check it."""
+    use and kept, and the cut is kept in the system's memo, so every
+    dualization over B shares it.  A row is checked for arity and range."""
 
     def __init__(self, sys: RefinementSystem, B: int, j: int):
         self.sys = sys
@@ -319,15 +320,6 @@ def _cut_row(cut: _Cut, m: int) -> tuple[int, ...]:
     return tuple(pos[D.compose(alpha, x)] for x in cut.ders(u))
 
 
-def _cut(sys: RefinementSystem, B: int, j: int) -> _Cut:
-    """The memoized cut(-, j) over the slice of B, cached per system."""
-    cache = sys.__dict__.setdefault("_cut_cache", {})
-    got = cache.get((B, j))
-    if got is None:
-        got = cache[(B, j)] = _Cut(sys, B, j)
-    return got
-
-
 def dual_left(
     sys: RefinementSystem,
     B: int,
@@ -361,7 +353,10 @@ def dual_left(
     support = phi.support()
     sizes = [phi.size(a) for a in support]
     closing = _closing(phi, support)
-    cuts = [_cut(sys, B, j) for j in range(Cs.cat.n_objects)]
+    cuts = [
+        sys.memo(("cut", B, j), lambda j=j: _Cut(sys, B, j))
+        for j in range(Cs.cat.n_objects)
+    ]
     fams_at = [
         _families_on_support(
             sizes, [len(cut.ders(a)) for a in support], lambda: closing, cut.row

@@ -10,7 +10,7 @@ error, never a silent None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class StructuralError(Exception):
@@ -440,82 +440,75 @@ def product(left: FinCategory, right: FinCategory) -> ProductCategory:
     return ProductCategory(left, right)
 
 
+def _backtrack(
+    steps: int,
+    candidates: Callable[[int, list], Iterable],
+    closes: Callable[[int, list], bool],
+) -> Iterator[tuple]:
+    """Depth-first search, lazily and in candidate order: every tuple whose
+    value at step k is drawn from candidates(k, assigned) and passes
+    closes(k, assigned), where `assigned` holds the values of steps 0..k.
+    closes(k, ...) checks the constraints whose last variable is step k,
+    so a prefix dies as soon as one of them fails."""
+    if steps == 0:
+        yield ()
+        return
+    assigned: list = [None] * steps
+    pending: list[Iterator] = [iter(candidates(0, assigned))] * steps
+    k = 0
+    while k >= 0:
+        for x in pending[k]:
+            assigned[k] = x
+            if closes(k, assigned):
+                break
+        else:
+            k -= 1
+            continue
+        if k + 1 == steps:
+            yield tuple(assigned)
+        else:
+            k += 1
+            pending[k] = iter(candidates(k, assigned))
+
+
 def _enumerate_functors(A: FinCategory, C: FinCategory, guard: int) -> list[FunctorData]:
-    """All functors A -> C by backtracking, in lexicographic table order."""
+    """All functors A -> C in lexicographic table order: an image for every
+    object, then one for every non-identity morphism.  Each composable
+    pair is checked at the step that assigns the last of its three images."""
     estimate = C.n_objects ** A.n_objects if A.n_objects else 1
     if estimate > guard:
         raise SizeGuardExceeded(f"functors {A.name} -> {C.name}", estimate, guard)
+    n = A.n_objects
     non_id = [f for f in range(A.n_morphisms) if not A.is_identity(f)]
+    # An identity is fixed by the image of its object, step dom f.
+    step = [A.dom(f) for f in range(A.n_morphisms)]
+    for k, f in enumerate(non_id):
+        step[f] = n + k
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n + len(non_id))]
+    for f, g in A.composable_pairs():
+        fg = A.compose(f, g)
+        closing[max(step[f], step[g], step[fg])].append((f, g, fg))
+
+    def image(f: int, t) -> int:
+        return t[step[f]] if step[f] >= n else C.id_of(t[step[f]])
+
+    def candidates(k: int, t: list):
+        if k < n:
+            return range(C.n_objects)
+        return C.hom(t[A.dom(non_id[k - n])], t[A.cod(non_id[k - n])])
+
+    def closes(k: int, t: list) -> bool:
+        return all(
+            image(fg, t) == C.compose(image(f, t), image(g, t)) for f, g, fg in closing[k]
+        )
+
     found: list[FunctorData] = []
-
-    def assign_morphisms(obj_map: tuple[int, ...], idx: int, mor_map: dict[int, int]) -> None:
-        if idx == len(non_id):
-            full = []
-            for f in range(A.n_morphisms):
-                if A.is_identity(f):
-                    full.append(C.id_of(obj_map[A.dom(f)]))
-                else:
-                    full.append(mor_map[f])
-            # Composition closure checked on the completed table.
-            cand = FunctorData(f"F{len(found)}", A, C, obj_map, tuple(full))
-            for f, g in A.composable_pairs():
-                if cand.mor(A.compose(f, g)) != C.compose(cand.mor(f), cand.mor(g)):
-                    return
-            found.append(cand)
-            if len(found) > guard:
-                raise SizeGuardExceeded(f"functors {A.name} -> {C.name}", len(found), guard)
-            return
-        f = non_id[idx]
-        for img in C.hom(obj_map[A.dom(f)], obj_map[A.cod(f)]):
-            mor_map[f] = img
-            assign_morphisms(obj_map, idx + 1, mor_map)
-            del mor_map[f]
-
-    def assign_objects(pos: int, acc: list[int]) -> None:
-        if pos == A.n_objects:
-            assign_morphisms(tuple(acc), 0, {})
-            return
-        for img in range(C.n_objects):
-            acc.append(img)
-            assign_objects(pos + 1, acc)
-            acc.pop()
-
-    assign_objects(0, [])
+    for t in _backtrack(len(closing), candidates, closes):
+        mor_map = tuple(image(f, t) for f in range(A.n_morphisms))
+        found.append(FunctorData(f"F{len(found)}", A, C, t[:n], mor_map))
+        if len(found) > guard:
+            raise SizeGuardExceeded(f"functors {A.name} -> {C.name}", len(found), guard)
     return found
-
-
-def _nat_trans_between(F: FunctorData, G: FunctorData) -> list[tuple[int, ...]]:
-    """All natural transformation component tables F => G, lexicographic."""
-    A, C = F.source, F.target
-    out: list[tuple[int, ...]] = []
-
-    def extend(a: int, acc: list[int]) -> None:
-        if a == A.n_objects:
-            out.append(tuple(acc))
-            return
-        for comp in C.hom(F.obj(a), G.obj(a)):
-            ok = True
-            for f in range(A.n_morphisms):
-                x, y = A.dom(f), A.cod(f)
-                if y == a and x < a:
-                    if C.compose(F.mor(f), comp) != C.compose(acc[x], G.mor(f)):
-                        ok = False
-                        break
-                if x == a and y < a:
-                    if C.compose(comp, G.mor(f)) != C.compose(F.mor(f), acc[y]):
-                        ok = False
-                        break
-                if x == a and y == a:
-                    if C.compose(comp, G.mor(f)) != C.compose(F.mor(f), comp):
-                        ok = False
-                        break
-            if ok:
-                acc.append(comp)
-                extend(a + 1, acc)
-                acc.pop()
-
-    extend(0, [])
-    return out
 
 
 @dataclass(eq=False)
@@ -549,9 +542,19 @@ def functor_category(A: FinCategory, C: FinCategory, size_guard: int = 10000) ->
     morphisms: list[tuple[str, int, int]] = []
     nat_tags: list[tuple[int, int, tuple[int, ...]]] = []
     identity: list[int] = [-1] * len(functors)
+    # Components are chosen object by object; the naturality square of
+    # f : x -> y closes at object max(x, y).
+    squares: list[list[int]] = [[] for _ in range(A.n_objects)]
+    for f in range(A.n_morphisms):
+        squares[max(A.dom(f), A.cod(f))].append(f)
     for i, F in enumerate(functors):
         for j, G in enumerate(functors):
-            for comps in _nat_trans_between(F, G):
+            natural = lambda a, t, F=F, G=G: all(
+                C.compose(F.mor(f), t[A.cod(f)]) == C.compose(t[A.dom(f)], G.mor(f))
+                for f in squares[a]
+            )
+            hom = lambda a, _t, F=F, G=G: C.hom(F.obj(a), G.obj(a))
+            for comps in _backtrack(A.n_objects, hom, natural):
                 idx = len(morphisms)
                 morphisms.append((f"n{idx}", i, j))
                 nat_tags.append((i, j, comps))

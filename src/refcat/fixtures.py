@@ -177,7 +177,6 @@ def build_hoare(spec: HoareSpec) -> RefinementSystem:
     )
     sys = RefinementSystem("hoare", t)
     _raise_if_invalid(sys.validate())
-    sys.__dict__["hoare_data"] = (spec, tuple(names), tuple(funcs), tuple(preds))
     return sys
 
 
@@ -596,8 +595,13 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
     )
     sys = RefinementSystem("linctx", t)
     _raise_if_invalid(sys.validate())
-    sys.__dict__["linctx_data"] = (mc, trunc, ctx_index, u_index)
+    sys.memo(("linctx data",), lambda: (mc, trunc, ctx_index, u_index))
     return sys
+
+
+def linctx_data(sys: RefinementSystem):
+    """(mc, trunc, ctx_index, u_index) of a `build_linctx` system, else None."""
+    return sys.memo(("linctx data",), lambda: None)
 
 
 def default_linear_spec() -> MulticategorySpec:
@@ -627,9 +631,10 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
     pushed set is empty while the positive representation is not."""
     from .duality import negative_encoding_check
 
-    if "linctx_data" not in sys.__dict__:
+    data = linctx_data(sys)
+    if data is None:
         raise StructuralError("tensorL_check needs a system built by build_linctx")
-    mc, trunc, ctx_index, u_index = sys.__dict__["linctx_data"]
+    mc, trunc, ctx_index, u_index = data
     decl = None
     for d in mc.tensors:
         if {d.left, d.right} == {A, B}:

@@ -21,6 +21,7 @@ from .fincat import (
     ProductCategory,
     StructuralError,
     ValidationReport,
+    _backtrack,
     functor_category,
     product,
     terminal_category,
@@ -194,24 +195,20 @@ def push_psh_full(F: FunctorData, phi: Presheaf, name: str | None = None) -> Pus
     uf = _UnionFind()
     nodes_at: dict[int, list[tuple[int, int, int]]] = {b: [] for b in range(B.n_objects)}
     for a in support:
-        fa = F.obj(a)
-        for b in range(B.n_objects):
-            for h in B.hom(b, fa):
-                for x in range(phi.size(a)):
-                    node = (a, h, x)
-                    uf.add(node)
-                    nodes_at[b].append(node)
+        for h in B.mor_in(F.obj(a)):
+            for x in range(phi.size(a)):
+                node = (a, h, x)
+                uf.add(node)
+                nodes_at[B.dom(h)].append(node)
     for u in range(A.n_morphisms):
         a, a2 = A.dom(u), A.cod(u)
         if not phi.elements[a2]:
             continue
         fu = F.mor(u)
-        fa = F.obj(a)
-        for b in range(B.n_objects):
-            for h in B.hom(b, fa):
-                hu = B.compose(h, fu)
-                for x2 in range(phi.size(a2)):
-                    uf.union((a2, hu, x2), (a, h, phi.apply(u, x2)))
+        for h in B.mor_in(F.obj(a)):
+            hu = B.compose(h, fu)
+            for x2 in range(phi.size(a2)):
+                uf.union((a2, hu, x2), (a, h, phi.apply(u, x2)))
     # Canonical representative of each class is its least node.
     reps_at: dict[int, list[tuple[int, int, int]]] = {}
     class_of: dict[tuple[int, int, int], int] = {}
@@ -414,7 +411,7 @@ def _families_on_support(
     closing,
     row,
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """The backtracking core of `natural_families`, on support-indexed tables.
+    """`natural_families` on support-indexed tables, searched by `_backtrack`.
 
     Step k picks a component t_k : sizes[k] -> targets[k]; the constraints
     closing()[k] (as from `_closing`) are checked as soon as their step is
@@ -430,20 +427,9 @@ def _families_on_support(
         return [((0,),) * n]
     checks = [[(k, k2, prow, row(u)) for (u, k, k2, prow) in cl] for cl in closing()]
     choices = [list(itertools.product(range(m), repeat=s)) for s, m in zip(sizes, targets)]
-    out: list[tuple[tuple[int, ...], ...]] = []
-    assigned: list[tuple[int, ...]] = [()] * n
-
-    def extend(step: int) -> None:
-        if step == n:
-            out.append(tuple(assigned))
-            return
-        for cand in choices[step]:
-            assigned[step] = cand
-            if _closes(checks[step], assigned):
-                extend(step + 1)
-
-    extend(0)
-    return out
+    return list(
+        _backtrack(n, lambda k, _a: choices[k], lambda k, a: _closes(checks[k], a))
+    )
 
 
 def _closes(checks, assigned: list[tuple[int, ...]]) -> bool:
@@ -561,34 +547,18 @@ def vertical_iso_psh(
         if phi.size(a) != psi.size(a):
             return None
     support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
-    if not support:
-        empty = tuple(() for _ in range(A.n_objects))
-        return (empty, empty)
-    thin = all(phi.size(a) == 1 for a in support)
-    if thin:
-        table = tuple((0,) if phi.elements[a] else () for a in range(A.n_objects))
-        cand = PshDerivation("iso?", phi, psi, None, table)
-        if validate_psh_derivation(cand).ok:
-            return (table, table)
-        return None
     checks = [
         [(k, k2, prow, psi.action[u]) for (u, k, k2, prow) in cl]
         for cl in _closing(phi, support)
     ]
-    assigned: list[tuple[int, ...]] = [()] * len(support)
-
-    def extend(step: int):
-        if step == len(support):
-            return tuple(assigned)
-        for perm in itertools.permutations(range(phi.size(support[step]))):
-            assigned[step] = perm
-            if _closes(checks[step], assigned):
-                res = extend(step + 1)
-                if res is not None:
-                    return res
-        return None
-
-    res = extend(0)
+    res = next(
+        _backtrack(
+            len(support),
+            lambda k, _a: itertools.permutations(range(phi.size(support[k]))),
+            lambda k, a: _closes(checks[k], a),
+        ),
+        None,
+    )
     if res is None:
         return None
     fwd = _on_objects(res, support, A.n_objects)

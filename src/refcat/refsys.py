@@ -10,6 +10,7 @@ computed from the derivation index built here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .fincat import (
     FinCategory,
@@ -46,9 +47,20 @@ class RefinementSystem:
             fibers[t.obj(P)].append(P)
         self._fibers = {A: tuple(v) for A, v in fibers.items()}
         self._op: RefinementSystem | None = None
+        self._memo: dict[tuple, object] = {}
 
     def __repr__(self) -> str:
         return f"RefinementSystem({self.name}: {self.D.name} -> {self.T.name})"
+
+    def memo(self, key: tuple, build: Callable):
+        """The construction under `key`: build() on first use, then kept.
+        Slices, representations, judgment categories, brackets and cuts are
+        built once per system through here, because presheaf pullback needs
+        identical base categories.  A build that raises (a size guard)
+        stores nothing, so the next request builds again."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def shape(self, P: int) -> int:
         """The T-object refined by P."""
@@ -979,7 +991,7 @@ def right_curry(
     return left_curry(mon.reversed(), p, b, a, x, plug)
 
 
-@dataclass
+@dataclass(eq=False)
 class MonoidalRefinementSystem:
     """A refinement system whose projection is a strict monoidal functor."""
 

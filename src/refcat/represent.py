@@ -17,9 +17,10 @@ slice, the positive representation and pullbacks of `sys.op()`, and the
 right residuals are the left residuals of the reversed tensor
 (`MonoidalRefinementSystem.reversed()`).
 
-All constructions are cached on the RefinementSystem instance, which is
-load-bearing: presheaf pullback requires base categories to be identical
-objects, not merely isomorphic copies.
+Every construction is built once per system through
+`RefinementSystem.memo`, which is load-bearing: presheaf pullback
+requires base categories to be identical objects, not merely isomorphic
+copies.
 """
 
 from __future__ import annotations
@@ -105,12 +106,17 @@ def _build_slice(sys: RefinementSystem, B: int) -> SliceCategory:
     obj_index = {tag: i for i, tag in enumerate(obj_tags)}
     obj_names = [f"({D.objects[P]},{T.mor_names[c]})" for (P, c) in obj_tags]
 
+    # Only real morphisms out of each source are visited; sorting keeps
+    # the tags in (source, target, alpha) order.
     mor_tags: list[tuple[int, int, int]] = []
     for si, (P1, c1) in enumerate(obj_tags):
-        for ti, (P2, c2) in enumerate(obj_tags):
-            for alpha in D.hom(P1, P2):
-                if T.compose(t.mor(alpha), c2) == c1:
-                    mor_tags.append((alpha, si, ti))
+        out = []
+        for alpha in D.mor_out(P1):
+            e, P2 = t.mor(alpha), D.cod(alpha)
+            for c2 in T.hom(sys.shape(P2), B):
+                if T.compose(e, c2) == c1:
+                    out.append((obj_index[(P2, c2)], alpha))
+        mor_tags += [(alpha, si, ti) for ti, alpha in sorted(out)]
     mor_index = {tag: k for k, tag in enumerate(mor_tags)}
     morphisms = [
         (f"{D.mor_names[alpha]}#{si}->{ti}", si, ti) for (alpha, si, ti) in mor_tags
@@ -129,11 +135,8 @@ def _build_slice(sys: RefinementSystem, B: int) -> SliceCategory:
 
 
 def slice_of(sys: RefinementSystem, B: int) -> SliceCategory:
-    """The relative slice over the T-object B, cached per system."""
-    cache = sys.__dict__.setdefault("_slice_cache", {})
-    if B not in cache:
-        cache[B] = _build_slice(sys, B)
-    return cache[B]
+    """The relative slice over the T-object B, built once per system."""
+    return sys.memo(("slice", B), lambda: _build_slice(sys, B))
 
 
 def coslice_of(sys: RefinementSystem, A: int) -> SliceCategory:
@@ -145,9 +148,9 @@ def coslice_of(sys: RefinementSystem, A: int) -> SliceCategory:
 
 
 def slice_action(sys: RefinementSystem, e: int) -> FunctorData:
-    """Postcomposition with e as a functor between slices, cached."""
-    cache = sys.__dict__.setdefault("_slice_action_cache", {})
-    if e not in cache:
+    """Postcomposition with e as a functor between slices, built once."""
+
+    def build() -> FunctorData:
         T = sys.T
         S1 = slice_of(sys, T.dom(e))
         S2 = slice_of(sys, T.cod(e))
@@ -155,10 +158,11 @@ def slice_action(sys: RefinementSystem, e: int) -> FunctorData:
         mmap = tuple(
             S2.mor_index[(alpha, omap[s], omap[u])] for (alpha, s, u) in S1.mor_tags
         )
-        cache[e] = FunctorData(
+        return FunctorData(
             f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, omap, mmap
         )
-    return cache[e]
+
+    return sys.memo(("slice action", e), build)
 
 
 def coslice_action(sys: RefinementSystem, e: int) -> FunctorData:
@@ -176,9 +180,9 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
     """The presheaf of derivations into Q over the slice of t(Q).
 
     Elements at (P, c) are the derivations of (P, c, Q), carried as
-    payloads; morphisms act by precomposition."""
-    cache = sys.__dict__.setdefault("_pos_rep_cache", {})
-    if Q not in cache:
+    payloads; morphisms act by precomposition.  Built once per system."""
+
+    def build() -> Presheaf:
         D = sys.D
         S = slice_of(sys, sys.shape(Q))
         elements = []
@@ -194,14 +198,15 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
             action.append(
                 tuple(pos[s][D.compose(alpha, sigma)] for sigma in payloads[u])
             )
-        cache[Q] = Presheaf(
+        return Presheaf(
             f"rep({D.objects[Q]})",
             S.cat,
             tuple(elements),
             tuple(action),
             tuple(payloads),
         )
-    return cache[Q]
+
+    return sys.memo(("pos rep", Q), build)
 
 
 def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
@@ -333,12 +338,15 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
 
     mor_tags: list[tuple[int, int, int, int]] = []
     for si, (Q1, c1) in enumerate(obj_tags):
-        for ti, (Q2, c2) in enumerate(obj_tags):
-            for alpha in D.hom(Q1, Q2):
+        out = []
+        for alpha in D.mor_out(Q1):
+            Q2 = D.cod(alpha)
+            for c2 in T.mor_out(base.shape(Q2)):
                 lhs = T.compose(t.mor(alpha), c2)
                 for e in T.hom(T.cod(c1), T.cod(c2)):
                     if T.compose(c1, e) == lhs:
-                        mor_tags.append((alpha, e, si, ti))
+                        out.append((obj_index[(Q2, c2)], alpha, e))
+        mor_tags += [(alpha, e, si, ti) for ti, alpha, e in sorted(out)]
     mor_index = {tag: k for k, tag in enumerate(mor_tags)}
     morphisms = [
         (f"({D.mor_names[alpha]},{T.mor_names[e]})#{si}->{ti}", si, ti)
@@ -615,16 +623,15 @@ class MonoidObject:
 
 def m_functor(mrs: MonoidalRefinementSystem, B1: int, B2: int) -> tuple[FunctorData, ProductCategory]:
     """Tensor-of-tags functor from the product of two slices into the slice
-    of the tensor, cached together with its product base.  The product
-    depends only on (sys, B1, B2), so `mrs` and `mrs.reversed()` share it."""
-    cache = mrs.__dict__.setdefault("_m_cache", {})
-    key = (B1, B2)
-    if key not in cache:
-        sys = mrs.sys
+    of the tensor, together with its product base; both are built once
+    per system.  The product depends only on (sys, B1, B2), so `mrs` and
+    `mrs.reversed()` share it."""
+    sys = mrs.sys
+
+    def build() -> tuple[FunctorData, ProductCategory]:
         S1, S2 = slice_of(sys, B1), slice_of(sys, B2)
         S12 = slice_of(sys, mrs.mon_base.tobj(B1, B2))
-        twin = mrs._reversed.__dict__.get("_m_cache", {}) if mrs._reversed else {}
-        prod = twin[key][1] if key in twin else product(S1.cat, S2.cat)
+        prod = sys.memo(("slice product", B1, B2), lambda: product(S1.cat, S2.cat))
         omap = []
         for x in range(prod.n_objects):
             i, j = prod.split_obj(x)
@@ -653,8 +660,9 @@ def m_functor(mrs: MonoidalRefinementSystem, B1: int, B2: int) -> tuple[FunctorD
             tuple(omap),
             tuple(mmap),
         )
-        cache[key] = (F, prod)
-    return cache[key]
+        return (F, prod)
+
+    return sys.memo(("m", mrs, B1, B2), build)
 
 
 def m_derivation(mrs: MonoidalRefinementSystem, P: int, Q: int) -> PshDerivation:

@@ -1,8 +1,11 @@
 """Category/functor plumbing: law validation, duals, products, functor categories."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from refcat import fincat, psh
 from refcat.fincat import (
     FinCategory,
     FunctorData,
@@ -23,8 +26,8 @@ from refcat.fincat import (
     validate_functor,
     validate_nat_trans,
 )
-from refcat.fixtures import random_refsys
-from refcat.represent import comma_system
+from refcat.fixtures import collapse_lattice_fixture, fin_skeleton, random_refsys
+from refcat.represent import comma_system, slice_of
 
 
 def walking_arrow():
@@ -338,3 +341,97 @@ def test_comma_validation_runs_its_compose_once_per_pair(hoare, monkeypatch):
     assert validate_category(cat).ok
     assert sum(1 for _ in cat.composable_pairs()) == 32640
     assert calls[id(hoare.D)] == 32640
+
+
+# ---------------------------------------------------------------------------
+# The backtracking search against naive filters: functors and natural
+# transformations are every candidate table that the validators accept.
+
+
+def naive_functors(A, C):
+    """Every (object map, morphism map) with each morphism sent into the
+    right hom-set, kept when validate_functor accepts it, in table order."""
+    out = []
+    for obj_map in itertools.product(range(C.n_objects), repeat=A.n_objects):
+        homs = [C.hom(obj_map[A.dom(f)], obj_map[A.cod(f)]) for f in range(A.n_morphisms)]
+        for mor_map in itertools.product(*homs):
+            if validate_functor(FunctorData("F?", A, C, obj_map, mor_map)).ok:
+                out.append((obj_map, mor_map))
+    return out
+
+
+def naive_nat_tags(fc, A, C):
+    """Every component tuple between every ordered pair of functors, kept
+    when validate_nat_trans accepts it."""
+    out = []
+    for i, F in enumerate(fc.functors):
+        for j, G in enumerate(fc.functors):
+            homs = [C.hom(F.obj(a), G.obj(a)) for a in range(A.n_objects)]
+            for comps in itertools.product(*homs):
+                if validate_nat_trans(NatTransData("t?", F, G, comps)).ok:
+                    out.append((i, j, comps))
+    return out
+
+
+def search_mismatches(A, C):
+    """Where functor_category(A, C) differs from the naive filters."""
+    fc = functor_category(A, C)
+    bad = []
+    if [F.table() for F in fc.functors] != naive_functors(A, C):
+        bad.append(f"functors {A.name} -> {C.name}")
+    if fc.nat_tags != naive_nat_tags(fc, A, C):
+        bad.append(f"natural transformations {A.name} -> {C.name}")
+    return bad
+
+
+def lattice_slice_pair():
+    """Two slices of lattice-collapse that genday pairs in a residual."""
+    sys = collapse_lattice_fixture().mrs.sys
+    return slice_of(sys, 1).cat, slice_of(sys, 2).cat
+
+
+def search_pairs():
+    arrow, chain3, fin2 = walking_arrow(), chain_category(3), fin_skeleton(2)
+    return [
+        (arrow, chain_category(4)),
+        (chain_category(2), chain3),
+        (arrow, fin2),
+        (chain3, fin2),
+        (opposite(chain3), fin2),
+        (opposite(arrow), opposite(fin2)),
+        lattice_slice_pair(),
+    ]
+
+
+def test_functor_category_matches_the_naive_filters():
+    for A, C in search_pairs():
+        assert search_mismatches(A, C) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 500), st.booleans())
+def test_functor_category_matches_the_naive_filters_on_a_draw(seed, flip):
+    sys = random_refsys(seed)
+    A, C = (sys.T, sys.D) if flip else (sys.D, sys.T)
+    assert search_mismatches(A, C) == []
+
+
+def lax_search(monkeypatch):
+    """Replace the search everywhere by a copy that skips the constraints
+    closing at the last step."""
+    real = fincat._backtrack
+
+    def lax(steps, candidates, closes):
+        return real(steps, candidates, lambda k, a: k == steps - 1 or closes(k, a))
+
+    monkeypatch.setattr(fincat, "_backtrack", lax)
+    monkeypatch.setattr(psh, "_backtrack", lax)
+
+
+def test_a_search_without_one_steps_constraints_fails_the_reference(monkeypatch):
+    lax_search(monkeypatch)
+    arrow, chain3, fin2 = walking_arrow(), chain_category(3), fin_skeleton(2)
+    fc = functor_category(chain3, fin2)
+    assert [F.table() for F in fc.functors] != naive_functors(chain3, fin2)
+    fc = functor_category(arrow, fin2)
+    assert fc.nat_tags != naive_nat_tags(fc, arrow, fin2)

@@ -25,6 +25,7 @@ from refcat.fixtures import (
     fin_skeleton,
     hoare_sp,
     hoare_wp,
+    linctx_data,
     multicompose,
     powerset_lattice,
     random_refsys,
@@ -171,7 +172,7 @@ def test_fin_skeleton_counts():
 
 
 def test_linctx_shape_counts(linctx):
-    mc, trunc, ctx_index, u_index = linctx.__dict__["linctx_data"]
+    mc, trunc, ctx_index, u_index = linctx_data(linctx)
     # multisets of size <= 3 over 4 formulas
     assert linctx.D.n_objects == 1 + 4 + 10 + 20 == 35
     # morphism total agrees with the brute-force proof counter
@@ -190,6 +191,12 @@ def test_tensor_left_rule_report(linctx):
     assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (5, 0, 0)
     assert "negative encoding: 2/2 clauses" in rep.notes
     assert "at ([A*B],1>1[0]): single push has 0 elements, the representation has 1" in rep.notes
+
+
+def test_tensor_left_rule_needs_a_linctx_system(hoare, linctx):
+    assert linctx_data(hoare) is None and linctx_data(linctx.op()) is None
+    with pytest.raises(StructuralError, match="needs a system built by build_linctx"):
+        tensorL_check(hoare, "A", "B")
 
 
 def test_lattice_builders_and_their_refusals():

@@ -1,6 +1,6 @@
-"""Golden `verify all` transcripts, compared byte for byte.
+"""Golden transcripts, compared byte for byte.
 
-The files under tests/golden/ are the default-format stdout of
+Most files under tests/golden/ are the default-format stdout of
 `refcat verify <file> all` on the shipped fixtures.  A refactor that
 changes any count, skip reason, note or counterexample shows up here as
 a diff.  To regenerate one after an intended change, run for example
@@ -8,8 +8,17 @@ a diff.  To regenerate one after an intended change, run for example
     refcat verify h.fix all > tests/golden/hoare.txt
 
 with `h.fix` holding `fixture h hoare`, and review the diff.
+
+The `query-*.txt` files hold the query commands (slice, coslice,
+represent, dual, pushforward, pullback): for each command a `$` line
+with its arguments and exit code, then its stdout.  They pin the order
+in which slice morphisms and presheaf elements are listed.  Regenerate
+one with `python tests/test_golden.py NAME`.
 """
 
+import contextlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +47,52 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
     assert main(["verify", str(path), "all", *extra]) == 0
     got = capsys.readouterr().out
     assert got == (GOLDEN / f"{name}.txt").read_text()
+
+
+HOARE = "fixture h hoare"
+HOARE_REFS = ("{}", "{s0}", "{s1}", "{s0,s1}")
+HOARE_MORS = ("id", "set0", "swap", "set0;swap")
+
+# golden file -> (workspace line, list of query argument lists)
+QUERIES = {
+    "query-hoare-slice": (HOARE, [["slice", "W"], ["coslice", "W"]]),
+    "query-linctx-slice": ("fixture l linctx", [["slice", "1"], ["coslice", "1"]]),
+    "query-hoare-represent": (
+        HOARE,
+        [["represent", f"--{side}", X] for X in HOARE_REFS for side in ("pos", "neg")],
+    ),
+    "query-hoare-dual": (
+        HOARE,
+        [["dual", f"--{side}", X] for X in HOARE_REFS for side in ("left", "right")],
+    ),
+    "query-hoare-lifts": (
+        HOARE,
+        [[cmd, c, X] for cmd in ("pushforward", "pullback") for c in HOARE_MORS for X in HOARE_REFS],
+    ),
+}
+
+
+def query_transcript(name: str, tmp: Path) -> str:
+    body, commands = QUERIES[name]
+    path = tmp / "w.fix"
+    path.write_text(body + "\n")
+    out = []
+    for args in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main([args[0], str(path), *args[1:]])
+        out.append(f"$ {' '.join(args)}  [exit {rc}]\n{buf.getvalue()}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_queries_match_the_golden_transcript(name, tmp_path):
+    assert query_transcript(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name in sys.argv[1:]:
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / f"{name}.txt").write_text(query_transcript(name, Path(tmp)))

@@ -5,10 +5,14 @@ category of elements, so the quotient computed by push_psh is checked against a
 second implementation rather than against itself.
 """
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
+import random
 
-from refcat.fincat import FinCategory, FunctorData, SizeGuardExceeded, terminal_category
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from refcat.fincat import FinCategory, FunctorData, SizeGuardExceeded, opposite, terminal_category
+from refcat.fixtures import fin_skeleton
 from refcat.psh import (
     Presheaf,
     PshDerivation,
@@ -27,7 +31,7 @@ from refcat.psh import (
     validate_psh_derivation,
     vertical_iso_psh,
 )
-from tests.test_fincat import chain_category, walking_arrow
+from tests.test_fincat import chain_category, lax_search, walking_arrow
 
 
 def chain_presheaf(base, sizes, steps):
@@ -259,3 +263,90 @@ def test_stepwise_presheaves_push_like_the_oracle(sizes, data):
     assert validate_presheaf(phi).ok
     pushed = push_psh(to_point(base), phi)
     assert pushed.total_elements() == components_oracle(phi)
+
+
+# ---------------------------------------------------------------------------
+# vertical_iso_psh against a naive filter over every family of permutations
+
+
+def naive_vertical_iso(phi, psi):
+    """The first family of permutations that validate_psh_derivation
+    accepts, objects taken by ascending (element count, index) and each
+    object's permutations in lexicographic order; None if there is none."""
+    A = phi.base
+    if any(phi.size(a) != psi.size(a) for a in range(A.n_objects)):
+        return None
+    order = sorted(range(A.n_objects), key=lambda a: (phi.size(a), a))
+    perms = [itertools.permutations(range(phi.size(a))) for a in order]
+    for family in itertools.product(*perms):
+        comps = [()] * A.n_objects
+        for a, p in zip(order, family):
+            comps[a] = p
+        if validate_psh_derivation(PshDerivation("iso?", phi, psi, None, tuple(comps))).ok:
+            return tuple(comps)
+    return None
+
+
+def relabeled(phi, seed):
+    """phi with the elements at every object shuffled: isomorphic to phi."""
+    rng = random.Random(seed)
+    base = phi.base
+    new = []
+    for a in range(base.n_objects):
+        p = list(range(phi.size(a)))
+        rng.shuffle(p)
+        new.append(p)
+    elements = tuple(
+        tuple(f"r{i}" for i in range(phi.size(a))) for a in range(base.n_objects)
+    )
+    action = []
+    for f in range(base.n_morphisms):
+        row = [0] * phi.size(base.cod(f))
+        for y, x in enumerate(phi.action[f]):
+            row[new[base.cod(f)][y]] = new[base.dom(f)][x]
+        action.append(tuple(row))
+    return Presheaf(f"shuffled({phi.name})", base, elements, tuple(action))
+
+
+def iso_mismatch(phi, psi):
+    got = vertical_iso_psh(phi, psi)
+    want = naive_vertical_iso(phi, psi)
+    if want is None:
+        return got is not None
+    fwd, inv = got
+    inverse = all(
+        tuple(inv[a][y] for y in fwd[a]) == tuple(range(phi.size(a)))
+        for a in range(phi.base.n_objects)
+    )
+    return fwd != want or not inverse
+
+
+def iso_pairs():
+    fin2 = fin_skeleton(2)
+    reps = [representable(fin2, b) for b in range(fin2.n_objects)]
+    reps += [representable(opposite(fin2), 2), representable(chain_category(3), 2)]
+    pairs = [(phi, relabeled(phi, seed)) for phi in reps for seed in (1, 2)]
+    # same element counts, but only one action is injective: no isomorphism
+    arrow, two = walking_arrow(), (("x", "y"), ("u", "v"))
+    collapse = Presheaf("collapse", arrow, two, ((0, 1), (0, 1), (0, 0)))
+    straight = Presheaf("straight", arrow, two, ((0, 1), (0, 1), (0, 1)))
+    return pairs + [(collapse, straight)]
+
+
+def test_vertical_iso_is_the_first_naive_witness():
+    pairs = iso_pairs()
+    assert [naive_vertical_iso(phi, psi) is None for phi, psi in pairs].count(True) == 1
+    assert not any(iso_mismatch(phi, psi) for phi, psi in pairs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 3), st.integers(0, 10**6))
+def test_vertical_iso_is_the_first_naive_witness_on_a_draw(which, b, seed):
+    base = [walking_arrow(), chain_category(3), fin_skeleton(2), opposite(fin_skeleton(2))][b]
+    phi = representable(base, which % base.n_objects)
+    assert not iso_mismatch(phi, relabeled(phi, seed))
+
+
+def test_a_search_without_one_steps_constraints_picks_a_wrong_iso(monkeypatch):
+    lax_search(monkeypatch)
+    assert any(iso_mismatch(phi, psi) for phi, psi in iso_pairs())

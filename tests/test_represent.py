@@ -15,7 +15,7 @@ from refcat.fincat import (
     validate_category,
     validate_functor,
 )
-from refcat.fixtures import collapse_lattice_fixture, random_refsys
+from refcat.fixtures import collapse_lattice_fixture, linctx_data, random_refsys
 from refcat.psh import validate_psh_derivation
 from refcat.refsys import fully_faithful_check
 from refcat.represent import (
@@ -124,7 +124,7 @@ def test_linctx_slice_over_the_singleton_shape_is_the_context_category(linctx):
 
 
 def test_linctx_coslice_counts_pointed_contexts(linctx):
-    mc, trunc, ctx_index, u_index = linctx.__dict__["linctx_data"]
+    mc, trunc, ctx_index, u_index = linctx_data(linctx)
     points = sum(len(ctx) for ctx in ctx_index)
     assert points == 4 * 1 + 10 * 2 + 20 * 3 == 84
     C = coslice_of(linctx, 1)
@@ -165,7 +165,7 @@ def context_morphism_count(mc, src, tgt):
 def test_pointed_negative_representation_counts(linctx):
     # a pointed context (X, j) supports exactly (proofs into the pointed
     # formula) x (closed proofs of the rest), one factor per position
-    mc, trunc, ctx_index, u_index = linctx.__dict__["linctx_data"]
+    mc, trunc, ctx_index, u_index = linctx_data(linctx)
     formulas = mc.formulas
     for F in formulas:
         P = linctx.D.objects.index(f"[{F}]")
