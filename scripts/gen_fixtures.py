@@ -5,7 +5,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from refcat.cli import main as refcat
+# Run from a plain checkout: the checkout's sources come first.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from refcat.cli import main as refcat  # noqa: E402
 
 
 def main() -> int:

@@ -11,7 +11,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from refcat.cli import main as refcat
+# Run from a plain checkout: the checkout's sources come first.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from refcat.cli import main as refcat  # noqa: E402
 
 # the galois fixture registers both ends of the adjunction, so the suite
 # needs to be pointed at one of them explicitly

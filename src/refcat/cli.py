@@ -7,6 +7,7 @@ Output is canonical: identical workspace and command give identical bytes.
 from __future__ import annotations
 
 import argparse
+import os as _os
 import sys as _sys
 
 from . import fixtures as fx
@@ -129,7 +130,7 @@ def _genday_suite(ws: Workspace, key: str, s: RefinementSystem, size_guard: int)
 
 
 def _duality_suite(s: RefinementSystem, size_guard: int, cross_check: bool) -> list[CheckReport]:
-    reports = [duality_check(s, Q, size_guard=size_guard) for Q in range(s.D.n_objects)]
+    reports = [duality_check(s, Q) for Q in range(s.D.n_objects)]
     out = [
         _merge_reports(
             f"duality[{s.name}]",
@@ -273,7 +274,15 @@ def run_suite(
 
 
 def _emit(args, text: str) -> None:
-    print(text)
+    """Print to stdout.  A reader that closes the pipe early (`| head`)
+    keeps what it read, and the command still exits with its own code."""
+    try:
+        print(text)
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go to devnull instead of
+        # raising again.
+        _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), _sys.stdout.fileno())
 
 
 def _cmd_validate(args) -> int:

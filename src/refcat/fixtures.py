@@ -800,12 +800,6 @@ class LatticeSystem:
     def sys(self) -> RefinementSystem:
         return self.mrs.sys
 
-    def ref_mor(self, x: str, y: str) -> int:
-        return self.ref_mors[(self.ref_index[x], self.ref_index[y])]
-
-    def base_mor(self, x: str, y: str) -> int:
-        return self.base_mors[(self.base_index[x], self.base_index[y])]
-
 
 def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> LatticeSystem:
     """A lattice map as a refinement system with meet as tensor.
@@ -962,11 +956,14 @@ class RandomBounds:
     retries: int = 80
 
 
-def _close_concrete(n_obj, carriers, seeds, hom_bound):
+def _close_concrete(ids, seeds, hom_bound, compose):
     """Close a set of concrete arrows under composition.
 
-    Arrows are (dom, cod, data) where data composes associatively by
-    construction; returns None when a hom-set overflows the bound."""
+    Arrows are (dom, cod, data): object a's identity carries ids[a], and
+    compose(f_data, g_data) is the data of f;g, associative by
+    construction.  Identities are added first, so arrow a is the identity
+    of object a.  Returns (arrows, composition table), or None when a
+    hom-set overflows the bound."""
     arrows: list[tuple[int, int, tuple]] = []
     index: dict[tuple[int, int, tuple], int] = {}
     hom_count: dict[tuple[int, int], int] = {}
@@ -982,8 +979,8 @@ def _close_concrete(n_obj, carriers, seeds, hom_bound):
         hom_count[(a, b)] = hom_count.get((a, b), 0) + 1
         return index[key]
 
-    for a in range(n_obj):
-        if add(a, a, tuple(range(carriers[a]))) is False:
+    for a, data in enumerate(ids):
+        if add(a, a, data) is False:
             return None
     for a, b, data in seeds:
         if add(a, b, data) is False:
@@ -997,19 +994,18 @@ def _close_concrete(n_obj, carriers, seeds, hom_bound):
                 for f, g in ((arrows[i], arrows[j]), (arrows[j], arrows[i])):
                     if f[1] != g[0]:
                         continue
-                    comp = tuple(g[2][x] for x in f[2])
-                    got = add(f[0], g[1], comp)
+                    got = add(f[0], g[1], compose(f[2], g[2]))
                     if got is False:
                         return None
                     if got is not None:
                         fresh.append(got)
         frontier = fresh
-    compose = {}
+    table = {}
     for i, f in enumerate(arrows):
         for j, g in enumerate(arrows):
             if f[1] == g[0]:
-                compose[(i, j)] = index[(f[0], g[1], tuple(g[2][x] for x in f[2]))]
-    return arrows, index, compose
+                table[(i, j)] = index[(f[0], g[1], compose(f[2], g[2]))]
+    return arrows, table
 
 
 def _try_random(rng: random.Random, bounds: RandomBounds):
@@ -1019,15 +1015,20 @@ def _try_random(rng: random.Random, bounds: RandomBounds):
     for _ in range(rng.randint(0, bounds.generators)):
         a, b = rng.randrange(nt), rng.randrange(nt)
         seeds.append((a, b, tuple(rng.randrange(t_car[b]) for _ in range(t_car[a]))))
-    closed = _close_concrete(nt, t_car, seeds, bounds.hom)
+    closed = _close_concrete(
+        [tuple(range(k)) for k in t_car],
+        seeds,
+        bounds.hom,
+        lambda f, g: tuple(g[x] for x in f),
+    )
     if closed is None:
         return None
-    t_arrows, t_index, t_compose = closed
+    t_arrows, t_compose = closed
     T = FinCategory(
         "T",
         tuple(f"X{a}" for a in range(nt)),
         tuple((f"t{i}", a, b) for i, (a, b, _) in enumerate(t_arrows)),
-        tuple(t_index[(a, a, tuple(range(t_car[a])))] for a in range(nt)),
+        tuple(range(nt)),
         t_compose,
     )
 
@@ -1046,58 +1047,20 @@ def _try_random(rng: random.Random, bounds: RandomBounds):
 
     # arrows carry their base morphism; composition pairs the base
     # composite with the function composite, so laws hold by construction
-    arrows: list[tuple[int, int, tuple]] = []
-    index: dict[tuple[int, int, tuple], int] = {}
-    hom_count: dict[tuple[int, int], int] = {}
-
-    def add(P, Q, data):
-        key = (P, Q, data)
-        if key in index:
-            return None
-        if hom_count.get((P, Q), 0) >= bounds.hom:
-            return False
-        index[key] = len(arrows)
-        arrows.append(key)
-        hom_count[(P, Q)] = hom_count.get((P, Q), 0) + 1
-        return index[key]
-
-    for P in range(nd):
-        if add(P, P, (T.id_of(shape[P]), tuple(range(d_car[P])))) is False:
-            return None
-    for P, Q, data in d_seeds:
-        if add(P, Q, data) is False:
-            return None
-    frontier = list(range(len(arrows)))
-    while frontier:
-        fresh = []
-        snapshot = len(arrows)
-        for i in frontier:
-            for j in range(snapshot):
-                for f, g in ((arrows[i], arrows[j]), (arrows[j], arrows[i])):
-                    if f[1] != g[0]:
-                        continue
-                    data = (
-                        T.compose(f[2][0], g[2][0]),
-                        tuple(g[2][1][x] for x in f[2][1]),
-                    )
-                    got = add(f[0], g[1], data)
-                    if got is False:
-                        return None
-                    if got is not None:
-                        fresh.append(got)
-        frontier = fresh
-    compose = {}
-    for i, f in enumerate(arrows):
-        for j, g in enumerate(arrows):
-            if f[1] == g[0]:
-                compose[(i, j)] = index[
-                    (f[0], g[1], (T.compose(f[2][0], g[2][0]), tuple(g[2][1][x] for x in f[2][1])))
-                ]
+    closed = _close_concrete(
+        [(T.id_of(shape[P]), tuple(range(d_car[P]))) for P in range(nd)],
+        d_seeds,
+        bounds.hom,
+        lambda f, g: (T.compose(f[0], g[0]), tuple(g[1][x] for x in f[1])),
+    )
+    if closed is None:
+        return None
+    arrows, compose = closed
     D = FinCategory(
         "D",
         tuple(f"P{P}" for P in range(nd)),
         tuple((f"d{i}", P, Q) for i, (P, Q, _) in enumerate(arrows)),
-        tuple(index[(P, P, (T.id_of(shape[P]), tuple(range(d_car[P]))))] for P in range(nd)),
+        tuple(range(nd)),
         compose,
     )
     t = FunctorData(

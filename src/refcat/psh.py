@@ -81,9 +81,6 @@ class Presheaf:
     def apply(self, f: int, x: int) -> int:
         return self.action[f][x]
 
-    def is_thin(self) -> bool:
-        return all(len(e) <= 1 for e in self.elements)
-
     def __repr__(self) -> str:
         return f"Presheaf({self.name} over {self.base.name}, {self.total_elements()} elements)"
 
@@ -418,17 +415,21 @@ def _families_on_support(
     reached: t_k[phi_row[x]] == row(u)[t_k2[x]] for every x.  The
     constraints and the target's action rows are asked for only when the
     search needs them: not at all if some target is empty or every set is
-    a singleton.  Families come back as one component per step, in
-    candidate order."""
+    a singleton.  A step's candidates are drawn one at a time when the
+    search reaches it, never listed up front.  Families come back as one
+    component per step, in candidate order."""
     n = len(sizes)
     if any(m == 0 for m in targets):
         return []
     if all(m == 1 for m in sizes) and all(m == 1 for m in targets):
         return [((0,),) * n]
     checks = [[(k, k2, prow, row(u)) for (u, k, k2, prow) in cl] for cl in closing()]
-    choices = [list(itertools.product(range(m), repeat=s)) for s, m in zip(sizes, targets)]
     return list(
-        _backtrack(n, lambda k, _a: choices[k], lambda k, a: _closes(checks[k], a))
+        _backtrack(
+            n,
+            lambda k, _a: itertools.product(range(targets[k]), repeat=sizes[k]),
+            lambda k, a: _closes(checks[k], a),
+        )
     )
 
 
@@ -485,13 +486,6 @@ def natural_families(
     return [_on_objects(fam, support, A.n_objects) for fam in fams]
 
 
-def psh_derivations(
-    phi: Presheaf, F: FunctorData, psi: Presheaf
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Derivations phi -> psi over F, as natural component tables."""
-    return natural_families(phi, psi, F)
-
-
 @dataclass(eq=False)
 class PshDerivation:
     """A derivation between presheaves: base functor plus component tables."""
@@ -507,6 +501,8 @@ class PshDerivation:
 
 
 def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
+    """Arity, range, then naturality, checked on the `_closing` table that
+    the family searches use; failing squares are listed in morphism order."""
     report = ValidationReport(f"psh-derivation {d.name}")
     phi, psi = d.source, d.target
     A = phi.base
@@ -520,13 +516,16 @@ def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
             if not (0 <= v < psi.size(f_obj(a))):
                 report.add("range", f"component at {A.objects[a]} out of range")
                 return report
-    for u in range(A.n_morphisms):
-        a, a2 = A.dom(u), A.cod(u)
-        fu = f_mor(u)
-        for x2 in range(phi.size(a2)):
-            if d.components[a][phi.apply(u, x2)] != psi.apply(fu, d.components[a2][x2]):
-                report.add("naturality", f"square at {A.mor_names[u]} fails")
-                break
+    support = phi.support()
+    comps = [d.components[a] for a in support]
+    failing = sorted(
+        u
+        for cl in _closing(phi, support)
+        for (u, k, k2, prow) in cl
+        if not _closes([(k, k2, prow, psi.action[f_mor(u)])], comps)
+    )
+    for u in failing:
+        report.add("naturality", f"square at {A.mor_names[u]} fails")
     return report
 
 

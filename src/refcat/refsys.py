@@ -54,10 +54,10 @@ class RefinementSystem:
 
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
-        Slices, representations, judgment categories, brackets and cuts are
-        built once per system through here, because presheaf pullback needs
-        identical base categories.  A build that raises (a size guard)
-        stores nothing, so the next request builds again."""
+        Slices, representations, judgment categories, cuts and lift
+        searches are built once per system through here; presheaf pullback
+        needs identical base categories.  A build that raises (a size
+        guard) stores nothing, so the next request builds again."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -106,9 +106,6 @@ class RefinementSystem:
             f"{self.D.object_name(P)} ={self.T.morphism_name(c)}=> "
             f"{self.D.object_name(Q)}"
         )
-
-    def compose_derivations(self, alpha: int, beta: int) -> int:
-        return self.D.compose(alpha, beta)
 
     def vertical_iso(self, P: int, Q: int) -> tuple[int, int] | None:
         """A pair (alpha, beta) of mutually inverse derivations over the
@@ -228,7 +225,8 @@ def find_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | No
     """Search the fiber over dom c for a cartesian lift of c at Q.
 
     Candidates are scanned in (object index, derivation index) order, so
-    the certificate returned is deterministic.
+    the certificate returned is deterministic.  The result, None included,
+    is kept in the system's memo.
     """
     T = sys.T
     if T.cod(c) != sys.shape(Q):
@@ -236,8 +234,11 @@ def find_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | No
             f"{sys.name}: {sys.D.object_name(Q)} does not refine the codomain "
             f"of {T.morphism_name(c)}"
         )
-    A = T.dom(c)
-    for P0 in sys.fiber(A):
+    return sys.memo(("pullback", c, Q), lambda: _search_pullback(sys, c, Q))
+
+
+def _search_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | None:
+    for P0 in sys.fiber(sys.T.dom(c)):
         for ell in sys.derivations(P0, c, Q):
             tests = _cartesian_tests(sys, c, Q, P0, ell)
             if tests is not None:
@@ -293,20 +294,6 @@ def is_opfibration(sys: RefinementSystem) -> tuple[bool, list[tuple[int, int]]]:
     return is_fibration(sys.op())
 
 
-class _LiftCache:
-    """Memoised pullback searches for one system."""
-
-    def __init__(self, sys: RefinementSystem):
-        self.sys = sys
-        self.pulls: dict[tuple[int, int], LiftCertificate | None] = {}
-
-    def pull(self, c: int, Q: int) -> LiftCertificate | None:
-        key = (c, Q)
-        if key not in self.pulls:
-            self.pulls[key] = find_pullback(self.sys, c, Q)
-        return self.pulls[key]
-
-
 def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
     """Functoriality and monotonicity of pullback and pushforward.
 
@@ -326,15 +313,15 @@ def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
     nm, nc = sys.D.object_name, T.morphism_name
     # Subtyping in the opposite system runs the other way.
     sides = (
-        (_LiftCache(sys), "pull", "pullback", "<="),
-        (_LiftCache(sys.op()), "push", "pushforward", ">="),
+        (sys, "pull", "pullback", "<="),
+        (sys.op(), "push", "pushforward", ">="),
     )
 
     # identity laws
     for A in range(T.n_objects):
         for Q in sys.fiber(A):
-            for lifts, verb, lift, _ in sides:
-                cert = lifts.pull(T.identity[A], Q)
+            for s, verb, lift, _ in sides:
+                cert = find_pullback(s, T.identity[A], Q)
                 if cert is None:
                     report.record_skip(f"identity {lift} missing")
                     continue
@@ -348,11 +335,14 @@ def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
     for d in range(T.n_morphisms):
         for c in T.mor_out(T.cod(d)):
             dc = T.compose(d, c)
-            for (lifts, verb, lift, _), first, then in zip(sides, (c, d), (d, c)):
-                s = lifts.sys
+            for (s, verb, lift, _), first, then in zip(sides, (c, d), (d, c)):
                 for X in s.fiber(s.T.cod(first)):
-                    inner, whole = lifts.pull(first, X), lifts.pull(dc, X)
-                    outer = None if inner is None or whole is None else lifts.pull(then, inner.result)
+                    inner, whole = find_pullback(s, first, X), find_pullback(s, dc, X)
+                    outer = (
+                        None
+                        if inner is None or whole is None
+                        else find_pullback(s, then, inner.result)
+                    )
                     if outer is None:
                         report.record_skip(f"composite {lift} instance missing")
                         continue
@@ -364,14 +354,13 @@ def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
 
     # monotonicity
     for c in range(T.n_morphisms):
-        for lifts, verb, lift, le in sides:
-            s = lifts.sys
+        for s, verb, lift, le in sides:
             fib = s.fiber(s.T.cod(c))
             for X1 in fib:
                 for X2 in fib:
                     if not s.subtypings(X1, X2):
                         continue
-                    c1, c2 = lifts.pull(c, X1), lifts.pull(c, X2)
+                    c1, c2 = find_pullback(s, c, X1), find_pullback(s, c, X2)
                     if c1 is None or c2 is None:
                         report.record_skip(f"monotonicity {lift} instance missing")
                         continue

@@ -44,8 +44,8 @@ from .psh import (
     PshDerivation,
     cartesian_factoring_check,
     is_vertical_iso,
+    natural_families,
     opcartesian_factoring_check,
-    psh_derivations,
     push_psh_full,
     push_transpose,
     pull_psh,
@@ -258,7 +258,7 @@ def representation_ff_check(sys: RefinementSystem, variance: str = "both") -> Ch
             ders = s.derivations(Q1, c, Q2)
             phi, psi = pos_rep(s, Q1), pos_rep(s, Q2)
             F = slice_action(s, c)
-            fams = psh_derivations(phi, F, psi)
+            fams = natural_families(phi, psi, F)
             fam_set = set(fams)
             images = set()
             bad = None
@@ -713,58 +713,33 @@ def _strict_right_residual(mrs: MonoidalRefinementSystem, Q: int, R: int):
 
 def _curry_into(
     fc: FunctorCategory,
-    prod: ProductCategory,
-    F: FunctorData,
-    param_cat: FinCategory,
-    arg: str,
+    left: FinCategory,
+    right: FinCategory,
+    target: FinCategory,
+    obj,
+    mor,
     name: str,
 ) -> FunctorData:
-    """Curry F : prod -> C along one argument, landing in the materialized
-    functor category fc = [other factor, C].  arg names which factor is
-    the parameter: "second" keeps the left factor as the functor domain."""
-    C = F.target
-    if arg == "second":
-        fixed = prod.left
-
-        def obj_of(pi: int, j: int) -> int:
-            return F.obj(prod.pair_obj(j, pi))
-
-        def mor_of(pi: int, f: int) -> int:
-            return F.mor(prod.pair_mor(f, param_cat.id_of(pi)))
-
-        def nat_of(g: int, j: int) -> int:
-            return F.mor(prod.pair_mor(fixed.id_of(j), g))
-
-    elif arg == "first":
-        fixed = prod.right
-
-        def obj_of(pi: int, j: int) -> int:
-            return F.obj(prod.pair_obj(pi, j))
-
-        def mor_of(pi: int, f: int) -> int:
-            return F.mor(prod.pair_mor(param_cat.id_of(pi), f))
-
-        def nat_of(g: int, j: int) -> int:
-            return F.mor(prod.pair_mor(g, fixed.id_of(j)))
-
-    else:
-        raise StructuralError(f"_curry_into: bad arg {arg!r}")
-
+    """Curry a two-argument table (obj(a, b), mor(f, g)) on left x right
+    into target along its second argument, landing in the materialized
+    functor category fc = [left, target]: b goes to the functor
+    a |-> obj(a, b), f |-> mor(f, id_b), and g to the components
+    a |-> mor(id_a, g)."""
     omap = []
-    for pi in range(param_cat.n_objects):
+    for b in range(right.n_objects):
         G = FunctorData(
-            f"{name}@{param_cat.objects[pi]}",
-            fixed,
-            C,
-            tuple(obj_of(pi, j) for j in range(fixed.n_objects)),
-            tuple(mor_of(pi, f) for f in range(fixed.n_morphisms)),
+            f"{name}@{right.objects[b]}",
+            left,
+            target,
+            tuple(obj(a, b) for a in range(left.n_objects)),
+            tuple(mor(f, right.id_of(b)) for f in range(left.n_morphisms)),
         )
         omap.append(fc.find_functor(G))
     mmap = []
-    for g in range(param_cat.n_morphisms):
-        comps = tuple(nat_of(g, j) for j in range(fixed.n_objects))
-        mmap.append(fc.find_nat(omap[param_cat.dom(g)], omap[param_cat.cod(g)], comps))
-    return FunctorData(name, param_cat, fc.cat, tuple(omap), tuple(mmap))
+    for g in range(right.n_morphisms):
+        comps = tuple(mor(left.id_of(a), g) for a in range(left.n_objects))
+        mmap.append(fc.find_nat(omap[right.dom(g)], omap[right.cod(g)], comps))
+    return FunctorData(name, right, fc.cat, tuple(omap), tuple(mmap))
 
 
 def _comparison_components(
@@ -906,7 +881,15 @@ def _genday_residual_clause(mrs, rep, label, P, R, resdata, size_guard):
     except SizeGuardExceeded as exc:
         rep.record_skip(f"{label} residual presheaf skipped: {exc}")
         return
-    curryF = _curry_into(fc, prod, plugged, SX.cat, "second", f"costr{label}")
+    curryF = _curry_into(
+        fc,
+        prod.left,
+        prod.right,
+        plugged.target,
+        lambda a, b: plugged.obj(prod.pair_obj(a, b)),
+        lambda f, g: plugged.mor(prod.pair_mor(f, g)),
+        f"costr{label}",
+    )
     comps, why = _comparison_components(
         mrs, lhs, lambda s: s, phi, omega, res, fc, curryF, plugD
     )
@@ -1044,7 +1027,13 @@ def monoid_lax_check(
                     rep.record_skip(f"{side} residual presheaf skipped: {exc}")
                     continue
                 curryW = _curry_into(
-                    fc, prod, Fday, slice_of(sys, mo.W).cat, "second", f"day-curry-{side}"
+                    fc,
+                    prod.left,
+                    prod.right,
+                    Fday.target,
+                    lambda a, b: Fday.obj(prod.pair_obj(a, b)),
+                    lambda f, g: Fday.mor(prod.pair_mor(f, g)),
+                    f"day-curry-{side}",
                 )
                 ell = cert.structural
                 comps, why = _comparison_components(

@@ -250,3 +250,59 @@ def test_output_is_stable_across_hash_randomization(tmp_path):
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout  # nonempty
+
+
+def test_a_reader_closing_the_pipe_early_gets_no_traceback(hoare_file):
+    # The read end is closed before the child prints anything, so its
+    # write fails with a broken pipe whatever the timing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "refcat", "verify", hoare_file, "all"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_verify_builds_no_judgment_category_and_no_product(hoare_file, capsys, monkeypatch):
+    import refcat.fincat as fincat_mod
+
+    calls = {"judgment_category": 0, "ProductCategory": 0}
+    real_jdg = duality_mod.judgment_category
+    real_init = fincat_mod.ProductCategory.__init__
+
+    def counted_jdg(*args, **kwargs):
+        calls["judgment_category"] += 1
+        return real_jdg(*args, **kwargs)
+
+    def counted_init(self, *args):
+        calls["ProductCategory"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(duality_mod, "judgment_category", counted_jdg)
+    monkeypatch.setattr(fincat_mod.ProductCategory, "__init__", counted_init)
+    assert main(["verify", hoare_file, "all"]) == 0
+    assert "suite all: 9/9 reports ok" in capsys.readouterr().out
+    assert calls == {"judgment_category": 0, "ProductCategory": 0}
+
+
+def test_scripts_run_from_a_plain_checkout(tmp_path, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "fixtures"
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "gen_fixtures.py"), str(out)],
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    files = sorted(out.glob("*.fix"))
+    assert len(files) == 6
+    for path in files:
+        assert main(["validate", str(path)]) == 0, path.name
+    capsys.readouterr()

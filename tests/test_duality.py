@@ -1,4 +1,5 @@
-"""Judgment category, cut brackets, dualization, and the encoding checks.
+"""Judgment category, the slice x coslice pairing, cuts, dualization, and
+the encoding checks.
 
 The corruption test deliberately breaks an internal action table and
 asserts the machinery notices; it guards against the checks degenerating
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
 from refcat.duality import (
-    bracket,
-    der_presheaf,
+    _cut,
     dual_adjunction_check,
     dual_left,
     dual_right,
@@ -26,11 +26,14 @@ from refcat.duality import (
     negative_encoding_check,
     notnottensor_check,
     notpush_check,
+    pairing,
 )
 from refcat.fincat import (
     FinCategory,
+    FunctorData,
     SizeGuardExceeded,
     StructuralError,
+    product,
     validate_category,
     validate_functor,
 )
@@ -43,7 +46,14 @@ from refcat.fixtures import (
     default_linear_spec,
     random_refsys,
 )
-from refcat.psh import Presheaf, natural_families, push_psh, validate_presheaf, vertical_iso_psh
+from refcat.psh import (
+    Presheaf,
+    natural_families,
+    pull_psh,
+    push_psh,
+    validate_presheaf,
+    vertical_iso_psh,
+)
 from refcat.represent import coslice_of, neg_rep, pos_rep, slice_action, slice_of
 from tests.conftest import image_oracle, pred_set
 from tests.test_fincat import chain_category
@@ -102,7 +112,7 @@ def test_judgment_guard_reports_the_true_size_before_building():
 
 def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
     J = judgment_category(hoare)
-    der = der_presheaf(hoare)
+    der = J.der
     assert validate_presheaf(der).ok
     assert der.total_elements() == hoare.D.n_morphisms  # one payload per derivation
     for o, (P, c, Q) in enumerate(J.obj_tags):
@@ -111,9 +121,56 @@ def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
 
 
 def test_bracket_functor_validates(hoare):
-    br = bracket(hoare, 0)
+    pair = pairing(hoare, 0)
+    br = pair.functor(product(pair.slice.cat, pair.coslice.cat))
     assert validate_functor(br).ok
     assert br.target.name.startswith("jdg")
+
+
+def point_section(sys, B, point, side):
+    """The old route to a point section: the pairing restricted to one
+    coslice point (side "pos") or one slice point (side "neg"), as a
+    functor into the judgment category, pulled back along the derivation
+    presheaf."""
+    pair = pairing(sys, B)
+    S, Cs = pair.slice, pair.coslice
+    if side == "pos":
+        j = Cs.obj_index[point]
+        F = FunctorData(
+            "kQ", S.cat, pair.jdg.cat,
+            tuple(pair.obj(i, j) for i in range(S.cat.n_objects)),
+            tuple(pair.mor(f, Cs.cat.id_of(j)) for f in range(S.cat.n_morphisms)),
+        )
+    else:
+        i = S.obj_index[point]
+        F = FunctorData(
+            "vQ", Cs.cat, pair.jdg.cat,
+            tuple(pair.obj(i, j) for j in range(Cs.cat.n_objects)),
+            tuple(pair.mor(S.cat.id_of(i), g) for g in range(Cs.cat.n_morphisms)),
+        )
+    return pull_psh(F, pair.jdg.der)
+
+
+def test_cut_sections_are_the_pulled_derivation_presheaf(hoare, collapse, ident, galois):
+    systems = [
+        hoare,
+        collapse.mrs.sys,
+        ident.mrs.sys,
+        galois.left.source,
+        galois.left.target,
+        *(random_refsys(seed) for seed in (5, 11, 123)),
+    ]
+    for sys in systems:
+        for Q in range(sys.D.n_objects):
+            B = sys.shape(Q)
+            point = (Q, sys.T.identity[B])
+            for s, side in ((sys, "pos"), (sys.op(), "neg")):
+                got = _cut(s, B, point).presheaf()
+                want = point_section(sys, B, point, side)
+                assert got.base is want.base
+                assert got.elements == want.elements
+                assert got.action == want.action
+                assert got.payloads == want.payloads
 
 
 def test_extranat_counts(hoare):

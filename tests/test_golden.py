@@ -9,6 +9,10 @@ a diff.  To regenerate one after an intended change, run for example
 
 with `h.fix` holding `fixture h hoare`, and review the diff.
 
+The `cross-check-*.txt` files are `refcat verify <file> duality
+--cross-check`: one case where the residual route decides every
+instance, one where its functor category trips the size guard.
+
 The `query-*.txt` files hold the query commands (slice, coslice,
 represent, dual, pushforward, pullback): for each command a `$` line
 with its arguments and exit code, then its stdout.  They pin the order
@@ -47,6 +51,21 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
     assert main(["verify", str(path), "all", *extra]) == 0
     got = capsys.readouterr().out
     assert got == (GOLDEN / f"{name}.txt").read_text()
+
+
+# golden file -> workspace line, for `verify <file> duality --cross-check`
+CROSS_CHECK = {
+    "cross-check-lattice-collapse": "fixture collapse lattice-collapse",
+    "cross-check-hoare": "fixture hoare hoare",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK))
+def test_cross_check_matches_the_golden_transcript(name, tmp_path, capsys):
+    path = tmp_path / "w.fix"
+    path.write_text(CROSS_CHECK[name] + "\n")
+    assert main(["verify", str(path), "duality", "--cross-check"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 HOARE = "fixture h hoare"

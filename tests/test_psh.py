@@ -7,10 +7,13 @@ second implementation rather than against itself.
 
 import itertools
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refcat.psh as psh_mod
 from refcat.fincat import FinCategory, FunctorData, SizeGuardExceeded, opposite, terminal_category
 from refcat.fixtures import fin_skeleton
 from refcat.psh import (
@@ -19,7 +22,6 @@ from refcat.psh import (
     cartesian_factoring_check,
     natural_families,
     opcartesian_factoring_check,
-    psh_derivations,
     pull_psh,
     push_psh,
     push_psh_full,
@@ -158,7 +160,7 @@ def test_push_along_identity_like_collapse():
     F = FunctorData("fold", base, arr, (0, 0, 1), tuple(fmap))
     phi = chain_presheaf(base, [2, 1, 3], [[0], [0, 0, 0]])
     psi = Presheaf("target", arr, (("u0", "u1"), ("v0", "v1")), ((0, 1), (0, 1), (0, 0)))
-    lhs = psh_derivations(phi, F, psi)
+    lhs = natural_families(phi, psi, F)
     rhs = natural_families(push_psh(F, phi), psi)
     hat = natural_families(phi, pull_psh(F, psi))
     assert len(lhs) == len(rhs) == len(hat)
@@ -210,7 +212,7 @@ def test_push_transpose_is_a_valid_derivation(sample):
     F = to_point(base)
     pr = push_psh_full(F, phi)
     point = Presheaf("pt2", F.target, (("p", "q"),), ((0, 1),))
-    thetas = psh_derivations(phi, F, point)
+    thetas = natural_families(phi, point, F)
     assert thetas  # the two components can land on p or q independently
     for theta in thetas:
         kappa = push_transpose(pr, F, point, theta)
@@ -350,3 +352,66 @@ def test_vertical_iso_is_the_first_naive_witness_on_a_draw(which, b, seed):
 def test_a_search_without_one_steps_constraints_picks_a_wrong_iso(monkeypatch):
     lax_search(monkeypatch)
     assert any(iso_mismatch(phi, psi) for phi, psi in iso_pairs())
+
+
+# ---------------------------------------------------------------------------
+# The family search draws candidates lazily; naturality is listed square by
+# square
+
+
+def test_candidates_are_drawn_only_when_the_search_reaches_their_step(monkeypatch):
+    # s swaps psi(a) and fixes the one element of phi(a), so no component
+    # at a is natural, and none of the 4^3 candidates at b may be drawn.
+    cat = FinCategory(
+        "z2+1", ["a", "b"], [("id_a", 0, 0), ("id_b", 1, 1), ("s", 0, 0)], [0, 1],
+        {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 0, (1, 1): 1},
+    )
+    phi = Presheaf("phi", cat, (("x",), ("p", "q", "r")), ((0,), (0, 1, 2), (0,)))
+    psi = Presheaf(
+        "psi", cat, (("u", "v"), ("w0", "w1", "w2", "w3")), ((0, 1), (0, 1, 2, 3), (1, 0))
+    )
+    drawn = Counter()
+
+    def product(*args, repeat=1):
+        for t in itertools.product(*args, repeat=repeat):
+            drawn[repeat] += 1
+            yield t
+
+    monkeypatch.setattr(
+        psh_mod,
+        "itertools",
+        SimpleNamespace(product=product, permutations=itertools.permutations),
+    )
+    assert natural_families(phi, psi) == []
+    assert drawn == {1: 2}
+
+
+def square_by_square(d):
+    """Naturality failures of a derivation, morphism by morphism."""
+    phi, psi = d.source, d.target
+    A = phi.base
+    bad = []
+    for u in range(A.n_morphisms):
+        a, a2 = A.dom(u), A.cod(u)
+        fu = u if d.functor is None else d.functor.mor(u)
+        if any(
+            d.components[a][phi.apply(u, x2)] != psi.apply(fu, d.components[a2][x2])
+            for x2 in range(phi.size(a2))
+        ):
+            bad.append(f"square at {A.mor_names[u]} fails")
+    return bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_naturality_violations_match_the_square_by_square_check(data):
+    pairs = iso_pairs()
+    phi, psi = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    comps = tuple(
+        tuple(data.draw(st.integers(0, psi.size(a) - 1)) for _ in range(phi.size(a)))
+        for a in range(phi.base.n_objects)
+    )
+    report = validate_psh_derivation(PshDerivation("d", phi, psi, None, comps))
+    assert [v.detail for v in report.violations] == square_by_square(
+        PshDerivation("d", phi, psi, None, comps)
+    )
