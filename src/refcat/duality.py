@@ -22,9 +22,12 @@ in `sys.op()` it is one slice point's row over the coslice.  A dual is
 computed pointwise over the indexing coslice (slice, for the right dual),
 and at each point it reads the cut derivation sets only on the support of
 its input: the support is a sieve, so a natural family is () off it and
-is determined by its values there.  The pairing is a two-argument table
-on slice and coslice indices; only the pairing clause of
-`dual_adjunction_check` puts it on a product category.  The
+is determined by its values there.  Points where the cut is empty
+somewhere on the support have no families and are never read.  A cut is
+a presheaf like any other, filled on first read and kept in the memo.
+The pairing is a two-argument table on slice and coslice indices; only
+the pairing clause of `dual_adjunction_check` puts it on a product
+category.  The
 functor-category route through the residual presheaf is kept behind an
 optional cross-check flag because it is exponential in general.
 """
@@ -40,6 +43,7 @@ from .fincat import (
     ProductCategory,
     SizeGuardExceeded,
     StructuralError,
+    Table,
     compose_functors,
     product,
 )
@@ -61,6 +65,7 @@ from .represent import (
     MonoidObject,
     SliceCategory,
     _curry_into,
+    _derivation_row,
     coslice_action,
     coslice_of,
     fiber_tensor,
@@ -254,82 +259,67 @@ def extranat_check(sys: RefinementSystem, size_guard: int = 200000) -> CheckRepo
 # Dualization by the direct end formula
 
 
-class _Cut:
+def _cut(sys: RefinementSystem, B: int, point: tuple[int, int]) -> Presheaf:
     """cut(-, (d,R)): the derivation sets (P, c;d, R) over the slice of B,
-    with the coslice point (d,R) fixed; slice morphisms act by
-    precomposition.  In `sys.op()` this is the mirror image, over the
-    coslice with the slice point fixed.
+    with the coslice point (d,R) fixed and the derivations as payloads;
+    slice morphisms act by precomposition.  In `sys.op()` this is the
+    mirror image, over the coslice with the slice point fixed.
 
     Nothing is computed up front: each slice point's derivation set and
-    position map, and each slice morphism's action row, is filled on first
-    use and kept, and the cut is kept in the system's memo under its
-    point's tag, so every dualization and section over B shares it.  A row
-    is checked for arity and range."""
+    each slice morphism's action row is filled on first read (the row is
+    checked there like any presheaf row), and the cut is kept in the
+    system's memo under its point's tag, so every dualization and
+    section over B shares it."""
 
-    def __init__(self, sys: RefinementSystem, B: int, point: tuple[int, int]):
-        self.sys = sys
-        self.slice = slice_of(sys, B)
-        self.point = point
+    def build() -> Presheaf:
+        D, T = sys.D, sys.T
+        S = slice_of(sys, B)
         R, d = point
-        self.name = f"cut(-,({sys.D.objects[R]},{sys.T.mor_names[d]}))"
-        self._ders: dict[int, tuple[int, ...]] = {}
-        self._pos: dict[int, dict[int, int]] = {}
-        self._rows: dict[int, tuple[int, ...]] = {}
+        tags, ders = S.obj_tags, sys.derivations_unchecked
 
-    def ders(self, i: int) -> tuple[int, ...]:
-        got = self._ders.get(i)
-        if got is None:
-            (P, c), (R, d) = self.slice.obj_tags[i], self.point
-            got = self._ders[i] = self.sys.derivations(P, self.sys.T.compose(c, d), R)
-        return got
+        def derivations_at(i: int) -> tuple[int, ...]:
+            P, c = tags[i]
+            return ders(P, T.compose(c, d), R)
 
-    def pos(self, i: int) -> dict[int, int]:
-        got = self._pos.get(i)
-        if got is None:
-            got = self._pos[i] = {x: k for k, x in enumerate(self.ders(i))}
-        return got
-
-    def row(self, m: int) -> tuple[int, ...]:
-        got = self._rows.get(m)
-        if got is None:
-            got = _cut_row(self, m)
-            _alpha, s, u = self.slice.mor_tags[m]
-            if len(got) != len(self.ders(u)):
-                raise self._bad_row(m, "has wrong arity")
-            if not all(0 <= v < len(self.ders(s)) for v in got):
-                raise self._bad_row(m, "hits a bad index")
-            self._rows[m] = got
-        return got
-
-    def presheaf(self) -> Presheaf:
-        """The whole cut as a presheaf over the slice, derivations as
-        payloads; a morphism into an empty point gets the () row unread."""
-        S, D = self.slice, self.sys.D
-        ders = [self.ders(i) for i in range(S.cat.n_objects)]
-        return Presheaf(
-            self.name,
+        payloads = Table(S.cat.n_objects, derivations_at)
+        cut = Presheaf(
+            f"cut(-,({D.objects[R]},{T.mor_names[d]}))",
             S.cat,
-            tuple(tuple(D.mor_names[x] for x in xs) for xs in ders),
-            tuple(self.row(m) if ders[u] else () for m, (_a, _s, u) in enumerate(S.mor_tags)),
-            tuple(ders),
+            Table(S.cat.n_objects, lambda i: tuple(D.mor_names[x] for x in payloads[i])),
+            lambda m: _cut_row(S, cut, m),
+            payloads,
         )
+        return cut
 
-    def _bad_row(self, m: int, what: str) -> StructuralError:
-        return StructuralError(
-            f"presheaf {self.name}: action at {self.slice.mor_name(m)} {what}"
-        )
+    return sys.memo(("cut", B, point), build)
 
 
-def _cut(sys: RefinementSystem, B: int, point: tuple[int, int]) -> _Cut:
-    """cut(-, point) over the slice of B, kept in the system's memo."""
-    return sys.memo(("cut", B, point), lambda: _Cut(sys, B, point))
+# The action of a slice morphism on a cut: precomposition, as on a
+# representation.  Named apart so that a cut's rows can be tampered with
+# on their own.
+_cut_row = _derivation_row
 
 
-def _cut_row(cut: _Cut, m: int) -> tuple[int, ...]:
-    """The action of the slice morphism m on cut(-, point): precomposition."""
-    alpha, s, u = cut.slice.mor_tags[m]
-    pos, D = cut.pos(s), cut.sys.D
-    return tuple(pos[D.compose(alpha, x)] for x in cut.ders(u))
+def _live_points(sys: RefinementSystem, B: int, support: tuple[int, ...]) -> list[int]:
+    """The coslice points (d,R) of B at which every support point (P,c)
+    has a derivation (P, c;d, R), found by walking the derivations out of
+    each support point; at any other point the cut is empty somewhere on
+    the support, so no family lands there."""
+    D, T, t = sys.D, sys.T, sys.t
+    S, Cs = slice_of(sys, B), coslice_of(sys, B)
+    live: set[int] | None = None
+    for i in support:
+        P, c = S.obj_tags[i]
+        here = set()
+        for alpha in D.mor_out(P):
+            R, e = D.cod(alpha), t.mor(alpha)
+            for d in T.hom(B, sys.shape(R)):
+                if T.compose(c, d) == e:
+                    here.add(Cs.obj_index[(R, d)])
+        live = here if live is None else live & here
+        if not live:
+            return []
+    return list(range(Cs.cat.n_objects)) if live is None else sorted(live)
 
 
 def dual_left(
@@ -347,9 +337,12 @@ def dual_left(
     nonempty, so is phi at the source of every slice morphism into
     (P2,c2).  A family is () off the support and naturality there is
     vacuous, so each family is a choice on the support, natural along the
-    slice morphisms between support points; the cut derivation sets and
-    action rows are looked up only there.  Families are returned on every
-    slice object, () off the support.
+    slice morphisms between support points.  Families are searched only
+    at the coslice points where every support point has a derivation
+    (`_live_points`); the cut derivation sets and action rows are read
+    only there.  Families are returned on every slice object, () off the
+    support, and an action row of the dual is computed, and the moved
+    families checked to be natural, when it is first read.
 
     With cross_check the dual is recomputed by pulling the residual
     presheaf of derivations back along the curried pairing and compared
@@ -365,40 +358,44 @@ def dual_left(
     support = phi.support()
     sizes = [phi.size(a) for a in support]
     closing = _closing(phi, support)
-    cuts = [_cut(sys, B, point) for point in Cs.obj_tags]
-    fams_at = [
-        _families_on_support(
-            sizes, [len(cut.ders(a)) for a in support], lambda: closing, cut.row
+    cut = lambda j: _cut(sys, B, Cs.obj_tags[j])
+    fams_at: list[list] = [[] for _ in range(Cs.cat.n_objects)]
+    for j in _live_points(sys, B, support):
+        cj = cut(j)
+        fams_at[j] = _families_on_support(
+            sizes, [len(cj.payloads[a]) for a in support], lambda: closing, cj.action.__getitem__
         )
-        for cut in cuts
-    ]
-    fam_index = [{fam: k for k, fam in enumerate(fams)} for fams in fams_at]
-    elements = tuple(
-        tuple(f"s{j}.{k}" for k in range(len(fams_at[j])))
-        for j in range(Cs.cat.n_objects)
-    )
-    action = []
-    for mk, (gamma, s, u) in enumerate(Cs.mor_tags):
-        src, dst = cuts[s], cuts[u]
-        row = []
+    fam_index: dict[int, dict] = {}
+
+    def row(mk: int) -> tuple[int, ...]:
+        gamma, s, u = Cs.mor_tags[mk]
+        src, dst = cut(s), cut(u)
+        index = fam_index.get(s)
+        if index is None:
+            index = fam_index[s] = {fam: k for k, fam in enumerate(fams_at[s])}
+        out = []
         for fam in fams_at[u]:
             moved = tuple(
-                tuple(src.pos(a)[D.compose(dst.ders(a)[v], gamma)] for v in comp)
+                tuple(src.position(a)[D.compose(dst.payloads[a][v], gamma)] for v in comp)
                 for a, comp in zip(support, fam)
             )
-            k = fam_index[s].get(moved)
+            k = index.get(moved)
             if k is None:
                 raise StructuralError(
                     f"dual_left: moved family not natural along {Cs.mor_name(mk)}"
                 )
-            row.append(k)
-        action.append(tuple(row))
+            out.append(k)
+        return tuple(out)
+
     n = S.cat.n_objects
     out = Presheaf(
         f"dualL({phi.name})",
         Cs.cat,
-        elements,
-        tuple(action),
+        tuple(
+            tuple(f"s{j}.{k}" for k in range(len(fams_at[j])))
+            for j in range(Cs.cat.n_objects)
+        ),
+        row,
         tuple(tuple(_on_objects(fam, support, n) for fam in fams) for fams in fams_at),
     )
     if cross_check:
@@ -457,7 +454,7 @@ def _unit_components(phi: Presheaf, dl: Presheaf, drdl: Presheaf):
     (table, None) or (None, failure)."""
     comps = []
     for i in range(phi.base.n_objects):
-        fam_pos = {fam: k for k, fam in enumerate(drdl.payloads[i])}
+        fam_pos = drdl.position(i)
         row = []
         for upos in range(phi.size(i)):
             table = tuple(
@@ -478,7 +475,7 @@ def _restrict_dual(v_comps, dl_target: Presheaf, dl_source: Presheaf):
     Returns the component table dl(phi') => dl(phi), or None."""
     comps = []
     for j in range(dl_source.base.n_objects):
-        fam_pos = {fam: k for k, fam in enumerate(dl_target.payloads[j])}
+        fam_pos = dl_target.position(j)
         row = []
         for fam in dl_source.payloads[j]:
             moved = tuple(
@@ -597,7 +594,7 @@ def duality_check(sys: RefinementSystem, Q: int) -> CheckReport:
         (sys, phi, "rep", "positive"),
         (sys.op(), psi, "negative rep", "negative"),
     ):
-        section = _cut(s, B, (Q, T.identity[B])).presheaf()
+        section = _cut(s, B, (Q, T.identity[B]))
         rep.check(
             vertical_iso_psh(r, section) is not None,
             f"{label}({D.objects[Q]}) is not the derivation presheaf along its point section",

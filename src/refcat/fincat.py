@@ -59,6 +59,46 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+class Table:
+    """A read-only table of n entries, each computed by fill(i) when it is
+    first read and kept.  It stands in for a tuple where a table is read
+    sparsely: it supports indexing by 0..n-1, len, iteration and ==
+    (entry by entry, against any sequence).  Only the entries read are
+    stored, so an unread table of any length costs nothing."""
+
+    __slots__ = ("_fill", "_got", "_n")
+
+    def __init__(self, n: int, fill: Callable[[int], object]):
+        self._fill = fill
+        self._got: dict = {}
+        self._n = n
+
+    def __getitem__(self, i: int):
+        try:
+            return self._got[i]
+        except KeyError:
+            if not 0 <= i < self._n:
+                raise IndexError(f"table index {i} out of range") from None
+        got = self._got[i] = self._fill(i)
+        return got
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(self._n))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Table, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Table({self._n} entries, {len(self._got)} filled)"
+
+
 class FinCategory:
     """A finite category given by explicit tables.
 
@@ -255,25 +295,43 @@ def validate_category(cat: FinCategory) -> ValidationReport:
 
 @dataclass(eq=False)
 class FunctorData:
-    """A functor as object and morphism index tables."""
+    """A functor as object and morphism index tables.
+
+    `morphism_map` is a tuple, checked for range when the functor is
+    made, or a function f |-> image of f, which becomes a `Table`: each
+    image is computed when it is first read and its range checked there.
+    A tuple is read with no wrapper, which matters where every image is
+    read many times (the functors of a functor category)."""
 
     name: str
     source: FinCategory
     target: FinCategory
     object_map: tuple[int, ...]
-    morphism_map: tuple[int, ...]
+    morphism_map: tuple[int, ...] | Table
 
     def __post_init__(self) -> None:
+        lazy = callable(self.morphism_map)
         if len(self.object_map) != self.source.n_objects:
             raise StructuralError(f"functor {self.name}: object map has wrong length")
-        if len(self.morphism_map) != self.source.n_morphisms:
+        if not lazy and len(self.morphism_map) != self.source.n_morphisms:
             raise StructuralError(f"functor {self.name}: morphism map has wrong length")
         for x in self.object_map:
             if not (0 <= x < self.target.n_objects):
                 raise StructuralError(f"functor {self.name}: object image out of range")
+        if lazy:
+            image = self.morphism_map
+            self.morphism_map = Table(
+                self.source.n_morphisms, lambda f: self._in_range(image(f))
+            )
+            return
         for x in self.morphism_map:
             if not (0 <= x < self.target.n_morphisms):
                 raise StructuralError(f"functor {self.name}: morphism image out of range")
+
+    def _in_range(self, x: int) -> int:
+        if not (0 <= x < self.target.n_morphisms):
+            raise StructuralError(f"functor {self.name}: morphism image out of range")
+        return x
 
     def obj(self, a: int) -> int:
         return self.object_map[a]
@@ -282,7 +340,7 @@ class FunctorData:
         return self.morphism_map[f]
 
     def table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.object_map, self.morphism_map)
+        return (self.object_map, tuple(self.morphism_map))
 
 
 def validate_functor(F: FunctorData) -> ValidationReport:
@@ -325,10 +383,6 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
         tuple(G.obj(x) for x in F.object_map),
         tuple(G.mor(x) for x in F.morphism_map),
     )
-
-
-def functors_equal(F: FunctorData, G: FunctorData) -> bool:
-    return F.object_map == G.object_map and F.morphism_map == G.morphism_map
 
 
 @dataclass(eq=False)
@@ -381,12 +435,6 @@ def opposite(cat: FinCategory) -> FinCategory:
 
 def terminal_category() -> FinCategory:
     return FinCategory("1", ("*",), (("id", 0, 0),), (0,), {(0, 0): 0})
-
-
-def discrete_category(names: Sequence[str]) -> FinCategory:
-    morphisms = [(f"id_{n}", i, i) for i, n in enumerate(names)]
-    compose = {(i, i): i for i in range(len(names))}
-    return FinCategory(f"disc({','.join(names)})", names, morphisms, tuple(range(len(names))), compose)
 
 
 class ProductCategory(FinCategory):
@@ -571,49 +619,3 @@ def functor_category(A: FinCategory, C: FinCategory, size_guard: int = 10000) ->
     cat = FinCategory(f"[{A.name},{C.name}]", objects, morphisms, identity, compose)
     functor_index = {(F.object_map, F.morphism_map): i for i, F in enumerate(functors)}
     return FunctorCategory(cat, functors, nat_tags, functor_index, nat_index)
-
-
-def curry_functor(F: FunctorData, size_guard: int = 10000) -> tuple[FunctorData, FunctorCategory]:
-    """Curry F: A x B -> C into A -> [B, C].
-
-    The source of F must be a ProductCategory.  Returns the curried functor
-    together with the materialized functor category it lands in.
-    """
-    prod = F.source
-    if not isinstance(prod, ProductCategory):
-        raise StructuralError(f"curry_functor: source of {F.name} is not a product")
-    A, B, C = prod.left, prod.right, F.target
-    fc = functor_category(B, C, size_guard)
-    obj_map = []
-    for a in range(A.n_objects):
-        slice_obj = tuple(F.obj(prod.pair_obj(a, b)) for b in range(B.n_objects))
-        slice_mor = tuple(
-            F.mor(prod.pair_mor(A.id_of(a), g)) for g in range(B.n_morphisms)
-        )
-        obj_map.append(fc.find_functor(FunctorData(f"{F.name}({A.objects[a]},-)", B, C, slice_obj, slice_mor)))
-    mor_map = []
-    for f in range(A.n_morphisms):
-        comps = tuple(F.mor(prod.pair_mor(f, B.id_of(b))) for b in range(B.n_objects))
-        mor_map.append(fc.find_nat(obj_map[A.dom(f)], obj_map[A.cod(f)], comps))
-    curried = FunctorData(f"curry({F.name})", A, fc.cat, tuple(obj_map), tuple(mor_map))
-    return curried, fc
-
-
-def uncurry_functor(G: FunctorData, fc: FunctorCategory, A: FinCategory, B: FinCategory) -> FunctorData:
-    """Inverse of curry_functor, used for round-trip checks."""
-    C = fc.functors[0].target if fc.functors else None
-    prod = product(A, B)
-    obj_map = []
-    for x in range(prod.n_objects):
-        a, b = prod.split_obj(x)
-        obj_map.append(fc.functors[G.obj(a)].obj(b))
-    mor_map = []
-    for m in range(prod.n_morphisms):
-        f, g = prod.split_mor(m)
-        a2 = A.cod(f)
-        _, _, comps = fc.nat_tags[G.mor(f)]
-        # Naturality makes the two evaluation orders agree; use G(f) then G(a2)(g).
-        first = comps[B.dom(g)]
-        second = fc.functors[G.obj(a2)].mor(g)
-        mor_map.append(C.compose(first, second))
-    return FunctorData(f"uncurry({G.name})", prod, C, tuple(obj_map), tuple(mor_map))

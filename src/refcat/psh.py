@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .fincat import (
     FinCategory,
@@ -20,51 +20,72 @@ from .fincat import (
     FunctorCategory,
     ProductCategory,
     StructuralError,
+    Table,
     ValidationReport,
     _backtrack,
     functor_category,
     product,
-    terminal_category,
 )
 
 
 class Presheaf:
     """Contravariant set-valued functor on a finite category.
 
-    `action[f]` maps element indices at cod(f) to element indices at dom(f).
-    `payloads`, when present, carries opaque per-element data (for example
-    the natural families that make up a dualized presheaf); it never takes
-    part in equality or validation.
+    `elements[a]` names the elements at object a, and `action[f]` maps
+    element indices at cod(f) to element indices at dom(f).  `payloads`,
+    when present, carries opaque per-element data (the derivations of a
+    representation or a cut, the natural families of a dual); it never
+    takes part in equality or validation.  `elements` and `payloads` are
+    tuples or `Table`s filled on first read.
+
+    The action comes from a source: a table with one row per morphism,
+    or a function f |-> row, which is asked only for morphisms into a
+    nonempty element set (every other row is empty).  Either way
+    `action` is a `Table`: each row is read from its source on first
+    use and checked there for arity and range, so a presheaf built on
+    its support does work only where it is nonempty, and a bad row
+    raises when it is read.
     """
 
     def __init__(
         self,
         name: str,
         base: FinCategory,
-        elements: tuple[tuple[str, ...], ...],
-        action: tuple[tuple[int, ...], ...],
-        payloads: tuple[tuple[object, ...], ...] | None = None,
+        elements: Sequence[tuple[str, ...]],
+        action: Sequence[tuple[int, ...]] | Callable[[int], tuple[int, ...]],
+        payloads: Sequence[tuple[object, ...]] | None = None,
     ):
         self.name = name
         self.base = base
         self.elements = elements
-        self.action = action
         self.payloads = payloads
         self._support: tuple[int, ...] | None = None
+        self._positions: dict[int, dict[object, int]] = {}
         if len(elements) != base.n_objects:
             raise StructuralError(f"presheaf {name}: element table has wrong length")
-        if len(action) != base.n_morphisms:
+        if callable(action):
+            fill, cod = action, base.mor_cod
+            source = lambda f: fill(f) if elements[cod[f]] else ()
+        elif len(action) != base.n_morphisms:
             raise StructuralError(f"presheaf {name}: action table has wrong length")
-        for f in range(base.n_morphisms):
-            if len(action[f]) != len(elements[base.cod(f)]):
+        else:
+            source = action.__getitem__
+        self.action = Table(base.n_morphisms, lambda f: self._checked(f, source(f)))
+
+    def _checked(self, f: int, row: tuple[int, ...]) -> tuple[int, ...]:
+        """The row of f, once its arity and range are checked."""
+        base = self.base
+        if len(row) != len(self.elements[base.mor_cod[f]]):
+            raise StructuralError(
+                f"presheaf {self.name}: action at {base.mor_names[f]} has wrong arity"
+            )
+        n = len(self.elements[base.mor_dom[f]])
+        for v in row:
+            if not (0 <= v < n):
                 raise StructuralError(
-                    f"presheaf {name}: action at {base.mor_names[f]} has wrong arity"
+                    f"presheaf {self.name}: action at {base.mor_names[f]} hits a bad index"
                 )
-            for v in action[f]:
-                if not (0 <= v < len(elements[base.dom(f)])):
-                    raise StructuralError(
-                        f"presheaf {name}: action at {base.mor_names[f]} hits a bad index"
-                    )
+        return row
 
     def size(self, a: int) -> int:
         return len(self.elements[a])
@@ -77,6 +98,13 @@ class Presheaf:
         if self._support is None:
             self._support = tuple(a for a, e in enumerate(self.elements) if e)
         return self._support
+
+    def position(self, a: int) -> dict[object, int]:
+        """Payload -> element index at a, built on first use."""
+        got = self._positions.get(a)
+        if got is None:
+            got = self._positions[a] = {p: k for k, p in enumerate(self.payloads[a])}
+        return got
 
     def apply(self, f: int, x: int) -> int:
         return self.action[f][x]
@@ -123,22 +151,22 @@ def representable(cat: FinCategory, b: int, name: str | None = None) -> Presheaf
     return Presheaf(name or f"y({cat.objects[b]})", cat, elements, tuple(action))
 
 
-def unit_psh() -> tuple[Presheaf, FinCategory]:
-    one = terminal_category()
-    return Presheaf("I", one, (("*",),), ((0,),)), one
-
-
 def pull_psh(F: FunctorData, psi: Presheaf, name: str | None = None) -> Presheaf:
-    """Precompose psi with F; elements keep their names."""
+    """Precompose psi with F; elements keep their names.  A row is read
+    from psi only for a morphism into the support, on first use."""
     if psi.base is not F.target:
         raise StructuralError(f"pull_psh: {psi.name} does not live over the target of {F.name}")
-    A = F.source
-    elements = tuple(psi.elements[F.obj(a)] for a in range(A.n_objects))
-    action = tuple(psi.action[F.mor(f)] for f in range(A.n_morphisms))
+    at = F.object_map
     payloads = None
     if psi.payloads is not None:
-        payloads = tuple(psi.payloads[F.obj(a)] for a in range(A.n_objects))
-    return Presheaf(name or f"pull[{F.name}]({psi.name})", A, elements, action, payloads)
+        payloads = tuple(map(psi.payloads.__getitem__, at))
+    return Presheaf(
+        name or f"pull[{F.name}]({psi.name})",
+        F.source,
+        tuple(map(psi.elements.__getitem__, at)),
+        lambda f: psi.action[F.mor(f)],
+        payloads,
+    )
 
 
 class _UnionFind:
@@ -185,66 +213,62 @@ class PushResult:
 
 
 def push_psh_full(F: FunctorData, phi: Presheaf, name: str | None = None) -> PushResult:
+    """Pushforward along F: the generating nodes (a, h : b -> F a, x) for a
+    in the support of phi, glued along every source morphism into the
+    support.  A row of the pushed presheaf is computed, and checked to be
+    well defined on classes, when it is first read."""
     if phi.base is not F.source:
         raise StructuralError(f"push_psh: {phi.name} does not live over the source of {F.name}")
     A, B = F.source, F.target
     support = phi.support()
     uf = _UnionFind()
-    nodes_at: dict[int, list[tuple[int, int, int]]] = {b: [] for b in range(B.n_objects)}
+    nodes_at: dict[int, list[tuple[int, int, int]]] = {}
     for a in support:
         for h in B.mor_in(F.obj(a)):
+            nodes = nodes_at.setdefault(B.dom(h), [])
             for x in range(phi.size(a)):
                 node = (a, h, x)
                 uf.add(node)
-                nodes_at[B.dom(h)].append(node)
-    for u in range(A.n_morphisms):
-        a, a2 = A.dom(u), A.cod(u)
-        if not phi.elements[a2]:
-            continue
-        fu = F.mor(u)
-        for h in B.mor_in(F.obj(a)):
-            hu = B.compose(h, fu)
-            for x2 in range(phi.size(a2)):
-                uf.union((a2, hu, x2), (a, h, phi.apply(u, x2)))
+                nodes.append(node)
+    # The support is a sieve: a morphism into it starts in it.
+    for a2 in support:
+        for u in A.mor_in(a2):
+            a, fu = A.dom(u), F.mor(u)
+            for h in B.mor_in(F.obj(a)):
+                hu = B.compose(h, fu)
+                for x2 in range(phi.size(a2)):
+                    uf.union((a2, hu, x2), (a, h, phi.apply(u, x2)))
     # Canonical representative of each class is its least node.
-    reps_at: dict[int, list[tuple[int, int, int]]] = {}
+    reps_at: list[tuple[tuple[int, int, int], ...]] = [()] * B.n_objects
+    elements: list[tuple[str, ...]] = [()] * B.n_objects
     class_of: dict[tuple[int, int, int], int] = {}
-    elements: list[tuple[str, ...]] = []
-    for b in range(B.n_objects):
-        reps = sorted({uf.find(n) for n in nodes_at[b]})
-        reps_at[b] = reps
+    for b, nodes in nodes_at.items():
+        reps = reps_at[b] = tuple(sorted({uf.find(n) for n in nodes}))
         index = {r: i for i, r in enumerate(reps)}
-        for n in nodes_at[b]:
+        for n in nodes:
             class_of[n] = index[uf.find(n)]
-        names = tuple(
-            f"{B.mor_names[h]}.{phi.elements[a][x]}" for (a, h, x) in reps
-        )
-        elements.append(names)
-    action: list[tuple[int, ...]] = []
-    for k in range(B.n_morphisms):
-        b2, b = B.dom(k), B.cod(k)
-        row = []
-        for a, h, x in reps_at[b]:
-            row.append(class_of[(a, B.compose(k, h), x)])
+        elements[b] = tuple(f"{B.mor_names[h]}.{phi.elements[a][x]}" for (a, h, x) in reps)
+
+    def row(k: int) -> tuple[int, ...]:
+        b = B.cod(k)
+        out = tuple(class_of[(a, B.compose(k, h), x)] for (a, h, x) in reps_at[b])
         # Well-definedness: every member of a class must land in the same class.
         for n in nodes_at[b]:
             a, h, x = n
-            if class_of[(a, B.compose(k, h), x)] != row[class_of[n]]:
+            if class_of[(a, B.compose(k, h), x)] != out[class_of[n]]:
                 raise StructuralError(
                     f"push_psh: action of {B.mor_names[k]} is not well defined on classes"
                 )
-        action.append(tuple(row))
-    pushed = Presheaf(
-        name or f"push[{F.name}]({phi.name})", B, tuple(elements), tuple(action)
-    )
+        return out
+
+    pushed = Presheaf(name or f"push[{F.name}]({phi.name})", B, tuple(elements), row)
     unit = tuple(
         tuple(class_of[(a, B.id_of(F.obj(a)), x)] for x in range(phi.size(a)))
         if phi.elements[a]
         else ()
         for a in range(A.n_objects)
     )
-    reps = tuple(tuple(reps_at[b]) for b in range(B.n_objects))
-    return PushResult(pushed, class_of, reps, unit)
+    return PushResult(pushed, class_of, tuple(reps_at), unit)
 
 
 def push_psh(F: FunctorData, phi: Presheaf, name: str | None = None) -> Presheaf:
@@ -502,18 +526,24 @@ class PshDerivation:
 
 def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
     """Arity, range, then naturality, checked on the `_closing` table that
-    the family searches use; failing squares are listed in morphism order."""
+    the family searches use; failing squares are listed in morphism order.
+    Off the support of the source every component must be empty, so only
+    support components are read past their length."""
     report = ValidationReport(f"psh-derivation {d.name}")
     phi, psi = d.source, d.target
     A = phi.base
     f_obj = (lambda a: a) if d.functor is None else d.functor.obj
     f_mor = (lambda u: u) if d.functor is None else d.functor.mor
-    for a in range(A.n_objects):
-        if len(d.components[a]) != phi.size(a):
+    if len(d.components) != A.n_objects:
+        report.add("arity", "component table has wrong length")
+        return report
+    for a, (comp, elems) in enumerate(zip(d.components, phi.elements)):
+        if len(comp) != len(elems):
             report.add("arity", f"component at {A.objects[a]} has wrong arity")
             return report
-        for v in d.components[a]:
-            if not (0 <= v < psi.size(f_obj(a))):
+        if comp:
+            n = psi.size(f_obj(a))
+            if not all(0 <= v < n for v in comp):
                 report.add("range", f"component at {A.objects[a]} out of range")
                 return report
     support = phi.support()
@@ -542,9 +572,8 @@ def vertical_iso_psh(
     A = phi.base
     if psi.base is not A:
         raise StructuralError("vertical_iso_psh: different bases")
-    for a in range(A.n_objects):
-        if phi.size(a) != psi.size(a):
-            return None
+    if not _same_sizes(phi, psi):
+        return None
     support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
     checks = [
         [(k, k2, prow, psi.action[u]) for (u, k, k2, prow) in cl]
@@ -570,13 +599,22 @@ def vertical_iso_psh(
     return (fwd, tuple(inv))
 
 
+def _same_sizes(phi: Presheaf, psi: Presheaf) -> bool:
+    """Do phi and psi have element sets of the same size everywhere?"""
+    support = phi.support()
+    return support == psi.support() and all(
+        len(phi.elements[a]) == len(psi.elements[a]) for a in support
+    )
+
+
 def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi: Presheaf) -> bool:
     """Is this specific vertical derivation a pointwise bijection?  A natural
     pointwise bijection has a natural inverse, so this decides isomorphy of
-    the canonical comparison maps."""
-    for a in range(phi.base.n_objects):
-        if phi.size(a) != psi.size(a):
-            return False
+    the canonical comparison maps.  Off the common support the components
+    are checked to be empty by `validate_psh_derivation`."""
+    if not _same_sizes(phi, psi):
+        return False
+    for a in phi.support():
         if len(set(components[a])) != phi.size(a):
             return False
     d = PshDerivation("cmp", phi, psi, None, components)

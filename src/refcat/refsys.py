@@ -76,11 +76,20 @@ class RefinementSystem:
     def derivations(self, P: int, c: int, Q: int) -> tuple[int, ...]:
         """All derivations of the judgment (P, c, Q), in morphism index order."""
         if not self.valid_judgment(P, c, Q):
-            raise StructuralError(
-                f"{self.name}: ({self.D.object_name(P)}, {self.T.morphism_name(c)}, "
-                f"{self.D.object_name(Q)}) is not a judgment"
-            )
+            raise self._not_a_judgment(P, c, Q)
         return self._derivations.get((P, c, Q), ())
+
+    def derivations_unchecked(self, P: int, c: int, Q: int) -> tuple[int, ...]:
+        """`derivations` for a caller whose (P, c, Q) is a judgment by
+        construction (its legs come from base hom-sets and slice tags):
+        the index is read with no check."""
+        return self._derivations.get((P, c, Q), ())
+
+    def _not_a_judgment(self, P: int, c: int, Q: int) -> StructuralError:
+        return StructuralError(
+            f"{self.name}: ({self.D.object_name(P)}, {self.T.morphism_name(c)}, "
+            f"{self.D.object_name(Q)}) is not a judgment"
+        )
 
     def derivable(self, P: int, c: int, Q: int) -> bool:
         return len(self.derivations(P, c, Q)) > 0
@@ -198,15 +207,20 @@ def _is_cartesian(sys: RefinementSystem, c: int, Q: int, P0: int, ell: int) -> b
 def _cartesian_tests(
     sys: RefinementSystem, c: int, Q: int, P0: int, ell: int
 ) -> int | None:
+    # With (P0, c, Q) a judgment, so is every (P, d;c, Q) and (P, d, P0)
+    # below: d runs over the hom-set into dom c.
+    if not sys.valid_judgment(P0, c, Q):
+        raise sys._not_a_judgment(P0, c, Q)
     T = sys.T
     A = T.dom(c)
+    ders = sys.derivations_unchecked
     tests = 0
     for P in range(sys.D.n_objects):
         X = sys.shape(P)
         for d in T.hom(X, A):
             dc = T.compose(d, c)
-            betas = sys.derivations(P, dc, Q)
-            sigmas = sys.derivations(P, d, P0)
+            betas = ders(P, dc, Q)
+            sigmas = ders(P, d, P0)
             if len(sigmas) != len(betas):
                 return None
             hit = set()

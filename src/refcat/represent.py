@@ -148,19 +148,21 @@ def coslice_of(sys: RefinementSystem, A: int) -> SliceCategory:
 
 
 def slice_action(sys: RefinementSystem, e: int) -> FunctorData:
-    """Postcomposition with e as a functor between slices, built once."""
+    """Postcomposition with e as a functor between slices, built once.
+    The object map is built up front; the image of a slice morphism is
+    looked up when it is first read."""
 
     def build() -> FunctorData:
         T = sys.T
         S1 = slice_of(sys, T.dom(e))
         S2 = slice_of(sys, T.cod(e))
         omap = tuple(S2.obj_index[(P, T.compose(c, e))] for (P, c) in S1.obj_tags)
-        mmap = tuple(
-            S2.mor_index[(alpha, omap[s], omap[u])] for (alpha, s, u) in S1.mor_tags
-        )
-        return FunctorData(
-            f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, omap, mmap
-        )
+
+        def image(k: int) -> int:
+            alpha, s, u = S1.mor_tags[k]
+            return S2.mor_index[(alpha, omap[s], omap[u])]
+
+        return FunctorData(f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, omap, image)
 
     return sys.memo(("slice action", e), build)
 
@@ -180,33 +182,40 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
     """The presheaf of derivations into Q over the slice of t(Q).
 
     Elements at (P, c) are the derivations of (P, c, Q), carried as
-    payloads; morphisms act by precomposition.  Built once per system."""
+    payloads; morphisms act by precomposition.  Built once per system,
+    on its support: the derivations into Q are grouped by their slice
+    point, and an action row is computed when it is first read."""
 
     def build() -> Presheaf:
-        D = sys.D
+        D, t = sys.D, sys.t
         S = slice_of(sys, sys.shape(Q))
-        elements = []
-        payloads = []
-        pos: list[dict[int, int]] = []
-        for (P, c) in S.obj_tags:
-            ders = sys.derivations(P, c, Q)
-            elements.append(tuple(D.mor_names[d] for d in ders))
-            payloads.append(tuple(ders))
-            pos.append({d: k for k, d in enumerate(ders)})
-        action = []
-        for (alpha, s, u) in S.mor_tags:
-            action.append(
-                tuple(pos[s][D.compose(alpha, sigma)] for sigma in payloads[u])
-            )
-        return Presheaf(
+        grouped: dict[int, list[int]] = {}
+        for sigma in D.mor_in(Q):
+            grouped.setdefault(S.obj_index[(D.dom(sigma), t.mor(sigma))], []).append(sigma)
+        payloads: list[tuple[int, ...]] = [()] * S.cat.n_objects
+        elements: list[tuple[str, ...]] = [()] * S.cat.n_objects
+        for i, ders in grouped.items():
+            payloads[i] = tuple(ders)
+            elements[i] = tuple(D.mor_names[d] for d in ders)
+        rep = Presheaf(
             f"rep({D.objects[Q]})",
             S.cat,
             tuple(elements),
-            tuple(action),
+            lambda m: _derivation_row(S, rep, m),
             tuple(payloads),
         )
+        return rep
 
     return sys.memo(("pos rep", Q), build)
+
+
+def _derivation_row(S: SliceCategory, phi: Presheaf, m: int) -> tuple[int, ...]:
+    """The action of the slice morphism m = (alpha, s, u) on a presheaf of
+    derivations over S: each derivation at u is precomposed with alpha
+    and located among the derivations at s."""
+    alpha, s, u = S.mor_tags[m]
+    pos, compose = phi.position(s), S.sys.D.compose
+    return tuple(pos[compose(alpha, x)] for x in phi.payloads[u])
 
 
 def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
@@ -219,17 +228,16 @@ def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
 
 def pos_rep_derivation(sys: RefinementSystem, sigma: int, name: str | None = None) -> PshDerivation:
     """Postcomposition with a derivation sigma : Q1 -> Q2 over c, as a
-    presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c."""
+    presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c.
+    Components are computed on the support of rep(Q1) and empty off it."""
     D = sys.D
     Q1, Q2, c = D.dom(sigma), D.cod(sigma), sys.t.mor(sigma)
     phi, psi = pos_rep(sys, Q1), pos_rep(sys, Q2)
     F = slice_action(sys, c)
-    S1 = slice_of(sys, sys.shape(Q1))
-    comps = []
-    for i in range(len(S1.obj_tags)):
-        j = F.obj(i)
-        pos = {tau: k for k, tau in enumerate(psi.payloads[j])}
-        comps.append(tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i]))
+    comps: list[tuple[int, ...]] = [()] * phi.base.n_objects
+    for i in phi.support():
+        pos = psi.position(F.obj(i))
+        comps[i] = tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i])
     return PshDerivation(
         name or f"post[{D.mor_names[sigma]}]", phi, psi, F, tuple(comps)
     )
@@ -416,7 +424,7 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
                 bad = f"{S.obj_name(i)}: {len(homs)} point morphisms vs {phi.size(i)} derivations"
                 break
             table = {}
-            pos = {d: k for k, d in enumerate(phi.payloads[i])}
+            pos = phi.position(i)
             for m in homs:
                 alpha = S.mor_tags[m][0]
                 if alpha not in pos:
@@ -677,7 +685,7 @@ def m_derivation(mrs: MonoidalRefinementSystem, P: int, Q: int) -> PshDerivation
     comps = []
     for x in range(prod.n_objects):
         i, j = prod.split_obj(x)
-        pos = {d: k for k, d in enumerate(target.payloads[F.obj(x)])}
+        pos = target.position(F.obj(x))
         row = []
         for sigma in phiP.payloads[i]:
             for tau in phiQ.payloads[j]:
@@ -763,16 +771,9 @@ def _comparison_components(
     or (None, failure message)."""
     D = mrs.sys.D
     tmor = mrs.mon_ref.tmor
-    omega_pos = [
-        {d: k for k, d in enumerate(omega.payloads[o])}
-        for o in range(omega.base.n_objects)
-    ]
-    fam_pos: dict[int, dict] = {}
     comps = []
     for i in range(lhs.base.n_objects):
         Gi = curryF.obj(i)
-        if Gi not in fam_pos:
-            fam_pos[Gi] = {fam: k for k, fam in enumerate(res.payloads[Gi])}
         row = []
         for sigma in lhs.payloads[i]:
             sig = carrier(sigma)
@@ -781,7 +782,7 @@ def _comparison_components(
                 vals = []
                 for tau in phi.payloads[a]:
                     der = D.compose(tmor(tau, sig), plugD)
-                    pos = omega_pos[fc.functors[Gi].obj(a)].get(der)
+                    pos = omega.position(fc.functors[Gi].obj(a)).get(der)
                     if pos is None:
                         return (
                             None,
@@ -789,7 +790,7 @@ def _comparison_components(
                         )
                     vals.append(pos)
                 fam.append(tuple(vals))
-            k = fam_pos[Gi].get(tuple(fam))
+            k = res.position(Gi).get(tuple(fam))
             if k is None:
                 return (
                     None,

@@ -158,19 +158,19 @@ def test_verify_skew_system_is_green(skew_file, capsys):
 def test_corrupted_tables_turn_the_suite_red(skew_file, capsys):
     orig = duality_mod._cut_row
 
-    def tampered(cut, m):
+    def tampered(slice_, cut, m):
         # reverse the first non-identity action row of this cut(-, j)
         # that has at least two distinct entries
-        S = cut.slice.cat
+        S = slice_.cat
         first = next(
             (
                 k
                 for k in range(S.n_morphisms)
-                if not S.is_identity(k) and len(set(orig(cut, k))) >= 2
+                if not S.is_identity(k) and len(set(orig(slice_, cut, k))) >= 2
             ),
             None,
         )
-        row = orig(cut, m)
+        row = orig(slice_, cut, m)
         return tuple(reversed(row)) if m == first else row
 
     duality_mod._cut_row = tampered

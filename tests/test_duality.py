@@ -165,7 +165,7 @@ def test_cut_sections_are_the_pulled_derivation_presheaf(hoare, collapse, ident,
             B = sys.shape(Q)
             point = (Q, sys.T.identity[B])
             for s, side in ((sys, "pos"), (sys.op(), "neg")):
-                got = _cut(s, B, point).presheaf()
+                got = _cut(s, B, point)
                 want = point_section(sys, B, point, side)
                 assert got.base is want.base
                 assert got.elements == want.elements
@@ -274,19 +274,19 @@ def test_corrupted_derivation_action_is_detected():
 
     orig = duality_mod._cut_row
 
-    def tampered(cut, m):
+    def tampered(slice_, cut, m):
         # reverse the first non-identity action row of this cut(-, j)
         # that has at least two distinct entries
-        S = cut.slice.cat
+        S = slice_.cat
         first = next(
             (
                 k
                 for k in range(S.n_morphisms)
-                if not S.is_identity(k) and len(set(orig(cut, k))) >= 2
+                if not S.is_identity(k) and len(set(orig(slice_, cut, k))) >= 2
             ),
             None,
         )
-        row = orig(cut, m)
+        row = orig(slice_, cut, m)
         return tuple(reversed(row)) if m == first else row
 
     duality_mod._cut_row = tampered
@@ -313,7 +313,9 @@ def test_corrupted_derivation_action_is_detected():
 )
 def test_cut_rows_are_checked_like_presheaf_rows(monkeypatch, corrupt, message):
     orig = duality_mod._cut_row
-    monkeypatch.setattr(duality_mod, "_cut_row", lambda cut, m: corrupt(orig(cut, m)))
+    monkeypatch.setattr(
+        duality_mod, "_cut_row", lambda S, cut, m: corrupt(orig(S, cut, m))
+    )
     sys = bang_system(skew_pair())
     with pytest.raises(StructuralError, match=message):
         for Q in range(sys.D.n_objects):
@@ -483,24 +485,45 @@ def test_sparse_duals_match_the_dense_reference_on_random_systems(seed):
         assert_same_dual(dual_right(sys, B, dl), dense_dual_right(sys, B, dl))
 
 
+def count_cut_reads(sys):
+    """Count the cut derivation sets read from `sys` from now on: a cut
+    reads each of its sets once, through `derivations_unchecked`."""
+    orig = sys.derivations_unchecked
+    reads = [0]
+
+    def counted(*args):
+        reads[0] += 1
+        return orig(*args)
+
+    sys.derivations_unchecked = counted
+    return reads
+
+
 def test_cold_dual_reads_derivations_only_on_the_support():
-    sys = build_linctx(default_linear_spec(), TruncationParams())
     B = 3
+    for k in (0, -1):
+        sys = build_linctx(default_linear_spec(), TruncationParams())
+        n_coslice = coslice_of(sys, B).cat.n_objects
+        n_slice = slice_of(sys, B).cat.n_objects
+        phi = pos_rep(sys, sys.fiber(B)[k])
+        reads = count_cut_reads(sys)
+        dual_left(sys, B, phi)
+        assert 0 < reads[0] <= n_coslice * len(phi.support()) < n_coslice * n_slice
+
+
+def test_a_dual_that_reads_off_the_support_fails_the_read_bound(monkeypatch):
+    # The guard above can fail: a dual that forgets that its input's
+    # support is a sieve, and reads every cut over the whole slice, does.
+    B = 3
+    sys = build_linctx(default_linear_spec(), TruncationParams())
     n_coslice = coslice_of(sys, B).cat.n_objects
     n_slice = slice_of(sys, B).cat.n_objects
-    orig = sys.derivations
-    for Q in (sys.fiber(B)[0], sys.fiber(B)[-1]):
-        phi = pos_rep(sys, Q)
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return orig(*args)
-
-        sys.derivations = counted
-        try:
-            dual_left(sys, B, phi)
-        finally:
-            del sys.derivations
-        assert 0 < calls <= n_coslice * len(phi.support()) < n_coslice * n_slice
+    phi = pos_rep(sys, sys.fiber(B)[0])
+    bound = n_coslice * len(phi.support())
+    monkeypatch.setattr(phi, "support", lambda: tuple(range(n_slice)))
+    monkeypatch.setattr(
+        duality_mod, "_live_points", lambda s, B, support: range(n_coslice)
+    )
+    reads = count_cut_reads(sys)
+    dual_left(sys, B, phi)
+    assert reads[0] == n_coslice * n_slice > bound

@@ -8,20 +8,18 @@ from hypothesis import given, settings, strategies as st
 from refcat import fincat, psh
 from refcat.fincat import (
     FinCategory,
+    FunctorCategory,
     FunctorData,
     NatTransData,
     StructuralError,
     ValidationReport,
     compose_functors,
-    curry_functor,
-    discrete_category,
     functor_category,
-    functors_equal,
     identity_functor,
     opposite,
+    ProductCategory,
     product,
     terminal_category,
-    uncurry_functor,
     validate_category,
     validate_functor,
     validate_nat_trans,
@@ -38,6 +36,58 @@ def walking_arrow():
         [0, 1],
         {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2},
     )
+
+# ---------------------------------------------------------------------------
+# Helpers with no caller in the library: discrete categories, functor
+# equality, and currying through a materialized functor category.
+
+
+def discrete_category(names):
+    morphisms = [(f"id_{n}", i, i) for i, n in enumerate(names)]
+    compose = {(i, i): i for i in range(len(names))}
+    return FinCategory(f"disc({','.join(names)})", names, morphisms, tuple(range(len(names))), compose)
+
+
+def functors_equal(F, G):
+    return F.table() == G.table()
+
+
+def curry_functor(F, size_guard=10000):
+    """Curry F: A x B -> C into A -> [B, C], landing in the materialized
+    functor category, which is returned with it."""
+    prod = F.source
+    if not isinstance(prod, ProductCategory):
+        raise StructuralError(f"curry_functor: source of {F.name} is not a product")
+    A, B, C = prod.left, prod.right, F.target
+    fc = functor_category(B, C, size_guard)
+    obj_map = []
+    for a in range(A.n_objects):
+        slice_obj = tuple(F.obj(prod.pair_obj(a, b)) for b in range(B.n_objects))
+        slice_mor = tuple(F.mor(prod.pair_mor(A.id_of(a), g)) for g in range(B.n_morphisms))
+        obj_map.append(fc.find_functor(FunctorData(f"{F.name}({A.objects[a]},-)", B, C, slice_obj, slice_mor)))
+    mor_map = []
+    for f in range(A.n_morphisms):
+        comps = tuple(F.mor(prod.pair_mor(f, B.id_of(b))) for b in range(B.n_objects))
+        mor_map.append(fc.find_nat(obj_map[A.dom(f)], obj_map[A.cod(f)], comps))
+    return FunctorData(f"curry({F.name})", A, fc.cat, tuple(obj_map), tuple(mor_map)), fc
+
+
+def uncurry_functor(G, fc: FunctorCategory, A, B):
+    """Inverse of curry_functor."""
+    C = fc.functors[0].target if fc.functors else None
+    prod = product(A, B)
+    obj_map = []
+    for x in range(prod.n_objects):
+        a, b = prod.split_obj(x)
+        obj_map.append(fc.functors[G.obj(a)].obj(b))
+    mor_map = []
+    for m in range(prod.n_morphisms):
+        f, g = prod.split_mor(m)
+        _, _, comps = fc.nat_tags[G.mor(f)]
+        # Naturality makes the two evaluation orders agree; use G(f) then G(a2)(g).
+        mor_map.append(C.compose(comps[B.dom(g)], fc.functors[G.obj(A.cod(f))].mor(g)))
+    return FunctorData(f"uncurry({G.name})", prod, C, tuple(obj_map), tuple(mor_map))
+
 
 
 def chain_category(n):

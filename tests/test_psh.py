@@ -28,7 +28,6 @@ from refcat.psh import (
     push_transpose,
     representable,
     residual_psh,
-    unit_psh,
     validate_presheaf,
     validate_psh_derivation,
     vertical_iso_psh,
@@ -231,6 +230,11 @@ def test_vertical_iso_found_and_refused(sample):
     assert pair is not None
     smaller = representable(base, 0)
     assert vertical_iso_psh(phi, smaller) is None
+
+
+def unit_psh():
+    one = terminal_category()
+    return Presheaf("I", one, (("*",),), ((0,),)), one
 
 
 def test_residual_over_a_point_is_a_function_space():

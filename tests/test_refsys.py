@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.refsys as refsys_mod
-from refcat.fincat import discrete_category, identity_functor
+from refcat.fincat import StructuralError, identity_functor
 from refcat.fixtures import (
     collapse_lattice_fixture,
     random_refsys,
@@ -26,6 +26,7 @@ from refcat.refsys import (
     right_curry,
 )
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
+from tests.test_fincat import discrete_category
 
 
 def test_hoare_shape_and_judgments(hoare):
@@ -40,6 +41,27 @@ def test_hoare_shape_and_judgments(hoare):
         holds = expect <= pred_set(hoare.D.objects[Q])
         assert (len(ders) == 1) == holds
         assert len(ders) <= 1
+
+
+def test_unchecked_reader_agrees_with_derivations(hoare, linctx, collapse, ident, galois):
+    for sys in (
+        hoare,
+        linctx,
+        collapse.mrs.sys,
+        ident.mrs.sys,
+        galois.left.source,
+        galois.left.target,
+        random_refsys(5),
+    ):
+        for s in (sys, sys.op()):
+            for P, c, Q in s.judgments():
+                assert s.derivations_unchecked(P, c, Q) == s.derivations(P, c, Q)
+    # c starts at contexts of length 1, P has length 0: not a judgment
+    c = linctx.T.mor_names.index("1>1[0]")
+    P, Q = linctx.D.objects.index("[]"), linctx.D.objects.index("[A]")
+    assert not linctx.valid_judgment(P, c, Q)
+    with pytest.raises(StructuralError, match=r"\(\[\], 1>1\[0\], \[A\]\) is not a judgment"):
+        linctx.derivations(P, c, Q)
 
 
 def test_every_pushforward_is_the_image(hoare):

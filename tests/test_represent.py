@@ -11,7 +11,6 @@ import refcat.represent as represent_mod
 from refcat.fincat import (
     SizeGuardExceeded,
     compose_functors,
-    functors_equal,
     validate_category,
     validate_functor,
 )
@@ -41,6 +40,7 @@ from refcat.represent import (
     slice_of,
 )
 from tests.conftest import HOARE_FN, image_oracle, pred_set
+from tests.test_fincat import functors_equal
 
 STATES = ("s0", "s1")
 
