@@ -101,8 +101,16 @@ class JudgmentCategory:
 
 def judgment_category(sys: RefinementSystem, size_guard: int = 200000) -> JudgmentCategory:
     """Materialize the judgment category with its derivation presheaf,
-    kept on the system after the first successful build."""
-    return sys.memo(("judgments",), lambda: _build_judgments(sys, size_guard))
+    kept on the system after the first successful build.  A kept category
+    is handed out only if its sizes are within the caller's guard."""
+    jc = sys.memo(("judgments",), lambda: _build_judgments(sys, size_guard))
+    for what, n in (
+        ("judgment objects", jc.cat.n_objects),
+        ("judgment morphisms", jc.cat.n_morphisms),
+    ):
+        if n > size_guard:
+            raise SizeGuardExceeded(what, n, size_guard)
+    return jc
 
 
 def _build_judgments(sys: RefinementSystem, size_guard: int) -> JudgmentCategory:

@@ -584,7 +584,9 @@ class FunctorCategory:
 
 
 def functor_category(A: FinCategory, C: FinCategory, size_guard: int = 10000) -> FunctorCategory:
-    """Materialize [A, C]: objects are functors, morphisms natural transformations."""
+    """Materialize [A, C]: objects are functors, morphisms natural
+    transformations.  Listing either stops at the first one past the
+    guard, reporting the count reached."""
     functors = _enumerate_functors(A, C, size_guard)
     objects = [f"F{i}" for i in range(len(functors))]
     morphisms: list[tuple[str, int, int]] = []
@@ -605,6 +607,10 @@ def functor_category(A: FinCategory, C: FinCategory, size_guard: int = 10000) ->
             for comps in _backtrack(A.n_objects, hom, natural):
                 idx = len(morphisms)
                 morphisms.append((f"n{idx}", i, j))
+                if len(morphisms) > size_guard:
+                    raise SizeGuardExceeded(
+                        f"natural transformations {A.name} -> {C.name}", len(morphisms), size_guard
+                    )
                 nat_tags.append((i, j, comps))
                 if i == j and comps == tuple(C.id_of(F.obj(a)) for a in range(A.n_objects)):
                     identity[i] = idx

@@ -54,10 +54,13 @@ class RefinementSystem:
 
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
-        Slices, representations, judgment categories, cuts and lift
-        searches are built once per system through here; presheaf pullback
-        needs identical base categories.  A build that raises (a size
-        guard) stores nothing, so the next request builds again."""
+        Slices, representations, judgment categories, cuts, lift searches,
+        residual presheaves with their functor categories and genday
+        clause outcomes are built once per system through here; presheaf
+        pullback needs identical base categories.  A build that raises (a
+        size guard) stores nothing, so the next request builds again.  A
+        guarded entry keys its guard, or its reader compares the stored
+        size with each caller's guard."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -252,8 +255,9 @@ def find_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | No
 
 
 def _search_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | None:
+    # find_pullback checked that Q refines cod c, and P0 refines dom c.
     for P0 in sys.fiber(sys.T.dom(c)):
-        for ell in sys.derivations(P0, c, Q):
+        for ell in sys.derivations_unchecked(P0, c, Q):
             tests = _cartesian_tests(sys, c, Q, P0, ell)
             if tests is not None:
                 return LiftCertificate(

@@ -60,6 +60,21 @@ class CheckReport:
             self.record_fail(counterexample)
         return condition
 
+    def absorb(self, other: "CheckReport") -> None:
+        """Add other's counts, skip reasons and notes, in order, as if its
+        checks had been recorded here: the first counterexample wins."""
+        self.attempted += other.attempted
+        self.passed += other.passed
+        self.failed += other.failed
+        self.skipped += other.skipped
+        if self.counterexample is None:
+            self.counterexample = other.counterexample
+        for reason in other.skip_reasons:
+            if reason not in self.skip_reasons:
+                self.skip_reasons.append(reason)
+        for text in other.notes:
+            self.note(text)
+
     def done(self) -> "CheckReport":
         self.wall_time = time.perf_counter() - self._t0
         return self

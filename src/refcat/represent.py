@@ -263,7 +263,7 @@ def representation_ff_check(sys: RefinementSystem, variance: str = "both") -> Ch
         s = sys.op() if use_op else sys
         side = "neg" if use_op else "pos"
         for (Q1, c, Q2) in s.judgments():
-            ders = s.derivations(Q1, c, Q2)
+            ders = s.derivations_unchecked(Q1, c, Q2)
             phi, psi = pos_rep(s, Q1), pos_rep(s, Q2)
             F = slice_action(s, c)
             fams = natural_families(phi, psi, F)
@@ -713,12 +713,6 @@ def _strict_left_residual(mrs: MonoidalRefinementSystem, P: int, R: int):
     return (XD, plugD, XT, plugT)
 
 
-def _strict_right_residual(mrs: MonoidalRefinementSystem, Q: int, R: int):
-    """Residual data for R / Q: the strict left residual of the reversed
-    tensors."""
-    return _strict_left_residual(mrs.reversed(), Q, R)
-
-
 def _curry_into(
     fc: FunctorCategory,
     left: FinCategory,
@@ -821,16 +815,32 @@ def genday_check(
 
     Clauses (b) and (c) require the residuals to exist with the refinement
     residual lying strictly over the base one; otherwise they are skipped
-    with the unmet hypothesis as the reason."""
-    sys = mrs.sys
-    D, T, t = sys.D, sys.T, sys.t
-    nm = D.objects
+    with the unmet hypothesis as the reason.
+
+    Each clause depends on a pair only, so its outcome is decided once per
+    pair, kept in the system's memo, and folded into the triple's report
+    in the order a, b, c."""
+    nm = mrs.sys.D.objects
     rep = CheckReport(
         f"genday[{nm[P]},{nm[Q]},{nm[R]}]",
         "slice representation strongly preserves tensor and residuals",
     )
+    memo = mrs.sys.memo
+    rep.absorb(memo(("genday (a)", mrs, P, Q), lambda: _genday_tensor_clause(mrs, P, Q)))
+    for label, side, m, X in (("(b)", "left", mrs, P), ("(c)", "right", mrs.reversed(), Q)):
+        rep.absorb(
+            memo(
+                ("genday", label, m, X, R, size_guard),
+                lambda: _genday_residual_clause(m, label, side, X, R, size_guard),
+            )
+        )
+    return rep.done()
 
-    # (a) tensor clause
+
+def _genday_tensor_clause(mrs: MonoidalRefinementSystem, P: int, Q: int) -> CheckReport:
+    """Clause (a) of `genday_check` for the pair (P, Q)."""
+    nm = mrs.sys.D.objects
+    rep = CheckReport("(a)", "tensor clause")
     md = m_derivation(mrs, P, Q)
     vrep = validate_psh_derivation(md)
     rep.check(vrep.ok, f"(a) tensor derivation invalid:\n{vrep}")
@@ -847,27 +857,28 @@ def genday_check(
     codomains.append(pr.presheaf)
     ok, why = opcartesian_factoring_check(pr, F, md.source, codomains)
     rep.check(ok, f"(a) tensor derivation is not opcartesian: {why}")
-
-    # (b) left residual clause
-    resL = _strict_left_residual(mrs, P, R)
-    if resL is None:
-        rep.record_skip(f"(b) no strict left residual for ({nm[P]}, {nm[R]})")
-    else:
-        _genday_residual_clause(mrs, rep, "(b)", P, R, resL, size_guard)
-
-    # (c) right residual clause
-    resR = _strict_right_residual(mrs, Q, R)
-    if resR is None:
-        rep.record_skip(f"(c) no strict right residual for ({nm[Q]}, {nm[R]})")
-    else:
-        _genday_residual_clause(mrs.reversed(), rep, "(c)", Q, R, resR, size_guard)
     return rep.done()
 
 
-def _genday_residual_clause(mrs, rep, label, P, R, resdata, size_guard):
+def _residual(sys: RefinementSystem, side: str, P: int, R: int, size_guard: int):
+    """`residual_psh(side, rep(P), rep(R), size_guard)` with its functor
+    category, built once per system and guard."""
+    return sys.memo(
+        ("residual", side, P, R, size_guard),
+        lambda: residual_psh(side, pos_rep(sys, P), pos_rep(sys, R), size_guard),
+    )
+
+
+def _genday_residual_clause(mrs, label, side, P, R, size_guard) -> CheckReport:
+    """Clause (b) of `genday_check` for the pair (P, R); clause (c) is this
+    one for `mrs.reversed()`, whose left residuals are the right ones."""
     sys = mrs.sys
-    D = sys.D
-    nm = D.objects
+    nm = sys.D.objects
+    rep = CheckReport(label, "residual clause")
+    resdata = _strict_left_residual(mrs, P, R)
+    if resdata is None:
+        rep.record_skip(f"{label} no strict {side} residual for ({nm[P]}, {nm[R]})")
+        return rep.done()
     XD, plugD, XT, plugT = resdata
     lhs = pos_rep(sys, XD)
     phi = pos_rep(sys, P)
@@ -878,10 +889,10 @@ def _genday_residual_clause(mrs, rep, label, P, R, resdata, size_guard):
     plugged = compose_functors(Fm, slice_action(sys, plugT))
 
     try:
-        res, fc = residual_psh("left", phi, omega, size_guard)
+        res, fc = _residual(sys, "left", P, R, size_guard)
     except SizeGuardExceeded as exc:
         rep.record_skip(f"{label} residual presheaf skipped: {exc}")
-        return
+        return rep.done()
     curryF = _curry_into(
         fc,
         prod.left,
@@ -896,7 +907,7 @@ def _genday_residual_clause(mrs, rep, label, P, R, resdata, size_guard):
     )
     if comps is None:
         rep.record_fail(f"{label} {why}")
-        return
+        return rep.done()
     pulled = pull_psh(curryF, res)
     rep.check(
         is_vertical_iso(comps, lhs, pulled),
@@ -909,6 +920,7 @@ def _genday_residual_clause(mrs, rep, label, P, R, resdata, size_guard):
     domains.append(lhs)
     ok, why = cartesian_factoring_check(theta, domains)
     rep.check(ok, f"{label} comparison is not cartesian: {why}")
+    return rep.done()
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1035,7 @@ def monoid_lax_check(
                 phi = pos_rep(sys, P)
                 omega = pos_rep(sys, R)
                 try:
-                    res, fc = residual_psh(side, phi, omega, size_guard)
+                    res, fc = _residual(sys, side, P, R, size_guard)
                 except SizeGuardExceeded as exc:
                     rep.record_skip(f"{side} residual presheaf skipped: {exc}")
                     continue

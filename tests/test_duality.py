@@ -110,6 +110,23 @@ def test_judgment_guard_reports_the_true_size_before_building():
     assert judgment_category(sys).cat.n_morphisms == 5776
 
 
+def test_a_kept_judgment_category_honours_a_smaller_guard():
+    # Once built under a large guard, the kept category is refused to a
+    # caller whose guard it exceeds, with the message a fresh system gives.
+    sys = build_hoare(default_hoare_spec())
+    assert judgment_category(sys, size_guard=10**6).cat.n_morphisms == 5776
+    for guard, message in (
+        (10, "judgment objects: estimated 64 > guard 10"),
+        (5000, "judgment morphisms: estimated 5776 > guard 5000"),
+    ):
+        with pytest.raises(SizeGuardExceeded) as kept:
+            judgment_category(sys, size_guard=guard)
+        with pytest.raises(SizeGuardExceeded) as fresh:
+            judgment_category(build_hoare(default_hoare_spec()), size_guard=guard)
+        assert str(kept.value) == str(fresh.value) == message
+    assert judgment_category(sys, size_guard=5776).cat.n_morphisms == 5776
+
+
 def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
     J = judgment_category(hoare)
     der = J.der

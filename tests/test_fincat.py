@@ -18,6 +18,7 @@ from refcat.fincat import (
     identity_functor,
     opposite,
     ProductCategory,
+    SizeGuardExceeded,
     product,
     terminal_category,
     validate_category,
@@ -424,8 +425,9 @@ def naive_nat_tags(fc, A, C):
 
 
 def search_mismatches(A, C):
-    """Where functor_category(A, C) differs from the naive filters."""
-    fc = functor_category(A, C)
+    """Where functor_category(A, C) differs from the naive filters.  The
+    guard only bounds the listing: some draws have 16,807 transformations."""
+    fc = functor_category(A, C, size_guard=10**6)
     bad = []
     if [F.table() for F in fc.functors] != naive_functors(A, C):
         bad.append(f"functors {A.name} -> {C.name}")
@@ -451,6 +453,16 @@ def search_pairs():
         (opposite(arrow), opposite(fin2)),
         lattice_slice_pair(),
     ]
+
+
+def test_functor_category_guards_its_natural_transformations():
+    # 10 functors (estimated 16) fit under the guard; 50 transformations do not.
+    A, C = walking_arrow(), chain_category(4)
+    with pytest.raises(SizeGuardExceeded) as exc:
+        functor_category(A, C, size_guard=20)
+    assert str(exc.value) == "natural transformations 2 -> chain4: estimated 21 > guard 20"
+    fc = functor_category(A, C, size_guard=50)
+    assert (len(fc.functors), fc.cat.n_morphisms) == (10, 50)
 
 
 def test_functor_category_matches_the_naive_filters():
@@ -481,7 +493,9 @@ def lax_search(monkeypatch):
 def test_a_search_without_one_steps_constraints_fails_the_reference(monkeypatch):
     lax_search(monkeypatch)
     arrow, chain3, fin2 = walking_arrow(), chain_category(3), fin_skeleton(2)
-    fc = functor_category(chain3, fin2)
+    # The lax search lists more than 10,000 transformations among its
+    # extra functors; the guard only bounds that listing.
+    fc = functor_category(chain3, fin2, size_guard=10**6)
     assert [F.table() for F in fc.functors] != naive_functors(chain3, fin2)
     fc = functor_category(arrow, fin2)
     assert fc.nat_tags != naive_nat_tags(fc, arrow, fin2)

@@ -10,8 +10,8 @@ a diff.  To regenerate one after an intended change, run for example
 with `h.fix` holding `fixture h hoare`, and review the diff.
 
 The `cross-check-*.txt` files are `refcat verify <file> duality
---cross-check`: one case where the residual route decides every
-instance, one where its functor category trips the size guard.
+--cross-check`: on the two lattices the residual route decides every
+instance, on hoare its functor category trips the size guard.
 
 The `query-*.txt` files hold the query commands (slice, coslice,
 represent, dual, pushforward, pullback): for each command a `$` line
@@ -56,6 +56,7 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
 # golden file -> workspace line, for `verify <file> duality --cross-check`
 CROSS_CHECK = {
     "cross-check-lattice-collapse": "fixture collapse lattice-collapse",
+    "cross-check-lattice-identity": "fixture identity lattice-identity",
     "cross-check-hoare": "fixture hoare hoare",
 }
 

@@ -5,16 +5,24 @@ Linear-context expectations come from a brute-force proof counter that only
 reads the rule declarations, never the built category.
 """
 
+from collections import Counter
+
 import pytest
 
 import refcat.represent as represent_mod
+from refcat.cli import main
 from refcat.fincat import (
     SizeGuardExceeded,
     compose_functors,
     validate_category,
     validate_functor,
 )
-from refcat.fixtures import collapse_lattice_fixture, linctx_data, random_refsys
+from refcat.fixtures import (
+    collapse_lattice_fixture,
+    identity_lattice_fixture,
+    linctx_data,
+    random_refsys,
+)
 from refcat.psh import validate_psh_derivation
 from refcat.refsys import fully_faithful_check
 from refcat.represent import (
@@ -269,6 +277,53 @@ def test_genday_on_the_collapse_documents_its_skips(collapse):
                 total_skipped += rep.skipped
     assert total_failed == 0
     assert total_skipped == 16  # residuals over the collapsed shape are lax
+
+
+LATTICES = {
+    "lattice-collapse": collapse_lattice_fixture,
+    "lattice-identity": identity_lattice_fixture,
+}
+
+
+@pytest.mark.parametrize(
+    "name, residuals", [("lattice-collapse", 14), ("lattice-identity", 16)]
+)
+def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, monkeypatch, capsys):
+    # Over all 4^3 triples a clause runs once per pair it depends on, and
+    # (b) and (c) share one residual presheaf per (P, R): 112 and 128
+    # residuals were built when every triple rebuilt its own.
+    calls: dict[str, Counter] = {}
+    for fn in ("residual_psh", "_genday_tensor_clause", "_genday_residual_clause"):
+        real = getattr(represent_mod, fn)
+
+        def counted(*args, _real=real, _seen=calls.setdefault(fn, Counter())):
+            _seen[args[1:] if _real.__name__ == "residual_psh" else args] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(represent_mod, fn, counted)
+    path = tmp_path / "w.fix"
+    path.write_text(f"fixture w {name}\n")
+    assert main(["verify", str(path), "genday"]) == 0
+    assert "suite genday: 1/1 reports ok" in capsys.readouterr().out
+    assert sum(calls["residual_psh"].values()) == residuals
+    assert len(calls["_genday_tensor_clause"]) == 16
+    assert len(calls["_genday_residual_clause"]) == 32
+    for seen in calls.values():
+        assert set(seen.values()) == {1}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_genday_reports_do_not_depend_on_the_memo(name):
+    # Every triple's report, read from clauses shared with earlier triples,
+    # is the one a system that has decided nothing yet renders.
+    mrs = LATTICES[name]().mrs
+    n = mrs.sys.D.n_objects
+    for P in range(n):
+        for Q in range(n):
+            for R in range(n):
+                shared = genday_check(mrs, P, Q, R).render()
+                fresh = genday_check(LATTICES[name]().mrs, P, Q, R).render()
+                assert shared == fresh, (P, Q, R)
 
 
 def test_monoid_lax_counts(collapse, ident):
