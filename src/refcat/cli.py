@@ -63,20 +63,11 @@ def _system_entry(ws: Workspace, name: str | None) -> tuple[str, RefinementSyste
 
 
 def _merge_reports(name: str, statement: str, reports) -> CheckReport:
-    """Fold per-instance reports into one order-canonical report."""
+    """Fold per-instance reports into one order-canonical report, each
+    counterexample and note under the name of its instance."""
     out = CheckReport(name, statement)
     for rep in reports:
-        out.attempted += rep.attempted
-        out.passed += rep.passed
-        out.failed += rep.failed
-        out.skipped += rep.skipped
-        if out.counterexample is None and rep.counterexample is not None:
-            out.counterexample = f"{rep.name}: {rep.counterexample}"
-        for reason in rep.skip_reasons:
-            if reason not in out.skip_reasons:
-                out.skip_reasons.append(reason)
-        for note in rep.notes:
-            out.note(f"{rep.name}: {note}")
+        out.absorb(rep, f"{rep.name}: ")
     return out.done()
 
 
@@ -157,7 +148,7 @@ def _duality_suite(s: RefinementSystem, size_guard: int, cross_check: bool) -> l
     return out
 
 
-def _negenc_suite(s: RefinementSystem, size_guard: int) -> list[CheckReport]:
+def _negenc_suite(s: RefinementSystem) -> list[CheckReport]:
     data = fx.linctx_data(s)
     if data is not None:
         mc = data[0]
@@ -246,7 +237,7 @@ SUITES = {
     "factorization": lambda ws, key, s, guard, cross: [factorization_check(s)],
     "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s, guard),
     "duality": lambda ws, key, s, guard, cross: _duality_suite(s, guard, cross),
-    "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s, guard),
+    "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s),
     "notnot-tensor": lambda ws, key, s, guard, cross: _notnot_suite(ws, key, s),
     "rapp": lambda ws, key, s, guard, cross: _rapp_suite(ws, key, s),
 }

@@ -435,7 +435,7 @@ def _dual_cross_check(sys, B, inp, out, side, size_guard):
     category and the curried pairing, and compare elementwise."""
     pair = pairing(sys, B, size_guard)
     S, Cs, J = pair.slice.cat, pair.coslice.cat, pair.jdg.cat
-    res, fc = residual_psh(side, inp, pair.jdg.der, size_guard)
+    res, fc = residual_psh(inp, pair.jdg.der, size_guard)
     if side == "left":
         curry = _curry_into(fc, S, Cs, J, pair.obj, pair.mor, "lambda-cut")
     else:
@@ -532,7 +532,7 @@ def dual_adjunction_check(sys: RefinementSystem, B: int, size_guard: int = 20000
                 f"phi={phi.name} psi={psi.name}: into-right-dual {e1}, into-left-dual {e2}"
             )
             if pair is not None:
-                box, _ = tensor_psh(phi, psi, prod)
+                box = tensor_psh(phi, psi, prod)
                 e3 = bool(natural_families(box, pair.jdg.der, cut))
                 agree = agree and e2 == e3
                 detail += f", pairing {e3}"
@@ -636,15 +636,10 @@ def _push_pull_square(sys: RefinementSystem, c: int, phi: Presheaf):
     )
 
 
-def notpush_check(
-    sys: RefinementSystem,
-    c: int,
-    phi: Presheaf,
-    psi: Presheaf | None = None,
-) -> CheckReport:
+def notpush_check(sys: RefinementSystem, c: int, phi: Presheaf) -> CheckReport:
     """How dualization converts pushes to pulls across a base morphism
-    c : A -> B, for phi over the slice of A (and a companion psi over the
-    coslice of B, defaulting to the left dual of the pushed phi):
+    c : A -> B, for phi over the slice of A and, over the coslice of B,
+    psi the left dual of the pushed phi:
 
     (1) pulling the left dual back equals the left dual of the push (iso);
     (2) mirror image for right duals of coslice presheaves (iso), which is
@@ -660,7 +655,7 @@ def notpush_check(
     if phi.base is not slice_of(sys, T.dom(c)).cat:
         raise StructuralError(f"notpush_check: {phi.name} must live over the slice of {T.objects[T.dom(c)]}")
     left = _push_pull_square(sys, c, phi)
-    right = _push_pull_square(sys.op(), c, left[0] if psi is None else psi)
+    right = _push_pull_square(sys.op(), c, left[0])
     rep.check(left[1], "pulled left dual differs from left dual of the push")
     rep.check(right[1], "pulled right dual differs from right dual of the push")
     for side, lead, (_, _, ok, back, iso) in (
@@ -727,7 +722,7 @@ def notnottensor_check(
         return rep.done()
     Fm, prod = m_functor(mrs, mo.W, mo.W)
     Fday = compose_functors(Fm, slice_action(sys, mo.p))
-    box, _ = tensor_psh(pos_rep(sys, P), pos_rep(sys, Q), prod)
+    box = tensor_psh(pos_rep(sys, P), pos_rep(sys, Q), prod)
     day = push_psh(Fday, box)
     target = pos_rep(sys, cert.result)
     rep.check(

@@ -373,8 +373,9 @@ def identity_functor(cat: FinCategory) -> FunctorData:
 
 
 def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
-    """Diagrammatic composite: apply F, then G."""
-    if F.target is not G.source and F.target.name != G.source.name:
+    """Diagrammatic composite: apply F, then G.  F must land in the very
+    category G starts from, not in a copy of it."""
+    if F.target is not G.source:
         raise StructuralError(f"compose_functors: {F.name} then {G.name} do not meet")
     return FunctorData(
         f"{F.name};{G.name}",

@@ -459,11 +459,9 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Finiteness bounds: K caps context sizes, and the optional morphism
-    cap aborts construction instead of building a huge category."""
+    """Finiteness bound: K caps context sizes."""
 
     K: int = 3
-    max_morphisms: int | None = None
 
 
 def fin_skeleton(K: int) -> FinCategory:
@@ -546,14 +544,6 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
                     fname = ",".join(mc.multimorphisms[k].name for k in fam)
                     mors.append((f"{uname}|{fname}", di, gi))
                     tags.append(tag)
-                    if (
-                        trunc.max_morphisms is not None
-                        and len(mors) > trunc.max_morphisms
-                    ):
-                        raise StructuralError(
-                            f"context category exceeds the morphism cap "
-                            f"{trunc.max_morphisms}"
-                        )
     identity = []
     for di, delta in enumerate(contexts):
         u = tuple(range(len(delta)))
@@ -715,8 +705,8 @@ def powerset_lattice(atoms: tuple[str, ...]) -> LatticeSpec:
     return LatticeSpec(f"P({','.join(atoms)})", tuple(elems), leq)
 
 
-def chain_lattice(n: int, prefix: str = "c") -> LatticeSpec:
-    elems = tuple(f"{prefix}{i}" for i in range(n))
+def chain_lattice(n: int) -> LatticeSpec:
+    elems = tuple(f"c{i}" for i in range(n))
     leq = frozenset((elems[i], elems[j]) for i in range(n) for j in range(i, n))
     return LatticeSpec(f"chain{n}", elems, leq)
 
@@ -1094,7 +1084,7 @@ def random_refsys(seed: int, bounds: RandomBounds | None = None) -> RefinementSy
     )
 
 
-def bang_system(cat: FinCategory, name: str | None = None) -> RefinementSystem:
+def bang_system(cat: FinCategory) -> RefinementSystem:
     """A category over the point: refinements of a single shape.
 
     Slices of the result are the category again and judgments are plain
@@ -1108,4 +1098,4 @@ def bang_system(cat: FinCategory, name: str | None = None) -> RefinementSystem:
         (0,) * cat.n_objects,
         (0,) * cat.n_morphisms,
     )
-    return RefinementSystem(name or f"bang({cat.name})", t)
+    return RefinementSystem(f"bang({cat.name})", t)

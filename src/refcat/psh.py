@@ -24,7 +24,6 @@ from .fincat import (
     ValidationReport,
     _backtrack,
     functor_category,
-    product,
 )
 
 
@@ -136,22 +135,22 @@ def validate_presheaf(phi: Presheaf) -> ValidationReport:
     return report
 
 
-def representable(cat: FinCategory, b: int, name: str | None = None) -> Presheaf:
-    """The presheaf a |-> hom(a, b) with action by precomposition."""
-    elements = tuple(
-        tuple(cat.mor_names[m] for m in cat.hom(a, b)) for a in range(cat.n_objects)
+def representable(cat: FinCategory, b: int) -> Presheaf:
+    """The presheaf a |-> hom(a, b) with action by precomposition, each
+    morphism carried as its payload.  Built on its support: an action row
+    is computed when it is first read."""
+    homs = tuple(cat.hom(a, b) for a in range(cat.n_objects))
+    y = Presheaf(
+        f"y({cat.objects[b]})",
+        cat,
+        tuple(tuple(cat.mor_names[m] for m in h) for h in homs),
+        lambda f: tuple(y.position(cat.dom(f))[cat.compose(f, g)] for g in homs[cat.cod(f)]),
+        homs,
     )
-    positions = [
-        {m: k for k, m in enumerate(cat.hom(a, b))} for a in range(cat.n_objects)
-    ]
-    action = []
-    for f in range(cat.n_morphisms):
-        a, a2 = cat.dom(f), cat.cod(f)
-        action.append(tuple(positions[a][cat.compose(f, g)] for g in cat.hom(a2, b)))
-    return Presheaf(name or f"y({cat.objects[b]})", cat, elements, tuple(action))
+    return y
 
 
-def pull_psh(F: FunctorData, psi: Presheaf, name: str | None = None) -> Presheaf:
+def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
     """Precompose psi with F; elements keep their names.  A row is read
     from psi only for a morphism into the support, on first use."""
     if psi.base is not F.target:
@@ -161,7 +160,7 @@ def pull_psh(F: FunctorData, psi: Presheaf, name: str | None = None) -> Presheaf
     if psi.payloads is not None:
         payloads = tuple(map(psi.payloads.__getitem__, at))
     return Presheaf(
-        name or f"pull[{F.name}]({psi.name})",
+        f"pull[{F.name}]({psi.name})",
         F.source,
         tuple(map(psi.elements.__getitem__, at)),
         lambda f: psi.action[F.mor(f)],
@@ -212,7 +211,7 @@ class PushResult:
     unit: tuple[tuple[int, ...], ...]
 
 
-def push_psh_full(F: FunctorData, phi: Presheaf, name: str | None = None) -> PushResult:
+def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
     """Pushforward along F: the generating nodes (a, h : b -> F a, x) for a
     in the support of phi, glued along every source morphism into the
     support.  A row of the pushed presheaf is computed, and checked to be
@@ -261,7 +260,7 @@ def push_psh_full(F: FunctorData, phi: Presheaf, name: str | None = None) -> Pus
                 )
         return out
 
-    pushed = Presheaf(name or f"push[{F.name}]({phi.name})", B, tuple(elements), row)
+    pushed = Presheaf(f"push[{F.name}]({phi.name})", B, tuple(elements), row)
     unit = tuple(
         tuple(class_of[(a, B.id_of(F.obj(a)), x)] for x in range(phi.size(a)))
         if phi.elements[a]
@@ -271,8 +270,8 @@ def push_psh_full(F: FunctorData, phi: Presheaf, name: str | None = None) -> Pus
     return PushResult(pushed, class_of, tuple(reps_at), unit)
 
 
-def push_psh(F: FunctorData, phi: Presheaf, name: str | None = None) -> Presheaf:
-    return push_psh_full(F, phi, name).presheaf
+def push_psh(F: FunctorData, phi: Presheaf) -> Presheaf:
+    return push_psh_full(F, phi).presheaf
 
 
 def push_transpose(
@@ -280,7 +279,6 @@ def push_transpose(
     F: FunctorData,
     psi: Presheaf,
     theta: tuple[tuple[int, ...], ...],
-    name: str = "transpose",
 ) -> PshDerivation:
     """Factor a derivation theta : phi =>_F psi through the pushforward.
 
@@ -295,7 +293,7 @@ def push_transpose(
         for (a, h, x) in pr.reps[b]:
             row.append(psi.apply(h, theta[a][x]))
         comps.append(tuple(row))
-    kappa = PshDerivation(name, pr.presheaf, psi, None, tuple(comps))
+    kappa = PshDerivation("transpose", pr.presheaf, psi, None, tuple(comps))
     rep = validate_psh_derivation(kappa)
     if not rep.ok:
         raise StructuralError(f"push_transpose: {rep.violations[0]}")
@@ -376,12 +374,8 @@ def cartesian_factoring_check(
     return (True, None)
 
 
-def tensor_psh(
-    phi: Presheaf, psi: Presheaf, prod: ProductCategory | None = None, name: str | None = None
-) -> tuple[Presheaf, ProductCategory]:
-    """External product over the product base."""
-    if prod is None:
-        prod = product(phi.base, psi.base)
+def tensor_psh(phi: Presheaf, psi: Presheaf, prod: ProductCategory) -> Presheaf:
+    """External product over prod, the product of the two bases."""
     elements = []
     for x in range(prod.n_objects):
         a, b = prod.split_obj(x)
@@ -401,10 +395,7 @@ def tensor_psh(
             for y in range(w):
                 row.append(phi.apply(f, x) * w_dom + psi.apply(g, y))
         action.append(tuple(row))
-    return (
-        Presheaf(name or f"({phi.name}x{psi.name})", prod, tuple(elements), tuple(action)),
-        prod,
-    )
+    return Presheaf(f"({phi.name}x{psi.name})", prod, tuple(elements), tuple(action))
 
 
 def _closing(
@@ -622,17 +613,14 @@ def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi:
 
 
 def residual_psh(
-    side: str,
     phi: Presheaf,
     omega: Presheaf,
     size_guard: int = 10000,
 ) -> tuple[Presheaf, FunctorCategory]:
     """The closed-structure residual: over [A, C], a functor F is sent to the
-    set of natural families phi(a) -> omega(F a).  `side` records which
-    tensor argument the residual is adjoint to; left and right share the
-    same pointwise formula."""
-    if side not in ("left", "right"):
-        raise StructuralError(f"residual_psh: bad side {side!r}")
+    set of natural families phi(a) -> omega(F a).  The left and the right
+    residual share this pointwise formula; they differ only in the
+    currying a caller pulls it back along."""
     fc = functor_category(phi.base, omega.base, size_guard)
     elements: list[tuple[str, ...]] = []
     family_index: list[dict[tuple[tuple[int, ...], ...], int]] = []
@@ -653,8 +641,7 @@ def residual_psh(
             )
             row.append(family_index[i][moved])
         action.append(tuple(row))
-    name = f"res_{side[0]}({phi.name},{omega.name})"
     return (
-        Presheaf(name, fc.cat, tuple(elements), tuple(action), tuple(payloads)),
+        Presheaf(f"res({phi.name},{omega.name})", fc.cat, tuple(elements), tuple(action), tuple(payloads)),
         fc,
     )

@@ -5,6 +5,12 @@ A judgment (P, c, Q) asks whether the T-morphism c : t(P) -> t(Q) carries
 P into Q; a derivation of it is a D-morphism alpha : P -> Q with
 t(alpha) = c.  Everything downstream (representations, duality) is
 computed from the derivation index built here.
+
+The opposite of a system, of a system morphism and of an adjunction
+reads the same index tables with every arrow reversed, so each mirror
+image is written once: pushforwards are pullbacks in `sys.op()`, and the
+counit half of `adjunction_check` and all of `lapp_check` run on
+`adj.op()`.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from .fincat import (
     NatTransData,
     StructuralError,
     ValidationReport,
-    compose_functors,
-    identity_functor,
     opposite,
     validate_functor,
     validate_nat_trans,
@@ -55,12 +59,12 @@ class RefinementSystem:
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
         Slices, representations, judgment categories, cuts, lift searches,
-        residual presheaves with their functor categories and genday
-        clause outcomes are built once per system through here; presheaf
-        pullback needs identical base categories.  A build that raises (a
-        size guard) stores nothing, so the next request builds again.  A
-        guarded entry keys its guard, or its reader compares the stored
-        size with each caller's guard."""
+        strict residuals, residual presheaves with their functor
+        categories and genday clause outcomes are built once per system
+        through here; presheaf pullback needs identical base categories.
+        A build that raises (a size guard) stores nothing, so the next
+        request builds again.  A guarded entry keys its guard, or its
+        reader compares the stored size with each caller's guard."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -142,15 +146,7 @@ class RefinementSystem:
         and counterexamples transport across without renaming.
         """
         if self._op is None:
-            Dop = opposite(self.D)
-            Top = opposite(self.T)
-            top = FunctorData(
-                name=f"{self.t.name}^op",
-                source=Dop,
-                target=Top,
-                object_map=self.t.object_map,
-                morphism_map=self.t.morphism_map,
-            )
+            top = _opposite_functor(self.t, opposite(self.D), opposite(self.T))
             self._op = RefinementSystem(f"{self.name}^op", top)
             self._op._op = self
         return self._op
@@ -433,24 +429,18 @@ class RefSysMorphism:
     def op(self) -> "RefSysMorphism":
         sop, top = self.source.op(), self.target.op()
         return RefSysMorphism(
-            name=f"{self.name}^op",
-            source=sop,
-            target=top,
-            on_ref=FunctorData(
-                name=f"{self.on_ref.name}^op",
-                source=sop.D,
-                target=top.D,
-                object_map=self.on_ref.object_map,
-                morphism_map=self.on_ref.morphism_map,
-            ),
-            on_base=FunctorData(
-                name=f"{self.on_base.name}^op",
-                source=sop.T,
-                target=top.T,
-                object_map=self.on_base.object_map,
-                morphism_map=self.on_base.morphism_map,
-            ),
+            f"{self.name}^op",
+            sop,
+            top,
+            _opposite_functor(self.on_ref, sop.D, top.D),
+            _opposite_functor(self.on_base, sop.T, top.T),
         )
+
+
+def _opposite_functor(F: FunctorData, source: FinCategory, target: FinCategory) -> FunctorData:
+    """F between the opposite categories `source` and `target`: the same
+    tables, read with every arrow reversed."""
+    return FunctorData(f"{F.name}^op", source, target, F.object_map, F.morphism_map)
 
 
 def fully_faithful_check(m: RefSysMorphism) -> CheckReport:
@@ -510,44 +500,28 @@ class RefSysAdjunction:
         return self.left.target
 
     def op(self) -> "RefSysAdjunction":
-        """The opposite adjunction: right^op becomes the left adjoint.
-        Components keep their indices, only their direction flips."""
-        lop = self.right.op()
-        rop = self.left.op()
-        s_op = lop.source  # = e.op()
-        t_op = lop.target  # = s.op()
-        unit_ref = NatTransData(
-            name=f"{self.counit_ref.name}^op",
-            source_functor=identity_functor(s_op.D),
-            target_functor=compose_functors(lop.on_ref, rop.on_ref),
-            components=self.counit_ref.components,
-        )
-        counit_ref = NatTransData(
-            name=f"{self.unit_ref.name}^op",
-            source_functor=compose_functors(rop.on_ref, lop.on_ref),
-            target_functor=identity_functor(t_op.D),
-            components=self.unit_ref.components,
-        )
-        unit_base = NatTransData(
-            name=f"{self.counit_base.name}^op",
-            source_functor=identity_functor(s_op.T),
-            target_functor=compose_functors(lop.on_base, rop.on_base),
-            components=self.counit_base.components,
-        )
-        counit_base = NatTransData(
-            name=f"{self.unit_base.name}^op",
-            source_functor=compose_functors(rop.on_base, lop.on_base),
-            target_functor=identity_functor(t_op.T),
-            components=self.unit_base.components,
-        )
+        """The opposite adjunction: right^op becomes the left adjoint, the
+        counits become the units and the units the counits.  Each component
+        table is read backwards, theta : F => G as theta : G^op => F^op,
+        and keeps its indices and its name."""
+        sop, eop = self.s.op(), self.e.op()
+
+        def flip(nt: NatTransData, cat: FinCategory) -> NatTransData:
+            return NatTransData(
+                nt.name,
+                _opposite_functor(nt.target_functor, cat, cat),
+                _opposite_functor(nt.source_functor, cat, cat),
+                nt.components,
+            )
+
         return RefSysAdjunction(
-            name=f"{self.name}^op",
-            left=lop,
-            right=rop,
-            unit_ref=unit_ref,
-            counit_ref=counit_ref,
-            unit_base=unit_base,
-            counit_base=counit_base,
+            f"{self.name}^op",
+            self.right.op(),
+            self.left.op(),
+            flip(self.counit_ref, eop.D),
+            flip(self.unit_ref, sop.D),
+            flip(self.counit_base, eop.T),
+            flip(self.unit_base, sop.T),
         )
 
 
@@ -555,75 +529,56 @@ def adjunction_check(adj: RefSysAdjunction) -> CheckReport:
     """Structural validity of an adjunction of refinement systems: both
     morphisms commute with the projections, units and counits are natural,
     the triangle identities hold at both levels, and the projections send
-    the refined unit and counit onto the base ones."""
+    the refined unit and counit onto the base ones.
+
+    Only the lines about F and the unit are written here (`_left_half`);
+    the lines about G and the counit are the same lines on `adj.op()`,
+    whose left adjoint is G^op and whose unit is the counit read
+    backwards.  The two halves are recorded group by group, left before
+    right."""
     report = CheckReport(
         name=f"adjunction:{adj.name}",
         statement="adjunction data is natural, satisfies the triangle laws, "
         "and projects onto the base adjunction",
     )
-    s, e = adj.s, adj.e
-    F_D, F_T = adj.left.on_ref, adj.left.on_base
-    G_D, G_T = adj.right.on_ref, adj.right.on_base
-
-    for sub in (adj.left.validate(), adj.right.validate()):
-        report.check(sub.ok, "\n".join(str(v) for v in sub.violations) or "morphism invalid")
-    for nt in (adj.unit_ref, adj.counit_ref, adj.unit_base, adj.counit_base):
-        sub = validate_nat_trans(nt)
-        report.check(sub.ok, f"{nt.name}: " + ("\n".join(str(v) for v in sub.violations) or "invalid"))
-
-    # triangle laws, refined level: F[eta_P] ; eps_{F P} = id and
-    # eta_{G e} ; G[eps_e] = id
-    for P in range(s.D.n_objects):
-        lhs = e.D.compose(
-            F_D.mor(adj.unit_ref.components[P]),
-            adj.counit_ref.components[F_D.obj(P)],
-        )
-        report.check(
-            lhs == e.D.identity[F_D.obj(P)],
-            f"triangle (left, refined) fails at {s.D.object_name(P)}",
-        )
-    for R in range(e.D.n_objects):
-        lhs = s.D.compose(
-            adj.unit_ref.components[G_D.obj(R)],
-            G_D.mor(adj.counit_ref.components[R]),
-        )
-        report.check(
-            lhs == s.D.identity[G_D.obj(R)],
-            f"triangle (right, refined) fails at {e.D.object_name(R)}",
-        )
-    # triangle laws, base level
-    for X in range(s.T.n_objects):
-        lhs = e.T.compose(
-            F_T.mor(adj.unit_base.components[X]),
-            adj.counit_base.components[F_T.obj(X)],
-        )
-        report.check(
-            lhs == e.T.identity[F_T.obj(X)],
-            f"triangle (left, base) fails at {s.T.object_name(X)}",
-        )
-    for Y in range(e.T.n_objects):
-        lhs = s.T.compose(
-            adj.unit_base.components[G_T.obj(Y)],
-            G_T.mor(adj.counit_base.components[Y]),
-        )
-        report.check(
-            lhs == s.T.identity[G_T.obj(Y)],
-            f"triangle (right, base) fails at {e.T.object_name(Y)}",
-        )
-    # projection conditions: t(eta_P) = eta_{t P}, b(eps_R) = eps_{b R}
-    for P in range(s.D.n_objects):
-        report.check(
-            s.t.mor(adj.unit_ref.components[P])
-            == adj.unit_base.components[s.shape(P)],
-            f"unit of {s.D.object_name(P)} does not project onto the base unit",
-        )
-    for R in range(e.D.n_objects):
-        report.check(
-            e.t.mor(adj.counit_ref.components[R])
-            == adj.counit_base.components[e.shape(R)],
-            f"counit of {e.D.object_name(R)} does not project onto the base counit",
-        )
+    halves = zip(_left_half(adj, "left", "unit"), _left_half(adj.op(), "right", "counit"))
+    for left, right in halves:
+        for ok, why in left + right:
+            report.check(ok, why)
     return report.done()
+
+
+def _left_half(adj: RefSysAdjunction, side: str, unit: str):
+    """The checks of `adjunction_check` about the left adjoint F and the
+    unit eta, as groups of (ok, failure text): F is a valid morphism, eta
+    is natural at the refined and at the base level, the triangle
+    F[eta] ; eps F = id holds at both levels, and t(eta_P) = eta_{t P}.
+    `side` and `unit` name the triangle and the unit in the texts."""
+    s, e = adj.s, adj.e
+    sub = adj.left.validate()
+    yield [(sub.ok, "\n".join(str(v) for v in sub.violations) or "morphism invalid")]
+    for nt in (adj.unit_ref, adj.unit_base):
+        sub = validate_nat_trans(nt)
+        yield [(sub.ok, f"{nt.name}: " + ("\n".join(str(v) for v in sub.violations) or "invalid"))]
+    for level, X, Y, F, eta, eps in (
+        ("refined", s.D, e.D, adj.left.on_ref, adj.unit_ref, adj.counit_ref),
+        ("base", s.T, e.T, adj.left.on_base, adj.unit_base, adj.counit_base),
+    ):
+        yield [
+            (
+                Y.compose(F.mor(eta.components[P]), eps.components[F.obj(P)])
+                == Y.identity[F.obj(P)],
+                f"triangle ({side}, {level}) fails at {X.object_name(P)}",
+            )
+            for P in range(X.n_objects)
+        ]
+    yield [
+        (
+            s.t.mor(adj.unit_ref.components[P]) == adj.unit_base.components[s.shape(P)],
+            f"{unit} of {s.D.object_name(P)} does not project onto the base {unit}",
+        )
+        for P in range(s.D.n_objects)
+    ]
 
 
 def rapp_check(adj: RefSysAdjunction) -> CheckReport:
@@ -941,8 +896,7 @@ def find_left_residual(
         for plug in cat.hom(mon.tobj(a, x), c):
             if all(
                 _bijective_by_composite(
-                    cat,
-                    [(u, cat.compose(mon.tmor(ida, u), plug)) for u in cat.hom(b, x)],
+                    [cat.compose(mon.tmor(ida, u), plug) for u in cat.hom(b, x)],
                     cat.hom(mon.tobj(a, b), c),
                 )
                 for b in range(cat.n_objects)
@@ -961,10 +915,8 @@ def find_right_residual(
     return find_left_residual(mon.reversed(), b, c)
 
 
-def _bijective_by_composite(
-    cat: FinCategory, pairs: list[tuple[int, int]], target: tuple[int, ...]
-) -> bool:
-    images = [img for _, img in pairs]
+def _bijective_by_composite(images: list[int], target: tuple[int, ...]) -> bool:
+    """Do the composites `images` list every morphism of `target` once?"""
     return len(set(images)) == len(images) and set(images) == set(target)
 
 

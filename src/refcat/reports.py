@@ -60,20 +60,21 @@ class CheckReport:
             self.record_fail(counterexample)
         return condition
 
-    def absorb(self, other: "CheckReport") -> None:
+    def absorb(self, other: "CheckReport", prefix: str) -> None:
         """Add other's counts, skip reasons and notes, in order, as if its
-        checks had been recorded here: the first counterexample wins."""
+        checks had been recorded here: the first counterexample wins.
+        Its counterexample and notes are read with `prefix` in front."""
         self.attempted += other.attempted
         self.passed += other.passed
         self.failed += other.failed
         self.skipped += other.skipped
-        if self.counterexample is None:
-            self.counterexample = other.counterexample
+        if self.counterexample is None and other.counterexample is not None:
+            self.counterexample = prefix + other.counterexample
         for reason in other.skip_reasons:
             if reason not in self.skip_reasons:
                 self.skip_reasons.append(reason)
         for text in other.notes:
-            self.note(text)
+            self.note(prefix + text)
 
     def done(self) -> "CheckReport":
         self.wall_time = time.perf_counter() - self._t0

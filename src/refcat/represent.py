@@ -15,7 +15,10 @@ Each mirror image comes from a one-sided construction: the coslice, the
 negative representation and everything about pushforwards are the
 slice, the positive representation and pullbacks of `sys.op()`, and the
 right residuals are the left residuals of the reversed tensor
-(`MonoidalRefinementSystem.reversed()`).
+(`MonoidalRefinementSystem.reversed()`).  Genday's residual clauses and
+both sides of the monoid-lax check decide one comparison,
+`_pulled_residual`, against one residual presheaf per pair of
+refinements.
 
 Every construction is built once per system through
 `RefinementSystem.memo`, which is load-bearing: presheaf pullback
@@ -226,7 +229,7 @@ def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
     return pos_rep(sys.op(), P)
 
 
-def pos_rep_derivation(sys: RefinementSystem, sigma: int, name: str | None = None) -> PshDerivation:
+def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
     """Postcomposition with a derivation sigma : Q1 -> Q2 over c, as a
     presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c.
     Components are computed on the support of rep(Q1) and empty off it."""
@@ -238,18 +241,16 @@ def pos_rep_derivation(sys: RefinementSystem, sigma: int, name: str | None = Non
     for i in phi.support():
         pos = psi.position(F.obj(i))
         comps[i] = tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i])
-    return PshDerivation(
-        name or f"post[{D.mor_names[sigma]}]", phi, psi, F, tuple(comps)
-    )
+    return PshDerivation(f"post[{D.mor_names[sigma]}]", phi, psi, F, tuple(comps))
 
 
-def neg_rep_derivation(sys: RefinementSystem, sigma: int, name: str | None = None) -> PshDerivation:
+def neg_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
     """Precomposition with sigma : P1 -> P2 over c, as a presheaf derivation
     rep(P2) => rep(P1) over the coslice functor of c."""
-    return pos_rep_derivation(sys.op(), sigma, name)
+    return pos_rep_derivation(sys.op(), sigma)
 
 
-def representation_ff_check(sys: RefinementSystem, variance: str = "both") -> CheckReport:
+def representation_ff_check(sys: RefinementSystem) -> CheckReport:
     """Soundness and completeness of the representations: for every
     judgment (Q1, c, Q2), postcomposition maps the derivation set
     bijectively onto the presheaf derivations rep(Q1) => rep(Q2) over the
@@ -258,10 +259,7 @@ def representation_ff_check(sys: RefinementSystem, variance: str = "both") -> Ch
         f"representation-ff[{sys.name}]",
         "derivations biject with presheaf derivations between representations",
     )
-    directions = {"positive": [False], "negative": [True], "both": [False, True]}[variance]
-    for use_op in directions:
-        s = sys.op() if use_op else sys
-        side = "neg" if use_op else "pos"
+    for s, side in ((sys, "pos"), (sys.op(), "neg")):
         for (Q1, c, Q2) in s.judgments():
             ders = s.derivations_unchecked(Q1, c, Q2)
             phi, psi = pos_rep(s, Q1), pos_rep(s, Q2)
@@ -408,42 +406,13 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
 def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, size_guard: int) -> None:
     D, T = sys.D, sys.T
 
-    # The representation presheaves are representable: at each refinement,
-    # the hom presheaf of the slice at the point (Q, id) has the same
-    # tables as rep(Q) under the evident identification of slice morphisms
-    # into the point with derivations.
+    # The representation presheaves are representable: rep(Q) has the
+    # tables of the hom presheaf of the slice at the point (Q, id), each
+    # slice morphism into the point read as its derivation.
     for Q in range(D.n_objects):
-        phi = pos_rep(sys, Q)
         S = slice_of(sys, sys.shape(Q))
         point = S.obj_index[(Q, T.identity[sys.shape(Q)])]
-        bad = None
-        trans: list[dict[int, int]] = []
-        for i in range(len(S.obj_tags)):
-            homs = S.cat.hom(i, point)
-            if len(homs) != phi.size(i):
-                bad = f"{S.obj_name(i)}: {len(homs)} point morphisms vs {phi.size(i)} derivations"
-                break
-            table = {}
-            pos = phi.position(i)
-            for m in homs:
-                alpha = S.mor_tags[m][0]
-                if alpha not in pos:
-                    bad = f"{S.mor_name(m)} is not a derivation into {D.objects[Q]}"
-                    break
-                table[m] = pos[alpha]
-            if bad is not None or len(set(table.values())) != len(homs):
-                bad = bad or f"point morphisms at {S.obj_name(i)} collapse"
-                break
-            trans.append(table)
-        if bad is None:
-            for f in range(S.cat.n_morphisms):
-                i, j = S.cat.dom(f), S.cat.cod(f)
-                for m in S.cat.hom(j, point):
-                    if trans[i][S.cat.compose(f, m)] != phi.apply(f, trans[j][m]):
-                        bad = f"precomposition with {S.mor_name(f)} disagrees"
-                        break
-                if bad is not None:
-                    break
+        bad = _unlike_representable(S, pos_rep(sys, Q), representable(S.cat, point))
         rep.check(bad is None, f"{side} representability of {D.objects[Q]}: {bad}")
 
     # Comma route: the cod projection is an opfibration, the vertical
@@ -502,6 +471,21 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
             break
     if failed_obj is None and all(T.is_identity(e) for e in range(T.n_morphisms)):
         rep.record_skip(f"{side} comma transport: base has only identities")
+
+
+def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str | None:
+    """Where phi, a presheaf of derivations over S, and the hom presheaf y
+    of a point of S differ, table for table, or None: at every slice point
+    the point morphisms, read as their derivations, are phi's payloads, and
+    on the support every action row agrees."""
+    for i in range(S.cat.n_objects):
+        if tuple(S.mor_tags[m][0] for m in y.payloads[i]) != phi.payloads[i]:
+            return f"point morphisms at {S.obj_name(i)} are not its derivations"
+    for j in phi.support():
+        for f in S.cat.mor_in(j):
+            if y.action[f] != phi.action[f]:
+                return f"precomposition with {S.mor_name(f)} disagrees"
+    return None
 
 
 def factorization_check(sys: RefinementSystem, size_guard: int = 60000) -> CheckReport:
@@ -680,7 +664,7 @@ def m_derivation(mrs: MonoidalRefinementSystem, P: int, Q: int) -> PshDerivation
     D = sys.D
     phiP, phiQ = pos_rep(sys, P), pos_rep(sys, Q)
     F, prod = m_functor(mrs, sys.shape(P), sys.shape(Q))
-    box, _ = tensor_psh(phiP, phiQ, prod)
+    box = tensor_psh(phiP, phiQ, prod)
     target = pos_rep(sys, mrs.mon_ref.tobj(P, Q))
     comps = []
     for x in range(prod.n_objects):
@@ -698,19 +682,24 @@ def m_derivation(mrs: MonoidalRefinementSystem, P: int, Q: int) -> PshDerivation
 
 def _strict_left_residual(mrs: MonoidalRefinementSystem, P: int, R: int):
     """Residual data (XD, plugD, XT, plugT) for P \\ R with the refinement
-    residual lying strictly over the base residual, or None."""
-    t = mrs.sys.t
-    resT = find_left_residual(mrs.mon_base, t.obj(P), t.obj(R))
-    if resT is None:
-        return None
-    resD = find_left_residual(mrs.mon_ref, P, R)
-    if resD is None:
-        return None
-    XD, plugD = resD
-    XT, plugT = resT
-    if t.obj(XD) != XT or t.mor(plugD) != plugT:
-        return None
-    return (XD, plugD, XT, plugT)
+    residual lying strictly over the base residual, or None.  Found once
+    per system."""
+
+    def build():
+        t = mrs.sys.t
+        resT = find_left_residual(mrs.mon_base, t.obj(P), t.obj(R))
+        if resT is None:
+            return None
+        resD = find_left_residual(mrs.mon_ref, P, R)
+        if resD is None:
+            return None
+        XD, plugD = resD
+        XT, plugT = resT
+        if t.obj(XD) != XT or t.mor(plugD) != plugT:
+            return None
+        return (XD, plugD, XT, plugT)
+
+    return mrs.sys.memo(("strict residual", mrs, P, R), build)
 
 
 def _curry_into(
@@ -744,57 +733,6 @@ def _curry_into(
     return FunctorData(name, right, fc.cat, tuple(omap), tuple(mmap))
 
 
-def _comparison_components(
-    mrs: MonoidalRefinementSystem,
-    lhs: Presheaf,
-    carrier,
-    phi: Presheaf,
-    omega: Presheaf,
-    res: Presheaf,
-    fc: FunctorCategory,
-    curryF: FunctorData,
-    plugD: int,
-):
-    """Components of the canonical comparison from lhs into the pullback of
-    the residual presheaf along curryF.
-
-    An element sigma of lhs at i becomes the family sending tau in phi(a)
-    to (tau (x) carrier(sigma)) ; plugD; the family is then located among
-    the stored natural families at the functor curryF(i), an object of the
-    functor category fc that res lives over.  Returns (components, None)
-    or (None, failure message)."""
-    D = mrs.sys.D
-    tmor = mrs.mon_ref.tmor
-    comps = []
-    for i in range(lhs.base.n_objects):
-        Gi = curryF.obj(i)
-        row = []
-        for sigma in lhs.payloads[i]:
-            sig = carrier(sigma)
-            fam = []
-            for a in range(phi.base.n_objects):
-                vals = []
-                for tau in phi.payloads[a]:
-                    der = D.compose(tmor(tau, sig), plugD)
-                    pos = omega.position(fc.functors[Gi].obj(a)).get(der)
-                    if pos is None:
-                        return (
-                            None,
-                            f"canonical image of {D.mor_names[sigma]} misses the residual at {phi.base.objects[a]}",
-                        )
-                    vals.append(pos)
-                fam.append(tuple(vals))
-            k = res.position(Gi).get(tuple(fam))
-            if k is None:
-                return (
-                    None,
-                    f"canonical image of {D.mor_names[sigma]} is not a natural family",
-                )
-            row.append(k)
-        comps.append(tuple(row))
-    return (tuple(comps), None)
-
-
 def genday_check(
     mrs: MonoidalRefinementSystem,
     P: int,
@@ -826,13 +764,14 @@ def genday_check(
         "slice representation strongly preserves tensor and residuals",
     )
     memo = mrs.sys.memo
-    rep.absorb(memo(("genday (a)", mrs, P, Q), lambda: _genday_tensor_clause(mrs, P, Q)))
+    rep.absorb(memo(("genday (a)", mrs, P, Q), lambda: _genday_tensor_clause(mrs, P, Q)), "")
     for label, side, m, X in (("(b)", "left", mrs, P), ("(c)", "right", mrs.reversed(), Q)):
         rep.absorb(
             memo(
                 ("genday", label, m, X, R, size_guard),
                 lambda: _genday_residual_clause(m, label, side, X, R, size_guard),
-            )
+            ),
+            "",
         )
     return rep.done()
 
@@ -860,13 +799,69 @@ def _genday_tensor_clause(mrs: MonoidalRefinementSystem, P: int, Q: int) -> Chec
     return rep.done()
 
 
-def _residual(sys: RefinementSystem, side: str, P: int, R: int, size_guard: int):
-    """`residual_psh(side, rep(P), rep(R), size_guard)` with its functor
-    category, built once per system and guard."""
+def _residual(sys: RefinementSystem, P: int, R: int, size_guard: int):
+    """`residual_psh(rep(P), rep(R), size_guard)` with its functor
+    category, built once per system and guard: the left and the right
+    residual clauses of genday and monoid-lax share it."""
     return sys.memo(
-        ("residual", side, P, R, size_guard),
-        lambda: residual_psh(side, pos_rep(sys, P), pos_rep(sys, R), size_guard),
+        ("residual", P, R, size_guard),
+        lambda: residual_psh(pos_rep(sys, P), pos_rep(sys, R), size_guard),
     )
+
+
+def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD, size_guard):
+    """Compare lhs, over a slice, with the residual of rep(P) and rep(R)
+    pulled back along the currying of F : slice x slice -> slice (a
+    tensor of tags followed by a slice action).
+
+    The residual presheaf comes from the system memo; a size-guard trip
+    raises `SizeGuardExceeded`.  An element sigma of lhs at i becomes the
+    family sending tau in rep(P)(a) to (tau (x) carrier(sigma)) ; plugD,
+    located among the natural families at the functor the currying sends
+    i to.  Returns (theta, iso, None), with theta : lhs => residual over
+    the currying and iso whether theta is a vertical iso onto the pulled
+    residual, or (None, False, why) when an element has no such image."""
+    sys = mrs.sys
+    D, tmor = sys.D, mrs.mon_ref.tmor
+    phi, omega = pos_rep(sys, P), pos_rep(sys, R)
+    res, fc = _residual(sys, P, R, size_guard)
+    prod = F.source
+    curried = _curry_into(
+        fc,
+        prod.left,
+        prod.right,
+        F.target,
+        lambda a, b: F.obj(prod.pair_obj(a, b)),
+        lambda f, g: F.mor(prod.pair_mor(f, g)),
+        "costr",
+    )
+    comps = []
+    for i in range(lhs.base.n_objects):
+        Gi = curried.obj(i)
+        row = []
+        for sigma in lhs.payloads[i]:
+            sig = carrier(sigma)
+            fam = []
+            for a in range(phi.base.n_objects):
+                vals = []
+                for tau in phi.payloads[a]:
+                    der = D.compose(tmor(tau, sig), plugD)
+                    v = omega.position(fc.functors[Gi].obj(a)).get(der)
+                    if v is None:
+                        return (
+                            None,
+                            False,
+                            f"canonical image of {D.mor_names[sigma]} misses the residual at {phi.base.objects[a]}",
+                        )
+                    vals.append(v)
+                fam.append(tuple(vals))
+            k = res.position(Gi).get(tuple(fam))
+            if k is None:
+                return (None, False, f"canonical image of {D.mor_names[sigma]} is not a natural family")
+            row.append(k)
+        comps.append(tuple(row))
+    theta = PshDerivation("costr", lhs, res, curried, tuple(comps))
+    return (theta, is_vertical_iso(theta.components, lhs, pull_psh(curried, res)), None)
 
 
 def _genday_residual_clause(mrs, label, side, P, R, size_guard) -> CheckReport:
@@ -881,42 +876,23 @@ def _genday_residual_clause(mrs, label, side, P, R, size_guard) -> CheckReport:
         return rep.done()
     XD, plugD, XT, plugT = resdata
     lhs = pos_rep(sys, XD)
-    phi = pos_rep(sys, P)
-    omega = pos_rep(sys, R)
-    SX = slice_of(sys, XT)
-
-    Fm, prod = m_functor(mrs, sys.shape(P), XT)
+    Fm, _ = m_functor(mrs, sys.shape(P), XT)
     plugged = compose_functors(Fm, slice_action(sys, plugT))
-
     try:
-        res, fc = _residual(sys, "left", P, R, size_guard)
+        theta, iso, why = _pulled_residual(mrs, P, R, lhs, lambda s: s, plugged, plugD, size_guard)
     except SizeGuardExceeded as exc:
         rep.record_skip(f"{label} residual presheaf skipped: {exc}")
         return rep.done()
-    curryF = _curry_into(
-        fc,
-        prod.left,
-        prod.right,
-        plugged.target,
-        lambda a, b: plugged.obj(prod.pair_obj(a, b)),
-        lambda f, g: plugged.mor(prod.pair_mor(f, g)),
-        f"costr{label}",
-    )
-    comps, why = _comparison_components(
-        mrs, lhs, lambda s: s, phi, omega, res, fc, curryF, plugD
-    )
-    if comps is None:
+    if theta is None:
         rep.record_fail(f"{label} {why}")
         return rep.done()
-    pulled = pull_psh(curryF, res)
     rep.check(
-        is_vertical_iso(comps, lhs, pulled),
+        iso,
         f"{label} rep({nm[XD]}) is not the pulled residual of rep({nm[P]}), rep({nm[R]})",
     )
-    theta = PshDerivation(f"costr{label}", lhs, res, curryF, comps)
     vrep = validate_psh_derivation(theta)
     rep.check(vrep.ok, f"{label} comparison derivation invalid:\n{vrep}")
-    domains = [representable(SX.cat, o) for o in range(SX.cat.n_objects)]
+    domains = [representable(lhs.base, o) for o in range(lhs.base.n_objects)]
     domains.append(lhs)
     ok, why = cartesian_factoring_check(theta, domains)
     rep.check(ok, f"{label} comparison is not cartesian: {why}")
@@ -1020,7 +996,7 @@ def monoid_lax_check(
 
     # The right residuals are the left ones of the reversed tensors.
     for side, m in (("left", mrs), ("right", mrs.reversed())):
-        Fm, prod = m_functor(m, mo.W, mo.W)
+        Fm, _ = m_functor(m, mo.W, mo.W)
         Fday = compose_functors(Fm, slice_action(sys, mo.p))
         for P in fib:
             for R in fib:
@@ -1030,42 +1006,21 @@ def monoid_lax_check(
                         f"{side} residual hypotheses unmet for ({nm[P]}, {nm[R]})"
                     )
                     continue
-                XD, plugD, _XT, _plugT = _strict_left_residual(m, P, R)
+                plugD = _strict_left_residual(m, P, R)[1]
                 lhs = pos_rep(sys, cert.result)
-                phi = pos_rep(sys, P)
-                omega = pos_rep(sys, R)
+                ell = cert.structural
                 try:
-                    res, fc = _residual(sys, side, P, R, size_guard)
+                    theta, iso, why = _pulled_residual(
+                        m, P, R, lhs, lambda s, _e=ell: D.compose(s, _e), Fday, plugD, size_guard
+                    )
                 except SizeGuardExceeded as exc:
                     rep.record_skip(f"{side} residual presheaf skipped: {exc}")
                     continue
-                curryW = _curry_into(
-                    fc,
-                    prod.left,
-                    prod.right,
-                    Fday.target,
-                    lambda a, b: Fday.obj(prod.pair_obj(a, b)),
-                    lambda f, g: Fday.mor(prod.pair_mor(f, g)),
-                    f"day-curry-{side}",
-                )
-                ell = cert.structural
-                comps, why = _comparison_components(
-                    m,
-                    lhs,
-                    lambda s, _e=ell, _D=D: _D.compose(s, _e),
-                    phi,
-                    omega,
-                    res,
-                    fc,
-                    curryW,
-                    plugD,
-                )
-                if comps is None:
+                if theta is None:
                     rep.record_fail(f"{side} residual at ({nm[P]}, {nm[R]}): {why}")
                     continue
-                pulled = pull_psh(curryW, res)
                 rep.check(
-                    is_vertical_iso(comps, lhs, pulled),
+                    iso,
                     f"rep of {side} fiber residual at ({nm[P]}, {nm[R]}) is not the presheaf fiber residual",
                 )
     return rep.done()

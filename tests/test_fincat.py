@@ -212,6 +212,15 @@ def test_compose_functors_and_identity():
         compose_functors(F, F)  # endpoints do not line up
 
 
+def test_compose_functors_needs_the_very_category_between():
+    # Two chains with the same name and shape are still two categories: a
+    # functor into one does not compose with a functor out of the other.
+    c, copy = chain_category(3), chain_category(3)
+    assert c.name == copy.name
+    with pytest.raises(StructuralError, match="do not meet"):
+        compose_functors(identity_functor(c), identity_functor(copy))
+
+
 def test_nat_trans_validation():
     a = walking_arrow()
     c = chain_category(3)

@@ -241,9 +241,8 @@ def test_residual_over_a_point_is_a_function_space():
     point, base = unit_psh()
     phi = Presheaf("two", base, (("a", "b"),), ((0, 1),))
     omega = Presheaf("three", base, (("x", "y", "z"),), ((0, 1, 2),))
-    for side in ("left", "right"):
-        res, _ = residual_psh(side, phi, omega)
-        assert res.total_elements() == 3 ** 2
+    res, _ = residual_psh(phi, omega)
+    assert res.total_elements() == 3 ** 2
 
 
 def test_residual_size_guard():
@@ -252,7 +251,7 @@ def test_residual_size_guard():
     phi = representable(small, 1)
     omega = representable(big, 2)
     with pytest.raises(SizeGuardExceeded):
-        residual_psh("left", phi, omega, size_guard=2)
+        residual_psh(phi, omega, size_guard=2)
 
 
 @given(

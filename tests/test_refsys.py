@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.refsys as refsys_mod
-from refcat.fincat import StructuralError, identity_functor
+from refcat.fincat import NatTransData, StructuralError, compose_functors, identity_functor
 from refcat.fixtures import (
     collapse_lattice_fixture,
     random_refsys,
 )
 from refcat.refsys import (
     MonoidalStructure,
+    RefSysAdjunction,
     RefSysMorphism,
+    adjunction_check,
     find_left_residual,
     find_pullback,
     find_pushforward,
@@ -159,6 +161,40 @@ def test_identity_morphism_is_fully_faithful(hoare):
     )
     rep = fully_faithful_check(m)
     assert rep.ok and rep.failed == 0
+
+
+def identity_adjunction(s, unit, counit):
+    """id -| id on s, with the given refined unit and counit tables and
+    identity base components."""
+    idD, idT = identity_functor(s.D), identity_functor(s.T)
+    m = RefSysMorphism("id", s, s, idD, idT)
+    return RefSysAdjunction(
+        "id",
+        m,
+        m,
+        NatTransData("eta", idD, compose_functors(idD, idD), unit),
+        NatTransData("eps", compose_functors(idD, idD), idD, counit),
+        NatTransData("eta0", idT, compose_functors(idT, idT), tuple(s.T.identity)),
+        NatTransData("eps0", compose_functors(idT, idT), idT, tuple(s.T.identity)),
+    )
+
+
+def test_both_halves_of_the_adjunction_check_can_fail(hoare):
+    # The counit lines are the unit lines of adj.op(); a bad component on
+    # either side breaks its naturality, both refined triangles at {} and
+    # its projection, and the failure names the component as written.
+    D = hoare.D
+    ids = tuple(D.identity)
+    rep = adjunction_check(identity_adjunction(hoare, ids, ids))
+    assert (rep.attempted, rep.passed) == (24, 24)
+    bad = D.mor_names.index("set0:{}>{}")
+    broken = tuple(bad if P == D.dom(bad) else ids[P] for P in range(D.n_objects))
+    for name, unit, counit in (("eps", ids, broken), ("eta", broken, ids)):
+        rep = adjunction_check(identity_adjunction(hoare, unit, counit))
+        assert (rep.attempted, rep.failed) == (24, 4), name
+        assert rep.counterexample.startswith(
+            f"{name}: naturality: square at swap:{{}}>{{}} does not commute"
+        )
 
 
 def test_monoidal_validation_on_the_lattice_fixture(collapse):
