@@ -400,11 +400,14 @@ def dual_left(
         f"dualL({phi.name})",
         Cs.cat,
         tuple(
-            tuple(f"s{j}.{k}" for k in range(len(fams_at[j])))
-            for j in range(Cs.cat.n_objects)
+            tuple(f"s{j}.{k}" for k in range(len(fams))) if fams else ()
+            for j, fams in enumerate(fams_at)
         ),
         row,
-        tuple(tuple(_on_objects(fam, support, n) for fam in fams) for fams in fams_at),
+        tuple(
+            tuple(_on_objects(fam, support, n) for fam in fams) if fams else ()
+            for fams in fams_at
+        ),
     )
     if cross_check:
         _dual_cross_check(sys, B, phi, out, "left", size_guard)

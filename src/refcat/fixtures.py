@@ -486,6 +486,20 @@ def fin_skeleton(K: int) -> FinCategory:
     return FinCategory(f"Fin<={K}", objects, tuple(mors), identity, comp)
 
 
+def _rule_choice(by_type, delta, gamma, u) -> list[list[int]] | None:
+    """The rules at each position j of gamma for the formulas of delta that
+    u sends to j, or None as soon as one position has no rule: then no
+    family of rules exists, and the later positions are not looked at."""
+    choice = []
+    for j, tgt in enumerate(gamma):
+        src = tuple(sorted(delta[i] for i in range(len(delta)) if u[i] == j))
+        rules = by_type.get((src, tgt))
+        if rules is None:
+            return None
+        choice.append(rules)
+    return choice
+
+
 def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSystem:
     """Contexts of at most K formulas over the finite-set skeleton.
 
@@ -533,10 +547,9 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
     for di, delta in enumerate(contexts):
         for gi, gamma in enumerate(contexts):
             for u in itertools.product(range(len(gamma)), repeat=len(delta)):
-                choice = []
-                for j, tgt in enumerate(gamma):
-                    src = tuple(sorted(delta[i] for i in range(len(delta)) if u[i] == j))
-                    choice.append(by_type.get((src, tgt), []))
+                choice = _rule_choice(by_type, delta, gamma, u)
+                if choice is None:
+                    continue
                 for fam in itertools.product(*choice):
                     tag = (di, gi, u, fam)
                     mindex[tag] = len(mors)

@@ -93,9 +93,12 @@ class Presheaf:
         return sum(len(e) for e in self.elements)
 
     def support(self) -> tuple[int, ...]:
-        """The objects with a nonempty element set, in index order."""
+        """The objects with a nonempty element set, in index order.  With
+        payloads (one per element) it is read from them, so element names
+        that are filled on first read are built only on the support."""
         if self._support is None:
-            self._support = tuple(a for a, e in enumerate(self.elements) if e)
+            sets = self.elements if self.payloads is None else self.payloads
+            self._support = tuple(a for a, e in enumerate(sets) if e)
         return self._support
 
     def position(self, a: int) -> dict[object, int]:
@@ -434,9 +437,9 @@ def _families_on_support(
     search reaches it, never listed up front.  Families come back as one
     component per step, in candidate order."""
     n = len(sizes)
-    if any(m == 0 for m in targets):
+    if 0 in targets:
         return []
-    if all(m == 1 for m in sizes) and all(m == 1 for m in targets):
+    if sizes.count(1) == n and targets.count(1) == n:
         return [((0,),) * n]
     checks = [[(k, k2, prow, row(u)) for (u, k, k2, prow) in cl] for cl in closing()]
     return list(
@@ -580,14 +583,14 @@ def vertical_iso_psh(
     )
     if res is None:
         return None
-    fwd = _on_objects(res, support, A.n_objects)
     inv = []
-    for a in range(A.n_objects):
-        row = [0] * len(fwd[a])
-        for x, y in enumerate(fwd[a]):
+    for comp in res:
+        row = [0] * len(comp)
+        for x, y in enumerate(comp):
             row[y] = x
         inv.append(tuple(row))
-    return (fwd, tuple(inv))
+    n = A.n_objects
+    return (_on_objects(res, support, n), _on_objects(inv, support, n))
 
 
 def _same_sizes(phi: Presheaf, psi: Presheaf) -> bool:

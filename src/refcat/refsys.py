@@ -199,38 +199,55 @@ def _is_cartesian(sys: RefinementSystem, c: int, Q: int, P0: int, ell: int) -> b
     """Does ell : P0 -> Q over c satisfy the universal property of a
     cartesian lift?  Checked as: for every (P, d) with d : t(P) -> dom c,
     postcomposition with ell is a bijection
-    derivations(P, d, P0) -> derivations(P, d;c, Q)."""
+    derivations(P, d, P0) -> derivations(P, d;c, Q).  Only the (P, d)
+    where one of the two sets is nonempty are visited (`_lift_points`);
+    at every other point both are empty and the bijection is vacuous."""
     return _cartesian_tests(sys, c, Q, P0, ell) is not None
+
+
+def _lift_points(sys: RefinementSystem, c: int, Q: int, P0: int) -> list[tuple[int, int]]:
+    """The (P, d) with a derivation (P, d, P0) or a derivation
+    (P, d;c, Q), in sorted order, found by walking the derivations into
+    P0 and into Q."""
+    D, T, t = sys.D, sys.T, sys.t
+    A = T.dom(c)
+    points = {(D.dom(sigma), t.mor(sigma)) for sigma in D.mor_in(P0)}
+    over: dict[int, set[int]] = {}
+    for beta in D.mor_in(Q):
+        over.setdefault(D.dom(beta), set()).add(t.mor(beta))
+    for P, es in over.items():
+        for d in T.hom(sys.shape(P), A):
+            if T.compose(d, c) in es:
+                points.add((P, d))
+    return sorted(points)
 
 
 def _cartesian_tests(
     sys: RefinementSystem, c: int, Q: int, P0: int, ell: int
 ) -> int | None:
+    """The number of derivations (P, d;c, Q) that factor through ell, if
+    every one factors uniquely (ell is cartesian), else None."""
     # With (P0, c, Q) a judgment, so is every (P, d;c, Q) and (P, d, P0)
     # below: d runs over the hom-set into dom c.
     if not sys.valid_judgment(P0, c, Q):
         raise sys._not_a_judgment(P0, c, Q)
     T = sys.T
-    A = T.dom(c)
     ders = sys.derivations_unchecked
     tests = 0
-    for P in range(sys.D.n_objects):
-        X = sys.shape(P)
-        for d in T.hom(X, A):
-            dc = T.compose(d, c)
-            betas = ders(P, dc, Q)
-            sigmas = ders(P, d, P0)
-            if len(sigmas) != len(betas):
-                return None
-            hit = set()
-            for sigma in sigmas:
-                composite = sys.D.compose(sigma, ell)
-                if composite in hit:
-                    return None  # not injective
-                hit.add(composite)
-            if hit != set(betas):
-                return None  # not surjective
-            tests += len(betas)
+    for P, d in _lift_points(sys, c, Q, P0):
+        betas = ders(P, T.compose(d, c), Q)
+        sigmas = ders(P, d, P0)
+        if len(sigmas) != len(betas):
+            return None
+        hit = set()
+        for sigma in sigmas:
+            composite = sys.D.compose(sigma, ell)
+            if composite in hit:
+                return None  # not injective
+            hit.add(composite)
+        if hit != set(betas):
+            return None  # not surjective
+        tests += len(betas)
     return tests
 
 
@@ -553,7 +570,8 @@ def _left_half(adj: RefSysAdjunction, side: str, unit: str):
     unit eta, as groups of (ok, failure text): F is a valid morphism, eta
     is natural at the refined and at the base level, the triangle
     F[eta] ; eps F = id holds at both levels, and t(eta_P) = eta_{t P}.
-    `side` and `unit` name the triangle and the unit in the texts."""
+    `side` and `unit` name the triangle and the unit in the texts.  A
+    triangle whose two legs do not compose (a bad component) fails."""
     s, e = adj.s, adj.e
     sub = adj.left.validate()
     yield [(sub.ok, "\n".join(str(v) for v in sub.violations) or "morphism invalid")]
@@ -566,8 +584,9 @@ def _left_half(adj: RefSysAdjunction, side: str, unit: str):
     ):
         yield [
             (
-                Y.compose(F.mor(eta.components[P]), eps.components[F.obj(P)])
-                == Y.identity[F.obj(P)],
+                _composes_to(
+                    Y, F.mor(eta.components[P]), eps.components[F.obj(P)], Y.identity[F.obj(P)]
+                ),
                 f"triangle ({side}, {level}) fails at {X.object_name(P)}",
             )
             for P in range(X.n_objects)
@@ -579,6 +598,11 @@ def _left_half(adj: RefSysAdjunction, side: str, unit: str):
         )
         for P in range(s.D.n_objects)
     ]
+
+
+def _composes_to(C: FinCategory, f: int, g: int, h: int) -> bool:
+    """Do f and g compose in C, to h?"""
+    return C.cod(f) == C.dom(g) and C.compose(f, g) == h
 
 
 def rapp_check(adj: RefSysAdjunction) -> CheckReport:

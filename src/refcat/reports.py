@@ -27,6 +27,13 @@ class CheckReport:
     notes: list[str] = field(default_factory=list)
     wall_time: float = 0.0
     _t0: float = field(default_factory=time.perf_counter, repr=False)
+    # The texts of the two lists as sets, so a repeat is found without a scan.
+    _skip_seen: set[str] = field(init=False, repr=False, compare=False)
+    _notes_seen: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._skip_seen = set(self.skip_reasons)
+        self._notes_seen = set(self.notes)
 
     @property
     def ok(self) -> bool:
@@ -45,12 +52,17 @@ class CheckReport:
     def record_skip(self, reason: str) -> None:
         self.attempted += 1
         self.skipped += 1
-        if reason not in self.skip_reasons:
+        self._add_skip_reason(reason)
+
+    def _add_skip_reason(self, reason: str) -> None:
+        if reason not in self._skip_seen:
+            self._skip_seen.add(reason)
             self.skip_reasons.append(reason)
 
     def note(self, text: str) -> None:
         """Record an observed fact that is reported but not asserted."""
-        if text not in self.notes:
+        if text not in self._notes_seen:
+            self._notes_seen.add(text)
             self.notes.append(text)
 
     def check(self, condition: bool, counterexample: str) -> bool:
@@ -71,8 +83,7 @@ class CheckReport:
         if self.counterexample is None and other.counterexample is not None:
             self.counterexample = prefix + other.counterexample
         for reason in other.skip_reasons:
-            if reason not in self.skip_reasons:
-                self.skip_reasons.append(reason)
+            self._add_skip_reason(reason)
         for text in other.notes:
             self.note(prefix + text)
 

@@ -28,6 +28,7 @@ copies.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,9 +46,10 @@ from .fincat import (
 from .psh import (
     Presheaf,
     PshDerivation,
+    _closing,
+    _families_on_support,
     cartesian_factoring_check,
     is_vertical_iso,
-    natural_families,
     opcartesian_factoring_check,
     push_psh_full,
     push_transpose,
@@ -254,35 +256,76 @@ def representation_ff_check(sys: RefinementSystem) -> CheckReport:
     """Soundness and completeness of the representations: for every
     judgment (Q1, c, Q2), postcomposition maps the derivation set
     bijectively onto the presheaf derivations rep(Q1) => rep(Q2) over the
-    slice functor of c (dually for the negative side)."""
+    slice functor of c (dually for the negative side).  The families of
+    every judgment are enumerated exhaustively by `_judgment_families`,
+    which sweeps the judgments once per source refinement; a judgment
+    with no derivation passes exactly when it has no family."""
     rep = CheckReport(
         f"representation-ff[{sys.name}]",
         "derivations biject with presheaf derivations between representations",
     )
     for s, side in ((sys, "pos"), (sys.op(), "neg")):
-        for (Q1, c, Q2) in s.judgments():
+        for (Q1, c, Q2), support, fams in _judgment_families(s):
             ders = s.derivations_unchecked(Q1, c, Q2)
-            phi, psi = pos_rep(s, Q1), pos_rep(s, Q2)
-            F = slice_action(s, c)
-            fams = natural_families(phi, psi, F)
-            fam_set = set(fams)
-            images = set()
-            bad = None
-            for sigma in ders:
-                key = pos_rep_derivation(s, sigma).components
-                if key not in fam_set:
-                    bad = f"image of {s.D.mor_names[sigma]} is not a natural family"
-                    break
-                images.add(key)
-            if bad is None and len(images) != len(ders):
-                bad = "postcomposition is not injective"
-            if bad is None and len(fams) != len(ders):
-                bad = f"{len(ders)} derivations but {len(fams)} natural families"
-            rep.check(
-                bad is None,
-                f"{side} {s.judgment_name(Q1, c, Q2)}: {bad}",
-            )
+            bad = _ff_failure(s, ders, support, fams) if ders or fams else None
+            if bad is None:
+                rep.record_pass()
+            else:
+                rep.record_fail(f"{side} {s.judgment_name(Q1, c, Q2)}: {bad}")
     return rep.done()
+
+
+def _judgment_families(sys: RefinementSystem):
+    """For every judgment (Q1, c, Q2), in `sys.judgments()` order: the
+    judgment, the support of rep(Q1), and the natural families
+    rep(Q1) => pull_c rep(Q2) as `_families_on_support` returns them, one
+    component per support point.  The support, its element counts and
+    the naturality constraints (built on first need) are taken once per
+    Q1, the element counts of rep(Q2) once per Q2, and the targets of a
+    judgment are read through the object map of the slice action of c."""
+    D, T = sys.D, sys.T
+    reps = [pos_rep(sys, Q) for Q in range(D.n_objects)]
+    counts = [tuple(map(len, r.elements)) for r in reps]
+    actions: dict[int, FunctorData] = {}
+    for Q1, phi in enumerate(reps):
+        support = phi.support()
+        sizes = [phi.size(a) for a in support]
+        closing = functools.cache(functools.partial(_closing, phi, support))
+        A = sys.shape(Q1)
+        for Q2, psi in enumerate(reps):
+            at = counts[Q2]
+            for c in T.hom(A, sys.shape(Q2)):
+                F = actions.get(c)
+                if F is None:
+                    F = actions[c] = slice_action(sys, c)
+                omap = F.object_map
+                fams = _families_on_support(
+                    sizes,
+                    [at[omap[a]] for a in support],
+                    closing,
+                    lambda u, psi=psi, F=F: psi.action[F.mor(u)],
+                )
+                yield (Q1, c, Q2), support, fams
+
+
+def _ff_failure(
+    sys: RefinementSystem, ders: tuple[int, ...], support: tuple[int, ...], fams: list
+) -> str | None:
+    """Why postcomposition does not biject the derivations `ders` onto the
+    support-indexed families `fams`, or None if it does."""
+    fam_set = set(fams)
+    images = set()
+    for sigma in ders:
+        comps = pos_rep_derivation(sys, sigma).components
+        key = tuple(comps[a] for a in support)
+        if key not in fam_set:
+            return f"image of {sys.D.mor_names[sigma]} is not a natural family"
+        images.add(key)
+    if len(images) != len(ders):
+        return "postcomposition is not injective"
+    if len(fams) != len(ders):
+        return f"{len(ders)} derivations but {len(fams)} natural families"
+    return None
 
 
 # ---------------------------------------------------------------------------

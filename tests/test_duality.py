@@ -322,6 +322,37 @@ def test_corrupted_derivation_action_is_detected():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_hoare(default_hoare_spec()),
+        lambda: build_linctx(default_linear_spec(), TruncationParams()),
+    ],
+    ids=["hoare", "linctx"],
+)
+def test_a_derivation_off_the_section_support_turns_duality_red(build):
+    # The section cut(-, (Q, id)) is read at every slice point: a
+    # derivation claimed for one judgment (P, c, Q) off the support of
+    # rep(Q) must show up as a failed section, though no dual reads it.
+    sys = build()
+    T = sys.T
+    Q, i = next(
+        (Q, i)
+        for Q in range(sys.D.n_objects)
+        for i in range(slice_of(sys, sys.shape(Q)).cat.n_objects)
+        if i not in pos_rep(sys, Q).support()
+    )
+    B = sys.shape(Q)
+    P, c = slice_of(sys, B).obj_tags[i]
+    assert sys.derivations(P, T.compose(c, T.identity[B]), Q) == ()
+    real = sys.derivations_unchecked
+    sys.derivations_unchecked = lambda *j: (sys.D.identity[P],) if j == (P, c, Q) else real(*j)
+    rep = duality_check(sys, Q)
+    assert (rep.attempted, rep.failed) == (4, 1)
+    assert rep.counterexample.startswith(f"rep({sys.D.objects[Q]}) is not the derivation presheaf")
+    assert all(not note.startswith("positive section") for note in rep.notes)
+
+
+@pytest.mark.parametrize(
     "corrupt, message",
     [
         (lambda row: row + (0,), "has wrong arity"),

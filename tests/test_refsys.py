@@ -1,14 +1,22 @@
 """Refinement systems: judgments, lifts against independent oracles, laws."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.refsys as refsys_mod
-from refcat.fincat import NatTransData, StructuralError, compose_functors, identity_functor
+from refcat.fincat import (
+    FunctorData,
+    NatTransData,
+    StructuralError,
+    compose_functors,
+    identity_functor,
+)
 from refcat.fixtures import (
     collapse_lattice_fixture,
+    galois_fixture,
     random_refsys,
 )
 from refcat.refsys import (
@@ -195,6 +203,96 @@ def test_both_halves_of_the_adjunction_check_can_fail(hoare):
         assert rep.counterexample.startswith(
             f"{name}: naturality: square at swap:{{}}>{{}} does not commute"
         )
+
+
+def galois_copies(adj):
+    """The adjunction with one unit or counit component, or one refined
+    morphism image of F or G, replaced by each morphism of its category,
+    the original one included: (changed?, copy) pairs."""
+    for name in ("unit_ref", "counit_ref", "unit_base", "counit_base"):
+        nt = getattr(adj, name)
+        for a, old in enumerate(nt.components):
+            for m in range(nt.target_functor.target.n_morphisms):
+                comps = nt.components[:a] + (m,) + nt.components[a + 1 :]
+                yield m != old, dataclasses.replace(
+                    adj, **{name: dataclasses.replace(nt, components=comps)}
+                )
+    for side in ("left", "right"):
+        mor = getattr(adj, side)
+        F = mor.on_ref
+        for f, old in enumerate(F.morphism_map):
+            for m in range(F.target.n_morphisms):
+                images = F.morphism_map[:f] + (m,) + F.morphism_map[f + 1 :]
+                G = FunctorData(F.name, F.source, F.target, F.object_map, images)
+                yield m != old, dataclasses.replace(
+                    adj, **{side: dataclasses.replace(mor, on_ref=G)}
+                )
+
+
+def test_adjunction_check_reports_triangles_that_do_not_compose():
+    # On these posets every hom-set has at most one morphism, so each
+    # changed copy breaks a component or a functor and must fail; in 57 of
+    # them a triangle's two legs do not even compose, which is a failed
+    # triangle, not an error.
+    copies = list(galois_copies(galois_fixture()))
+    assert len(copies) == 120 and sum(changed for changed, _ in copies) == 97
+    for changed, adj in copies:
+        rep = adjunction_check(adj)
+        assert rep.attempted == 23
+        assert rep.ok != changed, rep.counterexample
+
+
+def full_sweep_tests(sys, c, Q, P0, ell):
+    """The universal property of ell out of P0 read at every (P, d) with
+    d : t(P) -> dom c: the number of derivations (P, d;c, Q) if
+    postcomposition with ell bijects derivations(P, d, P0) onto them at
+    every point, else None."""
+    D, T = sys.D, sys.T
+    tests = 0
+    for P in range(D.n_objects):
+        for d in T.hom(sys.shape(P), T.dom(c)):
+            betas = sys.derivations(P, T.compose(d, c), Q)
+            images = [D.compose(sigma, ell) for sigma in sys.derivations(P, d, P0)]
+            if len(set(images)) != len(images) or set(images) != set(betas):
+                return None
+            tests += len(betas)
+    return tests
+
+
+def test_lift_certification_agrees_with_a_sweep_over_every_point(
+    hoare, linctx, collapse, ident, galois
+):
+    # Every candidate lift ell of every (c, Q, P0), on both sides; on the
+    # smaller systems every morphism out of P0 stands in for ell as well
+    # (rapp certifies G(ell), which a corrupted G may send anywhere), so
+    # points with derivations into P0 but none into Q are reached too.
+    systems = [(linctx, False)] + [
+        (sys, True)
+        for sys in (
+            hoare,
+            collapse.mrs.sys,
+            ident.mrs.sys,
+            galois.left.source,
+            galois.left.target,
+            *(random_refsys(seed) for seed in range(12)),
+        )
+    ]
+    decided = certified = 0
+    for sys, every_ell in systems:
+        for s in (sys, sys.op()):
+            T = s.T
+            for c in range(T.n_morphisms):
+                for Q in s.fiber(T.cod(c)):
+                    for P0 in s.fiber(T.dom(c)):
+                        ells = s.D.mor_out(P0) if every_ell else s.derivations(P0, c, Q)
+                        for ell in ells:
+                            got = refsys_mod._cartesian_tests(s, c, Q, P0, ell)
+                            assert got == full_sweep_tests(s, c, Q, P0, ell), (
+                                s.name, c, Q, P0, ell,
+                            )
+                            decided += 1
+                            certified += got is not None
+    assert 0 < certified < decided
 
 
 def test_monoidal_validation_on_the_lattice_fixture(collapse):
