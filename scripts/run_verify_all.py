@@ -2,7 +2,8 @@
 """Run every verification suite on every shipped fixture.
 
 Writes the fixture files into a scratch directory, drives the `refcat`
-command line against each, and exits nonzero if any suite reports a
+command line against each, then runs `duality --cross-check` on the
+fixtures in CROSS_CHECK, and exits nonzero if any suite reports a
 failure.  Pass --out DIR to keep the generated files.
 """
 
@@ -27,6 +28,8 @@ FIXTURES = (
     ("galois.e", "fixture galois galois\n", ["--system", "galois.e"]),
     ("random", "fixture random random seed=5\n", []),
 )
+# fixtures whose duals are also recomputed by the residual route
+CROSS_CHECK = ("hoare", "lattice-collapse", "lattice-identity")
 
 
 def run(out_dir: Path) -> int:
@@ -36,6 +39,11 @@ def run(out_dir: Path) -> int:
         path.write_text(body)
         print(f"== {name}")
         rc = refcat(["verify", str(path), "all", *extra])
+        worst = max(worst, rc)
+        print()
+    for name in CROSS_CHECK:
+        print(f"== {name} duality --cross-check")
+        rc = refcat(["verify", str(out_dir / f"{name}.fix"), "duality", "--cross-check"])
         worst = max(worst, rc)
         print()
     return worst

@@ -90,7 +90,7 @@ def _skip_report(name: str, statement: str, reason: str) -> CheckReport:
     return rep.done()
 
 
-def _genday_suite(ws: Workspace, key: str, s: RefinementSystem, size_guard: int) -> list[CheckReport]:
+def _genday_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
     from .represent import genday_check
 
     if key not in ws.monoidal:
@@ -105,7 +105,7 @@ def _genday_suite(ws: Workspace, key: str, s: RefinementSystem, size_guard: int)
     mrs = ws.monoidal[key]
     n = s.D.n_objects
     reports = [
-        genday_check(mrs, P, Q, R, size_guard=size_guard)
+        genday_check(mrs, P, Q, R)
         for P in range(n)
         for Q in range(n)
         for R in range(n)
@@ -235,7 +235,7 @@ SUITES = {
     "ff": lambda ws, key, s, guard, cross: [representation_ff_check(s)],
     "preservation": lambda ws, key, s, guard, cross: [preservation_check(s)],
     "factorization": lambda ws, key, s, guard, cross: [factorization_check(s)],
-    "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s, guard),
+    "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s),
     "duality": lambda ws, key, s, guard, cross: _duality_suite(s, guard, cross),
     "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s),
     "notnot-tensor": lambda ws, key, s, guard, cross: _notnot_suite(ws, key, s),

@@ -27,9 +27,9 @@ somewhere on the support have no families and are never read.  A cut is
 a presheaf like any other, filled on first read and kept in the memo.
 The pairing is a two-argument table on slice and coslice indices; only
 the pairing clause of `dual_adjunction_check` puts it on a product
-category.  The
-functor-category route through the residual presheaf is kept behind an
-optional cross-check flag because it is exponential in general.
+category.  An independent route, the residual of the input and the
+derivation presheaf pulled back along the curried pairing, is kept
+behind an optional cross-check flag; it needs the judgment category.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .psh import (
     _closing,
     _families_on_support,
     _on_objects,
+    curried_residual,
     natural_families,
     pull_psh,
     push_psh,
-    residual_psh,
     tensor_psh,
     vertical_iso_psh,
 )
@@ -64,7 +64,6 @@ from .reports import CheckReport
 from .represent import (
     MonoidObject,
     SliceCategory,
-    _curry_into,
     _derivation_row,
     coslice_action,
     coslice_of,
@@ -352,10 +351,10 @@ def dual_left(
     support, and an action row of the dual is computed, and the moved
     families checked to be natural, when it is first read.
 
-    With cross_check the dual is recomputed by pulling the residual
-    presheaf of derivations back along the curried pairing and compared
-    elementwise; that route materializes a functor category and is the
-    only place the size guard can fire."""
+    With cross_check the dual is recomputed as the residual of phi and
+    the derivation presheaf pulled back along the curried pairing, and
+    compared elementwise; that route builds the judgment category, and
+    its guard is the only place the size guard can fire."""
     D = sys.D
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if phi.base is not S.cat:
@@ -434,18 +433,17 @@ def dual_right(
 
 
 def _dual_cross_check(sys, B, inp, out, side, size_guard):
-    """Recompute a dual through the residual presheaf over the functor
-    category and the curried pairing, and compare elementwise."""
+    """Recompute a dual as the residual of inp and the derivation presheaf
+    pulled back along the curried pairing, and compare elementwise.  It
+    reads full presheaves through `natural_families`, so it does not share
+    the dualizer's route through cut supports."""
     pair = pairing(sys, B, size_guard)
-    S, Cs, J = pair.slice.cat, pair.coslice.cat, pair.jdg.cat
-    res, fc = residual_psh(inp, pair.jdg.der, size_guard)
     if side == "left":
-        curry = _curry_into(fc, S, Cs, J, pair.obj, pair.mor, "lambda-cut")
+        right, obj, mor = pair.coslice.cat, pair.obj, pair.mor
     else:
-        curry = _curry_into(
-            fc, Cs, S, J, lambda j, i: pair.obj(i, j), lambda g, f: pair.mor(f, g), "rho-cut"
-        )
-    crossed = pull_psh(curry, res)
+        right = pair.slice.cat
+        obj, mor = (lambda j, i: pair.obj(i, j)), (lambda g, f: pair.mor(f, g))
+    crossed = curried_residual(inp, pair.jdg.der, right, obj, mor)
     for j in range(out.base.n_objects):
         if crossed.payloads[j] != out.payloads[j]:
             raise StructuralError(

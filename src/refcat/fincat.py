@@ -103,8 +103,8 @@ class FinCategory:
     """A finite category given by explicit tables.
 
     `compose` may be a dict over composable pairs (hand-written tables) or
-    a callable (derived categories: opposites, products, slices, commas,
-    judgment and functor categories).  Either way composition is read from
+    a callable (derived categories: opposites, products, slices, commas
+    and judgment categories).  Either way composition is read from
     one row per morphism f: the composites f;g for g in mor_out(cod f), in
     that order.  A row is filled once, on first use, so a large derived
     table is only ever computed for the morphisms something composes.  A
@@ -301,7 +301,7 @@ class FunctorData:
     made, or a function f |-> image of f, which becomes a `Table`: each
     image is computed when it is first read and its range checked there.
     A tuple is read with no wrapper, which matters where every image is
-    read many times (the functors of a functor category)."""
+    read many times (the tensor-of-tags functors)."""
 
     name: str
     source: FinCategory
@@ -518,111 +518,3 @@ def _backtrack(
         else:
             k += 1
             pending[k] = iter(candidates(k, assigned))
-
-
-def _enumerate_functors(A: FinCategory, C: FinCategory, guard: int) -> list[FunctorData]:
-    """All functors A -> C in lexicographic table order: an image for every
-    object, then one for every non-identity morphism.  Each composable
-    pair is checked at the step that assigns the last of its three images."""
-    estimate = C.n_objects ** A.n_objects if A.n_objects else 1
-    if estimate > guard:
-        raise SizeGuardExceeded(f"functors {A.name} -> {C.name}", estimate, guard)
-    n = A.n_objects
-    non_id = [f for f in range(A.n_morphisms) if not A.is_identity(f)]
-    # An identity is fixed by the image of its object, step dom f.
-    step = [A.dom(f) for f in range(A.n_morphisms)]
-    for k, f in enumerate(non_id):
-        step[f] = n + k
-    closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n + len(non_id))]
-    for f, g in A.composable_pairs():
-        fg = A.compose(f, g)
-        closing[max(step[f], step[g], step[fg])].append((f, g, fg))
-
-    def image(f: int, t) -> int:
-        return t[step[f]] if step[f] >= n else C.id_of(t[step[f]])
-
-    def candidates(k: int, t: list):
-        if k < n:
-            return range(C.n_objects)
-        return C.hom(t[A.dom(non_id[k - n])], t[A.cod(non_id[k - n])])
-
-    def closes(k: int, t: list) -> bool:
-        return all(
-            image(fg, t) == C.compose(image(f, t), image(g, t)) for f, g, fg in closing[k]
-        )
-
-    found: list[FunctorData] = []
-    for t in _backtrack(len(closing), candidates, closes):
-        mor_map = tuple(image(f, t) for f in range(A.n_morphisms))
-        found.append(FunctorData(f"F{len(found)}", A, C, t[:n], mor_map))
-        if len(found) > guard:
-            raise SizeGuardExceeded(f"functors {A.name} -> {C.name}", len(found), guard)
-    return found
-
-
-@dataclass(eq=False)
-class FunctorCategory:
-    """The category [A, C] together with decoders for its objects and morphisms."""
-
-    cat: FinCategory
-    functors: list[FunctorData]
-    # morphism index -> (source functor index, target functor index, components)
-    nat_tags: list[tuple[int, int, tuple[int, ...]]]
-    functor_index: dict[tuple[tuple[int, ...], tuple[int, ...]], int]
-    nat_index: dict[tuple[int, int, tuple[int, ...]], int]
-
-    def find_functor(self, F: FunctorData) -> int:
-        key = (F.object_map, F.morphism_map)
-        if key not in self.functor_index:
-            raise StructuralError(f"functor {F.name} is not an object of {self.cat.name}")
-        return self.functor_index[key]
-
-    def find_nat(self, src: int, tgt: int, components: tuple[int, ...]) -> int:
-        key = (src, tgt, components)
-        if key not in self.nat_index:
-            raise StructuralError(f"no such natural transformation in {self.cat.name}")
-        return self.nat_index[key]
-
-
-def functor_category(A: FinCategory, C: FinCategory, size_guard: int = 10000) -> FunctorCategory:
-    """Materialize [A, C]: objects are functors, morphisms natural
-    transformations.  Listing either stops at the first one past the
-    guard, reporting the count reached."""
-    functors = _enumerate_functors(A, C, size_guard)
-    objects = [f"F{i}" for i in range(len(functors))]
-    morphisms: list[tuple[str, int, int]] = []
-    nat_tags: list[tuple[int, int, tuple[int, ...]]] = []
-    identity: list[int] = [-1] * len(functors)
-    # Components are chosen object by object; the naturality square of
-    # f : x -> y closes at object max(x, y).
-    squares: list[list[int]] = [[] for _ in range(A.n_objects)]
-    for f in range(A.n_morphisms):
-        squares[max(A.dom(f), A.cod(f))].append(f)
-    for i, F in enumerate(functors):
-        for j, G in enumerate(functors):
-            natural = lambda a, t, F=F, G=G: all(
-                C.compose(F.mor(f), t[A.cod(f)]) == C.compose(t[A.dom(f)], G.mor(f))
-                for f in squares[a]
-            )
-            hom = lambda a, _t, F=F, G=G: C.hom(F.obj(a), G.obj(a))
-            for comps in _backtrack(A.n_objects, hom, natural):
-                idx = len(morphisms)
-                morphisms.append((f"n{idx}", i, j))
-                if len(morphisms) > size_guard:
-                    raise SizeGuardExceeded(
-                        f"natural transformations {A.name} -> {C.name}", len(morphisms), size_guard
-                    )
-                nat_tags.append((i, j, comps))
-                if i == j and comps == tuple(C.id_of(F.obj(a)) for a in range(A.n_objects)):
-                    identity[i] = idx
-    nat_index = {tag: k for k, tag in enumerate(nat_tags)}
-
-    def compose(m1: int, m2: int) -> int:
-        i, j, c1 = nat_tags[m1]
-        j2, k, c2 = nat_tags[m2]
-        comps = tuple(C.compose(c1[a], c2[a]) for a in range(A.n_objects))
-        return nat_index[(i, k, comps)]
-
-    cat = FinCategory(f"[{A.name},{C.name}]", objects, morphisms, identity, compose)
-    functor_index = {(F.object_map, F.morphism_map): i for i, F in enumerate(functors)}
-    return FunctorCategory(cat, functors, nat_tags, functor_index, nat_index)

@@ -5,7 +5,7 @@ function *backwards* along every morphism.  Pullback along a functor is
 precomposition; pushforward is a pointwise colimit computed by saturating
 the zig-zag relation with a union-find.  The natural-family enumerator at
 the bottom is shared by every higher construction in the package
-(derivation bijections, residuals, dualizers).
+(derivation bijections, curried residuals, dualizers).
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from typing import Callable, Iterable, Sequence
 from .fincat import (
     FinCategory,
     FunctorData,
-    FunctorCategory,
     ProductCategory,
     StructuralError,
     Table,
     ValidationReport,
     _backtrack,
-    functor_category,
 )
 
 
@@ -615,36 +613,56 @@ def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi:
     return validate_psh_derivation(d).ok
 
 
-def residual_psh(
+def curried_residual(
     phi: Presheaf,
     omega: Presheaf,
-    size_guard: int = 10000,
-) -> tuple[Presheaf, FunctorCategory]:
-    """The closed-structure residual: over [A, C], a functor F is sent to the
-    set of natural families phi(a) -> omega(F a).  The left and the right
-    residual share this pointwise formula; they differ only in the
-    currying a caller pulls it back along."""
-    fc = functor_category(phi.base, omega.base, size_guard)
-    elements: list[tuple[str, ...]] = []
-    family_index: list[dict[tuple[tuple[int, ...], ...], int]] = []
-    payloads: list[tuple[object, ...]] = []
-    for i, F in enumerate(fc.functors):
-        fams = natural_families(phi, omega, F)
-        elements.append(tuple(f"t{i}.{k}" for k in range(len(fams))))
-        family_index.append({fam: k for k, fam in enumerate(fams)})
-        payloads.append(tuple(fams))
-    action: list[tuple[int, ...]] = []
-    for m in range(fc.cat.n_morphisms):
-        i, j, comps = fc.nat_tags[m]
-        row = []
-        for fam in payloads[j]:
-            moved = tuple(
-                tuple(omega.apply(comps[a], v) for v in fam[a])
-                for a in range(phi.base.n_objects)
-            )
-            row.append(family_index[i][moved])
-        action.append(tuple(row))
-    return (
-        Presheaf(f"res({phi.name},{omega.name})", fc.cat, tuple(elements), tuple(action), tuple(payloads)),
-        fc,
+    right: FinCategory,
+    obj: Callable[[int, int], int],
+    mor: Callable[[int, int], int],
+) -> Presheaf:
+    """The closed-structure residual of phi and omega pulled back along a
+    currying, over `right`.  The currying of a two-argument table
+    (obj(a, b), mor(f, g)), a in phi's base, sends b to the functor
+    G_b : a |-> obj(a, b), f |-> mor(f, id_b) into omega's base, and
+    g : b -> b2 to the components a |-> mor(id_a, g).  The elements at b
+    are the natural families phi(a) -> omega(G_b a); g moves a family at
+    b2 by postcomposing each component with omega's action, and a row is
+    computed, and the moved families checked to be natural, when it is
+    first read.  Only the functors and natural transformations the
+    currying reaches are visited: the residual over the whole functor
+    category is never listed.  The left and the right residual differ
+    only in the currying."""
+    A, C = phi.base, omega.base
+    payloads = []
+    for b in range(right.n_objects):
+        G = FunctorData(
+            f"curry@{right.objects[b]}",
+            A,
+            C,
+            tuple(obj(a, b) for a in range(A.n_objects)),
+            lambda f, _id=right.id_of(b): mor(f, _id),
+        )
+        payloads.append(tuple(natural_families(phi, omega, G)))
+
+    def row(g: int) -> tuple[int, ...]:
+        comps = [mor(A.id_of(a), g) for a in range(A.n_objects)]
+        at = res.position(right.dom(g))
+        out = []
+        for fam in payloads[right.cod(g)]:
+            moved = tuple(tuple(omega.apply(c, v) for v in comp) for c, comp in zip(comps, fam))
+            k = at.get(moved)
+            if k is None:
+                raise StructuralError(
+                    f"curried_residual: moved family not natural along {right.mor_names[g]}"
+                )
+            out.append(k)
+        return tuple(out)
+
+    res = Presheaf(
+        f"res({phi.name},{omega.name})",
+        right,
+        tuple(tuple(f"t{b}.{k}" for k in range(len(fams))) for b, fams in enumerate(payloads)),
+        row,
+        tuple(payloads),
     )
+    return res

@@ -59,12 +59,12 @@ class RefinementSystem:
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
         Slices, representations, judgment categories, cuts, lift searches,
-        strict residuals, residual presheaves with their functor
-        categories and genday clause outcomes are built once per system
-        through here; presheaf pullback needs identical base categories.
-        A build that raises (a size guard) stores nothing, so the next
-        request builds again.  A guarded entry keys its guard, or its
-        reader compares the stored size with each caller's guard."""
+        strict residuals and genday clause outcomes are built once per
+        system through here; presheaf pullback needs identical base
+        categories.  A build that raises (a size guard) stores nothing, so
+        the next request builds again.  The one guarded entry, the
+        judgment category, is read through `judgment_category`, which
+        compares its stored size with each caller's guard."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

@@ -17,8 +17,9 @@ slice, the positive representation and pullbacks of `sys.op()`, and the
 right residuals are the left residuals of the reversed tensor
 (`MonoidalRefinementSystem.reversed()`).  Genday's residual clauses and
 both sides of the monoid-lax check decide one comparison,
-`_pulled_residual`, against one residual presheaf per pair of
-refinements.
+`_pulled_residual`, against the residual presheaf built directly at the
+functors its currying reaches (`psh.curried_residual`); no functor
+category is listed.
 
 Every construction is built once per system through
 `RefinementSystem.memo`, which is load-bearing: presheaf pullback
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 
 from .fincat import (
     FinCategory,
-    FunctorCategory,
     FunctorData,
     ProductCategory,
     SizeGuardExceeded,
@@ -49,13 +49,13 @@ from .psh import (
     _closing,
     _families_on_support,
     cartesian_factoring_check,
+    curried_residual,
     is_vertical_iso,
     opcartesian_factoring_check,
     push_psh_full,
     push_transpose,
     pull_psh,
     representable,
-    residual_psh,
     tensor_psh,
     validate_psh_derivation,
 )
@@ -745,52 +745,15 @@ def _strict_left_residual(mrs: MonoidalRefinementSystem, P: int, R: int):
     return mrs.sys.memo(("strict residual", mrs, P, R), build)
 
 
-def _curry_into(
-    fc: FunctorCategory,
-    left: FinCategory,
-    right: FinCategory,
-    target: FinCategory,
-    obj,
-    mor,
-    name: str,
-) -> FunctorData:
-    """Curry a two-argument table (obj(a, b), mor(f, g)) on left x right
-    into target along its second argument, landing in the materialized
-    functor category fc = [left, target]: b goes to the functor
-    a |-> obj(a, b), f |-> mor(f, id_b), and g to the components
-    a |-> mor(id_a, g)."""
-    omap = []
-    for b in range(right.n_objects):
-        G = FunctorData(
-            f"{name}@{right.objects[b]}",
-            left,
-            target,
-            tuple(obj(a, b) for a in range(left.n_objects)),
-            tuple(mor(f, right.id_of(b)) for f in range(left.n_morphisms)),
-        )
-        omap.append(fc.find_functor(G))
-    mmap = []
-    for g in range(right.n_morphisms):
-        comps = tuple(mor(left.id_of(a), g) for a in range(left.n_objects))
-        mmap.append(fc.find_nat(omap[right.dom(g)], omap[right.cod(g)], comps))
-    return FunctorData(name, right, fc.cat, tuple(omap), tuple(mmap))
-
-
-def genday_check(
-    mrs: MonoidalRefinementSystem,
-    P: int,
-    Q: int,
-    R: int,
-    size_guard: int = 20000,
-) -> CheckReport:
+def genday_check(mrs: MonoidalRefinementSystem, P: int, Q: int, R: int) -> CheckReport:
     """Day-style embedding on slices for one triple of refinements.
 
     (a) pushing the external tensor of rep(P) and rep(Q) along the
         tensor-of-tags functor gives rep(P (x) Q), with the tensor
         derivation certified opcartesian by the brute-force oracle;
-    (b) rep(P \\ R) is the pullback of the presheaf residual along the
-        currying of tensor-then-plug, with the comparison certified
-        cartesian;
+    (b) rep(P \\ R) is vertically isomorphic to the presheaf residual
+        pulled back along the currying of tensor-then-plug, with the
+        comparison certified cartesian;
     (c) mirror image for the right residual R / Q, which is (b) for the
         reversed tensor.
 
@@ -809,13 +772,8 @@ def genday_check(
     memo = mrs.sys.memo
     rep.absorb(memo(("genday (a)", mrs, P, Q), lambda: _genday_tensor_clause(mrs, P, Q)), "")
     for label, side, m, X in (("(b)", "left", mrs, P), ("(c)", "right", mrs.reversed(), Q)):
-        rep.absorb(
-            memo(
-                ("genday", label, m, X, R, size_guard),
-                lambda: _genday_residual_clause(m, label, side, X, R, size_guard),
-            ),
-            "",
-        )
+        clause = lambda: _genday_residual_clause(m, label, side, X, R)
+        rep.absorb(memo(("genday", label, m, X, R), clause), "")
     return rep.done()
 
 
@@ -842,45 +800,26 @@ def _genday_tensor_clause(mrs: MonoidalRefinementSystem, P: int, Q: int) -> Chec
     return rep.done()
 
 
-def _residual(sys: RefinementSystem, P: int, R: int, size_guard: int):
-    """`residual_psh(rep(P), rep(R), size_guard)` with its functor
-    category, built once per system and guard: the left and the right
-    residual clauses of genday and monoid-lax share it."""
-    return sys.memo(
-        ("residual", P, R, size_guard),
-        lambda: residual_psh(pos_rep(sys, P), pos_rep(sys, R), size_guard),
-    )
-
-
-def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD, size_guard):
+def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD):
     """Compare lhs, over a slice, with the residual of rep(P) and rep(R)
     pulled back along the currying of F : slice x slice -> slice (a
-    tensor of tags followed by a slice action).
+    tensor of tags followed by a slice action), built at the curried
+    functors by `curried_residual`.
 
-    The residual presheaf comes from the system memo; a size-guard trip
-    raises `SizeGuardExceeded`.  An element sigma of lhs at i becomes the
-    family sending tau in rep(P)(a) to (tau (x) carrier(sigma)) ; plugD,
-    located among the natural families at the functor the currying sends
-    i to.  Returns (theta, iso, None), with theta : lhs => residual over
-    the currying and iso whether theta is a vertical iso onto the pulled
-    residual, or (None, False, why) when an element has no such image."""
+    An element sigma of lhs at i becomes the family sending tau in
+    rep(P)(a) to (tau (x) carrier(sigma)) ; plugD, located among the
+    natural families at i.  Returns (theta, iso, None), with theta the
+    vertical comparison lhs => pulled residual and iso whether it is an
+    isomorphism, or (None, False, why) when an element has no such
+    image."""
     sys = mrs.sys
     D, tmor = sys.D, mrs.mon_ref.tmor
     phi, omega = pos_rep(sys, P), pos_rep(sys, R)
-    res, fc = _residual(sys, P, R, size_guard)
     prod = F.source
-    curried = _curry_into(
-        fc,
-        prod.left,
-        prod.right,
-        F.target,
-        lambda a, b: F.obj(prod.pair_obj(a, b)),
-        lambda f, g: F.mor(prod.pair_mor(f, g)),
-        "costr",
-    )
+    obj = lambda a, b: F.obj(prod.pair_obj(a, b))
+    res = curried_residual(phi, omega, prod.right, obj, lambda f, g: F.mor(prod.pair_mor(f, g)))
     comps = []
     for i in range(lhs.base.n_objects):
-        Gi = curried.obj(i)
         row = []
         for sigma in lhs.payloads[i]:
             sig = carrier(sigma)
@@ -889,7 +828,7 @@ def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD, size_guard):
                 vals = []
                 for tau in phi.payloads[a]:
                     der = D.compose(tmor(tau, sig), plugD)
-                    v = omega.position(fc.functors[Gi].obj(a)).get(der)
+                    v = omega.position(obj(a, i)).get(der)
                     if v is None:
                         return (
                             None,
@@ -898,16 +837,16 @@ def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD, size_guard):
                         )
                     vals.append(v)
                 fam.append(tuple(vals))
-            k = res.position(Gi).get(tuple(fam))
+            k = res.position(i).get(tuple(fam))
             if k is None:
                 return (None, False, f"canonical image of {D.mor_names[sigma]} is not a natural family")
             row.append(k)
         comps.append(tuple(row))
-    theta = PshDerivation("costr", lhs, res, curried, tuple(comps))
-    return (theta, is_vertical_iso(theta.components, lhs, pull_psh(curried, res)), None)
+    theta = PshDerivation("costr", lhs, res, None, tuple(comps))
+    return (theta, is_vertical_iso(theta.components, lhs, res), None)
 
 
-def _genday_residual_clause(mrs, label, side, P, R, size_guard) -> CheckReport:
+def _genday_residual_clause(mrs, label, side, P, R) -> CheckReport:
     """Clause (b) of `genday_check` for the pair (P, R); clause (c) is this
     one for `mrs.reversed()`, whose left residuals are the right ones."""
     sys = mrs.sys
@@ -921,11 +860,7 @@ def _genday_residual_clause(mrs, label, side, P, R, size_guard) -> CheckReport:
     lhs = pos_rep(sys, XD)
     Fm, _ = m_functor(mrs, sys.shape(P), XT)
     plugged = compose_functors(Fm, slice_action(sys, plugT))
-    try:
-        theta, iso, why = _pulled_residual(mrs, P, R, lhs, lambda s: s, plugged, plugD, size_guard)
-    except SizeGuardExceeded as exc:
-        rep.record_skip(f"{label} residual presheaf skipped: {exc}")
-        return rep.done()
+    theta, iso, why = _pulled_residual(mrs, P, R, lhs, lambda s: s, plugged, plugD)
     if theta is None:
         rep.record_fail(f"{label} {why}")
         return rep.done()
@@ -981,11 +916,7 @@ def fiber_residual_right(mrs: MonoidalRefinementSystem, mo: MonoidObject, Q: int
     return fiber_residual_left(mrs.reversed(), mo, Q, R)
 
 
-def monoid_lax_check(
-    mrs: MonoidalRefinementSystem,
-    mo: MonoidObject,
-    size_guard: int = 20000,
-) -> CheckReport:
+def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckReport:
     """The slice representation restricted to the fiber of a monoid.
 
     For every pair of refinements of W: the coercion from the Day tensor
@@ -1052,13 +983,9 @@ def monoid_lax_check(
                 plugD = _strict_left_residual(m, P, R)[1]
                 lhs = pos_rep(sys, cert.result)
                 ell = cert.structural
-                try:
-                    theta, iso, why = _pulled_residual(
-                        m, P, R, lhs, lambda s, _e=ell: D.compose(s, _e), Fday, plugD, size_guard
-                    )
-                except SizeGuardExceeded as exc:
-                    rep.record_skip(f"{side} residual presheaf skipped: {exc}")
-                    continue
+                theta, iso, why = _pulled_residual(
+                    m, P, R, lhs, lambda s, _e=ell: D.compose(s, _e), Fday, plugD
+                )
                 if theta is None:
                     rep.record_fail(f"{side} residual at ({nm[P]}, {nm[R]}): {why}")
                     continue

@@ -246,8 +246,13 @@ def test_cross_check_route_agrees_on_small_systems():
 
 
 def test_cross_check_is_guarded_on_large_systems(hoare):
-    with pytest.raises(SizeGuardExceeded):
-        dual_left(hoare, 0, pos_rep(hoare, 1), cross_check=True)
+    # The residual route builds the judgment category, whose guard is the
+    # one it can trip; under the default guard it decides hoare.
+    with pytest.raises(SizeGuardExceeded) as exc:
+        dual_left(hoare, 0, pos_rep(hoare, 1), cross_check=True, size_guard=5000)
+    assert str(exc.value) == "judgment morphisms: estimated 5776 > guard 5000"
+    crossed = dual_left(hoare, 0, pos_rep(hoare, 1), cross_check=True)
+    assert crossed.payloads == dual_left(hoare, 0, pos_rep(hoare, 1)).payloads
 
 
 def invertible(c):

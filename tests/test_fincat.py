@@ -1,32 +1,45 @@
-"""Category/functor plumbing: law validation, duals, products, functor categories."""
+"""Category/functor plumbing: law validation, duals, products, and the
+functor categories the residual reference lists by naive filters."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from refcat import fincat, psh
+from refcat import psh
 from refcat.fincat import (
     FinCategory,
-    FunctorCategory,
     FunctorData,
     NatTransData,
     StructuralError,
     ValidationReport,
     compose_functors,
-    functor_category,
     identity_functor,
     opposite,
     ProductCategory,
-    SizeGuardExceeded,
     product,
     terminal_category,
     validate_category,
     validate_functor,
     validate_nat_trans,
 )
-from refcat.fixtures import collapse_lattice_fixture, fin_skeleton, random_refsys
-from refcat.represent import comma_system, slice_of
+from refcat.fixtures import collapse_lattice_fixture, identity_lattice_fixture, random_refsys
+from refcat.psh import (
+    Presheaf,
+    PshDerivation,
+    curried_residual,
+    pull_psh,
+    representable,
+    validate_psh_derivation,
+)
+from refcat.represent import (
+    _strict_left_residual,
+    comma_system,
+    m_functor,
+    pos_rep,
+    slice_action,
+)
 
 
 def walking_arrow():
@@ -40,7 +53,7 @@ def walking_arrow():
 
 # ---------------------------------------------------------------------------
 # Helpers with no caller in the library: discrete categories, functor
-# equality, and currying through a materialized functor category.
+# equality, and currying through a listed functor category.
 
 
 def discrete_category(names):
@@ -53,27 +66,27 @@ def functors_equal(F, G):
     return F.table() == G.table()
 
 
-def curry_functor(F, size_guard=10000):
-    """Curry F: A x B -> C into A -> [B, C], landing in the materialized
-    functor category, which is returned with it."""
+def curry_functor(F):
+    """Curry F: A x B -> C into A -> [B, C], landing in the listed functor
+    category, which is returned with it."""
     prod = F.source
     if not isinstance(prod, ProductCategory):
         raise StructuralError(f"curry_functor: source of {F.name} is not a product")
     A, B, C = prod.left, prod.right, F.target
-    fc = functor_category(B, C, size_guard)
+    fc = listed_functor_category(B, C)
     obj_map = []
     for a in range(A.n_objects):
         slice_obj = tuple(F.obj(prod.pair_obj(a, b)) for b in range(B.n_objects))
         slice_mor = tuple(F.mor(prod.pair_mor(A.id_of(a), g)) for g in range(B.n_morphisms))
-        obj_map.append(fc.find_functor(FunctorData(f"{F.name}({A.objects[a]},-)", B, C, slice_obj, slice_mor)))
+        obj_map.append(fc.functor_index[(slice_obj, slice_mor)])
     mor_map = []
     for f in range(A.n_morphisms):
         comps = tuple(F.mor(prod.pair_mor(f, B.id_of(b))) for b in range(B.n_objects))
-        mor_map.append(fc.find_nat(obj_map[A.dom(f)], obj_map[A.cod(f)], comps))
+        mor_map.append(fc.nat_index[(obj_map[A.dom(f)], obj_map[A.cod(f)], comps)])
     return FunctorData(f"curry({F.name})", A, fc.cat, tuple(obj_map), tuple(mor_map)), fc
 
 
-def uncurry_functor(G, fc: FunctorCategory, A, B):
+def uncurry_functor(G, fc, A, B):
     """Inverse of curry_functor."""
     C = fc.functors[0].target if fc.functors else None
     prod = product(A, B)
@@ -182,14 +195,14 @@ def test_product_category_counts_and_laws():
 
 def test_functor_category_over_terminal_recovers_target():
     c = chain_category(3)
-    fc = functor_category(terminal_category(), c)
+    fc = listed_functor_category(terminal_category(), c)
     assert len(fc.functors) == c.n_objects
     assert len(fc.nat_tags) == c.n_morphisms
 
 
 def test_functors_out_of_walking_arrow_are_morphisms():
     c = chain_category(4)
-    fc = functor_category(walking_arrow(), c)
+    fc = listed_functor_category(walking_arrow(), c)
     assert len(fc.functors) == c.n_morphisms
 
 
@@ -404,8 +417,12 @@ def test_comma_validation_runs_its_compose_once_per_pair(hoare, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The backtracking search against naive filters: functors and natural
-# transformations are every candidate table that the validators accept.
+# Functor categories by naive filters, and the residual over them.  No
+# library code lists a functor category: `curried_residual` builds the
+# residual only at the functors a currying reaches.  The reference here
+# builds it the long way, over every functor and natural transformation,
+# with every family found by filtering all component tables, and pulls it
+# back along the currying.
 
 
 def naive_functors(A, C):
@@ -420,12 +437,12 @@ def naive_functors(A, C):
     return out
 
 
-def naive_nat_tags(fc, A, C):
+def naive_nat_tags(functors, A, C):
     """Every component tuple between every ordered pair of functors, kept
     when validate_nat_trans accepts it."""
     out = []
-    for i, F in enumerate(fc.functors):
-        for j, G in enumerate(fc.functors):
+    for i, F in enumerate(functors):
+        for j, G in enumerate(functors):
             homs = [C.hom(F.obj(a), G.obj(a)) for a in range(A.n_objects)]
             for comps in itertools.product(*homs):
                 if validate_nat_trans(NatTransData("t?", F, G, comps)).ok:
@@ -433,78 +450,172 @@ def naive_nat_tags(fc, A, C):
     return out
 
 
-def search_mismatches(A, C):
-    """Where functor_category(A, C) differs from the naive filters.  The
-    guard only bounds the listing: some draws have 16,807 transformations."""
-    fc = functor_category(A, C, size_guard=10**6)
-    bad = []
-    if [F.table() for F in fc.functors] != naive_functors(A, C):
-        bad.append(f"functors {A.name} -> {C.name}")
-    if fc.nat_tags != naive_nat_tags(fc, A, C):
-        bad.append(f"natural transformations {A.name} -> {C.name}")
-    return bad
+def listed_functor_category(A, C):
+    """[A, C] from the naive filters: objects are functors, morphisms are
+    natural transformations (i, j, components), both in table order."""
+    functors = [FunctorData(f"F{i}", A, C, o, m) for i, (o, m) in enumerate(naive_functors(A, C))]
+    nat_tags = naive_nat_tags(functors, A, C)
+    nat_index = {tag: k for k, tag in enumerate(nat_tags)}
+    identity = [
+        nat_index[(i, i, tuple(map(C.id_of, F.object_map)))] for i, F in enumerate(functors)
+    ]
+
+    def compose(m1, m2):
+        (i, _, c1), (_, k, c2) = nat_tags[m1], nat_tags[m2]
+        return nat_index[(i, k, tuple(map(C.compose, c1, c2)))]
+
+    cat = FinCategory(
+        f"[{A.name},{C.name}]",
+        [F.name for F in functors],
+        [(f"n{k}", i, j) for k, (i, j, _) in enumerate(nat_tags)],
+        identity,
+        compose,
+    )
+    return SimpleNamespace(
+        cat=cat,
+        functors=functors,
+        nat_tags=nat_tags,
+        functor_index={F.table(): i for i, F in enumerate(functors)},
+        nat_index=nat_index,
+    )
 
 
-def lattice_slice_pair():
-    """Two slices of lattice-collapse that genday pairs in a residual."""
-    sys = collapse_lattice_fixture().mrs.sys
-    return slice_of(sys, 1).cat, slice_of(sys, 2).cat
-
-
-def search_pairs():
-    arrow, chain3, fin2 = walking_arrow(), chain_category(3), fin_skeleton(2)
+def naive_families(phi, omega, F):
+    """Every component table phi(a) -> omega(F a), in table order, kept
+    when validate_psh_derivation accepts it."""
+    tables = [
+        itertools.product(range(omega.size(F.obj(a))), repeat=phi.size(a))
+        for a in range(phi.base.n_objects)
+    ]
     return [
-        (arrow, chain_category(4)),
-        (chain_category(2), chain3),
-        (arrow, fin2),
-        (chain3, fin2),
-        (opposite(chain3), fin2),
-        (opposite(arrow), opposite(fin2)),
-        lattice_slice_pair(),
+        comps
+        for comps in itertools.product(*tables)
+        if validate_psh_derivation(PshDerivation("t?", phi, omega, F, comps)).ok
     ]
 
 
-def test_functor_category_guards_its_natural_transformations():
-    # 10 functors (estimated 16) fit under the guard; 50 transformations do not.
-    A, C = walking_arrow(), chain_category(4)
-    with pytest.raises(SizeGuardExceeded) as exc:
-        functor_category(A, C, size_guard=20)
-    assert str(exc.value) == "natural transformations 2 -> chain4: estimated 21 > guard 20"
-    fc = functor_category(A, C, size_guard=50)
-    assert (len(fc.functors), fc.cat.n_morphisms) == (10, 50)
+def reference_residual(phi, omega, fc):
+    """The residual over the listed fc = [A, C]: at a functor, the naive
+    families phi => omega over it; a natural transformation moves a family
+    by postcomposing each component with omega's action."""
+    fams = [naive_families(phi, omega, F) for F in fc.functors]
+    index = [{fam: k for k, fam in enumerate(at)} for at in fams]
+    action = tuple(
+        tuple(
+            index[i][tuple(tuple(omega.apply(c, v) for v in comp) for c, comp in zip(comps, fam))]
+            for fam in fams[j]
+        )
+        for (i, j, comps) in fc.nat_tags
+    )
+    names = tuple(tuple(f"t{i}.{k}" for k in range(len(at))) for i, at in enumerate(fams))
+    return Presheaf("res?", fc.cat, names, action, tuple(map(tuple, fams)))
 
 
-def test_functor_category_matches_the_naive_filters():
-    for A, C in search_pairs():
-        assert search_mismatches(A, C) == []
+def residual_mismatches(phi, omega, right, obj, mor):
+    """Where `curried_residual` differs from the reference residual pulled
+    back along the currying of the two-argument table (obj, mor): the
+    families at every point of `right`, then the row of every morphism."""
+    A = phi.base
+    fc = listed_functor_category(A, omega.base)
+    omap = tuple(
+        fc.functor_index[
+            (
+                tuple(obj(a, b) for a in range(A.n_objects)),
+                tuple(mor(f, right.id_of(b)) for f in range(A.n_morphisms)),
+            )
+        ]
+        for b in range(right.n_objects)
+    )
+    mmap = tuple(
+        fc.nat_index[
+            (
+                omap[right.dom(g)],
+                omap[right.cod(g)],
+                tuple(mor(A.id_of(a), g) for a in range(A.n_objects)),
+            )
+        ]
+        for g in range(right.n_morphisms)
+    )
+    curry = FunctorData("curry", right, fc.cat, omap, mmap)
+    want = pull_psh(curry, reference_residual(phi, omega, fc))
+    got = curried_residual(phi, omega, right, obj, mor)
+    bad = [
+        f"families at {right.objects[b]}"
+        for b in range(right.n_objects)
+        if got.payloads[b] != want.payloads[b]
+    ]
+    if bad:
+        return bad
+    return [
+        f"row of {right.mor_names[g]}"
+        for g in range(right.n_morphisms)
+        if got.action[g] != want.action[g]
+    ]
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 500), st.booleans())
-def test_functor_category_matches_the_naive_filters_on_a_draw(seed, flip):
-    sys = random_refsys(seed)
-    A, C = (sys.T, sys.D) if flip else (sys.D, sys.T)
-    assert search_mismatches(A, C) == []
+def cyclic_group(n):
+    """Z/n as a one-object category: morphism k is k, composition is addition."""
+    return FinCategory(
+        f"BZ{n}", ["*"], [(str(k), 0, 0) for k in range(n)], [0], lambda f, g: (f + g) % n
+    )
+
+
+def lattice_residual_curryings(fixture):
+    """(rep(P), rep(R), right, obj, mor) for every pair that genday
+    compares on either side: the currying of tensor-then-plug."""
+    mrs = fixture().mrs
+    sys = mrs.sys
+    n = sys.D.n_objects
+    for m in (mrs, mrs.reversed()):
+        for P in range(n):
+            for R in range(n):
+                strict = _strict_left_residual(m, P, R)
+                if strict is None:
+                    continue
+                Fm, prod = m_functor(m, sys.shape(P), strict[2])
+                F = compose_functors(Fm, slice_action(sys, strict[3]))
+                yield (
+                    pos_rep(sys, P),
+                    pos_rep(sys, R),
+                    prod.right,
+                    lambda a, b, F=F, p=prod: F.obj(p.pair_obj(a, b)),
+                    lambda f, g, F=F, p=prod: F.mor(p.pair_mor(f, g)),
+                )
+
+
+def test_the_curried_residual_matches_the_reference_on_the_lattices():
+    # 28 and 32 curryings: both sides of every pair with a strict residual.
+    for fixture, n in ((collapse_lattice_fixture, 28), (identity_lattice_fixture, 32)):
+        cases = list(lattice_residual_curryings(fixture))
+        assert len(cases) == n
+        for case in cases:
+            assert residual_mismatches(*case) == []
+
+
+def test_the_curried_residual_matches_the_reference_on_a_group():
+    # mor(f, g) = f + g moves the three families of y(*) => y(*) by a
+    # rotation: the rows see the currying's morphism components.
+    bz3 = cyclic_group(3)
+    y = representable(bz3, 0)
+    add = lambda f, g: (f + g) % 3
+    assert residual_mismatches(y, y, bz3, lambda a, b: 0, add) == []
+    assert curried_residual(y, y, bz3, lambda a, b: 0, add).action[1] == (1, 2, 0)
 
 
 def lax_search(monkeypatch):
-    """Replace the search everywhere by a copy that skips the constraints
-    closing at the last step."""
-    real = fincat._backtrack
+    """Replace the search behind natural families and vertical isos by a
+    copy that skips the constraints closing at the last step."""
+    real = psh._backtrack
 
     def lax(steps, candidates, closes):
         return real(steps, candidates, lambda k, a: k == steps - 1 or closes(k, a))
 
-    monkeypatch.setattr(fincat, "_backtrack", lax)
     monkeypatch.setattr(psh, "_backtrack", lax)
 
 
 def test_a_search_without_one_steps_constraints_fails_the_reference(monkeypatch):
     lax_search(monkeypatch)
-    arrow, chain3, fin2 = walking_arrow(), chain_category(3), fin_skeleton(2)
-    # The lax search lists more than 10,000 transformations among its
-    # extra functors; the guard only bounds that listing.
-    fc = functor_category(chain3, fin2, size_guard=10**6)
-    assert [F.table() for F in fc.functors] != naive_functors(chain3, fin2)
-    fc = functor_category(arrow, fin2)
-    assert fc.nat_tags != naive_nat_tags(fc, arrow, fin2)
+    bz3 = cyclic_group(3)
+    y = representable(bz3, 0)
+    add = lambda f, g: (f + g) % 3
+    assert residual_mismatches(y, y, bz3, lambda a, b: 0, add) == ["families at *"]

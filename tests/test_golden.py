@@ -10,8 +10,8 @@ a diff.  To regenerate one after an intended change, run for example
 with `h.fix` holding `fixture h hoare`, and review the diff.
 
 The `cross-check-*.txt` files are `refcat verify <file> duality
---cross-check`: on the two lattices the residual route decides every
-instance, on hoare its functor category trips the size guard.
+--cross-check`: on hoare and the two lattices the residual route
+decides every instance.
 
 The `query-*.txt` files hold the query commands (slice, coslice,
 represent, dual, pushforward, pullback): for each command a `$` line

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.psh as psh_mod
-from refcat.fincat import FinCategory, FunctorData, SizeGuardExceeded, opposite, terminal_category
+from refcat.fincat import FinCategory, FunctorData, opposite, terminal_category
 from refcat.fixtures import fin_skeleton
 from refcat.psh import (
     Presheaf,
     PshDerivation,
     cartesian_factoring_check,
+    curried_residual,
     natural_families,
     opcartesian_factoring_check,
     pull_psh,
@@ -27,7 +28,6 @@ from refcat.psh import (
     push_psh_full,
     push_transpose,
     representable,
-    residual_psh,
     validate_presheaf,
     validate_psh_derivation,
     vertical_iso_psh,
@@ -241,17 +241,9 @@ def test_residual_over_a_point_is_a_function_space():
     point, base = unit_psh()
     phi = Presheaf("two", base, (("a", "b"),), ((0, 1),))
     omega = Presheaf("three", base, (("x", "y", "z"),), ((0, 1, 2),))
-    res, _ = residual_psh(phi, omega)
+    res = curried_residual(phi, omega, base, lambda a, b: 0, lambda f, g: 0)
     assert res.total_elements() == 3 ** 2
-
-
-def test_residual_size_guard():
-    # the guard bounds the functor category the residual is indexed by
-    small, big = chain_category(2), chain_category(3)
-    phi = representable(small, 1)
-    omega = representable(big, 2)
-    with pytest.raises(SizeGuardExceeded):
-        residual_psh(phi, omega, size_guard=2)
+    assert res.action[0] == tuple(range(9))
 
 
 @given(

@@ -341,10 +341,11 @@ LATTICES = {
 )
 def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, monkeypatch, capsys):
     # Over all 4^3 triples a clause runs once per pair it depends on, and
-    # (b) and (c) share one residual presheaf per (P, R): 112 and 128
-    # residuals were built when every triple rebuilt its own.
+    # each residual clause that reaches the comparison builds one curried
+    # residual: 14 and 16 pairs (P, R) have a residual, each reached once
+    # by (b) and once by (c).
     calls: dict[str, Counter] = {}
-    for fn in ("residual_psh", "_genday_tensor_clause", "_genday_residual_clause"):
+    for fn in ("curried_residual", "_genday_tensor_clause", "_genday_residual_clause"):
         real = getattr(represent_mod, fn)
 
         def counted(*args, _real=real, _seen=calls.setdefault(fn, Counter())):
@@ -356,43 +357,30 @@ def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, mon
     path.write_text(f"fixture w {name}\n")
     assert main(["verify", str(path), "genday"]) == 0
     assert "suite genday: 1/1 reports ok" in capsys.readouterr().out
-    assert sum(calls["residual_psh"].values()) == residuals
+    pairs = Counter((phi, omega) for phi, omega, *_ in calls["curried_residual"])
+    assert len(pairs) == residuals and set(pairs.values()) == {2}
     assert len(calls["_genday_tensor_clause"]) == 16
     assert len(calls["_genday_residual_clause"]) == 32
     for seen in calls.values():
         assert set(seen.values()) == {1}
 
 
+MONOID_LAX_COUNTS = {
+    "lattice-collapse": {"c0": (11, 0, 2), "c1": (2, 0, 2), "c2": (4, 0, 0)},
+    "lattice-identity": {W: (4, 0, 0) for W in ("{}", "{a}", "{b}", "{a,b}")},
+}
+
+
 @pytest.mark.parametrize("name", sorted(LATTICES))
-def test_monoid_lax_and_genday_share_one_residual_per_pair(name, monkeypatch):
-    # Both sides of monoid-lax and genday read one residual presheaf per
-    # (P, R, guard): the right side's pairs are the left side's pairs.
-    built = Counter()
-    real = represent_mod.residual_psh
-
-    def counted(*args):
-        built[args] += 1
-        return real(*args)
-
-    monkeypatch.setattr(represent_mod, "residual_psh", counted)
+def test_monoid_lax_keeps_its_counts_on_both_lattices(name):
+    # Both sides of every monoid's residual pairs reach the curried
+    # residual; no guard is left to turn one of them into a skip.
     ls = LATTICES[name]()
-    mrs = ls.mrs
-    sides = {"left": set(), "right": set()}
+    got = {}
     for mo in ls.monoids:
-        monoid_lax_check(mrs, mo)
-        fib = mrs.sys.fiber(mo.W)
-        for side, m in (("left", mrs), ("right", mrs.reversed())):
-            sides[side] |= {
-                (P, R) for P in fib for R in fib if fiber_residual_left(m, mo, P, R) is not None
-            }
-    assert sides["left"] & sides["right"]
-    assert len(built) == len(sides["left"] | sides["right"])
-    n = mrs.sys.D.n_objects
-    for P in range(n):
-        for Q in range(n):
-            for R in range(n):
-                genday_check(mrs, P, Q, R)
-    assert set(built.values()) == {1}
+        rep = monoid_lax_check(ls.mrs, mo)
+        got[ls.mrs.sys.T.objects[mo.W]] = (rep.passed, rep.failed, rep.skipped)
+    assert got == MONOID_LAX_COUNTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
