@@ -434,9 +434,11 @@ def dual_right(
 
 def _dual_cross_check(sys, B, inp, out, side, size_guard):
     """Recompute a dual as the residual of inp and the derivation presheaf
-    pulled back along the curried pairing, and compare elementwise.  It
-    reads full presheaves through `natural_families`, so it does not share
-    the dualizer's route through cut supports."""
+    pulled back along the curried pairing, and compare it with the dual:
+    the families at every point, then the action row of every morphism
+    into a nonempty point.  It reads full presheaves through
+    `natural_families`, so it does not share the dualizer's route through
+    cut supports."""
     pair = pairing(sys, B, size_guard)
     if side == "left":
         right, obj, mor = pair.coslice.cat, pair.obj, pair.mor
@@ -444,11 +446,18 @@ def _dual_cross_check(sys, B, inp, out, side, size_guard):
         right = pair.slice.cat
         obj, mor = (lambda j, i: pair.obj(i, j)), (lambda g, f: pair.mor(f, g))
     crossed = curried_residual(inp, pair.jdg.der, right, obj, mor)
-    for j in range(out.base.n_objects):
+    base = out.base
+    for j in range(base.n_objects):
         if crossed.payloads[j] != out.payloads[j]:
             raise StructuralError(
                 f"dual ({side}): direct end disagrees with the residual route at "
-                f"{out.base.objects[j]}"
+                f"{base.objects[j]}"
+            )
+    for f in range(base.n_morphisms):
+        if out.payloads[base.cod(f)] and crossed.action[f] != out.action[f]:
+            raise StructuralError(
+                f"dual ({side}): direct end disagrees with the residual route "
+                f"along {base.mor_names[f]}"
             )
 
 

@@ -129,6 +129,8 @@ class FinCategory:
             compose = lambda f, g, _table=compose: _table.get((f, g), -1)
         self._compose = compose
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.mor_names)
+        # The generators of a category that validated ok, else None.
+        self._lawful: tuple[int, ...] | None = None
         self._check_indices()
         self._hom: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mor_out: dict[int, tuple[int, ...]] = {}
@@ -236,12 +238,50 @@ class FinCategory:
         return f"FinCategory({self.name}: {self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
+def _generators(cat: FinCategory) -> tuple[int, ...]:
+    """A generating set of a category whose identity laws hold: every
+    morphism is a composite of generators.  Morphisms are taken in index
+    order, identities count as reached, and a morphism not reached yet
+    becomes a generator a; the closure then adds a;b for every reached b
+    and g;h for every generator g and newly reached h, each read from the
+    row of a or g: one row lookup per reached morphism and generator."""
+    dom, cod, pos = cat.mor_dom, cat.mor_cod, cat._out_pos
+    reached = bytearray(cat.n_morphisms)
+    for e in cat.identity:
+        reached[e] = 1
+    gens: list[int] = []
+    gens_into: dict[int, list[int]] = {}
+    for a in range(cat.n_morphisms):
+        if reached[a]:
+            continue
+        gens.append(a)
+        gens_into.setdefault(cod[a], []).append(a)
+        # a;b for every reached b, a = a;id among them.
+        todo = [h for b, h in zip(cat.mor_out(cod[a]), cat._row(a)) if reached[b]]
+        while todo:
+            h = todo.pop()
+            if reached[h]:
+                continue
+            reached[h] = 1
+            todo += [cat._row(g)[pos[h]] for g in gens_into.get(dom[h], ())]
+    return tuple(gens)
+
+
 def validate_category(cat: FinCategory) -> ValidationReport:
-    """Exhaustively check identity, endpoint and associativity laws.
+    """Check the identity, endpoint and associativity laws, exactly.
 
     Identity and associativity are only checked once every identity is an
     endomorphism and every composite exists with the right endpoints;
     otherwise the report stops at those structural violations.
+
+    Once the identity laws hold, associativity is decided on a generating
+    set (`_generators`): it is checked for every (f, g, h) whose middle g
+    is a generator.  That is exact, by induction on words: if it holds
+    with middles a and b, it holds with middle a;b, since (f;(a;b));h =
+    ((f;a);b);h = (f;a);(b;h) = f;(a;(b;h)) = f;((a;b);h).  Only when that
+    test fails, or an identity law does, are all triples swept, so the
+    violations are listed triple by triple as before.  A lawful category
+    keeps its generators (`_lawful`), which `validate_functor` reads.
     """
     report = ValidationReport(f"category {cat.name}")
     names, dom, cod = cat.mor_names, cat.mor_dom, cat.mor_cod
@@ -249,10 +289,21 @@ def validate_category(cat: FinCategory) -> ValidationReport:
         e = cat.id_of(a)
         if dom[e] != a or cod[e] != a:
             report.add("identity-endpoints", f"id of {cat.objects[a]} is not an endomorphism")
+    # Totality and endpoints a row at a time: the composites in the row of
+    # f must have f's domain and the codomains of mor_out(cod f), in order.
+    at_cod = cod.__getitem__
     for b in range(cat.n_objects):
         outs = cat.mor_out(b)
+        cods = tuple(map(at_cod, outs))
         for f in cat.mor_in(b):
-            for g, h in zip(outs, cat._row(f)):
+            row = cat._row(f)
+            if (
+                -1 not in row
+                and tuple(map(at_cod, row)) == cods
+                and tuple(map(dom.__getitem__, row)) == (dom[f],) * len(row)
+            ):
+                continue
+            for g, h in zip(outs, row):
                 if h < 0:
                     report.add("composition-totality", str(cat._missing(f, g)))
                 elif dom[h] != dom[f] or cod[h] != cod[g]:
@@ -269,20 +320,23 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             report.add("left-identity", f"id;{names[f]} = {names[left]}")
         if right != f:
             report.add("right-identity", f"{names[f]};id = {names[right]}")
-    # Associativity over all composable triples, one row at a time: with
-    # the endpoint laws in hand, row(f;g) and row(g) are both indexed by
-    # mor_out(cod g), and (f;g);h = f;(g;h) for every h is
-    # row(f;g) == [row(f)[pos(g;h)] for g;h in row(g)].
-    pos = cat._out_pos
-    row_pos = [tuple(map(pos.__getitem__, cat._row(g))) for g in range(cat.n_morphisms)]
+    if not report.violations:
+        gens = _generators(cat)
+        gen_pos = [_row_positions(cat, g) for g in gens]
+        if all(
+            _associative(cat, f, g, g_pos)
+            for g, g_pos in zip(gens, gen_pos)
+            for f in cat.mor_in(dom[g])
+        ):
+            cat._lawful = gens
+            return report
+    row_pos = [_row_positions(cat, g) for g in range(cat.n_morphisms)]
     for b in range(cat.n_objects):
-        outs = cat.mor_out(b)
         for f in cat.mor_in(b):
-            row_f = cat._row(f)
-            at_f = row_f.__getitem__
-            for g, fg in zip(outs, row_f):
-                if cat._row(fg) == tuple(map(at_f, row_pos[g])):
+            for g in cat.mor_out(b):
+                if _associative(cat, f, g, row_pos[g]):
                     continue
+                fg = cat.compose(f, g)
                 for h in cat.mor_out(cod[g]):
                     if cat.compose(fg, h) != cat.compose(f, cat.compose(g, h)):
                         report.add(
@@ -291,6 +345,20 @@ def validate_category(cat: FinCategory) -> ValidationReport:
                             f"{names[f]};({names[g]};{names[h]})",
                         )
     return report
+
+
+def _row_positions(cat: FinCategory, g: int) -> tuple[int, ...]:
+    """pos(g;h) for g;h in row(g): where each composite sits in a row."""
+    return tuple(map(cat._out_pos.__getitem__, cat._row(g)))
+
+
+def _associative(cat: FinCategory, f: int, g: int, g_pos: tuple[int, ...]) -> bool:
+    """Whether (f;g);h = f;(g;h) for every h, one row at a time: with the
+    endpoint laws in hand, row(f;g) and row(g) are both indexed by
+    mor_out(cod g), and the law for every h is
+    row(f;g) == [row(f)[pos(g;h)] for g;h in row(g)]."""
+    row_f = cat._row(f)
+    return cat._row(row_f[cat._out_pos[g]]) == tuple(map(row_f.__getitem__, g_pos))
 
 
 @dataclass(eq=False)
@@ -344,6 +412,16 @@ class FunctorData:
 
 
 def validate_functor(F: FunctorData) -> ValidationReport:
+    """Check that F preserves endpoints, identities and composites, exactly.
+
+    When both categories validated ok (so each carries its generators) and
+    F preserves endpoints and identities, F(a;b) = F(a);F(b) is checked
+    for every generator a only.  That is exact, by induction on words: if
+    it holds for a and for m, it holds for a;m, since F((a;m);b) =
+    F(a;(m;b)) = F(a);F(m;b) = F(a);(F(m);F(b)) = (F(a);F(m));F(b) =
+    F(a;m);F(b), and F(id) = id covers the empty word.  Otherwise, and on
+    any failure, every composable pair is checked, so the violations are
+    listed pair by pair as before."""
     report = ValidationReport(f"functor {F.name}")
     S, T = F.source, F.target
     for f in range(S.n_morphisms):
@@ -353,6 +431,13 @@ def validate_functor(F: FunctorData) -> ValidationReport:
     for a in range(S.n_objects):
         if F.mor(S.id_of(a)) != T.id_of(F.obj(a)):
             report.add("identities", f"image of id_{S.objects[a]} is not an identity")
+    if (
+        not report.violations
+        and S._lawful is not None
+        and T._lawful is not None
+        and all(_preserves_row(F, a) for a in S._lawful)
+    ):
+        return report
     for f, g in S.composable_pairs():
         ff, gg = F.mor(f), F.mor(g)
         if T.cod(ff) != T.dom(gg):
@@ -360,6 +445,17 @@ def validate_functor(F: FunctorData) -> ValidationReport:
         if F.mor(S.compose(f, g)) != T.compose(ff, gg):
             report.add("composition", f"image of {S.mor_names[f]};{S.mor_names[g]} breaks")
     return report
+
+
+def _preserves_row(F: FunctorData, a: int) -> bool:
+    """Whether F(a;b) = F(a);F(b) for every b, read from the rows of a in
+    the source and of F(a) in the target; F must preserve endpoints."""
+    S, T, image = F.source, F.target, F.morphism_map
+    row_t, pos_t = T._row(image[a]), T._out_pos
+    return all(
+        image[ab] == row_t[pos_t[image[b]]]
+        for b, ab in zip(S.mor_out(S.cod(a)), S._row(a))
+    )
 
 
 def identity_functor(cat: FinCategory) -> FunctorData:
@@ -421,16 +517,18 @@ def validate_nat_trans(theta: NatTransData) -> ValidationReport:
 
 
 def opposite(cat: FinCategory) -> FinCategory:
-    """Same object and morphism indices, arrows reversed."""
+    """Same object and morphism indices, arrows reversed.  The composite
+    f;g of the opposite is g;f read from the row of g in cat."""
     morphisms = [
         (cat.mor_names[i], cat.mor_cod[i], cat.mor_dom[i]) for i in range(cat.n_morphisms)
     ]
+    pos = cat._out_pos
     return FinCategory(
         f"{cat.name}^op",
         cat.objects,
         morphisms,
         cat.identity,
-        lambda f, g, _c=cat: _c.compose(g, f),
+        lambda f, g: (cat._rows[g] or cat._row(g))[pos[f]],
     )
 
 

@@ -245,6 +245,28 @@ def test_cross_check_route_agrees_on_small_systems():
             assert duality_check(sys, Q).ok
 
 
+def test_cross_check_compares_action_rows(monkeypatch):
+    # A dual_left whose rows are rotated keeps every family and every
+    # row's arity and range, so only a row-by-row comparison sees it.  On
+    # the skew system rep(Q0)'s left dual has two families at every point.
+    def rotating(name, base, elements, action, payloads=None):
+        if name.startswith("dualL("):
+            real = action
+            action = lambda f: real(f)[1:] + real(f)[:1]
+        return Presheaf(name, base, elements, action, payloads)
+
+    sys = bang_system(skew_pair())
+    plain = dual_left(sys, 0, pos_rep(sys, 0))
+    monkeypatch.setattr(duality_mod, "Presheaf", rotating)
+    skewed = dual_left(sys, 0, pos_rep(sys, 0))
+    assert skewed.payloads == plain.payloads
+    assert all(len(r) == 2 and r == p[::-1] for r, p in zip(skewed.action, plain.action))
+    for dual, rep in ((dual_left, pos_rep), (dual_right, neg_rep)):
+        with pytest.raises(StructuralError, match=r"residual route along id_a#0->0"):
+            dual(sys, 0, rep(sys, 0), cross_check=True)
+    assert not duality_check(sys, 0).ok
+
+
 def test_cross_check_is_guarded_on_large_systems(hoare):
     # The residual route builds the judgment category, whose guard is the
     # one it can trip; under the default guard it decides hoare.

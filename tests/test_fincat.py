@@ -1,6 +1,7 @@
 """Category/functor plumbing: law validation, duals, products, and the
 functor categories the residual reference lists by naive filters."""
 
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -352,9 +353,31 @@ def rebuilt(cat, name, comp):
     return FinCategory(name, cat.objects, morphisms, cat.identity, comp)
 
 
+@functools.cache
+def corruptible_bases():
+    """Small tables for the corrupted-entry property.  The last three are
+    derived categories; in the product and in the comma of random seed 3
+    some non-identities are not generators."""
+    return (
+        walking_arrow(),
+        chain_category(3),
+        chain_category(4),
+        skew_table(),
+        comma_system(identity_lattice_fixture().mrs.sys).sys.D,
+        product(walking_arrow(), chain_category(3)),
+        comma_system(random_refsys(3)).sys.D,
+    )
+
+
+def test_some_corruptible_bases_have_composite_non_identities():
+    for cat in corruptible_bases()[-2:]:
+        assert validate_category(cat).ok
+        assert len(cat._lawful) < cat.n_morphisms - cat.n_objects
+
+
 @given(st.data())
 def test_one_corrupted_entry_matches_the_reference(data):
-    base = data.draw(st.sampled_from([walking_arrow(), chain_category(3), chain_category(4), skew_table()]))
+    base = data.draw(st.sampled_from(corruptible_bases()))
     comp = table_of(base)
     key = data.draw(st.sampled_from(sorted(comp)))
     value = data.draw(st.one_of(st.none(), st.integers(0, base.n_morphisms - 1)))
@@ -414,6 +437,85 @@ def test_comma_validation_runs_its_compose_once_per_pair(hoare, monkeypatch):
     assert validate_category(cat).ok
     assert sum(1 for _ in cat.composable_pairs()) == 32640
     assert calls[id(hoare.D)] == 32640
+
+
+def reference_validate_functor(F):
+    """The naive functor check that validate_functor must agree with:
+    endpoints and identities, then every composable pair read through
+    compose()."""
+    report = ValidationReport(f"functor {F.name}")
+    S, T = F.source, F.target
+    for f in range(S.n_morphisms):
+        g = F.mor(f)
+        if T.dom(g) != F.obj(S.dom(f)) or T.cod(g) != F.obj(S.cod(f)):
+            report.add("endpoints", f"image of {S.mor_names[f]} has wrong endpoints")
+    for a in range(S.n_objects):
+        if F.mor(S.id_of(a)) != T.id_of(F.obj(a)):
+            report.add("identities", f"image of id_{S.objects[a]} is not an identity")
+    for f, g in S.composable_pairs():
+        ff, gg = F.mor(f), F.mor(g)
+        if T.cod(ff) != T.dom(gg):
+            continue
+        if F.mor(S.compose(f, g)) != T.compose(ff, gg):
+            report.add("composition", f"image of {S.mor_names[f]};{S.mor_names[g]} breaks")
+    return report
+
+
+def assert_functor_matches_reference(F):
+    got = [(v.law, v.detail) for v in validate_functor(F).violations]
+    want = [(v.law, v.detail) for v in reference_validate_functor(F).violations]
+    assert got == want
+
+
+@pytest.fixture(scope="module")
+def lawful_functors(hoare):
+    """Functors between categories that validated ok, so validate_functor
+    decides composites on the source's generators: the comma shape and
+    embedding of hoare, its slice actions and a product projection."""
+    cs = comma_system(hoare)
+    assert cs.sys.validate().ok
+    functors = [cs.sys.t, cs.embed.on_ref]
+    for e in range(hoare.T.n_morphisms):
+        F = slice_action(hoare, e)
+        assert validate_category(F.source).ok and validate_category(F.target).ok
+        functors.append(F)
+    p = product(walking_arrow(), chain_category(3))
+    assert validate_category(p).ok and validate_category(p.right).ok
+    functors.append(
+        FunctorData(
+            "snd",
+            p,
+            p.right,
+            tuple(p.split_obj(x)[1] for x in range(p.n_objects)),
+            tuple(p.split_mor(m)[1] for m in range(p.n_morphisms)),
+        )
+    )
+    for F in functors:
+        assert F.source._lawful is not None and F.target._lawful is not None
+    return functors
+
+
+def test_functor_validation_matches_the_reference_on_lawful_functors(lawful_functors):
+    for F in lawful_functors:
+        assert validate_functor(F).ok
+        assert_functor_matches_reference(F)
+
+
+@given(st.data())
+def test_one_corrupted_image_matches_the_reference(lawful_functors, data):
+    # The image of one non-generator is replaced, within its hom-set or by
+    # any morphism: only the generator rows are read on the fast path, so
+    # the corruption must be seen there or through a broken endpoint.
+    F = data.draw(st.sampled_from(lawful_functors))
+    S, T = F.source, F.target
+    m = data.draw(st.sampled_from([f for f in range(S.n_morphisms) if f not in S._lawful]))
+    hom = T.hom(F.obj(S.dom(m)), F.obj(S.cod(m)))
+    value = data.draw(st.one_of(st.sampled_from(hom), st.integers(0, T.n_morphisms - 1)))
+    images = list(F.morphism_map)
+    images[m] = value
+    bad = FunctorData(f"{F.name}*", S, T, F.object_map, tuple(images))
+    assert validate_functor(bad).ok == (value == F.mor(m))
+    assert_functor_matches_reference(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,63 @@ def test_factorization_counts(hoare, linctx):
     assert all("comma" in r for r in fl.skip_reasons)
 
 
+def comma_non_generator(hoare):
+    """The comma category of hoare, validated, and its first non-identity
+    morphism that is not a generator (a composite of two others)."""
+    comma = comma_system(hoare).sys.D
+    assert validate_category(comma).ok
+    gens = set(comma._lawful)
+    m = next(m for m in range(comma.n_morphisms) if m not in gens and not comma.is_identity(m))
+    return comma, m
+
+
+def test_factorization_sees_a_corrupted_comma_composite(hoare, monkeypatch):
+    # f;g with g a non-generator is moved to another morphism with the same
+    # endpoints: the endpoint and identity laws still hold, so only the
+    # associativity test, decided at generator middles, can see it.
+    comma, g = comma_non_generator(hoare)
+    f, other = next(
+        (f, h)
+        for f in comma.mor_in(comma.dom(g))
+        if not comma.is_identity(f)
+        for h in comma.hom(comma.dom(f), comma.cod(g))
+        if h != comma.compose(f, g)
+    )
+    real = represent_mod.FinCategory
+
+    def tampered(name, objects, morphisms, identity, compose):
+        if name == comma.name:
+            compose = lambda x, y, c=compose: other if (x, y) == (f, g) else c(x, y)
+        return real(name, objects, morphisms, identity, compose)
+
+    monkeypatch.setattr(represent_mod, "FinCategory", tampered)
+    rep = factorization_check(hoare)
+    assert not rep.ok
+    assert rep.counterexample.startswith("pos comma system invalid")
+    assert "associativity" in rep.counterexample
+
+
+def test_factorization_sees_a_corrupted_comma_shape_image(hoare, monkeypatch):
+    # The shape functor sends one non-generator to another endomorphism of
+    # W: endpoints and identities are kept, so only the composites, decided
+    # at the generators, can see it.
+    comma, m = comma_non_generator(hoare)
+    real = represent_mod.FunctorData
+
+    def tampered(name, source, target, object_map, morphism_map):
+        if name == f"cod[{hoare.name}]":
+            e = morphism_map[m]
+            other = next(x for x in target.hom(target.dom(e), target.cod(e)) if x != e)
+            morphism_map = morphism_map[:m] + (other,) + morphism_map[m + 1 :]
+        return real(name, source, target, object_map, morphism_map)
+
+    monkeypatch.setattr(represent_mod, "FunctorData", tampered)
+    rep = factorization_check(hoare)
+    assert not rep.ok
+    assert rep.counterexample.startswith("pos comma system invalid")
+    assert "composition: image of" in rep.counterexample
+
+
 def test_representability_clause_compares_payloads_and_rows(hoare):
     # rep(Q) is the hom presheaf of its point (Q, id); the hom presheaf of
     # another refinement's point, or rep(Q) with one action row reversed,
