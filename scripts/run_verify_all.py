@@ -29,7 +29,7 @@ FIXTURES = (
     ("random", "fixture random random seed=5\n", []),
 )
 # fixtures whose duals are also recomputed by the residual route
-CROSS_CHECK = ("hoare", "lattice-collapse", "lattice-identity")
+CROSS_CHECK = ("hoare", "linctx", "lattice-collapse", "lattice-identity")
 
 
 def run(out_dir: Path) -> int:

@@ -12,11 +12,10 @@ a Galois adjunction between them) exercise all of them.
 
 from .duality import (
     dual_adjunction_check,
+    dual_cross_check,
     dual_left,
     dual_right,
     duality_check,
-    extranat_check,
-    judgment_category,
     negative_encoding_check,
     notnottensor_check,
     notpush_check,
@@ -113,12 +112,11 @@ __all__ = [
     "factorization_check",
     "genday_check",
     "monoid_lax_check",
-    "judgment_category",
     "dual_left",
     "dual_right",
+    "dual_cross_check",
     "duality_check",
     "dual_adjunction_check",
-    "extranat_check",
     "negative_encoding_check",
     "notpush_check",
     "notnottensor_check",

@@ -13,6 +13,7 @@ import sys as _sys
 from . import fixtures as fx
 from . import textio
 from .duality import (
+    dual_cross_check,
     dual_left,
     dual_right,
     duality_check,
@@ -120,7 +121,11 @@ def _genday_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRep
     ]
 
 
-def _duality_suite(s: RefinementSystem, size_guard: int, cross_check: bool) -> list[CheckReport]:
+# side of a dual -> (the representation it dualizes, its dualizer)
+_DUALS = {"left": (pos_rep, dual_left), "right": (neg_rep, dual_right)}
+
+
+def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
     reports = [duality_check(s, Q) for Q in range(s.D.n_objects)]
     out = [
         _merge_reports(
@@ -137,13 +142,10 @@ def _duality_suite(s: RefinementSystem, size_guard: int, cross_check: bool) -> l
         )
         for Q in range(s.D.n_objects):
             B = s.shape(Q)
-            try:
-                dual_left(s, B, pos_rep(s, Q), cross_check=True, size_guard=size_guard)
-                dual_right(s, B, neg_rep(s, Q), cross_check=True, size_guard=size_guard)
-            except SizeGuardExceeded as exc:
-                cross.record_skip(str(exc))
-            else:
-                cross.record_pass()
+            for side, (rep, dual) in _DUALS.items():
+                inp = rep(s, Q)
+                dual_cross_check(s, B, inp, dual(s, B, inp), side)
+            cross.record_pass()
         out.append(cross.done())
     return out
 
@@ -234,9 +236,9 @@ SUITES = {
     "laws": lambda ws, key, s, guard, cross: [_laws_report(s)],
     "ff": lambda ws, key, s, guard, cross: [representation_ff_check(s)],
     "preservation": lambda ws, key, s, guard, cross: [preservation_check(s)],
-    "factorization": lambda ws, key, s, guard, cross: [factorization_check(s)],
+    "factorization": lambda ws, key, s, guard, cross: [factorization_check(s, guard)],
     "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s),
-    "duality": lambda ws, key, s, guard, cross: _duality_suite(s, guard, cross),
+    "duality": lambda ws, key, s, guard, cross: _duality_suite(s, cross),
     "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s),
     "notnot-tensor": lambda ws, key, s, guard, cross: _notnot_suite(ws, key, s),
     "rapp": lambda ws, key, s, guard, cross: _rapp_suite(ws, key, s),
@@ -244,11 +246,7 @@ SUITES = {
 
 
 def run_suite(
-    ws: Workspace,
-    system: str | None,
-    suite: str,
-    size_guard: int = 200000,
-    cross_check: bool = False,
+    ws: Workspace, system: str | None, suite: str, size_guard: int, cross_check: bool
 ) -> list[CheckReport]:
     """All reports of one verification suite, or of every suite for
     "all", in canonical order."""
@@ -425,16 +423,13 @@ def _cmd_lift(args, direction: str) -> int:
 def _cmd_dual(args) -> int:
     ws = textio.load(args.file)
     _, s = _system_entry(ws, args.system)
-    if args.left is not None:
-        X = _resolve_obj(s.D, args.left, "refinement")
-        out = dual_left(
-            s, s.shape(X), pos_rep(s, X), cross_check=args.cross_check, size_guard=args.size_guard
-        )
-    else:
-        X = _resolve_obj(s.D, args.right, "refinement")
-        out = dual_right(
-            s, s.shape(X), neg_rep(s, X), cross_check=args.cross_check, size_guard=args.size_guard
-        )
+    side = "left" if args.left is not None else "right"
+    X = _resolve_obj(s.D, getattr(args, side), "refinement")
+    rep, dual = _DUALS[side]
+    inp = rep(s, X)
+    out = dual(s, s.shape(X), inp)
+    if args.cross_check:
+        dual_cross_check(s, s.shape(X), inp, out, side)
     if args.json:
         _emit(args, textio.to_json(textio.presheaf_to_dict(out)))
     else:
@@ -496,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--size-guard",
         dest="size_guard",
         type=int,
-        default=200000,
-        help="abort derived constructions past this size",
+        default=60000,
+        help="skip the comma-category route of factorization past this size",
     )
     common.add_argument(
         "--cross-check",

@@ -1,18 +1,17 @@
-"""The category of judgments, its pairing with slice and coslice, and duals.
+"""The slice x coslice pairing through derivations, cuts, and duals.
 
-Judgments of a refinement system form a category whose morphisms transform
-a derivation of one judgment into a derivation of another by composing on
-both sides; derivations themselves then form a presheaf on it.  Pairing a
-slice point (P,c) with a coslice point (d,R) gives the judgment
-(P, c;d, R), and the derivations of that judgment are the cut.  Every
-presheaf over a slice is dualized into one over the coslice and back by a
-direct end formula: the dual at a point collects the natural families of
-derivations the presheaf can be mapped into.  The checks in this module
-verify that the two representations of a refinement are the point
-sections of the cut and each other's duals, that dualization interacts
-with push and pull the way one-sided image constructions demand, and that
-pushforwards and fiber tensors are recovered from their negative
-encodings up to double dualization.
+Pairing a slice point (P,c) with a coslice point (d,R) gives the
+derivations of the judgment (P, c;d, R); a slice morphism alpha and a
+coslice morphism gamma act on them by sigma |-> alpha;sigma;gamma.  Fixing
+one argument of the pairing gives a cut.  Every presheaf over a slice is
+dualized into one over the coslice and back by a direct end formula: the
+dual at a point collects the natural families of derivations the
+presheaf can be mapped into.  The checks in this module verify that the
+two representations of a refinement are the point sections of the cut
+and each other's duals, that dualization interacts with push and pull the
+way one-sided image constructions demand, and that pushforwards and fiber
+tensors are recovered from their negative encodings up to double
+dualization.
 
 Every mirror image is taken from the opposite system: the coslice of a
 system is the slice of `sys.op()`, and the right dual is the left dual
@@ -25,22 +24,18 @@ its input: the support is a sieve, so a natural family is () off it and
 is determined by its values there.  Points where the cut is empty
 somewhere on the support have no families and are never read.  A cut is
 a presheaf like any other, filled on first read and kept in the memo.
-The pairing is a two-argument table on slice and coslice indices; only
-the pairing clause of `dual_adjunction_check` puts it on a product
-category.  An independent route, the residual of the input and the
-derivation presheaf pulled back along the curried pairing, is kept
-behind an optional cross-check flag; it needs the judgment category.
+The pairing is a two-argument table on slice and coslice indices
+(`Pairing`), read straight from the derivation index; only the pairing
+clause of `dual_adjunction_check` puts it on a product category.  An
+independent route, `dual_cross_check`, recomputes a dual as the residual
+of its input and the curried pairing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .fincat import (
-    FinCategory,
-    FunctorData,
-    ProductCategory,
     SizeGuardExceeded,
     StructuralError,
     Table,
@@ -77,189 +72,57 @@ from .represent import (
 
 
 # ---------------------------------------------------------------------------
-# The category of judgments and its derivation presheaf
+# The slice x coslice pairing
 
 
-@dataclass(eq=False)
-class JudgmentCategory:
-    """All judgments of a system as a category.
-
-    A morphism (P1,c1,Q1) -> (P2,c2,Q2) is a pair (beta : P1 -> P2,
-    gamma : Q2 -> Q1) of D-morphisms with c1 = t(beta) ; c2 ; t(gamma);
-    it sends a derivation of the target judgment to beta ; sigma ; gamma.
-    """
-
-    sys: RefinementSystem
-    cat: FinCategory
-    obj_tags: tuple[tuple[int, int, int], ...]
-    mor_tags: tuple[tuple[int, int, int, int], ...]
-    obj_index: dict[tuple[int, int, int], int]
-    mor_index: dict[tuple[int, int, int, int], int]
-    der: Presheaf
-
-
-def judgment_category(sys: RefinementSystem, size_guard: int = 200000) -> JudgmentCategory:
-    """Materialize the judgment category with its derivation presheaf,
-    kept on the system after the first successful build.  A kept category
-    is handed out only if its sizes are within the caller's guard."""
-    jc = sys.memo(("judgments",), lambda: _build_judgments(sys, size_guard))
-    for what, n in (
-        ("judgment objects", jc.cat.n_objects),
-        ("judgment morphisms", jc.cat.n_morphisms),
-    ):
-        if n > size_guard:
-            raise SizeGuardExceeded(what, n, size_guard)
-    return jc
-
-
-def _build_judgments(sys: RefinementSystem, size_guard: int) -> JudgmentCategory:
-    D, T, t = sys.D, sys.T, sys.t
-
-    # Sizes first, without allocating: a judgment is (P, c, Q), a morphism
-    # is (beta, gamma, c2) with c2 : t(cod beta) -> t(dom gamma).
-    def size(left, right) -> int:
-        lc, rc = Counter(map(sys.shape, left)), Counter(map(sys.shape, right))
-        return sum(lc[A] * rc[B] * len(T.hom(A, B)) for A in lc for B in rc)
-
-    mors = range(D.n_morphisms)
-    for what, n in (
-        ("judgment objects", size(range(D.n_objects), range(D.n_objects))),
-        ("judgment morphisms", size(map(D.cod, mors), map(D.dom, mors))),
-    ):
-        if n > size_guard:
-            raise SizeGuardExceeded(what, n, size_guard)
-    obj_tags = tuple(sys.judgments())
-    obj_index = {tag: i for i, tag in enumerate(obj_tags)}
-    obj_names = [sys.judgment_name(P, c, Q) for (P, c, Q) in obj_tags]
-
-    # Morphisms are enumerated by their derivation pair, not by object
-    # pairs: the base leg of the source judgment is determined.
-    mor_tags: list[tuple[int, int, int, int]] = []
-    for beta in range(D.n_morphisms):
-        P1, P2 = D.dom(beta), D.cod(beta)
-        e = t.mor(beta)
-        for gamma in range(D.n_morphisms):
-            Q2, Q1 = D.dom(gamma), D.cod(gamma)
-            ep = t.mor(gamma)
-            for c2 in T.hom(sys.shape(P2), sys.shape(Q2)):
-                c1 = T.compose(e, T.compose(c2, ep))
-                si = obj_index[(P1, c1, Q1)]
-                ti = obj_index[(P2, c2, Q2)]
-                mor_tags.append((beta, gamma, si, ti))
-    mor_index = {tag: k for k, tag in enumerate(mor_tags)}
-    morphisms = [
-        (f"({D.mor_names[b]},{D.mor_names[g]})#{si}->{ti}", si, ti)
-        for (b, g, si, ti) in mor_tags
-    ]
-    identity = [
-        mor_index[(D.identity[P], D.identity[Q], i, i)]
-        for i, (P, _c, Q) in enumerate(obj_tags)
-    ]
-
-    def comp(f: int, g: int, _mt=mor_tags, _mi=mor_index, _D=D) -> int:
-        b1, g1, s, _ = _mt[f]
-        b2, g2, _, u = _mt[g]
-        return _mi[(_D.compose(b1, b2), _D.compose(g2, g1), s, u)]
-
-    cat = FinCategory(f"jdg({sys.name})", obj_names, morphisms, identity, comp)
-
-    elements = []
-    payloads = []
-    pos: list[dict[int, int]] = []
-    for (P, c, Q) in obj_tags:
-        ders = sys.derivations(P, c, Q)
-        elements.append(tuple(D.mor_names[d] for d in ders))
-        payloads.append(tuple(ders))
-        pos.append({d: k for k, d in enumerate(ders)})
-    action = []
-    for (beta, gamma, si, ti) in mor_tags:
-        action.append(
-            tuple(
-                pos[si][D.compose(beta, D.compose(sigma, gamma))]
-                for sigma in payloads[ti]
-            )
-        )
-    der = Presheaf(
-        f"der({sys.name})", cat, tuple(elements), tuple(action), tuple(payloads)
-    )
-    return JudgmentCategory(sys, cat, obj_tags, tuple(mor_tags), obj_index, mor_index, der)
+# The pairing clause of `dual_adjunction_check` puts the pairing on the
+# product of the slice and the coslice; past this many product morphisms
+# it records a skip instead.
+PAIRING_GUARD = 200000
 
 
 @dataclass(eq=False)
 class Pairing:
-    """The pairing of the slice and the coslice of B into the judgments,
-    ((P,c),(d,R)) |-> (P, c;d, R) and (alpha, gamma) |-> the judgment
-    morphism (alpha, gamma), read as a two-argument table on slice and
-    coslice indices."""
+    """The pairing of the slice and the coslice of B through derivations,
+    ((P,c),(d,R)) |-> the derivations of (P, c;d, R), read as two-argument
+    tables on slice and coslice indices.  A pair of a slice morphism alpha
+    and a coslice morphism gamma sends a derivation sigma of the target
+    pair to alpha;sigma;gamma.  Derivation sets are read from
+    `sys.derivations_unchecked`; the position maps the rows need are kept
+    on first use."""
 
-    jdg: JudgmentCategory
+    sys: RefinementSystem
     slice: SliceCategory
     coslice: SliceCategory
 
-    def obj(self, i: int, j: int) -> int:
-        (P, c), (R, d) = self.slice.obj_tags[i], self.coslice.obj_tags[j]
-        return self.jdg.obj_index[(P, self.jdg.sys.T.compose(c, d), R)]
+    def __post_init__(self) -> None:
+        self._pos: dict[tuple[int, int], dict[int, int]] = {}
 
-    def mor(self, f: int, g: int) -> int:
+    def ders(self, i: int, j: int) -> tuple[int, ...]:
+        """The derivations of (P, c;d, R) for slice point i = (P,c) and
+        coslice point j = (d,R)."""
+        (P, c), (R, d) = self.slice.obj_tags[i], self.coslice.obj_tags[j]
+        return self.sys.derivations_unchecked(P, self.sys.T.compose(c, d), R)
+
+    def size(self, i: int, j: int) -> int:
+        return len(self.ders(i, j))
+
+    def row(self, f: int, g: int) -> tuple[int, ...]:
+        """sigma |-> alpha;sigma;gamma for slice morphism f = alpha and
+        coslice morphism g = gamma, located among the derivations at the
+        pair of their sources."""
+        D = self.sys.D
         alpha, s1, t1 = self.slice.mor_tags[f]
         gamma, s2, t2 = self.coslice.mor_tags[g]
-        return self.jdg.mor_index[(alpha, gamma, self.obj(s1, s2), self.obj(t1, t2))]
-
-    def functor(self, prod: ProductCategory) -> FunctorData:
-        """The pairing as a functor on prod = slice x coslice."""
-        return FunctorData(
-            f"cut[{self.jdg.sys.T.objects[self.slice.base_obj]}]",
-            prod,
-            self.jdg.cat,
-            tuple(self.obj(*prod.split_obj(x)) for x in range(prod.n_objects)),
-            tuple(self.mor(*prod.split_mor(m)) for m in range(prod.n_morphisms)),
-        )
+        pos = self._pos.get((s1, s2))
+        if pos is None:
+            pos = self._pos[(s1, s2)] = {x: k for k, x in enumerate(self.ders(s1, s2))}
+        return tuple(pos[D.compose(alpha, D.compose(sigma, gamma))] for sigma in self.ders(t1, t2))
 
 
-def pairing(sys: RefinementSystem, B: int, size_guard: int = 200000) -> Pairing:
-    """The pairing over the base object B; builds the judgment category."""
-    return Pairing(judgment_category(sys, size_guard), slice_of(sys, B), coslice_of(sys, B))
-
-
-def extranat_check(sys: RefinementSystem, size_guard: int = 200000) -> CheckReport:
-    """For every base morphism c : A -> B, acting on the slice side before
-    pairing equals acting on the coslice side: pairing over B after
-    slice(c) and pairing over A after coslice(c) agree as tables on
-    slice(A) x coslice(B).  Holds by associativity of base composition;
-    verified entry by entry."""
-    rep = CheckReport(
-        f"extranat[{sys.name}]",
-        "bracket pairing is balanced over every base morphism",
-    )
-    T = sys.T
-    try:
-        judgment_category(sys, size_guard)
-    except SizeGuardExceeded as exc:
-        rep.record_skip(f"judgment category skipped: {exc}")
-        return rep.done()
-    for c in range(T.n_morphisms):
-        pA, pB = pairing(sys, T.dom(c)), pairing(sys, T.cod(c))
-        SA, CsB = pA.slice, pB.coslice
-        Fsl, Fco = slice_action(sys, c), coslice_action(sys, c)
-        bad = next(
-            (
-                f"objects disagree at ({SA.obj_name(i)}, {CsB.obj_name(j)})"
-                for i in range(SA.cat.n_objects)
-                for j in range(CsB.cat.n_objects)
-                if pB.obj(Fsl.obj(i), j) != pA.obj(i, Fco.obj(j))
-            ),
-            None,
-        ) or next(
-            (
-                f"morphisms disagree at ({SA.mor_name(f)}, {CsB.mor_name(g)})"
-                for f in range(SA.cat.n_morphisms)
-                for g in range(CsB.cat.n_morphisms)
-                if pB.mor(Fsl.mor(f), g) != pA.mor(f, Fco.mor(g))
-            ),
-            None,
-        )
-        rep.check(bad is None, f"{T.mor_names[c]}: {bad}")
-    return rep.done()
+def pairing(sys: RefinementSystem, B: int) -> Pairing:
+    """The pairing over the base object B, kept in the system's memo."""
+    return sys.memo(("pairing", B), lambda: Pairing(sys, slice_of(sys, B), coslice_of(sys, B)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +192,7 @@ def _live_points(sys: RefinementSystem, B: int, support: tuple[int, ...]) -> lis
     return list(range(Cs.cat.n_objects)) if live is None else sorted(live)
 
 
-def dual_left(
-    sys: RefinementSystem,
-    B: int,
-    phi: Presheaf,
-    cross_check: bool = False,
-    size_guard: int = 10000,
-) -> Presheaf:
+def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
     """The left dual of a presheaf over the slice of B: at a coslice point
     (d,R), the natural families sending phi(P,c) into derivations
     (P, c;d, R); coslice morphisms act by postcomposing every value.
@@ -350,11 +207,7 @@ def dual_left(
     only there.  Families are returned on every slice object, () off the
     support, and an action row of the dual is computed, and the moved
     families checked to be natural, when it is first read.
-
-    With cross_check the dual is recomputed as the residual of phi and
-    the derivation presheaf pulled back along the curried pairing, and
-    compared elementwise; that route builds the judgment category, and
-    its guard is the only place the size guard can fire."""
+    `dual_cross_check` recomputes it by an independent route."""
     D = sys.D
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if phi.base is not S.cat:
@@ -395,7 +248,7 @@ def dual_left(
         return tuple(out)
 
     n = S.cat.n_objects
-    out = Presheaf(
+    return Presheaf(
         f"dualL({phi.name})",
         Cs.cat,
         tuple(
@@ -408,44 +261,34 @@ def dual_left(
             for fams in fams_at
         ),
     )
-    if cross_check:
-        _dual_cross_check(sys, B, phi, out, "left", size_guard)
-    return out
 
 
-def dual_right(
-    sys: RefinementSystem,
-    B: int,
-    psi: Presheaf,
-    cross_check: bool = False,
-    size_guard: int = 10000,
-) -> Presheaf:
+def dual_right(sys: RefinementSystem, B: int, psi: Presheaf) -> Presheaf:
     """The right dual of a presheaf over the coslice of B: at a slice
     point (P,c), the natural families sending psi(d,R) into derivations
     (P, c;d, R); slice morphisms act by precomposing every value.  This is
-    the left dual in the opposite system.  The cross-check stays on `sys`,
-    so it is an independent reference for the mirrored computation."""
+    the left dual in the opposite system."""
     out = dual_left(sys.op(), B, psi)
     out.name = f"dualR({psi.name})"
-    if cross_check:
-        _dual_cross_check(sys, B, psi, out, "right", size_guard)
     return out
 
 
-def _dual_cross_check(sys, B, inp, out, side, size_guard):
-    """Recompute a dual as the residual of inp and the derivation presheaf
-    pulled back along the curried pairing, and compare it with the dual:
-    the families at every point, then the action row of every morphism
-    into a nonempty point.  It reads full presheaves through
-    `natural_families`, so it does not share the dualizer's route through
-    cut supports."""
-    pair = pairing(sys, B, size_guard)
+def dual_cross_check(sys: RefinementSystem, B: int, inp: Presheaf, out: Presheaf, side: str) -> None:
+    """Recompute the dual `out` of `inp` ("left" or "right") as the
+    residual of inp and the pairing of `sys` over B, curried on the side
+    of the dual's base, and compare: the families at every point, then the
+    action row of every morphism into a nonempty point.  Raises
+    StructuralError at the first difference.  The residual is searched on
+    the whole pairing, not on the cuts the dualizer reads, and the right
+    side stays on `sys`, so it is an independent reference for the
+    mirrored computation."""
+    pair = pairing(sys, B)
     if side == "left":
-        right, obj, mor = pair.coslice.cat, pair.obj, pair.mor
+        crossed = curried_residual(inp, pair.coslice.cat, pair.size, pair.row)
     else:
-        right = pair.slice.cat
-        obj, mor = (lambda j, i: pair.obj(i, j)), (lambda g, f: pair.mor(f, g))
-    crossed = curried_residual(inp, pair.jdg.der, right, obj, mor)
+        crossed = curried_residual(
+            inp, pair.slice.cat, lambda j, i: pair.size(i, j), lambda g, f: pair.row(f, g)
+        )
     base = out.base
     for j in range(base.n_objects):
         if crossed.payloads[j] != out.payloads[j]:
@@ -508,12 +351,14 @@ def _restrict_dual(v_comps, dl_target: Presheaf, dl_source: Presheaf):
     return tuple(comps)
 
 
-def dual_adjunction_check(sys: RefinementSystem, B: int, size_guard: int = 200000) -> CheckReport:
+def dual_adjunction_check(sys: RefinementSystem, B: int) -> CheckReport:
     """The two dualizers are adjoint on the right: a subtyping into a
     right dual, a subtyping into a left dual, and a bracket-compatible
     pairing are equivalent data.  Checked on the representables over B;
     additionally the unit into the double dual exists for every input and
-    the triangle composite on the left dual is the identity."""
+    the triangle composite on the left dual is the identity.  The pairing
+    clause puts the pairing on slice x coslice and is skipped past
+    PAIRING_GUARD product morphisms."""
     rep = CheckReport(
         f"dual-adjunction[{sys.name}@{sys.T.objects[B]}]",
         "dualization is a contravariant adjunction between slice and coslice presheaves",
@@ -521,14 +366,21 @@ def dual_adjunction_check(sys: RefinementSystem, B: int, size_guard: int = 20000
     pool_pos = [pos_rep(sys, Q) for Q in sys.fiber(B)]
     pool_neg = [neg_rep(sys, P) for P in sys.fiber(B)]
 
-    pair = None
-    try:
-        pair = pairing(sys, B, size_guard)
-    except SizeGuardExceeded as exc:
-        rep.record_skip(f"pairing clause skipped: {exc}")
+    pair = pairing(sys, B)
+    n_mor = pair.slice.cat.n_morphisms * pair.coslice.cat.n_morphisms
+    bracket = None
+    if n_mor > PAIRING_GUARD:
+        guard = SizeGuardExceeded("slice x coslice morphisms", n_mor, PAIRING_GUARD)
+        rep.record_skip(f"pairing clause skipped: {guard}")
     else:
         prod = product(pair.slice.cat, pair.coslice.cat)
-        cut = pair.functor(prod)
+        names = sys.D.mor_names
+        bracket = Presheaf(
+            f"bracket[{sys.T.objects[B]}]",
+            prod,
+            Table(prod.n_objects, lambda x: tuple(names[d] for d in pair.ders(*prod.split_obj(x)))),
+            lambda m: pair.row(*prod.split_mor(m)),
+        )
 
     duals_l = [dual_left(sys, B, phi) for phi in pool_pos]
     duals_r = [dual_right(sys, B, psi) for psi in pool_neg]
@@ -541,9 +393,8 @@ def dual_adjunction_check(sys: RefinementSystem, B: int, size_guard: int = 20000
             detail = (
                 f"phi={phi.name} psi={psi.name}: into-right-dual {e1}, into-left-dual {e2}"
             )
-            if pair is not None:
-                box = tensor_psh(phi, psi, prod)
-                e3 = bool(natural_families(box, pair.jdg.der, cut))
+            if bracket is not None:
+                e3 = bool(natural_families(tensor_psh(phi, psi, prod), bracket))
                 agree = agree and e2 == e3
                 detail += f", pairing {e3}"
             rep.check(agree, detail)

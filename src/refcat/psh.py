@@ -10,6 +10,7 @@ the bottom is shared by every higher construction in the package
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -615,41 +616,47 @@ def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi:
 
 def curried_residual(
     phi: Presheaf,
-    omega: Presheaf,
     right: FinCategory,
-    obj: Callable[[int, int], int],
-    mor: Callable[[int, int], int],
+    size: Callable[[int, int], int],
+    row: Callable[[int, int], tuple[int, ...]],
 ) -> Presheaf:
-    """The closed-structure residual of phi and omega pulled back along a
-    currying, over `right`.  The currying of a two-argument table
-    (obj(a, b), mor(f, g)), a in phi's base, sends b to the functor
-    G_b : a |-> obj(a, b), f |-> mor(f, id_b) into omega's base, and
-    g : b -> b2 to the components a |-> mor(id_a, g).  The elements at b
-    are the natural families phi(a) -> omega(G_b a); g moves a family at
-    b2 by postcomposing each component with omega's action, and a row is
+    """The closed-structure residual of phi and a presheaf omega pulled
+    back along a currying, over `right`.  omega is given as two-argument
+    tables on phi's base and `right`: size(a, b) elements at the image of
+    (a, b), and the action row(f, g) of the image of (f, g).  The currying
+    sends b to the functor G_b : a |-> (a, b), f |-> (f, id_b), and
+    g : b -> b2 to the components a |-> (id_a, g).  The elements at b are
+    the natural families phi(a) -> omega(a, b) along G_b; g moves a family
+    at b2 by postcomposing each component with row(id_a, g), and a row is
     computed, and the moved families checked to be natural, when it is
     first read.  Only the functors and natural transformations the
     currying reaches are visited: the residual over the whole functor
     category is never listed.  The left and the right residual differ
     only in the currying."""
-    A, C = phi.base, omega.base
+    A = phi.base
+    support = phi.support()
+    sizes = [phi.size(a) for a in support]
+    closing = functools.cache(lambda: _closing(phi, support))
     payloads = []
     for b in range(right.n_objects):
-        G = FunctorData(
-            f"curry@{right.objects[b]}",
-            A,
-            C,
-            tuple(obj(a, b) for a in range(A.n_objects)),
-            lambda f, _id=right.id_of(b): mor(f, _id),
+        fams = _families_on_support(
+            sizes,
+            [size(a, b) for a in support],
+            closing,
+            lambda u, _id=right.id_of(b): row(u, _id),
         )
-        payloads.append(tuple(natural_families(phi, omega, G)))
+        payloads.append(tuple(_on_objects(fam, support, A.n_objects) for fam in fams))
 
-    def row(g: int) -> tuple[int, ...]:
-        comps = [mor(A.id_of(a), g) for a in range(A.n_objects)]
+    def act(g: int) -> tuple[int, ...]:
+        rows = [row(A.id_of(a), g) for a in support]
         at = res.position(right.dom(g))
         out = []
         for fam in payloads[right.cod(g)]:
-            moved = tuple(tuple(omega.apply(c, v) for v in comp) for c, comp in zip(comps, fam))
+            moved = _on_objects(
+                tuple(tuple(r[v] for v in fam[a]) for r, a in zip(rows, support)),
+                support,
+                A.n_objects,
+            )
             k = at.get(moved)
             if k is None:
                 raise StructuralError(
@@ -659,10 +666,10 @@ def curried_residual(
         return tuple(out)
 
     res = Presheaf(
-        f"res({phi.name},{omega.name})",
+        f"res({phi.name})",
         right,
         tuple(tuple(f"t{b}.{k}" for k in range(len(fams))) for b, fams in enumerate(payloads)),
-        row,
+        act,
         tuple(payloads),
     )
     return res

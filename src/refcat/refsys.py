@@ -58,13 +58,11 @@ class RefinementSystem:
 
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
-        Slices, representations, judgment categories, cuts, lift searches,
-        strict residuals and genday clause outcomes are built once per
-        system through here; presheaf pullback needs identical base
-        categories.  A build that raises (a size guard) stores nothing, so
-        the next request builds again.  The one guarded entry, the
-        judgment category, is read through `judgment_category`, which
-        compares its stored size with each caller's guard."""
+        Slices, representations, pairings, cuts, lift searches, strict
+        residuals and genday clause outcomes are built once per system
+        through here; presheaf pullback needs identical base categories.
+        A build that raises stores nothing, so the next request builds
+        again."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -862,6 +860,18 @@ class MonoidalStructure:
                             f"object associativity fails at "
                             f"({cat.object_name(a)}, {cat.object_name(b)}, "
                             f"{cat.object_name(c)})"
+                        )
+        m = cat.n_morphisms
+        for f in range(m):
+            for g in range(m):
+                fg = self.tmor(f, g)
+                for h in range(m):
+                    if self.tmor(fg, h) != self.tmor(f, self.tmor(g, h)):
+                        report.add(
+                            "tensor associativity",
+                            f"morphism associativity fails at "
+                            f"({cat.morphism_name(f)}, {cat.morphism_name(g)}, "
+                            f"{cat.morphism_name(h)})"
                         )
         for f in range(cat.n_morphisms):
             fg = self.tmor(f, cat.identity[self.unit])

@@ -91,9 +91,9 @@ class CheckReport:
         self.wall_time = time.perf_counter() - self._t0
         return self
 
-    def render(self, with_time: bool = False) -> str:
-        """Stable text form.  Wall time is excluded by default so identical
-        runs stay byte-identical."""
+    def render(self) -> str:
+        """Stable text form.  Wall time is left out, so identical runs stay
+        byte-identical."""
         lines = [
             f"check {self.name} [{self.statement}]",
             f"  attempted {self.attempted} passed {self.passed} failed {self.failed} skipped {self.skipped}",
@@ -106,8 +106,6 @@ class CheckReport:
             lines.append("  counterexample:")
             for cl in self.counterexample.splitlines():
                 lines.append(f"    {cl}")
-        if with_time:
-            lines.append(f"  wall-time {self.wall_time:.3f}s")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

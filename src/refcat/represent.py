@@ -817,7 +817,12 @@ def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD):
     phi, omega = pos_rep(sys, P), pos_rep(sys, R)
     prod = F.source
     obj = lambda a, b: F.obj(prod.pair_obj(a, b))
-    res = curried_residual(phi, omega, prod.right, obj, lambda f, g: F.mor(prod.pair_mor(f, g)))
+    res = curried_residual(
+        phi,
+        prod.right,
+        lambda a, b: omega.size(obj(a, b)),
+        lambda f, g: omega.action[F.mor(prod.pair_mor(f, g))],
+    )
     comps = []
     for i in range(lhs.base.n_objects):
         row = []

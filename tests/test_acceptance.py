@@ -10,12 +10,13 @@ import subprocess
 import sys
 
 from refcat.duality import (
+    dual_cross_check,
     dual_left,
     dual_right,
     duality_check,
     negative_encoding_check,
 )
-from refcat.fincat import FunctorData, SizeGuardExceeded, terminal_category
+from refcat.fincat import FunctorData, StructuralError, terminal_category
 from refcat.fixtures import (
     bang_system,
     hoare_sp,
@@ -206,16 +207,14 @@ def test_criterion_7_pushforward_universal_property(hoare, collapse, ident):
     for base in (chain_category(2), chain_category(3), walking_arrow(), skew_pair()):
         s = bang_system(base)
         for Q in range(s.D.n_objects):
-            try:
-                for build, dual in ((pos_rep, dual_left), (neg_rep, dual_right)):
-                    a = dual(s, 0, build(s, Q), cross_check=True)
-                    b = dual(s, 0, build(s, Q))
-                    if a.elements != b.elements or a.action != b.action:
-                        failures.append((s.name, Q, "cross-check mismatch"))
-                    else:
-                        crossed += 1
-            except SizeGuardExceeded:
-                pass
+            for side, build, dual in (("left", pos_rep, dual_left), ("right", neg_rep, dual_right)):
+                inp = build(s, Q)
+                try:
+                    dual_cross_check(s, 0, inp, dual(s, 0, inp), side)
+                except StructuralError as exc:
+                    failures.append((s.name, Q, f"cross-check mismatch: {exc}"))
+                else:
+                    crossed += 1
     ok = not failures and crossed >= 10
     verdict(
         7,

@@ -268,25 +268,34 @@ def test_a_reader_closing_the_pipe_early_gets_no_traceback(hoare_file):
 
 
 def test_verify_builds_no_judgment_category_and_no_product(hoare_file, capsys, monkeypatch):
+    # verify reads the pairing from the derivation index and puts it on
+    # no product category.
     import refcat.fincat as fincat_mod
 
-    calls = {"judgment_category": 0, "ProductCategory": 0}
-    real_jdg = duality_mod.judgment_category
+    calls = {"ProductCategory": 0}
     real_init = fincat_mod.ProductCategory.__init__
-
-    def counted_jdg(*args, **kwargs):
-        calls["judgment_category"] += 1
-        return real_jdg(*args, **kwargs)
 
     def counted_init(self, *args):
         calls["ProductCategory"] += 1
         real_init(self, *args)
 
-    monkeypatch.setattr(duality_mod, "judgment_category", counted_jdg)
     monkeypatch.setattr(fincat_mod.ProductCategory, "__init__", counted_init)
     assert main(["verify", hoare_file, "all"]) == 0
     assert "suite all: 9/9 reports ok" in capsys.readouterr().out
-    assert calls == {"judgment_category": 0, "ProductCategory": 0}
+    assert calls == {"ProductCategory": 0}
+
+
+def test_size_guard_reaches_the_comma_guard(tmp_path, capsys):
+    # The comma routes of factorization are the guarded constructions
+    # that verify reaches; the default guard is the one in the goldens.
+    p = tmp_path / "l.fix"
+    p.write_text("fixture l linctx\n")
+    assert main(["verify", str(p), "factorization", "--size-guard", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "  skip: pos comma route: comma category objects: estimated 888 > guard 10" in out
+    assert "  skip: neg comma route: comma category objects: estimated 967 > guard 10" in out
+    assert main(["verify", str(p), "factorization"]) == 0
+    assert "> guard 60000" in capsys.readouterr().out
 
 
 def test_scripts_run_from_a_plain_checkout(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Judgment category, the slice x coslice pairing, cuts, dualization, and
-the encoding checks.
+"""The slice x coslice pairing, cuts, dualization, and the encoding checks.
+
+The pairing is compared with a reference that builds the whole category
+of judgments and its derivation presheaf.
 
 The corruption test deliberately breaks an internal action table and
 asserts the machinery notices; it guards against the checks degenerating
@@ -9,6 +11,7 @@ a dense reference that builds every cut presheaf over the whole slice.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +19,13 @@ from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
 from refcat.duality import (
+    Pairing,
     _cut,
     dual_adjunction_check,
+    dual_cross_check,
     dual_left,
     dual_right,
     duality_check,
-    extranat_check,
-    judgment_category,
     negative_encoding_check,
     notnottensor_check,
     notpush_check,
@@ -31,10 +34,8 @@ from refcat.duality import (
 from refcat.fincat import (
     FinCategory,
     FunctorData,
-    SizeGuardExceeded,
     StructuralError,
     product,
-    validate_category,
     validate_functor,
 )
 from refcat.fixtures import (
@@ -77,8 +78,88 @@ def skew_pair():
     )
 
 
+# ---------------------------------------------------------------------------
+# Reference: the category of judgments and its derivation presheaf.  A
+# morphism (P1,c1,Q1) -> (P2,c2,Q2) is a pair (beta : P1 -> P2,
+# gamma : Q2 -> Q1) with c1 = t(beta);c2;t(gamma); it sends a derivation
+# sigma of the target judgment to beta;sigma;gamma.  The pairing read
+# along it, ((P,c),(d,R)) |-> (P, c;d, R), is what `Pairing` tabulates.
+
+
+def reference_judgments(sys):
+    """The judgment category of sys with its derivation presheaf `der`,
+    built in full and kept on the system."""
+    cache = sys.__dict__.setdefault("_judgments_reference", [])
+    if cache:
+        return cache[0]
+    D, T, t = sys.D, sys.T, sys.t
+    obj_tags = tuple(sys.judgments())
+    obj_index = {tag: i for i, tag in enumerate(obj_tags)}
+    mor_tags = []
+    for beta in range(D.n_morphisms):
+        P1, P2 = D.dom(beta), D.cod(beta)
+        for gamma in range(D.n_morphisms):
+            Q2, Q1 = D.dom(gamma), D.cod(gamma)
+            for c2 in T.hom(sys.shape(P2), sys.shape(Q2)):
+                c1 = T.compose(t.mor(beta), T.compose(c2, t.mor(gamma)))
+                mor_tags.append((beta, gamma, obj_index[(P1, c1, Q1)], obj_index[(P2, c2, Q2)]))
+    mor_index = {tag: k for k, tag in enumerate(mor_tags)}
+    identity = [
+        mor_index[(D.identity[P], D.identity[Q], i, i)] for i, (P, _c, Q) in enumerate(obj_tags)
+    ]
+
+    def comp(f, g):
+        b1, g1, s, _ = mor_tags[f]
+        b2, g2, _, u = mor_tags[g]
+        return mor_index[(D.compose(b1, b2), D.compose(g2, g1), s, u)]
+
+    cat = FinCategory(
+        f"jdg({sys.name})",
+        [sys.judgment_name(*tag) for tag in obj_tags],
+        [(f"({D.mor_names[b]},{D.mor_names[g]})#{si}->{ti}", si, ti) for (b, g, si, ti) in mor_tags],
+        identity,
+        comp,
+    )
+    ders = [sys.derivations(*tag) for tag in obj_tags]
+    pos = [{d: k for k, d in enumerate(x)} for x in ders]
+    der = Presheaf(
+        f"der({sys.name})",
+        cat,
+        tuple(tuple(D.mor_names[d] for d in x) for x in ders),
+        tuple(
+            tuple(pos[si][D.compose(beta, D.compose(sigma, gamma))] for sigma in ders[ti])
+            for (beta, gamma, si, ti) in mor_tags
+        ),
+        tuple(ders),
+    )
+    jc = SimpleNamespace(
+        cat=cat, obj_tags=obj_tags, mor_tags=tuple(mor_tags),
+        obj_index=obj_index, mor_index=mor_index, der=der,
+    )
+    cache.append(jc)
+    return jc
+
+
+def reference_pairing(sys, B):
+    """The pairing over B as two-argument index maps into the reference
+    judgment category: (obj(i, j), mor(f, g))."""
+    J, T = reference_judgments(sys), sys.T
+    S, Cs = slice_of(sys, B), coslice_of(sys, B)
+
+    def obj(i, j):
+        (P, c), (R, d) = S.obj_tags[i], Cs.obj_tags[j]
+        return J.obj_index[(P, T.compose(c, d), R)]
+
+    def mor(f, g):
+        alpha, s1, t1 = S.mor_tags[f]
+        gamma, s2, t2 = Cs.mor_tags[g]
+        return J.mor_index[(alpha, gamma, obj(s1, s2), obj(t1, t2))]
+
+    return obj, mor
+
+
 def test_judgment_category_counts_from_pair_oracle(hoare):
-    J = judgment_category(hoare)
+    J = reference_judgments(hoare)
     assert J.cat.n_objects == 4 * 4 * 4
     names_D = hoare.D.objects
     names_T = hoare.T.mor_names
@@ -96,39 +177,29 @@ def test_judgment_category_counts_from_pair_oracle(hoare):
     assert J.cat.n_morphisms == expected == 5776
 
 
-def test_judgment_guard_reports_the_true_size_before_building():
+def test_pairing_clause_guard_trips_before_anything_is_built(monkeypatch):
+    # Past the guard the pairing clause is one recorded skip, with the true
+    # slice x coslice size, and neither the product nor a derivation set
+    # of the pairing is built; the other clauses keep their counts.
     sys = build_hoare(default_hoare_spec())
+    S, Cs = slice_of(sys, 0), coslice_of(sys, 0)
+    n = S.cat.n_morphisms * Cs.cat.n_morphisms
 
     def untouched(*args):
-        raise AssertionError("the guard must trip before any judgment is listed")
+        raise AssertionError("the guard must trip before the pairing is read")
 
-    sys.judgments = sys.derivations = untouched
-    with pytest.raises(SizeGuardExceeded) as exc:
-        judgment_category(sys, size_guard=5000)
-    assert exc.value.estimate == 5776
-    del sys.judgments, sys.derivations
-    assert judgment_category(sys).cat.n_morphisms == 5776
-
-
-def test_a_kept_judgment_category_honours_a_smaller_guard():
-    # Once built under a large guard, the kept category is refused to a
-    # caller whose guard it exceeds, with the message a fresh system gives.
-    sys = build_hoare(default_hoare_spec())
-    assert judgment_category(sys, size_guard=10**6).cat.n_morphisms == 5776
-    for guard, message in (
-        (10, "judgment objects: estimated 64 > guard 10"),
-        (5000, "judgment morphisms: estimated 5776 > guard 5000"),
-    ):
-        with pytest.raises(SizeGuardExceeded) as kept:
-            judgment_category(sys, size_guard=guard)
-        with pytest.raises(SizeGuardExceeded) as fresh:
-            judgment_category(build_hoare(default_hoare_spec()), size_guard=guard)
-        assert str(kept.value) == str(fresh.value) == message
-    assert judgment_category(sys, size_guard=5776).cat.n_morphisms == 5776
+    monkeypatch.setattr(duality_mod, "PAIRING_GUARD", n - 1)
+    monkeypatch.setattr(duality_mod, "product", untouched)
+    monkeypatch.setattr(Pairing, "ders", untouched)
+    rep = dual_adjunction_check(sys, 0)
+    assert (rep.passed, rep.failed, rep.skipped) == (28, 0, 1)
+    assert rep.skip_reasons == [
+        f"pairing clause skipped: slice x coslice morphisms: estimated {n} > guard {n - 1}"
+    ]
 
 
 def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
-    J = judgment_category(hoare)
+    J = reference_judgments(hoare)
     der = J.der
     assert validate_presheaf(der).ok
     assert der.total_elements() == hoare.D.n_morphisms  # one payload per derivation
@@ -138,10 +209,36 @@ def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
 
 
 def test_bracket_functor_validates(hoare):
-    pair = pairing(hoare, 0)
-    br = pair.functor(product(pair.slice.cat, pair.coslice.cat))
+    # The pairing is a functor on slice x coslice into the judgments.
+    obj, mor = reference_pairing(hoare, 0)
+    prod = product(slice_of(hoare, 0).cat, coslice_of(hoare, 0).cat)
+    br = FunctorData(
+        "cut[W]",
+        prod,
+        reference_judgments(hoare).cat,
+        tuple(obj(*prod.split_obj(x)) for x in range(prod.n_objects)),
+        tuple(mor(*prod.split_mor(m)) for m in range(prod.n_morphisms)),
+    )
     assert validate_functor(br).ok
     assert br.target.name.startswith("jdg")
+
+
+@pytest.mark.parametrize("which", ["hoare", "lattice-identity"])
+def test_pairing_tables_are_the_reference_der_along_the_pairing(which, hoare, ident):
+    sys = hoare if which == "hoare" else ident.mrs.sys
+    bases = [0] if which == "hoare" else range(sys.T.n_objects)
+    der = reference_judgments(sys).der
+    for B in bases:
+        pair = pairing(sys, B)
+        obj, mor = reference_pairing(sys, B)
+        S, Cs = pair.slice.cat, pair.coslice.cat
+        for i in range(S.n_objects):
+            for j in range(Cs.n_objects):
+                assert pair.ders(i, j) == der.payloads[obj(i, j)]
+                assert pair.size(i, j) == der.size(obj(i, j))
+        for f in range(S.n_morphisms):
+            for g in range(Cs.n_morphisms):
+                assert pair.row(f, g) == der.action[mor(f, g)]
 
 
 def point_section(sys, B, point, side):
@@ -149,23 +246,24 @@ def point_section(sys, B, point, side):
     coslice point (side "pos") or one slice point (side "neg"), as a
     functor into the judgment category, pulled back along the derivation
     presheaf."""
-    pair = pairing(sys, B)
-    S, Cs = pair.slice, pair.coslice
+    J = reference_judgments(sys)
+    obj, mor = reference_pairing(sys, B)
+    S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if side == "pos":
         j = Cs.obj_index[point]
         F = FunctorData(
-            "kQ", S.cat, pair.jdg.cat,
-            tuple(pair.obj(i, j) for i in range(S.cat.n_objects)),
-            tuple(pair.mor(f, Cs.cat.id_of(j)) for f in range(S.cat.n_morphisms)),
+            "kQ", S.cat, J.cat,
+            tuple(obj(i, j) for i in range(S.cat.n_objects)),
+            tuple(mor(f, Cs.cat.id_of(j)) for f in range(S.cat.n_morphisms)),
         )
     else:
         i = S.obj_index[point]
         F = FunctorData(
-            "vQ", Cs.cat, pair.jdg.cat,
-            tuple(pair.obj(i, j) for j in range(Cs.cat.n_objects)),
-            tuple(pair.mor(S.cat.id_of(i), g) for g in range(Cs.cat.n_morphisms)),
+            "vQ", Cs.cat, J.cat,
+            tuple(obj(i, j) for j in range(Cs.cat.n_objects)),
+            tuple(mor(S.cat.id_of(i), g) for g in range(Cs.cat.n_morphisms)),
         )
-    return pull_psh(F, pair.jdg.der)
+    return pull_psh(F, J.der)
 
 
 def test_cut_sections_are_the_pulled_derivation_presheaf(hoare, collapse, ident, galois):
@@ -188,11 +286,6 @@ def test_cut_sections_are_the_pulled_derivation_presheaf(hoare, collapse, ident,
                 assert got.elements == want.elements
                 assert got.action == want.action
                 assert got.payloads == want.payloads
-
-
-def test_extranat_counts(hoare):
-    rep = extranat_check(hoare)
-    assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (4, 0, 0)
 
 
 def test_duality_every_hoare_refinement(hoare):
@@ -236,12 +329,9 @@ def test_cross_check_route_agrees_on_small_systems():
     for base in (chain_category(2), skew_pair()):
         sys = bang_system(base)
         for Q in range(sys.D.n_objects):
-            plain = dual_left(sys, 0, pos_rep(sys, Q))
-            crossed = dual_left(sys, 0, pos_rep(sys, Q), cross_check=True)
-            assert plain.elements == crossed.elements and plain.action == crossed.action
-            plain_r = dual_right(sys, 0, neg_rep(sys, Q))
-            crossed_r = dual_right(sys, 0, neg_rep(sys, Q), cross_check=True)
-            assert plain_r.elements == crossed_r.elements and plain_r.action == crossed_r.action
+            for side, rep, dual in (("left", pos_rep, dual_left), ("right", neg_rep, dual_right)):
+                inp = rep(sys, Q)
+                dual_cross_check(sys, 0, inp, dual(sys, 0, inp), side)
             assert duality_check(sys, Q).ok
 
 
@@ -261,20 +351,23 @@ def test_cross_check_compares_action_rows(monkeypatch):
     skewed = dual_left(sys, 0, pos_rep(sys, 0))
     assert skewed.payloads == plain.payloads
     assert all(len(r) == 2 and r == p[::-1] for r, p in zip(skewed.action, plain.action))
-    for dual, rep in ((dual_left, pos_rep), (dual_right, neg_rep)):
+    for side, rep, dual in (("left", pos_rep, dual_left), ("right", neg_rep, dual_right)):
+        inp = rep(sys, 0)
         with pytest.raises(StructuralError, match=r"residual route along id_a#0->0"):
-            dual(sys, 0, rep(sys, 0), cross_check=True)
+            dual_cross_check(sys, 0, inp, dual(sys, 0, inp), side)
     assert not duality_check(sys, 0).ok
 
 
-def test_cross_check_is_guarded_on_large_systems(hoare):
-    # The residual route builds the judgment category, whose guard is the
-    # one it can trip; under the default guard it decides hoare.
-    with pytest.raises(SizeGuardExceeded) as exc:
-        dual_left(hoare, 0, pos_rep(hoare, 1), cross_check=True, size_guard=5000)
-    assert str(exc.value) == "judgment morphisms: estimated 5776 > guard 5000"
-    crossed = dual_left(hoare, 0, pos_rep(hoare, 1), cross_check=True)
-    assert crossed.payloads == dual_left(hoare, 0, pos_rep(hoare, 1)).payloads
+def test_cross_check_sees_a_pairing_with_reversed_rows(monkeypatch):
+    # The cross-check reads the pairing's rows: reversing each of them
+    # must make it disagree with the dualizers, which read the cuts.
+    sys = bang_system(skew_pair())
+    real = Pairing.row
+    monkeypatch.setattr(Pairing, "row", lambda self, f, g: real(self, f, g)[::-1])
+    for side, rep, dual in (("left", pos_rep, dual_left), ("right", neg_rep, dual_right)):
+        inp = rep(sys, 0)
+        with pytest.raises(StructuralError):
+            dual_cross_check(sys, 0, inp, dual(sys, 0, inp), side)
 
 
 def invertible(c):

@@ -10,7 +10,7 @@ a diff.  To regenerate one after an intended change, run for example
 with `h.fix` holding `fixture h hoare`, and review the diff.
 
 The `cross-check-*.txt` files are `refcat verify <file> duality
---cross-check`: on hoare and the two lattices the residual route
+--cross-check`: on hoare, linctx and the two lattices the residual route
 decides every instance.
 
 The `query-*.txt` files hold the query commands (slice, coslice,
@@ -57,12 +57,11 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
     assert got == (GOLDEN / f"{name}.txt").read_text()
 
 
-# Public checks that `verify all` on the inputs above does not reach yet.
-# ROADMAP item 5 puts each in a suite or deletes it; the list may only
-# shrink.
+# Public checks that `verify` on the inputs above and below does not
+# reach yet.  ROADMAP item 6 puts each in a suite or deletes it; the list
+# may only shrink.
 UNREACHED = {
     "dual_adjunction_check",
-    "extranat_check",
     "fully_faithful_check",
     "lapp_check",
     "monoid_lax_check",
@@ -98,6 +97,10 @@ def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
         path = tmp_path / f"{name.split('.')[0]}.fix"
         path.write_text(body + "\n")
         assert main(["verify", str(path), "all", *extra]) == 0
+    for body in CROSS_CHECK.values():
+        path = tmp_path / "w.fix"
+        path.write_text(body + "\n")
+        assert main(["verify", str(path), "duality", "--cross-check"]) == 0
     capsys.readouterr()
     assert UNREACHED <= set(checks)
     assert set(checks) - reached == UNREACHED
@@ -108,6 +111,7 @@ CROSS_CHECK = {
     "cross-check-lattice-collapse": "fixture collapse lattice-collapse",
     "cross-check-lattice-identity": "fixture identity lattice-identity",
     "cross-check-hoare": "fixture hoare hoare",
+    "cross-check-linctx": "fixture linctx linctx",
 }
 
 

@@ -241,7 +241,7 @@ def test_residual_over_a_point_is_a_function_space():
     point, base = unit_psh()
     phi = Presheaf("two", base, (("a", "b"),), ((0, 1),))
     omega = Presheaf("three", base, (("x", "y", "z"),), ((0, 1, 2),))
-    res = curried_residual(phi, omega, base, lambda a, b: 0, lambda f, g: 0)
+    res = curried_residual(phi, base, lambda a, b: omega.size(0), lambda f, g: omega.action[0])
     assert res.total_elements() == 3 ** 2
     assert res.action[0] == tuple(range(9))
 

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import refcat.refsys as refsys_mod
 from refcat.fincat import (
+    FinCategory,
     FunctorData,
     NatTransData,
     StructuralError,
     compose_functors,
     identity_functor,
+    validate_category,
 )
 from refcat.fixtures import (
     collapse_lattice_fixture,
@@ -298,6 +300,29 @@ def test_lift_certification_agrees_with_a_sweep_over_every_point(
 def test_monoidal_validation_on_the_lattice_fixture(collapse):
     rep = collapse.mrs.validate()
     assert rep.ok, [v.detail for v in rep.violations]
+
+
+def test_monoidal_validation_checks_associativity_on_morphisms():
+    # I and X with X (x) X = X, hom(X, X) = Z/3 and f (x) g = 2f + 2g on
+    # X-morphisms: unital, functorial and associative on objects, but
+    # (f (x) g) (x) h = f + g + 2h while f (x) (g (x) h) = 2f + g + h.
+    cat = FinCategory(
+        "IZ3",
+        ["I", "X"],
+        [("id_I", 0, 0), ("0", 1, 1), ("1", 1, 1), ("2", 1, 1)],
+        [0, 1],
+        lambda f, g: f if g == 0 else 1 + (f - 1 + g - 1) % 3,
+    )
+    assert validate_category(cat).ok
+    obj_tensor = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    mor_tensor = {(0, 0): 0}
+    for f in (1, 2, 3):
+        mor_tensor[(0, f)] = mor_tensor[(f, 0)] = f
+        for g in (1, 2, 3):
+            mor_tensor[(f, g)] = 1 + (2 * (f - 1) + 2 * (g - 1)) % 3
+    rep = MonoidalStructure(cat, 0, obj_tensor, mor_tensor).validate()
+    assert [v.law for v in rep.violations] == ["tensor associativity"] * 18  # f != h
+    assert rep.violations[0].detail == "morphism associativity fails at (0, 0, 1)"
 
 
 def test_residuals_match_set_implication(collapse):

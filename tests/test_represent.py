@@ -400,7 +400,8 @@ def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, mon
     # Over all 4^3 triples a clause runs once per pair it depends on, and
     # each residual clause that reaches the comparison builds one curried
     # residual: 14 and 16 pairs (P, R) have a residual, each reached once
-    # by (b) and once by (c).
+    # by (b) and once by (c).  The comparison `_pulled_residual` of
+    # rep(P) and rep(R) names the pair.
     calls: dict[str, Counter] = {}
     for fn in ("curried_residual", "_genday_tensor_clause", "_genday_residual_clause"):
         real = getattr(represent_mod, fn)
@@ -410,12 +411,23 @@ def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, mon
             return _real(*args)
 
         monkeypatch.setattr(represent_mod, fn, counted)
+    pairs = Counter()
+    real_pulled = represent_mod._pulled_residual
+
+    def pulled(mrs, P, R, *rest):
+        built = calls["curried_residual"].total()
+        out = real_pulled(mrs, P, R, *rest)
+        assert calls["curried_residual"].total() == built + 1
+        pairs[(P, R)] += 1
+        return out
+
+    monkeypatch.setattr(represent_mod, "_pulled_residual", pulled)
     path = tmp_path / "w.fix"
     path.write_text(f"fixture w {name}\n")
     assert main(["verify", str(path), "genday"]) == 0
     assert "suite genday: 1/1 reports ok" in capsys.readouterr().out
-    pairs = Counter((phi, omega) for phi, omega, *_ in calls["curried_residual"])
     assert len(pairs) == residuals and set(pairs.values()) == {2}
+    assert calls["curried_residual"].total() == pairs.total()
     assert len(calls["_genday_tensor_clause"]) == 16
     assert len(calls["_genday_residual_clause"]) == 32
     for seen in calls.values():
