@@ -9,6 +9,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from refcat.cli import main as refcat  # noqa: E402
+from refcat.textio import FIXTURE_KINDS  # noqa: E402
 
 
 def main() -> int:
@@ -21,7 +22,7 @@ def main() -> int:
     import contextlib
     import io
 
-    for kind in ("hoare", "linctx", "lattice-collapse", "lattice-identity", "galois", "random"):
+    for kind in FIXTURE_KINDS:
         buf = io.StringIO()
         argv = ["fixtures", "gen", kind]
         if kind == "random":

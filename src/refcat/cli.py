@@ -69,7 +69,7 @@ def _merge_reports(name: str, statement: str, reports) -> CheckReport:
     out = CheckReport(name, statement)
     for rep in reports:
         out.absorb(rep, f"{rep.name}: ")
-    return out.done()
+    return out
 
 
 def _laws_report(s: RefinementSystem) -> CheckReport:
@@ -82,13 +82,13 @@ def _laws_report(s: RefinementSystem) -> CheckReport:
         rep.record_pass()
     else:
         rep.record_fail("\n".join(str(x) for x in v.violations))
-    return rep.done()
+    return rep
 
 
 def _skip_report(name: str, statement: str, reason: str) -> CheckReport:
     rep = CheckReport(name, statement)
     rep.record_skip(reason)
-    return rep.done()
+    return rep
 
 
 def _genday_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
@@ -142,11 +142,15 @@ def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
         )
         for Q in range(s.D.n_objects):
             B = s.shape(Q)
-            for side, (rep, dual) in _DUALS.items():
-                inp = rep(s, Q)
-                dual_cross_check(s, B, inp, dual(s, B, inp), side)
-            cross.record_pass()
-        out.append(cross.done())
+            try:
+                for side, (rep, dual) in _DUALS.items():
+                    inp = rep(s, Q)
+                    dual_cross_check(s, B, inp, dual(s, B, inp), side)
+            except StructuralError as exc:
+                cross.record_fail(f"{s.D.objects[Q]}: {exc}")
+            else:
+                cross.record_pass()
+        out.append(cross)
     return out
 
 
@@ -429,7 +433,11 @@ def _cmd_dual(args) -> int:
     inp = rep(s, X)
     out = dual(s, s.shape(X), inp)
     if args.cross_check:
-        dual_cross_check(s, s.shape(X), inp, out, side)
+        try:
+            dual_cross_check(s, s.shape(X), inp, out, side)
+        except StructuralError as exc:
+            print(f"cross-check failed: {exc}", file=_sys.stderr)
+            return 1
     if args.json:
         _emit(args, textio.to_json(textio.presheaf_to_dict(out)))
     else:
@@ -486,15 +494,8 @@ def _cmd_fixtures(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for generated fixtures")
-    common.add_argument(
-        "--size-guard",
-        dest="size_guard",
-        type=int,
-        default=60000,
-        help="skip the comma-category route of factorization past this size",
-    )
-    common.add_argument(
+    cross_check = argparse.ArgumentParser(add_help=False)
+    cross_check.add_argument(
         "--cross-check",
         dest="cross_check",
         action="store_true",
@@ -543,19 +544,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("c")
     sp.add_argument("X")
 
-    sp = with_system(sub.add_parser("dual", parents=[common], help="dualize a representation"))
+    sp = with_system(sub.add_parser("dual", parents=[common, cross_check], help="dualize a representation"))
     sp.add_argument("file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--left", metavar="X", help="left dual of the positive representation of X")
     group.add_argument("--right", metavar="X", help="right dual of the negative representation of X")
 
-    sp = with_system(sub.add_parser("verify", parents=[common], help="run a verification suite"))
+    sp = with_system(sub.add_parser("verify", parents=[common, cross_check], help="run a verification suite"))
     sp.add_argument("file")
     sp.add_argument("suite", choices=(*SUITES, "all"))
+    sp.add_argument(
+        "--size-guard",
+        dest="size_guard",
+        type=int,
+        default=60000,
+        help="skip the comma-category route of factorization past this size",
+    )
 
     sp = sub.add_parser("fixtures", parents=[common], help="emit builder fixtures")
     sp.add_argument("action", choices=("gen",))
     sp.add_argument("name")
+    sp.add_argument("--seed", type=int, default=0, help="seed for the random fixture")
 
     return p
 

@@ -427,7 +427,7 @@ def dual_adjunction_check(sys: RefinementSystem, B: int) -> CheckReport:
             if bad:
                 break
         rep.check(bad is None, f"{phi.name}: {bad}")
-    return rep.done()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +470,7 @@ def duality_check(sys: RefinementSystem, Q: int) -> CheckReport:
         )
         if section.payloads == r.payloads:
             rep.note(f"{side} section pullback agrees with rep tables exactly")
-    return rep.done()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def notpush_check(sys: RefinementSystem, c: int, phi: Presheaf) -> CheckReport:
     ):
         rep.check(ok, f"no comparison from the pushed {side} dual of the push")
         rep.note(f"{lead} {'exists' if back else 'absent'}; iso {'yes' if iso else 'no'}")
-    return rep.done()
+    return rep
 
 
 def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckReport:
@@ -542,7 +542,7 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
     cert = find_pushforward(sys, c, P)
     if cert is None:
         rep.record_skip(f"no pushforward of {D.objects[P]} along {T.mor_names[c]}")
-        return rep.done()
+        return rep
     B = T.cod(c)
     target = pos_rep(sys, cert.result)
 
@@ -562,7 +562,7 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
         "single push isomorphic to the pushforward representation: "
         + ("yes" if vertical_iso_psh(pushed, target) else "no")
     )
-    return rep.done()
+    return rep
 
 
 def notnottensor_check(
@@ -580,7 +580,7 @@ def notnottensor_check(
     cert = fiber_tensor(mrs, mo, P, Q)
     if cert is None:
         rep.record_skip(f"no fiber tensor for ({D.objects[P]}, {D.objects[Q]})")
-        return rep.done()
+        return rep
     Fm, prod = m_functor(mrs, mo.W, mo.W)
     Fday = compose_functors(Fm, slice_action(sys, mo.p))
     box = tensor_psh(pos_rep(sys, P), pos_rep(sys, Q), prod)
@@ -595,4 +595,4 @@ def notnottensor_check(
         "Day tensor isomorphic to the fiber tensor representation: "
         + ("yes" if vertical_iso_psh(day, target) else "no")
     )
-    return rep.done()
+    return rep

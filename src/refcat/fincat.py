@@ -129,7 +129,7 @@ class FinCategory:
             compose = lambda f, g, _table=compose: _table.get((f, g), -1)
         self._compose = compose
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.mor_names)
-        # The generators of a category that validated ok, else None.
+        # The generators of a category known lawful, else None (`_lawful`).
         self._lawful: tuple[int, ...] | None = None
         self._check_indices()
         self._hom: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -414,9 +414,10 @@ class FunctorData:
 def validate_functor(F: FunctorData) -> ValidationReport:
     """Check that F preserves endpoints, identities and composites, exactly.
 
-    When both categories validated ok (so each carries its generators) and
-    F preserves endpoints and identities, F(a;b) = F(a);F(b) is checked
-    for every generator a only.  That is exact, by induction on words: if
+    When both categories are known lawful (`_lawful`: they validated ok,
+    or are products of categories that did) and F preserves endpoints and
+    identities, F(a;b) = F(a);F(b) is checked for every generator a
+    only.  That is exact, by induction on words: if
     it holds for a and for m, it holds for a;m, since F((a;m);b) =
     F(a;(m;b)) = F(a);F(m;b) = F(a);(F(m);F(b)) = (F(a);F(m));F(b) =
     F(a;m);F(b), and F(id) = id covers the empty word.  Otherwise, and on
@@ -433,8 +434,8 @@ def validate_functor(F: FunctorData) -> ValidationReport:
             report.add("identities", f"image of id_{S.objects[a]} is not an identity")
     if (
         not report.violations
-        and S._lawful is not None
-        and T._lawful is not None
+        and _lawful(S) is not None
+        and _lawful(T) is not None
         and all(_preserves_row(F, a) for a in S._lawful)
     ):
         return report
@@ -445,6 +446,20 @@ def validate_functor(F: FunctorData) -> ValidationReport:
         if F.mor(S.compose(f, g)) != T.compose(ff, gg):
             report.add("composition", f"image of {S.mor_names[f]};{S.mor_names[g]} breaks")
     return report
+
+
+def _lawful(cat: FinCategory) -> tuple[int, ...] | None:
+    """The generators of a lawful category, or None: those recorded by
+    validate_category, or for a product of two lawful categories the
+    pairs (a, id) and (id, b), a and b generators of the factors.  A
+    product's laws hold factor by factor, and (f, g) = (f, id);(id, g)."""
+    if cat._lawful is None and isinstance(cat, ProductCategory):
+        left, right = _lawful(cat.left), _lawful(cat.right)
+        if left is not None and right is not None:
+            cat._lawful = tuple(
+                cat.pair_mor(a, e) for a in left for e in cat.right.identity
+            ) + tuple(cat.pair_mor(e, b) for e in cat.left.identity for b in right)
+    return cat._lawful
 
 
 def _preserves_row(F: FunctorData, a: int) -> bool:
@@ -563,10 +578,12 @@ class ProductCategory(FinCategory):
             for j in range(right.n_objects)
         ]
 
+        n = right.n_morphisms
+
         def compose(m1: int, m2: int) -> int:
-            f1, g1 = divmod(m1, right.n_morphisms)
-            f2, g2 = divmod(m2, right.n_morphisms)
-            return left.compose(f1, f2) * right.n_morphisms + right.compose(g1, g2)
+            f1, g1 = divmod(m1, n)
+            f2, g2 = divmod(m2, n)
+            return left.compose(f1, f2) * n + right.compose(g1, g2)
 
         super().__init__(f"{left.name}x{right.name}", objects, morphisms, identity, compose)
 

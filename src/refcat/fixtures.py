@@ -25,6 +25,7 @@ from .fincat import (
     ValidationReport,
     compose_functors,
     identity_functor,
+    product,
 )
 from .psh import push_psh
 from .refsys import (
@@ -658,7 +659,7 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
     cert = find_pushforward(sys, mu, pair_ctx)
     report.check(cert is not None, "no pushforward of the paired context")
     if cert is None:
-        return report.done()
+        return report
     same = cert.result == tens_ctx or sys.vertical_iso(cert.result, tens_ctx) is not None
     report.check(
         same,
@@ -685,7 +686,7 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
         f"at {S1.obj_name(x)}: single push has {pushed.size(x)} elements, "
         f"the representation has {direct.size(x)}"
     )
-    return report.done()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +779,14 @@ def _lattice_category(spec: LatticeSpec):
 
 
 def _meet_monoid(cat: FinCategory, mindex, meet, top) -> MonoidalStructure:
-    mor_tensor = {}
-    for (i, j), f in mindex.items():
-        for (k, l), g in mindex.items():
-            mor_tensor[(f, g)] = mindex[(meet[(i, k)], meet[(j, l)])]
-    return MonoidalStructure(cat, top, dict(meet), mor_tensor)
+    """Meet as a tensor: a <= b and c <= d give a meet c <= b meet d."""
+    dom, cod = cat.mor_dom, cat.mor_cod
+    return MonoidalStructure(
+        product(cat, cat),
+        top,
+        lambda a, b: meet[a, b],
+        lambda f, g: mindex[meet[dom[f], dom[g]], meet[cod[f], cod[g]]],
+    )
 
 
 @dataclass(eq=False)

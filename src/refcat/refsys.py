@@ -22,9 +22,12 @@ from .fincat import (
     FinCategory,
     FunctorData,
     NatTransData,
+    ProductCategory,
     StructuralError,
     ValidationReport,
+    compose_functors,
     opposite,
+    validate_category,
     validate_functor,
     validate_nat_trans,
 )
@@ -398,7 +401,7 @@ def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
                         f"{nm(X1)} {le} {nm(X2)} but {verb}_{nc(c)} results "
                         f"{nm(c1.result)} !{le} {nm(c2.result)}",
                     )
-    return report.done()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -421,24 +424,14 @@ class RefSysMorphism:
         report.violations.extend(validate_functor(self.on_ref).violations)
         report.violations.extend(validate_functor(self.on_base).violations)
         s, t = self.source, self.target
-        for P in range(s.D.n_objects):
-            lhs = t.shape(self.on_ref.obj(P))
-            rhs = self.on_base.obj(s.shape(P))
-            if lhs != rhs:
-                report.add(
-                    "projection square",
-                    f"square broken at object {s.D.object_name(P)}: "
-                    f"{t.T.object_name(lhs)} != {t.T.object_name(rhs)}"
-                )
-        for a in range(s.D.n_morphisms):
-            lhs = t.t.mor(self.on_ref.mor(a))
-            rhs = self.on_base.mor(s.t.mor(a))
-            if lhs != rhs:
-                report.add(
-                    "projection square",
-                    f"square broken at morphism {s.D.morphism_name(a)}: "
-                    f"{t.T.morphism_name(lhs)} != {t.T.morphism_name(rhs)}"
-                )
+        for kind, x, lhs, rhs in _differences(
+            compose_functors(self.on_ref, t.t), compose_functors(s.t, self.on_base)
+        ):
+            names = _names(t.T, kind)
+            report.add(
+                "projection square",
+                f"square broken at {kind} {_names(s.D, kind)[x]}: {names[lhs]} != {names[rhs]}",
+            )
         return report
 
     def op(self) -> "RefSysMorphism":
@@ -450,6 +443,22 @@ class RefSysMorphism:
             _opposite_functor(self.on_ref, sop.D, top.D),
             _opposite_functor(self.on_base, sop.T, top.T),
         )
+
+
+def _names(cat: FinCategory, kind: str) -> tuple[str, ...]:
+    return cat.objects if kind == "object" else cat.mor_names
+
+
+def _differences(F: FunctorData, G: FunctorData):
+    """Where two functors with one source differ: (kind, x, F x, G x) for
+    each object x ("object"), then each morphism x ("morphism")."""
+    for kind, fs, gs in (
+        ("object", F.object_map, G.object_map),
+        ("morphism", F.morphism_map, G.morphism_map),
+    ):
+        for x, (y, z) in enumerate(zip(fs, gs)):
+            if y != z:
+                yield kind, x, y, z
 
 
 def _opposite_functor(F: FunctorData, source: FinCategory, target: FinCategory) -> FunctorData:
@@ -481,7 +490,7 @@ def fully_faithful_check(m: RefSysMorphism) -> CheckReport:
                 f"judgment {s.judgment_name(P, c, Q)}: {len(src)} derivations map "
                 f"to {len(set(image))} distinct images out of {len(tgt)} in target"
             )
-    return report.done()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +569,7 @@ def adjunction_check(adj: RefSysAdjunction) -> CheckReport:
     for left, right in halves:
         for ok, why in left + right:
             report.check(ok, why)
-    return report.done()
+    return report
 
 
 def _left_half(adj: RefSysAdjunction, side: str, unit: str):
@@ -774,7 +783,7 @@ def rapp_check(adj: RefSysAdjunction) -> CheckReport:
                             r2 == sigma,
                             f"eta-chain does not close at {s.D.morphism_name(sigma)}",
                         )
-    return report.done()
+    return report
 
 
 def lapp_check(adj: RefSysAdjunction) -> CheckReport:
@@ -794,61 +803,63 @@ def lapp_check(adj: RefSysAdjunction) -> CheckReport:
 # monoidal structure
 
 
-@dataclass
 class MonoidalStructure:
-    """Strict monoidal structure on a finite category: a unit object and
-    total tensor tables on objects and morphisms.  Strictness means the
-    tables are literally associative and unital, which validate() checks.
+    """Strict monoidal structure on a finite category: a unit object and a
+    tensor functor cat x cat -> cat.  `pair` is product(cat, cat), and
+    obj(a, b) and mor(f, g) give the tensor at each object and morphism
+    of it; they are read once, into the tables of `tensor`.  Strictness
+    means the tensor is literally associative and unital, which
+    validate() checks along with its functor laws.
     """
 
-    cat: FinCategory
-    unit: int
-    obj_tensor: dict[tuple[int, int], int]
-    mor_tensor: dict[tuple[int, int], int]
-    _reversed: MonoidalStructure | None = field(default=None, repr=False, compare=False)
+    def __init__(self, pair: ProductCategory, unit: int, obj: Callable, mor: Callable):
+        cat = pair.left
+        if pair.right is not cat:
+            raise StructuralError(f"tensor: {pair.name} is not the square of one category")
+        n, m = cat.n_objects, cat.n_morphisms
+        self.cat, self.unit, self._n, self._m = cat, unit, n, m
+        self.tensor = FunctorData(
+            f"tensor[{cat.name}]",
+            pair,
+            cat,
+            tuple(obj(a, b) for a in range(n) for b in range(n)),
+            tuple(mor(f, g) for f in range(m) for g in range(m)),
+        )
+        self._reversed: MonoidalStructure | None = None
 
     def reversed(self) -> MonoidalStructure:
-        """The tensor with its arguments swapped, a (x)' b = b (x) a.  Every
-        right-hand construction is the left-hand one here.  Built once;
-        reversing it again gives back this structure."""
+        """The tensor with its arguments swapped, a (x)' b = b (x) a, on the
+        same product category.  Every right-hand construction is the
+        left-hand one here.  Built once; reversing it again gives back
+        this structure."""
         if self._reversed is None:
             self._reversed = MonoidalStructure(
-                self.cat,
+                self.tensor.source,
                 self.unit,
-                {(b, a): x for (a, b), x in self.obj_tensor.items()},
-                {(g, f): h for (f, g), h in self.mor_tensor.items()},
+                lambda a, b: self.tobj(b, a),
+                lambda f, g: self.tmor(g, f),
             )
             self._reversed._reversed = self
         return self._reversed
 
     def tobj(self, a: int, b: int) -> int:
-        return self.obj_tensor[(a, b)]
+        return self.tensor.object_map[a * self._n + b]
 
     def tmor(self, f: int, g: int) -> int:
-        return self.mor_tensor[(f, g)]
+        return self.tensor.morphism_map[f * self._m + g]
 
     def validate(self) -> ValidationReport:
+        """The functor laws of the tensor (endpoints, identities and
+        interchange), then its unit and associativity laws.  The category
+        is validated first if it has not been: when it is lawful, so is
+        cat x cat, and `validate_functor` decides interchange on the
+        generators of the product."""
         report = ValidationReport(subject=f"monoidal structure on {self.cat.name}")
         cat = self.cat
+        if cat._lawful is None:
+            validate_category(cat)
+        report.violations.extend(validate_functor(self.tensor).violations)
         n = cat.n_objects
-        for a in range(n):
-            for b in range(n):
-                if (a, b) not in self.obj_tensor:
-                    report.add(
-                        "tensor totality",
-                        f"object tensor missing at "
-                        f"({cat.object_name(a)}, {cat.object_name(b)})"
-                    )
-        for f in range(cat.n_morphisms):
-            for g in range(cat.n_morphisms):
-                if (f, g) not in self.mor_tensor:
-                    report.add(
-                        "tensor totality",
-                        f"morphism tensor missing at "
-                        f"({cat.morphism_name(f)}, {cat.morphism_name(g)})"
-                    )
-        if report.violations:
-            return report
         for a in range(n):
             if self.tobj(self.unit, a) != a or self.tobj(a, self.unit) != a:
                 report.add("tensor unit", f"unit law fails at object {cat.object_name(a)}")
@@ -873,47 +884,11 @@ class MonoidalStructure:
                             f"({cat.morphism_name(f)}, {cat.morphism_name(g)}, "
                             f"{cat.morphism_name(h)})"
                         )
-        for f in range(cat.n_morphisms):
+        for f in range(m):
             fg = self.tmor(f, cat.identity[self.unit])
             gf = self.tmor(cat.identity[self.unit], f)
             if fg != f or gf != f:
                 report.add("tensor unit", f"unit law fails at morphism {cat.morphism_name(f)}")
-        # endpoints and functoriality of the tensor
-        for f in range(cat.n_morphisms):
-            for g in range(cat.n_morphisms):
-                h = self.tmor(f, g)
-                if cat.dom(h) != self.tobj(cat.dom(f), cat.dom(g)) or cat.cod(
-                    h
-                ) != self.tobj(cat.cod(f), cat.cod(g)):
-                    report.add(
-                        "tensor endpoints",
-                        f"tensor endpoints wrong at "
-                        f"({cat.morphism_name(f)}, {cat.morphism_name(g)})"
-                    )
-        for a in range(n):
-            for b in range(n):
-                if self.tmor(cat.identity[a], cat.identity[b]) != cat.identity[
-                    self.tobj(a, b)
-                ]:
-                    report.add(
-                        "tensor identities",
-                        f"tensor of identities fails at "
-                        f"({cat.object_name(a)}, {cat.object_name(b)})"
-                    )
-        for f1 in range(cat.n_morphisms):
-            for f2 in cat.mor_out(cat.cod(f1)):
-                for g1 in range(cat.n_morphisms):
-                    for g2 in cat.mor_out(cat.cod(g1)):
-                        lhs = self.tmor(cat.compose(f1, f2), cat.compose(g1, g2))
-                        rhs = cat.compose(self.tmor(f1, g1), self.tmor(f2, g2))
-                        if lhs != rhs:
-                            report.add(
-                                "tensor interchange",
-                                f"interchange fails at ({cat.morphism_name(f1)};"
-                                f"{cat.morphism_name(f2)}, {cat.morphism_name(g1)};"
-                                f"{cat.morphism_name(g2)})"
-                            )
-                            return report  # one witness is enough, this is O(m^4)
         return report
 
 
@@ -1006,28 +981,26 @@ class MonoidalRefinementSystem:
         report = self.sys.validate()
         report.violations.extend(self.mon_ref.validate().violations)
         report.violations.extend(self.mon_base.validate().violations)
-        t = self.sys.t
-        for P in range(self.sys.D.n_objects):
-            for Q in range(self.sys.D.n_objects):
-                lhs = t.obj(self.mon_ref.tobj(P, Q))
-                rhs = self.mon_base.tobj(t.obj(P), t.obj(Q))
-                if lhs != rhs:
-                    report.add(
-                        "monoidal projection",
-                        f"projection not monoidal at objects "
-                        f"({self.sys.D.object_name(P)}, {self.sys.D.object_name(Q)})"
-                    )
-        for f in range(self.sys.D.n_morphisms):
-            for g in range(self.sys.D.n_morphisms):
-                lhs = t.mor(self.mon_ref.tmor(f, g))
-                rhs = self.mon_base.tmor(t.mor(f), t.mor(g))
-                if lhs != rhs:
-                    report.add(
-                        "monoidal projection",
-                        f"projection not monoidal at morphisms "
-                        f"({self.sys.D.morphism_name(f)}, "
-                        f"{self.sys.D.morphism_name(g)})"
-                    )
+        t, D = self.sys.t, self.sys.D
+        pair, base_pair = self.mon_ref.tensor.source, self.mon_base.tensor.source
+        objs, mors = range(D.n_objects), range(D.n_morphisms)
+        t_squared = FunctorData(
+            f"{t.name}x{t.name}",
+            pair,
+            base_pair,
+            tuple(base_pair.pair_obj(t.obj(P), t.obj(Q)) for P in objs for Q in objs),
+            tuple(base_pair.pair_mor(t.mor(f), t.mor(g)) for f in mors for g in mors),
+        )
+        for kind, x, _, _ in _differences(
+            compose_functors(self.mon_ref.tensor, t),
+            compose_functors(t_squared, self.mon_base.tensor),
+        ):
+            x1, x2 = pair.split_obj(x) if kind == "object" else pair.split_mor(x)
+            names = _names(D, kind)
+            report.add(
+                "monoidal projection",
+                f"projection not monoidal at {kind}s ({names[x1]}, {names[x2]})",
+            )
         if t.obj(self.mon_ref.unit) != self.mon_base.unit:
             report.add("monoidal projection", "projection does not preserve the monoidal unit")
         return report

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 
@@ -25,8 +24,6 @@ class CheckReport:
     counterexample: str | None = None
     skip_reasons: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
-    _t0: float = field(default_factory=time.perf_counter, repr=False)
     # The texts of the two lists as sets, so a repeat is found without a scan.
     _skip_seen: set[str] = field(init=False, repr=False, compare=False)
     _notes_seen: set[str] = field(init=False, repr=False, compare=False)
@@ -87,13 +84,8 @@ class CheckReport:
         for text in other.notes:
             self.note(prefix + text)
 
-    def done(self) -> "CheckReport":
-        self.wall_time = time.perf_counter() - self._t0
-        return self
-
     def render(self) -> str:
-        """Stable text form.  Wall time is left out, so identical runs stay
-        byte-identical."""
+        """Stable text form: identical runs stay byte-identical."""
         lines = [
             f"check {self.name} [{self.statement}]",
             f"  attempted {self.attempted} passed {self.passed} failed {self.failed} skipped {self.skipped}",

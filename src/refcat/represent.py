@@ -272,7 +272,7 @@ def representation_ff_check(sys: RefinementSystem) -> CheckReport:
                 rep.record_pass()
             else:
                 rep.record_fail(f"{side} {s.judgment_name(Q1, c, Q2)}: {bad}")
-    return rep.done()
+    return rep
 
 
 def _judgment_families(sys: RefinementSystem):
@@ -545,7 +545,7 @@ def factorization_check(sys: RefinementSystem, size_guard: int = 60000) -> Check
     )
     _factorization_one_side(sys, rep, "pos", size_guard)
     _factorization_one_side(sys.op(), rep, "neg", size_guard)
-    return rep.done()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +611,7 @@ def preservation_check(sys: RefinementSystem) -> CheckReport:
             f"one-way comparison into the pushed positive representation is "
             f"invertible in {one_way_iso}/{one_way_total} instances"
         )
-    return rep.done()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +774,7 @@ def genday_check(mrs: MonoidalRefinementSystem, P: int, Q: int, R: int) -> Check
     for label, side, m, X in (("(b)", "left", mrs, P), ("(c)", "right", mrs.reversed(), Q)):
         clause = lambda: _genday_residual_clause(m, label, side, X, R)
         rep.absorb(memo(("genday", label, m, X, R), clause), "")
-    return rep.done()
+    return rep
 
 
 def _genday_tensor_clause(mrs: MonoidalRefinementSystem, P: int, Q: int) -> CheckReport:
@@ -797,7 +797,7 @@ def _genday_tensor_clause(mrs: MonoidalRefinementSystem, P: int, Q: int) -> Chec
     codomains.append(pr.presheaf)
     ok, why = opcartesian_factoring_check(pr, F, md.source, codomains)
     rep.check(ok, f"(a) tensor derivation is not opcartesian: {why}")
-    return rep.done()
+    return rep
 
 
 def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD):
@@ -860,7 +860,7 @@ def _genday_residual_clause(mrs, label, side, P, R) -> CheckReport:
     resdata = _strict_left_residual(mrs, P, R)
     if resdata is None:
         rep.record_skip(f"{label} no strict {side} residual for ({nm[P]}, {nm[R]})")
-        return rep.done()
+        return rep
     XD, plugD, XT, plugT = resdata
     lhs = pos_rep(sys, XD)
     Fm, _ = m_functor(mrs, sys.shape(P), XT)
@@ -868,7 +868,7 @@ def _genday_residual_clause(mrs, label, side, P, R) -> CheckReport:
     theta, iso, why = _pulled_residual(mrs, P, R, lhs, lambda s: s, plugged, plugD)
     if theta is None:
         rep.record_fail(f"{label} {why}")
-        return rep.done()
+        return rep
     rep.check(
         iso,
         f"{label} rep({nm[XD]}) is not the pulled residual of rep({nm[P]}), rep({nm[R]})",
@@ -879,7 +879,7 @@ def _genday_residual_clause(mrs, label, side, P, R) -> CheckReport:
     domains.append(lhs)
     ok, why = cartesian_factoring_check(theta, domains)
     rep.check(ok, f"{label} comparison is not cartesian: {why}")
-    return rep.done()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +939,7 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
     vrep = mo.validate()
     rep.check(vrep.ok, f"monoid laws fail:\n{vrep}")
     if not vrep.ok:
-        return rep.done()
+        return rep
 
     fib = sys.fiber(mo.W)
     Fm, prod = m_functor(mrs, mo.W, mo.W)
@@ -998,4 +998,4 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
                     iso,
                     f"rep of {side} fiber residual at ({nm[P]}, {nm[R]}) is not the presheaf fiber residual",
                 )
-    return rep.done()
+    return rep

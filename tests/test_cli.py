@@ -225,7 +225,7 @@ def test_fixture_gen_roundtrips(tmp_path, capsys):
 
 
 def test_global_flags_may_follow_the_subcommand(capsys):
-    # the seed flag is attached to every subparser, not just the root
+    # the seed flag belongs to the fixtures subparser and follows it
     assert main(["fixtures", "gen", "random", "--seed", "9"]) == 0
     first = capsys.readouterr().out
     assert "seed=9" in first
@@ -315,3 +315,49 @@ def test_scripts_run_from_a_plain_checkout(tmp_path, capsys):
     for path in files:
         assert main(["validate", str(path)]) == 0, path.name
     capsys.readouterr()
+
+
+def test_flags_are_rejected_where_nothing_reads_them(hoare_file, capsys):
+    # --seed is read by `fixtures` only, --size-guard by `verify` only and
+    # --cross-check by `verify` and `dual` only.
+    for argv in (
+        ["verify", hoare_file, "laws", "--seed", "3"],
+        ["fixtures", "gen", "hoare", "--size-guard", "10"],
+        ["derive", hoare_file, "{s0}", "swap", "{s0}", "--cross-check"],
+        ["dual", hoare_file, "--left", "{s0}", "--size-guard", "10"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def reversed_pairing_rows(monkeypatch):
+    # The cross-check reads the pairing's rows and the dualizers read the
+    # cuts, so reversing every row makes the two routes disagree.
+    real = duality_mod.Pairing.row
+    monkeypatch.setattr(duality_mod.Pairing, "row", lambda self, f, g: real(self, f, g)[::-1])
+
+
+def test_verify_records_a_cross_check_disagreement_as_a_failed_report(
+    skew_file, capsys, reversed_pairing_rows
+):
+    assert main(["verify", skew_file, "duality", "--cross-check"]) == 1
+    out = capsys.readouterr().out
+    assert "check duality[S] [" in out
+    assert "  attempted 8 passed 8 failed 0 skipped 0" in out
+    assert "check dual-cross[S] [" in out
+    assert "  attempted 2 passed 0 failed 2 skipped 0" in out
+    assert "    a: dual (left): direct end disagrees with the residual route at (a,id_w)" in out
+    assert out.endswith("suite duality: 1/2 reports ok\n")
+
+
+def test_dual_exits_1_on_a_cross_check_disagreement(skew_file, capsys, reversed_pairing_rows):
+    for side in ("left", "right"):
+        assert main(["dual", skew_file, f"--{side}", "a", "--cross-check"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"cross-check failed: dual ({side}): direct end disagrees with the "
+            "residual route at (a,id_w)\n"
+        )

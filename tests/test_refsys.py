@@ -14,6 +14,7 @@ from refcat.fincat import (
     StructuralError,
     compose_functors,
     identity_functor,
+    product,
     validate_category,
 )
 from refcat.fixtures import (
@@ -22,7 +23,9 @@ from refcat.fixtures import (
     random_refsys,
 )
 from refcat.refsys import (
+    MonoidalRefinementSystem,
     MonoidalStructure,
+    RefinementSystem,
     RefSysAdjunction,
     RefSysMorphism,
     adjunction_check,
@@ -38,7 +41,7 @@ from refcat.refsys import (
     right_curry,
 )
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
-from tests.test_fincat import discrete_category
+from tests.test_fincat import discrete_category, reference_validate_functor
 
 
 def test_hoare_shape_and_judgments(hoare):
@@ -302,27 +305,135 @@ def test_monoidal_validation_on_the_lattice_fixture(collapse):
     assert rep.ok, [v.detail for v in rep.violations]
 
 
-def test_monoidal_validation_checks_associativity_on_morphisms():
-    # I and X with X (x) X = X, hom(X, X) = Z/3 and f (x) g = 2f + 2g on
-    # X-morphisms: unital, functorial and associative on objects, but
-    # (f (x) g) (x) h = f + g + 2h while f (x) (g (x) h) = 2f + g + h.
-    cat = FinCategory(
+def iz3():
+    """I and X with hom(X, X) = Z/3, morphism 1 + k being k in Z/3."""
+    return FinCategory(
         "IZ3",
         ["I", "X"],
         [("id_I", 0, 0), ("0", 1, 1), ("1", 1, 1), ("2", 1, 1)],
         [0, 1],
         lambda f, g: f if g == 0 else 1 + (f - 1 + g - 1) % 3,
     )
+
+
+def iz3_tensor(cat, a, b):
+    """The tensor on IZ3 with unit I, X (x) X = X and f (x) g = a f + b g
+    on X-morphisms."""
+    return MonoidalStructure(
+        product(cat, cat),
+        0,
+        max,
+        lambda f, g: g if f == 0 else f if g == 0 else 1 + (a * (f - 1) + b * (g - 1)) % 3,
+    )
+
+
+def test_monoidal_validation_checks_associativity_on_morphisms():
+    # f (x) g = 2f + 2g on X-morphisms: unital, functorial and associative
+    # on objects, but (f (x) g) (x) h = f + g + 2h while
+    # f (x) (g (x) h) = 2f + g + h.
+    cat = iz3()
     assert validate_category(cat).ok
-    obj_tensor = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    mor_tensor = {(0, 0): 0}
-    for f in (1, 2, 3):
-        mor_tensor[(0, f)] = mor_tensor[(f, 0)] = f
-        for g in (1, 2, 3):
-            mor_tensor[(f, g)] = 1 + (2 * (f - 1) + 2 * (g - 1)) % 3
-    rep = MonoidalStructure(cat, 0, obj_tensor, mor_tensor).validate()
+    rep = iz3_tensor(cat, 2, 2).validate()
     assert [v.law for v in rep.violations] == ["tensor associativity"] * 18  # f != h
     assert rep.violations[0].detail == "morphism associativity fails at (0, 0, 1)"
+    assert iz3_tensor(cat, 1, 1).validate().ok
+
+
+def with_entry(mon, f, g, value):
+    """mon with f (x) g replaced by value, on the same product category."""
+    return MonoidalStructure(
+        mon.tensor.source,
+        mon.unit,
+        mon.tobj,
+        lambda f2, g2: value if (f2, g2) == (f, g) else mon.tmor(f2, g2),
+    )
+
+
+def group_system(h, g):
+    """D = Z/h x BZ/g over T = BZ/g by the projection: hom(x, x) is Z/g in
+    D, morphism x*g + k being k at x.  Both tensors add componentwise, so
+    the projection is strict monoidal and D is not thin."""
+    D = FinCategory(
+        f"Z{h}xBZ{g}",
+        [str(x) for x in range(h)],
+        [(f"{k}@{x}", x, x) for x in range(h) for k in range(g)],
+        [x * g for x in range(h)],
+        lambda f, k: f - f % g + (f + k) % g,
+    )
+    T = FinCategory(f"BZ{g}", ["*"], [(str(k), 0, 0) for k in range(g)], [0], lambda a, b: (a + b) % g)
+    t = FunctorData("pr", D, T, (0,) * h, tuple(f % g for f in range(h * g)))
+    return MonoidalRefinementSystem(
+        RefinementSystem(f"group{h}x{g}", t),
+        MonoidalStructure(
+            product(D, D),
+            0,
+            lambda x, y: (x + y) % h,
+            lambda f, k: (f // g + k // g) % h * g + (f + k) % g,
+        ),
+        MonoidalStructure(product(T, T), 0, lambda a, b: 0, lambda a, b: (a + b) % g),
+    )
+
+
+def tensor_structures():
+    cat = iz3()
+    validate_category(cat)
+    return [iz3_tensor(cat, 2, 2), group_system(2, 3).mon_ref, collapse_lattice_fixture().mrs.mon_ref]
+
+
+def test_a_corrupted_tensor_entry_is_listed_as_the_full_sweep_lists_it():
+    # The tensor's functor laws are decided on the generators of cat x cat;
+    # when one image off them is replaced, by each morphism of its hom-set
+    # or by one outside it, the listed violations must be those of a sweep
+    # over every composable pair of cat x cat.
+    for mon in tensor_structures():
+        cat, pair = mon.cat, mon.tensor.source
+        assert not [v for v in mon.validate().violations if v.law != "tensor associativity"]
+        for m in range(pair.n_morphisms):
+            if m in pair._lawful:
+                continue
+            f, g = pair.split_mor(m)
+            hom = cat.hom(mon.tobj(cat.dom(f), cat.dom(g)), mon.tobj(cat.cod(f), cat.cod(g)))
+            outside = [x for x in range(cat.n_morphisms) if x not in hom][:1]
+            for value in (*hom, *outside):
+                bad = with_entry(mon, f, g, value)
+                functor_laws = [
+                    (v.law, v.detail) for v in bad.validate().violations if not v.law.startswith("tensor ")
+                ]
+                want = [(v.law, v.detail) for v in reference_validate_functor(bad.tensor).violations]
+                assert functor_laws == want
+                assert bool(want) == (value != mon.tmor(f, g))
+
+
+def test_one_corrupted_interchange_entry_lists_every_broken_pair():
+    cat = iz3()
+    validate_category(cat)
+    mon = iz3_tensor(cat, 1, 1)
+    assert mon.validate().ok and mon.tensor.source.pair_mor(2, 2) not in mon.tensor.source._lawful
+    bad = with_entry(mon, 2, 2, 1)  # 1 (x) 1 = 0 instead of 2
+    broken = [v for v in bad.validate().violations if v.law == "composition"]
+    assert len(broken) == 22
+    assert [str(v) for v in broken] == [str(v) for v in reference_validate_functor(bad.tensor).violations]
+
+
+def test_a_broken_projection_square_is_reported_on_a_non_thin_system():
+    mrs = group_system(2, 3)
+    assert mrs.validate().ok
+    D = mrs.sys.D
+    f, g = D.mor_names.index("1@0"), D.mor_names.index("1@1")
+    bad = MonoidalRefinementSystem(mrs.sys, with_entry(mrs.mon_ref, f, g, D.mor_names.index("0@1")), mrs.mon_base)
+    squares = [v.detail for v in bad.validate().violations if v.law == "monoidal projection"]
+    assert squares == ["projection not monoidal at morphisms (1@0, 1@1)"]
+    # The same comparison for a morphism of systems: doubling on the base
+    # does not commute with the identity on D.
+    T = mrs.sys.T
+    double = FunctorData("double", T, T, (0,), (0, 2, 1))
+    m = RefSysMorphism("twist", mrs.sys, mrs.sys, identity_functor(D), double)
+    rep = m.validate()
+    assert [v.detail for v in rep.violations] == [
+        f"square broken at morphism {D.mor_names[a]}: {T.mor_names[a % 3]} != {T.mor_names[2 * a % 3]}"
+        for a in range(D.n_morphisms)
+        if a % 3
+    ]
 
 
 def test_residuals_match_set_implication(collapse):
@@ -356,7 +467,7 @@ def s3_tensor():
     }
     cat = discrete_category(["".join(map(str, p)) for p in perms])
     # discrete_category numbers each identity like its object
-    mon = MonoidalStructure(cat, index[(0, 1, 2)], table, dict(table))
+    mon = MonoidalStructure(product(cat, cat), index[(0, 1, 2)], lambda a, b: table[a, b], lambda a, b: table[a, b])
     inv = [next(b for b in range(6) if table[(a, b)] == mon.unit) for a in range(6)]
     return mon, inv
 
@@ -378,8 +489,7 @@ def test_right_constructions_on_a_noncommutative_tensor():
             assert x == a and right_curry(mon, p, a, b, x, plug) == a
     rev = mon.reversed()
     assert all(rev.tobj(a, b) == mon.tobj(b, a) for a in range(6) for b in range(6))
-    back = rev.reversed()
-    assert back.obj_tensor == mon.obj_tensor and back.mor_tensor == mon.mor_tensor
+    assert rev.tensor.source is mon.tensor.source and rev.reversed() is mon
 
 
 @given(st.integers(min_value=0, max_value=4000))
