@@ -33,6 +33,7 @@ of its input and the curried pairing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .fincat import (
@@ -203,11 +204,14 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
     vacuous, so each family is a choice on the support, natural along the
     slice morphisms between support points.  Families are searched only
     at the coslice points where every support point has a derivation
-    (`_live_points`); the cut derivation sets and action rows are read
-    only there.  Families are returned on every slice object, () off the
-    support, and an action row of the dual is computed, and the moved
-    families checked to be natural, when it is first read.
-    `dual_cross_check` recomputes it by an independent route."""
+    (`_live_points`); the cut derivation sets are read only there, and a
+    cut's action row only for a constraint into a set of two or more
+    derivations (`psh._checks`).  The constraints themselves are listed
+    only when there is a live point.  Families are returned on
+    every slice object, () off the support, and an action row of the dual
+    is computed, and the moved families checked to be natural, when it
+    is first read.  `dual_cross_check` recomputes it by an independent
+    route."""
     D = sys.D
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if phi.base is not S.cat:
@@ -216,14 +220,13 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
             f"{sys.T.objects[B]} in {sys.name}"
         )
     support = phi.support()
-    sizes = [phi.size(a) for a in support]
-    closing = _closing(phi, support)
+    closing = functools.cache(lambda: _closing(phi, support))
     cut = lambda j: _cut(sys, B, Cs.obj_tags[j])
     fams_at: list[list] = [[] for _ in range(Cs.cat.n_objects)]
     for j in _live_points(sys, B, support):
         cj = cut(j)
         fams_at[j] = _families_on_support(
-            sizes, [len(cj.payloads[a]) for a in support], lambda: closing, cj.action.__getitem__
+            phi, [len(cj.payloads[a]) for a in support], closing, cj.action.__getitem__
         )
     fam_index: dict[int, dict] = {}
 

@@ -102,13 +102,14 @@ class Table:
 class FinCategory:
     """A finite category given by explicit tables.
 
-    `compose` may be a dict over composable pairs (hand-written tables) or
-    a callable (derived categories: opposites, products, slices, commas
-    and judgment categories).  Either way composition is read from
-    one row per morphism f: the composites f;g for g in mor_out(cod f), in
-    that order.  A row is filled once, on first use, so a large derived
-    table is only ever computed for the morphisms something composes.  A
-    pair missing from a dict is stored as -1 and raises on use.
+    `compose` may be a dict over composable pairs (hand-written tables), a
+    callable (opposites, products and slices), or None for a subclass that
+    fills its rows itself by overriding `_row` (`CommaCategory`).  Either
+    way composition is read from one row per morphism f: the composites
+    f;g for g in mor_out(cod f), in that order.  A row is filled once, on
+    first use, so a large derived table is only ever computed for the
+    morphisms something composes.  A pair missing from a dict is stored
+    as -1 and raises on use.
     """
 
     def __init__(
@@ -117,7 +118,7 @@ class FinCategory:
         objects: Sequence[str],
         morphisms: Sequence[tuple[str, int, int]],
         identity: Sequence[int],
-        compose: dict[tuple[int, int], int] | Callable[[int, int], int],
+        compose: dict[tuple[int, int], int] | Callable[[int, int], int] | None,
     ):
         self.name = name
         self.objects = tuple(objects)
@@ -217,12 +218,15 @@ class FinCategory:
             f"{self.name}: missing composite {self.mor_names[f]};{self.mor_names[g]}"
         )
 
+    def _not_composable(self, f: int, g: int) -> StructuralError:
+        return StructuralError(
+            f"{self.name}: compose({self.mor_names[f]}, {self.mor_names[g]}) is not composable"
+        )
+
     def compose(self, f: int, g: int) -> int:
         """Diagrammatic composite f;g, defined when cod(f) = dom(g)."""
         if self.mor_cod[f] != self.mor_dom[g]:
-            raise StructuralError(
-                f"{self.name}: compose({self.mor_names[f]}, {self.mor_names[g]}) is not composable"
-            )
+            raise self._not_composable(f, g)
         h = (self._rows[f] or self._row(f))[self._out_pos[g]]
         if h < 0:
             raise self._missing(f, g)
@@ -531,20 +535,36 @@ def validate_nat_trans(theta: NatTransData) -> ValidationReport:
     return report
 
 
-def opposite(cat: FinCategory) -> FinCategory:
-    """Same object and morphism indices, arrows reversed.  The composite
-    f;g of the opposite is g;f read from the row of g in cat."""
-    morphisms = [
-        (cat.mor_names[i], cat.mor_cod[i], cat.mor_dom[i]) for i in range(cat.n_morphisms)
-    ]
-    pos = cat._out_pos
-    return FinCategory(
-        f"{cat.name}^op",
-        cat.objects,
-        morphisms,
-        cat.identity,
-        lambda f, g: (cat._rows[g] or cat._row(g))[pos[f]],
-    )
+class OppositeCategory(FinCategory):
+    """Same object and morphism indices as `original`, arrows reversed.
+    The composite f;g is g;f, read from the row of g in the original:
+    composing fills no table of the opposite.  A row of the opposite, a
+    column of the original, is filled only for the laws (`_row`)."""
+
+    def __init__(self, original: FinCategory):
+        self._original = original
+        row, pos = original._row, original._out_pos
+        super().__init__(
+            f"{original.name}^op",
+            original.objects,
+            tuple(zip(original.mor_names, original.mor_cod, original.mor_dom)),
+            original.identity,
+            lambda f, g: row(g)[pos[f]],
+        )
+
+    def compose(self, f: int, g: int) -> int:
+        if self.mor_cod[f] != self.mor_dom[g]:
+            raise self._not_composable(f, g)
+        cat = self._original
+        h = (cat._rows[g] or cat._row(g))[cat._out_pos[f]]
+        if h < 0:
+            raise self._missing(f, g)
+        return h
+
+
+def opposite(cat: FinCategory) -> OppositeCategory:
+    """The opposite of cat: f;g there is g;f read from cat's row of g."""
+    return OppositeCategory(cat)
 
 
 def terminal_category() -> FinCategory:

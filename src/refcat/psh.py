@@ -42,7 +42,11 @@ class Presheaf:
     `action` is a `Table`: each row is read from its source on first
     use and checked there for arity and range, so a presheaf built on
     its support does work only where it is nonempty, and a bad row
-    raises when it is read.
+    raises when it is read.  The family searches, the iso search and
+    `validate_psh_derivation` read a row only where a naturality
+    constraint can fail on it: a constraint into a one-element set holds
+    whatever the rows are (`_checks`), so a row read by nothing else is
+    never filled, nor checked.
     """
 
     def __init__(
@@ -400,51 +404,62 @@ def tensor_psh(phi: Presheaf, psi: Presheaf, prod: ProductCategory) -> Presheaf:
     return Presheaf(f"({phi.name}x{psi.name})", prod, tuple(elements), tuple(action))
 
 
-def _closing(
-    phi: Presheaf, support: tuple[int, ...]
-) -> list[list[tuple[int, int, int, tuple[int, ...]]]]:
+def _closing(phi: Presheaf, support: tuple[int, ...]) -> list[list[tuple[int, int, int]]]:
     """The naturality constraints of a family out of phi, grouped by the
     step of a backtracking search over `support` at which they close.
 
-    A constraint is (u, k, k2, phi.action[u]) for u : a -> a2 with a2 the
-    k2-th support point; a is then the k-th, since phi(a2) nonempty forces
-    phi(a) nonempty.  Morphisms into the complement constrain nothing."""
+    A constraint is (u, k, k2) for u : a -> a2 with a2 the k2-th support
+    point; a is then the k-th, since phi(a2) nonempty forces phi(a)
+    nonempty.  Morphisms into the complement constrain nothing.  No row
+    is read here: a reader asks for phi's row and the target's row of u
+    only where the constraint can fail, that is where the target set at
+    step k has at least two elements (`_checks`)."""
     pos = {a: k for k, a in enumerate(support)}
-    closing: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in support]
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in support]
     A = phi.base
     for k2, a2 in enumerate(support):
         for u in A.mor_in(a2):
             k = pos[A.dom(u)]
-            closing[max(k, k2)].append((u, k, k2, phi.action[u]))
+            closing[max(k, k2)].append((u, k, k2))
     return closing
 
 
+def _checks(phi: Presheaf, closing, targets: list[int], row) -> list[list[tuple]]:
+    """The constraints of `closing` that can fail, step by step, as
+    (k, k2, phi row, target row) for `_closes`.  A constraint u : a -> a2
+    compares t_a . phi(u) with row(u) . t_a2, and both sides land in the
+    target set at step k: when that set has one element they agree
+    whatever the rows are, so neither row is read."""
+    action = phi.action
+    return [[(k, k2, action[u], row(u)) for (u, k, k2) in cl if targets[k] > 1] for cl in closing]
+
+
 def _families_on_support(
-    sizes: list[int],
+    phi: Presheaf,
     targets: list[int],
     closing,
     row,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """`natural_families` on support-indexed tables, searched by `_backtrack`.
 
-    Step k picks a component t_k : sizes[k] -> targets[k]; the constraints
-    closing()[k] (as from `_closing`) are checked as soon as their step is
-    reached: t_k[phi_row[x]] == row(u)[t_k2[x]] for every x.  The
-    constraints and the target's action rows are asked for only when the
-    search needs them: not at all if some target is empty or every set is
-    a singleton.  A step's candidates are drawn one at a time when the
-    search reaches it, never listed up front.  Families come back as one
-    component per step, in candidate order."""
-    n = len(sizes)
+    Step k picks a component t_k from phi at the k-th support point to
+    targets[k]; the constraints closing()[k] (as from `_closing`) are
+    checked as soon as their step is reached: t_k[phi_row[x]] ==
+    row(u)[t_k2[x]] for every x.  The constraints are asked for only if
+    no target is empty, and the rows of phi and of the target only for a
+    constraint into a target of two or more elements (`_checks`); when
+    every target is a singleton no row is read.  A step's candidates are
+    drawn one at a time when the search reaches it, never listed up
+    front.  Families come back as one component per step, in candidate
+    order."""
     if 0 in targets:
         return []
-    if sizes.count(1) == n and targets.count(1) == n:
-        return [((0,),) * n]
-    checks = [[(k, k2, prow, row(u)) for (u, k, k2, prow) in cl] for cl in closing()]
+    support = phi.support()
+    checks = _checks(phi, closing(), targets, row)
     return list(
         _backtrack(
-            n,
-            lambda k, _a: itertools.product(range(targets[k]), repeat=sizes[k]),
+            len(targets),
+            lambda k, _a: itertools.product(range(targets[k]), repeat=phi.size(support[k])),
             lambda k, a: _closes(checks[k], a),
         )
     )
@@ -479,8 +494,8 @@ def natural_families(
     Returned component tables are indexed by phi's base objects; objects
     outside phi's support get the empty tuple.  Enumeration is by
     `_families_on_support`: backtracking over support objects in index
-    order with incremental naturality pruning, with a closed-form fast path
-    when every element set involved has one element.
+    order with incremental naturality pruning, reading only the
+    constraints into target sets of two or more elements.
     """
     A = phi.base
     if F is None:
@@ -495,7 +510,7 @@ def natural_families(
         f_mor = F.mor
     support = phi.support()
     fams = _families_on_support(
-        [phi.size(a) for a in support],
+        phi,
         [psi.size(f_obj(a)) for a in support],
         lambda: _closing(phi, support),
         lambda u: psi.action[f_mor(u)],
@@ -521,7 +536,9 @@ def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
     """Arity, range, then naturality, checked on the `_closing` table that
     the family searches use; failing squares are listed in morphism order.
     Off the support of the source every component must be empty, so only
-    support components are read past their length."""
+    support components are read past their length.  As in the searches, a
+    square into a one-element target set holds whatever the rows are, so
+    its rows are not read."""
     report = ValidationReport(f"psh-derivation {d.name}")
     phi, psi = d.source, d.target
     A = phi.base
@@ -541,11 +558,12 @@ def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
                 return report
     support = phi.support()
     comps = [d.components[a] for a in support]
+    targets = [psi.size(f_obj(a)) for a in support]
     failing = sorted(
         u
         for cl in _closing(phi, support)
-        for (u, k, k2, prow) in cl
-        if not _closes([(k, k2, prow, psi.action[f_mor(u)])], comps)
+        for (u, k, k2) in cl
+        if targets[k] > 1 and not _closes([(k, k2, phi.action[u], psi.action[f_mor(u)])], comps)
     )
     for u in failing:
         report.add("naturality", f"square at {A.mor_names[u]} fails")
@@ -560,7 +578,10 @@ def vertical_iso_psh(
     Returns mutually inverse component tables, or None after exhausting the
     search space.  Objects are visited in ascending element count so size
     mismatches and sparse objects prune immediately; the witness found first
-    under that fixed order is the canonical one.
+    under that fixed order is the canonical one.  The rows of phi and psi
+    are read only for constraints into a set of two or more elements
+    (`_checks`): a constraint into a one-element set holds for any
+    components.
     """
     A = phi.base
     if psi.base is not A:
@@ -568,14 +589,12 @@ def vertical_iso_psh(
     if not _same_sizes(phi, psi):
         return None
     support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
-    checks = [
-        [(k, k2, prow, psi.action[u]) for (u, k, k2, prow) in cl]
-        for cl in _closing(phi, support)
-    ]
+    sizes = [phi.size(a) for a in support]
+    checks = _checks(phi, _closing(phi, support), sizes, psi.action.__getitem__)
     res = next(
         _backtrack(
             len(support),
-            lambda k, _a: itertools.permutations(range(phi.size(support[k]))),
+            lambda k, _a: itertools.permutations(range(sizes[k])),
             lambda k, a: _closes(checks[k], a),
         ),
         None,
@@ -635,12 +654,11 @@ def curried_residual(
     only in the currying."""
     A = phi.base
     support = phi.support()
-    sizes = [phi.size(a) for a in support]
     closing = functools.cache(lambda: _closing(phi, support))
     payloads = []
     for b in range(right.n_objects):
         fams = _families_on_support(
-            sizes,
+            phi,
             [size(a, b) for a in support],
             closing,
             lambda u, _id=right.id_of(b): row(u, _id),

@@ -289,7 +289,6 @@ def _judgment_families(sys: RefinementSystem):
     actions: dict[int, FunctorData] = {}
     for Q1, phi in enumerate(reps):
         support = phi.support()
-        sizes = [phi.size(a) for a in support]
         closing = functools.cache(functools.partial(_closing, phi, support))
         A = sys.shape(Q1)
         for Q2, psi in enumerate(reps):
@@ -300,7 +299,7 @@ def _judgment_families(sys: RefinementSystem):
                     F = actions[c] = slice_action(sys, c)
                 omap = F.object_map
                 fams = _families_on_support(
-                    sizes,
+                    phi,
                     [at[omap[a]] for a in support],
                     closing,
                     lambda u, psi=psi, F=F: psi.action[F.mor(u)],
@@ -366,10 +365,70 @@ def comma_morphism_count(base: RefinementSystem) -> int:
     return total
 
 
+class CommaCategory(FinCategory):
+    """The comma category of t over its base, on tagged morphisms.
+
+    Objects are tagged (Q, c) and morphisms (alpha, e, src, tgt) as in
+    `CommaSystem`; the composite of (alpha, e, s, _) and (alpha2, e2, _, u)
+    is (alpha;alpha2, e;e2, s, u).  A row is filled in one pass from D's
+    row of alpha and T's row of e: every morphism out of the target reads
+    its two composites there by position, and no composite is asked for
+    pair by pair."""
+
+    def __init__(
+        self,
+        base: RefinementSystem,
+        obj_tags: list[tuple[int, int]],
+        mor_tags: tuple[tuple[int, int, int, int], ...],
+    ):
+        D, T = base.D, base.T
+        self.mor_tags = mor_tags
+        self.mor_index = {tag: k for k, tag in enumerate(mor_tags)}
+        super().__init__(
+            f"comma({base.name})",
+            [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags],
+            [
+                (f"({D.mor_names[alpha]},{T.mor_names[e]})#{si}->{ti}", si, ti)
+                for (alpha, e, si, ti) in mor_tags
+            ],
+            [
+                self.mor_index[(D.identity[Q], T.identity[T.cod(c)], i, i)]
+                for i, (Q, c) in enumerate(obj_tags)
+            ],
+            None,
+        )
+        self._D, self._T = D, T
+        self._outs: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+    def _row(self, f: int) -> tuple[int, ...]:
+        row = self._rows[f]
+        if row is None:
+            alpha, e, s, t = self.mor_tags[f]
+            drow, trow, index = self._D._row(alpha), self._T._row(e), self.mor_index
+            row = self._rows[f] = tuple(
+                index[(drow[i], trow[j], s, u)] for i, j, u in self._out_positions(t)
+            )
+        return row
+
+    def _out_positions(self, t: int) -> tuple[tuple[int, int, int], ...]:
+        """For each morphism (alpha2, e2, t, u) out of the object t: the
+        positions of alpha2 in a D row and of e2 in a T row, and u."""
+        got = self._outs.get(t)
+        if got is None:
+            dpos, tpos = self._D._out_pos, self._T._out_pos
+            got = self._outs[t] = tuple(
+                (dpos[a2], tpos[e2], u)
+                for (a2, e2, _, u) in map(self.mor_tags.__getitem__, self.mor_out(t))
+            )
+        return got
+
+
 def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem:
     """Materialize the comma category of t over T with its cod projection,
     plus the vertical embedding P |-> (P, id).  Both sizes are checked
-    against the guard before anything is built."""
+    against the guard before anything is built.  The category is a
+    `CommaCategory`: a row of composites is filled, from one row of D and
+    one of T, only when something composes out of it."""
     D, T, t = base.D, base.T, base.t
     obj_tags = [
         (Q, c)
@@ -383,7 +442,6 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
     if n_mor > size_guard:
         raise SizeGuardExceeded("comma category morphisms", n_mor, size_guard)
     obj_index = {tag: i for i, tag in enumerate(obj_tags)}
-    obj_names = [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags]
 
     mor_tags: list[tuple[int, int, int, int]] = []
     for si, (Q1, c1) in enumerate(obj_tags):
@@ -396,22 +454,8 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
                     if T.compose(c1, e) == lhs:
                         out.append((obj_index[(Q2, c2)], alpha, e))
         mor_tags += [(alpha, e, si, ti) for ti, alpha, e in sorted(out)]
-    mor_index = {tag: k for k, tag in enumerate(mor_tags)}
-    morphisms = [
-        (f"({D.mor_names[alpha]},{T.mor_names[e]})#{si}->{ti}", si, ti)
-        for (alpha, e, si, ti) in mor_tags
-    ]
-    identity = [
-        mor_index[(D.identity[Q], T.identity[T.cod(c)], i, i)]
-        for i, (Q, c) in enumerate(obj_tags)
-    ]
-
-    def comp(f: int, g: int, _mt=mor_tags, _mi=mor_index) -> int:
-        a1, e1, s, _ = _mt[f]
-        a2, e2, _, u = _mt[g]
-        return _mi[(D.compose(a1, a2), T.compose(e1, e2), s, u)]
-
-    cat = FinCategory(f"comma({base.name})", obj_names, morphisms, identity, comp)
+    cat = CommaCategory(base, obj_tags, tuple(mor_tags))
+    mor_index = cat.mor_index
     shape = FunctorData(
         f"cod[{base.name}]",
         cat,
@@ -443,7 +487,7 @@ def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem
         ),
         FunctorData("id-base", T, T, tuple(range(T.n_objects)), tuple(range(T.n_morphisms))),
     )
-    return CommaSystem(comma, tuple(obj_tags), tuple(mor_tags), obj_index, mor_index, embed)
+    return CommaSystem(comma, tuple(obj_tags), cat.mor_tags, obj_index, mor_index, embed)
 
 
 def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, size_guard: int) -> None:

@@ -12,6 +12,8 @@ import sys
 import pytest
 
 import refcat.duality as duality_mod
+import refcat.psh as psh_mod
+import refcat.represent as represent_mod
 from refcat.cli import main
 
 SKEW = """
@@ -180,6 +182,30 @@ def test_corrupted_tables_turn_the_suite_red(skew_file, capsys):
         duality_mod._cut_row = orig
     out = capsys.readouterr().out
     assert "failed 1" in out or "failed" in out
+
+
+def test_verify_hoare_reads_only_rows_a_check_can_fail_on(hoare_file, monkeypatch, capsys):
+    # Presheaf rows are read only for constraints into sets of two or more
+    # elements, and the opposite of a comma category composes through the
+    # comma's own rows: a return to eager row reads fails here, with no
+    # timing involved.
+    filled = []
+    checked = psh_mod.Presheaf._checked
+    monkeypatch.setattr(
+        psh_mod.Presheaf, "_checked", lambda self, f, row: filled.append(f) or checked(self, f, row)
+    )
+    commas = []
+    build = represent_mod.comma_system
+    monkeypatch.setattr(
+        represent_mod, "comma_system", lambda *args: commas.append(build(*args)) or commas[-1]
+    )
+    assert main(["verify", hoare_file, "all"]) == 0
+    capsys.readouterr()
+    assert 0 < len(filled) <= 1216
+    assert len(commas) == 2
+    for cs in commas:
+        assert all(row is not None for row in cs.sys.D._rows)
+        assert all(row is None for row in cs.sys.op().D._rows)
 
 
 def test_composite_with_wrong_endpoints_is_named(tmp_path, capsys):

@@ -35,6 +35,7 @@ from refcat.psh import (
     validate_psh_derivation,
 )
 from refcat.represent import (
+    CommaCategory,
     _strict_left_residual,
     comma_system,
     m_functor,
@@ -422,21 +423,33 @@ def test_compose_rejects_bad_pairs():
         gap.compose(c.id_of(0), c.hom(0, 2)[0])
 
 
-def test_comma_validation_runs_its_compose_once_per_pair(hoare, monkeypatch):
-    # The comma composite calls hoare's D.compose exactly once, so this
-    # counts calls of the comma category's compose callable.
-    cat = comma_system(hoare).sys.D
-    calls = {}
-    real = FinCategory.compose
+def test_comma_validation_fills_each_row_once_from_base_rows(hoare, monkeypatch):
+    # A comma row is filled in one pass from D's row of alpha and T's row
+    # of e: validating either side's comma category fills each of its 768
+    # rows exactly once, the rows cover every composable pair, and D and T
+    # are never asked for a composite pair by pair.
+    fills = {}
+    real_row = CommaCategory._row
 
-    def counted(self, f, g):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return real(self, f, g)
+    def counted_row(self, f):
+        if self._rows[f] is None:
+            fills[id(self), f] = fills.get((id(self), f), 0) + 1
+        return real_row(self, f)
 
-    monkeypatch.setattr(FinCategory, "compose", counted)
-    assert validate_category(cat).ok
-    assert sum(1 for _ in cat.composable_pairs()) == 32640
-    assert calls[id(hoare.D)] == 32640
+    monkeypatch.setattr(CommaCategory, "_row", counted_row)
+    pairs = []
+    for s in (hoare, hoare.op()):
+        cat = comma_system(s).sys.D
+        composed = []
+        for base in (s.D, s.T):
+            monkeypatch.setattr(base, "compose", lambda f, g: composed.append((f, g)))
+        assert validate_category(cat).ok
+        assert cat.n_morphisms == 768
+        assert [fills.get((id(cat), f)) for f in range(768)] == [1] * 768
+        pairs.append(sum(1 for _ in cat.composable_pairs()))
+        assert sum(map(len, cat._rows)) == pairs[-1]
+        assert composed == []
+    assert pairs == [32640, 32512]
 
 
 def reference_validate_functor(F):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import refcat.psh as psh_mod
 from refcat.fincat import FinCategory, FunctorData, opposite, terminal_category
-from refcat.fixtures import fin_skeleton
+from refcat.fixtures import fin_skeleton, random_refsys
 from refcat.psh import (
     Presheaf,
     PshDerivation,
@@ -409,4 +409,178 @@ def test_naturality_violations_match_the_square_by_square_check(data):
     report = validate_psh_derivation(PshDerivation("d", phi, psi, None, comps))
     assert [v.detail for v in report.violations] == square_by_square(
         PshDerivation("d", phi, psi, None, comps)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Constraints into one-element sets are skipped: the three readers against
+# unpruned copies that read every constraint and both of its rows
+
+
+def unpruned_constraints(phi, support, row):
+    """Every naturality constraint of a family out of phi over `support`,
+    by the step at which it closes, as (u, k, k2, phi row, target row):
+    both rows of every constraint are read."""
+    pos = {a: k for k, a in enumerate(support)}
+    A = phi.base
+    out = [[] for _ in support]
+    for k2, a2 in enumerate(support):
+        for u in A.mor_in(a2):
+            k = pos[A.dom(u)]
+            out[max(k, k2)].append((u, k, k2, phi.action[u], row(u)))
+    return out
+
+
+def constraint_holds(constraint, comps):
+    _u, k, k2, prow, qrow = constraint
+    return all(comps[k][p] == qrow[y] for p, y in zip(prow, comps[k2]))
+
+
+def unpruned_search(steps, candidates, constraints):
+    """Depth first, in candidate order, each constraint checked at the step
+    where it closes."""
+    assigned = []
+
+    def extend(k):
+        if k == steps:
+            yield tuple(assigned)
+            return
+        for cand in candidates(k):
+            assigned.append(cand)
+            if all(constraint_holds(c, assigned) for c in constraints[k]):
+                yield from extend(k + 1)
+            assigned.pop()
+
+    return extend(0)
+
+
+def on_objects(fam, support, n):
+    table = [()] * n
+    for a, comp in zip(support, fam):
+        table[a] = comp
+    return tuple(table)
+
+
+def along(F):
+    return (lambda a: a, lambda u: u) if F is None else (F.obj, F.mor)
+
+
+def unpruned_families(phi, psi, F=None):
+    f_obj, f_mor = along(F)
+    support = phi.support()
+    targets = [psi.size(f_obj(a)) for a in support]
+    constraints = unpruned_constraints(phi, support, lambda u: psi.action[f_mor(u)])
+    fams = unpruned_search(
+        len(support),
+        lambda k: itertools.product(range(targets[k]), repeat=phi.size(support[k])),
+        constraints,
+    )
+    return [on_objects(fam, support, phi.base.n_objects) for fam in fams]
+
+
+def unpruned_vertical_iso(phi, psi):
+    """The forward components of the first vertical iso, or None."""
+    if phi.support() != psi.support() or any(phi.size(a) != psi.size(a) for a in phi.support()):
+        return None
+    support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
+    constraints = unpruned_constraints(phi, support, psi.action.__getitem__)
+    found = next(
+        unpruned_search(
+            len(support), lambda k: itertools.permutations(range(phi.size(support[k]))), constraints
+        ),
+        None,
+    )
+    return None if found is None else on_objects(found, support, phi.base.n_objects)
+
+
+def unpruned_violations(d):
+    """The naturality violations of a derivation whose components are in
+    range, listed in morphism order."""
+    phi, psi = d.source, d.target
+    _f_obj, f_mor = along(d.functor)
+    support = phi.support()
+    comps = [d.components[a] for a in support]
+    constraints = unpruned_constraints(phi, support, lambda u: psi.action[f_mor(u)])
+    failing = sorted(c[0] for cl in constraints for c in cl if not constraint_holds(c, comps))
+    return [f"naturality: square at {phi.base.mor_names[u]} fails" for u in failing]
+
+
+def random_presheaf(name, cat, sizes, rng):
+    """A table the readers accept, lawful or not: `sizes` elements at each
+    object, the identity row at every identity and every other row drawn
+    at random."""
+    elements = tuple(tuple(f"{name}{a}.{i}" for i in range(n)) for a, n in enumerate(sizes))
+    action = tuple(
+        tuple(range(sizes[cat.cod(u)]))
+        if cat.is_identity(u)
+        else tuple(rng.randrange(sizes[cat.dom(u)]) for _ in range(sizes[cat.cod(u)]))
+        for u in range(cat.n_morphisms)
+    )
+    return Presheaf(name, cat, elements, action)
+
+
+def pruning_cases(seed):
+    """phi over a small category and presheaves to read it against: phi
+    itself, a shuffled copy, an unrelated table with the same counts, and
+    one over a base along a functor.  Sets have one, two or three
+    elements."""
+    rng = random.Random(seed)
+    if seed % 3:
+        s = random_refsys(seed % 12)
+        D, T, t = s.D, s.T, s.t
+    else:
+        D = fin_skeleton(2)
+        t = to_point(D)
+        T = t.target
+    sizes = [rng.choice((1, 1, 2)) for _ in D.objects]
+    phi = random_presheaf("p", D, sizes, rng)
+    same = random_presheaf("q", D, sizes, rng)
+    down = random_presheaf("r", T, [rng.choice((1, 2, 2, 3)) for _ in T.objects], rng)
+    return rng, phi, relabeled(phi, seed), same, down, t
+
+
+def test_readers_skip_exactly_the_constraints_that_cannot_fail():
+    # Into a one-element target set a naturality constraint holds whatever
+    # the rows are, so the readers skip it.  On random tables, lawful or
+    # not, with singleton and larger sets, they give the families, the iso
+    # witnesses and the violations that the unpruned copies give.
+    seen = Counter()
+    for seed in range(60):
+        rng, phi, shuffled, same, down, t = pruning_cases(seed)
+        for psi, F in ((phi, None), (shuffled, None), (same, None), (down, t)):
+            fams = natural_families(phi, psi, F)
+            assert fams == unpruned_families(phi, psi, F), (seed, psi.name)
+            seen["families"] += len(fams) > 1
+        for psi in (shuffled, same):
+            got = vertical_iso_psh(phi, psi)
+            want = unpruned_vertical_iso(phi, psi)
+            assert (got and got[0]) == want, (seed, psi.name)
+            seen["isos"] += want is not None and max(map(phi.size, phi.support())) > 1
+            seen["no iso"] += want is None
+        for psi, F in ((same, None), (down, t)):
+            f_obj, _ = along(F)
+            comps = tuple(
+                tuple(rng.randrange(psi.size(f_obj(a))) for _ in range(phi.size(a)))
+                for a in range(phi.base.n_objects)
+            )
+            d = PshDerivation("d", phi, psi, F, comps)
+            listed = [str(v) for v in validate_psh_derivation(d).violations]
+            assert listed == unpruned_violations(d), seed
+            seen["violations"] += bool(listed)
+    assert min(seen[k] for k in ("families", "isos", "no iso", "violations")) >= 5, seen
+
+
+def test_skipping_a_constraint_into_a_two_element_set_is_caught(monkeypatch):
+    # The pruning test can fail: readers that also skip constraints into
+    # two-element sets find families the unpruned copy refuses.
+    real = psh_mod._checks
+    monkeypatch.setattr(
+        psh_mod,
+        "_checks",
+        lambda phi, closing, targets, row: real(phi, closing, [t if t != 2 else 1 for t in targets], row),
+    )
+    assert any(
+        natural_families(phi, psi) != unpruned_families(phi, psi)
+        for seed in range(60)
+        for _rng, phi, _shuffled, psi, _down, _t in (pruning_cases(seed),)
     )

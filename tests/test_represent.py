@@ -246,7 +246,8 @@ def comma_non_generator(hoare):
 
 def test_factorization_sees_a_corrupted_comma_composite(hoare, monkeypatch):
     # f;g with g a non-generator is moved to another morphism with the same
-    # endpoints: the endpoint and identity laws still hold, so only the
+    # endpoints, in the row of f as the comma category fills it from D and
+    # T: the endpoint and identity laws still hold, so only the
     # associativity test, decided at generator middles, can see it.
     comma, g = comma_non_generator(hoare)
     f, other = next(
@@ -256,18 +257,21 @@ def test_factorization_sees_a_corrupted_comma_composite(hoare, monkeypatch):
         for h in comma.hom(comma.dom(f), comma.cod(g))
         if h != comma.compose(f, g)
     )
-    real = represent_mod.FinCategory
+    real = represent_mod.CommaCategory._row
 
-    def tampered(name, objects, morphisms, identity, compose):
-        if name == comma.name:
-            compose = lambda x, y, c=compose: other if (x, y) == (f, g) else c(x, y)
-        return real(name, objects, morphisms, identity, compose)
+    def tampered(self, x):
+        row = real(self, x)
+        if self.name == comma.name and x == f:
+            k = self._out_pos[g]
+            row = self._rows[x] = row[:k] + (other,) + row[k + 1 :]
+        return row
 
-    monkeypatch.setattr(represent_mod, "FinCategory", tampered)
+    monkeypatch.setattr(represent_mod.CommaCategory, "_row", tampered)
     rep = factorization_check(hoare)
     assert not rep.ok
     assert rep.counterexample.startswith("pos comma system invalid")
     assert "associativity" in rep.counterexample
+    assert "composition-" not in rep.counterexample and "identity" not in rep.counterexample
 
 
 def test_factorization_sees_a_corrupted_comma_shape_image(hoare, monkeypatch):
