@@ -207,11 +207,11 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
     (`_live_points`); the cut derivation sets are read only there, and a
     cut's action row only for a constraint into a set of two or more
     derivations (`psh._checks`).  The constraints themselves are listed
-    only when there is a live point.  Families are returned on
-    every slice object, () off the support, and an action row of the dual
-    is computed, and the moved families checked to be natural, when it
-    is first read.  `dual_cross_check` recomputes it by an independent
-    route."""
+    only when there is a live point.  Element sets and families are
+    filled at the live points only, each family on every slice object,
+    () off the support, and an action row of the dual is computed, and
+    the moved families checked to be natural, when it is first read.
+    `dual_cross_check` recomputes it by an independent route."""
     D = sys.D
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if phi.base is not S.cat:
@@ -222,7 +222,7 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
     support = phi.support()
     closing = functools.cache(lambda: _closing(phi, support))
     cut = lambda j: _cut(sys, B, Cs.obj_tags[j])
-    fams_at: list[list] = [[] for _ in range(Cs.cat.n_objects)]
+    fams_at: dict[int, list] = {}
     for j in _live_points(sys, B, support):
         cj = cut(j)
         fams_at[j] = _families_on_support(
@@ -235,7 +235,7 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
         src, dst = cut(s), cut(u)
         index = fam_index.get(s)
         if index is None:
-            index = fam_index[s] = {fam: k for k, fam in enumerate(fams_at[s])}
+            index = fam_index[s] = {fam: k for k, fam in enumerate(fams_at.get(s, ()))}
         out = []
         for fam in fams_at[u]:
             moved = tuple(
@@ -251,19 +251,12 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
         return tuple(out)
 
     n = S.cat.n_objects
-    return Presheaf(
-        f"dualL({phi.name})",
-        Cs.cat,
-        tuple(
-            tuple(f"s{j}.{k}" for k in range(len(fams))) if fams else ()
-            for j, fams in enumerate(fams_at)
-        ),
-        row,
-        tuple(
-            tuple(_on_objects(fam, support, n) for fam in fams) if fams else ()
-            for fams in fams_at
-        ),
-    )
+    elements: list[tuple[str, ...]] = [()] * Cs.cat.n_objects
+    payloads: list[tuple] = [()] * Cs.cat.n_objects
+    for j, fams in fams_at.items():
+        elements[j] = tuple(f"s{j}.{k}" for k in range(len(fams)))
+        payloads[j] = tuple(_on_objects(fam, support, n) for fam in fams)
+    return Presheaf(f"dualL({phi.name})", Cs.cat, tuple(elements), row, tuple(payloads))
 
 
 def dual_right(sys: RefinementSystem, B: int, psi: Presheaf) -> Presheaf:

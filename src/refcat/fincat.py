@@ -387,9 +387,9 @@ class FunctorData:
             raise StructuralError(f"functor {self.name}: object map has wrong length")
         if not lazy and len(self.morphism_map) != self.source.n_morphisms:
             raise StructuralError(f"functor {self.name}: morphism map has wrong length")
-        for x in self.object_map:
-            if not (0 <= x < self.target.n_objects):
-                raise StructuralError(f"functor {self.name}: object image out of range")
+        omap = self.object_map
+        if omap and not (0 <= min(omap) and max(omap) < self.target.n_objects):
+            raise StructuralError(f"functor {self.name}: object image out of range")
         if lazy:
             image = self.morphism_map
             self.morphism_map = Table(
@@ -410,6 +410,12 @@ class FunctorData:
 
     def mor(self, f: int) -> int:
         return self.morphism_map[f]
+
+    def preimage(self, objs: Iterable[int]) -> tuple[int, ...]:
+        """The source objects sent into `objs`, in index order.  A slice
+        action reads them from an index instead (`SliceAction`)."""
+        wanted = set(objs)
+        return tuple(a for a, b in enumerate(self.object_map) if b in wanted)
 
     def table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.object_map, tuple(self.morphism_map))

@@ -487,18 +487,36 @@ def fin_skeleton(K: int) -> FinCategory:
     return FinCategory(f"Fin<={K}", objects, tuple(mors), identity, comp)
 
 
-def _rule_choice(by_type, delta, gamma, u) -> list[list[int]] | None:
-    """The rules at each position j of gamma for the formulas of delta that
-    u sends to j, or None as soon as one position has no rule: then no
-    family of rules exists, and the later positions are not looked at."""
-    choice = []
-    for j, tgt in enumerate(gamma):
-        src = tuple(sorted(delta[i] for i in range(len(delta)) if u[i] == j))
-        rules = by_type.get((src, tgt))
-        if rules is None:
-            return None
-        choice.append(rules)
-    return choice
+def _rule_maps(by_type, prefixes, delta, gamma):
+    """The maps u from the positions of delta to those of gamma that carry
+    a family of rules, each with the rules at every position j of gamma
+    for the formulas u sends to j, in `itertools.product` order.
+
+    u is grown depth-first, one position of delta at a time, and a
+    branch is cut as soon as a fibre is no longer in `prefixes`, the
+    prefixes (with their target) of the rule sources.  delta is sorted,
+    so a fibre grows in sorted order and is a prefix of what it becomes;
+    a full map is kept when every fibre, an empty one too, is a rule
+    source."""
+    fibres: list[tuple[int, ...]] = [()] * len(gamma)
+    u: list[int] = []
+
+    def grow(i: int):
+        if i == len(delta):
+            choice = [by_type.get(key) for key in zip(fibres, gamma)]
+            if None not in choice:
+                yield tuple(u), choice
+            return
+        for j, tgt in enumerate(gamma):
+            fibre = fibres[j] + (delta[i],)
+            if (fibre, tgt) in prefixes:
+                fibres[j] = fibre
+                u.append(j)
+                yield from grow(i + 1)
+                u.pop()
+                fibres[j] = fibre[:-1]
+
+    return grow(0)
 
 
 def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSystem:
@@ -536,7 +554,8 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
         u = tuple(int(x) for x in body.split(",")) if body else ()
         u_index[(m, n, u)] = k
 
-    # rules indexed by (source multiset, target), in declaration order
+    # rules indexed by (source, target), in declaration order; a source is
+    # sorted in formula order (`validate_multicategory`), as a fibre is
     by_type: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for k, mm in enumerate(mc.multimorphisms):
         key = (tuple(fidx[f] for f in mm.source), fidx[mm.target])
@@ -545,12 +564,10 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
     mors: list[tuple[str, int, int]] = []
     tags: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
     mindex: dict[tuple[int, int, tuple[int, ...], tuple[int, ...]], int] = {}
+    prefixes = {(src[:i], tgt) for (src, tgt) in by_type for i in range(len(src) + 1)}
     for di, delta in enumerate(contexts):
         for gi, gamma in enumerate(contexts):
-            for u in itertools.product(range(len(gamma)), repeat=len(delta)):
-                choice = _rule_choice(by_type, delta, gamma, u)
-                if choice is None:
-                    continue
+            for u, choice in _rule_maps(by_type, prefixes, delta, gamma):
                 for fam in itertools.product(*choice):
                     tag = (di, gi, u, fam)
                     mindex[tag] = len(mors)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -143,35 +144,50 @@ def validate_presheaf(phi: Presheaf) -> ValidationReport:
 
 def representable(cat: FinCategory, b: int) -> Presheaf:
     """The presheaf a |-> hom(a, b) with action by precomposition, each
-    morphism carried as its payload.  Built on its support: an action row
-    is computed when it is first read."""
-    homs = tuple(cat.hom(a, b) for a in range(cat.n_objects))
+    morphism carried as its payload.  Built on its support, the domains
+    of the morphisms into b: an element set is named, and an action row
+    computed, when it is first read."""
+    homs: list[tuple[int, ...]] = [()] * cat.n_objects
+    support = sorted({cat.dom(m) for m in cat.mor_in(b)})
+    for a in support:
+        homs[a] = cat.hom(a, b)
+    names = cat.mor_names
     y = Presheaf(
         f"y({cat.objects[b]})",
         cat,
-        tuple(tuple(cat.mor_names[m] for m in h) for h in homs),
+        Table(cat.n_objects, lambda a: tuple(names[m] for m in homs[a])),
         lambda f: tuple(y.position(cat.dom(f))[cat.compose(f, g)] for g in homs[cat.cod(f)]),
-        homs,
+        tuple(homs),
     )
+    y._support = tuple(support)
     return y
 
 
 def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
-    """Precompose psi with F; elements keep their names.  A row is read
-    from psi only for a morphism into the support, on first use."""
+    """Precompose psi with F; elements keep their names.  The support is
+    the preimage of psi's support (`F.preimage`, read from an index for a
+    slice action), element sets and payloads are filled there only, and a
+    row is read from psi only for a morphism into the support, on first
+    use."""
     if psi.base is not F.target:
         raise StructuralError(f"pull_psh: {psi.name} does not live over the target of {F.name}")
-    at = F.object_map
-    payloads = None
-    if psi.payloads is not None:
-        payloads = tuple(map(psi.payloads.__getitem__, at))
-    return Presheaf(
+    support = F.preimage(psi.support())
+    at, n = F.object_map, F.source.n_objects
+    elements: list[tuple[str, ...]] = [()] * n
+    payloads: list[tuple[object, ...]] | None = None if psi.payloads is None else [()] * n
+    for a in support:
+        elements[a] = psi.elements[at[a]]
+        if payloads is not None:
+            payloads[a] = psi.payloads[at[a]]
+    pulled = Presheaf(
         f"pull[{F.name}]({psi.name})",
         F.source,
-        tuple(map(psi.elements.__getitem__, at)),
+        tuple(elements),
         lambda f: psi.action[F.mor(f)],
-        payloads,
+        None if payloads is None else tuple(payloads),
     )
+    pulled._support = support
+    return pulled
 
 
 class _UnionFind:
@@ -544,20 +560,25 @@ def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
     A = phi.base
     f_obj = (lambda a: a) if d.functor is None else d.functor.obj
     f_mor = (lambda u: u) if d.functor is None else d.functor.mor
-    if len(d.components) != A.n_objects:
+    table = d.components
+    if len(table) != A.n_objects:
         report.add("arity", "component table has wrong length")
         return report
-    for a, (comp, elems) in enumerate(zip(d.components, phi.elements)):
-        if len(comp) != len(elems):
-            report.add("arity", f"component at {A.objects[a]} has wrong arity")
+    # The first object whose component has the wrong arity, found without
+    # a Python step per object; the nonempty components before it are
+    # then checked for range, in index order.
+    wrong = map(operator.ne, map(len, table), map(len, phi.elements))
+    first = next(itertools.compress(range(A.n_objects), wrong), A.n_objects)
+    for a in itertools.compress(range(first), table):
+        n = psi.size(f_obj(a))
+        if not all(0 <= v < n for v in table[a]):
+            report.add("range", f"component at {A.objects[a]} out of range")
             return report
-        if comp:
-            n = psi.size(f_obj(a))
-            if not all(0 <= v < n for v in comp):
-                report.add("range", f"component at {A.objects[a]} out of range")
-                return report
+    if first < A.n_objects:
+        report.add("arity", f"component at {A.objects[first]} has wrong arity")
+        return report
     support = phi.support()
-    comps = [d.components[a] for a in support]
+    comps = [table[a] for a in support]
     targets = [psi.size(f_obj(a)) for a in support]
     failing = sorted(
         u

@@ -30,8 +30,10 @@ copies.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .fincat import (
     FinCategory,
@@ -85,6 +87,12 @@ class SliceCategory:
     a derivation over some e with c_src = e ; c_tgt.  Built on the opposite
     system the same structure reads as the coslice under B: tags become
     (R, d : B -> t(R)) and morphism direction reverses in D.
+
+    The points of one refinement P form a block: (P, c) is the point
+    offsets[P] + k for c the k-th morphism of T.hom(t(P), B), and
+    hom_pos[t(P)][c] = k.  `points` holds the point indices themselves,
+    the ints `obj_index` maps to, so a table laid out block by block
+    shares them instead of making its own.
     """
 
     sys: RefinementSystem
@@ -94,6 +102,9 @@ class SliceCategory:
     mor_tags: tuple[tuple[int, int, int], ...]
     obj_index: dict[tuple[int, int], int]
     mor_index: dict[tuple[int, int, int], int]
+    offsets: tuple[int, ...]
+    hom_pos: dict[int, dict[int, int]]
+    points: tuple[int, ...]
 
     def obj_name(self, i: int) -> str:
         return self.cat.objects[i]
@@ -104,24 +115,34 @@ class SliceCategory:
 
 def _build_slice(sys: RefinementSystem, B: int) -> SliceCategory:
     D, T, t = sys.D, sys.T, sys.t
-    obj_tags: list[tuple[int, int]] = []
-    for P in range(D.n_objects):
-        for c in T.hom(sys.shape(P), B):
-            obj_tags.append((P, c))
-    obj_index = {tag: i for i, tag in enumerate(obj_tags)}
+    shapes = tuple(map(sys.shape, range(D.n_objects)))
+    homs = [T.hom(A, B) for A in shapes]
+    offsets = tuple(itertools.accumulate(map(len, homs), initial=0))
+    obj_tags = [(P, c) for P, cs in enumerate(homs) for c in cs]
+    points = tuple(range(len(obj_tags)))
+    obj_index = dict(zip(obj_tags, points))
+    hom_pos = {A: {c: k for k, c in enumerate(T.hom(A, B))} for A in set(shapes)}
     obj_names = [f"({D.objects[P]},{T.mor_names[c]})" for (P, c) in obj_tags]
 
-    # Only real morphisms out of each source are visited; sorting keeps
-    # the tags in (source, target, alpha) order.
-    mor_tags: list[tuple[int, int, int]] = []
-    for si, (P1, c1) in enumerate(obj_tags):
-        out = []
+    # A derivation alpha : P1 -> P2 over e meets each c2 : t(P2) -> B
+    # once, as the morphism (P1, e;c2) -> (P2, c2): one composite per
+    # pair, filed under its source point in P1's block, so the slice
+    # costs its morphisms.  Sorting a point's morphisms keeps the tags in
+    # (source, target, alpha) order.
+    tags: list[tuple[int, int, int]] = []
+    for P1, cs in enumerate(homs):
+        at, pos = offsets[P1], hom_pos[shapes[P1]]
+        out: list[list[tuple[int, int]]] = [[] for _ in cs]
         for alpha in D.mor_out(P1):
-            e, P2 = t.mor(alpha), D.cod(alpha)
-            for c2 in T.hom(sys.shape(P2), B):
-                if T.compose(e, c2) == c1:
-                    out.append((obj_index[(P2, c2)], alpha))
-        mor_tags += [(alpha, si, ti) for ti, alpha in sorted(out)]
+            P2, e = D.mor_cod[alpha], t.mor(alpha)
+            to = offsets[P2]
+            for k2, c2 in enumerate(homs[P2]):
+                out[pos[T.compose(e, c2)]].append((points[to + k2], alpha))
+        for k, found in enumerate(out):
+            si = points[at + k]
+            tags += [(alpha, si, ti) for ti, alpha in sorted(found)]
+    mor_tags = tuple(tags)
+    del tags
     mor_index = {tag: k for k, tag in enumerate(mor_tags)}
     morphisms = [
         (f"{D.mor_names[alpha]}#{si}->{ti}", si, ti) for (alpha, si, ti) in mor_tags
@@ -136,7 +157,10 @@ def _build_slice(sys: RefinementSystem, B: int) -> SliceCategory:
     cat = FinCategory(
         f"slice({sys.name},{T.objects[B]})", obj_names, morphisms, identity, comp
     )
-    return SliceCategory(sys, B, cat, tuple(obj_tags), tuple(mor_tags), obj_index, mor_index)
+    return SliceCategory(
+        sys, B, cat, tuple(obj_tags), mor_tags, obj_index, mor_index,
+        offsets[:-1], hom_pos, points,
+    )
 
 
 def slice_of(sys: RefinementSystem, B: int) -> SliceCategory:
@@ -152,27 +176,74 @@ def coslice_of(sys: RefinementSystem, A: int) -> SliceCategory:
     return slice_of(sys.op(), A)
 
 
-def slice_action(sys: RefinementSystem, e: int) -> FunctorData:
-    """Postcomposition with e as a functor between slices, built once.
-    The object map is built up front; the image of a slice morphism is
-    looked up when it is first read."""
+class SliceAction(FunctorData):
+    """Postcomposition with e : B1 -> B2 as a functor between slices.
 
-    def build() -> FunctorData:
+    A point (P, c) goes to (P, c;e), in the block of the same refinement,
+    so the object map is read once per base object A as a map of
+    positions hom(A, B1) -> hom(A, B2) and laid out block by block with
+    the target slice's own point ints.  The preimage of a set of points,
+    the support of a pulled presheaf, is read from the inverse of that
+    map, taken from the laid-out block of one refinement over A when it
+    is asked for.  The image of a slice morphism is looked up when it is
+    first read."""
+
+    def __init__(self, sys: RefinementSystem, e: int):
         T = sys.T
-        S1 = slice_of(sys, T.dom(e))
-        S2 = slice_of(sys, T.cod(e))
-        omap = tuple(S2.obj_index[(P, T.compose(c, e))] for (P, c) in S1.obj_tags)
+        S1, S2 = slice_of(sys, T.dom(e)), slice_of(sys, T.cod(e))
+        maps = {
+            A: tuple(pos[T.compose(c, e)] for c in T.hom(A, S1.base_obj))
+            for A, pos in S2.hom_pos.items()
+        }
+        omap: list[int] = []
+        for P, at in enumerate(S2.offsets):
+            A = sys.shape(P)
+            block = S2.points[at : at + len(S2.hom_pos[A])]
+            omap.extend(map(block.__getitem__, maps[A]))
+        self.slices = (S1, S2)
 
         def image(k: int) -> int:
             alpha, s, u = S1.mor_tags[k]
-            return S2.mor_index[(alpha, omap[s], omap[u])]
+            return S2.mor_index[(alpha, self.object_map[s], self.object_map[u])]
 
-        return FunctorData(f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, omap, image)
+        super().__init__(f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, tuple(omap), image)
 
-    return sys.memo(("slice action", e), build)
+    def preimage(self, points: Iterable[int]) -> tuple[int, ...]:
+        """The points of the source slice sent into `points`, in index
+        order: for (P, c2) the points (P, c) of P's block with c;e = c2."""
+        S1, S2 = self.slices
+        shape = S1.sys.shape
+        inverses: dict[int, list[list[int]]] = {}
+        out: list[int] = []
+        for j in points:
+            P = S2.obj_tags[j][0]
+            A = shape(P)
+            inverse = inverses.get(A)
+            if inverse is None:
+                inverse = inverses[A] = self._inverse(A)
+            at = S1.offsets[P]
+            out.extend(S1.points[at + k] for k in inverse[j - S2.offsets[P]])
+        out.sort()
+        return tuple(out)
+
+    def _inverse(self, A: int) -> list[list[int]]:
+        """For each position in hom(A, B2), the positions in hom(A, B1)
+        sent there, read from the block of the first refinement over A."""
+        S1, S2 = self.slices
+        P = S1.sys.fiber(A)[0]
+        at, to = S1.offsets[P], S2.offsets[P]
+        fibres: list[list[int]] = [[] for _ in S2.hom_pos[A]]
+        for k in range(len(S1.hom_pos[A])):
+            fibres[self.object_map[at + k] - to].append(k)
+        return fibres
 
 
-def coslice_action(sys: RefinementSystem, e: int) -> FunctorData:
+def slice_action(sys: RefinementSystem, e: int) -> SliceAction:
+    """Postcomposition with e as a functor between slices, built once."""
+    return sys.memo(("slice action", e), lambda: SliceAction(sys, e))
+
+
+def coslice_action(sys: RefinementSystem, e: int) -> SliceAction:
     """Precomposition with e as a functor between coslices (contravariant:
     e : A1 -> A2 yields a functor from the coslice under A2 to the one
     under A1)."""
@@ -279,28 +350,37 @@ def _judgment_families(sys: RefinementSystem):
     """For every judgment (Q1, c, Q2), in `sys.judgments()` order: the
     judgment, the support of rep(Q1), and the natural families
     rep(Q1) => pull_c rep(Q2) as `_families_on_support` returns them, one
-    component per support point.  The support, its element counts and
-    the naturality constraints (built on first need) are taken once per
-    Q1, the element counts of rep(Q2) once per Q2, and the targets of a
-    judgment are read through the object map of the slice action of c."""
+    component per support point.  The support and the naturality
+    constraints (built on first need) are taken once per Q1, and the
+    image of the support under the slice action of c once per (Q1, c).
+    A family sends every support point into rep(Q2), so where that image
+    is not inside rep(Q2)'s support some target set is empty and the
+    judgment has no family: no target is read for it.  Elsewhere the
+    targets are read through the object map of the slice action."""
     D, T = sys.D, sys.T
     reps = [pos_rep(sys, Q) for Q in range(D.n_objects)]
-    counts = [tuple(map(len, r.elements)) for r in reps]
-    actions: dict[int, FunctorData] = {}
+    supports = [frozenset(r.support()) for r in reps]
+    actions: dict[int, SliceAction] = {}
     for Q1, phi in enumerate(reps):
         support = phi.support()
         closing = functools.cache(functools.partial(_closing, phi, support))
+        images: dict[int, frozenset[int]] = {}
         A = sys.shape(Q1)
         for Q2, psi in enumerate(reps):
-            at = counts[Q2]
             for c in T.hom(A, sys.shape(Q2)):
                 F = actions.get(c)
                 if F is None:
                     F = actions[c] = slice_action(sys, c)
                 omap = F.object_map
+                image = images.get(c)
+                if image is None:
+                    image = images[c] = frozenset(map(omap.__getitem__, support))
+                if not image <= supports[Q2]:
+                    yield (Q1, c, Q2), support, []
+                    continue
                 fams = _families_on_support(
                     phi,
-                    [at[omap[a]] for a in support],
+                    [psi.size(omap[a]) for a in support],
                     closing,
                     lambda u, psi=psi, F=F: psi.action[F.mor(u)],
                 )
@@ -564,8 +644,9 @@ def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str |
     """Where phi, a presheaf of derivations over S, and the hom presheaf y
     of a point of S differ, table for table, or None: at every slice point
     the point morphisms, read as their derivations, are phi's payloads, and
-    on the support every action row agrees."""
-    for i in range(S.cat.n_objects):
+    on the support every action row agrees.  Off both supports both
+    payloads are empty, so only the union of the supports is read."""
+    for i in sorted(set(phi.support()).union(y.support())):
         if tuple(S.mor_tags[m][0] for m in y.payloads[i]) != phi.payloads[i]:
             return f"point morphisms at {S.obj_name(i)} are not its derivations"
     for j in phi.support():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ import refcat.duality as duality_mod
 import refcat.psh as psh_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
+from refcat.fincat import FinCategory, OppositeCategory
 
 SKEW = """
 category D
@@ -206,6 +208,68 @@ def test_verify_hoare_reads_only_rows_a_check_can_fail_on(hoare_file, monkeypatc
     for cs in commas:
         assert all(row is not None for row in cs.sys.D._rows)
         assert all(row is None for row in cs.sys.op().D._rows)
+
+
+@pytest.fixture()
+def linctx_file(tmp_path):
+    p = tmp_path / "l.fix"
+    p.write_text("fixture l linctx\n")
+    return str(p)
+
+
+def test_verify_linctx_ff_searches_only_judgments_that_can_have_a_family(
+    linctx_file, monkeypatch, capsys
+):
+    # A judgment whose source support is not sent into rep(Q2)'s support
+    # has no family and is not searched; a slice is built with one
+    # composite per (derivation, c2), not one per (point, derivation, c2).
+    searched = []
+    search = represent_mod._families_on_support
+    monkeypatch.setattr(
+        represent_mod, "_families_on_support", lambda *a: searched.append(1) or search(*a)
+    )
+    composed = Counter()
+    for cls in (FinCategory, OppositeCategory):
+        real = cls.__dict__["compose"]
+        monkeypatch.setattr(
+            cls, "compose", lambda self, f, g, _real=real: composed.update((id(self),)) or _real(self, f, g)
+        )
+    built = []
+    build = represent_mod._build_slice
+
+    def counted(sys, B):
+        before = composed[id(sys.T)]
+        S = build(sys, B)
+        built.append((sys, B, composed[id(sys.T)] - before))
+        return S
+
+    monkeypatch.setattr(represent_mod, "_build_slice", counted)
+    assert main(["verify", linctx_file, "ff"]) == 0
+    assert "attempted 30182 passed 30182" in capsys.readouterr().out
+    assert len(searched) == 248
+    assert built
+    for sys, B, n in built:
+        pairs = sum(len(sys.T.hom(sys.shape(sys.D.cod(a)), B)) for a in range(sys.D.n_morphisms))
+        assert n <= pairs
+
+
+@pytest.mark.parametrize("which", ["hoare", "linctx"])
+def test_a_preimage_that_drops_a_point_turns_preservation_red(
+    which, hoare_file, linctx_file, monkeypatch, capsys
+):
+    # The support of a pull along a slice action is read from the inverse
+    # of its object map: a wrong index must fail the comparisons, not
+    # shrink what preservation decides.
+    path = hoare_file if which == "hoare" else linctx_file
+    assert main(["verify", path, "preservation"]) == 0
+    clean = capsys.readouterr().out
+    real = represent_mod.SliceAction.preimage
+    monkeypatch.setattr(represent_mod.SliceAction, "preimage", lambda self, pts: real(self, pts)[:-1])
+    assert main(["verify", path, "preservation"]) == 1
+    out = capsys.readouterr().out
+    attempted = lambda text: text.split("attempted ", 1)[1].split()[0]
+    assert attempted(out) == attempted(clean)
+    assert "failed 0" in clean and "failed 0" not in out
 
 
 def test_composite_with_wrong_endpoints_is_named(tmp_path, capsys):

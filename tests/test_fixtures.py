@@ -6,6 +6,7 @@ point of the test.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -188,6 +189,44 @@ def test_linctx_shape_counts(linctx):
             tgt = tuple(mc.formulas[i] for i in names[b])
             total += context_morphism_count(mc, src, tgt)
     assert linctx.D.n_morphisms == total == 124
+
+
+def product_enumeration(sys):
+    """The morphisms (name, dom, cod) of a linctx D by the full-product
+    formula: every map u of positions in `itertools.product` order, kept
+    when every position of gamma has a rule for the sorted formulas u
+    sends there."""
+    mc, _trunc, ctx_index, u_index = linctx_data(sys)
+    fidx = {f: i for i, f in enumerate(mc.formulas)}
+    by_type = {}
+    for k, mm in enumerate(mc.multimorphisms):
+        by_type.setdefault((tuple(fidx[f] for f in mm.source), fidx[mm.target]), []).append(k)
+    contexts = sorted(ctx_index, key=ctx_index.get)
+    out = []
+    for di, delta in enumerate(contexts):
+        for gi, gamma in enumerate(contexts):
+            for u in itertools.product(range(len(gamma)), repeat=len(delta)):
+                choice = [
+                    by_type.get((tuple(sorted(d for d, j2 in zip(delta, u) if j2 == j)), tgt))
+                    for j, tgt in enumerate(gamma)
+                ]
+                if None in choice:
+                    continue
+                uname = sys.T.mor_names[u_index[(len(delta), len(gamma), u)]]
+                for fam in itertools.product(*choice):
+                    fname = ",".join(mc.multimorphisms[k].name for k in fam)
+                    out.append((f"{uname}|{fname}", di, gi))
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_linctx_morphisms_are_the_full_product_enumeration(K):
+    # build_linctx grows each map of positions only while its fibres can
+    # still become rule sources; it must list the same morphisms, in the
+    # same order, as trying every map.
+    sys = build_linctx(default_linear_spec(), TruncationParams(K=K))
+    D = sys.D
+    assert list(zip(D.mor_names, D.mor_dom, D.mor_cod)) == product_enumeration(sys)
 
 
 def test_tensor_left_rule_report(linctx):

@@ -27,6 +27,7 @@ from refcat.psh import (
     Presheaf,
     _on_objects,
     natural_families,
+    pull_psh,
     representable,
     validate_psh_derivation,
 )
@@ -135,6 +136,55 @@ def test_ff_sweep_finds_the_families_natural_families_finds(hoare, seed):
             want = natural_families(phi, pos_rep(s, Q2), slice_action(s, c))
             assert len(fams) == len(want)
             assert [_on_objects(f, support, phi.base.n_objects) for f in fams] == want
+
+
+def pairwise_slice_tags(sys, B):
+    """Slice tags by the pairwise formula: for every point (P1, c1), every
+    alpha : P1 -> P2 over e and every c2 : t(P2) -> B with e;c2 = c1."""
+    D, T = sys.D, sys.T
+    obj_tags = [(P, c) for P in range(D.n_objects) for c in T.hom(sys.shape(P), B)]
+    index = {tag: i for i, tag in enumerate(obj_tags)}
+    mor_tags = []
+    for si, (P1, c1) in enumerate(obj_tags):
+        out = sorted(
+            (index[(D.cod(alpha), c2)], alpha)
+            for alpha in D.mor_out(P1)
+            for c2 in T.hom(sys.shape(D.cod(alpha)), B)
+            if T.compose(sys.t.mor(alpha), c2) == c1
+        )
+        mor_tags += [(alpha, si, ti) for ti, alpha in out]
+    return tuple(obj_tags), tuple(mor_tags)
+
+
+def test_slices_actions_pulls_and_points_match_the_pairwise_formulas(
+    hoare, linctx, collapse, ident, galois
+):
+    # Slices, slice actions, pulled supports and hom presheaves are built
+    # from blocks and preimages; each must equal its pointwise formula.
+    systems = [hoare, linctx, collapse.mrs.sys, ident.mrs.sys, galois.left.source, galois.left.target]
+    systems += [random_refsys(seed) for seed in range(6)]
+    for s in (side for sys in systems for side in (sys, sys.op())):
+        T = s.T
+        for B in range(T.n_objects):
+            S = slice_of(s, B)
+            assert (S.obj_tags, S.mor_tags) == pairwise_slice_tags(s, B)
+            for Q in s.fiber(B):
+                y = representable(S.cat, S.obj_index[(Q, T.identity[B])])
+                homs = tuple(S.cat.hom(a, S.obj_index[(Q, T.identity[B])]) for a in range(S.cat.n_objects))
+                assert y.payloads == homs
+                assert y.support() == tuple(a for a, h in enumerate(homs) if h)
+                assert tuple(y.elements) == tuple(tuple(S.cat.mor_names[m] for m in h) for h in homs)
+        for e in range(T.n_morphisms):
+            F = slice_action(s, e)
+            S1, S2 = slice_of(s, T.dom(e)), slice_of(s, T.cod(e))
+            omap = tuple(S2.obj_index[(P, T.compose(c, e))] for (P, c) in S1.obj_tags)
+            assert F.object_map == omap
+            for Q in s.fiber(T.cod(e)):
+                psi = pos_rep(s, Q)
+                pulled = pull_psh(F, psi)
+                assert pulled.support() == tuple(a for a, b in enumerate(omap) if psi.payloads[b])
+                assert pulled.payloads == tuple(psi.payloads[b] for b in omap)
+                assert pulled.elements == tuple(psi.elements[b] for b in omap)
 
 
 def test_rep_derivations_validate(hoare):
