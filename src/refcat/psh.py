@@ -3,9 +3,9 @@
 A presheaf assigns a finite set of named elements to every object and a
 function *backwards* along every morphism.  Pullback along a functor is
 precomposition; pushforward is a pointwise colimit computed by saturating
-the zig-zag relation with a union-find.  The natural-family enumerator at
-the bottom is shared by every higher construction in the package
-(derivation bijections, curried residuals, dualizers).
+the zig-zag relation with a union-find over int nodes.  The natural-family
+enumerator at the bottom is shared by every higher construction in the
+package (derivation bijections, curried residuals, dualizers).
 """
 
 from __future__ import annotations
@@ -98,8 +98,13 @@ class Presheaf:
 
     def support(self) -> tuple[int, ...]:
         """The objects with a nonempty element set, in index order.  With
-        payloads (one per element) it is read from them, so element names
-        that are filled on first read are built only on the support."""
+        payloads (one per element) it is read from them, so no element
+        name is built here; but payloads that are a `Table` are then
+        filled at every object.  So whoever builds a presheaf with tables
+        filled on first read, and has its support read, must set the
+        support first: representations, duals, `representable`,
+        `pull_psh` and `push_psh_full` set it when they build, and the
+        duality suite sets it on each point section (`duality._section`)."""
         if self._support is None:
             sets = self.elements if self.payloads is None else self.payloads
             self._support = tuple(a for a, e in enumerate(sets) if e)
@@ -190,32 +195,6 @@ def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
     return pulled
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # Keep the lexicographically least node as root so representatives
-            # are canonical without a separate pass.
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 @dataclass(eq=False)
 class PushResult:
     """Pushforward presheaf plus the coend bookkeeping.
@@ -236,60 +215,101 @@ class PushResult:
 def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
     """Pushforward along F: the generating nodes (a, h : b -> F a, x) for a
     in the support of phi, glued along every source morphism into the
-    support.  A row of the pushed presheaf is computed, and checked to be
-    well defined on classes, when it is first read."""
+    support.  Nodes are ints, laid out by (a, position of h in
+    B.mor_in(F a), x), so the least id of a class is its least node and
+    the union-find runs on a flat parent list; the node tuples are made
+    once, for `class_of` and `reps`.  A row of the pushed presheaf is
+    computed, and checked to be well defined on classes, when it is first
+    read."""
     if phi.base is not F.source:
         raise StructuralError(f"push_psh: {phi.name} does not live over the source of {F.name}")
     A, B = F.source, F.target
     support = phi.support()
-    uf = _UnionFind()
-    nodes_at: dict[int, list[tuple[int, int, int]]] = {}
+    # Node (a, h, x) is start[a] + k * |phi(a)| + x, for h the k-th
+    # morphism into F a.
+    start: dict[int, int] = {}
+    nodes: list[tuple[int, int, int]] = []
+    nodes_at: dict[int, list[int]] = {}
     for a in support:
+        start[a] = len(nodes)
+        n = phi.size(a)
         for h in B.mor_in(F.obj(a)):
-            nodes = nodes_at.setdefault(B.dom(h), [])
-            for x in range(phi.size(a)):
-                node = (a, h, x)
-                uf.add(node)
-                nodes.append(node)
-    # The support is a sieve: a morphism into it starts in it.
+            nodes_at.setdefault(B.dom(h), []).extend(range(len(nodes), len(nodes) + n))
+            nodes += ((a, h, x) for x in range(n))
+    parent = list(range(len(nodes)))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    positions: dict[int, dict[int, int]] = {}
+
+    def position(b: int) -> dict[int, int]:
+        """h |-> its position in B.mor_in(b)."""
+        got = positions.get(b)
+        if got is None:
+            got = positions[b] = {h: k for k, h in enumerate(B.mor_in(b))}
+        return got
+
+    # The support is a sieve: a morphism into it starts in it.  Each
+    # union keeps the lesser root, so a root is the least node of its
+    # class.
     for a2 in support:
+        n2, pos2 = phi.size(a2), position(F.obj(a2))
         for u in A.mor_in(a2):
-            a, fu = A.dom(u), F.mor(u)
-            for h in B.mor_in(F.obj(a)):
-                hu = B.compose(h, fu)
-                for x2 in range(phi.size(a2)):
-                    uf.union((a2, hu, x2), (a, h, phi.apply(u, x2)))
-    # Canonical representative of each class is its least node.
+            a, fu, act = A.dom(u), F.mor(u), phi.action[u]
+            n = phi.size(a)
+            for k, h in enumerate(B.mor_in(F.obj(a))):
+                at2 = start[a2] + pos2[B.compose(h, fu)] * n2
+                at = start[a] + k * n
+                for x2 in range(n2):
+                    r1, r2 = find(at2 + x2), find(at + act[x2])
+                    if r1 < r2:
+                        parent[r2] = r1
+                    elif r2 < r1:
+                        parent[r1] = r2
+    cls = [0] * len(nodes)
+    roots_at: dict[int, list[int]] = {}
     reps_at: list[tuple[tuple[int, int, int], ...]] = [()] * B.n_objects
     elements: list[tuple[str, ...]] = [()] * B.n_objects
-    class_of: dict[tuple[int, int, int], int] = {}
-    for b, nodes in nodes_at.items():
-        reps = reps_at[b] = tuple(sorted({uf.find(n) for n in nodes}))
-        index = {r: i for i, r in enumerate(reps)}
-        for n in nodes:
-            class_of[n] = index[uf.find(n)]
+    for b, at in nodes_at.items():
+        roots = roots_at[b] = sorted({find(n) for n in at})
+        index = {r: i for i, r in enumerate(roots)}
+        for n in at:
+            cls[n] = index[parent[n]]
+        reps = reps_at[b] = tuple(map(nodes.__getitem__, roots))
         elements[b] = tuple(f"{B.mor_names[h]}.{phi.elements[a][x]}" for (a, h, x) in reps)
+
+    def node(a: int, h: int, x: int) -> int:
+        return start[a] + position(F.obj(a))[h] * phi.size(a) + x
+
+    def moved(k: int, n: int) -> int:
+        """The class of the node n = (a, h, x) moved along k: (a, k;h, x)."""
+        a, h, x = nodes[n]
+        return cls[node(a, B.compose(k, h), x)]
 
     def row(k: int) -> tuple[int, ...]:
         b = B.cod(k)
-        out = tuple(class_of[(a, B.compose(k, h), x)] for (a, h, x) in reps_at[b])
+        out = tuple(moved(k, r) for r in roots_at[b])
         # Well-definedness: every member of a class must land in the same class.
         for n in nodes_at[b]:
-            a, h, x = n
-            if class_of[(a, B.compose(k, h), x)] != out[class_of[n]]:
+            if moved(k, n) != out[cls[n]]:
                 raise StructuralError(
                     f"push_psh: action of {B.mor_names[k]} is not well defined on classes"
                 )
         return out
 
     pushed = Presheaf(f"push[{F.name}]({phi.name})", B, tuple(elements), row)
-    unit = tuple(
-        tuple(class_of[(a, B.id_of(F.obj(a)), x)] for x in range(phi.size(a)))
-        if phi.elements[a]
-        else ()
-        for a in range(A.n_objects)
-    )
-    return PushResult(pushed, class_of, tuple(reps_at), unit)
+    pushed._support = tuple(sorted(nodes_at))
+    unit: list[tuple[int, ...]] = [()] * A.n_objects
+    for a in support:
+        at = node(a, B.id_of(F.obj(a)), 0)
+        unit[a] = tuple(cls[at : at + phi.size(a)])
+    return PushResult(pushed, dict(zip(nodes, cls)), tuple(reps_at), tuple(unit))
 
 
 def push_psh(F: FunctorData, phi: Presheaf) -> Presheaf:
@@ -308,18 +328,14 @@ def push_transpose(
     unit ; kappa = theta, computed on canonical class representatives and
     then verified: kappa must be natural and must reproduce theta exactly,
     otherwise theta was not natural to begin with."""
-    B = psi.base
-    comps = []
-    for b in range(B.n_objects):
-        row = []
-        for (a, h, x) in pr.reps[b]:
-            row.append(psi.apply(h, theta[a][x]))
-        comps.append(tuple(row))
+    comps: list[tuple[int, ...]] = [()] * psi.base.n_objects
+    for b in itertools.compress(range(len(pr.reps)), pr.reps):
+        comps[b] = tuple(psi.apply(h, theta[a][x]) for (a, h, x) in pr.reps[b])
     kappa = PshDerivation("transpose", pr.presheaf, psi, None, tuple(comps))
     rep = validate_psh_derivation(kappa)
     if not rep.ok:
         raise StructuralError(f"push_transpose: {rep.violations[0]}")
-    for a in range(len(pr.unit)):
+    for a in itertools.compress(range(len(pr.unit)), pr.unit):
         for x, cls in enumerate(pr.unit[a]):
             if comps[F.obj(a)][cls] != theta[a][x]:
                 raise StructuralError(

@@ -62,8 +62,9 @@ class RefinementSystem:
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
         Slices, representations, pairings, cuts, lift searches, strict
-        residuals and genday clause outcomes are built once per system
-        through here; presheaf pullback needs identical base categories.
+        residuals, genday clause outcomes and the indexes the sweeps read
+        are built once per system through here; presheaf pullback needs
+        identical base categories.
         A build that raises stores nothing, so the next request builds
         again."""
         if key not in self._memo:
@@ -92,6 +93,20 @@ class RefinementSystem:
         construction (its legs come from base hom-sets and slice tags):
         the index is read with no check."""
         return self._derivations.get((P, c, Q), ())
+
+    def derivations_into(self, c: int, Q: int) -> tuple[tuple[int, int], ...]:
+        """The pairs (P, alpha) with alpha a derivation of (P, c, Q), in
+        (P, alpha) order: the candidates of a pullback of c at Q, and, in
+        the opposite system, the derivations out of Q over c.  Read from
+        an index of the derivations by (c, Q), built in the memo on first
+        use."""
+        return self.memo(("derivations into",), self._index_into).get((c, Q), ())
+
+    def _index_into(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (P, c, Q), alphas in sorted(self._derivations.items()):
+            index.setdefault((c, Q), []).extend((P, alpha) for alpha in alphas)
+        return {key: tuple(found) for key, found in index.items()}
 
     def _not_a_judgment(self, P: int, c: int, Q: int) -> StructuralError:
         return StructuralError(
@@ -255,9 +270,10 @@ def _cartesian_tests(
 def find_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | None:
     """Search the fiber over dom c for a cartesian lift of c at Q.
 
-    Candidates are scanned in (object index, derivation index) order, so
-    the certificate returned is deterministic.  The result, None included,
-    is kept in the system's memo.
+    The candidates, the derivations (P0, c, Q), are read from
+    `derivations_into` in (object index, derivation index) order, so the
+    certificate returned is deterministic.  The result, None included, is
+    kept in the system's memo.
     """
     T = sys.T
     if T.cod(c) != sys.shape(Q):
@@ -269,20 +285,18 @@ def find_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | No
 
 
 def _search_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | None:
-    # find_pullback checked that Q refines cod c, and P0 refines dom c.
-    for P0 in sys.fiber(sys.T.dom(c)):
-        for ell in sys.derivations_unchecked(P0, c, Q):
-            tests = _cartesian_tests(sys, c, Q, P0, ell)
-            if tests is not None:
-                return LiftCertificate(
-                    system=sys,
-                    direction="pullback",
-                    c=c,
-                    subject=Q,
-                    result=P0,
-                    structural=ell,
-                    tests=tests,
-                )
+    for P0, ell in sys.derivations_into(c, Q):
+        tests = _cartesian_tests(sys, c, Q, P0, ell)
+        if tests is not None:
+            return LiftCertificate(
+                system=sys,
+                direction="pullback",
+                c=c,
+                subject=Q,
+                result=P0,
+                structural=ell,
+                tests=tests,
+            )
     return None
 
 

@@ -40,6 +40,12 @@ class CheckReport:
         self.attempted += 1
         self.passed += 1
 
+    def record_passes(self, n: int) -> None:
+        """Record n checks that pass, counted in bulk by a caller that
+        knows they hold without deciding each one."""
+        self.attempted += n
+        self.passed += n
+
     def record_fail(self, counterexample: str) -> None:
         self.attempted += 1
         self.failed += 1

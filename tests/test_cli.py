@@ -12,11 +12,14 @@ from collections import Counter
 
 import pytest
 
+import refcat.cli as cli_mod
 import refcat.duality as duality_mod
 import refcat.psh as psh_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.fincat import FinCategory, OppositeCategory
+from refcat.refsys import RefinementSystem
+from refcat.reports import CheckReport
 
 SKEW = """
 category D
@@ -221,12 +224,21 @@ def test_verify_linctx_ff_searches_only_judgments_that_can_have_a_family(
     linctx_file, monkeypatch, capsys
 ):
     # A judgment whose source support is not sent into rep(Q2)'s support
-    # has no family and is not searched; a slice is built with one
-    # composite per (derivation, c2), not one per (point, derivation, c2).
+    # has no family, and with no derivation it is counted in bulk, not
+    # searched or visited; a slice is built with one composite per
+    # (derivation, c2), not one per (point, derivation, c2).
     searched = []
     search = represent_mod._families_on_support
     monkeypatch.setattr(
         represent_mod, "_families_on_support", lambda *a: searched.append(1) or search(*a)
+    )
+    bulk, visited = [], []
+    real_passes, real_pass = CheckReport.record_passes, CheckReport.record_pass
+    monkeypatch.setattr(
+        CheckReport, "record_passes", lambda self, n: bulk.append(n) or real_passes(self, n)
+    )
+    monkeypatch.setattr(
+        CheckReport, "record_pass", lambda self: visited.append(1) or real_pass(self)
     )
     composed = Counter()
     for cls in (FinCategory, OppositeCategory):
@@ -247,10 +259,49 @@ def test_verify_linctx_ff_searches_only_judgments_that_can_have_a_family(
     assert main(["verify", linctx_file, "ff"]) == 0
     assert "attempted 30182 passed 30182" in capsys.readouterr().out
     assert len(searched) == 248
+    assert (len(visited), sum(bulk)) == (248, 29934)
     assert built
     for sys, B, n in built:
         pairs = sum(len(sys.T.hom(sys.shape(sys.D.cod(a)), B)) for a in range(sys.D.n_morphisms))
         assert n <= pairs
+
+
+def test_verify_linctx_duality_reads_each_section_point_once(linctx_file, monkeypatch, capsys):
+    # Each point section finds its support in one pass that reads every
+    # slice point once through `derivations_unchecked`; every other read
+    # fills a cut payload, and a cut payload or element name is filled
+    # only where it is nonempty: on a section's support, or at a support
+    # point of a dual's input under a live coslice point.
+    reads = Counter()
+    real = RefinementSystem.derivations_unchecked
+    monkeypatch.setattr(
+        RefinementSystem,
+        "derivations_unchecked",
+        lambda self, P, c, Q: reads.update([(id(self), P, c, Q)]) or real(self, P, c, Q),
+    )
+    systems = []
+    load = cli_mod.textio.load
+    monkeypatch.setattr(
+        cli_mod.textio, "load", lambda *a: systems.append(load(*a)) or systems[-1]
+    )
+    assert main(["verify", linctx_file, "duality"]) == 0
+    capsys.readouterr()
+    (sys,) = systems[0].systems.values()
+    fills = Counter()
+    for s in (sys, sys.op()):
+        for key, cut in s._memo.items():
+            if key[0] != "cut":
+                continue
+            _, B, (R, d) = key
+            tags = duality_mod.slice_of(s, B).obj_tags
+            assert all(cut.payloads[i] for i in cut.payloads._got)
+            assert all(cut.elements[i] for i in cut.elements._got)
+            for i in cut.payloads._got:
+                P, c = tags[i]
+                fills[(id(s), P, s.T.compose(c, d), R)] += 1
+    once = Counter((id(s), *j) for s in (sys, sys.op()) for j in s.judgments())
+    assert sum(once.values()) == 30182
+    assert reads - fills == once and fills - reads == Counter()
 
 
 @pytest.mark.parametrize("which", ["hoare", "linctx"])

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.psh as psh_mod
-from refcat.fincat import FinCategory, FunctorData, opposite, terminal_category
+from refcat.fincat import (
+    FinCategory,
+    FunctorData,
+    StructuralError,
+    opposite,
+    terminal_category,
+)
 from refcat.fixtures import fin_skeleton, random_refsys
 from refcat.psh import (
     Presheaf,
@@ -584,3 +590,143 @@ def test_skipping_a_constraint_into_a_two_element_set_is_caught(monkeypatch):
         for seed in range(60)
         for _rng, phi, _shuffled, psi, _down, _t in (pruning_cases(seed),)
     )
+
+
+# ---------------------------------------------------------------------------
+# The pushforward kernel against a union-find over tuple nodes (a, h, x)
+
+
+class TupleUnionFind:
+    """Union-find keyed by node tuples; the least node is kept as root."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def tuple_push(F, phi):
+    """The pushforward on tuple nodes: (elements, class_of, reps, unit, row)
+    with row(k) computed and checked for well-definedness on call."""
+    A, B = F.source, F.target
+    support = phi.support()
+    uf = TupleUnionFind()
+    nodes_at = {}
+    for a in support:
+        for h in B.mor_in(F.obj(a)):
+            for x in range(phi.size(a)):
+                uf.add((a, h, x))
+                nodes_at.setdefault(B.dom(h), []).append((a, h, x))
+    for a2 in support:
+        for u in A.mor_in(a2):
+            a, fu = A.dom(u), F.mor(u)
+            for h in B.mor_in(F.obj(a)):
+                for x2 in range(phi.size(a2)):
+                    uf.union((a2, B.compose(h, fu), x2), (a, h, phi.apply(u, x2)))
+    reps = [()] * B.n_objects
+    elements = [()] * B.n_objects
+    class_of = {}
+    for b, nodes in nodes_at.items():
+        reps[b] = tuple(sorted({uf.find(n) for n in nodes}))
+        for n in nodes:
+            class_of[n] = reps[b].index(uf.find(n))
+        elements[b] = tuple(f"{B.mor_names[h]}.{phi.elements[a][x]}" for (a, h, x) in reps[b])
+
+    def row(k):
+        b = B.cod(k)
+        out = tuple(class_of[(a, B.compose(k, h), x)] for (a, h, x) in reps[b])
+        for n in nodes_at.get(b, ()):
+            a, h, x = n
+            if class_of[(a, B.compose(k, h), x)] != out[class_of[n]]:
+                raise StructuralError("tuple push: not well defined on classes")
+        return out
+
+    unit = tuple(
+        tuple(class_of[(a, B.id_of(F.obj(a)), x)] for x in range(phi.size(a))) if a in support else ()
+        for a in range(A.n_objects)
+    )
+    return tuple(elements), class_of, tuple(reps), unit, row
+
+
+def push_cases(sys):
+    """Every push of a positive representation along a slice action, on
+    both sides of sys."""
+    from refcat.represent import pos_rep, slice_action
+
+    for s in (sys, sys.op()):
+        for e in range(s.T.n_morphisms):
+            for P in s.fiber(s.T.dom(e)):
+                yield slice_action(s, e), pos_rep(s, P)
+
+
+def test_push_kernel_matches_the_tuple_union_find(hoare, linctx):
+    # Int nodes laid out by (a, position of h, x) order classes as tuple
+    # nodes do, so representatives, classes, the unit and every row into
+    # a nonempty set agree.
+    systems = [hoare, linctx, *(random_refsys(seed) for seed in range(6))]
+    pushes = 0
+    for sys in systems:
+        for F, phi in push_cases(sys):
+            pr = push_psh_full(F, phi)
+            elements, class_of, reps, unit, row = tuple_push(F, phi)
+            assert tuple(pr.presheaf.elements) == elements
+            assert (pr.class_of, pr.reps, pr.unit) == (class_of, reps, unit)
+            B = F.target
+            for k in range(B.n_morphisms):
+                if elements[B.cod(k)]:
+                    assert pr.presheaf.action[k] == row(k)
+            pushes += 1
+    assert pushes > 100
+
+
+def test_a_tampered_push_row_is_not_well_defined_on_classes(hoare):
+    # Read one composite k;h wrongly after the push is built, for a node
+    # (a, h, x) whose class's representative is not over the same h,
+    # sending it to a node of another class: the row of k must raise, as
+    # the tuple kernel does.
+    for F, phi in push_cases(hoare):
+        pr = push_psh_full(F, phi)
+        B = F.target
+        for b, reps in enumerate(pr.reps):
+            for (a, h, x), k in itertools.product(pr.class_of, B.mor_in(b)):
+                if B.dom(h) != b or reps[pr.class_of[(a, h, x)]][1] == h:
+                    continue
+                kh = B.compose(k, h)
+                wrong = next(
+                    (
+                        g
+                        for g in B.hom(B.dom(k), F.obj(a))
+                        if pr.class_of[(a, g, x)] != pr.class_of[(a, kh, x)]
+                    ),
+                    None,
+                )
+                if wrong is None:
+                    continue
+                oracle_row = tuple_push(F, phi)[-1]
+                real = type(B).compose
+                B.compose = lambda f, g: wrong if (f, g) == (k, h) else real(B, f, g)
+                try:
+                    with pytest.raises(StructuralError, match="not well defined on classes"):
+                        pr.presheaf.action[k]
+                    with pytest.raises(StructuralError, match="not well defined on classes"):
+                        oracle_row(k)
+                finally:
+                    del B.compose
+                return
+    pytest.fail("no push has a class with a node to misdirect")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.refsys as refsys_mod
+from refcat.cli import main
 from refcat.fincat import (
     FinCategory,
     FunctorData,
@@ -18,7 +19,9 @@ from refcat.fincat import (
     validate_category,
 )
 from refcat.fixtures import (
+    build_hoare,
     collapse_lattice_fixture,
+    default_hoare_spec,
     galois_fixture,
     random_refsys,
 )
@@ -298,6 +301,73 @@ def test_lift_certification_agrees_with_a_sweep_over_every_point(
                             decided += 1
                             certified += got is not None
     assert 0 < certified < decided
+
+
+def fiber_scan_pullback(s, c, Q):
+    """The pullback search as a scan of the fiber over dom c: every
+    refinement in index order, each derivation over c in index order."""
+    for P0 in s.fiber(s.T.dom(c)):
+        for ell in s.derivations(P0, c, Q):
+            tests = refsys_mod._cartesian_tests(s, c, Q, P0, ell)
+            if tests is not None:
+                return (P0, ell, tests)
+    return None
+
+
+def certificate(cert):
+    return None if cert is None else (cert.result, cert.structural, cert.tests)
+
+
+def test_indexed_pullback_search_certifies_what_a_fiber_scan_certifies(hoare, linctx):
+    # The search reads its candidates from the index of derivations by
+    # (c, Q): the certificate, None included, is the one a scan of the
+    # fiber finds first.
+    found = missing = 0
+    for sys in (hoare, linctx, *(random_refsys(seed) for seed in range(6))):
+        for s in (sys, sys.op()):
+            for c in range(s.T.n_morphisms):
+                for Q in s.fiber(s.T.cod(c)):
+                    got = certificate(find_pullback(s, c, Q))
+                    assert got == fiber_scan_pullback(s, c, Q), (s.name, c, Q)
+                    found += got is not None
+                    missing += got is None
+    assert found and missing
+
+
+def test_an_index_that_drops_a_lift_shows_in_the_preservation_transcript(
+    tmp_path, monkeypatch, capsys
+):
+    # Drop the certified lift of the first (c, Q) with c not an identity
+    # from the index of a fresh hoare system: the search no longer finds
+    # what a fiber scan finds, and `verify preservation` reports it (as a
+    # skip: a lift the search misses is not told apart from a missing
+    # one).
+    path = tmp_path / "h.fix"
+    path.write_text("fixture h hoare\n")
+    assert main(["verify", str(path), "preservation"]) == 0
+    clean = capsys.readouterr().out
+    sys = build_hoare(default_hoare_spec())
+    c, Q, (P0, ell, _) = next(
+        (c, Q, fiber_scan_pullback(sys, c, Q))
+        for c in range(sys.T.n_morphisms)
+        if not sys.T.is_identity(c)
+        for Q in sys.fiber(sys.T.cod(c))
+        if fiber_scan_pullback(sys, c, Q)
+    )
+    real = RefinementSystem._index_into
+
+    def dropped(self):
+        index = real(self)
+        if not self.name.endswith("^op"):
+            index[(c, Q)] = tuple(x for x in index[(c, Q)] if x != (P0, ell))
+        return index
+
+    monkeypatch.setattr(RefinementSystem, "_index_into", dropped)
+    assert certificate(find_pullback(sys, c, Q)) != fiber_scan_pullback(sys, c, Q)
+    main(["verify", str(path), "preservation"])
+    out = capsys.readouterr().out
+    assert out != clean
+    assert f"no pullback of {sys.D.objects[Q]} along {sys.T.mor_names[c]}" in out
 
 
 def test_monoidal_validation_on_the_lattice_fixture(collapse):

@@ -18,7 +18,12 @@ from refcat.fincat import (
     validate_functor,
 )
 from refcat.fixtures import (
+    TruncationParams,
+    build_hoare,
+    build_linctx,
     collapse_lattice_fixture,
+    default_hoare_spec,
+    default_linear_spec,
     identity_lattice_fixture,
     linctx_data,
     random_refsys,
@@ -124,18 +129,101 @@ def test_representation_is_fully_faithful_on_hoare(hoare):
 
 @pytest.mark.parametrize("seed", [None, 3, 11, 42, 1234])
 def test_ff_sweep_finds_the_families_natural_families_finds(hoare, seed):
-    # The sweep takes supports, element counts and constraints once per
-    # source refinement; judgment by judgment it must find what the
-    # one-judgment enumerator finds, in the order of `judgments()`.
+    # The sweep searches the judgments that can have a family or have a
+    # derivation, in the order of `judgments()`, and finds what the
+    # one-judgment enumerator finds; every judgment it only counts has
+    # neither a derivation nor a family.
     sys = hoare if seed is None else random_refsys(seed)
     for s in (sys, sys.op()):
-        swept = list(represent_mod._judgment_families(s))
-        assert [j for j, _support, _fams in swept] == list(s.judgments())
-        for (Q1, c, Q2), support, fams in swept:
+        judgments = list(s.judgments())
+        searched, unsearched = represent_mod._judgment_families(s)
+        visited = [j for j, _support, _fams in searched]
+        assert len(visited) + unsearched == len(judgments)
+        assert visited == [j for j in judgments if j in set(visited)]
+        for (Q1, c, Q2), support, fams in searched:
             phi = pos_rep(s, Q1)
             want = natural_families(phi, pos_rep(s, Q2), slice_action(s, c))
             assert len(fams) == len(want)
             assert [_on_objects(f, support, phi.base.n_objects) for f in fams] == want
+        for Q1, c, Q2 in set(judgments) - set(visited):
+            assert s.derivations(Q1, c, Q2) == ()
+            assert natural_families(pos_rep(s, Q1), pos_rep(s, Q2), slice_action(s, c)) == []
+
+
+def test_the_sweep_searches_every_derivation_whatever_the_index_of_supports_says(
+    hoare, linctx, monkeypatch
+):
+    # The judgments with a derivation are added from the derivation index,
+    # so an index of rep supports that misses every refinement still
+    # leaves each of them searched, not counted.
+    monkeypatch.setattr(represent_mod, "_holders", lambda sys, B: {})
+    for sys in (hoare, linctx):
+        for s in (sys, sys.op()):
+            searched, _ = represent_mod._judgment_families(s)
+            derivable = [j for j in s.judgments() if s.derivations(*j)]
+            assert [j for j, _support, _fams in searched] == derivable
+
+
+def with_junk_off_the_support(sys, Q):
+    """Replace rep(Q) in the memo by rep(Q) with one junk element at every
+    slice point off its support.  The junk element carries no derivation,
+    and a slice morphism sends it to element 0 of its source.  A judgment
+    (P, c, Q) whose image meets the junk points can then have a family
+    with no derivation behind it.  Returns the tampered presheaf."""
+    real = pos_rep(sys, Q)
+    S = real.base
+    support = set(real.support())
+    on = lambda i: i in support
+    junk = Presheaf(
+        f"junk {real.name}",
+        S,
+        tuple(tuple(real.elements[i]) if on(i) else ("junk",) for i in range(S.n_objects)),
+        lambda m: tuple(real.action[m]) if on(S.cod(m)) else (0,),
+        tuple(tuple(real.payloads[i]) if on(i) else () for i in range(S.n_objects)),
+    )
+    junk._support = tuple(range(S.n_objects))
+    sys._memo[("pos rep", Q)] = junk
+    return junk
+
+
+@pytest.mark.parametrize("which", ["hoare", "linctx"])
+def test_a_rep_with_a_spurious_element_turns_ff_red(which):
+    # A refinement Q gets junk elements off its support, for the largest
+    # Q where that gives some judgment (P, c, Q) with P < Q a family but
+    # no derivation.  The first such judgment is the first to fail
+    # (judgments into Q with a derivation meet no junk point, and the
+    # judgments out of Q come after it): the sweep must search it, not
+    # count it, and name it.
+    build = {
+        "hoare": lambda: build_hoare(default_hoare_spec()),
+        "linctx": lambda: build_linctx(default_linear_spec(), TruncationParams()),
+    }[which]
+    clean = {j for j, _support, _fams in represent_mod._judgment_families(build())[0]}
+
+    def target(Q):
+        sys = build()
+        junk = with_junk_off_the_support(sys, Q)
+        return next(
+            (
+                (sys, (P, c, Q))
+                for P, c, Q2 in sys.judgments()
+                if Q2 == Q
+                and P < Q
+                and not sys.derivations(P, c, Q)
+                and natural_families(pos_rep(sys, P), junk, slice_action(sys, c))
+            ),
+            None,
+        )
+
+    sys, (P, c, Q) = next(filter(None, map(target, reversed(range(build().D.n_objects)))))
+    assert (P, c, Q) not in clean
+    rep = representation_ff_check(sys)
+    assert not rep.ok
+    assert rep.passed + rep.failed + rep.skipped == rep.attempted
+    assert rep.attempted == 2 * len(list(sys.judgments()))
+    assert rep.counterexample.startswith(
+        f"pos {sys.judgment_name(P, c, Q)}: 0 derivations but "
+    )
 
 
 def pairwise_slice_tags(sys, B):
