@@ -35,7 +35,6 @@ from .fixtures import (
     MultiMorphism,
     RandomBounds,
     TensorDecl,
-    TruncationParams,
     bang_system,
     build_hoare,
     build_lattice,
@@ -124,7 +123,6 @@ __all__ = [
     "MultiMorphism",
     "MulticategorySpec",
     "TensorDecl",
-    "TruncationParams",
     "LatticeSpec",
     "RandomBounds",
     "build_hoare",

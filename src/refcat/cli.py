@@ -24,6 +24,7 @@ from .fincat import SizeGuardExceeded, StructuralError
 from .refsys import RefinementSystem, adjunction_check, find_pullback, find_pushforward, rapp_check
 from .reports import CheckReport
 from .represent import (
+    SIZE_GUARD,
     coslice_of,
     factorization_check,
     neg_rep,
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--size-guard",
         dest="size_guard",
         type=int,
-        default=60000,
+        default=SIZE_GUARD,
         help="skip the comma-category route of factorization past this size",
     )
 

@@ -2,10 +2,11 @@
 
 Four families: Hoare logic over a finite state space (predicates over a
 one-object transformer monoid), truncated linear contexts over a finite
-multicategory (multisets of formulas over the skeleton of finite sets),
-monotone lattice maps as posetal monoidal systems (with every element a
-monoid via idempotent meet, and a Galois connection lifted to a full
-adjunction of systems), and a seeded random generator for property tests.
+multicategory whose rules compose only through identities (multisets of
+formulas over the skeleton of finite sets), monotone lattice maps as
+posetal monoidal systems (with every element a monoid via idempotent
+meet, and a Galois connection lifted to a full adjunction of systems),
+and a seeded random generator for property tests.
 
 All builders are deterministic: element orders come from the input data,
 never from hashing.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fincat import (
     FinCategory,
@@ -251,63 +252,19 @@ class TensorDecl:
 
 @dataclass
 class MulticategorySpec:
-    """Formulas, rules, and explicit multicomposition tables.
+    """Formulas and rules, with the identity rule of each formula named in
+    `identities`.
 
-    `identities` names the identity rule of each formula.  `compose` is
-    keyed by (outer rule, inner rules aligned to the outer source
-    positions); instances where every inner is an identity, or the outer
-    is, are composed automatically and need no table entry.  Laws are
-    validated exhaustively over the defined instances.
+    Rules compose only through identities: no non-identity rule consumes
+    a formula that a non-identity rule produces (`validate_multicategory`).
+    So a family of identities under a rule composes to that rule, a rule
+    under an identity to that rule, and there is no other composite.
     """
 
     formulas: tuple[str, ...]
     multimorphisms: tuple[MultiMorphism, ...]
     identities: dict[str, str]
-    compose: dict[tuple[str, tuple[str, ...]], str] = field(default_factory=dict)
     tensors: tuple[TensorDecl, ...] = ()
-
-    def rule(self, name: str) -> MultiMorphism:
-        for mm in self.multimorphisms:
-            if mm.name == name:
-                return mm
-        raise StructuralError(f"unknown multimorphism {name!r}")
-
-
-def _formula_key(mc: MulticategorySpec):
-    order = {f: i for i, f in enumerate(mc.formulas)}
-    return lambda name: order[name]
-
-
-def multicompose(mc: MulticategorySpec, outer: str, inners: tuple[str, ...]) -> str:
-    """Compose one rule with a family of rules, one per source position.
-
-    Identity cases are resolved automatically; everything else must be
-    in the declared table."""
-    out = mc.rule(outer)
-    if len(inners) != len(out.source):
-        raise StructuralError(
-            f"multicomposition {outer}({','.join(inners)}) has the wrong arity"
-        )
-    ids = set(mc.identities.values())
-    for pos, inner in enumerate(inners):
-        if mc.rule(inner).target != out.source[pos]:
-            raise StructuralError(
-                f"multicomposition {outer}({','.join(inners)}) is ill-typed at position {pos}"
-            )
-    if all(i in ids for i in inners):
-        return outer
-    if outer in ids:
-        return inners[0]
-    key = (outer, tuple(inners))
-    if key in mc.compose:
-        return mc.compose[key]
-    raise StructuralError(f"missing multicomposition {outer}({','.join(inners)})")
-
-
-def _sorted_with_perm(seq, key):
-    """Stable sort returning (sorted values, original positions)."""
-    order = sorted(range(len(seq)), key=lambda i: (key(seq[i]), i))
-    return tuple(seq[i] for i in order), tuple(order)
 
 
 def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
@@ -315,16 +272,16 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
     if len(set(mc.formulas)) != len(mc.formulas):
         report.add("naming", "duplicate formulas")
         return report
-    names = [mm.name for mm in mc.multimorphisms]
-    if len(set(names)) != len(names):
+    rules = {mm.name: mm for mm in mc.multimorphisms}
+    if len(rules) != len(mc.multimorphisms):
         report.add("naming", "duplicate multimorphism names")
         return report
-    fkey = _formula_key(mc)
+    order = {f: i for i, f in enumerate(mc.formulas)}
     for mm in mc.multimorphisms:
         if mm.target not in mc.formulas or not set(mm.source) <= set(mc.formulas):
             report.add("typing", f"{mm.name} mentions unknown formulas")
             return report
-        if tuple(sorted(mm.source, key=fkey)) != mm.source:
+        if tuple(sorted(mm.source, key=order.get)) != mm.source:
             report.add(
                 "canonical form",
                 f"{mm.name} source is not sorted in formula order",
@@ -333,83 +290,25 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
         if X not in mc.identities:
             report.add("identities", f"no identity declared for {X}")
             continue
-        one = mc.rule(mc.identities[X])
-        if one.source != (X,) or one.target != X:
+        one = rules.get(mc.identities[X])
+        if one is None or one.source != (X,) or one.target != X:
             report.add("identities", f"identity of {X} has the wrong type")
     if report.violations:
         return report
 
-    ids = set(mc.identities.values())
-    for (outer, inners), res in mc.compose.items():
-        out = mc.rule(outer)
-        if len(inners) != len(out.source):
-            report.add("composition typing", f"{outer}({','.join(inners)}) has the wrong arity")
-            continue
-        bad = False
-        for pos, inner in enumerate(inners):
-            if mc.rule(inner).target != out.source[pos]:
+    # Rules compose only through identities.
+    ids = {mc.identities[X] for X in mc.formulas}
+    proper = [mm for mm in mc.multimorphisms if mm.name not in ids]
+    producer: dict[str, str] = {}
+    for mm in proper:
+        producer.setdefault(mm.target, mm.name)
+    for mm in proper:
+        for f in dict.fromkeys(mm.source):
+            if f in producer:
                 report.add(
-                    "composition typing",
-                    f"{outer}({','.join(inners)}) is ill-typed at position {pos}",
+                    "composition",
+                    f"{mm.name} consumes {f}, which {producer[f]} produces",
                 )
-                bad = True
-        if bad:
-            continue
-        comp = mc.rule(res)
-        merged = tuple(
-            sorted((f for i in inners for f in mc.rule(i).source), key=fkey)
-        )
-        if comp.target != out.target or comp.source != merged:
-            report.add(
-                "composition typing",
-                f"{outer}({','.join(inners)}) = {res} has the wrong type",
-            )
-        if all(i in ids for i in inners) and res != outer:
-            report.add("identity law", f"{outer}({','.join(inners)}) must be {outer}")
-        if outer in ids and res != inners[0]:
-            report.add("identity law", f"{outer}({','.join(inners)}) must be {inners[0]}")
-    if report.violations:
-        return report
-
-    # associativity over every instance whose composites are all defined
-    by_target: dict[str, list[str]] = {}
-    for mm in mc.multimorphisms:
-        by_target.setdefault(mm.target, []).append(mm.name)
-    for g in mc.multimorphisms:
-        inner_choices = [by_target.get(X, []) for X in g.source]
-        for fs in itertools.product(*inner_choices):
-            try:
-                h = multicompose(mc, g.name, fs)
-            except StructuralError:
-                continue
-            flat = [f for fn in fs for f in mc.rule(fn).source]
-            _, perm = _sorted_with_perm(flat, fkey)
-            offsets = []
-            at = 0
-            for fn in fs:
-                offsets.append(at)
-                at += len(mc.rule(fn).source)
-            deep_choices = [by_target.get(X, []) for X in flat]
-            for es in itertools.product(*deep_choices):
-                try:
-                    inner_first = tuple(
-                        multicompose(
-                            mc,
-                            fn,
-                            tuple(es[offsets[i] + k] for k in range(len(mc.rule(fn).source))),
-                        )
-                        for i, fn in enumerate(fs)
-                    )
-                    lhs = multicompose(mc, g.name, inner_first)
-                    rhs = multicompose(mc, h, tuple(es[p] for p in perm))
-                except StructuralError:
-                    continue
-                if lhs != rhs:
-                    report.add(
-                        "associativity",
-                        f"{g.name} over ({','.join(fs)}) then ({','.join(es)}): "
-                        f"{lhs} != {rhs}",
-                    )
 
     for decl in mc.tensors:
         for f in (decl.left, decl.right, decl.tensor):
@@ -442,13 +341,13 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
             )
             continue
         for src_name, dst_name in decl.table.items():
-            src, dst = mc.rule(src_name), mc.rule(dst_name)
+            src, dst = rules[src_name], rules[dst_name]
             reduced = list(src.source)
             reduced.remove(decl.left)
             reduced.remove(decl.right)
             reduced.append(decl.tensor)
             if dst.target != src.target or dst.source != tuple(
-                sorted(reduced, key=fkey)
+                sorted(reduced, key=order.get)
             ):
                 report.add(
                     "tensor bijection",
@@ -456,13 +355,6 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
                     f"({decl.left},{decl.right}) by {decl.tensor}",
                 )
     return report
-
-
-@dataclass(frozen=True)
-class TruncationParams:
-    """Finiteness bound: K caps context sizes."""
-
-    K: int = 3
 
 
 def fin_skeleton(K: int) -> FinCategory:
@@ -519,18 +411,18 @@ def _rule_maps(by_type, prefixes, delta, gamma):
     return grow(0)
 
 
-def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSystem:
+def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
     """Contexts of at most K formulas over the finite-set skeleton.
 
     A morphism Delta -> Gamma is a function u between the positions
     together with one rule per Gamma-position, consuming the formulas u
-    sends there; composition multicomposes the rule families.  The
-    projection keeps u and the context sizes.  All category laws are
-    re-validated after construction.
+    sends there.  Rules compose only through identities
+    (`validate_multicategory`), so a composite keeps, at each position,
+    the outer rule unless it is an identity, and then the one inner rule
+    under it.  The projection keeps u and the context sizes.  All
+    category laws are re-validated after construction.
     """
-    sub = validate_multicategory(mc)
-    _raise_if_invalid(sub)
-    K = trunc.K
+    _raise_if_invalid(validate_multicategory(mc))
     for mm in mc.multimorphisms:
         if len(mm.source) > K:
             raise StructuralError(
@@ -575,36 +467,22 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
                     fname = ",".join(mc.multimorphisms[k].name for k in fam)
                     mors.append((f"{uname}|{fname}", di, gi))
                     tags.append(tag)
-    identity = []
-    for di, delta in enumerate(contexts):
-        u = tuple(range(len(delta)))
-        fam = tuple(
-            by_type[((f,), f)][
-                [mc.multimorphisms[k].name for k in by_type[((f,), f)]].index(
-                    mc.identities[mc.formulas[f]]
-                )
-            ]
-            for f in delta
-        )
-        identity.append(mindex[(di, di, u, fam)])
-
-    mm_names = [mm.name for mm in mc.multimorphisms]
-    name_to_mm = {nm: k for k, nm in enumerate(mm_names)}
+    rule_index = {mm.name: k for k, mm in enumerate(mc.multimorphisms)}
+    id_rule = [rule_index[mc.identities[f]] for f in mc.formulas]
+    ids = set(id_rule)
+    identity = [
+        mindex[(di, di, tuple(range(len(delta))), tuple(id_rule[f] for f in delta))]
+        for di, delta in enumerate(contexts)
+    ]
 
     def comp(i: int, j: int) -> int:
-        di, gi, u, fam = tags[i]
-        gi2, ti, v, gam = tags[j]
-        gamma, theta = contexts[gi], contexts[ti]
-        w = tuple(v[x] for x in u)
-        out_fam = []
-        for k in range(len(theta)):
-            js = sorted(
-                (j2 for j2 in range(len(gamma)) if v[j2] == k),
-                key=lambda j2: (gamma[j2], j2),
-            )
-            inners = tuple(mm_names[fam[j2]] for j2 in js)
-            out_fam.append(name_to_mm[multicompose(mc, mm_names[gam[k]], inners)])
-        return mindex[(di, ti, w, tuple(out_fam))]
+        di, _, u, fam = tags[i]
+        _, ti, v, gam = tags[j]
+        out_fam = list(gam)
+        for j2, k in enumerate(v):
+            if gam[k] in ids:
+                out_fam[k] = fam[j2]
+        return mindex[(di, ti, tuple(v[x] for x in u), tuple(out_fam))]
 
     D = FinCategory("Ctx", ctx_names, tuple(mors), tuple(identity), comp)
     t = FunctorData(
@@ -616,12 +494,12 @@ def build_linctx(mc: MulticategorySpec, trunc: TruncationParams) -> RefinementSy
     )
     sys = RefinementSystem("linctx", t)
     _raise_if_invalid(sys.validate())
-    sys.memo(("linctx data",), lambda: (mc, trunc, ctx_index, u_index))
+    sys.memo(("linctx data",), lambda: (mc, K, ctx_index, u_index))
     return sys
 
 
 def linctx_data(sys: RefinementSystem):
-    """(mc, trunc, ctx_index, u_index) of a `build_linctx` system, else None."""
+    """(mc, K, ctx_index, u_index) of a `build_linctx` system, else None."""
     return sys.memo(("linctx data",), lambda: None)
 
 
@@ -640,7 +518,6 @@ def default_linear_spec() -> MulticategorySpec:
             MultiMorphism("k", (), "C"),
         ),
         identities={"A": "1A", "B": "1B", "A*B": "1T", "C": "1C"},
-        compose={},
         tensors=(TensorDecl("A", "B", "A*B", {"pair": "1T"}),),
     )
 
@@ -655,7 +532,7 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
     data = linctx_data(sys)
     if data is None:
         raise StructuralError("tensorL_check needs a system built by build_linctx")
-    mc, trunc, ctx_index, u_index = data
+    mc, _K, ctx_index, u_index = data
     decl = None
     for d in mc.tensors:
         if {d.left, d.right} == {A, B}:

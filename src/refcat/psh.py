@@ -199,15 +199,14 @@ def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
 class PushResult:
     """Pushforward presheaf plus the coend bookkeeping.
 
-    `class_of` maps a generating pair to its element: keys are
-    (source object a, morphism h: b -> F(a), element x of phi(a)) and values
-    are element indices at b = dom(h).  `reps` lists one canonical generating
-    node per element, per base object.  `unit` gives the canonical
-    derivation component phi(a) -> pushed(F(a)): x |-> class of (a, id, x).
+    `reps` lists one canonical generating node per element, per base
+    object: a node is (source object a, morphism h: b -> F(a), element x
+    of phi(a)), and its element lives at b = dom(h).  `unit` gives the
+    canonical derivation component phi(a) -> pushed(F(a)): x |-> class
+    of (a, id, x).
     """
 
     presheaf: Presheaf
-    class_of: dict[tuple[int, int, int], int]
     reps: tuple[tuple[tuple[int, int, int], ...], ...]
     unit: tuple[tuple[int, ...], ...]
 
@@ -218,7 +217,7 @@ def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
     support.  Nodes are ints, laid out by (a, position of h in
     B.mor_in(F a), x), so the least id of a class is its least node and
     the union-find runs on a flat parent list; the node tuples are made
-    once, for `class_of` and `reps`.  A row of the pushed presheaf is
+    once, for `reps` and the rows.  A row of the pushed presheaf is
     computed, and checked to be well defined on classes, when it is first
     read."""
     if phi.base is not F.source:
@@ -309,7 +308,7 @@ def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
     for a in support:
         at = node(a, B.id_of(F.obj(a)), 0)
         unit[a] = tuple(cls[at : at + phi.size(a)])
-    return PushResult(pushed, dict(zip(nodes, cls)), tuple(reps_at), tuple(unit))
+    return PushResult(pushed, tuple(reps_at), tuple(unit))
 
 
 def push_psh(F: FunctorData, phi: Presheaf) -> Presheaf:

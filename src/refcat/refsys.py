@@ -193,22 +193,12 @@ class LiftCertificate:
     factoring problems that were solved during certification.
     """
 
-    system: RefinementSystem
     direction: str  # "pullback" | "pushforward"
     c: int
     subject: int
     result: int
     structural: int
     tests: int
-
-    def replay(self) -> bool:
-        """Re-run the universal property from scratch."""
-        if self.direction == "pullback":
-            return _is_cartesian(
-                self.system, self.c, self.subject, self.result, self.structural
-            )
-        ops = self.system.op()
-        return _is_cartesian(ops, self.c, self.subject, self.result, self.structural)
 
 
 def _is_cartesian(sys: RefinementSystem, c: int, Q: int, P0: int, ell: int) -> bool:
@@ -289,7 +279,6 @@ def _search_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate |
         tests = _cartesian_tests(sys, c, Q, P0, ell)
         if tests is not None:
             return LiftCertificate(
-                system=sys,
                 direction="pullback",
                 c=c,
                 subject=Q,
@@ -313,7 +302,6 @@ def find_pushforward(sys: RefinementSystem, c: int, P: int) -> LiftCertificate |
     if cert_op is None:
         return None
     return LiftCertificate(
-        system=sys,
         direction="pushforward",
         c=c,
         subject=P,

@@ -307,7 +307,8 @@ def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
 def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
     """Postcomposition with a derivation sigma : Q1 -> Q2 over c, as a
     presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c.
-    Components are computed on the support of rep(Q1) and empty off it."""
+    Components are computed on the support of rep(Q1) and empty off it;
+    a composite that rep(Q2) lacks raises a StructuralError naming sigma."""
     D = sys.D
     Q1, Q2, c = D.dom(sigma), D.cod(sigma), sys.t.mor(sigma)
     phi, psi = pos_rep(sys, Q1), pos_rep(sys, Q2)
@@ -315,7 +316,13 @@ def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
     comps: list[tuple[int, ...]] = [()] * phi.base.n_objects
     for i in phi.support():
         pos = psi.position(F.obj(i))
-        comps[i] = tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i])
+        try:
+            comps[i] = tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i])
+        except KeyError as exc:
+            raise StructuralError(
+                f"image of {D.mor_names[sigma]} has no element at "
+                f"{psi.base.object_name(F.obj(i))}: {psi.name} lacks {D.mor_names[exc.args[0]]}"
+            ) from None
     return PshDerivation(f"post[{D.mor_names[sigma]}]", phi, psi, F, tuple(comps))
 
 
@@ -424,7 +431,10 @@ def _ff_failure(
     fam_set = set(fams)
     images = set()
     for sigma in ders:
-        comps = pos_rep_derivation(sys, sigma).components
+        try:
+            comps = pos_rep_derivation(sys, sigma).components
+        except StructuralError as exc:
+            return str(exc)
         key = tuple(comps[a] for a in support)
         if key not in fam_set:
             return f"image of {sys.D.mor_names[sigma]} is not a natural family"
@@ -438,6 +448,10 @@ def _ff_failure(
 
 # ---------------------------------------------------------------------------
 # Factorization through pointed categories and through the comma category
+
+# The default bound on the comma category's objects and morphisms: past it
+# the comma route of factorization is skipped, with the size it would have.
+SIZE_GUARD = 60000
 
 
 @dataclass(eq=False)
@@ -532,7 +546,7 @@ class CommaCategory(FinCategory):
         return got
 
 
-def comma_system(base: RefinementSystem, size_guard: int = 60000) -> CommaSystem:
+def comma_system(base: RefinementSystem, size_guard: int = SIZE_GUARD) -> CommaSystem:
     """Materialize the comma category of t over T with its cod projection,
     plus the vertical embedding P |-> (P, id).  Both sizes are checked
     against the guard before anything is built.  The category is a
@@ -685,7 +699,7 @@ def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str |
     return None
 
 
-def factorization_check(sys: RefinementSystem, size_guard: int = 60000) -> CheckReport:
+def factorization_check(sys: RefinementSystem, size_guard: int = SIZE_GUARD) -> CheckReport:
     """The positive representation factors through the slice points and
     through the comma category, and dually for the negative one.
 

@@ -22,7 +22,7 @@ lines and `#` comments are ignored.
       at a : e1 e2
       act f : e1 = e2       # action of f sends e1 (at cod f) to e2 (at dom f)
 
-    fixture h hoare         # builder fixtures: hoare, linctx,
+    fixture h hoare         # builder fixtures: hoare, linctx K=N,
                             # lattice-collapse, lattice-identity,
                             # galois, random seed=N
 
@@ -47,14 +47,15 @@ from . import fixtures as fx
 
 _BLOCK_KEYWORDS = ("category", "functor", "refsys", "presheaf", "fixture")
 
-FIXTURE_KINDS = (
-    "hoare",
-    "linctx",
-    "lattice-collapse",
-    "lattice-identity",
-    "galois",
-    "random",
-)
+# Every builder fixture kind, with the parameters it accepts.
+FIXTURE_KINDS = {
+    "hoare": (),
+    "linctx": ("K",),
+    "lattice-collapse": (),
+    "lattice-identity": (),
+    "galois": (),
+    "random": ("seed",),
+}
 
 
 class LoadError(Exception):
@@ -337,14 +338,18 @@ def _parse_params(tokens, path, lineno) -> dict[str, int]:
 
 def build_fixture(ws: Workspace, name: str, kind: str, params: dict[str, int], where: str) -> None:
     """Construct a named builder fixture into the workspace."""
+    if kind not in FIXTURE_KINDS:
+        raise ValueError(f"unknown fixture kind {kind!r} (one of {', '.join(FIXTURE_KINDS)})")
+    for key in params:
+        if key not in FIXTURE_KINDS[kind]:
+            accepts = ", ".join(FIXTURE_KINDS[kind]) or "none"
+            raise ValueError(f"fixture {kind} has no parameter {key!r} (accepts: {accepts})")
     if kind == "hoare":
         ws.claim(name, where)
         ws.systems[name] = fx.build_hoare(fx.default_hoare_spec())
     elif kind == "linctx":
         ws.claim(name, where)
-        ws.systems[name] = fx.build_linctx(
-            fx.default_linear_spec(), fx.TruncationParams(K=params.get("K", 3))
-        )
+        ws.systems[name] = fx.build_linctx(fx.default_linear_spec(), params.get("K", 3))
     elif kind in ("lattice-collapse", "lattice-identity"):
         ls = (
             fx.collapse_lattice_fixture()
@@ -362,11 +367,9 @@ def build_fixture(ws: Workspace, name: str, kind: str, params: dict[str, int], w
         ws.systems[name] = adj.s
         ws.systems[f"{name}.e"] = adj.e
         ws.adjunctions[name] = adj
-    elif kind == "random":
+    else:
         ws.claim(name, where)
         ws.systems[name] = fx.random_refsys(params.get("seed", 0))
-    else:
-        raise ValueError(f"unknown fixture kind {kind!r} (one of {', '.join(FIXTURE_KINDS)})")
 
 
 def loads(text: str, path: str = "<string>") -> Workspace:

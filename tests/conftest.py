@@ -4,7 +4,6 @@ import pytest
 from hypothesis import settings
 
 from refcat.fixtures import (
-    TruncationParams,
     build_hoare,
     build_linctx,
     collapse_lattice_fixture,
@@ -26,7 +25,7 @@ def hoare():
 
 @pytest.fixture(scope="session")
 def linctx():
-    return build_linctx(default_linear_spec(), TruncationParams())
+    return build_linctx(default_linear_spec(), 3)
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,14 @@ import pytest
 
 import refcat.cli as cli_mod
 import refcat.duality as duality_mod
+import refcat.fixtures as fx_mod
 import refcat.psh as psh_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.fincat import FinCategory, OppositeCategory
 from refcat.refsys import RefinementSystem
 from refcat.reports import CheckReport
+from tests.test_represent import empty_last_support_point
 
 SKEW = """
 category D
@@ -492,6 +494,22 @@ def test_verify_records_a_cross_check_disagreement_as_a_failed_report(
     assert "  attempted 2 passed 0 failed 2 skipped 0" in out
     assert "    a: dual (left): direct end disagrees with the residual route at (a,id_w)" in out
     assert out.endswith("suite duality: 1/2 reports ok\n")
+
+
+def test_verify_ff_exits_1_on_a_representation_missing_an_element(hoare_file, capsys, monkeypatch):
+    build = fx_mod.build_hoare
+
+    def tampered(spec):
+        sys = build(spec)
+        empty_last_support_point(sys, "{s0,s1}")
+        return sys
+
+    monkeypatch.setattr(fx_mod, "build_hoare", tampered)
+    assert main(["verify", hoare_file, "ff"]) == 1
+    out = capsys.readouterr().out
+    assert "  attempted 128 passed 121 failed 7 skipped 0" in out
+    assert "image of swap:{s0}>{s0,s1} has no element at ({s0,s1},set0;swap)" in out
+    assert out.endswith("suite ff: 0/1 reports ok\n")
 
 
 def test_dual_exits_1_on_a_cross_check_disagreement(skew_file, capsys, reversed_pairing_rows):

@@ -39,7 +39,6 @@ from refcat.fincat import (
     validate_functor,
 )
 from refcat.fixtures import (
-    TruncationParams,
     bang_system,
     build_hoare,
     build_linctx,
@@ -466,7 +465,7 @@ def test_corrupted_derivation_action_is_detected():
     "build",
     [
         lambda: build_hoare(default_hoare_spec()),
-        lambda: build_linctx(default_linear_spec(), TruncationParams()),
+        lambda: build_linctx(default_linear_spec(), 3),
     ],
     ids=["hoare", "linctx"],
 )
@@ -691,7 +690,7 @@ def count_cut_reads(sys):
 def test_cold_dual_reads_derivations_only_on_the_support():
     B = 3
     for k in (0, -1):
-        sys = build_linctx(default_linear_spec(), TruncationParams())
+        sys = build_linctx(default_linear_spec(), 3)
         n_coslice = coslice_of(sys, B).cat.n_objects
         n_slice = slice_of(sys, B).cat.n_objects
         phi = pos_rep(sys, sys.fiber(B)[k])
@@ -704,7 +703,7 @@ def test_a_dual_that_reads_off_the_support_fails_the_read_bound(monkeypatch):
     # The guard above can fail: a dual that forgets that its input's
     # support is a sieve, and reads every cut over the whole slice, does.
     B = 3
-    sys = build_linctx(default_linear_spec(), TruncationParams())
+    sys = build_linctx(default_linear_spec(), 3)
     n_coslice = coslice_of(sys, B).cat.n_objects
     n_slice = slice_of(sys, B).cat.n_objects
     phi = pos_rep(sys, sys.fiber(B)[0])

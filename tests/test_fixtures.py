@@ -20,7 +20,6 @@ from refcat.fixtures import (
     MulticategorySpec,
     RandomBounds,
     TensorDecl,
-    TruncationParams,
     bang_system,
     build_hoare,
     build_lattice,
@@ -31,7 +30,6 @@ from refcat.fixtures import (
     hoare_sp,
     hoare_wp,
     linctx_data,
-    multicompose,
     powerset_lattice,
     random_refsys,
     tensorL_check,
@@ -138,35 +136,62 @@ def test_hoare_derivations_are_thin(hoare):
 def test_multicategory_validation():
     mc = default_linear_spec()
     assert validate_multicategory(mc).ok
-    no_ids = MulticategorySpec(mc.formulas, mc.multimorphisms, {"A": "1A"}, dict(mc.compose), mc.tensors)
+    no_ids = MulticategorySpec(mc.formulas, mc.multimorphisms, {"A": "1A"}, mc.tensors)
     rep = validate_multicategory(no_ids)
     assert not rep.ok and all(v.law == "identities" for v in rep.violations)
     bad_table = MulticategorySpec(
-        mc.formulas, mc.multimorphisms, dict(mc.identities), dict(mc.compose),
+        mc.formulas, mc.multimorphisms, dict(mc.identities),
         (TensorDecl("A", "B", "A*B", {"pair": "1A"}),),
     )
     rep = validate_multicategory(bad_table)
     assert not rep.ok and any(v.law == "tensor bijection" for v in rep.violations)
 
 
-def test_multicompose_identity_cases_and_typing():
+def test_rules_that_compose_other_than_through_identities_are_rejected():
+    # use consumes C, which k produces: use after k would be a closed
+    # proof of A*B, which is no rule of the spec.
     mc = default_linear_spec()
-    assert multicompose(mc, "pair", ("1A", "1B")) == "pair"
-    assert multicompose(mc, "1T", ("pair",)) == "pair"
-    with pytest.raises(StructuralError):
-        multicompose(mc, "pair", ("1A", "k"))
+    chained = MulticategorySpec(
+        mc.formulas,
+        (*mc.multimorphisms, MultiMorphism("use", ("C",), "A*B")),
+        dict(mc.identities),
+        mc.tensors,
+    )
+    rep = validate_multicategory(chained)
+    assert [(v.law, v.detail) for v in rep.violations] == [
+        ("composition", "use consumes C, which k produces")
+    ]
+    with pytest.raises(StructuralError, match="composition: use consumes C, which k produces"):
+        build_linctx(chained, 3)
+
+
+def test_linctx_composes_rule_families_through_identities(linctx):
+    # A pair family after identities is the pair family, and the identity
+    # of [A*B] after it is the pair family again.
+    D = linctx.D
+    mor = {name: k for k, name in enumerate(D.mor_names)}
+    ids_AB = mor["2>2[0,1]|1A,1B"]
+    pair = mor["2>1[0,0]|pair"]
+    one_T = mor["1>1[0]|1T"]
+    assert D.compose(ids_AB, pair) == pair
+    assert D.compose(pair, one_T) == pair
+    assert D.identity[D.dom(pair)] == ids_AB and D.identity[D.cod(pair)] == one_T
 
 
 def test_truncation_rejects_wide_rules():
     wide = MulticategorySpec(
-        ("X",),
-        (MultiMorphism("1X", ("X",), "X"), MultiMorphism("quad", ("X",) * 4, "X")),
-        {"X": "1X"},
-        {},
+        ("X", "Y"),
+        (
+            MultiMorphism("1X", ("X",), "X"),
+            MultiMorphism("1Y", ("Y",), "Y"),
+            MultiMorphism("quad", ("X",) * 4, "Y"),
+        ),
+        {"X": "1X", "Y": "1Y"},
         (),
     )
-    with pytest.raises(StructuralError):
-        build_linctx(wide, TruncationParams(K=3))
+    assert validate_multicategory(wide).ok
+    with pytest.raises(StructuralError, match="needs a context of size 4 > K=3"):
+        build_linctx(wide, 3)
 
 
 def test_fin_skeleton_counts():
@@ -177,7 +202,8 @@ def test_fin_skeleton_counts():
 
 
 def test_linctx_shape_counts(linctx):
-    mc, trunc, ctx_index, u_index = linctx_data(linctx)
+    mc, K, ctx_index, u_index = linctx_data(linctx)
+    assert K == 3
     # multisets of size <= 3 over 4 formulas
     assert linctx.D.n_objects == 1 + 4 + 10 + 20 == 35
     # morphism total agrees with the brute-force proof counter
@@ -196,7 +222,7 @@ def product_enumeration(sys):
     formula: every map u of positions in `itertools.product` order, kept
     when every position of gamma has a rule for the sorted formulas u
     sends there."""
-    mc, _trunc, ctx_index, u_index = linctx_data(sys)
+    mc, _K, ctx_index, u_index = linctx_data(sys)
     fidx = {f: i for i, f in enumerate(mc.formulas)}
     by_type = {}
     for k, mm in enumerate(mc.multimorphisms):
@@ -224,7 +250,7 @@ def test_linctx_morphisms_are_the_full_product_enumeration(K):
     # build_linctx grows each map of positions only while its fibres can
     # still become rule sources; it must list the same morphisms, in the
     # same order, as trying every map.
-    sys = build_linctx(default_linear_spec(), TruncationParams(K=K))
+    sys = build_linctx(default_linear_spec(), K)
     D = sys.D
     assert list(zip(D.mor_names, D.mor_dom, D.mor_cod)) == product_enumeration(sys)
 

@@ -18,7 +18,6 @@ from refcat.fincat import (
     validate_functor,
 )
 from refcat.fixtures import (
-    TruncationParams,
     build_hoare,
     build_linctx,
     collapse_lattice_fixture,
@@ -196,7 +195,7 @@ def test_a_rep_with_a_spurious_element_turns_ff_red(which):
     # count it, and name it.
     build = {
         "hoare": lambda: build_hoare(default_hoare_spec()),
-        "linctx": lambda: build_linctx(default_linear_spec(), TruncationParams()),
+        "linctx": lambda: build_linctx(default_linear_spec(), 3),
     }[which]
     clean = {j for j, _support, _fams in represent_mod._judgment_families(build())[0]}
 
@@ -223,6 +222,30 @@ def test_a_rep_with_a_spurious_element_turns_ff_red(which):
     assert rep.attempted == 2 * len(list(sys.judgments()))
     assert rep.counterexample.startswith(
         f"pos {sys.judgment_name(P, c, Q)}: 0 derivations but "
+    )
+
+
+def empty_last_support_point(sys, name):
+    """Empty rep(Q) at its last support point, in the system's memo, for Q
+    the refinement called `name`: the derivation there is lost."""
+    rep = pos_rep(sys, sys.D.objects.index(name))
+    last = rep.support()[-1]
+    elements, payloads = list(rep.elements), list(rep.payloads)
+    elements[last] = payloads[last] = ()
+    rep.elements, rep.payloads = tuple(elements), tuple(payloads)
+
+
+def test_a_representation_missing_an_element_is_a_failed_ff_report():
+    # swap sends the derivation set0;swap into {s0} to one into {s0,s1},
+    # which rep({s0,s1}) no longer has: the sweep names the derivation
+    # whose image has no element instead of raising.
+    sys = build_hoare(default_hoare_spec())
+    empty_last_support_point(sys, "{s0,s1}")
+    rep = representation_ff_check(sys)
+    assert not rep.ok and rep.failed == 7
+    assert rep.counterexample == (
+        "pos {s0} =swap=> {s0,s1}: image of swap:{s0}>{s0,s1} has no element at "
+        "({s0,s1},set0;swap): rep({s0,s1}) lacks set0;swap:{s0,s1}>{s0,s1}"
     )
 
 
@@ -292,7 +315,7 @@ def test_linctx_slice_over_the_singleton_shape_is_the_context_category(linctx):
 
 
 def test_linctx_coslice_counts_pointed_contexts(linctx):
-    mc, trunc, ctx_index, u_index = linctx_data(linctx)
+    mc, _K, ctx_index, u_index = linctx_data(linctx)
     points = sum(len(ctx) for ctx in ctx_index)
     assert points == 4 * 1 + 10 * 2 + 20 * 3 == 84
     C = coslice_of(linctx, 1)
@@ -333,7 +356,7 @@ def context_morphism_count(mc, src, tgt):
 def test_pointed_negative_representation_counts(linctx):
     # a pointed context (X, j) supports exactly (proofs into the pointed
     # formula) x (closed proofs of the rest), one factor per position
-    mc, trunc, ctx_index, u_index = linctx_data(linctx)
+    mc, _K, ctx_index, u_index = linctx_data(linctx)
     formulas = mc.formulas
     for F in formulas:
         P = linctx.D.objects.index(f"[{F}]")

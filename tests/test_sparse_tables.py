@@ -17,7 +17,6 @@ import refcat.represent as represent_mod
 from refcat.duality import _cut
 from refcat.fincat import FunctorData, StructuralError, Table
 from refcat.fixtures import (
-    TruncationParams,
     build_hoare,
     build_linctx,
     default_hoare_spec,
@@ -106,7 +105,7 @@ def dense_push(F, phi):
         tuple(cls[(a, B.id_of(F.obj(a)), x)] for x in range(phi.size(a)))
         for a in range(A.n_objects)
     )
-    return elements, action, tuple(tuple(r) for r in reps), unit, cls
+    return elements, action, tuple(tuple(r) for r in reps), unit
 
 
 def tables(phi):
@@ -143,9 +142,9 @@ def assert_tables_match(sys, push_bound=None):
             continue
         for P in sys.fiber(T.dom(e)):
             pr = push_psh_full(F, pos_rep(sys, P))
-            elements, action, reps, unit, cls = dense_push(F, refs[P])
+            elements, action, reps, unit = dense_push(F, refs[P])
             assert tables(pr.presheaf)[:2] == (elements, action)
-            assert pr.reps == reps and pr.unit == unit and pr.class_of == cls
+            assert pr.reps == reps and pr.unit == unit
 
 
 def assert_both_sides_match(sys, push_bound=None):
@@ -192,7 +191,7 @@ def test_cuts_match_the_dense_reference_at_every_coslice_point(hoare, collapse):
 
 
 def test_cold_rep_computes_rows_only_into_its_support(monkeypatch):
-    sys = build_linctx(default_linear_spec(), TruncationParams())
+    sys = build_linctx(default_linear_spec(), 3)
     S = slice_of(sys, 3)
     orig = represent_mod._derivation_row
     rows = []
@@ -219,7 +218,7 @@ def test_cold_rep_computes_rows_only_into_its_support(monkeypatch):
     ],
 )
 def test_corrupted_rep_rows_raise_on_read(monkeypatch, corrupt, message):
-    sys = build_linctx(default_linear_spec(), TruncationParams())
+    sys = build_linctx(default_linear_spec(), 3)
     orig = represent_mod._derivation_row
     monkeypatch.setattr(
         represent_mod, "_derivation_row", lambda S, phi, m: corrupt(orig(S, phi, m))
@@ -256,7 +255,7 @@ def test_corrupted_cut_rows_raise_on_read(monkeypatch):
 
 
 def test_corrupted_slice_images_raise_on_read():
-    sys = build_linctx(default_linear_spec(), TruncationParams())
+    sys = build_linctx(default_linear_spec(), 3)
     e = next(e for e in range(sys.T.n_morphisms) if sys.T.cod(e) == 3 and sys.T.dom(e) == 2)
     S2 = slice_of(sys, 3)
     for tag in S2.mor_index:

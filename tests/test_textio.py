@@ -5,6 +5,7 @@ import json
 import pytest
 
 from refcat.fincat import validate_category, validate_functor
+from refcat.fixtures import linctx_data, random_refsys
 from refcat.psh import validate_presheaf
 from refcat.textio import (
     LoadError,
@@ -199,6 +200,27 @@ fixture lin linctx K=2
         assert ws.systems[name].validate().ok
     # truncation parameter was honored: contexts of size <= 2 over 4 formulas
     assert ws.systems["lin"].D.n_objects == 1 + 4 + 10
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("fixture h hoare foo=1", "fixture hoare has no parameter 'foo' (accepts: none)"),
+        ("fixture r random sed=5", "fixture random has no parameter 'sed' (accepts: seed)"),
+        ("fixture l linctx seed=2", "fixture linctx has no parameter 'seed' (accepts: K)"),
+    ],
+)
+def test_unknown_fixture_parameters_are_rejected_at_their_line(line, message):
+    with pytest.raises(LoadError) as err:
+        loads(f"fixture ok hoare\n\n{line}\n", "params.fix")
+    assert str(err.value) == f"params.fix:3: {message}"
+
+
+def test_fixture_parameters_reach_the_builders():
+    ws = loads("fixture r random seed=5\nfixture l linctx K=2\n")
+    assert render_system(ws.systems["r"]) == render_system(random_refsys(5))
+    assert render_system(ws.systems["r"]) != render_system(random_refsys(0))
+    assert linctx_data(ws.systems["l"])[1] == 2
 
 
 def test_the_system_selection():
