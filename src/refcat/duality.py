@@ -195,19 +195,20 @@ def _section(sys: RefinementSystem, B: int, Q: int) -> Presheaf:
 def _live_points(sys: RefinementSystem, B: int, support: tuple[int, ...]) -> list[int]:
     """The coslice points (d,R) of B at which every support point (P,c)
     has a derivation (P, c;d, R), found by walking the derivations out of
-    each support point; at any other point the cut is empty somewhere on
-    the support, so no family lands there."""
+    each support point and solving c;d = t(alpha) from c's inverted row;
+    at any other point the cut is empty somewhere on the support, so no
+    family lands there."""
     D, T, t = sys.D, sys.T, sys.t
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     live: set[int] | None = None
     for i in support:
         P, c = S.obj_tags[i]
-        here = set()
-        for alpha in D.mor_out(P):
-            R, e = D.cod(alpha), t.mor(alpha)
-            for d in T.hom(B, sys.shape(R)):
-                if T.compose(c, d) == e:
-                    here.add(Cs.obj_index[(R, d)])
+        after = T._inverse_row(c)
+        here = {
+            Cs.obj_index[(D.cod(alpha), d)]
+            for alpha in D.mor_out(P)
+            for d in after.get(t.mor(alpha), ())
+        }
         live = here if live is None else live & here
         if not live:
             return []

@@ -10,6 +10,8 @@ error, never a silent None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -130,6 +132,7 @@ class FinCategory:
             compose = lambda f, g, _table=compose: _table.get((f, g), -1)
         self._compose = compose
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.mor_names)
+        self._inverted: dict[int, dict[int, tuple[int, ...]]] = {}
         # The generators of a category known lawful, else None (`_lawful`).
         self._lawful: tuple[int, ...] | None = None
         self._check_indices()
@@ -213,6 +216,18 @@ class FinCategory:
             row = self._rows[f] = tuple(self._compose(f, g) for g in outs)
         return row
 
+    def _inverse_row(self, c: int) -> dict[int, tuple[int, ...]]:
+        """The row of c inverted: x |-> the morphisms e out of cod c with
+        c;e = x, in index order; filled on first use.  Read in the
+        opposite category it gives the d into dom c with d;c = x."""
+        got = self._inverted.get(c)
+        if got is None:
+            inverse: dict[int, list[int]] = {}
+            for e, x in zip(self.mor_out(self.mor_cod[c]), self._row(c)):
+                inverse.setdefault(x, []).append(e)
+            got = self._inverted[c] = {x: tuple(es) for x, es in inverse.items()}
+        return got
+
     def _missing(self, f: int, g: int) -> StructuralError:
         return StructuralError(
             f"{self.name}: missing composite {self.mor_names[f]};{self.mor_names[g]}"
@@ -286,7 +301,14 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     test fails, or an identity law does, are all triples swept, so the
     violations are listed triple by triple as before.  A lawful category
     keeps its generators (`_lawful`), which `validate_functor` reads.
-    """
+
+    A comma category over lawful D and T (an opposite is lawful when its
+    original is, `_lawful`) is decided with no sweep: after the endpoint
+    pass, `_componentwise` finds its tags distinct and each row entry the
+    tag of its componentwise composite.  The projection to D x T is then
+    faithful (a morphism is its tag) and preserves identities (found by
+    their tags) and composites, so each law, true in D x T, holds
+    between morphisms with the same ends."""
     report = ValidationReport(f"category {cat.name}")
     names, dom, cod = cat.mor_names, cat.mor_dom, cat.mor_cod
     for a in range(cat.n_objects):
@@ -295,19 +317,14 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             report.add("identity-endpoints", f"id of {cat.objects[a]} is not an endomorphism")
     # Totality and endpoints a row at a time: the composites in the row of
     # f must have f's domain and the codomains of mor_out(cod f), in order.
-    at_cod = cod.__getitem__
     for b in range(cat.n_objects):
-        outs = cat.mor_out(b)
-        cods = tuple(map(at_cod, outs))
+        cods = _gather(cat.mor_out(b))(cod)
         for f in cat.mor_in(b):
             row = cat._row(f)
-            if (
-                -1 not in row
-                and tuple(map(at_cod, row)) == cods
-                and tuple(map(dom.__getitem__, row)) == (dom[f],) * len(row)
-            ):
+            read = _gather(row)
+            if -1 not in row and read(cod) == cods and read(dom) == (dom[f],) * len(row):
                 continue
-            for g, h in zip(outs, row):
+            for g, h in zip(cat.mor_out(b), row):
                 if h < 0:
                     report.add("composition-totality", str(cat._missing(f, g)))
                 elif dom[h] != dom[f] or cod[h] != cod[g]:
@@ -316,6 +333,13 @@ def validate_category(cat: FinCategory) -> ValidationReport:
                         f"{names[f]};{names[g]} = {names[h]} has wrong endpoints",
                     )
     if report.violations:
+        return report
+    if isinstance(cat, CommaCategory) and all(
+        _lawful(part) is not None or validate_category(part).ok for part in (cat._D, cat._T)
+    ):
+        _componentwise(cat, report)
+        if report.ok:
+            cat._lawful = _generators(cat)
         return report
     for f in range(cat.n_morphisms):
         left = cat.compose(cat.id_of(dom[f]), f)
@@ -363,6 +387,26 @@ def _associative(cat: FinCategory, f: int, g: int, g_pos: tuple[int, ...]) -> bo
     row(f;g) == [row(f)[pos(g;h)] for g;h in row(g)]."""
     row_f = cat._row(f)
     return cat._row(row_f[cat._out_pos[g]]) == tuple(map(row_f.__getitem__, g_pos))
+
+
+def _componentwise(cat: "CommaCategory", report: ValidationReport) -> None:
+    """Record a repeated tag of a comma category, or else each row entry
+    that is not the tag of its componentwise composite."""
+    if len(cat.mor_index) != cat.n_morphisms:
+        report.add("comma-tags", f"{cat.n_morphisms - len(cat.mor_index)} tag(s) repeated")
+        return
+    names, tags = cat.mor_names, cat.mor_tags
+    alphas, es = tuple(tag[0] for tag in tags), tuple(tag[1] for tag in tags)
+    for f in range(cat.n_morphisms):
+        row = cat._row(f)
+        want_alphas, want_es, _us = cat._components(f)
+        read = _gather(row)
+        if read(alphas) == want_alphas and read(es) == want_es:
+            continue
+        for g, h, a, e in zip(cat.mor_out(cat.mor_cod[f]), row, want_alphas, want_es):
+            if (alphas[h], es[h]) != (a, e):
+                law = "componentwise-composition"
+                report.add(law, f"{names[f]};{names[g]} = {names[h]} is not componentwise")
 
 
 @dataclass(eq=False)
@@ -432,7 +476,8 @@ def validate_functor(F: FunctorData) -> ValidationReport:
     F(a;(m;b)) = F(a);F(m;b) = F(a);(F(m);F(b)) = (F(a);F(m));F(b) =
     F(a;m);F(b), and F(id) = id covers the empty word.  Otherwise, and on
     any failure, every composable pair is checked, so the violations are
-    listed pair by pair as before."""
+    listed pair by pair as before; a pair whose composite is missing is
+    left to its category's validation."""
     report = ValidationReport(f"functor {F.name}")
     S, T = F.source, F.target
     for f in range(S.n_morphisms):
@@ -453,16 +498,24 @@ def validate_functor(F: FunctorData) -> ValidationReport:
         ff, gg = F.mor(f), F.mor(g)
         if T.cod(ff) != T.dom(gg):
             continue  # endpoint violation already recorded above
-        if F.mor(S.compose(f, g)) != T.compose(ff, gg):
+        try:
+            fg, image_fg = S.compose(f, g), T.compose(ff, gg)
+        except StructuralError:
+            continue  # a missing composite is its category's violation
+        if F.mor(fg) != image_fg:
             report.add("composition", f"image of {S.mor_names[f]};{S.mor_names[g]} breaks")
     return report
 
 
 def _lawful(cat: FinCategory) -> tuple[int, ...] | None:
     """The generators of a lawful category, or None: those recorded by
-    validate_category, or for a product of two lawful categories the
-    pairs (a, id) and (id, b), a and b generators of the factors.  A
-    product's laws hold factor by factor, and (f, g) = (f, id);(id, g)."""
+    validate_category, the original's for an opposite of a lawful
+    category (a word of them, reversed), or for a product of two lawful
+    categories the pairs (a, id) and (id, b), a and b generators of the
+    factors.  A product's laws hold factor by factor, and (f, g) =
+    (f, id);(id, g)."""
+    if cat._lawful is None and isinstance(cat, OppositeCategory):
+        cat._lawful = _lawful(cat._original)
     if cat._lawful is None and isinstance(cat, ProductCategory):
         left, right = _lawful(cat.left), _lawful(cat.right)
         if left is not None and right is not None:
@@ -628,6 +681,61 @@ class ProductCategory(FinCategory):
 
 def product(left: FinCategory, right: FinCategory) -> ProductCategory:
     return ProductCategory(left, right)
+
+
+class CommaCategory(FinCategory):
+    """A comma category on tagged objects (Q, c), Q in D and c in T, and
+    morphisms (alpha, e, s, u) from object s to object u, alpha in D and e
+    in T; the composite of (alpha, e, s, _) and (alpha2, e2, _, u) is
+    (alpha;alpha2, e;e2, s, u).  A row is filled in one pass from D's row
+    of alpha and T's row of e, each read by position; a composite whose
+    tag is not listed is stored as -1, a missing composite.  Its laws are
+    decided from D's and T's (`validate_category`)."""
+
+    def __init__(self, name: str, D: FinCategory, T: FinCategory, obj_tags, mor_tags: tuple):
+        self.mor_tags = mor_tags
+        self.mor_index = {tag: k for k, tag in enumerate(mor_tags)}
+        super().__init__(
+            name,
+            [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags],
+            [(f"({D.mor_names[a]},{T.mor_names[e]})#{s}->{u}", s, u) for (a, e, s, u) in mor_tags],
+            [self.mor_index[(D.identity[Q], T.identity[T.cod(c)], i, i)] for i, (Q, c) in enumerate(obj_tags)],
+            None,
+        )
+        self._D, self._T = D, T
+        self._outs: dict[int, tuple[Callable, Callable, tuple[int, ...]]] = {}
+
+    def _row(self, f: int) -> tuple[int, ...]:
+        row = self._rows[f]
+        if row is None:
+            alphas, es, us = self._components(f)
+            tags = zip(alphas, es, repeat(self.mor_tags[f][2]), us)
+            row = self._rows[f] = tuple(map(self.mor_index.get, tags, repeat(-1)))
+        return row
+
+    def _components(self, f: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """For f = (alpha, e, s, t) and each g = (alpha2, e2, t, u), in row
+        order: the alpha;alpha2, read from D's row of alpha, the e;e2, read
+        from T's row of e, and the u."""
+        alpha, e, _s, t = self.mor_tags[f]
+        got = self._outs.get(t)
+        if got is None:  # where each alpha2 sits in a D row, each e2 in a T row
+            outs = [self.mor_tags[g] for g in self.mor_out(t)]
+            got = self._outs[t] = (
+                _gather([self._D._out_pos[a2] for a2, _e2, _t, _u in outs]),
+                _gather([self._T._out_pos[e2] for _a2, e2, _t, _u in outs]),
+                tuple(u for _a2, _e2, _t, u in outs),
+            )
+        from_d, from_t, us = got
+        return from_d(self._D._row(alpha)), from_t(self._T._row(e)), us
+
+
+def _gather(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """seq |-> (seq[p] for p in positions) as a tuple, read in one C call
+    when there are two positions or more."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple(seq[p] for p in positions)
 
 
 def _backtrack(

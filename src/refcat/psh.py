@@ -444,13 +444,18 @@ def _closing(phi: Presheaf, support: tuple[int, ...]) -> list[list[tuple[int, in
     nonempty.  Morphisms into the complement constrain nothing.  No row
     is read here: a reader asks for phi's row and the target's row of u
     only where the constraint can fail, that is where the target set at
-    step k has at least two elements (`_checks`)."""
+    step k has at least two elements (`_checks`).  A support that is not
+    a sieve raises a StructuralError naming phi."""
     pos = {a: k for k, a in enumerate(support)}
     closing: list[list[tuple[int, int, int]]] = [[] for _ in support]
     A = phi.base
     for k2, a2 in enumerate(support):
         for u in A.mor_in(a2):
-            k = pos[A.dom(u)]
+            try:
+                k = pos[A.dom(u)]
+            except KeyError:
+                off = f"{A.mor_names[u]} into {A.objects[a2]} starts off it"
+                raise StructuralError(f"the support of {phi.name} is not a sieve: {off}") from None
             closing[max(k, k2)].append((u, k, k2))
     return closing
 

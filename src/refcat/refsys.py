@@ -201,60 +201,42 @@ class LiftCertificate:
     tests: int
 
 
-def _is_cartesian(sys: RefinementSystem, c: int, Q: int, P0: int, ell: int) -> bool:
-    """Does ell : P0 -> Q over c satisfy the universal property of a
-    cartesian lift?  Checked as: for every (P, d) with d : t(P) -> dom c,
-    postcomposition with ell is a bijection
-    derivations(P, d, P0) -> derivations(P, d;c, Q).  Only the (P, d)
-    where one of the two sets is nonempty are visited (`_lift_points`);
-    at every other point both are empty and the bijection is vacuous."""
-    return _cartesian_tests(sys, c, Q, P0, ell) is not None
-
-
-def _lift_points(sys: RefinementSystem, c: int, Q: int, P0: int) -> list[tuple[int, int]]:
-    """The (P, d) with a derivation (P, d, P0) or a derivation
-    (P, d;c, Q), in sorted order, found by walking the derivations into
-    P0 and into Q."""
-    D, T, t = sys.D, sys.T, sys.t
-    A = T.dom(c)
-    points = {(D.dom(sigma), t.mor(sigma)) for sigma in D.mor_in(P0)}
-    over: dict[int, set[int]] = {}
-    for beta in D.mor_in(Q):
-        over.setdefault(D.dom(beta), set()).add(t.mor(beta))
-    for P, es in over.items():
-        for d in T.hom(sys.shape(P), A):
-            if T.compose(d, c) in es:
-                points.add((P, d))
-    return sorted(points)
+def _by_source_and_base(sys: RefinementSystem, Q: int) -> dict[tuple[int, int], list[int]]:
+    """The derivations into Q grouped by (source, base morphism)."""
+    dom, image = sys.D.mor_dom, sys.t.morphism_map
+    groups: dict[tuple[int, int], list[int]] = {}
+    for beta in sys.D.mor_in(Q):
+        groups.setdefault((dom[beta], image[beta]), []).append(beta)
+    return groups
 
 
 def _cartesian_tests(
     sys: RefinementSystem, c: int, Q: int, P0: int, ell: int
 ) -> int | None:
     """The number of derivations (P, d;c, Q) that factor through ell, if
-    every one factors uniquely (ell is cartesian), else None."""
+    every one factors uniquely (ell is cartesian), else None.  That is:
+    for every (P, d) with d : t(P) -> dom c, postcomposition with ell is
+    a bijection derivations(P, d, P0) -> derivations(P, d;c, Q).  Only
+    the (P, d) where one set is nonempty are visited: those under the
+    betas grouped by (P, x), with d;c = x read from c's inverted row in
+    the opposite base, and those of the sigmas, which must all be met."""
     # With (P0, c, Q) a judgment, so is every (P, d;c, Q) and (P, d, P0)
-    # below: d runs over the hom-set into dom c.
+    # below: d runs over the morphisms into dom c.
     if not sys.valid_judgment(P0, c, Q):
         raise sys._not_a_judgment(P0, c, Q)
-    T = sys.T
-    ders = sys.derivations_unchecked
-    tests = 0
-    for P, d in _lift_points(sys, c, Q, P0):
-        betas = ders(P, T.compose(d, c), Q)
-        sigmas = ders(P, d, P0)
-        if len(sigmas) != len(betas):
-            return None
-        hit = set()
-        for sigma in sigmas:
-            composite = sys.D.compose(sigma, ell)
-            if composite in hit:
-                return None  # not injective
-            hit.add(composite)
-        if hit != set(betas):
-            return None  # not surjective
-        tests += len(betas)
-    return tests
+    compose = sys.D.compose
+    sigmas = _by_source_and_base(sys, P0)
+    before = sys.op().T._inverse_row(c)
+    tests = reached = 0
+    for (P, x), betas in _by_source_and_base(sys, Q).items():
+        for d in before.get(x, ()):
+            found = sigmas.get((P, d), ())
+            hit = {compose(sigma, ell) for sigma in found}
+            if len(hit) != len(found) or hit != set(betas):
+                return None  # not injective, or not surjective
+            reached += len(found)
+            tests += len(betas)
+    return tests if reached == len(sys.D.mor_in(P0)) else None
 
 
 def find_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate | None:

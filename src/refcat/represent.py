@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .fincat import (
+    CommaCategory,
     FinCategory,
     FunctorData,
     ProductCategory,
@@ -65,7 +66,7 @@ from .refsys import (
     MonoidalRefinementSystem,
     RefinementSystem,
     RefSysMorphism,
-    _is_cartesian,
+    _cartesian_tests,
     find_left_residual,
     find_pullback,
     find_pushforward,
@@ -308,10 +309,14 @@ def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
     """Postcomposition with a derivation sigma : Q1 -> Q2 over c, as a
     presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c.
     Components are computed on the support of rep(Q1) and empty off it;
-    a composite that rep(Q2) lacks raises a StructuralError naming sigma."""
+    a representation without payloads, or a composite that rep(Q2) lacks,
+    raises a StructuralError naming it."""
     D = sys.D
     Q1, Q2, c = D.dom(sigma), D.cod(sigma), sys.t.mor(sigma)
     phi, psi = pos_rep(sys, Q1), pos_rep(sys, Q2)
+    for rep in (phi, psi):
+        if rep.payloads is None:
+            raise StructuralError(f"{rep.name} has no derivations as payloads")
     F = slice_action(sys, c)
     comps: list[tuple[int, ...]] = [()] * phi.base.n_objects
     for i in phi.support():
@@ -413,21 +418,27 @@ def _judgment_families(sys: RefinementSystem):
         found.sort(key=lambda j: j[:2])
         for Q2, c, F in found:
             psi, omap = pos_rep(sys, Q2), F.object_map
-            fams = _families_on_support(
-                phi,
-                [psi.size(omap[a]) for a in support],
-                closing,
-                lambda u, psi=psi, F=F: psi.action[F.mor(u)],
-            )
+            try:
+                fams = _families_on_support(
+                    phi,
+                    [psi.size(omap[a]) for a in support],
+                    closing,
+                    lambda u, psi=psi, F=F: psi.action[F.mor(u)],
+                )
+            except StructuralError as exc:  # rep(Q1)'s support is not a sieve
+                fams = exc
             searched.append(((Q1, c, Q2), support, fams))
     return searched, unsearched
 
 
 def _ff_failure(
-    sys: RefinementSystem, ders: tuple[int, ...], support: tuple[int, ...], fams: list
+    sys: RefinementSystem, ders: tuple[int, ...], support: tuple[int, ...], fams: list | StructuralError
 ) -> str | None:
     """Why postcomposition does not biject the derivations `ders` onto the
-    support-indexed families `fams`, or None if it does."""
+    support-indexed families `fams`, or None if it does; `fams` may be
+    the error that stopped their search."""
+    if isinstance(fams, StructuralError):
+        return str(fams)
     fam_set = set(fams)
     images = set()
     for sigma in ders:
@@ -476,74 +487,11 @@ def comma_morphism_count(base: RefinementSystem) -> int:
     out of dom a, c2 out of cod a and c1;e = a;c2.  Squares are counted by
     the composite x: #{(c1, e) : c1;e = x} times #{c2 : a;c2 = x}."""
     T = base.T
-    paths = [
-        Counter(T.compose(c1, e) for c1 in T.mor_out(A) for e in T.mor_out(T.cod(c1)))
-        for A in range(T.n_objects)
-    ]
+    paths = [Counter(x for c1 in T.mor_out(A) for x in T._row(c1)) for A in range(T.n_objects)]
     over = Counter(base.t.mor(alpha) for alpha in range(base.D.n_morphisms))
-    total = 0
-    for a, k in over.items():
-        ends = Counter(T.compose(a, c2) for c2 in T.mor_out(T.cod(a)))
-        total += k * sum(paths[T.dom(a)][x] * n for x, n in ends.items())
-    return total
-
-
-class CommaCategory(FinCategory):
-    """The comma category of t over its base, on tagged morphisms.
-
-    Objects are tagged (Q, c) and morphisms (alpha, e, src, tgt) as in
-    `CommaSystem`; the composite of (alpha, e, s, _) and (alpha2, e2, _, u)
-    is (alpha;alpha2, e;e2, s, u).  A row is filled in one pass from D's
-    row of alpha and T's row of e: every morphism out of the target reads
-    its two composites there by position, and no composite is asked for
-    pair by pair."""
-
-    def __init__(
-        self,
-        base: RefinementSystem,
-        obj_tags: list[tuple[int, int]],
-        mor_tags: tuple[tuple[int, int, int, int], ...],
-    ):
-        D, T = base.D, base.T
-        self.mor_tags = mor_tags
-        self.mor_index = {tag: k for k, tag in enumerate(mor_tags)}
-        super().__init__(
-            f"comma({base.name})",
-            [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags],
-            [
-                (f"({D.mor_names[alpha]},{T.mor_names[e]})#{si}->{ti}", si, ti)
-                for (alpha, e, si, ti) in mor_tags
-            ],
-            [
-                self.mor_index[(D.identity[Q], T.identity[T.cod(c)], i, i)]
-                for i, (Q, c) in enumerate(obj_tags)
-            ],
-            None,
-        )
-        self._D, self._T = D, T
-        self._outs: dict[int, tuple[tuple[int, int, int], ...]] = {}
-
-    def _row(self, f: int) -> tuple[int, ...]:
-        row = self._rows[f]
-        if row is None:
-            alpha, e, s, t = self.mor_tags[f]
-            drow, trow, index = self._D._row(alpha), self._T._row(e), self.mor_index
-            row = self._rows[f] = tuple(
-                index[(drow[i], trow[j], s, u)] for i, j, u in self._out_positions(t)
-            )
-        return row
-
-    def _out_positions(self, t: int) -> tuple[tuple[int, int, int], ...]:
-        """For each morphism (alpha2, e2, t, u) out of the object t: the
-        positions of alpha2 in a D row and of e2 in a T row, and u."""
-        got = self._outs.get(t)
-        if got is None:
-            dpos, tpos = self._D._out_pos, self._T._out_pos
-            got = self._outs[t] = tuple(
-                (dpos[a2], tpos[e2], u)
-                for (a2, e2, _, u) in map(self.mor_tags.__getitem__, self.mor_out(t))
-            )
-        return got
+    return sum(
+        k * paths[T.dom(a)][x] * n for a, k in over.items() for x, n in Counter(T._row(a)).items()
+    )
 
 
 def comma_system(base: RefinementSystem, size_guard: int = SIZE_GUARD) -> CommaSystem:
@@ -553,12 +501,7 @@ def comma_system(base: RefinementSystem, size_guard: int = SIZE_GUARD) -> CommaS
     `CommaCategory`: a row of composites is filled, from one row of D and
     one of T, only when something composes out of it."""
     D, T, t = base.D, base.T, base.t
-    obj_tags = [
-        (Q, c)
-        for Q in range(D.n_objects)
-        for c in range(T.n_morphisms)
-        if T.dom(c) == base.shape(Q)
-    ]
+    obj_tags = [(Q, c) for Q in range(D.n_objects) for c in T.mor_out(base.shape(Q))]
     if len(obj_tags) > size_guard:
         raise SizeGuardExceeded("comma category objects", len(obj_tags), size_guard)
     n_mor = comma_morphism_count(base)
@@ -566,47 +509,41 @@ def comma_system(base: RefinementSystem, size_guard: int = SIZE_GUARD) -> CommaS
         raise SizeGuardExceeded("comma category morphisms", n_mor, size_guard)
     obj_index = {tag: i for i, tag in enumerate(obj_tags)}
 
+    # The squares out of (Q1, c1): for each alpha : Q1 -> Q2 and c2 out of
+    # t(Q2), the e with c1;e = t(alpha);c2, read from c1's inverted row.
     mor_tags: list[tuple[int, int, int, int]] = []
     for si, (Q1, c1) in enumerate(obj_tags):
-        out = []
-        for alpha in D.mor_out(Q1):
-            Q2 = D.cod(alpha)
-            for c2 in T.mor_out(base.shape(Q2)):
-                lhs = T.compose(t.mor(alpha), c2)
-                for e in T.hom(T.cod(c1), T.cod(c2)):
-                    if T.compose(c1, e) == lhs:
-                        out.append((obj_index[(Q2, c2)], alpha, e))
+        after = T._inverse_row(c1)
+        out = [
+            (obj_index[(D.cod(alpha), c2)], alpha, e)
+            for alpha in D.mor_out(Q1)
+            for c2, x in zip(T.mor_out(T.cod(t.mor(alpha))), T._row(t.mor(alpha)))
+            for e in after.get(x, ())
+        ]
         mor_tags += [(alpha, e, si, ti) for ti, alpha, e in sorted(out)]
-    cat = CommaCategory(base, obj_tags, tuple(mor_tags))
+    cat = CommaCategory(f"comma({base.name})", D, T, obj_tags, tuple(mor_tags))
     mor_index = cat.mor_index
     shape = FunctorData(
         f"cod[{base.name}]",
         cat,
         T,
         tuple(T.cod(c) for (_Q, c) in obj_tags),
-        tuple(e for (_a, e, _s, _t) in mor_tags),
+        tuple(e for (_a, e, _s, _t) in cat.mor_tags),
     )
     comma = RefinementSystem(f"comma({base.name})", shape)
+    points = tuple(obj_index[(Q, T.identity[base.shape(Q)])] for Q in range(D.n_objects))
     embed = RefSysMorphism(
         "unit-section",
         base,
         comma,
+        # Images are read on first use: a vertical square missing from the
+        # listing is then a missing composite of the comma, found first.
         FunctorData(
             "into-comma",
             D,
             cat,
-            tuple(obj_index[(Q, T.identity[base.shape(Q)])] for Q in range(D.n_objects)),
-            tuple(
-                mor_index[
-                    (
-                        a,
-                        t.mor(a),
-                        obj_index[(D.dom(a), T.identity[base.shape(D.dom(a))])],
-                        obj_index[(D.cod(a), T.identity[base.shape(D.cod(a))])],
-                    )
-                ]
-                for a in range(D.n_morphisms)
-            ),
+            points,
+            lambda a: mor_index.get((a, t.mor(a), points[D.dom(a)], points[D.cod(a)]), -1),
         ),
         FunctorData("id-base", T, T, tuple(range(T.n_objects)), tuple(range(T.n_morphisms))),
     )
@@ -634,12 +571,12 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
         rep.record_skip(f"{side} comma route: {exc}")
         return
     vrep = cs.sys.validate()
-    rep.check(vrep.ok, f"{side} comma system invalid:\n{vrep}")
+    if not rep.check(vrep.ok, f"{side} comma system invalid:\n{vrep}"):
+        return  # nothing is composed in a comma whose laws fail
     mrep = cs.embed.validate()
     rep.check(mrep.ok, f"{side} comma embedding invalid:\n{mrep}")
 
     comma = cs.sys
-    failed_obj = None
     for e in range(T.n_morphisms):
         if T.is_identity(e):
             continue
@@ -651,7 +588,7 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
             src = cs.obj_index[(P, c)]
             tgt = cs.obj_index[(P, T.compose(c, e))]
             ell = cs.mor_index.get((D.identity[P], e, src, tgt))
-            if ell is None or not _is_cartesian(comma.op(), e, src, tgt, ell):
+            if ell is None or _cartesian_tests(comma.op(), e, src, tgt, ell) is None:
                 bad = f"canonical lift of {S1.obj_name(i)} along {T.mor_names[e]} is not opcartesian"
                 break
             if cs.obj_tags[tgt] != S2.obj_tags[F.obj(i)]:
@@ -665,22 +602,18 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
                 ell_u = cs.mor_index[(D.identity[S1.obj_tags[u][0]], e, src_u, cs.obj_index[S2.obj_tags[F.obj(u)]])]
                 v = cs.mor_index[(alpha, T.identity[B1], src_s, src_u)]
                 composite = comma.D.compose(v, ell_u)
-                idB2 = T.identity[B2]
-                transported = None
-                for w in comma.derivations(cs.obj_index[S2.obj_tags[F.obj(s)]], idB2, cs.obj_index[S2.obj_tags[F.obj(u)]]):
-                    if comma.D.compose(ell_s, w) == composite:
-                        transported = w
-                        break
+                ws = comma.derivations(cs.obj_index[S2.obj_tags[F.obj(s)]], T.identity[B2], cs.obj_index[S2.obj_tags[F.obj(u)]])
+                transported = next((w for w in ws if comma.D.compose(ell_s, w) == composite), None)
                 want = S2.mor_tags[F.mor(k)]
                 got = None if transported is None else cs.mor_tags[transported]
                 if got is None or got[0] != want[0]:
                     bad = f"transport of {S1.mor_name(k)} along {T.mor_names[e]} disagrees with the slice action"
                     break
         if not rep.check(bad is None, f"{side} comma transport: {bad}"):
-            failed_obj = e
             break
-    if failed_obj is None and all(T.is_identity(e) for e in range(T.n_morphisms)):
-        rep.record_skip(f"{side} comma transport: base has only identities")
+    else:
+        if all(T.is_identity(e) for e in range(T.n_morphisms)):
+            rep.record_skip(f"{side} comma transport: base has only identities")
 
 
 def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str | None:
@@ -706,7 +639,10 @@ def factorization_check(sys: RefinementSystem, size_guard: int = SIZE_GUARD) -> 
     Checks, for each side: (i) each rep(Q) is the hom presheaf of its
     point, table for table; (ii) the comma projection is a valid system
     whose canonical lifts are opcartesian; (iii) fiber transport along
-    every base morphism reproduces the slice action tables."""
+    every base morphism reproduces the slice action tables.  The comma's
+    laws in (ii) are decided exactly from D's and T's, opposites on the
+    neg side (`fincat.validate_category`); a comma failing them stops
+    its side there."""
     rep = CheckReport(
         f"factorization[{sys.name}]",
         "representations factor through slice points and comma transport",

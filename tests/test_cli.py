@@ -21,7 +21,11 @@ from refcat.cli import main
 from refcat.fincat import FinCategory, OppositeCategory
 from refcat.refsys import RefinementSystem
 from refcat.reports import CheckReport
-from tests.test_represent import empty_last_support_point
+from tests.test_represent import (
+    CORRUPTED_REP_FAILURES,
+    corrupt_representation,
+    empty_last_support_point,
+)
 
 SKEW = """
 category D
@@ -509,6 +513,24 @@ def test_verify_ff_exits_1_on_a_representation_missing_an_element(hoare_file, ca
     out = capsys.readouterr().out
     assert "  attempted 128 passed 121 failed 7 skipped 0" in out
     assert "image of swap:{s0}>{s0,s1} has no element at ({s0,s1},set0;swap)" in out
+    assert out.endswith("suite ff: 0/1 reports ok\n")
+
+
+@pytest.mark.parametrize("tamper", sorted(CORRUPTED_REP_FAILURES))
+def test_verify_ff_exits_1_on_a_corrupted_representation(hoare_file, capsys, monkeypatch, tamper):
+    build = fx_mod.build_hoare
+
+    def tampered(spec):
+        sys = build(spec)
+        corrupt_representation(sys, tamper)
+        return sys
+
+    monkeypatch.setattr(fx_mod, "build_hoare", tampered)
+    assert main(["verify", hoare_file, "ff"]) == 1
+    out = capsys.readouterr().out
+    failed, counterexample = CORRUPTED_REP_FAILURES[tamper]
+    assert f"  attempted 128 passed {128 - failed} failed {failed} skipped 0" in out
+    assert counterexample.split(": ", 1)[1] in out
     assert out.endswith("suite ff: 0/1 reports ok\n")
 
 

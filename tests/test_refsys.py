@@ -43,6 +43,7 @@ from refcat.refsys import (
     pullpush_laws_check,
     right_curry,
 )
+from refcat.represent import comma_system, slice_of
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
 from tests.test_fincat import discrete_category, reference_validate_functor
 
@@ -301,6 +302,87 @@ def test_lift_certification_agrees_with_a_sweep_over_every_point(
                             decided += 1
                             certified += got is not None
     assert 0 < certified < decided
+
+
+def reference_lift_points(sys, c, Q, P0):
+    """The (P, d) with a derivation (P, d, P0) or a derivation
+    (P, d;c, Q), in sorted order, found by walking the derivations into
+    P0 and into Q and scanning the hom-set into dom c at each source of
+    the latter (the scan-based search the grouped one replaced)."""
+    D, T, t = sys.D, sys.T, sys.t
+    A = T.dom(c)
+    points = {(D.dom(sigma), t.mor(sigma)) for sigma in D.mor_in(P0)}
+    over = {}
+    for beta in D.mor_in(Q):
+        over.setdefault(D.dom(beta), set()).add(t.mor(beta))
+    for P, es in over.items():
+        for d in T.hom(sys.shape(P), A):
+            if T.compose(d, c) in es:
+                points.add((P, d))
+    return sorted(points)
+
+
+def reference_cartesian_tests(sys, c, Q, P0, ell):
+    """`_cartesian_tests` read point by point at `reference_lift_points`."""
+    T, ders = sys.T, sys.derivations_unchecked
+    tests = 0
+    for P, d in reference_lift_points(sys, c, Q, P0):
+        betas = ders(P, T.compose(d, c), Q)
+        sigmas = ders(P, d, P0)
+        if len(sigmas) != len(betas):
+            return None
+        hit = set()
+        for sigma in sigmas:
+            composite = sys.D.compose(sigma, ell)
+            if composite in hit:
+                return None
+            hit.add(composite)
+        if hit != set(betas):
+            return None
+        tests += len(betas)
+    return tests
+
+
+def canonical_comma_lifts(s):
+    """Every canonical lift (id_P, e) of the comma of s, as the arguments
+    (comma^op, e, src, tgt, ell) of the opcartesian test factorization
+    makes."""
+    cs, T = comma_system(s), s.T
+    lifts = []
+    for e in range(T.n_morphisms):
+        if T.is_identity(e):
+            continue
+        for P, c in slice_of(s, T.dom(e)).obj_tags:
+            src, tgt = cs.obj_index[(P, c)], cs.obj_index[(P, T.compose(c, e))]
+            ell = cs.mor_index[(s.D.identity[P], e, src, tgt)]
+            lifts.append((cs.sys.op(), e, src, tgt, ell))
+    return lifts
+
+
+def test_grouped_lift_tests_match_the_scan_based_reference(hoare, collapse, ident, galois):
+    # Every candidate (c, Q, P0, ell) from `derivations_into`, on both
+    # sides, and every canonical comma lift of hoare: the sigmas and betas
+    # grouped by (source, base morphism) and the d with d;c = x read from
+    # an inverted row give the count, or None, of the hom-set scan.
+    systems = [hoare, collapse.mrs.sys, ident.mrs.sys, galois.left.source, galois.left.target]
+    systems += [random_refsys(seed) for seed in range(8)]
+    cases = [
+        (s, c, Q, P0, ell)
+        for sys in systems
+        for s in (sys, sys.op())
+        for c in range(s.T.n_morphisms)
+        for Q in s.fiber(s.T.cod(c))
+        for P0, ell in s.derivations_into(c, Q)
+    ]
+    lifts = canonical_comma_lifts(hoare) + canonical_comma_lifts(hoare.op())
+    assert len(lifts) == 96
+    certified = 0
+    for case in cases + lifts:
+        got = refsys_mod._cartesian_tests(*case)
+        assert got == reference_cartesian_tests(*case), case[1:]
+        certified += got is not None
+    assert all(refsys_mod._cartesian_tests(*lift) is not None for lift in lifts)
+    assert len(lifts) < certified < len(cases) + len(lifts)
 
 
 def fiber_scan_pullback(s, c, Q):

@@ -9,9 +9,11 @@ from collections import Counter
 
 import pytest
 
+import refcat.fincat as fincat_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.fincat import (
+    FinCategory,
     SizeGuardExceeded,
     compose_functors,
     validate_category,
@@ -35,7 +37,7 @@ from refcat.psh import (
     representable,
     validate_psh_derivation,
 )
-from refcat.refsys import fully_faithful_check
+from refcat.refsys import _cartesian_tests, fully_faithful_check
 from refcat.represent import (
     comma_morphism_count,
     comma_system,
@@ -60,6 +62,7 @@ from refcat.represent import (
 )
 from tests.conftest import HOARE_FN, image_oracle, pred_set
 from tests.test_fincat import functors_equal
+from tests.test_refsys import canonical_comma_lifts
 
 STATES = ("s0", "s1")
 
@@ -249,6 +252,40 @@ def test_a_representation_missing_an_element_is_a_failed_ff_report():
     )
 
 
+def corrupt_representation(sys, tamper):
+    """Corrupt hoare's rep({s0,s1}) in the system's memo: drop its
+    payloads, or the first point of its support, which is then no longer
+    a sieve."""
+    rep = pos_rep(sys, sys.D.objects.index("{s0,s1}"))
+    if tamper == "payloads":
+        rep.payloads = None
+    else:
+        rep._support = rep.support()[1:]
+
+
+CORRUPTED_REP_FAILURES = {
+    "payloads": (18, "pos {} =id=> {s0,s1}: rep({s0,s1}) has no derivations as payloads"),
+    "sieve": (
+        6,
+        "pos {s0,s1} =set0=> {s0}: the support of rep({s0,s1}) is not a sieve: "
+        "swap:{}>{}#0->2 into ({},swap) starts off it",
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(CORRUPTED_REP_FAILURES))
+def test_a_corrupted_representation_is_a_failed_ff_report(tamper):
+    # A representation with no payloads, or whose support is not a sieve,
+    # fails the judgments that read it, named by the refinement, instead
+    # of raising in Presheaf.position or psh._closing.
+    sys = build_hoare(default_hoare_spec())
+    corrupt_representation(sys, tamper)
+    rep = representation_ff_check(sys)
+    failed, counterexample = CORRUPTED_REP_FAILURES[tamper]
+    assert not rep.ok and rep.failed == failed and rep.attempted == 128
+    assert rep.counterexample == counterexample
+
+
 def pairwise_slice_tags(sys, B):
     """Slice tags by the pairwise formula: for every point (P1, c1), every
     alpha : P1 -> P2 over e and every c2 : t(P2) -> B with e;c2 = c1."""
@@ -408,8 +445,9 @@ def comma_non_generator(hoare):
 def test_factorization_sees_a_corrupted_comma_composite(hoare, monkeypatch):
     # f;g with g a non-generator is moved to another morphism with the same
     # endpoints, in the row of f as the comma category fills it from D and
-    # T: the endpoint and identity laws still hold, so only the
-    # associativity test, decided at generator middles, can see it.
+    # T: the endpoint laws still hold, so only the componentwise law, which
+    # compares every row entry with the composite of its components, can
+    # see it.
     comma, g = comma_non_generator(hoare)
     f, other = next(
         (f, h)
@@ -431,8 +469,62 @@ def test_factorization_sees_a_corrupted_comma_composite(hoare, monkeypatch):
     rep = factorization_check(hoare)
     assert not rep.ok
     assert rep.counterexample.startswith("pos comma system invalid")
-    assert "associativity" in rep.counterexample
+    assert "componentwise-composition" in rep.counterexample
+    assert "associativity" not in rep.counterexample
     assert "composition-" not in rep.counterexample and "identity" not in rep.counterexample
+
+
+def test_factorization_sees_a_tag_missing_from_the_comma_listing(hoare, monkeypatch):
+    # The tag of a non-identity composite is dropped from the listing of
+    # the pos comma: the rows that compose to it hold a missing composite,
+    # which the comma's validation reports, and factorization stops there
+    # instead of raising a KeyError.
+    comma, m = comma_non_generator(hoare)
+    tag = comma.mor_tags[m]
+    real = represent_mod.CommaCategory
+
+    def dropping(name, D, T, obj_tags, mor_tags):
+        if name == comma.name:
+            mor_tags = tuple(x for x in mor_tags if x != tag)
+        return real(name, D, T, obj_tags, mor_tags)
+
+    monkeypatch.setattr(represent_mod, "CommaCategory", dropping)
+    rep = factorization_check(hoare)
+    assert not rep.ok and rep.failed == 1
+    assert rep.counterexample.startswith("pos comma system invalid")
+    assert "composition-totality: comma(hoare): missing composite" in rep.counterexample
+
+
+def test_comma_route_runs_no_law_sweep_and_scans_no_hom_set(hoare, monkeypatch):
+    # Both hoare commas are decided from their components: validating one
+    # tests associativity nowhere and composes nothing in the comma pair by
+    # pair.  Listing their tags and testing their 96 canonical lifts read
+    # inverted rows, never a hom-set.
+    calls = Counter()
+    real_hom, real_associative = FinCategory.hom, fincat_mod._associative
+    for s in (hoare, hoare.op()):
+        for B in range(s.T.n_objects):
+            slice_of(s, B)
+    monkeypatch.setattr(
+        FinCategory, "hom", lambda self, a, b: calls.update(["hom"]) or real_hom(self, a, b)
+    )
+    lifts = canonical_comma_lifts(hoare) + canonical_comma_lifts(hoare.op())
+    assert len(lifts) == 96 and None not in [_cartesian_tests(*lift) for lift in lifts]
+    assert calls["hom"] == 0
+    monkeypatch.setattr(
+        fincat_mod,
+        "_associative",
+        lambda *args: calls.update(["associative"]) or real_associative(*args),
+    )
+    for comma in {id(lift[0]): lift[0].op().D for lift in lifts}.values():
+        monkeypatch.setattr(
+            comma,
+            "compose",
+            lambda f, g, real=comma.compose: calls.update(["compose"]) or real(f, g),
+        )
+        assert comma.n_morphisms == 768
+        assert validate_category(comma).ok and comma.validate().ok
+    assert calls == Counter()
 
 
 def test_factorization_sees_a_corrupted_comma_shape_image(hoare, monkeypatch):
