@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class StructuralError(Exception):
@@ -101,6 +101,42 @@ class Table:
         return f"Table({self._n} entries, {len(self._got)} filled)"
 
 
+class Triples:
+    """The triples (a[i], b[i], c[i]) of three columns of one length, made
+    when read and not kept: a read-only sequence that supports indexing,
+    len, iteration and == (entry by entry, against any sequence)."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Sequence, b: Sequence, c: Sequence):
+        self.a, self.b, self.c = a, b, c
+
+    def __getitem__(self, i: int) -> tuple:
+        return (self.a[i], self.b[i], self.c[i])
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(self.a, self.b, self.c)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Triples, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Arrows(NamedTuple):
+    """The morphisms of a category as three columns: names (a tuple, or a
+    `Table` whose names are formatted when read), domains and codomains."""
+
+    names: Sequence[str]
+    dom: Sequence[int]
+    cod: Sequence[int]
+
+
 class FinCategory:
     """A finite category given by explicit tables.
 
@@ -112,29 +148,35 @@ class FinCategory:
     first use, so a large derived table is only ever computed for the
     morphisms something composes.  A pair missing from a dict is stored
     as -1 and raises on use.
+
+    Morphisms are given as (name, dom, cod) triples or as `Arrows`
+    columns, which are kept as given; object names may be a `Table`.
+    The index lists mor_out(a) and mor_in(b); a hom-set is read from
+    mor_out(a) the first time it is asked for, and kept.
     """
 
     def __init__(
         self,
         name: str,
         objects: Sequence[str],
-        morphisms: Sequence[tuple[str, int, int]],
+        morphisms: Sequence[tuple[str, int, int]] | Arrows,
         identity: Sequence[int],
         compose: dict[tuple[int, int], int] | Callable[[int, int], int] | None,
     ):
         self.name = name
-        self.objects = tuple(objects)
-        self.mor_names = tuple(m[0] for m in morphisms)
-        self.mor_dom = tuple(m[1] for m in morphisms)
-        self.mor_cod = tuple(m[2] for m in morphisms)
+        self.objects = objects if isinstance(objects, Table) else tuple(objects)
+        if not isinstance(morphisms, Arrows):
+            morphisms = Arrows(*(tuple(m[k] for m in morphisms) for k in range(3)))
+        self.mor_names, self.mor_dom, self.mor_cod = morphisms
         self.identity = tuple(identity)
         if isinstance(compose, dict):
             compose = lambda f, g, _table=compose: _table.get((f, g), -1)
         self._compose = compose
-        self._rows: list[tuple[int, ...] | None] = [None] * len(self.mor_names)
+        self._rows: list[tuple[int, ...] | None] = [None] * len(self.mor_dom)
         self._inverted: dict[int, dict[int, tuple[int, ...]]] = {}
         # The generators of a category known lawful, else None (`_lawful`).
         self._lawful: tuple[int, ...] | None = None
+        self._in_positions: tuple[int, ...] | None = None
         self._check_indices()
         self._hom: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mor_out: dict[int, tuple[int, ...]] = {}
@@ -142,9 +184,11 @@ class FinCategory:
         self._build_hom_index()
 
     def _check_indices(self) -> None:
-        n_obj, n_mor = len(self.objects), len(self.mor_names)
+        n_obj, n_mor = len(self.objects), len(self.mor_dom)
         if len(self.identity) != n_obj:
             raise StructuralError(f"{self.name}: identity table has wrong length")
+        if not len(self.mor_names) == len(self.mor_cod) == n_mor:
+            raise StructuralError(f"{self.name}: morphism columns have different lengths")
         for i in range(n_mor):
             if not (0 <= self.mor_dom[i] < n_obj and 0 <= self.mor_cod[i] < n_obj):
                 raise StructuralError(f"{self.name}: morphism {i} has endpoint out of range")
@@ -153,17 +197,14 @@ class FinCategory:
                 raise StructuralError(f"{self.name}: identity of object {a} out of range")
 
     def _build_hom_index(self) -> None:
-        buckets: dict[tuple[int, int], list[int]] = {}
         out: dict[int, list[int]] = {}
         inc: dict[int, list[int]] = {}
         out_pos = []
         for i in range(self.n_morphisms):
-            buckets.setdefault((self.mor_dom[i], self.mor_cod[i]), []).append(i)
             from_dom = out.setdefault(self.mor_dom[i], [])
             out_pos.append(len(from_dom))
             from_dom.append(i)
             inc.setdefault(self.mor_cod[i], []).append(i)
-        self._hom = {k: tuple(v) for k, v in buckets.items()}
         self._mor_out = {k: tuple(v) for k, v in out.items()}
         self._mor_in = {k: tuple(v) for k, v in inc.items()}
         # g's position in mor_out(dom g): the index of f;g in the row of f.
@@ -175,7 +216,7 @@ class FinCategory:
 
     @property
     def n_morphisms(self) -> int:
-        return len(self.mor_names)
+        return len(self.mor_dom)
 
     def dom(self, f: int) -> int:
         return self.mor_dom[f]
@@ -199,13 +240,27 @@ class FinCategory:
         return validate_category(self)
 
     def hom(self, a: int, b: int) -> tuple[int, ...]:
-        return self._hom.get((a, b), ())
+        got = self._hom.get((a, b))
+        if got is None:
+            cod = self.mor_cod
+            got = self._hom[(a, b)] = tuple(f for f in self.mor_out(a) if cod[f] == b)
+        return got
 
     def mor_out(self, a: int) -> tuple[int, ...]:
         return self._mor_out.get(a, ())
 
     def mor_in(self, b: int) -> tuple[int, ...]:
         return self._mor_in.get(b, ())
+
+    def _in_pos(self) -> tuple[int, ...]:
+        """f's position in mor_in(cod f), computed on first use and kept."""
+        if self._in_positions is None:
+            pos = [0] * self.n_morphisms
+            for fs in self._mor_in.values():
+                for k, f in enumerate(fs):
+                    pos[f] = k
+            self._in_positions = tuple(pos)
+        return self._in_positions
 
     def _row(self, f: int) -> tuple[int, ...]:
         """The composites f;g for g in mor_out(cod f), -1 where a dict has
@@ -413,16 +468,17 @@ def _componentwise(cat: "CommaCategory", report: ValidationReport) -> None:
 class FunctorData:
     """A functor as object and morphism index tables.
 
-    `morphism_map` is a tuple, checked for range when the functor is
-    made, or a function f |-> image of f, which becomes a `Table`: each
-    image is computed when it is first read and its range checked there.
-    A tuple is read with no wrapper, which matters where every image is
-    read many times (the tensor-of-tags functors)."""
+    `object_map` is a tuple, or any int sequence (a slice action keeps
+    an `array`).  `morphism_map` is a tuple, checked for range when the
+    functor is made, or a function f |-> image of f, which becomes a
+    `Table`: each image is computed when it is first read and its range
+    checked there.  A tuple is read with no wrapper, which matters where
+    every image is read many times (the tensor-of-tags functors)."""
 
     name: str
     source: FinCategory
     target: FinCategory
-    object_map: tuple[int, ...]
+    object_map: Sequence[int]
     morphism_map: tuple[int, ...] | Table
 
     def __post_init__(self) -> None:
@@ -462,7 +518,7 @@ class FunctorData:
         return tuple(a for a, b in enumerate(self.object_map) if b in wanted)
 
     def table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.object_map, tuple(self.morphism_map))
+        return (tuple(self.object_map), tuple(self.morphism_map))
 
 
 def validate_functor(F: FunctorData) -> ValidationReport:
@@ -595,10 +651,11 @@ def validate_nat_trans(theta: NatTransData) -> ValidationReport:
 
 
 class OppositeCategory(FinCategory):
-    """Same object and morphism indices as `original`, arrows reversed.
-    The composite f;g is g;f, read from the row of g in the original:
-    composing fills no table of the opposite.  A row of the opposite, a
-    column of the original, is filled only for the laws (`_row`)."""
+    """Same object and morphism indices as `original`, arrows reversed,
+    sharing its name and endpoint columns.  The composite f;g is g;f, read
+    from the row of g in the original: composing fills no table of the
+    opposite.  A row of the opposite, a column of the original, is filled
+    only for the laws (`_row`)."""
 
     def __init__(self, original: FinCategory):
         self._original = original
@@ -606,10 +663,12 @@ class OppositeCategory(FinCategory):
         super().__init__(
             f"{original.name}^op",
             original.objects,
-            tuple(zip(original.mor_names, original.mor_cod, original.mor_dom)),
+            Arrows(original.mor_names, original.mor_cod, original.mor_dom),
             original.identity,
             lambda f, g: row(g)[pos[f]],
         )
+        # mor_in(b) here is mor_out(b) in the original.
+        self._in_positions = pos
 
     def compose(self, f: int, g: int) -> int:
         if self.mor_cod[f] != self.mor_dom[g]:
@@ -624,10 +683,6 @@ class OppositeCategory(FinCategory):
 def opposite(cat: FinCategory) -> OppositeCategory:
     """The opposite of cat: f;g there is g;f read from cat's row of g."""
     return OppositeCategory(cat)
-
-
-def terminal_category() -> FinCategory:
-    return FinCategory("1", ("*",), (("id", 0, 0),), (0,), {(0, 0): 0})
 
 
 class ProductCategory(FinCategory):

@@ -152,10 +152,13 @@ def representable(cat: FinCategory, b: int) -> Presheaf:
     morphism carried as its payload.  Built on its support, the domains
     of the morphisms into b: an element set is named, and an action row
     computed, when it is first read."""
+    grouped: dict[int, list[int]] = {}
+    for m in cat.mor_in(b):
+        grouped.setdefault(cat.dom(m), []).append(m)
     homs: list[tuple[int, ...]] = [()] * cat.n_objects
-    support = sorted({cat.dom(m) for m in cat.mor_in(b)})
+    support = sorted(grouped)
     for a in support:
-        homs[a] = cat.hom(a, b)
+        homs[a] = tuple(grouped[a])
     names = cat.mor_names
     y = Presheaf(
         f"y({cat.objects[b]})",

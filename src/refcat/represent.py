@@ -31,17 +31,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .fincat import (
+    Arrows,
     CommaCategory,
     FinCategory,
     FunctorData,
     ProductCategory,
     SizeGuardExceeded,
     StructuralError,
+    Table,
+    Triples,
     ValidationReport,
     compose_functors,
     product,
@@ -79,7 +83,6 @@ from .reports import CheckReport
 # Relative slices and coslices
 
 
-@dataclass(eq=False)
 class SliceCategory:
     """Refinements arranged over one base object.
 
@@ -91,21 +94,88 @@ class SliceCategory:
 
     The points of one refinement P form a block: (P, c) is the point
     offsets[P] + k for c the k-th morphism of T.hom(t(P), B), and
-    hom_pos[t(P)][c] = k.  `points` holds the point indices themselves,
-    the ints `obj_index` maps to, so a table laid out block by block
-    shares them instead of making its own.
-    """
+    hom_pos[t(P)][c] = k.  A derivation alpha into P2 meets each point u
+    of P2's block in exactly one slice morphism, so the morphisms into u
+    are listed in `into` from in_off[u] on, at alpha's position in
+    D.mor_in(P2) (`mor_of`).  The slice keeps ints only: the morphism
+    tags are three columns, alpha in an `array` and the endpoints in the
+    category's own dom and cod tuples, read as triples through
+    `mor_tags`; the names of objects and morphisms are formatted when
+    they are read (`Table`); and a hom-set is read from mor_out when it
+    is asked for."""
 
-    sys: RefinementSystem
-    base_obj: int
-    cat: FinCategory
-    obj_tags: tuple[tuple[int, int], ...]
-    mor_tags: tuple[tuple[int, int, int], ...]
-    obj_index: dict[tuple[int, int], int]
-    mor_index: dict[tuple[int, int, int], int]
-    offsets: tuple[int, ...]
-    hom_pos: dict[int, dict[int, int]]
-    points: tuple[int, ...]
+    def __init__(self, sys: RefinementSystem, B: int):
+        D, T, t = sys.D, sys.T, sys.t
+        shapes = tuple(map(sys.shape, range(D.n_objects)))
+        homs = [T.hom(A, B) for A in shapes]
+        offsets = tuple(itertools.accumulate(map(len, homs), initial=0))
+        obj_tags = tuple((P, c) for P, cs in enumerate(homs) for c in cs)
+        # The point ints, shared by every endpoint entry that names a point.
+        points = tuple(range(len(obj_tags)))
+        self.sys, self.base_obj = sys, B
+        self.obj_tags = obj_tags
+        self.obj_index = dict(zip(obj_tags, points))
+        self.offsets = offsets[:-1]
+        self.hom_pos = {A: {c: k for k, c in enumerate(T.hom(A, B))} for A in set(shapes)}
+
+        # A derivation alpha : P1 -> P2 over e meets each c2 : t(P2) -> B
+        # once, as the morphism (P1, e;c2) -> (P2, c2): one composite per
+        # pair, filed under its source point in P1's block, so the slice
+        # costs its morphisms.  Sorting a point's morphisms keeps the tags in
+        # (source, target, alpha) order.
+        alphas, src, tgt = array("i"), [], []
+        for P1, cs in enumerate(homs):
+            at, pos = offsets[P1], self.hom_pos[shapes[P1]]
+            out: list[list[tuple[int, int]]] = [[] for _ in cs]
+            for alpha in D.mor_out(P1):
+                P2, e = D.mor_cod[alpha], t.mor(alpha)
+                to = offsets[P2]
+                for k2, c2 in enumerate(homs[P2]):
+                    out[pos[T.compose(e, c2)]].append((points[to + k2], alpha))
+            for k, found in enumerate(out):
+                found.sort()
+                src += [points[at + k]] * len(found)
+                tgt += [ti for ti, _alpha in found]
+                alphas.extend(alpha for _ti, alpha in found)
+        src, tgt = tuple(src), tuple(tgt)
+        self.mor_tags = Triples(alphas, src, tgt)
+        self._pos_in = D._in_pos()
+        ins = (len(D.mor_in(P)) for P, _c in obj_tags)
+        self.in_off = array("i", itertools.accumulate(ins, initial=0))
+        self.into = array("i", [-1]) * len(alphas)
+        for k, (alpha, u) in enumerate(zip(alphas, tgt)):
+            self.into[self.in_off[u] + self._pos_in[alpha]] = k
+
+        def obj_name(i: int) -> str:
+            P, c = obj_tags[i]
+            return f"({D.objects[P]},{T.mor_names[c]})"
+
+        def mor_name(k: int) -> str:
+            return f"{D.mor_names[alphas[k]]}#{src[k]}->{tgt[k]}"
+
+        def comp(f: int, g: int) -> int:
+            return self.mor_of(D.compose(alphas[f], alphas[g]), src[f], tgt[g])
+
+        self.cat = FinCategory(
+            f"slice({sys.name},{T.objects[B]})",
+            Table(len(obj_tags), obj_name),
+            Arrows(Table(len(alphas), mor_name), src, tgt),
+            [self.mor_of(D.identity[P], i, i) for i, (P, _c) in enumerate(obj_tags)],
+            comp,
+        )
+
+    def mor_of(self, alpha: int, s: int, u: int) -> int:
+        """The slice morphism tagged (alpha, s, u), read from `into`; the
+        entry found must carry that tag, else a StructuralError."""
+        tags = self.mor_tags
+        i = self.in_off[u] + self._pos_in[alpha]
+        k = self.into[i] if i < len(self.into) else -1
+        if 0 <= k < len(tags) and tags.a[k] == alpha and tags.b[k] == s and tags.c[k] == u:
+            return k
+        raise StructuralError(
+            f"slice({self.sys.name},{self.sys.T.objects[self.base_obj]}): "
+            f"no morphism {self.sys.D.mor_names[alpha]}#{s}->{u}"
+        )
 
     def obj_name(self, i: int) -> str:
         return self.cat.objects[i]
@@ -114,59 +184,9 @@ class SliceCategory:
         return self.cat.mor_names[k]
 
 
-def _build_slice(sys: RefinementSystem, B: int) -> SliceCategory:
-    D, T, t = sys.D, sys.T, sys.t
-    shapes = tuple(map(sys.shape, range(D.n_objects)))
-    homs = [T.hom(A, B) for A in shapes]
-    offsets = tuple(itertools.accumulate(map(len, homs), initial=0))
-    obj_tags = [(P, c) for P, cs in enumerate(homs) for c in cs]
-    points = tuple(range(len(obj_tags)))
-    obj_index = dict(zip(obj_tags, points))
-    hom_pos = {A: {c: k for k, c in enumerate(T.hom(A, B))} for A in set(shapes)}
-    obj_names = [f"({D.objects[P]},{T.mor_names[c]})" for (P, c) in obj_tags]
-
-    # A derivation alpha : P1 -> P2 over e meets each c2 : t(P2) -> B
-    # once, as the morphism (P1, e;c2) -> (P2, c2): one composite per
-    # pair, filed under its source point in P1's block, so the slice
-    # costs its morphisms.  Sorting a point's morphisms keeps the tags in
-    # (source, target, alpha) order.
-    tags: list[tuple[int, int, int]] = []
-    for P1, cs in enumerate(homs):
-        at, pos = offsets[P1], hom_pos[shapes[P1]]
-        out: list[list[tuple[int, int]]] = [[] for _ in cs]
-        for alpha in D.mor_out(P1):
-            P2, e = D.mor_cod[alpha], t.mor(alpha)
-            to = offsets[P2]
-            for k2, c2 in enumerate(homs[P2]):
-                out[pos[T.compose(e, c2)]].append((points[to + k2], alpha))
-        for k, found in enumerate(out):
-            si = points[at + k]
-            tags += [(alpha, si, ti) for ti, alpha in sorted(found)]
-    mor_tags = tuple(tags)
-    del tags
-    mor_index = {tag: k for k, tag in enumerate(mor_tags)}
-    morphisms = [
-        (f"{D.mor_names[alpha]}#{si}->{ti}", si, ti) for (alpha, si, ti) in mor_tags
-    ]
-    identity = [mor_index[(D.identity[P], i, i)] for i, (P, _c) in enumerate(obj_tags)]
-
-    def comp(f: int, g: int, _mt=mor_tags, _mi=mor_index, _D=D) -> int:
-        a1, s, _ = _mt[f]
-        a2, _, u = _mt[g]
-        return _mi[(_D.compose(a1, a2), s, u)]
-
-    cat = FinCategory(
-        f"slice({sys.name},{T.objects[B]})", obj_names, morphisms, identity, comp
-    )
-    return SliceCategory(
-        sys, B, cat, tuple(obj_tags), mor_tags, obj_index, mor_index,
-        offsets[:-1], hom_pos, points,
-    )
-
-
 def slice_of(sys: RefinementSystem, B: int) -> SliceCategory:
     """The relative slice over the T-object B, built once per system."""
-    return sys.memo(("slice", B), lambda: _build_slice(sys, B))
+    return sys.memo(("slice", B), lambda: SliceCategory(sys, B))
 
 
 def coslice_of(sys: RefinementSystem, A: int) -> SliceCategory:
@@ -182,12 +202,12 @@ class SliceAction(FunctorData):
 
     A point (P, c) goes to (P, c;e), in the block of the same refinement,
     so the object map is read once per base object A as a map of
-    positions hom(A, B1) -> hom(A, B2) and laid out block by block with
-    the target slice's own point ints.  The preimage of a set of points,
-    the support of a pulled presheaf, is read from the inverse of that
-    map, taken from the laid-out block of one refinement over A when it
-    is asked for.  The image of a slice morphism is looked up when it is
-    first read."""
+    positions hom(A, B1) -> hom(A, B2) and laid out block by block as an
+    `array` of the target slice's points.  The preimage of a set of
+    points, the support of a pulled presheaf, is read from the inverse of
+    that map, taken from the laid-out block of one refinement over A when
+    it is asked for.  The image of a slice morphism is looked up
+    (`SliceCategory.mor_of`) when it is first read."""
 
     def __init__(self, sys: RefinementSystem, e: int):
         T = sys.T
@@ -196,18 +216,16 @@ class SliceAction(FunctorData):
             A: tuple(pos[T.compose(c, e)] for c in T.hom(A, S1.base_obj))
             for A, pos in S2.hom_pos.items()
         }
-        omap: list[int] = []
+        omap = array("i")
         for P, at in enumerate(S2.offsets):
-            A = sys.shape(P)
-            block = S2.points[at : at + len(S2.hom_pos[A])]
-            omap.extend(map(block.__getitem__, maps[A]))
+            omap.extend(map(at.__add__, maps[sys.shape(P)]))
         self.slices = (S1, S2)
 
         def image(k: int) -> int:
             alpha, s, u = S1.mor_tags[k]
-            return S2.mor_index[(alpha, self.object_map[s], self.object_map[u])]
+            return S2.mor_of(alpha, omap[s], omap[u])
 
-        super().__init__(f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, tuple(omap), image)
+        super().__init__(f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, omap, image)
 
     def preimage(self, points: Iterable[int]) -> tuple[int, ...]:
         """The points of the source slice sent into `points`, in index
@@ -223,7 +241,7 @@ class SliceAction(FunctorData):
             if inverse is None:
                 inverse = inverses[A] = self._inverse(A)
             at = S1.offsets[P]
-            out.extend(S1.points[at + k] for k in inverse[j - S2.offsets[P]])
+            out.extend(at + k for k in inverse[j - S2.offsets[P]])
         out.sort()
         return tuple(out)
 
@@ -329,12 +347,6 @@ def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
                 f"{psi.base.object_name(F.obj(i))}: {psi.name} lacks {D.mor_names[exc.args[0]]}"
             ) from None
     return PshDerivation(f"post[{D.mor_names[sigma]}]", phi, psi, F, tuple(comps))
-
-
-def neg_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
-    """Precomposition with sigma : P1 -> P2 over c, as a presheaf derivation
-    rep(P2) => rep(P1) over the coslice functor of c."""
-    return pos_rep_derivation(sys.op(), sigma)
 
 
 def representation_ff_check(sys: RefinementSystem) -> CheckReport:
@@ -584,6 +596,7 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
         S1, S2 = slice_of(sys, B1), slice_of(sys, B2)
         F = slice_action(sys, e)
         bad = None
+        lifts = []  # (src, tgt, canonical lift) per point of S1
         for i, (P, c) in enumerate(S1.obj_tags):
             src = cs.obj_index[(P, c)]
             tgt = cs.obj_index[(P, T.compose(c, e))]
@@ -594,15 +607,13 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
             if cs.obj_tags[tgt] != S2.obj_tags[F.obj(i)]:
                 bad = f"transport of {S1.obj_name(i)} disagrees with the slice action"
                 break
+            lifts.append((src, tgt, ell))
         if bad is None:
             for k, (alpha, s, u) in enumerate(S1.mor_tags):
-                src_s = cs.obj_index[S1.obj_tags[s]]
-                src_u = cs.obj_index[S1.obj_tags[u]]
-                ell_s = cs.mor_index[(D.identity[S1.obj_tags[s][0]], e, src_s, cs.obj_index[S2.obj_tags[F.obj(s)]])]
-                ell_u = cs.mor_index[(D.identity[S1.obj_tags[u][0]], e, src_u, cs.obj_index[S2.obj_tags[F.obj(u)]])]
+                (src_s, tgt_s, ell_s), (src_u, tgt_u, ell_u) = lifts[s], lifts[u]
                 v = cs.mor_index[(alpha, T.identity[B1], src_s, src_u)]
                 composite = comma.D.compose(v, ell_u)
-                ws = comma.derivations(cs.obj_index[S2.obj_tags[F.obj(s)]], T.identity[B2], cs.obj_index[S2.obj_tags[F.obj(u)]])
+                ws = comma.derivations(tgt_s, T.identity[B2], tgt_u)
                 transported = next((w for w in ws if comma.D.compose(ell_s, w) == composite), None)
                 want = S2.mor_tags[F.mor(k)]
                 got = None if transported is None else cs.mor_tags[transported]
@@ -783,13 +794,11 @@ def m_functor(mrs: MonoidalRefinementSystem, B1: int, B2: int) -> tuple[FunctorD
             f, g = prod.split_mor(m)
             (a1, s1, t1), (a2, s2, t2) = S1.mor_tags[f], S2.mor_tags[g]
             mmap.append(
-                S12.mor_index[
-                    (
-                        mrs.mon_ref.tmor(a1, a2),
-                        omap[prod.pair_obj(s1, s2)],
-                        omap[prod.pair_obj(t1, t2)],
-                    )
-                ]
+                S12.mor_of(
+                    mrs.mon_ref.tmor(a1, a2),
+                    omap[prod.pair_obj(s1, s2)],
+                    omap[prod.pair_obj(t1, t2)],
+                )
             )
         T = sys.T
         F = FunctorData(

@@ -16,7 +16,7 @@ from refcat.duality import (
     duality_check,
     negative_encoding_check,
 )
-from refcat.fincat import FunctorData, StructuralError, terminal_category
+from refcat.fincat import FunctorData, StructuralError
 from refcat.fixtures import (
     bang_system,
     hoare_sp,

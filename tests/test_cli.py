@@ -253,7 +253,7 @@ def test_verify_linctx_ff_searches_only_judgments_that_can_have_a_family(
             cls, "compose", lambda self, f, g, _real=real: composed.update((id(self),)) or _real(self, f, g)
         )
     built = []
-    build = represent_mod._build_slice
+    build = represent_mod.SliceCategory
 
     def counted(sys, B):
         before = composed[id(sys.T)]
@@ -261,7 +261,7 @@ def test_verify_linctx_ff_searches_only_judgments_that_can_have_a_family(
         built.append((sys, B, composed[id(sys.T)] - before))
         return S
 
-    monkeypatch.setattr(represent_mod, "_build_slice", counted)
+    monkeypatch.setattr(represent_mod, "SliceCategory", counted)
     assert main(["verify", linctx_file, "ff"]) == 0
     assert "attempted 30182 passed 30182" in capsys.readouterr().out
     assert len(searched) == 248

@@ -6,7 +6,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from refcat import psh
 from refcat.fincat import (
@@ -20,7 +20,6 @@ from refcat.fincat import (
     opposite,
     ProductCategory,
     product,
-    terminal_category,
     validate_category,
     validate_functor,
     validate_nat_trans,
@@ -56,6 +55,10 @@ def walking_arrow():
 # ---------------------------------------------------------------------------
 # Helpers with no caller in the library: discrete categories, functor
 # equality, and currying through a listed functor category.
+
+
+def terminal_category():
+    return FinCategory("1", ("*",), (("id", 0, 0),), (0,), {(0, 0): 0})
 
 
 def discrete_category(names):
@@ -185,6 +188,19 @@ def test_opposite_is_involutive():
     # composition agrees with the original after swapping the pair
     for f, g in c.composable_pairs():
         assert op.compose(g, f) == c.compose(f, g)
+
+
+def test_hom_sets_and_in_positions_read_on_demand_match_a_scan(hoare, linctx):
+    # hom(a, b) is read from mor_out(a) when first asked for and kept;
+    # _in_pos()[f] is f's place in mor_in(cod f), an opposite's read
+    # from its original's out-positions.
+    for cat in (hoare.D, hoare.T, linctx.D, chain_category(3), walking_arrow()):
+        for c in (cat, opposite(cat)):
+            for a in range(c.n_objects):
+                for b in range(c.n_objects):
+                    scan = tuple(f for f in range(c.n_morphisms) if (c.dom(f), c.cod(f)) == (a, b))
+                    assert c.hom(a, b) == scan and (a, b) in c._hom
+            assert c._in_pos() == tuple(c.mor_in(c.cod(f)).index(f) for f in range(c.n_morphisms))
 
 
 def test_product_category_counts_and_laws():
@@ -514,6 +530,7 @@ def test_functor_validation_matches_the_reference_on_lawful_functors(lawful_func
         assert_functor_matches_reference(F)
 
 
+@settings(deadline=None)
 @given(st.data())
 def test_one_corrupted_image_matches_the_reference(lawful_functors, data):
     # The image of one non-generator is replaced, within its hom-set or by

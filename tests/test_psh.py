@@ -19,7 +19,6 @@ from refcat.fincat import (
     FunctorData,
     StructuralError,
     opposite,
-    terminal_category,
 )
 from refcat.fixtures import fin_skeleton, random_refsys
 from refcat.psh import (
@@ -38,7 +37,7 @@ from refcat.psh import (
     validate_psh_derivation,
     vertical_iso_psh,
 )
-from tests.test_fincat import chain_category, lax_search, walking_arrow
+from tests.test_fincat import chain_category, lax_search, terminal_category, walking_arrow
 
 
 def chain_presheaf(base, sizes, steps):

@@ -52,7 +52,6 @@ from refcat.represent import (
     m_functor,
     monoid_lax_check,
     neg_rep,
-    neg_rep_derivation,
     pos_rep,
     pos_rep_derivation,
     preservation_check,
@@ -326,7 +325,7 @@ def test_slices_actions_pulls_and_points_match_the_pairwise_formulas(
             F = slice_action(s, e)
             S1, S2 = slice_of(s, T.dom(e)), slice_of(s, T.cod(e))
             omap = tuple(S2.obj_index[(P, T.compose(c, e))] for (P, c) in S1.obj_tags)
-            assert F.object_map == omap
+            assert tuple(F.object_map) == omap
             for Q in s.fiber(T.cod(e)):
                 psi = pos_rep(s, Q)
                 pulled = pull_psh(F, psi)
@@ -335,11 +334,61 @@ def test_slices_actions_pulls_and_points_match_the_pairwise_formulas(
                 assert pulled.elements == tuple(psi.elements[b] for b in omap)
 
 
+def test_slice_names_read_on_demand_are_the_eager_format(hoare):
+    # Slice names are formatted when read; read back to front, each must
+    # be (P,c) or alpha#s->t formatted here from the slice's tags.
+    for s in (hoare, hoare.op()):
+        D, T = s.D, s.T
+        for B in range(T.n_objects):
+            S = slice_of(s, B)
+            objects = [f"({D.objects[P]},{T.mor_names[c]})" for P, c in S.obj_tags]
+            morphisms = [f"{D.mor_names[a]}#{si}->{ti}" for a, si, ti in S.mor_tags]
+            assert [S.obj_name(i) for i in reversed(range(len(objects)))] == objects[::-1]
+            assert [S.mor_name(k) for k in reversed(range(len(morphisms)))] == morphisms[::-1]
+            assert tuple(S.cat.objects) == tuple(objects)
+            assert tuple(S.cat.mor_names) == tuple(morphisms)
+            assert [(S.cat.dom(k), S.cat.cod(k)) for k in range(len(morphisms))] == [
+                (si, ti) for _a, si, ti in S.mor_tags
+            ]
+
+
+def test_verify_linctx_ff_formats_no_slice_name_and_asks_no_slice_hom_set(
+    tmp_path, monkeypatch, capsys
+):
+    # After `verify <linctx> ff` no slice has formatted a name, no slice
+    # hom-set was asked for, and every category keeps exactly the
+    # hom-sets it was asked for.
+    path = tmp_path / "l.fix"
+    path.write_text("fixture l linctx K=3\n")
+    slices = []
+    real_slice = represent_mod.SliceCategory
+    monkeypatch.setattr(
+        represent_mod, "SliceCategory", lambda sys, B: slices.append(real_slice(sys, B)) or slices[-1]
+    )
+    asked = {}
+    real_hom = FinCategory.hom
+
+    def hom(self, a, b):
+        asked.setdefault(id(self), (self, set()))[1].add((a, b))
+        return real_hom(self, a, b)
+
+    monkeypatch.setattr(FinCategory, "hom", hom)
+    assert main(["verify", str(path), "ff"]) == 0
+    assert "attempted 30182 passed 30182" in capsys.readouterr().out
+    assert len(slices) == 8
+    for S in slices:
+        assert (len(S.cat.objects._got), len(S.cat.mor_names._got)) == (0, 0)
+        assert S.cat._hom == {} and id(S.cat) not in asked
+    assert asked
+    for cat, pairs in asked.values():
+        assert set(cat._hom) == pairs
+
+
 def test_rep_derivations_validate(hoare):
     for sigma in range(hoare.D.n_morphisms):
-        for build in (pos_rep_derivation, neg_rep_derivation):
-            d = build(hoare, sigma)
-            assert validate_psh_derivation(d).ok, (build.__name__, sigma)
+        for s in (hoare, hoare.op()):
+            d = pos_rep_derivation(s, sigma)
+            assert validate_psh_derivation(d).ok, (s.name, sigma)
 
 
 def test_linctx_slice_over_the_singleton_shape_is_the_context_category(linctx):

@@ -8,6 +8,8 @@ corrupted fills are shown to raise on read with the messages an eager
 check gives.
 """
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import refcat.duality as duality_mod
 import refcat.represent as represent_mod
 from refcat.duality import _cut
-from refcat.fincat import FunctorData, StructuralError, Table
+from refcat.fincat import FunctorData, StructuralError, Table, Triples
 from refcat.fixtures import (
     build_hoare,
     build_linctx,
@@ -134,7 +136,7 @@ def assert_tables_match(sys, push_bound=None):
     for e in range(T.n_morphisms):
         F = slice_action(sys, e)
         omap, mmap = dense_slice_action(sys, e)
-        assert F.object_map == omap and tuple(F.morphism_map) == mmap
+        assert tuple(F.object_map) == omap and tuple(F.morphism_map) == mmap
         for Q in sys.fiber(T.cod(e)):
             pulled = pull_psh(F, pos_rep(sys, Q))
             assert tables(pulled) == dense_pull(omap, mmap, refs[Q])
@@ -254,15 +256,47 @@ def test_corrupted_cut_rows_raise_on_read(monkeypatch):
         validate_presheaf(cut)
 
 
-def test_corrupted_slice_images_raise_on_read():
+def corrupted_slice_action(shift):
+    """A slice action of linctx into the slice of 3 whose target slice
+    has every entry of its morphism index moved by shift(entry, n)."""
     sys = build_linctx(default_linear_spec(), 3)
     e = next(e for e in range(sys.T.n_morphisms) if sys.T.cod(e) == 3 and sys.T.dom(e) == 2)
     S2 = slice_of(sys, 3)
-    for tag in S2.mor_index:
-        S2.mor_index[tag] += S2.cat.n_morphisms
-    F = slice_action(sys, e)  # the object map is read, no image is
-    with pytest.raises(StructuralError, match="morphism image out of range"):
+    n = S2.cat.n_morphisms
+    for i in range(len(S2.into)):
+        S2.into[i] = shift(S2.into[i], n)
+    return slice_action(sys, e)  # the object map is read, no image is
+
+
+SLICE_LOOKUP_ERROR = r"slice\(linctx(\^op)?,\d+\): no morphism .*#\d+->\d+"
+
+
+def test_corrupted_slice_images_raise_on_read():
+    F = corrupted_slice_action(lambda k, n: k + n)
+    with pytest.raises(StructuralError, match=SLICE_LOOKUP_ERROR):
         F.mor(0)
+
+
+def test_a_slice_index_entry_naming_another_morphism_raises_on_read():
+    # An entry moved to another morphism of the slice is in range; the tag
+    # check of the lookup still refuses it.
+    F = corrupted_slice_action(lambda k, n: (k + 1) % n)
+    with pytest.raises(StructuralError, match=SLICE_LOOKUP_ERROR):
+        F.mor(0)
+
+
+def test_a_tag_that_no_slice_morphism_carries_raises(linctx):
+    # A wrong source point, or a derivation into another refinement whose
+    # place in D.mor_in runs past the end of the index, is refused.
+    S, D = coslice_of(linctx, 3), linctx.op().D
+    alpha, s, u = S.mor_tags[0]
+    with pytest.raises(StructuralError, match=SLICE_LOOKUP_ERROR):
+        S.mor_of(alpha, s + 1, u)
+    last = S.cat.n_objects - 1
+    far = max(range(D.n_morphisms), key=D._in_pos().__getitem__)
+    assert S.in_off[last] + D._in_pos()[far] >= len(S.into)
+    with pytest.raises(StructuralError, match=SLICE_LOOKUP_ERROR):
+        S.mor_of(far, 0, last)
 
 
 def test_functor_images_from_a_source_are_checked_on_read(hoare):
@@ -278,6 +312,16 @@ def test_functor_images_from_a_source_are_checked_on_read(hoare):
     assert F.mor(1) == 1 and F.mor(1) == 1 and reads == [1]
     with pytest.raises(StructuralError, match="functor shifted: morphism image out of range"):
         F.mor(0)
+
+
+def test_triples_behave_like_a_tuple_of_triples():
+    t = Triples(array("i", [7, 8]), (0, 1), (1, 1))
+    assert len(t) == 2 and t[1] == (8, 1, 1) and t[-1] == (8, 1, 1)
+    assert list(t) == [(7, 0, 1), (8, 1, 1)]
+    assert t == ((7, 0, 1), (8, 1, 1)) == t and t == [(7, 0, 1), (8, 1, 1)]
+    assert t != ((7, 0, 1),) and t != ((7, 0, 1), (8, 1, 0))
+    with pytest.raises(IndexError):
+        t[2]
 
 
 def test_tables_behave_like_tuples():
