@@ -2,6 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or load error.
 Output is canonical: identical workspace and command give identical bytes.
+
+A command imports the layers it reaches inside the functions that use
+them, so a query never compiles the presheaf, representation or duality
+layers it does not run.
 """
 
 from __future__ import annotations
@@ -12,28 +16,9 @@ import sys as _sys
 
 from . import fixtures as fx
 from . import textio
-from .duality import (
-    dual_cross_check,
-    dual_left,
-    dual_right,
-    duality_check,
-    negative_encoding_check,
-    notnottensor_check,
-)
-from .fincat import SizeGuardExceeded, StructuralError
-from .refsys import RefinementSystem, adjunction_check, find_pullback, find_pushforward, rapp_check
+from .fincat import SIZE_GUARD, SizeGuardExceeded, StructuralError
 from .reports import CheckReport
-from .represent import (
-    SIZE_GUARD,
-    coslice_of,
-    factorization_check,
-    neg_rep,
-    pos_rep,
-    preservation_check,
-    representation_ff_check,
-    slice_of,
-)
-from .textio import LoadError, Workspace
+from .textio import LoadError
 
 class UsageError(Exception):
     pass
@@ -57,7 +42,7 @@ def _system_entry(ws: Workspace, name: str | None) -> tuple[str, RefinementSyste
     try:
         s = ws.the_system(name)
     except KeyError as exc:
-        raise UsageError(str(exc).strip("'\"")) from None
+        raise UsageError(exc.args[0]) from None
     for key, value in ws.systems.items():
         if value is s:
             return key, s
@@ -122,11 +107,17 @@ def _genday_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRep
     ]
 
 
-# side of a dual -> (the representation it dualizes, its dualizer)
-_DUALS = {"left": (pos_rep, dual_left), "right": (neg_rep, dual_right)}
+def _duals(side: str):
+    """The representation a dual of this side dualizes, and its dualizer."""
+    from .duality import dual_left, dual_right
+    from .represent import neg_rep, pos_rep
+
+    return (pos_rep, dual_left) if side == "left" else (neg_rep, dual_right)
 
 
 def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
+    from .duality import dual_cross_check, duality_check
+
     reports = [duality_check(s, Q) for Q in range(s.D.n_objects)]
     out = [
         _merge_reports(
@@ -144,7 +135,8 @@ def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
         for Q in range(s.D.n_objects):
             B = s.shape(Q)
             try:
-                for side, (rep, dual) in _DUALS.items():
+                for side in ("left", "right"):
+                    rep, dual = _duals(side)
                     inp = rep(s, Q)
                     dual_cross_check(s, B, inp, dual(s, B, inp), side)
             except StructuralError as exc:
@@ -156,6 +148,9 @@ def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
 
 
 def _negenc_suite(s: RefinementSystem) -> list[CheckReport]:
+    from .duality import negative_encoding_check
+    from .refsys import find_pushforward
+
     data = fx.linctx_data(s)
     if data is not None:
         mc = data[0]
@@ -194,6 +189,8 @@ def _negenc_suite(s: RefinementSystem) -> list[CheckReport]:
 
 
 def _notnot_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
+    from .duality import notnottensor_check
+
     if key not in ws.monoids:
         return [
             _skip_report(
@@ -219,6 +216,8 @@ def _notnot_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRep
 
 
 def _rapp_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
+    from .refsys import adjunction_check, rapp_check
+
     adj = None
     for name, cand in ws.adjunctions.items():
         if cand.s is s or cand.e is s or name == key:
@@ -235,13 +234,31 @@ def _rapp_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRepor
     return [adjunction_check(adj), rapp_check(adj)]
 
 
+def _ff_suite(s: RefinementSystem) -> list[CheckReport]:
+    from .represent import representation_ff_check
+
+    return [representation_ff_check(s)]
+
+
+def _preservation_suite(s: RefinementSystem) -> list[CheckReport]:
+    from .represent import preservation_check
+
+    return [preservation_check(s)]
+
+
+def _factorization_suite(s: RefinementSystem, size_guard: int) -> list[CheckReport]:
+    from .represent import factorization_check
+
+    return [factorization_check(s, size_guard)]
+
+
 # Every suite, in the order `all` runs them: name -> reports for
 # (workspace, system key, system, size guard, cross-check flag).
 SUITES = {
     "laws": lambda ws, key, s, guard, cross: [_laws_report(s)],
-    "ff": lambda ws, key, s, guard, cross: [representation_ff_check(s)],
-    "preservation": lambda ws, key, s, guard, cross: [preservation_check(s)],
-    "factorization": lambda ws, key, s, guard, cross: [factorization_check(s, guard)],
+    "ff": lambda ws, key, s, guard, cross: _ff_suite(s),
+    "preservation": lambda ws, key, s, guard, cross: _preservation_suite(s),
+    "factorization": lambda ws, key, s, guard, cross: _factorization_suite(s, guard),
     "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s),
     "duality": lambda ws, key, s, guard, cross: _duality_suite(s, cross),
     "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s),
@@ -351,6 +368,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_slice(args, co: bool) -> int:
+    from .represent import coslice_of, slice_of
+
     ws = textio.load(args.file)
     _, s = _system_entry(ws, args.system)
     B = _resolve_obj(s.T, args.base, "base object")
@@ -370,6 +389,8 @@ def _cmd_slice(args, co: bool) -> int:
 
 
 def _cmd_represent(args) -> int:
+    from .represent import neg_rep, pos_rep
+
     ws = textio.load(args.file)
     _, s = _system_entry(ws, args.system)
     if args.pos is not None:
@@ -384,6 +405,8 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_lift(args, direction: str) -> int:
+    from .refsys import find_pullback, find_pushforward
+
     ws = textio.load(args.file)
     _, s = _system_entry(ws, args.system)
     c = _resolve_mor(s.T, args.c, "base morphism")
@@ -426,11 +449,13 @@ def _cmd_lift(args, direction: str) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .duality import dual_cross_check
+
     ws = textio.load(args.file)
     _, s = _system_entry(ws, args.system)
     side = "left" if args.left is not None else "right"
     X = _resolve_obj(s.D, getattr(args, side), "refinement")
-    rep, dual = _DUALS[side]
+    rep, dual = _duals(side)
     inp = rep(s, X)
     out = dual(s, s.shape(X), inp)
     if args.cross_check:
@@ -466,7 +491,7 @@ def _cmd_fixtures(args) -> int:
     if kind not in textio.FIXTURE_KINDS:
         raise UsageError(f"unknown fixture {kind!r} (one of {', '.join(textio.FIXTURE_KINDS)})")
     params = {"seed": args.seed} if kind == "random" else {}
-    ws = Workspace()
+    ws = textio.Workspace()
     textio.build_fixture(ws, kind, kind, params, "generated")
     if args.json:
         payload = {
@@ -595,7 +620,7 @@ def main(argv=None) -> int:
         if args.command == "fixtures":
             return _cmd_fixtures(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, LoadError, StructuralError, SizeGuardExceeded, FileNotFoundError) as exc:
+    except (UsageError, LoadError, StructuralError, SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

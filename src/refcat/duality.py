@@ -34,7 +34,6 @@ of its input and the curried pairing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .fincat import (
     SizeGuardExceeded,
@@ -82,7 +81,6 @@ from .represent import (
 PAIRING_GUARD = 200000
 
 
-@dataclass(eq=False)
 class Pairing:
     """The pairing of the slice and the coslice of B through derivations,
     ((P,c),(d,R)) |-> the derivations of (P, c;d, R), read as two-argument
@@ -92,11 +90,12 @@ class Pairing:
     `sys.derivations_unchecked`; the position maps the rows need are kept
     on first use."""
 
-    sys: RefinementSystem
-    slice: SliceCategory
-    coslice: SliceCategory
+    __slots__ = ("sys", "slice", "coslice", "_pos")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sys: RefinementSystem, slice: SliceCategory, coslice: SliceCategory):
+        self.sys = sys
+        self.slice = slice
+        self.coslice = coslice
         self._pos: dict[tuple[int, int], dict[int, int]] = {}
 
     def ders(self, i: int, j: int) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ error, never a silent None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -32,19 +31,29 @@ class SizeGuardExceeded(Exception):
         self.guard = guard
 
 
-@dataclass
+# The default bound on a guarded construction (the comma category's objects
+# and morphisms): past it, the construction is skipped with the size it
+# would have.
+SIZE_GUARD = 60000
+
+
 class Violation:
-    law: str
-    detail: str
+    __slots__ = ("law", "detail")
+
+    def __init__(self, law: str, detail: str):
+        self.law = law
+        self.detail = detail
 
     def __str__(self) -> str:
         return f"{self.law}: {self.detail}"
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("subject", "violations")
+
+    def __init__(self, subject: str):
+        self.subject = subject
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:
@@ -464,7 +473,6 @@ def _componentwise(cat: "CommaCategory", report: ValidationReport) -> None:
                 report.add(law, f"{names[f]};{names[g]} = {names[h]} is not componentwise")
 
 
-@dataclass(eq=False)
 class FunctorData:
     """A functor as object and morphism index tables.
 
@@ -475,13 +483,21 @@ class FunctorData:
     checked there.  A tuple is read with no wrapper, which matters where
     every image is read many times (the tensor-of-tags functors)."""
 
-    name: str
-    source: FinCategory
-    target: FinCategory
-    object_map: Sequence[int]
-    morphism_map: tuple[int, ...] | Table
+    __slots__ = ("name", "source", "target", "object_map", "morphism_map")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        source: FinCategory,
+        target: FinCategory,
+        object_map: Sequence[int],
+        morphism_map: tuple[int, ...] | Callable[[int], int],
+    ):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.object_map = object_map
+        self.morphism_map = morphism_map
         lazy = callable(self.morphism_map)
         if len(self.object_map) != self.source.n_objects:
             raise StructuralError(f"functor {self.name}: object map has wrong length")
@@ -616,14 +632,22 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
     )
 
 
-@dataclass(eq=False)
 class NatTransData:
     """A natural transformation as a component table indexed by source objects."""
 
-    name: str
-    source_functor: FunctorData
-    target_functor: FunctorData
-    components: tuple[int, ...]
+    __slots__ = ("name", "source_functor", "target_functor", "components")
+
+    def __init__(
+        self,
+        name: str,
+        source_functor: FunctorData,
+        target_functor: FunctorData,
+        components: tuple[int, ...],
+    ):
+        self.name = name
+        self.source_functor = source_functor
+        self.target_functor = target_functor
+        self.components = components
 
     def component(self, a: int) -> int:
         return self.components[a]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import (
     FinCategory,
@@ -28,7 +28,6 @@ from .fincat import (
     identity_functor,
     product,
 )
-from .psh import push_psh
 from .refsys import (
     MonoidalRefinementSystem,
     MonoidalStructure,
@@ -38,7 +37,6 @@ from .refsys import (
     find_pushforward,
 )
 from .reports import CheckReport
-from .represent import MonoidObject, pos_rep, slice_action, slice_of
 
 
 def _raise_if_invalid(report: ValidationReport) -> None:
@@ -51,7 +49,6 @@ def _raise_if_invalid(report: ValidationReport) -> None:
 # Hoare logic over a finite state space
 
 
-@dataclass
 class HoareSpec:
     """A finite state space with named commands.
 
@@ -61,10 +58,13 @@ class HoareSpec:
     monoid is closed by construction, bounded by `closure_bound`.
     """
 
-    states: tuple[str, ...]
-    generators: dict[str, dict[str, str]]
-    predicates: tuple[tuple[str, ...], ...] | None = None
-    closure_bound: int = 64
+    __slots__ = ("states", "generators", "predicates", "closure_bound")
+
+    def __init__(self, states, generators, predicates=None, closure_bound=64):
+        self.states: tuple[str, ...] = states
+        self.generators: dict[str, dict[str, str]] = generators
+        self.predicates: tuple[tuple[str, ...], ...] | None = predicates
+        self.closure_bound = closure_bound
 
 
 def _transformer_monoid(spec: HoareSpec) -> tuple[list[str], list[tuple[int, ...]], dict[tuple[int, ...], int]]:
@@ -228,8 +228,7 @@ def default_hoare_spec() -> HoareSpec:
 # Truncated linear contexts over a multicategory
 
 
-@dataclass(frozen=True)
-class MultiMorphism:
+class MultiMorphism(NamedTuple):
     """A rule with a multiset of source formulas and one target formula.
     Sources are canonicalized: sorted by formula declaration order."""
 
@@ -238,19 +237,20 @@ class MultiMorphism:
     target: str
 
 
-@dataclass
 class TensorDecl:
     """A declared tensor A (x) B with its left-introduction bijection:
     `table` maps each rule consuming both A and B to the rule consuming
     A (x) B instead, and must be a bijection between those two rule sets."""
 
-    left: str
-    right: str
-    tensor: str
-    table: dict[str, str]
+    __slots__ = ("left", "right", "tensor", "table")
+
+    def __init__(self, left: str, right: str, tensor: str, table: dict[str, str]):
+        self.left = left
+        self.right = right
+        self.tensor = tensor
+        self.table = table
 
 
-@dataclass
 class MulticategorySpec:
     """Formulas and rules, with the identity rule of each formula named in
     `identities`.
@@ -261,10 +261,13 @@ class MulticategorySpec:
     under an identity to that rule, and there is no other composite.
     """
 
-    formulas: tuple[str, ...]
-    multimorphisms: tuple[MultiMorphism, ...]
-    identities: dict[str, str]
-    tensors: tuple[TensorDecl, ...] = ()
+    __slots__ = ("formulas", "multimorphisms", "identities", "tensors")
+
+    def __init__(self, formulas, multimorphisms, identities, tensors=()):
+        self.formulas: tuple[str, ...] = formulas
+        self.multimorphisms: tuple[MultiMorphism, ...] = multimorphisms
+        self.identities: dict[str, str] = identities
+        self.tensors: tuple[TensorDecl, ...] = tensors
 
 
 def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
@@ -315,13 +318,11 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
             if f not in mc.formulas:
                 report.add("tensor declaration", f"unknown formula {f}")
                 return report
-        def _count(source, f):
-            return sum(1 for x in source if x == f)
         need = 2 if decl.left == decl.right else 1
         domain = [
             mm.name
             for mm in mc.multimorphisms
-            if _count(mm.source, decl.left) >= need and _count(mm.source, decl.right) >= 1
+            if mm.source.count(decl.left) >= need and decl.right in mm.source
         ]
         codomain = [
             mm.name for mm in mc.multimorphisms if decl.tensor in mm.source
@@ -528,6 +529,8 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
     pushforward of the positive side does not: at the context [A*B] the
     pushed set is empty while the positive representation is not."""
     from .duality import negative_encoding_check
+    from .psh import push_psh
+    from .represent import pos_rep, slice_action, slice_of
 
     data = linctx_data(sys)
     if data is None:
@@ -587,8 +590,7 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
 # Lattice maps as posetal monoidal systems
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(NamedTuple):
     """A finite meet-semilattice with top, as elements and the full order
     relation (pairs (x, y) with x <= y, reflexive and transitive)."""
 
@@ -683,19 +685,20 @@ def _meet_monoid(cat: FinCategory, mindex, meet, top) -> MonoidalStructure:
     )
 
 
-@dataclass(eq=False)
 class LatticeSystem:
     """A monotone meet-preserving map as a monoidal refinement system,
-    with every element carrying its idempotent-meet monoid structure."""
+    with every element carrying its idempotent-meet monoid structure.
+    The indexes map element names, and order pairs (i, j) with i <= j, to
+    the objects and morphisms of the refinement and base categories."""
 
-    mrs: MonoidalRefinementSystem
-    monoids: tuple[MonoidObject, ...]
-    src: LatticeSpec
-    tgt: LatticeSpec
-    ref_index: dict[str, int]
-    base_index: dict[str, int]
-    ref_mors: dict[tuple[int, int], int]
-    base_mors: dict[tuple[int, int], int]
+    __slots__ = ("mrs", "monoids", "src", "tgt", "ref_index", "base_index", "ref_mors", "base_mors")
+
+    def __init__(self, mrs, monoids, src, tgt, ref_index, base_index, ref_mors, base_mors):
+        self.mrs: MonoidalRefinementSystem = mrs
+        self.monoids: tuple[MonoidObject, ...] = monoids
+        self.src, self.tgt = src, tgt
+        self.ref_index, self.base_index = ref_index, base_index
+        self.ref_mors, self.base_mors = ref_mors, base_mors
 
     @property
     def sys(self) -> RefinementSystem:
@@ -709,6 +712,8 @@ def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> 
     element, so the projection is strict monoidal.  Residuals, where the
     target lattice has them, are found by search, and every element is a
     monoid object through its idempotent meet."""
+    from .represent import MonoidObject
+
     D, didx, dmors, dmeet, dtop = _lattice_category(src)
     T, tidx, tmors, tmeet, ttop = _lattice_category(tgt)
     if sorted(t_map) != sorted(src.elements):
@@ -844,8 +849,7 @@ def galois_fixture() -> RefSysAdjunction:
 # Seeded random systems
 
 
-@dataclass(frozen=True)
-class RandomBounds:
+class RandomBounds(NamedTuple):
     """Bounds for the generator; the defaults keep every derived
     construction exhaustively checkable."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .fincat import (
@@ -198,7 +197,6 @@ def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
     return pulled
 
 
-@dataclass(eq=False)
 class PushResult:
     """Pushforward presheaf plus the coend bookkeeping.
 
@@ -209,9 +207,17 @@ class PushResult:
     of (a, id, x).
     """
 
-    presheaf: Presheaf
-    reps: tuple[tuple[tuple[int, int, int], ...], ...]
-    unit: tuple[tuple[int, ...], ...]
+    __slots__ = ("presheaf", "reps", "unit")
+
+    def __init__(
+        self,
+        presheaf: Presheaf,
+        reps: tuple[tuple[tuple[int, int, int], ...], ...],
+        unit: tuple[tuple[int, ...], ...],
+    ):
+        self.presheaf = presheaf
+        self.reps = reps
+        self.unit = unit
 
 
 def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
@@ -557,15 +563,24 @@ def natural_families(
     return [_on_objects(fam, support, A.n_objects) for fam in fams]
 
 
-@dataclass(eq=False)
 class PshDerivation:
     """A derivation between presheaves: base functor plus component tables."""
 
-    name: str
-    source: Presheaf
-    target: Presheaf
-    functor: FunctorData | None  # None means vertical (identity on a shared base)
-    components: tuple[tuple[int, ...], ...]
+    __slots__ = ("name", "source", "target", "functor", "components")
+
+    def __init__(
+        self,
+        name: str,
+        source: Presheaf,
+        target: Presheaf,
+        functor: FunctorData | None,
+        components: tuple[tuple[int, ...], ...],
+    ):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.functor = functor  # None means vertical (identity on a shared base)
+        self.components = components
 
     def apply(self, a: int, x: int) -> int:
         return self.components[a][x]

@@ -15,7 +15,6 @@ counit half of `adjunction_check` and all of `lapp_check` run on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .fincat import (
@@ -182,7 +181,6 @@ class RefinementSystem:
 # cartesian / opcartesian lifts
 
 
-@dataclass
 class LiftCertificate:
     """Witness that a derivation is a (op)cartesian lift.
 
@@ -193,12 +191,17 @@ class LiftCertificate:
     factoring problems that were solved during certification.
     """
 
-    direction: str  # "pullback" | "pushforward"
-    c: int
-    subject: int
-    result: int
-    structural: int
-    tests: int
+    __slots__ = ("direction", "c", "subject", "result", "structural", "tests")
+
+    def __init__(
+        self, direction: str, c: int, subject: int, result: int, structural: int, tests: int
+    ):
+        self.direction = direction  # "pullback" | "pushforward"
+        self.c = c
+        self.subject = subject
+        self.result = result
+        self.structural = structural
+        self.tests = tests
 
 
 def _by_source_and_base(sys: RefinementSystem, Q: int) -> dict[tuple[int, int], list[int]]:
@@ -304,12 +307,6 @@ def is_fibration(sys: RefinementSystem) -> tuple[bool, list[tuple[int, int]]]:
     return (not missing, missing)
 
 
-def is_opfibration(sys: RefinementSystem) -> tuple[bool, list[tuple[int, int]]]:
-    """True when every (c, P) with P refining dom c has a pushforward:
-    a fibration of the opposite system."""
-    return is_fibration(sys.op())
-
-
 def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
     """Functoriality and monotonicity of pullback and pushforward.
 
@@ -392,16 +389,25 @@ def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
 # morphisms of refinement systems
 
 
-@dataclass
 class RefSysMorphism:
     """A pair of functors (on_ref : D -> D', on_base : T -> T') commuting
     with the projections: t' . on_ref == on_base . t."""
 
-    name: str
-    source: RefinementSystem
-    target: RefinementSystem
-    on_ref: FunctorData
-    on_base: FunctorData
+    __slots__ = ("name", "source", "target", "on_ref", "on_base")
+
+    def __init__(
+        self,
+        name: str,
+        source: RefinementSystem,
+        target: RefinementSystem,
+        on_ref: FunctorData,
+        on_base: FunctorData,
+    ):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.on_ref = on_ref
+        self.on_base = on_base
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(subject=f"refinement-system morphism {self.name}")
@@ -481,7 +487,6 @@ def fully_faithful_check(m: RefSysMorphism) -> CheckReport:
 # adjunctions of refinement systems
 
 
-@dataclass
 class RefSysAdjunction:
     """An adjunction living over an adjunction.
 
@@ -491,13 +496,27 @@ class RefSysAdjunction:
     the former onto the latter componentwise.
     """
 
-    name: str
-    left: RefSysMorphism
-    right: RefSysMorphism
-    unit_ref: NatTransData
-    counit_ref: NatTransData
-    unit_base: NatTransData
-    counit_base: NatTransData
+    __slots__ = (
+        "name", "left", "right", "unit_ref", "counit_ref", "unit_base", "counit_base"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        left: RefSysMorphism,
+        right: RefSysMorphism,
+        unit_ref: NatTransData,
+        counit_ref: NatTransData,
+        unit_base: NatTransData,
+        counit_base: NatTransData,
+    ):
+        self.name = name
+        self.left = left
+        self.right = right
+        self.unit_ref = unit_ref
+        self.counit_ref = counit_ref
+        self.unit_base = unit_base
+        self.counit_base = counit_base
 
     @property
     def s(self) -> RefinementSystem:
@@ -921,16 +940,6 @@ def find_left_residual(
     return None
 
 
-def find_right_residual(
-    mon: MonoidalStructure, b: int, c: int
-) -> tuple[int, int] | None:
-    """The right residual of b and c: an object x with plug : x (x) b -> c
-    such that u |-> (u (x) id_b) ; plug is a bijection hom(a, x) ->
-    hom(a (x) b, c) for every a.  It is the left residual of the reversed
-    tensor."""
-    return find_left_residual(mon.reversed(), b, c)
-
-
 def _bijective_by_composite(images: list[int], target: tuple[int, ...]) -> bool:
     """Do the composites `images` list every morphism of `target` once?"""
     return len(set(images)) == len(images) and set(images) == set(target)
@@ -957,23 +966,18 @@ def left_curry(
     return found
 
 
-def right_curry(
-    mon: MonoidalStructure, p: int, a: int, b: int, x: int, plug: int
-) -> int:
-    """Transpose p : a (x) b -> c through a certified right residual (x,
-    plug : x (x) b -> c): the unique u : a -> x with (u (x) id_b) ; plug = p.
-    It is the left transpose of the reversed tensor."""
-    return left_curry(mon.reversed(), p, b, a, x, plug)
-
-
-@dataclass(eq=False)
 class MonoidalRefinementSystem:
     """A refinement system whose projection is a strict monoidal functor."""
 
-    sys: RefinementSystem
-    mon_ref: MonoidalStructure  # on D
-    mon_base: MonoidalStructure  # on T
-    _reversed: MonoidalRefinementSystem | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("sys", "mon_ref", "mon_base", "_reversed")
+
+    def __init__(
+        self, sys: RefinementSystem, mon_ref: MonoidalStructure, mon_base: MonoidalStructure
+    ):
+        self.sys = sys
+        self.mon_ref = mon_ref  # on D
+        self.mon_base = mon_base  # on T
+        self._reversed: MonoidalRefinementSystem | None = None
 
     def reversed(self) -> MonoidalRefinementSystem:
         """The same system with both tensors reversed, built once."""

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
     """Outcome of one verification pass.
 
@@ -15,22 +12,21 @@ class CheckReport:
     is kept, fully rendered.
     """
 
-    name: str
-    statement: str
-    attempted: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    counterexample: str | None = None
-    skip_reasons: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    # The texts of the two lists as sets, so a repeat is found without a scan.
-    _skip_seen: set[str] = field(init=False, repr=False, compare=False)
-    _notes_seen: set[str] = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "name", "statement", "attempted", "passed", "failed", "skipped",
+        "counterexample", "skip_reasons", "notes", "_skip_seen", "_notes_seen",
+    )
 
-    def __post_init__(self) -> None:
-        self._skip_seen = set(self.skip_reasons)
-        self._notes_seen = set(self.notes)
+    def __init__(self, name: str, statement: str):
+        self.name = name
+        self.statement = statement
+        self.attempted = self.passed = self.failed = self.skipped = 0
+        self.counterexample: str | None = None
+        self.skip_reasons: list[str] = []
+        self.notes: list[str] = []
+        # The texts of the two lists as sets, so a repeat is found without a scan.
+        self._skip_seen: set[str] = set()
+        self._notes_seen: set[str] = set()
 
     @property
     def ok(self) -> bool:

@@ -33,7 +33,6 @@ import functools
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 from .fincat import (
@@ -41,6 +40,7 @@ from .fincat import (
     CommaCategory,
     FinCategory,
     FunctorData,
+    SIZE_GUARD,
     ProductCategory,
     SizeGuardExceeded,
     StructuralError,
@@ -472,12 +472,7 @@ def _ff_failure(
 # ---------------------------------------------------------------------------
 # Factorization through pointed categories and through the comma category
 
-# The default bound on the comma category's objects and morphisms: past it
-# the comma route of factorization is skipped, with the size it would have.
-SIZE_GUARD = 60000
 
-
-@dataclass(eq=False)
 class CommaSystem:
     """The comma category of t over its base, as a refinement system.
 
@@ -485,12 +480,15 @@ class CommaSystem:
     morphisms are tagged (alpha, e, src, tgt) with c_src ; e = t(alpha) ;
     c_tgt.  The projection onto the e-component is the system's shape."""
 
-    sys: RefinementSystem
-    obj_tags: tuple[tuple[int, int], ...]
-    mor_tags: tuple[tuple[int, int, int, int], ...]
-    obj_index: dict[tuple[int, int], int]
-    mor_index: dict[tuple[int, int, int, int], int]
-    embed: RefSysMorphism
+    __slots__ = ("sys", "obj_tags", "mor_tags", "obj_index", "mor_index", "embed")
+
+    def __init__(self, sys, obj_tags, mor_tags, obj_index, mor_index, embed):
+        self.sys = sys
+        self.obj_tags = obj_tags
+        self.mor_tags = mor_tags
+        self.obj_index = obj_index
+        self.mor_index = mor_index
+        self.embed = embed
 
 
 def comma_morphism_count(base: RefinementSystem) -> int:
@@ -733,16 +731,18 @@ def preservation_check(sys: RefinementSystem) -> CheckReport:
 # Monoidal structure on slices
 
 
-@dataclass(eq=False)
 class MonoidObject:
     """A monoid in the base of a monoidal refinement system: an object W
     with multiplication p : W (x) W -> W, and optionally a unit morphism
     from the tensor unit.  Laws are validated, never assumed."""
 
-    mrs: MonoidalRefinementSystem
-    W: int
-    p: int
-    unit_mor: int | None = None
+    __slots__ = ("mrs", "W", "p", "unit_mor")
+
+    def __init__(self, mrs, W: int, p: int, unit_mor: int | None = None):
+        self.mrs = mrs
+        self.W = W
+        self.p = p
+        self.unit_mor = unit_mor
 
     def validate(self) -> ValidationReport:
         T = self.mrs.sys.T
@@ -1027,11 +1027,6 @@ def fiber_residual_left(mrs: MonoidalRefinementSystem, mo: MonoidObject, P: int,
         return None
     _X, _plug, lam = data
     return find_pullback(mrs.sys, lam, strict[0])
-
-
-def fiber_residual_right(mrs: MonoidalRefinementSystem, mo: MonoidObject, Q: int, R: int):
-    """The fiber residual R o-_W Q: the left one for the reversed tensors."""
-    return fiber_residual_left(mrs.reversed(), mo, Q, R)
 
 
 def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckReport:

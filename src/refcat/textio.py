@@ -32,17 +32,8 @@ and every value validates.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .fincat import FinCategory, FunctorData, validate_functor
-from .psh import Presheaf, validate_presheaf
-from .refsys import (
-    MonoidalRefinementSystem,
-    RefinementSystem,
-    RefSysAdjunction,
-)
-from .represent import MonoidObject
+from .refsys import RefinementSystem
 from . import fixtures as fx
 
 _BLOCK_KEYWORDS = ("category", "functor", "refsys", "presheaf", "fixture")
@@ -59,27 +50,33 @@ FIXTURE_KINDS = {
 
 
 class LoadError(Exception):
-    """A parse or validation failure, located by file and line."""
+    """A parse or validation failure, located by file and line; line 0
+    stands for the whole file."""
 
     def __init__(self, path: str, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
+        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
         self.path = path
         self.line = line
         self.message = message
 
 
-@dataclass
 class Workspace:
     """Named values with provenance; names are unique across kinds."""
 
-    categories: dict[str, FinCategory] = field(default_factory=dict)
-    functors: dict[str, FunctorData] = field(default_factory=dict)
-    systems: dict[str, RefinementSystem] = field(default_factory=dict)
-    presheaves: dict[str, Presheaf] = field(default_factory=dict)
-    monoidal: dict[str, MonoidalRefinementSystem] = field(default_factory=dict)
-    monoids: dict[str, tuple[MonoidObject, ...]] = field(default_factory=dict)
-    adjunctions: dict[str, RefSysAdjunction] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
+    __slots__ = (
+        "categories", "functors", "systems", "presheaves",
+        "monoidal", "monoids", "adjunctions", "provenance",
+    )
+
+    def __init__(self) -> None:
+        self.categories: dict[str, FinCategory] = {}
+        self.functors: dict[str, FunctorData] = {}
+        self.systems: dict[str, RefinementSystem] = {}
+        self.presheaves: dict[str, Presheaf] = {}
+        self.monoidal: dict[str, MonoidalRefinementSystem] = {}
+        self.monoids: dict[str, tuple[MonoidObject, ...]] = {}
+        self.adjunctions: dict[str, RefSysAdjunction] = {}
+        self.provenance: dict[str, str] = {}
 
     def claim(self, name: str, where: str) -> None:
         if name in self.provenance:
@@ -262,6 +259,8 @@ def _build_functor(
 
 
 def _build_presheaf(name: str, header_line: int, base: FinCategory, body, path: str) -> Presheaf:
+    from .psh import Presheaf, validate_presheaf
+
     elements: dict[str, list[str]] = {}
     acts: dict[str, dict[str, str]] = {}
     for lineno, tok in body:
@@ -434,8 +433,15 @@ def loads(text: str, path: str = "<string>") -> Workspace:
 
 
 def load(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read and load a workspace file.  A file that cannot be read, or is
+    not UTF-8 text, is a load error of the whole file (line 0)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise LoadError(path, 0, exc.strerror or str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(path, 0, f"not UTF-8 text at byte {exc.start}") from None
     return loads(text, path)
 
 
@@ -555,4 +561,6 @@ def presheaf_to_dict(phi: Presheaf) -> dict:
 
 
 def to_json(value: dict | list) -> str:
+    import json
+
     return json.dumps(value, indent=2, sort_keys=True)

@@ -95,6 +95,22 @@ def test_missing_file_is_a_load_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_workspaces_are_load_errors(tmp_path, capsys):
+    # A directory, or a file that is not UTF-8, is reported like any other
+    # load error: one `error:` line and exit 2, no traceback.
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+    p = tmp_path / "utf16.fix"
+    p.write_bytes(b"\xff\xfef\x00i\x00")
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: not UTF-8 text at byte 0\n"
+
+
+def test_unknown_system_names_the_system_in_quotes(hoare_file, capsys):
+    assert main(["derive", hoare_file, "{s0}", "swap", "{s1}", "--system", "nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown system 'nope'\n"
+
+
 def test_unknown_suite_is_rejected_by_the_parser(hoare_file):
     with pytest.raises(SystemExit) as err:
         main(["verify", hoare_file, "nonsense"])

@@ -35,8 +35,9 @@ from refcat.fixtures import (
     tensorL_check,
     validate_multicategory,
 )
-from refcat.refsys import adjunction_check, is_fibration, is_opfibration, lapp_check, rapp_check
+from refcat.refsys import adjunction_check, is_fibration, lapp_check, rapp_check
 from tests.conftest import HOARE_FN, image_oracle, preimage_oracle
+from tests.test_refsys import is_opfibration
 from tests.test_represent import context_morphism_count
 
 STATES = ("s0", "s1")

@@ -1,6 +1,5 @@
 """Refinement systems: judgments, lifts against independent oracles, laws."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -35,17 +34,39 @@ from refcat.refsys import (
     find_left_residual,
     find_pullback,
     find_pushforward,
-    find_right_residual,
     fully_faithful_check,
     is_fibration,
-    is_opfibration,
     left_curry,
     pullpush_laws_check,
-    right_curry,
 )
 from refcat.represent import comma_system, slice_of
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
 from tests.test_fincat import discrete_category, reference_validate_functor
+
+
+# The mirror images of library constructions, read through `op()` or the
+# reversed tensor; only the tests ask for them.
+
+
+def is_opfibration(sys):
+    """True when every (c, P) with P refining dom c has a pushforward:
+    a fibration of the opposite system."""
+    return is_fibration(sys.op())
+
+
+def find_right_residual(mon, b, c):
+    """The right residual of b and c: an object x with plug : x (x) b -> c
+    such that u |-> (u (x) id_b) ; plug is a bijection hom(a, x) ->
+    hom(a (x) b, c) for every a.  It is the left residual of the reversed
+    tensor."""
+    return find_left_residual(mon.reversed(), b, c)
+
+
+def right_curry(mon, p, a, b, x, plug):
+    """Transpose p : a (x) b -> c through a certified right residual (x,
+    plug : x (x) b -> c): the unique u : a -> x with (u (x) id_b) ; plug = p.
+    It is the left transpose of the reversed tensor."""
+    return left_curry(mon.reversed(), p, b, a, x, plug)
 
 
 def test_hoare_shape_and_judgments(hoare):
@@ -218,24 +239,27 @@ def galois_copies(adj):
     """The adjunction with one unit or counit component, or one refined
     morphism image of F or G, replaced by each morphism of its category,
     the original one included: (changed?, copy) pairs."""
-    for name in ("unit_ref", "counit_ref", "unit_base", "counit_base"):
+    parts = ("left", "right", "unit_ref", "counit_ref", "unit_base", "counit_base")
+
+    def copy(**changed):
+        return RefSysAdjunction(adj.name, *(changed.get(p, getattr(adj, p)) for p in parts))
+
+    for name in parts[2:]:
         nt = getattr(adj, name)
         for a, old in enumerate(nt.components):
             for m in range(nt.target_functor.target.n_morphisms):
                 comps = nt.components[:a] + (m,) + nt.components[a + 1 :]
-                yield m != old, dataclasses.replace(
-                    adj, **{name: dataclasses.replace(nt, components=comps)}
-                )
-    for side in ("left", "right"):
+                tampered = NatTransData(nt.name, nt.source_functor, nt.target_functor, comps)
+                yield m != old, copy(**{name: tampered})
+    for side in parts[:2]:
         mor = getattr(adj, side)
         F = mor.on_ref
         for f, old in enumerate(F.morphism_map):
             for m in range(F.target.n_morphisms):
                 images = F.morphism_map[:f] + (m,) + F.morphism_map[f + 1 :]
                 G = FunctorData(F.name, F.source, F.target, F.object_map, images)
-                yield m != old, dataclasses.replace(
-                    adj, **{side: dataclasses.replace(mor, on_ref=G)}
-                )
+                tampered = RefSysMorphism(mor.name, mor.source, mor.target, G, mor.on_base)
+                yield m != old, copy(**{side: tampered})
 
 
 def test_adjunction_check_reports_triangles_that_do_not_compose():

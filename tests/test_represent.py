@@ -45,7 +45,6 @@ from refcat.represent import (
     coslice_of,
     factorization_check,
     fiber_residual_left,
-    fiber_residual_right,
     fiber_tensor,
     genday_check,
     m_derivation,
@@ -781,6 +780,11 @@ def test_monoid_lax_counts(collapse, ident):
     for mo in ident.monoids:
         rep = monoid_lax_check(ident.mrs, mo)
         assert (rep.failed, rep.skipped) == (0, 0)
+
+
+def fiber_residual_right(mrs, mo, Q, R):
+    """The fiber residual R o-_W Q: the left one for the reversed tensors."""
+    return fiber_residual_left(mrs.reversed(), mo, Q, R)
 
 
 def test_fiber_residuals_agree_on_a_commutative_tensor(collapse):
