@@ -23,20 +23,20 @@ _PUBLIC = {
     "fincat": """FinCategory FunctorData NatTransData SizeGuardExceeded
         StructuralError ValidationReport""",
     "refsys": """LiftCertificate MonoidalRefinementSystem MonoidalStructure
-        RefinementSystem RefSysAdjunction RefSysMorphism adjunction_check
-        find_pullback find_pushforward rapp_check""",
+        MonoidObject RefinementSystem RefSysAdjunction RefSysMorphism
+        adjunction_check find_pullback find_pushforward rapp_check""",
     "reports": "CheckReport",
     "psh": "Presheaf PshDerivation pull_psh push_psh",
-    "represent": """MonoidObject slice_of coslice_of pos_rep neg_rep
+    "represent": """slice_of coslice_of pos_rep neg_rep
         representation_ff_check preservation_check factorization_check
         genday_check monoid_lax_check""",
     "duality": """dual_left dual_right dual_cross_check duality_check
         dual_adjunction_check negative_encoding_check notpush_check
-        notnottensor_check""",
+        notnottensor_check tensorL_check""",
     "fixtures": """HoareSpec MultiMorphism MulticategorySpec TensorDecl
         LatticeSpec RandomBounds build_hoare hoare_sp hoare_wp
         default_hoare_spec build_linctx default_linear_spec
-        validate_multicategory tensorL_check fin_skeleton build_lattice
+        validate_multicategory fin_skeleton build_lattice
         collapse_lattice_fixture identity_lattice_fixture galois_fixture
         random_refsys bang_system""",
     "textio": "Workspace LoadError load loads",

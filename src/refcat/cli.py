@@ -148,7 +148,7 @@ def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
 
 
 def _negenc_suite(s: RefinementSystem) -> list[CheckReport]:
-    from .duality import negative_encoding_check
+    from .duality import negative_encoding_check, tensorL_check
     from .refsys import find_pushforward
 
     data = fx.linctx_data(s)
@@ -162,7 +162,7 @@ def _negenc_suite(s: RefinementSystem) -> list[CheckReport]:
                     "no tensor declarations in the multicategory",
                 )
             ]
-        return [fx.tensorL_check(s, d.left, d.right) for d in mc.tensors]
+        return [tensorL_check(s, d.left, d.right) for d in mc.tensors]
     reports = []
     for c in range(s.T.n_morphisms):
         for P in s.fiber(s.T.dom(c)):

@@ -57,7 +57,6 @@ from .psh import (
 from .refsys import MonoidalRefinementSystem, RefinementSystem, find_pushforward
 from .reports import CheckReport
 from .represent import (
-    MonoidObject,
     SliceCategory,
     _derivation_row,
     coslice_action,
@@ -588,6 +587,67 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
         + ("yes" if vertical_iso_psh(pushed, target) else "no")
     )
     return rep
+
+
+def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
+    """The declared tensor agrees with the pushforward of the two-formula
+    context along 2 -> 1, its double dual recovers it, and a single
+    pushforward of the positive side does not: at the context [A*B] the
+    pushed set is empty while the positive representation is not."""
+    from .fixtures import linctx_data
+
+    data = linctx_data(sys)
+    if data is None:
+        raise StructuralError("tensorL_check needs a system built by build_linctx")
+    mc, _K, ctx_index, u_index = data
+    decl = None
+    for d in mc.tensors:
+        if {d.left, d.right} == {A, B}:
+            decl = d
+            break
+    if decl is None:
+        raise StructuralError(f"missing tensor declaration for ({A},{B})")
+    report = CheckReport(
+        name=f"tensorL:{A},{B}",
+        statement="the declared tensor is the pushforward of the paired "
+        "context along 2 -> 1 and is recovered by double dualization, "
+        "while one pushforward alone is not isomorphic to it",
+    )
+    fidx = {f: i for i, f in enumerate(mc.formulas)}
+    pair_ctx = ctx_index[tuple(sorted((fidx[A], fidx[B])))]
+    tens_ctx = ctx_index[(fidx[decl.tensor],)]
+    mu = u_index[(2, 1, (0, 0))]
+    cert = find_pushforward(sys, mu, pair_ctx)
+    report.check(cert is not None, "no pushforward of the paired context")
+    if cert is None:
+        return report
+    same = cert.result == tens_ctx or sys.vertical_iso(cert.result, tens_ctx) is not None
+    report.check(
+        same,
+        f"pushforward lands at {sys.D.object_name(cert.result)}, "
+        f"not {sys.D.object_name(tens_ctx)}",
+    )
+    sub = negative_encoding_check(sys, mu, pair_ctx)
+    report.check(sub.ok, sub.counterexample or "negative encoding failed")
+    report.note(f"negative encoding: {sub.passed}/{sub.attempted} clauses")
+
+    S1 = slice_of(sys, 1)
+    x = S1.obj_index[(tens_ctx, sys.T.id_of(1))]
+    pushed = push_psh(slice_action(sys, mu), pos_rep(sys, pair_ctx))
+    direct = pos_rep(sys, tens_ctx)
+    report.check(
+        pushed.size(x) == 0,
+        f"pushed set at {S1.obj_name(x)} has {pushed.size(x)} elements",
+    )
+    report.check(
+        direct.size(x) >= 1,
+        f"positive representation at {S1.obj_name(x)} is empty",
+    )
+    report.note(
+        f"at {S1.obj_name(x)}: single push has {pushed.size(x)} elements, "
+        f"the representation has {direct.size(x)}"
+    )
+    return report
 
 
 def notnottensor_check(

@@ -150,13 +150,13 @@ class FinCategory:
     """A finite category given by explicit tables.
 
     `compose` may be a dict over composable pairs (hand-written tables), a
-    callable (opposites, products and slices), or None for a subclass that
-    fills its rows itself by overriding `_row` (`CommaCategory`).  Either
-    way composition is read from one row per morphism f: the composites
-    f;g for g in mor_out(cod f), in that order.  A row is filled once, on
-    first use, so a large derived table is only ever computed for the
-    morphisms something composes.  A pair missing from a dict is stored
-    as -1 and raises on use.
+    callable (opposites, products, slices and `tagged_category`), or None
+    for a subclass that fills its rows itself by overriding `_row`
+    (`CommaCategory`).  Either way composition is read from one row per
+    morphism f: the composites f;g for g in mor_out(cod f), in that order.
+    A row is filled once, on first use, so a large derived table is only
+    ever computed for the morphisms something composes.  A pair missing
+    from a dict is stored as -1 and raises on use.
 
     Morphisms are given as (name, dom, cod) triples or as `Arrows`
     columns, which are kept as given; object names may be a `Table`.
@@ -760,6 +760,38 @@ class ProductCategory(FinCategory):
 
 def product(left: FinCategory, right: FinCategory) -> ProductCategory:
     return ProductCategory(left, right)
+
+
+def tagged_category(
+    name: str,
+    objects: Sequence[str],
+    tags: Sequence[tuple],
+    names: Sequence[str],
+    identity: Iterable[tuple],
+    combine: Callable[[tuple, tuple], tuple],
+) -> FinCategory:
+    """The category whose morphisms are the distinct `tags` (dom, cod, ...),
+    in order, named by `names`.  The identity of object a is the morphism
+    tagged identity[a]; an identity tag no morphism carries is a
+    StructuralError.  f;g is the morphism tagged combine(tag f, tag g),
+    read when a row is filled; a composite tag no morphism carries is
+    stored as -1, so `validate_category` reports it as a
+    composition-totality violation.  The tags and their index are kept
+    as `mor_tags` and `mor_index`."""
+    tags = tuple(tags)
+    index = {tag: k for k, tag in enumerate(tags)}
+    if len(index) != len(tags):
+        raise StructuralError(f"{name}: {len(tags) - len(index)} tag(s) repeated")
+    get = index.get
+    cat = FinCategory(
+        name,
+        objects,
+        Arrows(tuple(names), tuple(tag[0] for tag in tags), tuple(tag[1] for tag in tags)),
+        [get(tag, -1) for tag in identity],
+        lambda f, g: get(combine(tags[f], tags[g]), -1),
+    )
+    cat.mor_tags, cat.mor_index = tags, index
+    return cat
 
 
 class CommaCategory(FinCategory):

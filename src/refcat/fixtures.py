@@ -9,7 +9,10 @@ meet, and a Galois connection lifted to a full adjunction of systems),
 and a seeded random generator for property tests.
 
 All builders are deterministic: element orders come from the input data,
-never from hashing.
+never from hashing.  Every category but the point is a
+`fincat.tagged_category`: its morphisms are tags (dom, cod, ...) and a
+composite is the morphism carrying the combined tag, so no builder
+writes a composition table.
 """
 
 from __future__ import annotations
@@ -19,30 +22,37 @@ import random
 from typing import NamedTuple
 
 from .fincat import (
+    SIZE_GUARD,
     FinCategory,
     FunctorData,
     NatTransData,
+    SizeGuardExceeded,
     StructuralError,
     ValidationReport,
     compose_functors,
     identity_functor,
     product,
+    tagged_category,
 )
 from .refsys import (
     MonoidalRefinementSystem,
     MonoidalStructure,
+    MonoidObject,
     RefinementSystem,
     RefSysAdjunction,
     RefSysMorphism,
-    find_pushforward,
 )
-from .reports import CheckReport
 
 
 def _raise_if_invalid(report: ValidationReport) -> None:
     if not report.ok:
         first = report.violations[0]
         raise StructuralError(f"{report.subject}: {first.law}: {first.detail}")
+
+
+def _then(f: tuple, g: tuple) -> tuple:
+    """The tag of f;g for maps tagged (dom, cod, image tuple): g after f."""
+    return (f[0], g[1], tuple(g[2][x] for x in f[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +77,7 @@ class HoareSpec:
         self.closure_bound = closure_bound
 
 
-def _transformer_monoid(spec: HoareSpec) -> tuple[list[str], list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+def _transformer_monoid(spec: HoareSpec) -> tuple[list[str], list[tuple[int, ...]]]:
     """Close the generators under composition.
 
     Elements are function tables (tuples over state indices); names are
@@ -106,7 +116,7 @@ def _transformer_monoid(spec: HoareSpec) -> tuple[list[str], list[tuple[int, ...
                     funcs.append(comp)
                     fresh.append(index[comp])
         frontier = fresh
-    return names, funcs, index
+    return names, funcs
 
 
 def _predicate_list(spec: HoareSpec) -> list[frozenset[int]]:
@@ -138,45 +148,34 @@ def build_hoare(spec: HoareSpec) -> RefinementSystem:
     predicates, with exactly one morphism (P, c) -> Q when c maps P into
     Q.  The projection forgets the predicates.  The resulting system is
     thin, a fibration, and an opfibration."""
-    names, funcs, _ = _transformer_monoid(spec)
-    compose_t = {}
-    findex = {f: i for i, f in enumerate(funcs)}
-    for i, f in enumerate(funcs):
-        for j, g in enumerate(funcs):
-            compose_t[(i, j)] = findex[tuple(g[x] for x in f)]
-    T = FinCategory(
+    names, funcs = _transformer_monoid(spec)
+    T = tagged_category(
         "W",
         ("W",),
-        tuple((nm, 0, 0) for nm in names),
-        (0,),
-        compose_t,
+        [(0, 0, f) for f in funcs],
+        names,
+        [(0, 0, funcs[0])],
+        _then,
     )
     preds = _predicate_list(spec)
     pnames = [_predicate_name(spec, p) for p in preds]
-    mor_tags: list[tuple[int, int, int]] = []  # (P, c, Q)
-    mors: list[tuple[str, int, int]] = []
-    mindex: dict[tuple[int, int, int], int] = {}
-    for Pi, P in enumerate(preds):
-        for Qi, Q in enumerate(preds):
-            for c, f in enumerate(funcs):
-                if frozenset(f[x] for x in P) <= Q:
-                    mindex[(Pi, c, Qi)] = len(mors)
-                    mors.append((f"{names[c]}:{pnames[Pi]}>{pnames[Qi]}", Pi, Qi))
-                    mor_tags.append((Pi, c, Qi))
-    identity = [mindex[(Pi, 0, Pi)] for Pi in range(len(preds))]
-    compose_d = {}
-    for i, (Pi, c1, Qi) in enumerate(mor_tags):
-        for j, (Pj, c2, Rj) in enumerate(mor_tags):
-            if Qi == Pj:
-                compose_d[(i, j)] = mindex[(Pi, compose_t[(c1, c2)], Rj)]
-    D = FinCategory("Pred", tuple(pnames), tuple(mors), tuple(identity), compose_d)
-    t = FunctorData(
-        "hoare",
-        D,
-        T,
-        (0,) * len(preds),
-        tuple(tag[1] for tag in mor_tags),
+    tags = [  # (P, Q, f): the command f maps P into Q
+        (Pi, Qi, f)
+        for Pi, P in enumerate(preds)
+        for Qi, Q in enumerate(preds)
+        for f in funcs
+        if frozenset(f[x] for x in P) <= Q
+    ]
+    commands = [T.mor_index[0, 0, f] for _P, _Q, f in tags]
+    D = tagged_category(
+        "Pred",
+        pnames,
+        tags,
+        [f"{names[c]}:{pnames[P]}>{pnames[Q]}" for c, (P, Q, _f) in zip(commands, tags)],
+        [(P, P, funcs[0]) for P in range(len(preds))],
+        _then,
     )
+    t = FunctorData("hoare", D, T, (0,) * len(preds), tuple(commands))
     sys = RefinementSystem("hoare", t)
     _raise_if_invalid(sys.validate())
     return sys
@@ -186,7 +185,7 @@ def _resolve_command(spec: HoareSpec, c) -> tuple[int, ...]:
     sidx = {s: i for i, s in enumerate(spec.states)}
     if isinstance(c, dict):
         return tuple(sidx[c[s]] for s in spec.states)
-    names, funcs, _ = _transformer_monoid(spec)
+    names, funcs = _transformer_monoid(spec)
     try:
         return funcs[names.index(c)]
     except ValueError:
@@ -360,24 +359,27 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
 
 def fin_skeleton(K: int) -> FinCategory:
     """The skeleton of finite sets up to size K: objects 0..K, morphisms
-    all functions, written as image tuples."""
-    objects = tuple(str(n) for n in range(K + 1))
-    mors: list[tuple[str, int, int]] = []
-    index: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for m in range(K + 1):
-        for n in range(K + 1):
-            for u in itertools.product(range(n), repeat=m):
-                index[(m, n, u)] = len(mors)
-                mors.append((f"{m}>{n}[{','.join(map(str, u))}]", m, n))
-    identity = tuple(index[(m, m, tuple(range(m)))] for m in range(K + 1))
-    tags = list(index)
-
-    def comp(i: int, j: int) -> int:
-        m, n, u = tags[i]
-        n2, p, v = tags[j]
-        return index[(m, p, tuple(v[x] for x in u))]
-
-    return FinCategory(f"Fin<={K}", objects, tuple(mors), identity, comp)
+    all functions u : m -> n, tagged (m, n, u) with u written as its
+    image tuple.  There are sum n^m of them over m, n <= K, counted
+    before any is listed: 5,705 at K=5 and 82,207 at K=6, past
+    SIZE_GUARD."""
+    estimate = sum(n**m for m in range(K + 1) for n in range(K + 1))
+    if estimate > SIZE_GUARD:
+        raise SizeGuardExceeded(f"Fin<={K} has too many morphisms", estimate, SIZE_GUARD)
+    tags = [
+        (m, n, u)
+        for m in range(K + 1)
+        for n in range(K + 1)
+        for u in itertools.product(range(n), repeat=m)
+    ]
+    return tagged_category(
+        f"Fin<={K}",
+        [str(n) for n in range(K + 1)],
+        tags,
+        [f"{m}>{n}[{','.join(map(str, u))}]" for m, n, u in tags],
+        [(m, m, tuple(range(m))) for m in range(K + 1)],
+        _then,
+    )
 
 
 def _rule_maps(by_type, prefixes, delta, gamma):
@@ -429,6 +431,8 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
             raise StructuralError(
                 f"multimorphism {mm.name} needs a context of size {len(mm.source)} > K={K}"
             )
+    T = fin_skeleton(K)
+    u_index = T.mor_index
     fidx = {f: i for i, f in enumerate(mc.formulas)}
     contexts: list[tuple[int, ...]] = []
     for size in range(K + 1):
@@ -439,13 +443,6 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
     ctx_names = tuple(
         "[" + ",".join(mc.formulas[f] for f in ctx) + "]" for ctx in contexts
     )
-    T = fin_skeleton(K)
-    u_index: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for k, nm in enumerate(T.mor_names):
-        m, n = T.dom(k), T.cod(k)
-        body = nm.split("[", 1)[1][:-1]
-        u = tuple(int(x) for x in body.split(",")) if body else ()
-        u_index[(m, n, u)] = k
 
     # rules indexed by (source, target), in declaration order; a source is
     # sorted in formula order (`validate_multicategory`), as a fibre is
@@ -454,45 +451,43 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
         key = (tuple(fidx[f] for f in mm.source), fidx[mm.target])
         by_type.setdefault(key, []).append(k)
 
-    mors: list[tuple[str, int, int]] = []
+    # (Delta, Gamma, u, one rule per position of Gamma)
     tags: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    mindex: dict[tuple[int, int, tuple[int, ...], tuple[int, ...]], int] = {}
     prefixes = {(src[:i], tgt) for (src, tgt) in by_type for i in range(len(src) + 1)}
     for di, delta in enumerate(contexts):
         for gi, gamma in enumerate(contexts):
             for u, choice in _rule_maps(by_type, prefixes, delta, gamma):
-                for fam in itertools.product(*choice):
-                    tag = (di, gi, u, fam)
-                    mindex[tag] = len(mors)
-                    uname = T.mor_names[u_index[(len(delta), len(gamma), u)]]
-                    fname = ",".join(mc.multimorphisms[k].name for k in fam)
-                    mors.append((f"{uname}|{fname}", di, gi))
-                    tags.append(tag)
-    rule_index = {mm.name: k for k, mm in enumerate(mc.multimorphisms)}
-    id_rule = [rule_index[mc.identities[f]] for f in mc.formulas]
+                tags += [(di, gi, u, fam) for fam in itertools.product(*choice)]
+    sizes = tuple(len(c) for c in contexts)
+    u_of = [u_index[(sizes[di], sizes[gi], u)] for (di, gi, u, _) in tags]
+    rule_names = [mm.name for mm in mc.multimorphisms]
+    id_rule = [rule_names.index(mc.identities[f]) for f in mc.formulas]
     ids = set(id_rule)
-    identity = [
-        mindex[(di, di, tuple(range(len(delta))), tuple(id_rule[f] for f in delta))]
-        for di, delta in enumerate(contexts)
-    ]
 
-    def comp(i: int, j: int) -> int:
-        di, _, u, fam = tags[i]
-        _, ti, v, gam = tags[j]
+    def combine(f, g):
+        di, _, u, fam = f
+        _, ti, v, gam = g
         out_fam = list(gam)
         for j2, k in enumerate(v):
             if gam[k] in ids:
                 out_fam[k] = fam[j2]
-        return mindex[(di, ti, tuple(v[x] for x in u), tuple(out_fam))]
+        return (di, ti, tuple(v[x] for x in u), tuple(out_fam))
 
-    D = FinCategory("Ctx", ctx_names, tuple(mors), tuple(identity), comp)
-    t = FunctorData(
-        "size",
-        D,
-        T,
-        tuple(len(c) for c in contexts),
-        tuple(u_index[(len(contexts[di]), len(contexts[gi]), u)] for (di, gi, u, _) in tags),
+    D = tagged_category(
+        "Ctx",
+        ctx_names,
+        tags,
+        [
+            f"{T.mor_names[k]}|{','.join(rule_names[r] for r in fam)}"
+            for k, (_, _, _, fam) in zip(u_of, tags)
+        ],
+        [
+            (di, di, tuple(range(len(delta))), tuple(id_rule[f] for f in delta))
+            for di, delta in enumerate(contexts)
+        ],
+        combine,
     )
+    t = FunctorData("size", D, T, sizes, tuple(u_of))
     sys = RefinementSystem("linctx", t)
     _raise_if_invalid(sys.validate())
     sys.memo(("linctx data",), lambda: (mc, K, ctx_index, u_index))
@@ -521,69 +516,6 @@ def default_linear_spec() -> MulticategorySpec:
         identities={"A": "1A", "B": "1B", "A*B": "1T", "C": "1C"},
         tensors=(TensorDecl("A", "B", "A*B", {"pair": "1T"}),),
     )
-
-
-def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
-    """The declared tensor agrees with the pushforward of the two-formula
-    context along 2 -> 1, its double dual recovers it, and a single
-    pushforward of the positive side does not: at the context [A*B] the
-    pushed set is empty while the positive representation is not."""
-    from .duality import negative_encoding_check
-    from .psh import push_psh
-    from .represent import pos_rep, slice_action, slice_of
-
-    data = linctx_data(sys)
-    if data is None:
-        raise StructuralError("tensorL_check needs a system built by build_linctx")
-    mc, _K, ctx_index, u_index = data
-    decl = None
-    for d in mc.tensors:
-        if {d.left, d.right} == {A, B}:
-            decl = d
-            break
-    if decl is None:
-        raise StructuralError(f"missing tensor declaration for ({A},{B})")
-    report = CheckReport(
-        name=f"tensorL:{A},{B}",
-        statement="the declared tensor is the pushforward of the paired "
-        "context along 2 -> 1 and is recovered by double dualization, "
-        "while one pushforward alone is not isomorphic to it",
-    )
-    fidx = {f: i for i, f in enumerate(mc.formulas)}
-    pair_ctx = ctx_index[tuple(sorted((fidx[A], fidx[B])))]
-    tens_ctx = ctx_index[(fidx[decl.tensor],)]
-    mu = u_index[(2, 1, (0, 0))]
-    cert = find_pushforward(sys, mu, pair_ctx)
-    report.check(cert is not None, "no pushforward of the paired context")
-    if cert is None:
-        return report
-    same = cert.result == tens_ctx or sys.vertical_iso(cert.result, tens_ctx) is not None
-    report.check(
-        same,
-        f"pushforward lands at {sys.D.object_name(cert.result)}, "
-        f"not {sys.D.object_name(tens_ctx)}",
-    )
-    sub = negative_encoding_check(sys, mu, pair_ctx)
-    report.check(sub.ok, sub.counterexample or "negative encoding failed")
-    report.note(f"negative encoding: {sub.passed}/{sub.attempted} clauses")
-
-    S1 = slice_of(sys, 1)
-    x = S1.obj_index[(tens_ctx, sys.T.id_of(1))]
-    pushed = push_psh(slice_action(sys, mu), pos_rep(sys, pair_ctx))
-    direct = pos_rep(sys, tens_ctx)
-    report.check(
-        pushed.size(x) == 0,
-        f"pushed set at {S1.obj_name(x)} has {pushed.size(x)} elements",
-    )
-    report.check(
-        direct.size(x) >= 1,
-        f"positive representation at {S1.obj_name(x)} is empty",
-    )
-    report.note(
-        f"at {S1.obj_name(x)}: single push has {pushed.size(x)} elements, "
-        f"the representation has {direct.size(x)}"
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -655,28 +587,24 @@ def _lattice_tables(spec: LatticeSpec):
 
 
 def _lattice_category(spec: LatticeSpec):
+    """The order as a category: a morphism tagged (i, j) for each i <= j."""
     idx, leq, meet, top = _lattice_tables(spec)
     n = len(spec.elements)
-    mors = []
-    mindex = {}
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                mindex[(i, j)] = len(mors)
-                mors.append((f"{spec.elements[i]}<={spec.elements[j]}", i, j))
-    identity = tuple(mindex[(i, i)] for i in range(n))
-    compose = {}
-    for (i, j), f in mindex.items():
-        for (j2, k), g in mindex.items():
-            if j == j2:
-                compose[(f, g)] = mindex[(i, k)]
-    cat = FinCategory(spec.name, spec.elements, tuple(mors), identity, compose)
-    return cat, idx, mindex, meet, top
+    tags = [(i, j) for i in range(n) for j in range(n) if leq[i][j]]
+    cat = tagged_category(
+        spec.name,
+        spec.elements,
+        tags,
+        [f"{spec.elements[i]}<={spec.elements[j]}" for i, j in tags],
+        [(i, i) for i in range(n)],
+        lambda f, g: (f[0], g[1]),
+    )
+    return cat, idx, meet, top
 
 
-def _meet_monoid(cat: FinCategory, mindex, meet, top) -> MonoidalStructure:
+def _meet_monoid(cat: FinCategory, meet, top) -> MonoidalStructure:
     """Meet as a tensor: a <= b and c <= d give a meet c <= b meet d."""
-    dom, cod = cat.mor_dom, cat.mor_cod
+    dom, cod, mindex = cat.mor_dom, cat.mor_cod, cat.mor_index
     return MonoidalStructure(
         product(cat, cat),
         top,
@@ -688,17 +616,16 @@ def _meet_monoid(cat: FinCategory, mindex, meet, top) -> MonoidalStructure:
 class LatticeSystem:
     """A monotone meet-preserving map as a monoidal refinement system,
     with every element carrying its idempotent-meet monoid structure.
-    The indexes map element names, and order pairs (i, j) with i <= j, to
-    the objects and morphisms of the refinement and base categories."""
+    The indexes map element names to the objects of the refinement and
+    base categories; their morphisms are tagged by order pairs (i, j)."""
 
-    __slots__ = ("mrs", "monoids", "src", "tgt", "ref_index", "base_index", "ref_mors", "base_mors")
+    __slots__ = ("mrs", "monoids", "src", "tgt", "ref_index", "base_index")
 
-    def __init__(self, mrs, monoids, src, tgt, ref_index, base_index, ref_mors, base_mors):
+    def __init__(self, mrs, monoids, src, tgt, ref_index, base_index):
         self.mrs: MonoidalRefinementSystem = mrs
         self.monoids: tuple[MonoidObject, ...] = monoids
         self.src, self.tgt = src, tgt
         self.ref_index, self.base_index = ref_index, base_index
-        self.ref_mors, self.base_mors = ref_mors, base_mors
 
     @property
     def sys(self) -> RefinementSystem:
@@ -712,10 +639,8 @@ def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> 
     element, so the projection is strict monoidal.  Residuals, where the
     target lattice has them, are found by search, and every element is a
     monoid object through its idempotent meet."""
-    from .represent import MonoidObject
-
-    D, didx, dmors, dmeet, dtop = _lattice_category(src)
-    T, tidx, tmors, tmeet, ttop = _lattice_category(tgt)
+    D, didx, dmeet, dtop = _lattice_category(src)
+    T, tidx, tmeet, ttop = _lattice_category(tgt)
     if sorted(t_map) != sorted(src.elements):
         raise StructuralError("t_map is not total on the source lattice")
     obj_map = []
@@ -723,11 +648,7 @@ def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> 
         if t_map[e] not in tidx:
             raise StructuralError(f"t_map sends {e} outside the target lattice")
         obj_map.append(tidx[t_map[e]])
-    for (i, j), _ in dmors.items():
-        if (obj_map[i], obj_map[j]) not in tmors:
-            raise StructuralError(
-                f"t_map is not monotone at {src.elements[i]} <= {src.elements[j]}"
-            )
+    t = _poset_functor(f"{src.name}->{tgt.name}", D, T, obj_map, "t_map")
     for (i, j), m in dmeet.items():
         if tmeet[(obj_map[i], obj_map[j])] != obj_map[m]:
             raise StructuralError(
@@ -736,13 +657,10 @@ def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> 
             )
     if obj_map[dtop] != ttop:
         raise StructuralError("t_map does not preserve the top element")
-    mor_map = tuple(
-        tmors[(obj_map[i], obj_map[j])] for (i, j) in dmors
-    )
-    t = FunctorData(f"{src.name}->{tgt.name}", D, T, tuple(obj_map), mor_map)
     sys = RefinementSystem(f"{src.name}/{tgt.name}", t)
-    mrs = MonoidalRefinementSystem(sys, _meet_monoid(D, dmors, dmeet, dtop), _meet_monoid(T, tmors, tmeet, ttop))
+    mrs = MonoidalRefinementSystem(sys, _meet_monoid(D, dmeet, dtop), _meet_monoid(T, tmeet, ttop))
     _raise_if_invalid(mrs.validate())
+    tmors = T.mor_index
     monoids = tuple(
         MonoidObject(
             mrs,
@@ -754,7 +672,7 @@ def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> 
     )
     for mo in monoids:
         _raise_if_invalid(mo.validate())
-    return LatticeSystem(mrs, monoids, src, tgt, didx, tidx, dmors, tmors)
+    return LatticeSystem(mrs, monoids, src, tgt, didx, tidx)
 
 
 def collapse_lattice_fixture() -> LatticeSystem:
@@ -773,15 +691,18 @@ def identity_lattice_fixture(atoms: tuple[str, ...] = ("a", "b")) -> LatticeSyst
     return build_lattice(spec, spec, {e: e for e in spec.elements})
 
 
-def _poset_functor(name: str, src: FinCategory, src_mors, tgt: FinCategory, tgt_mors, obj_map) -> FunctorData:
-    back_s = {v: k for k, v in src_mors.items()}
+def _poset_functor(name: str, src: FinCategory, tgt: FinCategory, obj_map, what: str = "") -> FunctorData:
+    """The functor between orders (`_lattice_category`) that maps objects
+    by obj_map, so each i <= j to obj_map[i] <= obj_map[j]; raises, naming
+    the map as `what` (else `name`), where that is no order pair."""
     mor_map = []
-    for f in range(src.n_morphisms):
-        i, j = back_s[f]
-        key = (obj_map[i], obj_map[j])
-        if key not in tgt_mors:
-            raise StructuralError(f"{name} is not monotone")
-        mor_map.append(tgt_mors[key])
+    for i, j in src.mor_tags:
+        f = tgt.mor_index.get((obj_map[i], obj_map[j]))
+        if f is None:
+            raise StructuralError(
+                f"{what or name} is not monotone at {src.objects[i]} <= {src.objects[j]}"
+            )
+        mor_map.append(f)
     return FunctorData(name, src, tgt, tuple(obj_map), tuple(mor_map))
 
 
@@ -798,14 +719,14 @@ def galois_fixture() -> RefSysAdjunction:
     eD, eT = e.sys.D, e.sys.T
 
     f_t_obj = [e.base_index[x] for x in ("c0", "c1", "c1")]
-    F_T = _poset_functor("F_T", sT, s.base_mors, eT, e.base_mors, f_t_obj)
+    F_T = _poset_functor("F_T", sT, eT, f_t_obj)
     f_d_obj = [f_t_obj[s.sys.shape(P)] for P in range(sD.n_objects)]
-    F_D = _poset_functor("F_D", sD, s.ref_mors, eD, e.ref_mors, f_d_obj)
+    F_D = _poset_functor("F_D", sD, eD, f_d_obj)
 
     g_t_obj = [s.base_index[x] for x in ("c0", "c2")]
-    G_T = _poset_functor("G_T", eT, e.base_mors, sT, s.base_mors, g_t_obj)
+    G_T = _poset_functor("G_T", eT, sT, g_t_obj)
     g_d_obj = [s.ref_index[x] for x in ("{a}", "{a,b}")]
-    G_D = _poset_functor("G_D", eD, e.ref_mors, sD, s.ref_mors, g_d_obj)
+    G_D = _poset_functor("G_D", eD, sD, g_d_obj)
 
     left = RefSysMorphism("F", s.sys, e.sys, F_D, F_T)
     right = RefSysMorphism("G", e.sys, s.sys, G_D, G_T)
@@ -814,25 +735,25 @@ def galois_fixture() -> RefSysAdjunction:
         "eta",
         identity_functor(sD),
         compose_functors(F_D, G_D),
-        tuple(s.ref_mors[(P, g_d_obj[f_d_obj[P]])] for P in range(sD.n_objects)),
+        tuple(sD.mor_index[P, g_d_obj[f_d_obj[P]]] for P in range(sD.n_objects)),
     )
     counit_ref = NatTransData(
         "eps",
         compose_functors(G_D, F_D),
         identity_functor(eD),
-        tuple(e.ref_mors[(f_d_obj[g_d_obj[R]], R)] for R in range(eD.n_objects)),
+        tuple(eD.mor_index[f_d_obj[g_d_obj[R]], R] for R in range(eD.n_objects)),
     )
     unit_base = NatTransData(
         "eta0",
         identity_functor(sT),
         compose_functors(F_T, G_T),
-        tuple(s.base_mors[(X, g_t_obj[f_t_obj[X]])] for X in range(sT.n_objects)),
+        tuple(sT.mor_index[X, g_t_obj[f_t_obj[X]]] for X in range(sT.n_objects)),
     )
     counit_base = NatTransData(
         "eps0",
         compose_functors(G_T, F_T),
         identity_functor(eT),
-        tuple(e.base_mors[(f_t_obj[g_t_obj[Y]], Y)] for Y in range(eT.n_objects)),
+        tuple(eT.mor_index[f_t_obj[g_t_obj[Y]], Y] for Y in range(eT.n_objects)),
     )
     return RefSysAdjunction(
         name="galois",
@@ -861,34 +782,30 @@ class RandomBounds(NamedTuple):
     retries: int = 80
 
 
-def _close_concrete(ids, seeds, hom_bound, compose):
+def _close_concrete(name: str, objects: list[str], ids, seeds, hom_bound, combine) -> FinCategory | None:
     """Close a set of concrete arrows under composition.
 
-    Arrows are (dom, cod, data): object a's identity carries ids[a], and
-    compose(f_data, g_data) is the data of f;g, associative by
-    construction.  Identities are added first, so arrow a is the identity
-    of object a.  Returns (arrows, composition table), or None when a
-    hom-set overflows the bound."""
+    Arrows are tags (dom, cod, data): ids[a] is the identity of object a,
+    and combine(f, g) is the tag of f;g, associative by construction.
+    Identities are added first, so arrow a is the identity of object a.
+    Returns the category of the arrows, arrow i named `{name.lower()}{i}`,
+    or None when a hom-set overflows the bound."""
     arrows: list[tuple[int, int, tuple]] = []
     index: dict[tuple[int, int, tuple], int] = {}
     hom_count: dict[tuple[int, int], int] = {}
 
-    def add(a, b, data):
-        key = (a, b, data)
-        if key in index:
+    def add(tag):
+        if tag in index:
             return None
-        if hom_count.get((a, b), 0) >= hom_bound:
+        if hom_count.get(tag[:2], 0) >= hom_bound:
             return False
-        index[key] = len(arrows)
-        arrows.append(key)
-        hom_count[(a, b)] = hom_count.get((a, b), 0) + 1
-        return index[key]
+        index[tag] = len(arrows)
+        arrows.append(tag)
+        hom_count[tag[:2]] = hom_count.get(tag[:2], 0) + 1
+        return index[tag]
 
-    for a, data in enumerate(ids):
-        if add(a, a, data) is False:
-            return None
-    for a, b, data in seeds:
-        if add(a, b, data) is False:
+    for tag in (*ids, *seeds):
+        if add(tag) is False:
             return None
     frontier = list(range(len(arrows)))
     while frontier:
@@ -899,18 +816,14 @@ def _close_concrete(ids, seeds, hom_bound, compose):
                 for f, g in ((arrows[i], arrows[j]), (arrows[j], arrows[i])):
                     if f[1] != g[0]:
                         continue
-                    got = add(f[0], g[1], compose(f[2], g[2]))
+                    got = add(combine(f, g))
                     if got is False:
                         return None
                     if got is not None:
                         fresh.append(got)
         frontier = fresh
-    table = {}
-    for i, f in enumerate(arrows):
-        for j, g in enumerate(arrows):
-            if f[1] == g[0]:
-                table[(i, j)] = index[(f[0], g[1], compose(f[2], g[2]))]
-    return arrows, table
+    mor_names = [f"{name.lower()}{i}" for i in range(len(arrows))]
+    return tagged_category(name, objects, arrows, mor_names, ids, combine)
 
 
 def _try_random(rng: random.Random, bounds: RandomBounds):
@@ -920,22 +833,10 @@ def _try_random(rng: random.Random, bounds: RandomBounds):
     for _ in range(rng.randint(0, bounds.generators)):
         a, b = rng.randrange(nt), rng.randrange(nt)
         seeds.append((a, b, tuple(rng.randrange(t_car[b]) for _ in range(t_car[a]))))
-    closed = _close_concrete(
-        [tuple(range(k)) for k in t_car],
-        seeds,
-        bounds.hom,
-        lambda f, g: tuple(g[x] for x in f),
-    )
-    if closed is None:
+    t_ids = [(a, a, tuple(range(k))) for a, k in enumerate(t_car)]
+    T = _close_concrete("T", [f"X{a}" for a in range(nt)], t_ids, seeds, bounds.hom, _then)
+    if T is None:
         return None
-    t_arrows, t_compose = closed
-    T = FinCategory(
-        "T",
-        tuple(f"X{a}" for a in range(nt)),
-        tuple((f"t{i}", a, b) for i, (a, b, _) in enumerate(t_arrows)),
-        tuple(range(nt)),
-        t_compose,
-    )
 
     nd = rng.randint(1, bounds.d_objects)
     shape = [rng.randrange(nt) for _ in range(nd)]
@@ -952,29 +853,15 @@ def _try_random(rng: random.Random, bounds: RandomBounds):
 
     # arrows carry their base morphism; composition pairs the base
     # composite with the function composite, so laws hold by construction
-    closed = _close_concrete(
-        [(T.id_of(shape[P]), tuple(range(d_car[P]))) for P in range(nd)],
-        d_seeds,
-        bounds.hom,
-        lambda f, g: (T.compose(f[0], g[0]), tuple(g[1][x] for x in f[1])),
-    )
-    if closed is None:
+    def combine_d(f, g):
+        (u, e), (u2, e2) = f[2], g[2]
+        return (f[0], g[1], (T.compose(u, u2), tuple(e2[x] for x in e)))
+
+    d_ids = [(P, P, (T.id_of(shape[P]), tuple(range(d_car[P])))) for P in range(nd)]
+    D = _close_concrete("D", [f"P{P}" for P in range(nd)], d_ids, d_seeds, bounds.hom, combine_d)
+    if D is None:
         return None
-    arrows, compose = closed
-    D = FinCategory(
-        "D",
-        tuple(f"P{P}" for P in range(nd)),
-        tuple((f"d{i}", P, Q) for i, (P, Q, _) in enumerate(arrows)),
-        tuple(range(nd)),
-        compose,
-    )
-    t = FunctorData(
-        "proj",
-        D,
-        T,
-        tuple(shape),
-        tuple(data[0] for (_, _, data) in arrows),
-    )
+    t = FunctorData("proj", D, T, tuple(shape), tuple(data[0] for (_, _, data) in D.mor_tags))
     return RefinementSystem("random", t)
 
 

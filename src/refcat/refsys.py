@@ -1015,3 +1015,43 @@ class MonoidalRefinementSystem:
         if t.obj(self.mon_ref.unit) != self.mon_base.unit:
             report.add("monoidal projection", "projection does not preserve the monoidal unit")
         return report
+
+
+class MonoidObject:
+    """A monoid in the base of a monoidal refinement system: an object W
+    with multiplication p : W (x) W -> W, and optionally a unit morphism
+    from the tensor unit.  Laws are validated, never assumed."""
+
+    __slots__ = ("mrs", "W", "p", "unit_mor")
+
+    def __init__(self, mrs, W: int, p: int, unit_mor: int | None = None):
+        self.mrs = mrs
+        self.W = W
+        self.p = p
+        self.unit_mor = unit_mor
+
+    def validate(self) -> ValidationReport:
+        T = self.mrs.sys.T
+        mon = self.mrs.mon_base
+        report = ValidationReport(f"monoid {T.objects[self.W]}")
+        if T.dom(self.p) != mon.tobj(self.W, self.W) or T.cod(self.p) != self.W:
+            report.add("endpoints", "multiplication has wrong endpoints")
+            return report
+        idw = T.identity[self.W]
+        lhs = T.compose(mon.tmor(self.p, idw), self.p)
+        rhs = T.compose(mon.tmor(idw, self.p), self.p)
+        if lhs != rhs:
+            report.add("associativity", "p is not associative")
+        if self.unit_mor is not None:
+            u = self.unit_mor
+            if T.dom(u) != mon.unit or T.cod(u) != self.W:
+                report.add("unit endpoints", "unit morphism has wrong endpoints")
+                return report
+            if mon.tobj(mon.unit, self.W) != self.W or mon.tobj(self.W, mon.unit) != self.W:
+                report.add("strict unit", "tensor unit is not strict at W")
+                return report
+            if T.compose(mon.tmor(u, idw), self.p) != idw:
+                report.add("left unit", "unit law (u (x) id) ; p = id fails")
+            if T.compose(mon.tmor(idw, u), self.p) != idw:
+                report.add("right unit", "unit law (id (x) u) ; p = id fails")
+        return report

@@ -15,6 +15,7 @@ from refcat.duality import (
     dual_right,
     duality_check,
     negative_encoding_check,
+    tensorL_check,
 )
 from refcat.fincat import FunctorData, StructuralError
 from refcat.fixtures import (
@@ -22,7 +23,6 @@ from refcat.fixtures import (
     hoare_sp,
     hoare_wp,
     random_refsys,
-    tensorL_check,
 )
 from refcat.psh import opcartesian_factoring_check, push_psh_full, representable
 from refcat.refsys import adjunction_check, find_pullback, find_pushforward, rapp_check

@@ -461,6 +461,15 @@ def test_size_guard_reaches_the_comma_guard(tmp_path, capsys):
     assert "> guard 60000" in capsys.readouterr().out
 
 
+def test_a_linctx_past_the_size_guard_exits_2(tmp_path, capsys):
+    # Fin<=6 has 82,207 morphisms: refused before any is listed.
+    p = tmp_path / "l.fix"
+    p.write_text("fixture l linctx K=6\n")
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Fin<=6 has too many morphisms: estimated 82207 > guard 60000\n"
+
+
 def test_scripts_run_from_a_plain_checkout(tmp_path, capsys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -20,6 +20,7 @@ from refcat.fincat import (
     opposite,
     ProductCategory,
     product,
+    tagged_category,
     validate_category,
     validate_functor,
     validate_nat_trans,
@@ -175,6 +176,60 @@ def test_missing_composite_raises():
     assert [str(v) for v in rep.violations] == [
         "composition-totality: gap: missing composite g;g"
     ]
+
+
+def rotations(n, carried=None):
+    """Z/n as a one-object category: r_k tagged (0, 0, k), r_j;r_k = r_(j+k)
+    mod n.  `carried` keeps only some of the tags."""
+    ks = range(n) if carried is None else carried
+    return tagged_category(
+        f"Z{n}",
+        ["*"],
+        [(0, 0, k) for k in ks],
+        [f"r{k}" for k in ks],
+        [(0, 0, 0)],
+        lambda f, g: (0, 0, (f[2] + g[2]) % n),
+    )
+
+
+def test_tagged_category_composes_by_tag():
+    Z3 = rotations(3)
+    assert validate_category(Z3).ok
+    assert Z3.mor_tags == ((0, 0, 0), (0, 0, 1), (0, 0, 2))
+    assert Z3.mor_index == {(0, 0, k): k for k in range(3)}
+    assert [Z3.compose(1, g) for g in range(3)] == [1, 2, 0]
+    # the order on three elements, tagged by pairs i <= j, is chain3
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    order = tagged_category(
+        "chain3",
+        ["c0", "c1", "c2"],
+        pairs,
+        [f"c{i}<=c{j}" for i, j in pairs],
+        [(i, i) for i in range(3)],
+        lambda f, g: (f[0], g[1]),
+    )
+    chain = chain_category(3)
+    assert validate_category(order).ok
+    assert (order.mor_names, order.mor_dom, order.mor_cod) == (chain.mor_names, chain.mor_dom, chain.mor_cod)
+    assert [order._row(f) for f in range(6)] == [chain._row(f) for f in range(6)]
+
+
+def test_tagged_category_rejects_repeated_tags_and_uncarried_identities():
+    with pytest.raises(StructuralError, match=r"^Z: 1 tag\(s\) repeated$"):
+        tagged_category("Z", ["*"], [(0, 0, 0)] * 2, ["e", "e"], [(0, 0, 0)], lambda f, g: f)
+    with pytest.raises(StructuralError, match="identity of object 0 out of range"):
+        tagged_category("Z", ["*"], [(0, 0, 1)], ["r1"], [(0, 0, 0)], lambda f, g: f)
+
+
+def test_a_composite_outside_the_tags_is_a_totality_violation():
+    # r1;r1 = r2, which the truncated Z/3 does not carry
+    cut = rotations(3, carried=(0, 1))
+    rep = validate_category(cut)
+    assert [str(v) for v in rep.violations] == [
+        "composition-totality: Z3: missing composite r1;r1"
+    ]
+    with pytest.raises(StructuralError, match="missing composite r1;r1"):
+        cut.compose(1, 1)
 
 
 def test_opposite_is_involutive():

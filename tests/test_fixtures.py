@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from refcat.fincat import StructuralError, validate_category
+from refcat.duality import tensorL_check
+from refcat.fincat import SizeGuardExceeded, StructuralError, validate_category
 from refcat.fixtures import (
     HoareSpec,
     MultiMorphism,
@@ -32,10 +33,10 @@ from refcat.fixtures import (
     linctx_data,
     powerset_lattice,
     random_refsys,
-    tensorL_check,
     validate_multicategory,
 )
 from refcat.refsys import adjunction_check, is_fibration, lapp_check, rapp_check
+from refcat.textio import loads
 from tests.conftest import HOARE_FN, image_oracle, preimage_oracle
 from tests.test_refsys import is_opfibration
 from tests.test_represent import context_morphism_count
@@ -200,6 +201,18 @@ def test_fin_skeleton_counts():
     assert T.n_objects == 4
     assert T.n_morphisms == sum(n ** m for m in range(4) for n in range(4)) == 60
     assert validate_category(T).ok
+    assert T.mor_index == {tag: k for k, tag in enumerate(T.mor_tags)}
+    assert T.morphism_name(T.mor_index[2, 3, (2, 0)]) == "2>3[2,0]"
+
+
+def test_fin_skeleton_counts_its_morphisms_before_listing_them():
+    # K=6 would list 82,207 maps and validate about 4e9 composites; the
+    # closed-form count refuses it at once, from a workspace too.
+    with pytest.raises(SizeGuardExceeded) as err:
+        fin_skeleton(6)
+    assert (err.value.estimate, err.value.guard) == (82207, 60000)
+    with pytest.raises(SizeGuardExceeded, match=r"^Fin<=6 has too many morphisms: estimated 82207 > guard 60000$"):
+        loads("fixture l linctx K=6\n")
 
 
 def test_linctx_shape_counts(linctx):
@@ -274,7 +287,7 @@ def test_lattice_builders_and_their_refusals():
     assert ps.elements == ("{}", "{a}", "{b}", "{a,b}")
     ch = chain_lattice(3)
     assert ch.elements == ("c0", "c1", "c2")
-    with pytest.raises(StructuralError, match="monotone"):
+    with pytest.raises(StructuralError, match="^t_map is not monotone at {a} <= {a,b}$"):
         build_lattice(ps, ch, {"{}": "c0", "{a}": "c2", "{b}": "c0", "{a,b}": "c0"})
     with pytest.raises(StructuralError, match="meet"):
         build_lattice(ps, ch, {"{}": "c0", "{a}": "c1", "{b}": "c1", "{a,b}": "c2"})

@@ -9,6 +9,10 @@ in a subprocess, since the test process has loaded every layer already.
 import os
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
+
+import pytest
 
 LAYERS = ("fincat", "reports", "refsys", "psh", "represent", "duality", "fixtures", "textio")
 
@@ -40,6 +44,36 @@ print(sorted(m for m in layers if type(sys.modules["refcat." + m]) is not types.
         str(path),
     )
     assert out == "[]\nswap:{s0}>{s1}\n['duality', 'psh', 'represent']\n"
+
+
+@pytest.mark.parametrize("kind", ["lattice-collapse", "galois"])
+def test_a_lattice_validate_executes_no_presheaf_layer(tmp_path, kind):
+    # The lattice builders stand on fincat and refsys alone.
+    path = tmp_path / "l.fix"
+    path.write_text(f"fixture l {kind}\n")
+    out = run_fresh(
+        f"""
+import sys, types
+import refcat.cli
+assert refcat.cli.main(["validate", sys.argv[1]]) == 0
+print(sorted(m for m in {LAYERS!r} if type(sys.modules["refcat." + m]) is not types.ModuleType))
+""",
+        str(path),
+    )
+    assert out.endswith("ok\n['duality', 'psh', 'represent']\n")
+
+
+def test_every_module_stays_under_the_parser_token_step():
+    # CPython 3.11's parser grows its token array in steps of 8,192, and a
+    # module compiled past the first step costs about 0.5 MB more peak
+    # RSS.  Comments and non-logical newlines never reach the parser.
+    counts = {}
+    for path in sorted((Path(__file__).parent.parent / "src" / "refcat").glob("*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tokens = tokenize.generate_tokens(fh.readline)
+            counts[path.name] = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+    assert "fixtures.py" in counts
+    assert {name: n for name, n in counts.items() if n >= 8192} == {}
 
 
 def test_public_names_resolve_through_their_layers():
