@@ -485,8 +485,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    if args.action != "gen":
-        raise UsageError(f"unknown fixtures action {args.action!r}")
     kind = args.name
     if kind not in textio.FIXTURE_KINDS:
         raise UsageError(f"unknown fixture {kind!r} (one of {', '.join(textio.FIXTURE_KINDS)})")
@@ -538,45 +536,54 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = sub.add_parser("validate", parents=[common], help="load a file and report what it defines")
+    sp.set_defaults(run=_cmd_validate)
     sp.add_argument("file")
 
     sp = with_system(sub.add_parser("derive", parents=[common], help="list derivations of a judgment"))
+    sp.set_defaults(run=_cmd_derive)
     sp.add_argument("file")
     sp.add_argument("P")
     sp.add_argument("c")
     sp.add_argument("Q")
 
     sp = with_system(sub.add_parser("slice", parents=[common], help="print the slice over a base object"))
+    sp.set_defaults(run=lambda args: _cmd_slice(args, co=False))
     sp.add_argument("file")
     sp.add_argument("base")
 
     sp = with_system(sub.add_parser("coslice", parents=[common], help="print the coslice under a base object"))
+    sp.set_defaults(run=lambda args: _cmd_slice(args, co=True))
     sp.add_argument("file")
     sp.add_argument("base")
 
     sp = with_system(sub.add_parser("represent", parents=[common], help="print a representation presheaf"))
+    sp.set_defaults(run=_cmd_represent)
     sp.add_argument("file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--pos", metavar="X", help="positive representation of X")
     group.add_argument("--neg", metavar="X", help="negative representation of X")
 
     sp = with_system(sub.add_parser("pushforward", parents=[common], help="certify an opcartesian lift"))
+    sp.set_defaults(run=lambda args: _cmd_lift(args, "pushforward"))
     sp.add_argument("file")
     sp.add_argument("c")
     sp.add_argument("X")
 
     sp = with_system(sub.add_parser("pullback", parents=[common], help="certify a cartesian lift"))
+    sp.set_defaults(run=lambda args: _cmd_lift(args, "pullback"))
     sp.add_argument("file")
     sp.add_argument("c")
     sp.add_argument("X")
 
     sp = with_system(sub.add_parser("dual", parents=[common, cross_check], help="dualize a representation"))
+    sp.set_defaults(run=_cmd_dual)
     sp.add_argument("file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--left", metavar="X", help="left dual of the positive representation of X")
     group.add_argument("--right", metavar="X", help="right dual of the negative representation of X")
 
     sp = with_system(sub.add_parser("verify", parents=[common, cross_check], help="run a verification suite"))
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("file")
     sp.add_argument("suite", choices=(*SUITES, "all"))
     sp.add_argument(
@@ -588,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("fixtures", parents=[common], help="emit builder fixtures")
+    sp.set_defaults(run=_cmd_fixtures)
     sp.add_argument("action", choices=("gen",))
     sp.add_argument("name")
     sp.add_argument("--seed", type=int, default=0, help="seed for the random fixture")
@@ -599,27 +607,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "derive":
-            return _cmd_derive(args)
-        if args.command == "slice":
-            return _cmd_slice(args, co=False)
-        if args.command == "coslice":
-            return _cmd_slice(args, co=True)
-        if args.command == "represent":
-            return _cmd_represent(args)
-        if args.command == "pushforward":
-            return _cmd_lift(args, "pushforward")
-        if args.command == "pullback":
-            return _cmd_lift(args, "pullback")
-        if args.command == "dual":
-            return _cmd_dual(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fixtures":
-            return _cmd_fixtures(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, LoadError, StructuralError, SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

@@ -3,10 +3,12 @@
 Pairing a slice point (P,c) with a coslice point (d,R) gives the
 derivations of the judgment (P, c;d, R); a slice morphism alpha and a
 coslice morphism gamma act on them by sigma |-> alpha;sigma;gamma.  Fixing
-one argument of the pairing gives a cut.  Every presheaf over a slice is
-dualized into one over the coslice and back by a direct end formula: the
-dual at a point collects the natural families of derivations the
-presheaf can be mapped into.  The checks in this module verify that the
+one argument of the pairing gives a cut.  A presheaf over a slice is
+dualized into one over the coslice by the end formula, read as a
+residual: the dual at a point collects the natural families of
+derivations the presheaf can be mapped into, which is the residual of
+the presheaf and the pairing curried on the coslice
+(`psh.curried_residual`).  The checks in this module verify that the
 two representations of a refinement are the point sections of the cut
 and each other's duals, that dualization interacts with push and pull the
 way one-sided image constructions demand, and that pushforwards and fiber
@@ -17,23 +19,22 @@ Every mirror image is taken from the opposite system: the coslice of a
 system is the slice of `sys.op()`, and the right dual is the left dual
 computed in `sys.op()`.  Only the left, positive, pull side is written
 out.  A cut is one coslice point's column, cut(-, (d,R)), over the slice;
-in `sys.op()` it is one slice point's row over the coslice.  A dual is
-computed pointwise over the indexing coslice (slice, for the right dual),
-and at each point it reads the cut derivation sets only on the support of
-its input: the support is a sieve, so a natural family is () off it and
-is determined by its values there.  Points where the cut is empty
-somewhere on the support have no families and are never read.  A cut is
-a presheaf like any other, filled on first read and kept in the memo.
+in `sys.op()` it is one slice point's row over the coslice.  The left
+dual reads the pairing from the cuts, only on the support of its input
+and only at the coslice points where every support point has a
+derivation (`_live_points`): the support is a sieve, so a natural family
+is () off it and is determined by its values there, and a point where
+the cut is empty somewhere on the support has no families.  A cut is a
+presheaf like any other, filled on first read and kept in the memo.
 The pairing is a two-argument table on slice and coslice indices
 (`Pairing`), read straight from the derivation index; only the pairing
-clause of `dual_adjunction_check` puts it on a product category.  An
-independent route, `dual_cross_check`, recomputes a dual as the residual
-of its input and the curried pairing.
+clause of `dual_adjunction_check` puts it on a product category.
+`dual_cross_check` runs the same residual on the pairing's own rows at
+every point, so it checks the cut reading, the live-point pruning and
+the mirror in `sys.op()`.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .fincat import (
     SizeGuardExceeded,
@@ -44,9 +45,6 @@ from .fincat import (
 )
 from .psh import (
     Presheaf,
-    _closing,
-    _families_on_support,
-    _on_objects,
     curried_residual,
     natural_families,
     pull_psh,
@@ -218,66 +216,30 @@ def dual_left(sys: RefinementSystem, B: int, phi: Presheaf) -> Presheaf:
     (d,R), the natural families sending phi(P,c) into derivations
     (P, c;d, R); coslice morphisms act by postcomposing every value.
 
-    Only the support of phi is read.  It is a sieve: if phi(P2,c2) is
-    nonempty, so is phi at the source of every slice morphism into
-    (P2,c2).  A family is () off the support and naturality there is
-    vacuous, so each family is a choice on the support, natural along the
-    slice morphisms between support points.  Families are searched only
-    at the coslice points where every support point has a derivation
-    (`_live_points`); the cut derivation sets are read only there, and a
-    cut's action row only for a constraint into a set of two or more
-    derivations (`psh._checks`).  The constraints themselves are listed
-    only when there is a live point.  Element sets and families are
-    filled at the live points only, each family on every slice object,
-    () off the support, and an action row of the dual is computed, and
-    the moved families checked to be natural, when it is first read.
-    `dual_cross_check` recomputes it by an independent route."""
-    D = sys.D
+    It is the residual of phi and the pairing curried on the coslice
+    (`curried_residual`), with the pairing read from the cuts: the row of
+    (u, id_j) is cut j's own row of u, and the row of (id_(P,c), gamma)
+    locates sigma;gamma in the source cut.  Families are searched only at
+    the live points (`_live_points`), so a cut is read only there and
+    only on the support of phi."""
     S, Cs = slice_of(sys, B), coslice_of(sys, B)
     if phi.base is not S.cat:
         raise StructuralError(
             f"dual_left: {phi.name} does not live over the slice of "
             f"{sys.T.objects[B]} in {sys.name}"
         )
-    support = phi.support()
-    closing = functools.cache(lambda: _closing(phi, support))
-    cut = lambda j: _cut(sys, B, Cs.obj_tags[j])
-    fams_at: dict[int, list] = {}
-    for j in _live_points(sys, B, support):
-        cj = cut(j)
-        fams_at[j] = _families_on_support(
-            phi, [len(cj.payloads[a]) for a in support], closing, cj.action.__getitem__
-        )
-    fam_index: dict[int, dict] = {}
+    cuts = Table(Cs.cat.n_objects, lambda j: _cut(sys, B, Cs.obj_tags[j]))
 
-    def row(mk: int) -> tuple[int, ...]:
-        gamma, s, u = Cs.mor_tags[mk]
-        src, dst = cut(s), cut(u)
-        index = fam_index.get(s)
-        if index is None:
-            index = fam_index[s] = {fam: k for k, fam in enumerate(fams_at.get(s, ()))}
-        out = []
-        for fam in fams_at[u]:
-            moved = tuple(
-                tuple(src.position(a)[D.compose(dst.payloads[a][v], gamma)] for v in comp)
-                for a, comp in zip(support, fam)
-            )
-            k = index.get(moved)
-            if k is None:
-                raise StructuralError(
-                    f"dual_left: moved family not natural along {Cs.mor_name(mk)}"
-                )
-            out.append(k)
-        return tuple(out)
+    def row(u: int, g: int) -> tuple[int, ...]:
+        if Cs.cat.is_identity(g):
+            return cuts[Cs.cat.mor_cod[g]].action[u]
+        (gamma, s, t), a = Cs.mor_tags[g], S.cat.mor_cod[u]
+        at, compose = cuts[s].position(a), sys.D.compose
+        return tuple(at[compose(sigma, gamma)] for sigma in cuts[t].payloads[a])
 
-    n = S.cat.n_objects
-    elements: list[tuple[str, ...]] = [()] * Cs.cat.n_objects
-    payloads: list[tuple] = [()] * Cs.cat.n_objects
-    for j, fams in fams_at.items():
-        elements[j] = tuple(f"s{j}.{k}" for k in range(len(fams)))
-        payloads[j] = tuple(_on_objects(fam, support, n) for fam in fams)
-    dual = Presheaf(f"dualL({phi.name})", Cs.cat, tuple(elements), row, tuple(payloads))
-    dual._support = tuple(sorted(j for j, fams in fams_at.items() if fams))
+    size = lambda a, j: len(cuts[j].payloads[a])
+    dual = curried_residual(phi, Cs.cat, size, row, _live_points(sys, B, phi.support()))
+    dual.name = f"dualL({phi.name})"
     return dual
 
 
@@ -296,10 +258,11 @@ def dual_cross_check(sys: RefinementSystem, B: int, inp: Presheaf, out: Presheaf
     residual of inp and the pairing of `sys` over B, curried on the side
     of the dual's base, and compare: the families at every point, then the
     action row of every morphism into a nonempty point.  Raises
-    StructuralError at the first difference.  The residual is searched on
-    the whole pairing, not on the cuts the dualizer reads, and the right
-    side stays on `sys`, so it is an independent reference for the
-    mirrored computation."""
+    StructuralError at the first difference.  The dualizers run the same
+    residual on the cuts; here it is fed by `Pairing`'s rows, searched at
+    every point, and the right side stays on `sys`.  So this checks what
+    the dualizers add to the end formula: the reading of the pairing from
+    the cuts, the pruning to live points, and the mirror in `sys.op()`."""
     pair = pairing(sys, B)
     if side == "left":
         crossed = curried_residual(inp, pair.coslice.cat, pair.size, pair.row)

@@ -29,6 +29,7 @@ from .fincat import (
     SizeGuardExceeded,
     StructuralError,
     ValidationReport,
+    _backtrack,
     compose_functors,
     identity_functor,
     product,
@@ -59,22 +60,25 @@ def _then(f: tuple, g: tuple) -> tuple:
 # Hoare logic over a finite state space
 
 
+# The most transformers a Hoare spec's commands may generate.
+CLOSURE_BOUND = 64
+
+
 class HoareSpec:
     """A finite state space with named commands.
 
     `generators` maps command names to total functions on states (as
     dicts state -> state).  `predicates` defaults to all subsets; a
     listed sublattice restricts the refinement side.  The transformer
-    monoid is closed by construction, bounded by `closure_bound`.
+    monoid is closed by construction, bounded by `CLOSURE_BOUND`.
     """
 
-    __slots__ = ("states", "generators", "predicates", "closure_bound")
+    __slots__ = ("states", "generators", "predicates")
 
-    def __init__(self, states, generators, predicates=None, closure_bound=64):
+    def __init__(self, states, generators, predicates=None):
         self.states: tuple[str, ...] = states
         self.generators: dict[str, dict[str, str]] = generators
         self.predicates: tuple[tuple[str, ...], ...] | None = predicates
-        self.closure_bound = closure_bound
 
 
 def _transformer_monoid(spec: HoareSpec) -> tuple[list[str], list[tuple[int, ...]]]:
@@ -107,9 +111,9 @@ def _transformer_monoid(spec: HoareSpec) -> tuple[list[str], list[tuple[int, ...
             for gname, g in gens:
                 comp = tuple(g[x] for x in funcs[i])
                 if comp not in index:
-                    if len(funcs) >= spec.closure_bound:
+                    if len(funcs) >= CLOSURE_BOUND:
                         raise StructuralError(
-                            f"transformer monoid exceeds the closure bound {spec.closure_bound}"
+                            f"transformer monoid exceeds the closure bound {CLOSURE_BOUND}"
                         )
                     index[comp] = len(funcs)
                     names.append(f"{names[i]};{gname}")
@@ -387,31 +391,26 @@ def _rule_maps(by_type, prefixes, delta, gamma):
     a family of rules, each with the rules at every position j of gamma
     for the formulas u sends to j, in `itertools.product` order.
 
-    u is grown depth-first, one position of delta at a time, and a
-    branch is cut as soon as a fibre is no longer in `prefixes`, the
-    prefixes (with their target) of the rule sources.  delta is sorted,
-    so a fibre grows in sorted order and is a prefix of what it becomes;
-    a full map is kept when every fibre, an empty one too, is a rule
-    source."""
-    fibres: list[tuple[int, ...]] = [()] * len(gamma)
-    u: list[int] = []
+    u is searched by `_backtrack`, one position of delta at a time: step
+    i sends delta[i] to j and carries the fibres so far, and j is a
+    candidate only while its fibre stays in `prefixes`, the prefixes
+    (with their target) of the rule sources.  delta is sorted, so a fibre
+    grows in sorted order and is a prefix of what it becomes; a full map
+    is kept when every fibre, an empty one too, is a rule source."""
+    empty = ((),) * len(gamma)
 
-    def grow(i: int):
-        if i == len(delta):
-            choice = [by_type.get(key) for key in zip(fibres, gamma)]
-            if None not in choice:
-                yield tuple(u), choice
-            return
+    def step(i: int, path):
+        fibres = path[i - 1][1] if i else empty
         for j, tgt in enumerate(gamma):
             fibre = fibres[j] + (delta[i],)
             if (fibre, tgt) in prefixes:
-                fibres[j] = fibre
-                u.append(j)
-                yield from grow(i + 1)
-                u.pop()
-                fibres[j] = fibre[:-1]
+                yield j, fibres[:j] + (fibre,) + fibres[j + 1 :]
 
-    return grow(0)
+    for path in _backtrack(len(delta), step, lambda _i, _path: True):
+        fibres = path[-1][1] if path else empty
+        choice = [by_type.get(key) for key in zip(fibres, gamma)]
+        if None not in choice:
+            yield tuple(j for j, _ in path), choice
 
 
 def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:

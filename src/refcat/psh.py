@@ -697,44 +697,44 @@ def curried_residual(
     right: FinCategory,
     size: Callable[[int, int], int],
     row: Callable[[int, int], tuple[int, ...]],
+    points: Iterable[int] | None = None,
 ) -> Presheaf:
     """The closed-structure residual of phi and a presheaf omega pulled
     back along a currying, over `right`.  omega is given as two-argument
     tables on phi's base and `right`: size(a, b) elements at the image of
     (a, b), and the action row(f, g) of the image of (f, g).  The currying
     sends b to the functor G_b : a |-> (a, b), f |-> (f, id_b), and
-    g : b -> b2 to the components a |-> (id_a, g).  The elements at b are
-    the natural families phi(a) -> omega(a, b) along G_b; g moves a family
-    at b2 by postcomposing each component with row(id_a, g), and a row is
+    g : b -> b2 to the components a |-> (id_a, g), so row is asked only
+    for (u, id_b) and (id_a, g).  The elements at b, named s{b}.{k}, are
+    the natural families phi(a) -> omega(a, b) along G_b, searched on the
+    support of phi and only at `points` (every object by default: the
+    caller vouches that no family lands elsewhere).  g moves a family at
+    b2 by postcomposing each component with row(id_a, g); a row is
     computed, and the moved families checked to be natural, when it is
-    first read.  Only the functors and natural transformations the
-    currying reaches are visited: the residual over the whole functor
-    category is never listed.  The left and the right residual differ
-    only in the currying."""
+    first read.  The residual over the whole functor category is never
+    listed.  The left and the right residual differ only in the currying."""
     A = phi.base
     support = phi.support()
     closing = functools.cache(lambda: _closing(phi, support))
-    payloads = []
-    for b in range(right.n_objects):
-        fams = _families_on_support(
+    fams_at: dict[int, list] = {}
+    for b in range(right.n_objects) if points is None else points:
+        fams_at[b] = _families_on_support(
             phi,
             [size(a, b) for a in support],
             closing,
             lambda u, _id=right.id_of(b): row(u, _id),
         )
-        payloads.append(tuple(_on_objects(fam, support, A.n_objects) for fam in fams))
+    index: dict[int, dict] = {}  # families by their support components
 
     def act(g: int) -> tuple[int, ...]:
+        s = right.dom(g)
         rows = [row(A.id_of(a), g) for a in support]
-        at = res.position(right.dom(g))
+        at = index.get(s)
+        if at is None:
+            at = index[s] = {fam: k for k, fam in enumerate(fams_at.get(s, ()))}
         out = []
-        for fam in payloads[right.cod(g)]:
-            moved = _on_objects(
-                tuple(tuple(r[v] for v in fam[a]) for r, a in zip(rows, support)),
-                support,
-                A.n_objects,
-            )
-            k = at.get(moved)
+        for fam in fams_at[right.cod(g)]:
+            k = at.get(tuple(tuple(r[v] for v in comp) for r, comp in zip(rows, fam)))
             if k is None:
                 raise StructuralError(
                     f"curried_residual: moved family not natural along {right.mor_names[g]}"
@@ -742,11 +742,11 @@ def curried_residual(
             out.append(k)
         return tuple(out)
 
-    res = Presheaf(
-        f"res({phi.name})",
-        right,
-        tuple(tuple(f"t{b}.{k}" for k in range(len(fams))) for b, fams in enumerate(payloads)),
-        act,
-        tuple(payloads),
-    )
+    elements: list[tuple[str, ...]] = [()] * right.n_objects
+    payloads: list[tuple] = [()] * right.n_objects
+    for b, fams in fams_at.items():
+        elements[b] = tuple(f"s{b}.{k}" for k in range(len(fams)))
+        payloads[b] = tuple(_on_objects(fam, support, A.n_objects) for fam in fams)
+    res = Presheaf(f"res({phi.name})", right, tuple(elements), act, tuple(payloads))
+    res._support = tuple(sorted(b for b, fams in fams_at.items() if fams))
     return res

@@ -32,7 +32,13 @@ and every value validates.
 
 from __future__ import annotations
 
-from .fincat import FinCategory, FunctorData, validate_functor
+from .fincat import (
+    FinCategory,
+    FunctorData,
+    SizeGuardExceeded,
+    StructuralError,
+    validate_functor,
+)
 from .refsys import RefinementSystem
 from . import fixtures as fx
 
@@ -427,7 +433,7 @@ def loads(text: str, path: str = "<string>") -> Workspace:
                 _expect(not body, path, header_line, "fixture blocks have no body")
                 params = _parse_params(header[3:], path, header_line)
                 build_fixture(ws, header[1], header[2], params, where)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, StructuralError, SizeGuardExceeded) as exc:
             raise LoadError(path, header_line, str(exc)) from None
     return ws
 

@@ -467,7 +467,16 @@ def test_a_linctx_past_the_size_guard_exits_2(tmp_path, capsys):
     p.write_text("fixture l linctx K=6\n")
     assert main(["validate", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: Fin<=6 has too many morphisms: estimated 82207 > guard 60000\n"
+    assert err == f"error: {p}:1: Fin<=6 has too many morphisms: estimated 82207 > guard 60000\n"
+
+
+def test_a_fixture_builder_refusal_names_the_file_and_line(tmp_path, capsys):
+    # A StructuralError from a fixture builder is a load error of its block.
+    p = tmp_path / "l.fix"
+    p.write_text("# contexts of negative length\n\nfixture l linctx K=-1\n")
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p}:3: multimorphism 1A needs a context of size 1 > K=-1\n"
 
 
 def test_scripts_run_from_a_plain_checkout(tmp_path, capsys):

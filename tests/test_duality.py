@@ -359,19 +359,26 @@ def test_cross_check_compares_action_rows(monkeypatch):
     # A dual_left whose rows are rotated keeps every family and every
     # row's arity and range, so only a row-by-row comparison sees it.  On
     # the skew system rep(Q0)'s left dual has two families at every point.
-    def rotating(name, base, elements, action, payloads=None):
-        if name.startswith("dualL("):
-            real = action
-            action = lambda f: real(f)[1:] + real(f)[:1]
-        return Presheaf(name, base, elements, action, payloads)
+    # dual_right is dual_left in the opposite system, so it turns too.
+    real = duality_mod.dual_left
+
+    def rotating(sys, B, phi):
+        dual = real(sys, B, phi)
+        return Presheaf(
+            dual.name,
+            dual.base,
+            dual.elements,
+            lambda f: dual.action[f][1:] + dual.action[f][:1],
+            dual.payloads,
+        )
 
     sys = bang_system(skew_pair())
     plain = dual_left(sys, 0, pos_rep(sys, 0))
-    monkeypatch.setattr(duality_mod, "Presheaf", rotating)
-    skewed = dual_left(sys, 0, pos_rep(sys, 0))
+    monkeypatch.setattr(duality_mod, "dual_left", rotating)
+    skewed = duality_mod.dual_left(sys, 0, pos_rep(sys, 0))
     assert skewed.payloads == plain.payloads
     assert all(len(r) == 2 and r == p[::-1] for r, p in zip(skewed.action, plain.action))
-    for side, rep, dual in (("left", pos_rep, dual_left), ("right", neg_rep, dual_right)):
+    for side, rep, dual in (("left", pos_rep, rotating), ("right", neg_rep, dual_right)):
         inp = rep(sys, 0)
         with pytest.raises(StructuralError, match=r"residual route along id_a#0->0"):
             dual_cross_check(sys, 0, inp, dual(sys, 0, inp), side)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import refcat.fixtures as fixtures_mod
 from refcat.duality import tensorL_check
 from refcat.fincat import SizeGuardExceeded, StructuralError, validate_category
 from refcat.fixtures import (
@@ -36,7 +37,7 @@ from refcat.fixtures import (
     validate_multicategory,
 )
 from refcat.refsys import adjunction_check, is_fibration, lapp_check, rapp_check
-from refcat.textio import loads
+from refcat.textio import LoadError, loads
 from tests.conftest import HOARE_FN, image_oracle, preimage_oracle
 from tests.test_refsys import is_opfibration
 from tests.test_represent import context_morphism_count
@@ -100,15 +101,10 @@ def test_three_state_rotation_closure():
     assert is_fibration(sys)[0] and is_opfibration(sys)[0]
 
 
-def test_closure_bound_is_enforced():
-    with pytest.raises(StructuralError):
-        build_hoare(
-            HoareSpec(
-                states=STATES,
-                generators=default_spec().generators,
-                closure_bound=2,
-            )
-        )
+def test_closure_bound_is_enforced(monkeypatch):
+    monkeypatch.setattr(fixtures_mod, "CLOSURE_BOUND", 2)
+    with pytest.raises(StructuralError, match="closure bound 2"):
+        build_hoare(default_spec())
 
 
 def test_sp_wp_match_image_and_preimage(hoare):
@@ -211,7 +207,7 @@ def test_fin_skeleton_counts_its_morphisms_before_listing_them():
     with pytest.raises(SizeGuardExceeded) as err:
         fin_skeleton(6)
     assert (err.value.estimate, err.value.guard) == (82207, 60000)
-    with pytest.raises(SizeGuardExceeded, match=r"^Fin<=6 has too many morphisms: estimated 82207 > guard 60000$"):
+    with pytest.raises(LoadError, match=r"^<string>:1: Fin<=6 has too many morphisms: estimated 82207 > guard 60000$"):
         loads("fixture l linctx K=6\n")
 
 
