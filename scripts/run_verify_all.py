@@ -28,7 +28,8 @@ FIXTURES = (
     ("galois.e", "fixture galois galois\n", ["--system", "galois.e"]),
     ("random", "fixture random random seed=5\n", []),
 )
-# fixtures whose duals are also recomputed by the residual route
+# fixtures whose duals are also recomputed from the slice x coslice
+# pairing's own rows at every point
 CROSS_CHECK = ("hoare", "linctx", "lattice-collapse", "lattice-identity")
 
 

@@ -216,7 +216,7 @@ def _notnot_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRep
 
 
 def _rapp_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
-    from .refsys import adjunction_check, rapp_check
+    from .refsys import adjunction_check, lapp_check, rapp_check
 
     adj = None
     for name, cand in ws.adjunctions.items():
@@ -231,7 +231,7 @@ def _rapp_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckRepor
                 "no adjunction declared for this system",
             )
         ]
-    return [adjunction_check(adj), rapp_check(adj)]
+    return [adjunction_check(adj), rapp_check(adj), lapp_check(adj)]
 
 
 def _ff_suite(s: RefinementSystem) -> list[CheckReport]:
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cross-check",
         dest="cross_check",
         action="store_true",
-        help="also compute duals through the residual-presheaf route",
+        help="also recompute each dual from the pairing's own rows at every point",
     )
     p = argparse.ArgumentParser(
         prog="refcat",

@@ -25,7 +25,13 @@ from refcat.fixtures import (
     random_refsys,
 )
 from refcat.psh import opcartesian_factoring_check, push_psh_full, representable
-from refcat.refsys import adjunction_check, find_pullback, find_pushforward, rapp_check
+from refcat.refsys import (
+    adjunction_check,
+    find_pullback,
+    find_pushforward,
+    lapp_check,
+    rapp_check,
+)
 from refcat.represent import (
     genday_check,
     neg_rep,
@@ -159,12 +165,15 @@ def test_criterion_5_day_style_tensor_transfer(collapse, ident):
 def test_criterion_6_galois_adjunction_application(galois):
     adj = adjunction_check(galois)
     app = rapp_check(galois)
-    ok = adj.ok and app.ok and adj.failed == app.failed == 0 and app.skipped == 0
+    mirror = lapp_check(galois)
+    ok = adj.ok and app.ok and mirror.ok and adj.failed == app.failed == 0 and app.skipped == 0
     verdict(
         6,
         ok,
-        f"adjunction laws {adj.passed}/{adj.attempted} and pullback application "
-        f"{app.passed}/{app.attempted} instances certified",
+        f"adjunction laws {adj.passed}/{adj.attempted}; G maps {app.passed}/{app.attempted} "
+        f"certified pullbacks to certified pullbacks and F maps {mirror.passed}/"
+        f"{mirror.attempted} certified pushforwards to certified pushforwards "
+        f"({mirror.skipped} with no pushforward in s)",
     )
 
 

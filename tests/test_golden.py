@@ -63,7 +63,6 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
 UNREACHED = {
     "dual_adjunction_check",
     "fully_faithful_check",
-    "lapp_check",
     "monoid_lax_check",
     "notpush_check",
     "pullpush_laws_check",

@@ -21,7 +21,6 @@ from refcat.fixtures import (
     build_hoare,
     collapse_lattice_fixture,
     default_hoare_spec,
-    galois_fixture,
     random_refsys,
 )
 from refcat.refsys import (
@@ -36,8 +35,10 @@ from refcat.refsys import (
     find_pushforward,
     fully_faithful_check,
     is_fibration,
+    lapp_check,
     left_curry,
     pullpush_laws_check,
+    rapp_check,
 )
 from refcat.represent import comma_system, slice_of
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
@@ -235,44 +236,64 @@ def test_both_halves_of_the_adjunction_check_can_fail(hoare):
         )
 
 
-def galois_copies(adj):
+ADJ_PARTS = ("left", "right", "unit_ref", "counit_ref", "unit_base", "counit_base")
+
+
+def galois_copies(adj, tampered=ADJ_PARTS):
     """The adjunction with one unit or counit component, or one refined
     morphism image of F or G, replaced by each morphism of its category,
-    the original one included: (changed?, copy) pairs."""
-    parts = ("left", "right", "unit_ref", "counit_ref", "unit_base", "counit_base")
+    the original one included: (changed?, copy) pairs.  Only the parts
+    named in `tampered` are replaced."""
 
     def copy(**changed):
-        return RefSysAdjunction(adj.name, *(changed.get(p, getattr(adj, p)) for p in parts))
+        return RefSysAdjunction(adj.name, *(changed.get(p, getattr(adj, p)) for p in ADJ_PARTS))
 
-    for name in parts[2:]:
+    for name in ADJ_PARTS[2:]:
+        if name not in tampered:
+            continue
         nt = getattr(adj, name)
         for a, old in enumerate(nt.components):
             for m in range(nt.target_functor.target.n_morphisms):
                 comps = nt.components[:a] + (m,) + nt.components[a + 1 :]
-                tampered = NatTransData(nt.name, nt.source_functor, nt.target_functor, comps)
-                yield m != old, copy(**{name: tampered})
-    for side in parts[:2]:
+                tampered_nt = NatTransData(nt.name, nt.source_functor, nt.target_functor, comps)
+                yield m != old, copy(**{name: tampered_nt})
+    for side in ADJ_PARTS[:2]:
+        if side not in tampered:
+            continue
         mor = getattr(adj, side)
         F = mor.on_ref
         for f, old in enumerate(F.morphism_map):
             for m in range(F.target.n_morphisms):
                 images = F.morphism_map[:f] + (m,) + F.morphism_map[f + 1 :]
                 G = FunctorData(F.name, F.source, F.target, F.object_map, images)
-                tampered = RefSysMorphism(mor.name, mor.source, mor.target, G, mor.on_base)
-                yield m != old, copy(**{side: tampered})
+                tampered_mor = RefSysMorphism(mor.name, mor.source, mor.target, G, mor.on_base)
+                yield m != old, copy(**{side: tampered_mor})
 
 
-def test_adjunction_check_reports_triangles_that_do_not_compose():
-    # On these posets every hom-set has at most one morphism, so each
+def test_adjunction_check_reports_triangles_that_do_not_compose(galois, hoare):
+    # On the galois posets every hom-set has at most one morphism, so each
     # changed copy breaks a component or a functor and must fail; in 57 of
     # them a triangle's two legs do not even compose, which is a failed
-    # triangle, not an error.
-    copies = list(galois_copies(galois_fixture()))
+    # triangle, not an error.  The same holds on galois.op() and for every
+    # unit and counit component of the identity adjunction on hoare.  So
+    # each step of the proof that right adjoints preserve pullbacks, an
+    # equation between composites of those laws, is decided here, and
+    # rapp and lapp check the theorem only: on every copy they report,
+    # green when nothing changed, and never raise.
+    copies = list(galois_copies(galois))
     assert len(copies) == 120 and sum(changed for changed, _ in copies) == 97
-    for changed, adj in copies:
-        rep = adjunction_check(adj)
-        assert rep.attempted == 23
-        assert rep.ok != changed, rep.counterexample
+    ids = tuple(hoare.D.identity)
+    units = ("unit_ref", "counit_ref", "unit_base", "counit_base")
+    on_hoare = list(galois_copies(identity_adjunction(hoare, ids, ids), units))
+    assert len(on_hoare) == 312 and sum(changed for changed, _ in on_hoare) == 302
+    for group, attempted in ((copies, 23), (galois_copies(galois.op()), 23), (on_hoare, 24)):
+        for changed, adj in group:
+            rep = adjunction_check(adj)
+            assert rep.attempted == attempted
+            assert rep.ok != changed, rep.counterexample
+            for check in (rapp_check, lapp_check):
+                app = check(adj)
+                assert app.ok or changed, app.counterexample
 
 
 def full_sweep_tests(sys, c, Q, P0, ell):
