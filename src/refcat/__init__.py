@@ -9,37 +9,43 @@ routine returning a CheckReport, and the bundled fixtures (a Hoare-style
 state system, a resource-counting sequent system, lattice collapses, and
 a Galois adjunction between them) exercise all of them.
 
-Importing the package executes none of its layers.  Each layer module is
+Importing the package executes none of its modules.  Each one is
 registered in `sys.modules` and as an attribute of the package, and is
-compiled and run when one of its attributes is first read; the public
-names below resolve through the layer that defines them.
+compiled and run when one of its attributes is first read, so
+`from . import render` binds a module without running it.  The public
+names below resolve through the module that defines them; `fixtures`
+also resolves those of its four families.
 """
 
 import importlib.util as _util
 import sys as _sys
 
-# layer module -> the public names it defines
+# every module but the entry points `cli` and `__main__` -> the public
+# names it defines
 _PUBLIC = {
     "fincat": """FinCategory FunctorData NatTransData SizeGuardExceeded
         StructuralError ValidationReport""",
-    "refsys": """LiftCertificate MonoidalRefinementSystem MonoidalStructure
-        MonoidObject RefinementSystem RefSysAdjunction RefSysMorphism
-        adjunction_check find_pullback find_pushforward rapp_check""",
+    "refsys": """LiftCertificate RefinementSystem RefSysMorphism find_pullback
+        find_pushforward rapp_check""",
+    "monoidal": "MonoidalRefinementSystem MonoidalStructure MonoidObject",
+    "adjunction": "RefSysAdjunction adjunction_check",
     "reports": "CheckReport",
     "psh": "Presheaf PshDerivation pull_psh push_psh",
     "represent": """slice_of coslice_of pos_rep neg_rep
-        representation_ff_check preservation_check factorization_check
-        genday_check monoid_lax_check""",
-    "duality": """dual_left dual_right dual_cross_check duality_check
-        dual_adjunction_check negative_encoding_check notpush_check
-        notnottensor_check tensorL_check""",
-    "fixtures": """HoareSpec MultiMorphism MulticategorySpec TensorDecl
-        LatticeSpec RandomBounds build_hoare hoare_sp hoare_wp
-        default_hoare_spec build_linctx default_linear_spec
-        validate_multicategory fin_skeleton build_lattice
-        collapse_lattice_fixture identity_lattice_fixture galois_fixture
-        random_refsys bang_system""",
+        representation_ff_check preservation_check factorization_check""",
+    "day": "genday_check monoid_lax_check notnottensor_check",
+    "duality": """dual_left dual_right duality_check negative_encoding_check
+        notpush_check tensorL_check""",
+    "pairing": "dual_cross_check dual_adjunction_check",
+    "fixtures": "bang_system",
+    "hoare": "HoareSpec build_hoare hoare_sp hoare_wp default_hoare_spec",
+    "linctx": """MultiMorphism MulticategorySpec TensorDecl build_linctx
+        default_linear_spec validate_multicategory fin_skeleton""",
+    "lattice": """LatticeSpec build_lattice collapse_lattice_fixture
+        identity_lattice_fixture galois_fixture""",
+    "randsys": "RandomBounds random_refsys",
     "textio": "Workspace LoadError load loads",
+    "blocks": "", "render": "", "suites": "",
 }
 _HOME = {name: layer for layer, names in _PUBLIC.items() for name in names.split()}
 __all__ = list(_HOME)
@@ -47,8 +53,8 @@ __version__ = "0.1.0"
 
 
 def _register(layer: str):
-    """The layer module, bound in `sys.modules` but not yet executed
-    (the `importlib.util.LazyLoader` recipe)."""
+    """The module, bound in `sys.modules` but not yet executed (the
+    `importlib.util.LazyLoader` recipe)."""
     spec = _util.find_spec(f"{__name__}.{layer}")
     spec.loader = _util.LazyLoader(spec.loader)
     module = _util.module_from_spec(spec)

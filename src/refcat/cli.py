@@ -5,7 +5,9 @@ Output is canonical: identical workspace and command give identical bytes.
 
 A command imports the layers it reaches inside the functions that use
 them, so a query never compiles the presheaf, representation or duality
-layers it does not run.
+layers it does not run.  The suite bodies are in `suites`, and the text
+and JSON forms in `render`; each is compiled by the first command that
+reads it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import argparse
 import os as _os
 import sys as _sys
 
-from . import fixtures as fx
-from . import textio
+from . import render, suites, textio
 from .fincat import SIZE_GUARD, SizeGuardExceeded, StructuralError
-from .reports import CheckReport
 from .textio import LoadError
 
 class UsageError(Exception):
@@ -49,64 +49,6 @@ def _system_entry(ws: Workspace, name: str | None) -> tuple[str, RefinementSyste
     raise UsageError("no systems loaded")
 
 
-def _merge_reports(name: str, statement: str, reports) -> CheckReport:
-    """Fold per-instance reports into one order-canonical report, each
-    counterexample and note under the name of its instance."""
-    out = CheckReport(name, statement)
-    for rep in reports:
-        out.absorb(rep, f"{rep.name}: ")
-    return out
-
-
-def _laws_report(s: RefinementSystem) -> CheckReport:
-    rep = CheckReport(
-        f"laws[{s.name}]",
-        "identity, associativity, endpoint, and projection tables are lawful",
-    )
-    v = s.validate()
-    if v.ok:
-        rep.record_pass()
-    else:
-        rep.record_fail("\n".join(str(x) for x in v.violations))
-    return rep
-
-
-def _skip_report(name: str, statement: str, reason: str) -> CheckReport:
-    rep = CheckReport(name, statement)
-    rep.record_skip(reason)
-    return rep
-
-
-def _genday_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
-    from .represent import genday_check
-
-    if key not in ws.monoidal:
-        return [
-            _skip_report(
-                f"genday[{s.name}]",
-                "pushing paired representations forward preserves tensors, "
-                "residuals, and their units",
-                "no monoidal structure declared for this system",
-            )
-        ]
-    mrs = ws.monoidal[key]
-    n = s.D.n_objects
-    reports = [
-        genday_check(mrs, P, Q, R)
-        for P in range(n)
-        for Q in range(n)
-        for R in range(n)
-    ]
-    return [
-        _merge_reports(
-            f"genday[{s.name}]",
-            "pushing paired representations forward preserves tensors, "
-            "residuals, and their units, over all object triples",
-            reports,
-        )
-    ]
-
-
 def _duals(side: str):
     """The representation a dual of this side dualizes, and its dualizer."""
     from .duality import dual_left, dual_right
@@ -115,156 +57,12 @@ def _duals(side: str):
     return (pos_rep, dual_left) if side == "left" else (neg_rep, dual_right)
 
 
-def _duality_suite(s: RefinementSystem, cross_check: bool) -> list[CheckReport]:
-    from .duality import dual_cross_check, duality_check
-
-    reports = [duality_check(s, Q) for Q in range(s.D.n_objects)]
-    out = [
-        _merge_reports(
-            f"duality[{s.name}]",
-            "the positive and negative representations of every refinement "
-            "are each other's duals",
-            reports,
-        )
-    ]
-    if cross_check:
-        cross = CheckReport(
-            f"dual-cross[{s.name}]",
-            "the pointwise dualizers agree with the residual-presheaf route",
-        )
-        for Q in range(s.D.n_objects):
-            B = s.shape(Q)
-            try:
-                for side in ("left", "right"):
-                    rep, dual = _duals(side)
-                    inp = rep(s, Q)
-                    dual_cross_check(s, B, inp, dual(s, B, inp), side)
-            except StructuralError as exc:
-                cross.record_fail(f"{s.D.objects[Q]}: {exc}")
-            else:
-                cross.record_pass()
-        out.append(cross)
-    return out
-
-
-def _negenc_suite(s: RefinementSystem) -> list[CheckReport]:
-    from .duality import negative_encoding_check, tensorL_check
-    from .refsys import find_pushforward
-
-    data = fx.linctx_data(s)
-    if data is not None:
-        mc = data[0]
-        if not mc.tensors:
-            return [
-                _skip_report(
-                    f"negative-encoding[{s.name}]",
-                    "pushforwards are recovered from negative data",
-                    "no tensor declarations in the multicategory",
-                )
-            ]
-        return [tensorL_check(s, d.left, d.right) for d in mc.tensors]
-    reports = []
-    for c in range(s.T.n_morphisms):
-        for P in s.fiber(s.T.dom(c)):
-            if find_pushforward(s, c, P) is None:
-                continue
-            reports.append(negative_encoding_check(s, c, P))
-    if not reports:
-        return [
-            _skip_report(
-                f"negative-encoding[{s.name}]",
-                "pushforwards are recovered from negative data",
-                "no pushforwards exist in this system",
-            )
-        ]
-    return [
-        _merge_reports(
-            f"negative-encoding[{s.name}]",
-            "every pushforward is recovered from negative data, both as a "
-            "dual of a pulled negative representation and as a double dual "
-            "of the pushed positive one",
-            reports,
-        )
-    ]
-
-
-def _notnot_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
-    from .duality import notnottensor_check
-
-    if key not in ws.monoids:
-        return [
-            _skip_report(
-                f"notnot-tensor[{s.name}]",
-                "fiber tensors are recovered from Day tensors up to double "
-                "dualization",
-                "no monoid objects declared for this system",
-            )
-        ]
-    reports = []
-    for mo in ws.monoids[key]:
-        for P in s.fiber(mo.W):
-            for Q in s.fiber(mo.W):
-                reports.append(notnottensor_check(ws.monoidal[key], mo, P, Q))
-    return [
-        _merge_reports(
-            f"notnot-tensor[{s.name}]",
-            "fiber tensors over every monoid are recovered from Day tensors "
-            "up to double dualization",
-            reports,
-        )
-    ]
-
-
-def _rapp_suite(ws: Workspace, key: str, s: RefinementSystem) -> list[CheckReport]:
-    from .refsys import adjunction_check, lapp_check, rapp_check
-
-    adj = None
-    for name, cand in ws.adjunctions.items():
-        if cand.s is s or cand.e is s or name == key:
-            adj = cand
-            break
-    if adj is None:
-        return [
-            _skip_report(
-                f"rapp[{s.name}]",
-                "right adjoints preserve certified pullbacks",
-                "no adjunction declared for this system",
-            )
-        ]
-    return [adjunction_check(adj), rapp_check(adj), lapp_check(adj)]
-
-
-def _ff_suite(s: RefinementSystem) -> list[CheckReport]:
-    from .represent import representation_ff_check
-
-    return [representation_ff_check(s)]
-
-
-def _preservation_suite(s: RefinementSystem) -> list[CheckReport]:
-    from .represent import preservation_check
-
-    return [preservation_check(s)]
-
-
-def _factorization_suite(s: RefinementSystem, size_guard: int) -> list[CheckReport]:
-    from .represent import factorization_check
-
-    return [factorization_check(s, size_guard)]
-
-
-# Every suite, in the order `all` runs them: name -> reports for
-# (workspace, system key, system, size guard, cross-check flag).
-SUITES = {
-    "laws": lambda ws, key, s, guard, cross: [_laws_report(s)],
-    "ff": lambda ws, key, s, guard, cross: _ff_suite(s),
-    "preservation": lambda ws, key, s, guard, cross: _preservation_suite(s),
-    "factorization": lambda ws, key, s, guard, cross: _factorization_suite(s, guard),
-    "genday": lambda ws, key, s, guard, cross: _genday_suite(ws, key, s),
-    "duality": lambda ws, key, s, guard, cross: _duality_suite(s, cross),
-    "negative-encoding": lambda ws, key, s, guard, cross: _negenc_suite(s),
-    "notnot-tensor": lambda ws, key, s, guard, cross: _notnot_suite(ws, key, s),
-    "rapp": lambda ws, key, s, guard, cross: _rapp_suite(ws, key, s),
-}
+# Every suite, in the order `all` runs them; `suites.<name>` runs it, with
+# a dash in the name read as an underscore.
+SUITES = (
+    "laws", "ff", "preservation", "factorization", "genday", "duality",
+    "negative-encoding", "notnot-tensor", "rapp",
+)
 
 
 def run_suite(
@@ -277,7 +75,7 @@ def run_suite(
         return [r for sub in SUITES for r in run_suite(ws, system, sub, size_guard, cross_check)]
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}")
-    return SUITES[suite](ws, key, s, size_guard, cross_check)
+    return getattr(suites, suite.replace("-", "_"))(ws, key, s, size_guard, cross_check)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +121,7 @@ def _cmd_validate(args) -> int:
             },
             "adjunctions": sorted(ws.adjunctions),
         }
-        _emit(args, textio.to_json(summary))
+        _emit(args, render.to_json(summary))
         return 0
     lines = []
     for name, cat in ws.categories.items():
@@ -358,7 +156,7 @@ def _cmd_derive(args) -> int:
         )
     ders = s.derivations(P, c, Q)
     if args.json:
-        _emit(args, textio.to_json({"derivations": [s.D.mor_names[a] for a in ders]}))
+        _emit(args, render.to_json({"derivations": [s.D.mor_names[a] for a in ders]}))
         return 0
     if not ders:
         _emit(args, "no derivations")
@@ -375,7 +173,7 @@ def _cmd_slice(args, co: bool) -> int:
     B = _resolve_obj(s.T, args.base, "base object")
     S = coslice_of(s, B) if co else slice_of(s, B)
     if args.json:
-        _emit(args, textio.to_json(textio.category_to_dict(S.cat)))
+        _emit(args, render.to_json(render.category_to_dict(S.cat)))
         return 0
     lines = [f"{S.cat.name}: {S.cat.n_objects} objects, {S.cat.n_morphisms} morphisms"]
     for i in range(S.cat.n_objects):
@@ -398,9 +196,9 @@ def _cmd_represent(args) -> int:
     else:
         phi = neg_rep(s, _resolve_obj(s.D, args.neg, "refinement"))
     if args.json:
-        _emit(args, textio.to_json(textio.presheaf_to_dict(phi)))
+        _emit(args, render.to_json(render.presheaf_to_dict(phi)))
     else:
-        _emit(args, textio.render_presheaf(phi))
+        _emit(args, render.render_presheaf(phi))
     return 0
 
 
@@ -433,7 +231,7 @@ def _cmd_lift(args, direction: str) -> int:
                 "structural": s.D.mor_names[cert.structural],
                 "factoring_tests": cert.tests,
             }
-        _emit(args, textio.to_json({direction: payload}))
+        _emit(args, render.to_json({direction: payload}))
         return 0
     if cert is None:
         _emit(args, f"no {direction}")
@@ -449,8 +247,6 @@ def _cmd_lift(args, direction: str) -> int:
 
 
 def _cmd_dual(args) -> int:
-    from .duality import dual_cross_check
-
     ws = textio.load(args.file)
     _, s = _system_entry(ws, args.system)
     side = "left" if args.left is not None else "right"
@@ -459,23 +255,27 @@ def _cmd_dual(args) -> int:
     inp = rep(s, X)
     out = dual(s, s.shape(X), inp)
     if args.cross_check:
+        from .pairing import dual_cross_check
+
         try:
             dual_cross_check(s, s.shape(X), inp, out, side)
         except StructuralError as exc:
             print(f"cross-check failed: {exc}", file=_sys.stderr)
             return 1
     if args.json:
-        _emit(args, textio.to_json(textio.presheaf_to_dict(out)))
+        _emit(args, render.to_json(render.presheaf_to_dict(out)))
     else:
-        _emit(args, textio.render_presheaf(out))
+        _emit(args, render.render_presheaf(out))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.size_guard < 0:
+        raise UsageError(f"--size-guard must be 0 or more, got {args.size_guard}")
     ws = textio.load(args.file)
     reports = run_suite(ws, args.system, args.suite, args.size_guard, args.cross_check)
     if args.json:
-        _emit(args, textio.to_json([r.to_dict() for r in reports]))
+        _emit(args, render.to_json([r.to_dict() for r in reports]))
     else:
         blocks = [r.render() for r in reports]
         ok = sum(1 for r in reports if r.failed == 0)
@@ -495,9 +295,9 @@ def _cmd_fixtures(args) -> int:
         payload = {
             "fixture": kind,
             "params": params,
-            "systems": {name: textio.system_to_dict(s) for name, s in ws.systems.items()},
+            "systems": {name: render.system_to_dict(s) for name, s in ws.systems.items()},
         }
-        _emit(args, textio.to_json(payload))
+        _emit(args, render.to_json(payload))
         return 0
     lines = [f"# {kind} fixture"]
     param_text = "".join(f" {k}={v}" for k, v in sorted(params.items()))
@@ -505,7 +305,7 @@ def _cmd_fixtures(args) -> int:
     for name, s in ws.systems.items():
         lines.append("")
         lines.append(f"# expanded: refsys {name}")
-        for chunk in textio.render_system(s).splitlines():
+        for chunk in render.render_system(s).splitlines():
             lines.append(f"# {chunk}" if chunk else "#")
     _emit(args, "\n".join(lines))
     return 0

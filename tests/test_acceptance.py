@@ -9,8 +9,9 @@ import os
 import subprocess
 import sys
 
+from refcat.adjunction import adjunction_check, lapp_check
+from refcat.day import genday_check
 from refcat.duality import (
-    dual_cross_check,
     dual_left,
     dual_right,
     duality_check,
@@ -25,15 +26,13 @@ from refcat.fixtures import (
     random_refsys,
 )
 from refcat.psh import opcartesian_factoring_check, push_psh_full, representable
+from refcat.pairing import dual_cross_check
 from refcat.refsys import (
-    adjunction_check,
     find_pullback,
     find_pushforward,
-    lapp_check,
     rapp_check,
 )
 from refcat.represent import (
-    genday_check,
     neg_rep,
     pos_rep,
     preservation_check,

@@ -14,7 +14,8 @@ import pytest
 
 import refcat.cli as cli_mod
 import refcat.duality as duality_mod
-import refcat.fixtures as fx_mod
+import refcat.hoare as hoare_mod
+import refcat.pairing as pairing_mod
 import refcat.psh as psh_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
@@ -461,6 +462,16 @@ def test_size_guard_reaches_the_comma_guard(tmp_path, capsys):
     assert "> guard 60000" in capsys.readouterr().out
 
 
+def test_a_negative_size_guard_is_a_usage_error(hoare_file, capsys):
+    # A negative guard would skip every guarded build as "estimated n >
+    # guard -1" and still exit 0; 0 is a legal guard.
+    assert main(["verify", hoare_file, "factorization", "--size-guard", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --size-guard must be 0 or more, got -1\n")
+    assert main(["verify", hoare_file, "factorization", "--size-guard", "0"]) == 0
+    assert "estimated 16 > guard 0" in capsys.readouterr().out
+
+
 def test_a_linctx_past_the_size_guard_exits_2(tmp_path, capsys):
     # Fin<=6 has 82,207 morphisms: refused before any is listed.
     p = tmp_path / "l.fix"
@@ -517,8 +528,8 @@ def test_flags_are_rejected_where_nothing_reads_them(hoare_file, capsys):
 def reversed_pairing_rows(monkeypatch):
     # The cross-check reads the pairing's rows and the dualizers read the
     # cuts, so reversing every row makes the two routes disagree.
-    real = duality_mod.Pairing.row
-    monkeypatch.setattr(duality_mod.Pairing, "row", lambda self, f, g: real(self, f, g)[::-1])
+    real = pairing_mod.Pairing.row
+    monkeypatch.setattr(pairing_mod.Pairing, "row", lambda self, f, g: real(self, f, g)[::-1])
 
 
 def test_verify_records_a_cross_check_disagreement_as_a_failed_report(
@@ -535,14 +546,14 @@ def test_verify_records_a_cross_check_disagreement_as_a_failed_report(
 
 
 def test_verify_ff_exits_1_on_a_representation_missing_an_element(hoare_file, capsys, monkeypatch):
-    build = fx_mod.build_hoare
+    build = hoare_mod.build_hoare
 
     def tampered(spec):
         sys = build(spec)
         empty_last_support_point(sys, "{s0,s1}")
         return sys
 
-    monkeypatch.setattr(fx_mod, "build_hoare", tampered)
+    monkeypatch.setattr(hoare_mod, "build_hoare", tampered)
     assert main(["verify", hoare_file, "ff"]) == 1
     out = capsys.readouterr().out
     assert "  attempted 128 passed 121 failed 7 skipped 0" in out
@@ -552,14 +563,14 @@ def test_verify_ff_exits_1_on_a_representation_missing_an_element(hoare_file, ca
 
 @pytest.mark.parametrize("tamper", sorted(CORRUPTED_REP_FAILURES))
 def test_verify_ff_exits_1_on_a_corrupted_representation(hoare_file, capsys, monkeypatch, tamper):
-    build = fx_mod.build_hoare
+    build = hoare_mod.build_hoare
 
     def tampered(spec):
         sys = build(spec)
         corrupt_representation(sys, tamper)
         return sys
 
-    monkeypatch.setattr(fx_mod, "build_hoare", tampered)
+    monkeypatch.setattr(hoare_mod, "build_hoare", tampered)
     assert main(["verify", hoare_file, "ff"]) == 1
     out = capsys.readouterr().out
     failed, counterexample = CORRUPTED_REP_FAILURES[tamper]

@@ -18,18 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
+import refcat.pairing as pairing_mod
+from refcat.day import notnottensor_check
 from refcat.duality import (
-    Pairing,
     _cut,
-    dual_adjunction_check,
-    dual_cross_check,
     dual_left,
     dual_right,
     duality_check,
     negative_encoding_check,
-    notnottensor_check,
     notpush_check,
-    pairing,
 )
 from refcat.fincat import (
     FinCategory,
@@ -54,6 +51,7 @@ from refcat.psh import (
     validate_presheaf,
     vertical_iso_psh,
 )
+from refcat.pairing import Pairing, dual_adjunction_check, dual_cross_check, pairing
 from refcat.represent import coslice_of, neg_rep, pos_rep, slice_action, slice_of
 from tests.conftest import image_oracle, pred_set
 from tests.test_fincat import chain_category
@@ -187,8 +185,8 @@ def test_pairing_clause_guard_trips_before_anything_is_built(monkeypatch):
     def untouched(*args):
         raise AssertionError("the guard must trip before the pairing is read")
 
-    monkeypatch.setattr(duality_mod, "PAIRING_GUARD", n - 1)
-    monkeypatch.setattr(duality_mod, "product", untouched)
+    monkeypatch.setattr(pairing_mod, "PAIRING_GUARD", n - 1)
+    monkeypatch.setattr(pairing_mod, "product", untouched)
     monkeypatch.setattr(Pairing, "ders", untouched)
     rep = dual_adjunction_check(sys, 0)
     assert (rep.passed, rep.failed, rep.skipped) == (28, 0, 1)

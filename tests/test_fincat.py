@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refcat import psh
+from refcat.day import _strict_left_residual, m_functor
 from refcat.fincat import (
     FinCategory,
     FunctorData,
@@ -36,9 +37,7 @@ from refcat.psh import (
 )
 from refcat.represent import (
     CommaCategory,
-    _strict_left_residual,
     comma_system,
-    m_functor,
     pos_rep,
     slice_action,
 )

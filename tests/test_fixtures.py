@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-import refcat.fixtures as fixtures_mod
+import refcat.hoare as hoare_mod
+from refcat.adjunction import adjunction_check, lapp_check
 from refcat.duality import tensorL_check
 from refcat.fincat import SizeGuardExceeded, StructuralError, validate_category
 from refcat.fixtures import (
@@ -26,17 +27,16 @@ from refcat.fixtures import (
     build_hoare,
     build_lattice,
     build_linctx,
-    chain_lattice,
     default_linear_spec,
     fin_skeleton,
     hoare_sp,
     hoare_wp,
     linctx_data,
-    powerset_lattice,
     random_refsys,
     validate_multicategory,
 )
-from refcat.refsys import adjunction_check, is_fibration, lapp_check, rapp_check
+from refcat.lattice import chain_lattice, powerset_lattice
+from refcat.refsys import is_fibration, rapp_check
 from refcat.textio import LoadError, loads
 from tests.conftest import HOARE_FN, image_oracle, preimage_oracle
 from tests.test_refsys import is_opfibration
@@ -102,7 +102,7 @@ def test_three_state_rotation_closure():
 
 
 def test_closure_bound_is_enforced(monkeypatch):
-    monkeypatch.setattr(fixtures_mod, "CLOSURE_BOUND", 2)
+    monkeypatch.setattr(hoare_mod, "CLOSURE_BOUND", 2)
     with pytest.raises(StructuralError, match="closure bound 2"):
         build_hoare(default_spec())
 

@@ -21,6 +21,7 @@ one with `python tests/test_golden.py NAME`.
 """
 
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -70,9 +71,16 @@ UNREACHED = {
 
 
 def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
-    modules = [
-        importlib.import_module(f"refcat.{m.name}") for m in pkgutil.iter_modules(refcat.__path__)
-    ]
+    # Every module under src/refcat, in subpackages too: a check moved into
+    # one must stay in this bookkeeping.
+    found = pkgutil.walk_packages(refcat.__path__, f"{refcat.__name__}.")
+    modules = [importlib.import_module(m.name) for m in found]
+    root = Path(refcat.__file__).parent
+    files = {
+        ".".join(("refcat", *p.relative_to(root).with_suffix("").parts)).removesuffix(".__init__")
+        for p in root.rglob("*.py")
+    }
+    assert {m.__name__ for m in modules} == files - {"refcat"}
     checks = {
         name: fn
         for mod in modules
@@ -103,6 +111,20 @@ def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert UNREACHED <= set(checks)
     assert set(checks) - reached == UNREACHED
+
+
+def test_linctx_k4_verify_all_keeps_its_transcript(tmp_path, capsys):
+    # The largest shipped-size run (28,806 lines, seconds) is pinned by
+    # its digest rather than a golden file.
+    path = tmp_path / "k4.fix"
+    path.write_text("fixture l linctx K=4\n")
+    assert main(["verify", str(path), "all"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 28806
+    assert hashlib.sha256(out.encode()).hexdigest() == K4_SHA256
+
+
+K4_SHA256 = "051294e7a6cc7795954171068a0e15a5379c5283af20235fd0e19e9ea6f537b6"
 
 
 # golden file -> workspace line, for `verify <file> duality --cross-check`

@@ -23,20 +23,20 @@ from refcat.fixtures import (
     default_hoare_spec,
     random_refsys,
 )
-from refcat.refsys import (
+from refcat.adjunction import RefSysAdjunction, adjunction_check, lapp_check
+from refcat.monoidal import (
     MonoidalRefinementSystem,
     MonoidalStructure,
-    RefinementSystem,
-    RefSysAdjunction,
-    RefSysMorphism,
-    adjunction_check,
     find_left_residual,
+    left_curry,
+)
+from refcat.refsys import (
+    RefinementSystem,
+    RefSysMorphism,
     find_pullback,
     find_pushforward,
     fully_faithful_check,
     is_fibration,
-    lapp_check,
-    left_curry,
     pullpush_laws_check,
     rapp_check,
 )

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import refcat.day as day_mod
 import refcat.fincat as fincat_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
@@ -18,6 +19,14 @@ from refcat.fincat import (
     compose_functors,
     validate_category,
     validate_functor,
+)
+from refcat.day import (
+    fiber_residual_left,
+    fiber_tensor,
+    genday_check,
+    m_derivation,
+    m_functor,
+    monoid_lax_check,
 )
 from refcat.fixtures import (
     build_hoare,
@@ -44,12 +53,6 @@ from refcat.represent import (
     coslice_action,
     coslice_of,
     factorization_check,
-    fiber_residual_left,
-    fiber_tensor,
-    genday_check,
-    m_derivation,
-    m_functor,
-    monoid_lax_check,
     neg_rep,
     pos_rep,
     pos_rep_derivation,
@@ -709,15 +712,15 @@ def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, mon
     # rep(P) and rep(R) names the pair.
     calls: dict[str, Counter] = {}
     for fn in ("curried_residual", "_genday_tensor_clause", "_genday_residual_clause"):
-        real = getattr(represent_mod, fn)
+        real = getattr(day_mod, fn)
 
         def counted(*args, _real=real, _seen=calls.setdefault(fn, Counter())):
             _seen[args] += 1
             return _real(*args)
 
-        monkeypatch.setattr(represent_mod, fn, counted)
+        monkeypatch.setattr(day_mod, fn, counted)
     pairs = Counter()
-    real_pulled = represent_mod._pulled_residual
+    real_pulled = day_mod._pulled_residual
 
     def pulled(mrs, P, R, *rest):
         built = calls["curried_residual"].total()
@@ -726,7 +729,7 @@ def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, mon
         pairs[(P, R)] += 1
         return out
 
-    monkeypatch.setattr(represent_mod, "_pulled_residual", pulled)
+    monkeypatch.setattr(day_mod, "_pulled_residual", pulled)
     path = tmp_path / "w.fix"
     path.write_text(f"fixture w {name}\n")
     assert main(["verify", str(path), "genday"]) == 0
@@ -811,13 +814,13 @@ def test_m_functor_and_m_derivation_validate(collapse):
 
 def test_m_functor_shares_its_product_with_the_reversed_tensor(monkeypatch):
     built = []
-    real_product = represent_mod.product
+    real_product = day_mod.product
 
     def counted(left, right):
         built.append((left, right))
         return real_product(left, right)
 
-    monkeypatch.setattr(represent_mod, "product", counted)
+    monkeypatch.setattr(day_mod, "product", counted)
     mrs = collapse_lattice_fixture().mrs
     n = mrs.sys.T.n_objects
     for B1 in range(n):

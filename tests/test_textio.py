@@ -7,11 +7,7 @@ import pytest
 from refcat.fincat import validate_category, validate_functor
 from refcat.fixtures import linctx_data, random_refsys
 from refcat.psh import validate_presheaf
-from refcat.textio import (
-    LoadError,
-    Workspace,
-    load,
-    loads,
+from refcat.render import (
     render_category,
     render_functor,
     render_presheaf,
@@ -19,6 +15,7 @@ from refcat.textio import (
     system_to_dict,
     to_json,
 )
+from refcat.textio import LoadError, Workspace, load, loads
 
 ARROW = """
 category C
