@@ -35,7 +35,7 @@ _PUBLIC = {
         representation_ff_check preservation_check factorization_check""",
     "day": "genday_check monoid_lax_check notnottensor_check",
     "duality": """dual_left dual_right duality_check negative_encoding_check
-        notpush_check tensorL_check""",
+        tensorL_check""",
     "pairing": "dual_cross_check dual_adjunction_check",
     "fixtures": "bang_system",
     "hoare": "HoareSpec build_hoare hoare_sp hoare_wp default_hoare_spec",

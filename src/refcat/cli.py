@@ -288,9 +288,14 @@ def _cmd_fixtures(args) -> int:
     kind = args.name
     if kind not in textio.FIXTURE_KINDS:
         raise UsageError(f"unknown fixture {kind!r} (one of {', '.join(textio.FIXTURE_KINDS)})")
-    params = {"seed": args.seed} if kind == "random" else {}
+    params = {} if args.seed is None else {"seed": args.seed}
+    if "seed" in textio.FIXTURE_KINDS[kind][1]:
+        params.setdefault("seed", 0)
     ws = textio.Workspace()
-    textio.build_fixture(ws, kind, kind, params, "generated")
+    try:
+        textio.build_fixture(ws, kind, kind, params, "generated")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.json:
         payload = {
             "fixture": kind,
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_fixtures)
     sp.add_argument("action", choices=("gen",))
     sp.add_argument("name")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the random fixture")
+    sp.add_argument("--seed", type=int, default=None, help="seed for the random fixture")
 
     return p
 

@@ -10,10 +10,10 @@ derivations the presheaf can be mapped into, which is the residual of
 the presheaf and the pairing curried on the coslice
 (`psh.curried_residual`).  The checks in this module verify that the
 two representations of a refinement are the point sections of the cut
-and each other's duals, that dualization interacts with push and pull the
-way one-sided image constructions demand, and that pushforwards and
-declared tensors are recovered from their negative encodings up to double
-dualization; fiber tensors are recovered the same way in `day`.
+and each other's duals, and that pushforwards and declared tensors are
+recovered from their negative encodings up to double dualization, with
+dualization turning each push into a pull on the way; fiber tensors are
+recovered the same way in `day`.
 
 Every mirror image is taken from the opposite system: the coslice of a
 system is the slice of `sys.op()`, and the right dual is the left dual
@@ -35,7 +35,6 @@ from .fincat import StructuralError, Table
 from .psh import (
     Presheaf,
     curried_residual,
-    natural_families,
     pull_psh,
     push_psh,
     vertical_iso_psh,
@@ -234,65 +233,16 @@ def duality_check(sys: RefinementSystem, Q: int) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Duals against push and pull
-
-
-def _push_pull_square(sys: RefinementSystem, c: int, phi: Presheaf):
-    """Left duals around the push/pull square of c : A -> B, for phi over
-    the slice of A.  Returns the left dual of the pushed phi, whether the
-    pulled left dual is isomorphic to it, and for the one-way composite
-    (the pushed left dual of the push) whether it compares into the left
-    dual of phi, back, and isomorphically."""
-    A, B = sys.T.dom(c), sys.T.cod(c)
-    dl_phi = dual_left(sys, A, phi)
-    dl_pushed = dual_left(sys, B, push_psh(slice_action(sys, c), phi))
-    pulled = pull_psh(coslice_action(sys, c), dl_phi)
-    one = push_psh(coslice_action(sys, c), dl_pushed)
-    return (
-        dl_pushed,
-        vertical_iso_psh(pulled, dl_pushed) is not None,
-        bool(natural_families(one, dl_phi)),
-        bool(natural_families(dl_phi, one)),
-        vertical_iso_psh(one, dl_phi) is not None,
-    )
-
-
-def notpush_check(sys: RefinementSystem, c: int, phi: Presheaf) -> CheckReport:
-    """How dualization converts pushes to pulls across a base morphism
-    c : A -> B, for phi over the slice of A and, over the coslice of B,
-    psi the left dual of the pushed phi:
-
-    (1) pulling the left dual back equals the left dual of the push (iso);
-    (2) mirror image for right duals of coslice presheaves (iso), which is
-    (1) for psi in the opposite system;
-    (3),(4) the corresponding composites around the squares admit one-way
-    comparisons whose invertibility is recorded per instance, never
-    asserted."""
-    T = sys.T
-    rep = CheckReport(
-        f"notpush[{sys.name}:{T.mor_names[c]}:{phi.name}]",
-        "dualization exchanges push and pull across a base morphism",
-    )
-    if phi.base is not slice_of(sys, T.dom(c)).cat:
-        raise StructuralError(f"notpush_check: {phi.name} must live over the slice of {T.objects[T.dom(c)]}")
-    left = _push_pull_square(sys, c, phi)
-    right = _push_pull_square(sys.op(), c, left[0])
-    rep.check(left[1], "pulled left dual differs from left dual of the push")
-    rep.check(right[1], "pulled right dual differs from right dual of the push")
-    for side, lead, (_, _, ok, back, iso) in (
-        ("left", "converse comparison", left),
-        ("right", "mirror converse", right),
-    ):
-        rep.check(ok, f"no comparison from the pushed {side} dual of the push")
-        rep.note(f"{lead} {'exists' if back else 'absent'}; iso {'yes' if iso else 'no'}")
-    return rep
+# Negative encodings of pushforwards
 
 
 def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckReport:
     """A pushforward is recovered from negative data in two ways: the
     right dual of the pulled negative representation, and the double dual
-    of the pushed positive representation.  The single push itself need
-    not be isomorphic to the representation of the pushforward; its
+    of the pushed positive representation.  Between them, dualization
+    turns the push into the pull: the pulled negative representation is
+    the left dual of the pushed positive one.  The single push itself
+    need not be isomorphic to the representation of the pushforward; its
     status is recorded as a note."""
     D, T = sys.D, sys.T
     rep = CheckReport(
@@ -313,9 +263,13 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
     )
 
     pushed = push_psh(slice_action(sys, c), pos_rep(sys, P))
+    dual = dual_left(sys, B, pushed)
     rep.check(
-        vertical_iso_psh(target, dual_right(sys, B, dual_left(sys, B, pushed)))
-        is not None,
+        vertical_iso_psh(pulled, dual) is not None,
+        f"pulled negative rep({D.objects[P]}) is not the left dual of pushed rep({D.objects[P]})",
+    )
+    rep.check(
+        vertical_iso_psh(target, dual_right(sys, B, dual)) is not None,
         f"double dual of pushed rep({D.objects[P]}) is not rep({D.objects[cert.result]})",
     )
     rep.note(

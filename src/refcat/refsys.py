@@ -293,95 +293,6 @@ def find_pushforward(sys: RefinementSystem, c: int, P: int) -> LiftCertificate |
     )
 
 
-def is_fibration(sys: RefinementSystem) -> tuple[bool, list[tuple[int, int]]]:
-    """True when every (c, Q) with Q refining cod c has a pullback.
-    Returns the list of missing pairs."""
-    missing = []
-    for c in range(sys.T.n_morphisms):
-        for Q in sys.fiber(sys.T.cod(c)):
-            if find_pullback(sys, c, Q) is None:
-                missing.append((c, Q))
-    return (not missing, missing)
-
-
-def pullpush_laws_check(sys: RefinementSystem) -> CheckReport:
-    """Functoriality and monotonicity of pullback and pushforward.
-
-    Whenever both sides exist: pulling along d then c agrees with pulling
-    along d;c up to vertical iso, identities pull to the same type up to
-    vertical iso, pulling preserves subtyping; dually for pushing, which
-    is pulling in the opposite system.  Instances where a needed lift does
-    not exist are skipped, since the laws only speak about types the
-    system can actually form.
-    """
-    report = CheckReport(
-        name="pull-push-laws",
-        statement="pullbacks and pushforwards compose, respect identities, "
-        "and are monotone in the subject",
-    )
-    T = sys.T
-    nm, nc = sys.D.object_name, T.morphism_name
-    # Subtyping in the opposite system runs the other way.
-    sides = (
-        (sys, "pull", "pullback", "<="),
-        (sys.op(), "push", "pushforward", ">="),
-    )
-
-    # identity laws
-    for A in range(T.n_objects):
-        for Q in sys.fiber(A):
-            for s, verb, lift, _ in sides:
-                cert = find_pullback(s, T.identity[A], Q)
-                if cert is None:
-                    report.record_skip(f"identity {lift} missing")
-                    continue
-                report.check(
-                    sys.vertical_iso(cert.result, Q) is not None,
-                    f"{verb} along id_{T.object_name(A)} of {nm(Q)} gave "
-                    f"{nm(cert.result)}, not iso to {nm(Q)}",
-                )
-
-    # composition laws: pull along c then d, push along d then c
-    for d in range(T.n_morphisms):
-        for c in T.mor_out(T.cod(d)):
-            dc = T.compose(d, c)
-            for (s, verb, lift, _), first, then in zip(sides, (c, d), (d, c)):
-                for X in s.fiber(s.T.cod(first)):
-                    inner, whole = find_pullback(s, first, X), find_pullback(s, dc, X)
-                    outer = (
-                        None
-                        if inner is None or whole is None
-                        else find_pullback(s, then, inner.result)
-                    )
-                    if outer is None:
-                        report.record_skip(f"composite {lift} instance missing")
-                        continue
-                    report.check(
-                        sys.vertical_iso(whole.result, outer.result) is not None,
-                        f"{verb} {nc(d)};{nc(c)} of {nm(X)}: {nm(whole.result)} "
-                        f"vs staged {nm(outer.result)}",
-                    )
-
-    # monotonicity
-    for c in range(T.n_morphisms):
-        for s, verb, lift, le in sides:
-            fib = s.fiber(s.T.cod(c))
-            for X1 in fib:
-                for X2 in fib:
-                    if not s.subtypings(X1, X2):
-                        continue
-                    c1, c2 = find_pullback(s, c, X1), find_pullback(s, c, X2)
-                    if c1 is None or c2 is None:
-                        report.record_skip(f"monotonicity {lift} instance missing")
-                        continue
-                    report.check(
-                        bool(s.subtypings(c1.result, c2.result)),
-                        f"{nm(X1)} {le} {nm(X2)} but {verb}_{nc(c)} results "
-                        f"{nm(c1.result)} !{le} {nm(c2.result)}",
-                    )
-    return report
-
-
 # ---------------------------------------------------------------------------
 # morphisms of refinement systems
 
@@ -452,32 +363,6 @@ def _opposite_functor(F: FunctorData, source: FinCategory, target: FinCategory) 
     """F between the opposite categories `source` and `target`: the same
     tables, read with every arrow reversed."""
     return FunctorData(f"{F.name}^op", source, target, F.object_map, F.morphism_map)
-
-
-def fully_faithful_check(m: RefSysMorphism) -> CheckReport:
-    """Does m act bijectively on derivations, judgment by judgment?
-
-    For every source judgment (P, c, Q), applying on_ref must map its
-    derivation set bijectively onto derivations of (on_ref P, on_base c,
-    on_ref Q) in the target.
-    """
-    report = CheckReport(
-        name=f"fully-faithful:{m.name}",
-        statement="the morphism restricts to a bijection on each derivation set",
-    )
-    s, t = m.source, m.target
-    for (P, c, Q) in s.judgments():
-        src = s.derivations(P, c, Q)
-        tgt = t.derivations(m.on_ref.obj(P), m.on_base.mor(c), m.on_ref.obj(Q))
-        image = sorted(m.on_ref.mor(a) for a in src)
-        if len(set(image)) == len(src) and set(image) == set(tgt):
-            report.record_pass()
-        else:
-            report.record_fail(
-                f"judgment {s.judgment_name(P, c, Q)}: {len(src)} derivations map "
-                f"to {len(set(image))} distinct images out of {len(tgt)} in target"
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -174,20 +174,28 @@ def notnot_tensor(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
                 "no monoid objects declared for this system",
             )
         ]
-    from .day import notnottensor_check
+    from .day import monoid_lax_check, notnottensor_check
 
-    reports = []
-    for mo in ws.monoids[key]:
-        for P in s.fiber(mo.W):
-            for Q in s.fiber(mo.W):
-                reports.append(notnottensor_check(ws.monoidal[key], mo, P, Q))
+    mrs, monoids = ws.monoidal[key], ws.monoids[key]
+    reports = [
+        notnottensor_check(mrs, mo, P, Q)
+        for mo in monoids
+        for P in s.fiber(mo.W)
+        for Q in s.fiber(mo.W)
+    ]
     return [
         _merge_reports(
             f"notnot-tensor[{s.name}]",
             "fiber tensors over every monoid are recovered from Day tensors "
             "up to double dualization",
             reports,
-        )
+        ),
+        _merge_reports(
+            f"monoid-lax[{s.name}]",
+            "representation of every monoid fiber is lax monoidal and "
+            "preserves residuals",
+            [monoid_lax_check(mrs, mo) for mo in monoids],
+        ),
     ]
 
 

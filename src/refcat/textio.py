@@ -128,6 +128,7 @@ def _parse_params(tokens, path, lineno) -> dict[str, int]:
     for tok in tokens:
         _expect("=" in tok, path, lineno, f"expected key=value, got {tok!r}")
         key, _, value = tok.partition("=")
+        _expect(key not in params, path, lineno, f"parameter {key} given twice")
         try:
             params[key] = int(value)
         except ValueError:

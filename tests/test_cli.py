@@ -397,6 +397,22 @@ def test_global_flags_may_follow_the_subcommand(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("kind, accepts", [("hoare", "none"), ("linctx", "K"), ("galois", "none")])
+def test_a_seed_for_a_fixture_without_one_is_a_usage_error(kind, accepts, capsys):
+    assert main(["fixtures", "gen", kind, "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fixture {kind} has no parameter 'seed' (accepts: {accepts})\n"
+
+
+def test_the_random_fixture_is_generated_at_seed_0_by_default(capsys):
+    assert main(["fixtures", "gen", "random"]) == 0
+    default = capsys.readouterr().out
+    assert "fixture random random seed=0\n" in default
+    assert main(["fixtures", "gen", "random", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def run_cli(args, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(

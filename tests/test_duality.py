@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
 import refcat.pairing as pairing_mod
+from refcat.cli import main
 from refcat.day import notnottensor_check
 from refcat.duality import (
     _cut,
@@ -26,7 +27,6 @@ from refcat.duality import (
     dual_right,
     duality_check,
     negative_encoding_check,
-    notpush_check,
 )
 from refcat.fincat import (
     FinCategory,
@@ -52,7 +52,7 @@ from refcat.psh import (
     vertical_iso_psh,
 )
 from refcat.pairing import Pairing, dual_adjunction_check, dual_cross_check, pairing
-from refcat.represent import coslice_of, neg_rep, pos_rep, slice_action, slice_of
+from refcat.represent import coslice_action, coslice_of, neg_rep, pos_rep, slice_action, slice_of
 from tests.conftest import image_oracle, pred_set
 from tests.test_fincat import chain_category
 from tests.test_represent import composite_command
@@ -405,18 +405,63 @@ def test_negative_encoding_every_hoare_pushforward(hoare):
     for c, cname in enumerate(hoare.T.mor_names):
         for P in range(hoare.D.n_objects):
             rep = negative_encoding_check(hoare, c, P)
-            assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (2, 0, 0)
+            assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (3, 0, 0)
             # one push alone recovers the representation exactly for the
             # invertible transformers, never for the collapsing ones
             want = "yes" if invertible(cname) else "no"
             assert any(n.endswith(want) for n in rep.notes), (cname, P, rep.notes)
 
 
-def test_notpush_shapes(hoare):
-    for c in range(hoare.T.n_morphisms):
-        for Q in range(hoare.D.n_objects):
-            rep = notpush_check(hoare, c, pos_rep(hoare, Q))
-            assert rep.ok and rep.failed == 0 and rep.passed > 0
+def test_dualization_turns_every_push_into_a_pull_on_random_systems():
+    # pull_c neg(P) = dualL(push_c rep(P)) holds at every (c, P), with or
+    # without a pushforward; negative-encoding decides it where one exists.
+    checked = 0
+    for seed in range(60):
+        s = random_refsys(seed)
+        for c in range(s.T.n_morphisms):
+            B = s.T.cod(c)
+            for P in s.fiber(s.T.dom(c)):
+                pulled = pull_psh(coslice_action(s, c), neg_rep(s, P))
+                pushed = push_psh(slice_action(s, c), pos_rep(s, P))
+                assert vertical_iso_psh(pulled, dual_left(s, B, pushed)) is not None, (seed, c, P)
+                checked += 1
+    assert checked == 304
+
+
+def drop_one_family(X):
+    """X without the last family at its last nonempty point j, and without
+    every family that a morphism out of j moves onto it: what is left is
+    still a presheaf."""
+    C = X.base
+    j = max(a for a in range(C.n_objects) if X.elements[a])
+    x = len(X.elements[j]) - 1
+    gone = {(C.mor_cod[u], y) for u in C.mor_out(j) for y, z in enumerate(X.action[u]) if z == x}
+    kept = [[y for y in range(len(X.elements[a])) if (a, y) not in gone] for a in range(C.n_objects)]
+    at = [{y: k for k, y in enumerate(ys)} for ys in kept]
+    return Presheaf(
+        X.name,
+        C,
+        [tuple(X.elements[a][y] for y in ys) for a, ys in enumerate(kept)],
+        lambda u: tuple(at[C.mor_dom[u]][X.action[u][y]] for y in kept[C.mor_cod[u]]),
+    )
+
+
+def test_a_dual_of_a_push_missing_a_family_turns_negative_encoding_red(tmp_path, monkeypatch, capsys):
+    # Only the duals of pushes lose a family, so the first clause, whose
+    # dual is of a pull, holds, and the pull/push exchange fails first.
+    real = duality_mod.dual_left
+
+    def mutant(sys, B, phi):
+        dual = real(sys, B, phi)
+        return drop_one_family(dual) if phi.name.startswith("push[") else dual
+
+    monkeypatch.setattr(duality_mod, "dual_left", mutant)
+    path = tmp_path / "h.fix"
+    path.write_text("fixture h hoare\n")
+    assert main(["verify", str(path), "negative-encoding"]) == 1
+    out = capsys.readouterr().out
+    cex = out.split("counterexample:\n", 1)[1].splitlines()[0]
+    assert "]: pulled negative rep(" in cex and "is not the left dual of pushed rep(" in cex
 
 
 def test_notnottensor_on_lattices(collapse, ident):

@@ -36,10 +36,10 @@ from refcat.fixtures import (
     validate_multicategory,
 )
 from refcat.lattice import chain_lattice, powerset_lattice
-from refcat.refsys import is_fibration, rapp_check
+from refcat.refsys import rapp_check
 from refcat.textio import LoadError, loads
 from tests.conftest import HOARE_FN, image_oracle, preimage_oracle
-from tests.test_refsys import is_opfibration
+from tests.test_refsys import is_fibration, is_opfibration
 from tests.test_represent import context_morphism_count
 
 STATES = ("s0", "s1")
@@ -268,7 +268,7 @@ def test_linctx_morphisms_are_the_full_product_enumeration(K):
 def test_tensor_left_rule_report(linctx):
     rep = tensorL_check(linctx, "A", "B")
     assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (5, 0, 0)
-    assert "negative encoding: 2/2 clauses" in rep.notes
+    assert "negative encoding: 3/3 clauses" in rep.notes
     assert "at ([A*B],1>1[0]): single push has 0 elements, the representation has 1" in rep.notes
 
 

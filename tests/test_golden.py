@@ -59,15 +59,9 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
 
 
 # Public checks that `verify` on the inputs above and below does not
-# reach yet.  ROADMAP item 6 puts each in a suite or deletes it; the list
-# may only shrink.
-UNREACHED = {
-    "dual_adjunction_check",
-    "fully_faithful_check",
-    "monoid_lax_check",
-    "notpush_check",
-    "pullpush_laws_check",
-}
+# reach yet.  ROADMAP item 8 puts the last one in a suite or deletes it;
+# the list may only shrink.
+UNREACHED = {"dual_adjunction_check"}
 
 
 def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
@@ -124,7 +118,7 @@ def test_linctx_k4_verify_all_keeps_its_transcript(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == K4_SHA256
 
 
-K4_SHA256 = "051294e7a6cc7795954171068a0e15a5379c5283af20235fd0e19e9ea6f537b6"
+K4_SHA256 = "a25083e990f4b1875acb8b1db87fa9104c690e11e06400aca3f7a923e5c0f7e5"
 
 
 # golden file -> workspace line, for `verify <file> duality --cross-check`

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.refsys as refsys_mod
-from refcat.cli import main
+from refcat.cli import main, run_suite
 from refcat.fincat import (
+    SIZE_GUARD,
     FinCategory,
     FunctorData,
     NatTransData,
@@ -35,14 +36,24 @@ from refcat.refsys import (
     RefSysMorphism,
     find_pullback,
     find_pushforward,
-    fully_faithful_check,
-    is_fibration,
-    pullpush_laws_check,
     rapp_check,
 )
 from refcat.represent import comma_system, slice_of
+from refcat.textio import loads
 from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
 from tests.test_fincat import discrete_category, reference_validate_functor
+
+
+def is_fibration(sys):
+    """True when every (c, Q) with Q refining cod c has a pullback.
+    Returns the list of missing pairs."""
+    missing = [
+        (c, Q)
+        for c in range(sys.T.n_morphisms)
+        for Q in sys.fiber(sys.T.cod(c))
+        if find_pullback(sys, c, Q) is None
+    ]
+    return (not missing, missing)
 
 
 # The mirror images of library constructions, read through `op()` or the
@@ -144,29 +155,6 @@ def test_hoare_is_a_bifibration(hoare):
     assert ok_opf and not missing
 
 
-def test_pullpush_laws(hoare):
-    rep = pullpush_laws_check(hoare)
-    assert rep.ok and rep.failed == 0
-    assert rep.passed > 0
-
-
-def test_pullpush_identity_laws_count_each_side_on_its_own(hoare, monkeypatch):
-    # With every identity pullback missing, the pull side of each identity
-    # law is a skip and the push side is still checked.
-    plain = pullpush_laws_check(hoare)
-
-    def no_identity_pullback(s, c, Q):
-        if s is hoare and hoare.T.is_identity(c):
-            return None
-        return find_pullback(s, c, Q)
-
-    monkeypatch.setattr(refsys_mod, "find_pullback", no_identity_pullback)
-    rep = pullpush_laws_check(hoare)
-    assert rep.attempted == plain.attempted
-    assert "identity pullback missing" in rep.skip_reasons
-    assert rep.failed == 0 and rep.passed >= hoare.D.n_objects
-
-
 def test_op_is_an_involution_on_tables(hoare):
     opop = hoare.op().op()
     assert opop.D.mor_dom == hoare.D.mor_dom
@@ -192,14 +180,6 @@ def test_vertical_iso_is_reflexive_only_here(hoare):
         for Q in range(hoare.D.n_objects):
             pair = hoare.vertical_iso(P, Q)
             assert (pair is not None) == (P == Q)
-
-
-def test_identity_morphism_is_fully_faithful(hoare):
-    m = RefSysMorphism(
-        "id", hoare, hoare, identity_functor(hoare.D), identity_functor(hoare.T)
-    )
-    rep = fully_faithful_check(m)
-    assert rep.ok and rep.failed == 0
 
 
 def identity_adjunction(s, unit, counit):
@@ -737,11 +717,28 @@ def test_right_constructions_on_a_noncommutative_tensor():
 
 @given(st.integers(min_value=0, max_value=4000))
 @settings(max_examples=25, deadline=None)
-def test_random_systems_validate_and_satisfy_lift_laws(seed):
-    sys = random_refsys(seed)
-    assert sys.validate().ok
-    rep = pullpush_laws_check(sys)
-    assert rep.ok, rep.counterexample
+def test_verify_all_is_green_on_random_systems(seed):
+    # Every suite that reads a lift search runs here on a random system.
+    ws = loads(f"fixture r random seed={seed}\n")
+    reports = run_suite(ws, None, "all", SIZE_GUARD, False)
+    assert {r.name: r.counterexample for r in reports if r.failed} == {}
+
+
+@pytest.mark.parametrize("kind", ["hoare", "linctx", "lattice-collapse", "galois"])
+def test_an_uncertified_pullback_turns_preservation_red(kind, tmp_path, monkeypatch):
+    # A pullback search that skips the cartesian tests and returns its last
+    # candidate hands preservation a lift that is not one.
+    def last_candidate(sys, c, Q):
+        found = sys.derivations_into(c, Q)
+        if not found:
+            return None
+        P0, ell = found[-1]
+        return refsys_mod.LiftCertificate("pullback", c, Q, P0, ell, 0)
+
+    path = tmp_path / "w.fix"
+    path.write_text(f"fixture w {kind}\n")
+    monkeypatch.setattr(refsys_mod, "_search_pullback", last_candidate)
+    assert main(["verify", str(path), "preservation", "--system", "w"]) == 1
 
 
 def test_random_generation_is_deterministic():

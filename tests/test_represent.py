@@ -46,7 +46,7 @@ from refcat.psh import (
     representable,
     validate_psh_derivation,
 )
-from refcat.refsys import _cartesian_tests, fully_faithful_check
+from refcat.refsys import _cartesian_tests
 from refcat.represent import (
     comma_morphism_count,
     comma_system,
@@ -654,8 +654,13 @@ def test_comma_guard_reports_the_true_size_before_building(hoare, linctx):
 def test_comma_system_embedding(hoare):
     cs = comma_system(hoare)
     assert len(cs.obj_tags) == 16
-    rep = fully_faithful_check(cs.embed)
-    assert rep.ok and rep.failed == 0
+    # P |-> (P, id) maps each derivation set bijectively onto the
+    # derivation set of the image judgment
+    m = cs.embed
+    for P, c, Q in m.source.judgments():
+        image = sorted(m.on_ref.mor(a) for a in m.source.derivations(P, c, Q))
+        want = m.target.derivations(m.on_ref.obj(P), m.on_base.mor(c), m.on_ref.obj(Q))
+        assert image == list(want)
 
 
 def test_fiber_tensor_is_the_meet(collapse):
@@ -761,6 +766,23 @@ def test_monoid_lax_keeps_its_counts_on_both_lattices(name):
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
+def test_verify_all_reaches_the_monoid_fibers(name, tmp_path, monkeypatch, capsys):
+    # The notnot-tensor suite runs monoid-lax over every monoid, and with it
+    # the fiber residuals and the currying of the multiplication.
+    reached = set()
+    for fn in ("monoid_lax_check", "fiber_residual_left", "left_curry"):
+        real = getattr(day_mod, fn)
+        monkeypatch.setattr(
+            day_mod, fn, lambda *args, _real=real, _fn=fn: reached.add(_fn) or _real(*args)
+        )
+    path = tmp_path / "w.fix"
+    path.write_text(f"fixture w {name}\n")
+    assert main(["verify", str(path), "all"]) == 0
+    assert reached == {"monoid_lax_check", "fiber_residual_left", "left_curry"}
+    assert f"check monoid-lax[{LATTICES[name]().sys.name}]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
 def test_genday_reports_do_not_depend_on_the_memo(name):
     # Every triple's report, read from clauses shared with earlier triples,
     # is the one a system that has decided nothing yet renders.
@@ -772,17 +794,6 @@ def test_genday_reports_do_not_depend_on_the_memo(name):
                 shared = genday_check(mrs, P, Q, R).render()
                 fresh = genday_check(LATTICES[name]().mrs, P, Q, R).render()
                 assert shared == fresh, (P, Q, R)
-
-
-def test_monoid_lax_counts(collapse, ident):
-    got = {}
-    for mo in collapse.monoids:
-        rep = monoid_lax_check(collapse.mrs, mo)
-        got[collapse.mrs.sys.T.objects[mo.W]] = (rep.passed, rep.failed, rep.skipped)
-    assert got == {"c0": (11, 0, 2), "c1": (2, 0, 2), "c2": (4, 0, 0)}
-    for mo in ident.monoids:
-        rep = monoid_lax_check(ident.mrs, mo)
-        assert (rep.failed, rep.skipped) == (0, 0)
 
 
 def fiber_residual_right(mrs, mo, Q, R):

@@ -130,7 +130,7 @@ print(len(refcat.__all__), sorted({getattr(refcat, n).__module__[7:] for n in re
 """
     )
     assert out == (
-        "64 ['adjunction', 'day', 'duality', 'fincat', 'fixtures', 'hoare', 'lattice', "
+        "63 ['adjunction', 'day', 'duality', 'fincat', 'fixtures', 'hoare', 'lattice', "
         "'linctx', 'monoidal', 'pairing', 'psh', 'randsys', 'refsys', 'reports', "
         "'represent', 'textio']\n"
     )

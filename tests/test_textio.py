@@ -205,6 +205,7 @@ fixture lin linctx K=2
         ("fixture h hoare foo=1", "fixture hoare has no parameter 'foo' (accepts: none)"),
         ("fixture r random sed=5", "fixture random has no parameter 'sed' (accepts: seed)"),
         ("fixture l linctx seed=2", "fixture linctx has no parameter 'seed' (accepts: K)"),
+        ("fixture l linctx K=2 K=3", "parameter K given twice"),
     ],
 )
 def test_unknown_fixture_parameters_are_rejected_at_their_line(line, message):
