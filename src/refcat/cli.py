@@ -49,14 +49,6 @@ def _system_entry(ws: Workspace, name: str | None) -> tuple[str, RefinementSyste
     raise UsageError("no systems loaded")
 
 
-def _duals(side: str):
-    """The representation a dual of this side dualizes, and its dualizer."""
-    from .duality import dual_left, dual_right
-    from .represent import neg_rep, pos_rep
-
-    return (pos_rep, dual_left) if side == "left" else (neg_rep, dual_right)
-
-
 # Every suite, in the order `all` runs them; `suites.<name>` runs it, with
 # a dash in the name read as an underscore.
 SUITES = (
@@ -251,6 +243,8 @@ def _cmd_dual(args) -> int:
     _, s = _system_entry(ws, args.system)
     side = "left" if args.left is not None else "right"
     X = _resolve_obj(s.D, getattr(args, side), "refinement")
+    from .duality import _duals
+
     rep, dual = _duals(side)
     inp = rep(s, X)
     out = dual(s, s.shape(X), inp)

@@ -363,7 +363,7 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     with middles a and b, it holds with middle a;b, since (f;(a;b));h =
     ((f;a);b);h = (f;a);(b;h) = f;(a;(b;h)) = f;((a;b);h).  Only when that
     test fails, or an identity law does, are all triples swept, so the
-    violations are listed triple by triple as before.  A lawful category
+    violations are listed triple by triple.  A lawful category
     keeps its generators (`_lawful`), which `validate_functor` reads.
 
     A comma category over lawful D and T (an opposite is lawful when its
@@ -548,7 +548,7 @@ def validate_functor(F: FunctorData) -> ValidationReport:
     F(a;(m;b)) = F(a);F(m;b) = F(a);(F(m);F(b)) = (F(a);F(m));F(b) =
     F(a;m);F(b), and F(id) = id covers the empty word.  Otherwise, and on
     any failure, every composable pair is checked, so the violations are
-    listed pair by pair as before; a pair whose composite is missing is
+    listed pair by pair; a pair whose composite is missing is
     left to its category's validation."""
     report = ValidationReport(f"functor {F.name}")
     S, T = F.source, F.target

@@ -91,14 +91,14 @@ def dual_cross_check(sys: RefinementSystem, B: int, inp: Presheaf, out: Presheaf
     for j in range(base.n_objects):
         if crossed.payloads[j] != out.payloads[j]:
             raise StructuralError(
-                f"dual ({side}): direct end disagrees with the residual route at "
-                f"{base.objects[j]}"
+                f"dual ({side}): the dualizer disagrees with the residual of the "
+                f"pairing's rows at {base.objects[j]}"
             )
     for f in range(base.n_morphisms):
         if out.payloads[base.cod(f)] and crossed.action[f] != out.action[f]:
             raise StructuralError(
-                f"dual ({side}): direct end disagrees with the residual route "
-                f"along {base.mor_names[f]}"
+                f"dual ({side}): the dualizer disagrees with the residual of the "
+                f"pairing's rows along {base.mor_names[f]}"
             )
 
 

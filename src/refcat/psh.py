@@ -56,12 +56,13 @@ class Presheaf:
         elements: Sequence[tuple[str, ...]],
         action: Sequence[tuple[int, ...]] | Callable[[int], tuple[int, ...]],
         payloads: Sequence[tuple[object, ...]] | None = None,
+        support: tuple[int, ...] | None = None,
     ):
         self.name = name
         self.base = base
         self.elements = elements
         self.payloads = payloads
-        self._support: tuple[int, ...] | None = None
+        self._support = support
         self._positions: dict[int, dict[object, int]] = {}
         if len(elements) != base.n_objects:
             raise StructuralError(f"presheaf {name}: element table has wrong length")
@@ -96,14 +97,11 @@ class Presheaf:
         return sum(len(e) for e in self.elements)
 
     def support(self) -> tuple[int, ...]:
-        """The objects with a nonempty element set, in index order.  With
-        payloads (one per element) it is read from them, so no element
-        name is built here; but payloads that are a `Table` are then
-        filled at every object.  So whoever builds a presheaf with tables
-        filled on first read, and has its support read, must set the
-        support first: representations, duals, `representable`,
-        `pull_psh` and `push_psh_full` set it when they build, and the
-        duality suite sets it on each point section (`duality._section`)."""
+        """The objects with a nonempty element set, in index order: the
+        `support` given when it was built, or else read from the payloads
+        (one per element) or the element sets.  Read so, payloads that
+        are a `Table` are filled at every object; a cut is built without
+        its support, and `duality._section` sets it on a point section."""
         if self._support is None:
             sets = self.elements if self.payloads is None else self.payloads
             self._support = tuple(a for a, e in enumerate(sets) if e)
@@ -165,8 +163,8 @@ def representable(cat: FinCategory, b: int) -> Presheaf:
         Table(cat.n_objects, lambda a: tuple(names[m] for m in homs[a])),
         lambda f: tuple(y.position(cat.dom(f))[cat.compose(f, g)] for g in homs[cat.cod(f)]),
         tuple(homs),
+        tuple(support),
     )
-    y._support = tuple(support)
     return y
 
 
@@ -186,15 +184,14 @@ def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
         elements[a] = psi.elements[at[a]]
         if payloads is not None:
             payloads[a] = psi.payloads[at[a]]
-    pulled = Presheaf(
+    return Presheaf(
         f"pull[{F.name}]({psi.name})",
         F.source,
         tuple(elements),
         lambda f: psi.action[F.mor(f)],
         None if payloads is None else tuple(payloads),
+        support,
     )
-    pulled._support = support
-    return pulled
 
 
 class PushResult:
@@ -311,8 +308,9 @@ def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
                 )
         return out
 
-    pushed = Presheaf(f"push[{F.name}]({phi.name})", B, tuple(elements), row)
-    pushed._support = tuple(sorted(nodes_at))
+    pushed = Presheaf(
+        f"push[{F.name}]({phi.name})", B, tuple(elements), row, support=tuple(sorted(nodes_at))
+    )
     unit: list[tuple[int, ...]] = [()] * A.n_objects
     for a in support:
         at = node(a, B.id_of(F.obj(a)), 0)
@@ -352,23 +350,6 @@ def push_transpose(
     return kappa
 
 
-def _factoring_failure(vert, down, composite, where: str, count: str) -> str | None:
-    """Does v |-> composite(v) biject the vertical derivations `vert` onto
-    the derivations `down`?  None if so, else why not."""
-    down_set = set(down)
-    seen = set()
-    for v in vert:
-        c = composite(v)
-        if c not in down_set:
-            return f"factoring {where} leaves the image"
-        if c in seen:
-            return f"two factorings {where} collide"
-        seen.add(c)
-    if len(seen) != len(down):
-        return f"{len(down)} derivations {count} but {len(seen)} factorings"
-    return None
-
-
 def opcartesian_factoring_check(
     pr: PushResult,
     F: FunctorData,
@@ -380,43 +361,20 @@ def opcartesian_factoring_check(
     postcomposition with the unit must biject vertical derivations
     push_F(phi) => omega with derivations phi =>_F omega."""
     for omega in test_codomains:
-        why = _factoring_failure(
-            natural_families(pr.presheaf, omega, None),
-            natural_families(phi, omega, F),
-            lambda v: tuple(
-                tuple(v[F.obj(a)][cls] for cls in pr.unit[a])
-                for a in range(phi.base.n_objects)
-            ),
-            f"through {omega.name}",
-            f"into {omega.name}",
-        )
-        if why is not None:
-            return (False, why)
-    return (True, None)
-
-
-def cartesian_factoring_check(
-    theta: PshDerivation,
-    test_domains: Iterable[Presheaf],
-) -> tuple[bool, str | None]:
-    """Brute-force universal property of a derivation theta : psi0 =>_F omega:
-    for each test domain phi over the source base, precomposition with theta
-    must biject vertical derivations phi => psi0 with derivations
-    phi =>_F omega."""
-    psi0, omega, F = theta.source, theta.target, theta.functor
-    for phi in test_domains:
-        why = _factoring_failure(
-            natural_families(phi, psi0, None),
-            natural_families(phi, omega, F),
-            lambda v: tuple(
-                tuple(theta.components[a][y] for y in v[a])
-                for a in range(phi.base.n_objects)
-            ),
-            f"from {phi.name}",
-            f"from {phi.name}",
-        )
-        if why is not None:
-            return (False, why)
+        vert = natural_families(pr.presheaf, omega, None)
+        down = set(natural_families(phi, omega, F))
+        seen = set()
+        for v in vert:
+            c = tuple(
+                tuple(v[F.obj(a)][cls] for cls in pr.unit[a]) for a in range(phi.base.n_objects)
+            )
+            if c not in down:
+                return (False, f"factoring through {omega.name} leaves the image")
+            if c in seen:
+                return (False, f"two factorings through {omega.name} collide")
+            seen.add(c)
+        if len(seen) != len(down):
+            return (False, f"{len(down)} derivations into {omega.name} but {len(seen)} factorings")
     return (True, None)
 
 
@@ -747,6 +705,11 @@ def curried_residual(
     for b, fams in fams_at.items():
         elements[b] = tuple(f"s{b}.{k}" for k in range(len(fams)))
         payloads[b] = tuple(_on_objects(fam, support, A.n_objects) for fam in fams)
-    res = Presheaf(f"res({phi.name})", right, tuple(elements), act, tuple(payloads))
-    res._support = tuple(sorted(b for b, fams in fams_at.items() if fams))
-    return res
+    return Presheaf(
+        f"res({phi.name})",
+        right,
+        tuple(elements),
+        act,
+        tuple(payloads),
+        tuple(sorted(b for b, fams in fams_at.items() if fams)),
+    )

@@ -110,9 +110,6 @@ class RefinementSystem:
             f"{self.D.object_name(Q)}) is not a judgment"
         )
 
-    def derivable(self, P: int, c: int, Q: int) -> bool:
-        return len(self.derivations(P, c, Q)) > 0
-
     def subtypings(self, P: int, Q: int) -> tuple[int, ...]:
         """Derivations over the identity; these witness P <= Q in the fiber."""
         A = self.shape(P)

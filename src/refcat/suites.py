@@ -88,7 +88,7 @@ def genday(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
 
 
 def duality(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
-    from .duality import duality_check
+    from .duality import _duals, duality_check
 
     reports = [duality_check(s, Q) for Q in range(s.D.n_objects)]
     out = [
@@ -100,12 +100,11 @@ def duality(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
         )
     ]
     if cross_check:
-        from .cli import _duals
         from .pairing import dual_cross_check
 
         cross = CheckReport(
             f"dual-cross[{s.name}]",
-            "the pointwise dualizers agree with the residual-presheaf route",
+            "the dualizers agree with the residual of the pairing read from its own rows",
         )
         for Q in range(s.D.n_objects):
             B = s.shape(Q)

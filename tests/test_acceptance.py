@@ -25,7 +25,7 @@ from refcat.fixtures import (
     hoare_wp,
     random_refsys,
 )
-from refcat.psh import opcartesian_factoring_check, push_psh_full, representable
+from refcat.psh import opcartesian_factoring_check, push_psh_full, push_transpose, representable
 from refcat.pairing import dual_cross_check
 from refcat.refsys import (
     find_pullback,
@@ -35,8 +35,10 @@ from refcat.refsys import (
 from refcat.represent import (
     neg_rep,
     pos_rep,
+    pos_rep_derivation,
     preservation_check,
     representation_ff_check,
+    slice_action,
 )
 from tests.conftest import image_oracle, pred_name, pred_set, preimage_oracle
 from tests.test_duality import skew_pair
@@ -176,9 +178,21 @@ def test_criterion_6_galois_adjunction_application(galois):
     )
 
 
+def hoare_slice_pushes(hoare):
+    """(c, P) for every non-identity c of hoare and every P, with the push
+    of rep(P) along the slice action of c."""
+    T = hoare.T
+    for c in range(T.n_morphisms):
+        if T.is_identity(c):
+            continue
+        for P in hoare.fiber(T.dom(c)):
+            yield c, P, slice_action(hoare, c), pos_rep(hoare, P)
+
+
 def push_corpus(hoare, collapse, ident):
-    """(functor, presheaf) pairs whose source bases have at most 4 objects."""
-    pairs = []
+    """(functor, presheaf) pairs: hoare's pushes of representations along
+    slice actions, and pushes whose source bases have at most 4 objects."""
+    pairs = [(F, phi) for _c, _P, F, phi in hoare_slice_pushes(hoare)]
     for s in (hoare, collapse.mrs.sys, ident.mrs.sys):
         for b in range(s.D.n_objects):
             pairs.append((s.t, representable(s.D, b)))
@@ -211,6 +225,18 @@ def test_criterion_7_pushforward_universal_property(hoare, collapse, ident):
         ok, why = opcartesian_factoring_check(pr, F, phi, pool)
         if not ok:
             failures.append((F.name, phi.name, why))
+    # Postcomposition with the structural derivation of a certified
+    # pushforward factors through the push of the positive representation.
+    transposed = 0
+    for c, P, F, phi in hoare_slice_pushes(hoare):
+        cert = find_pushforward(hoare, c, P)
+        theta = pos_rep_derivation(hoare, cert.structural)
+        try:
+            push_transpose(push_psh_full(F, phi), F, pos_rep(hoare, cert.result), theta.components)
+        except StructuralError as exc:
+            failures.append((F.name, phi.name, f"transpose: {exc}"))
+        else:
+            transposed += 1
     crossed = 0
     for base in (chain_category(2), chain_category(3), walking_arrow(), skew_pair()):
         s = bang_system(base)
@@ -223,12 +249,13 @@ def test_criterion_7_pushforward_universal_property(hoare, collapse, ident):
                     failures.append((s.name, Q, f"cross-check mismatch: {exc}"))
                 else:
                     crossed += 1
-    ok = not failures and crossed >= 10
+    ok = not failures and crossed >= 10 and transposed == 12
     verdict(
         7,
         ok,
-        f"unit factoring bijections hold for {len(pairs)} pushes on small bases; "
-        f"{crossed} dualizations re-derived through the residual route, "
+        f"unit factoring bijections hold for {len(pairs)} pushes; "
+        f"{transposed} certified pushforward derivations factor through their push; "
+        f"{crossed} dualizations re-derived from the pairing's rows, "
         f"failures: {failures or 'none'}",
     )
 

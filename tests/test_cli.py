@@ -557,7 +557,10 @@ def test_verify_records_a_cross_check_disagreement_as_a_failed_report(
     assert "  attempted 8 passed 8 failed 0 skipped 0" in out
     assert "check dual-cross[S] [" in out
     assert "  attempted 2 passed 0 failed 2 skipped 0" in out
-    assert "    a: dual (left): direct end disagrees with the residual route at (a,id_w)" in out
+    assert (
+        "    a: dual (left): the dualizer disagrees with the residual of the pairing's rows at (a,id_w)"
+        in out
+    )
     assert out.endswith("suite duality: 1/2 reports ok\n")
 
 
@@ -600,6 +603,6 @@ def test_dual_exits_1_on_a_cross_check_disagreement(skew_file, capsys, reversed_
         assert main(["dual", skew_file, f"--{side}", "a", "--cross-check"]) == 1
         err = capsys.readouterr().err
         assert err == (
-            f"cross-check failed: dual ({side}): direct end disagrees with the "
-            "residual route at (a,id_w)\n"
+            f"cross-check failed: dual ({side}): the dualizer disagrees with the "
+            "residual of the pairing's rows at (a,id_w)\n"
         )

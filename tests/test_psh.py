@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refcat.day as day_mod
 import refcat.psh as psh_mod
 from refcat.fincat import (
     FinCategory,
@@ -20,12 +21,17 @@ from refcat.fincat import (
     StructuralError,
     opposite,
 )
-from refcat.fixtures import fin_skeleton, random_refsys
+from refcat.fixtures import (
+    collapse_lattice_fixture,
+    fin_skeleton,
+    identity_lattice_fixture,
+    random_refsys,
+)
 from refcat.psh import (
     Presheaf,
     PshDerivation,
-    cartesian_factoring_check,
     curried_residual,
+    is_vertical_iso,
     natural_families,
     opcartesian_factoring_check,
     pull_psh,
@@ -188,6 +194,23 @@ def test_opcartesian_certificate(sample):
     assert ok, why
 
 
+def cartesian_failure(theta, test_domains):
+    """Brute-force universal property of a derivation theta : psi0 =>_F omega:
+    for each test domain phi over the source base, precomposition with theta
+    must biject vertical derivations phi => psi0 with derivations
+    phi =>_F omega.  None if it does, else the domain where it does not."""
+    psi0, omega = theta.source, theta.target
+    for phi in test_domains:
+        images = [
+            tuple(tuple(theta.components[a][y] for y in v[a]) for a in range(phi.base.n_objects))
+            for v in natural_families(phi, psi0)
+        ]
+        down = natural_families(phi, omega, theta.functor)
+        if len(set(images)) != len(images) or set(images) != set(down):
+            return f"precomposition with {theta.name} is not a bijection from {phi.name}"
+    return None
+
+
 def test_cartesian_certificate(sample):
     base, phi = sample
     arr = walking_arrow()
@@ -207,8 +230,63 @@ def test_cartesian_certificate(sample):
     )
     assert validate_psh_derivation(counit).ok
     pool = [phi, representable(base, 0), representable(base, 2), pulled]
-    ok, why = cartesian_factoring_check(counit, pool)
-    assert ok, why
+    assert cartesian_failure(counit, pool) is None
+
+
+def collapse_map(phi):
+    """phi => its collapse to one element per object of its support."""
+    base = phi.base
+    support = set(phi.support())
+    one = Presheaf(
+        f"collapse({phi.name})",
+        base,
+        tuple(("*",) if a in support else () for a in range(base.n_objects)),
+        tuple((0,) if base.cod(f) in support else () for f in range(base.n_morphisms)),
+    )
+    comps = tuple((0,) * phi.size(a) for a in range(base.n_objects))
+    return PshDerivation(f"!{phi.name}", phi, one, None, comps)
+
+
+def test_the_cartesian_oracle_on_representables_is_vertical_iso(hoare, monkeypatch):
+    # By Yoneda, a vertical derivation is cartesian against every
+    # representable exactly when it is an isomorphism; so genday's residual
+    # clauses decide cartesianness by their iso clause.  The corpus: every
+    # comparison those clauses build on both lattices, and the collapse of
+    # presheaves with and without a two-element set.
+    from refcat.represent import neg_rep, pos_rep
+
+    thetas = []
+    real = day_mod._pulled_residual
+
+    def recording(*args):
+        theta, iso, why = real(*args)
+        assert theta is not None, why
+        thetas.append(theta)
+        return theta, iso, why
+
+    monkeypatch.setattr(day_mod, "_pulled_residual", recording)
+    for fixture in (collapse_lattice_fixture(), identity_lattice_fixture()):
+        mrs = fixture.mrs
+        n = mrs.sys.D.n_objects
+        for m, label, side in ((mrs, "(b)", "left"), (mrs.reversed(), "(c)", "right")):
+            for P in range(n):
+                for R in range(n):
+                    day_mod._genday_residual_clause(m, label, side, P, R)
+    comparisons = len(thetas)
+    assert comparisons == 60
+    thetas += [collapse_map(theta.source) for theta in thetas[:comparisons]]
+    chain = chain_presheaf(chain_category(3), [2, 1, 3], [[0], [0, 0, 0]])
+    reps = [rep(hoare, Q) for rep in (pos_rep, neg_rep) for Q in range(hoare.D.n_objects)]
+    thetas += [collapse_map(phi) for phi in [chain, *reps]]
+    isos = 0
+    for theta in thetas:
+        base = theta.source.base
+        assert validate_psh_derivation(theta).ok
+        domains = [representable(base, o) for o in range(base.n_objects)]
+        iso = is_vertical_iso(theta.components, theta.source, theta.target)
+        assert (cartesian_failure(theta, domains) is None) == iso, theta.name
+        isos += iso
+    assert 0 < isos < len(thetas)
 
 
 def test_push_transpose_is_a_valid_derivation(sample):
