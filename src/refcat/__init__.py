@@ -36,8 +36,8 @@ _PUBLIC = {
     "day": "genday_check monoid_lax_check notnottensor_check",
     "duality": """dual_left dual_right duality_check negative_encoding_check
         tensorL_check""",
-    "pairing": "dual_cross_check dual_adjunction_check",
-    "fixtures": "bang_system",
+    "pairing": "dual_cross_check",
+    "fixtures": "",
     "hoare": "HoareSpec build_hoare hoare_sp hoare_wp default_hoare_spec",
     "linctx": """MultiMorphism MulticategorySpec TensorDecl build_linctx
         default_linear_spec validate_multicategory fin_skeleton""",

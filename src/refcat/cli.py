@@ -43,10 +43,7 @@ def _system_entry(ws: Workspace, name: str | None) -> tuple[str, RefinementSyste
         s = ws.the_system(name)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-    for key, value in ws.systems.items():
-        if value is s:
-            return key, s
-    raise UsageError("no systems loaded")
+    return next(key for key, value in ws.systems.items() if value is s), s
 
 
 # Every suite, in the order `all` runs them; `suites.<name>` runs it, with

@@ -159,7 +159,8 @@ def _genday_tensor_clause(mrs: MonoidalRefinementSystem, P: int, Q: int) -> Chec
     rep = CheckReport("(a)", "tensor clause")
     md = m_derivation(mrs, P, Q)
     vrep = validate_psh_derivation(md)
-    rep.check(vrep.ok, f"(a) tensor derivation invalid:\n{vrep}")
+    if not rep.check(vrep.ok, f"(a) tensor derivation invalid:\n{vrep}"):
+        return rep
     F = md.functor
     target = md.target
     pr = push_psh_full(F, md.source)

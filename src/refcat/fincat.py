@@ -533,9 +533,6 @@ class FunctorData:
         wanted = set(objs)
         return tuple(a for a, b in enumerate(self.object_map) if b in wanted)
 
-    def table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (tuple(self.object_map), tuple(self.morphism_map))
-
 
 def validate_functor(F: FunctorData) -> ValidationReport:
     """Check that F preserves endpoints, identities and composites, exactly.
@@ -648,9 +645,6 @@ class NatTransData:
         self.source_functor = source_functor
         self.target_functor = target_functor
         self.components = components
-
-    def component(self, a: int) -> int:
-        return self.components[a]
 
 
 def validate_nat_trans(theta: NatTransData) -> ValidationReport:

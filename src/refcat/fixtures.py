@@ -12,7 +12,7 @@ share, and resolves their public names on first read, so that
 `fixtures.build_hoare` compiles the Hoare family and no other.
 
 All builders are deterministic: element orders come from the input data,
-never from hashing.  Every category but the point is a
+never from hashing.  Every category is a
 `fincat.tagged_category`: its morphisms are tags (dom, cod, ...) and a
 composite is the morphism carrying the combined tag, so no builder
 writes a composition table.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from .fincat import FinCategory, FunctorData, StructuralError, ValidationReport
+from .fincat import StructuralError, ValidationReport
 from .refsys import RefinementSystem
 
 FAMILIES = ("hoare", "linctx", "lattice", "randsys")
@@ -51,20 +51,3 @@ def linctx_data(sys: RefinementSystem, data: tuple | None = None):
     """(mc, K, ctx_index, u_index) of a `linctx.build_linctx` system, else
     None; the builder records it by passing `data`."""
     return sys.memo(("linctx data",), lambda: data)
-
-
-def bang_system(cat: FinCategory) -> RefinementSystem:
-    """A category over the point: refinements of a single shape.
-
-    Slices of the result are the category again and judgments are plain
-    hom-sets, so presheaf-level facts can be compared against their
-    unrefined counterparts."""
-    pt = FinCategory("pt", ("*",), (("id*", 0, 0),), (0,), {(0, 0): 0})
-    t = FunctorData(
-        f"!{cat.name}",
-        cat,
-        pt,
-        (0,) * cat.n_objects,
-        (0,) * cat.n_morphisms,
-    )
-    return RefinementSystem(f"bang({cat.name})", t)

@@ -1,29 +1,18 @@
 """The slice x coslice pairing as two-argument tables on slice and
 coslice indices (`Pairing`), read straight from the derivation index,
-and the two checks that read it: `dual_cross_check` runs the dualizers'
-residual on the pairing's own rows at every point, so it checks the cut
-reading, the live-point pruning and the mirror in `sys.op()`; the
-pairing clause of `dual_adjunction_check` puts it on a product category.
+and `dual_cross_check`, which runs the dualizers' residual on the
+pairing's own rows at every point, so it checks the cut reading, the
+live-point pruning and the mirror in `sys.op()`.  Both dualizers are
+residuals of this one pairing, curried on either side, so they are
+adjoint (Isbell conjugation) once this check holds.
 """
 
 from __future__ import annotations
 
-from .duality import dual_left, dual_right
-from .fincat import SizeGuardExceeded, StructuralError, Table, product
-from .psh import Presheaf, curried_residual, natural_families, tensor_psh
+from .fincat import StructuralError
+from .psh import Presheaf, curried_residual
 from .refsys import RefinementSystem
-from .reports import CheckReport
-from .represent import SliceCategory, coslice_of, neg_rep, pos_rep, slice_of
-
-
-# ---------------------------------------------------------------------------
-# The slice x coslice pairing
-
-
-# The pairing clause of `dual_adjunction_check` puts the pairing on the
-# product of the slice and the coslice; past this many product morphisms
-# it records a skip instead.
-PAIRING_GUARD = 200000
+from .represent import SliceCategory, coslice_of, slice_of
 
 
 class Pairing:
@@ -100,129 +89,3 @@ def dual_cross_check(sys: RefinementSystem, B: int, inp: Presheaf, out: Presheaf
                 f"dual ({side}): the dualizer disagrees with the residual of the "
                 f"pairing's rows along {base.mor_names[f]}"
             )
-
-
-# ---------------------------------------------------------------------------
-# The dual adjunction
-
-
-def _unit_components(phi: Presheaf, dl: Presheaf, drdl: Presheaf):
-    """Components of phi => dual_right(dual_left(phi)): an element u maps
-    to the family evaluating every left-dual family at u.  Mirrored, the
-    same shape computes psi => dual_left(dual_right(psi)).  Returns
-    (table, None) or (None, failure)."""
-    comps = []
-    for i in range(phi.base.n_objects):
-        fam_pos = drdl.position(i)
-        row = []
-        for upos in range(phi.size(i)):
-            table = tuple(
-                tuple(fam[i][upos] for fam in dl.payloads[j])
-                for j in range(dl.base.n_objects)
-            )
-            k = fam_pos.get(table)
-            if k is None:
-                return None, f"unit misses a family at {phi.base.objects[i]}"
-            row.append(k)
-        comps.append(tuple(row))
-    return tuple(comps), None
-
-
-def _restrict_dual(v_comps, dl_target: Presheaf, dl_source: Presheaf):
-    """Dualization is contravariant on vertical maps: a vertical
-    v : phi => phi' restricts families of phi' to families of phi.
-    Returns the component table dl(phi') => dl(phi), or None."""
-    comps = []
-    for j in range(dl_source.base.n_objects):
-        fam_pos = dl_target.position(j)
-        row = []
-        for fam in dl_source.payloads[j]:
-            moved = tuple(
-                tuple(fam[i][v_comps[i][u]] for u in range(len(v_comps[i])))
-                for i in range(len(v_comps))
-            )
-            k = fam_pos.get(moved)
-            if k is None:
-                return None
-            row.append(k)
-        comps.append(tuple(row))
-    return tuple(comps)
-
-
-def dual_adjunction_check(sys: RefinementSystem, B: int) -> CheckReport:
-    """The two dualizers are adjoint on the right: a subtyping into a
-    right dual, a subtyping into a left dual, and a bracket-compatible
-    pairing are equivalent data.  Checked on the representables over B;
-    additionally the unit into the double dual exists for every input and
-    the triangle composite on the left dual is the identity.  The pairing
-    clause puts the pairing on slice x coslice and is skipped past
-    PAIRING_GUARD product morphisms."""
-    rep = CheckReport(
-        f"dual-adjunction[{sys.name}@{sys.T.objects[B]}]",
-        "dualization is a contravariant adjunction between slice and coslice presheaves",
-    )
-    pool_pos = [pos_rep(sys, Q) for Q in sys.fiber(B)]
-    pool_neg = [neg_rep(sys, P) for P in sys.fiber(B)]
-
-    pair = pairing(sys, B)
-    n_mor = pair.slice.cat.n_morphisms * pair.coslice.cat.n_morphisms
-    bracket = None
-    if n_mor > PAIRING_GUARD:
-        guard = SizeGuardExceeded("slice x coslice morphisms", n_mor, PAIRING_GUARD)
-        rep.record_skip(f"pairing clause skipped: {guard}")
-    else:
-        prod = product(pair.slice.cat, pair.coslice.cat)
-        names = sys.D.mor_names
-        bracket = Presheaf(
-            f"bracket[{sys.T.objects[B]}]",
-            prod,
-            Table(prod.n_objects, lambda x: tuple(names[d] for d in pair.ders(*prod.split_obj(x)))),
-            lambda m: pair.row(*prod.split_mor(m)),
-        )
-
-    duals_l = [dual_left(sys, B, phi) for phi in pool_pos]
-    duals_r = [dual_right(sys, B, psi) for psi in pool_neg]
-
-    for pi, phi in enumerate(pool_pos):
-        for qi, psi in enumerate(pool_neg):
-            e1 = bool(natural_families(phi, duals_r[qi]))
-            e2 = bool(natural_families(psi, duals_l[pi]))
-            agree = e1 == e2
-            detail = (
-                f"phi={phi.name} psi={psi.name}: into-right-dual {e1}, into-left-dual {e2}"
-            )
-            if bracket is not None:
-                e3 = bool(natural_families(tensor_psh(phi, psi, prod), bracket))
-                agree = agree and e2 == e3
-                detail += f", pairing {e3}"
-            rep.check(agree, detail)
-
-    for pi, phi in enumerate(pool_pos):
-        dl = duals_l[pi]
-        drdl = dual_right(sys, B, dl)
-        eta, why = _unit_components(phi, dl, drdl)
-        rep.check(eta is not None, f"unit at {phi.name}: {why}")
-        if eta is None:
-            continue
-        # Triangle: dl(phi) => dl(dr(dl(phi))) => dl(phi) is the identity,
-        # where the first leg is the unit of the mirrored adjunction and
-        # the second is dualization applied to the unit at phi.
-        dldrdl = dual_left(sys, B, drdl)
-        eps, why = _unit_components(dl, drdl, dldrdl)
-        rep.check(eps is not None, f"mirrored unit at {dl.name}: {why}")
-        if eps is None:
-            continue
-        back = _restrict_dual(eta, dl, dldrdl)
-        if back is None:
-            rep.record_fail(f"restriction along the unit of {phi.name} is not natural")
-            continue
-        bad = None
-        for j in range(dl.base.n_objects):
-            for v in range(dl.size(j)):
-                if back[j][eps[j][v]] != v:
-                    bad = f"triangle composite moves an element at {dl.base.objects[j]}"
-                    break
-            if bad:
-                break
-        rep.check(bad is None, f"{phi.name}: {bad}")
-    return rep

@@ -110,13 +110,6 @@ class RefinementSystem:
             f"{self.D.object_name(Q)}) is not a judgment"
         )
 
-    def subtypings(self, P: int, Q: int) -> tuple[int, ...]:
-        """Derivations over the identity; these witness P <= Q in the fiber."""
-        A = self.shape(P)
-        if self.shape(Q) != A:
-            return ()
-        return self.derivations(P, self.T.identity[A], Q)
-
     def judgments(self):
         """All valid judgments (P, c, Q), derivable or not, in index order."""
         for P in range(self.D.n_objects):
@@ -131,22 +124,6 @@ class RefinementSystem:
             f"{self.D.object_name(P)} ={self.T.morphism_name(c)}=> "
             f"{self.D.object_name(Q)}"
         )
-
-    def vertical_iso(self, P: int, Q: int) -> tuple[int, int] | None:
-        """A pair (alpha, beta) of mutually inverse derivations over the
-        identity, or None.  First pair in index order."""
-        if self.shape(P) != self.shape(Q):
-            return None
-        idP = self.D.identity[P]
-        idQ = self.D.identity[Q]
-        for alpha in self.subtypings(P, Q):
-            for beta in self.subtypings(Q, P):
-                if (
-                    self.D.compose(alpha, beta) == idP
-                    and self.D.compose(beta, alpha) == idQ
-                ):
-                    return (alpha, beta)
-        return None
 
     def op(self) -> "RefinementSystem":
         """The opposite system t^op : D^op -> T^op.

@@ -95,6 +95,8 @@ class Workspace:
             if name not in self.systems:
                 raise KeyError(f"unknown system {name!r}")
             return self.systems[name]
+        if not self.systems:
+            raise KeyError("workspace defines no refinement system")
         if len(self.systems) != 1:
             raise KeyError(
                 f"workspace has {len(self.systems)} systems; pick one with --system"

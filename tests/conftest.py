@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import settings
 
+from refcat.fincat import FinCategory, FunctorData
 from refcat.fixtures import (
     build_hoare,
     build_linctx,
@@ -12,6 +13,7 @@ from refcat.fixtures import (
     galois_fixture,
     identity_lattice_fixture,
 )
+from refcat.refsys import RefinementSystem
 
 # Deterministic example selection so test output is reproducible run to run.
 settings.register_profile("repro", derandomize=True, max_examples=40)
@@ -84,3 +86,14 @@ def dobj(sys, name):
 
 def tmor(sys, name):
     return sys.T.mor_names.index(name)
+
+
+def bang_system(cat):
+    """A category over the point: refinements of a single shape.
+
+    Slices of the result are the category again and judgments are plain
+    hom-sets, so presheaf-level facts can be compared against their
+    unrefined counterparts."""
+    pt = FinCategory("pt", ("*",), (("id*", 0, 0),), (0,), {(0, 0): 0})
+    t = FunctorData(f"!{cat.name}", cat, pt, (0,) * cat.n_objects, (0,) * cat.n_morphisms)
+    return RefinementSystem(f"bang({cat.name})", t)

@@ -20,7 +20,6 @@ from refcat.duality import (
 )
 from refcat.fincat import FunctorData, StructuralError
 from refcat.fixtures import (
-    bang_system,
     hoare_sp,
     hoare_wp,
     random_refsys,
@@ -40,7 +39,7 @@ from refcat.represent import (
     representation_ff_check,
     slice_action,
 )
-from tests.conftest import image_oracle, pred_name, pred_set, preimage_oracle
+from tests.conftest import bang_system, image_oracle, pred_name, pred_set, preimage_oracle
 from tests.test_duality import skew_pair
 from tests.test_fincat import chain_category, walking_arrow
 from tests.test_fixtures import default_spec

@@ -112,6 +112,21 @@ def test_unknown_system_names_the_system_in_quotes(hoare_file, capsys):
     assert capsys.readouterr().err == "error: unknown system 'nope'\n"
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("category C\n  objects a\n", "workspace defines no refinement system"),
+        ("fixture x galois\n", "workspace has 2 systems; pick one with --system"),
+    ],
+    ids=["none", "two"],
+)
+def test_a_workspace_without_exactly_one_system_needs_a_name(tmp_path, capsys, body, message):
+    p = tmp_path / "w.fix"
+    p.write_text(body)
+    assert main(["verify", str(p), "all"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_suite_is_rejected_by_the_parser(hoare_file):
     with pytest.raises(SystemExit) as err:
         main(["verify", hoare_file, "nonsense"])

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
-import refcat.pairing as pairing_mod
 from refcat.cli import main
 from refcat.day import notnottensor_check
 from refcat.duality import (
@@ -36,7 +35,6 @@ from refcat.fincat import (
     validate_functor,
 )
 from refcat.fixtures import (
-    bang_system,
     build_hoare,
     build_linctx,
     default_hoare_spec,
@@ -51,9 +49,9 @@ from refcat.psh import (
     validate_presheaf,
     vertical_iso_psh,
 )
-from refcat.pairing import Pairing, dual_adjunction_check, dual_cross_check, pairing
+from refcat.pairing import Pairing, dual_cross_check, pairing
 from refcat.represent import coslice_action, coslice_of, neg_rep, pos_rep, slice_action, slice_of
-from tests.conftest import image_oracle, pred_set
+from tests.conftest import bang_system, image_oracle, pred_set
 from tests.test_fincat import chain_category
 from tests.test_represent import composite_command
 
@@ -174,27 +172,6 @@ def test_judgment_category_counts_from_pair_oracle(hoare):
     assert J.cat.n_morphisms == expected == 5776
 
 
-def test_pairing_clause_guard_trips_before_anything_is_built(monkeypatch):
-    # Past the guard the pairing clause is one recorded skip, with the true
-    # slice x coslice size, and neither the product nor a derivation set
-    # of the pairing is built; the other clauses keep their counts.
-    sys = build_hoare(default_hoare_spec())
-    S, Cs = slice_of(sys, 0), coslice_of(sys, 0)
-    n = S.cat.n_morphisms * Cs.cat.n_morphisms
-
-    def untouched(*args):
-        raise AssertionError("the guard must trip before the pairing is read")
-
-    monkeypatch.setattr(pairing_mod, "PAIRING_GUARD", n - 1)
-    monkeypatch.setattr(pairing_mod, "product", untouched)
-    monkeypatch.setattr(Pairing, "ders", untouched)
-    rep = dual_adjunction_check(sys, 0)
-    assert (rep.passed, rep.failed, rep.skipped) == (28, 0, 1)
-    assert rep.skip_reasons == [
-        f"pairing clause skipped: slice x coslice morphisms: estimated {n} > guard {n - 1}"
-    ]
-
-
 def test_der_presheaf_marks_exactly_the_derivable_judgments(hoare):
     J = reference_judgments(hoare)
     der = J.der
@@ -313,11 +290,6 @@ def test_duals_reverse_the_refinement_order(hoare):
         for Q2 in range(4):
             if pred_set(hoare.D.objects[Q1]) <= pred_set(hoare.D.objects[Q2]):
                 assert natural_families(duals[Q2], duals[Q1])
-
-
-def test_dual_adjunction_counts(hoare):
-    rep = dual_adjunction_check(hoare, 0)
-    assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (28, 0, 0)
 
 
 def test_cross_check_route_agrees_on_small_systems():

@@ -68,7 +68,7 @@ def discrete_category(names):
 
 
 def functors_equal(F, G):
-    return F.table() == G.table()
+    return tuple(F.object_map) == tuple(G.object_map) and tuple(F.morphism_map) == tuple(G.morphism_map)
 
 
 def curry_functor(F):
@@ -661,7 +661,7 @@ def listed_functor_category(A, C):
         cat=cat,
         functors=functors,
         nat_tags=nat_tags,
-        functor_index={F.table(): i for i, F in enumerate(functors)},
+        functor_index={(tuple(F.object_map), tuple(F.morphism_map)): i for i, F in enumerate(functors)},
         nat_index=nat_index,
     )
 

@@ -23,7 +23,6 @@ from refcat.fixtures import (
     MulticategorySpec,
     RandomBounds,
     TensorDecl,
-    bang_system,
     build_hoare,
     build_lattice,
     build_linctx,
@@ -38,7 +37,7 @@ from refcat.fixtures import (
 from refcat.lattice import chain_lattice, powerset_lattice
 from refcat.refsys import rapp_check
 from refcat.textio import LoadError, loads
-from tests.conftest import HOARE_FN, image_oracle, preimage_oracle
+from tests.conftest import HOARE_FN, bang_system, image_oracle, preimage_oracle
 from tests.test_refsys import is_fibration, is_opfibration
 from tests.test_represent import context_morphism_count
 

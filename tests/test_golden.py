@@ -59,12 +59,6 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
     assert got == (GOLDEN / f"{name}.txt").read_text()
 
 
-# Public checks that `verify` on the inputs above and below does not
-# reach yet.  ROADMAP item 8 puts the last one in a suite or deletes it;
-# the list may only shrink.
-UNREACHED = {"dual_adjunction_check"}
-
-
 def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
     # Every module under src/refcat, in subpackages too: a check moved into
     # one must stay in this bookkeeping.
@@ -104,8 +98,8 @@ def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
         path.write_text(body + "\n")
         assert main(["verify", str(path), "duality", "--cross-check"]) == 0
     capsys.readouterr()
-    assert UNREACHED <= set(checks)
-    assert set(checks) - reached == UNREACHED
+    assert "dual_cross_check" in checks
+    assert reached == set(checks)
 
 
 def test_linctx_k4_verify_all_keeps_its_transcript(tmp_path, capsys):

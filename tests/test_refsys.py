@@ -174,14 +174,6 @@ def test_op_swaps_lift_directions(hoare):
             assert pull_in_op.result == push.result
 
 
-def test_vertical_iso_is_reflexive_only_here(hoare):
-    # the predicate order is a poset, so distinct refinements are never isomorphic
-    for P in range(hoare.D.n_objects):
-        for Q in range(hoare.D.n_objects):
-            pair = hoare.vertical_iso(P, Q)
-            assert (pair is not None) == (P == Q)
-
-
 def identity_adjunction(s, unit, counit):
     """id -| id on s, with the given refined unit and counit tables and
     identity base components."""
@@ -607,11 +599,9 @@ def scaled_group_tensor(h, g, a, b):
 
 def test_tensor_associativity_is_listed_as_the_full_sweep_lists_it():
     # f (x) g = a f + b g, on the X-morphisms of IZ3 and on the group part
-    # of Z/2 x BZ/3, is a functor for every a, b, so morphism
-    # associativity is decided on the generators of the triple product:
-    # it holds iff a and b are idempotent mod 3, and where it fails the
-    # full sweep is listed.  A lawful tensor is decided without the sweep
-    # (fewer than m^3 tensor reads).
+    # of Z/2 x BZ/3, is a functor for every a, b.  Morphism associativity
+    # holds iff a and b are idempotent mod 3, and where it fails every
+    # failing triple is listed.
     cat = iz3()
     validate_category(cat)
     for a, b in itertools.product(range(3), repeat=2):
@@ -620,11 +610,6 @@ def test_tensor_associativity_is_listed_as_the_full_sweep_lists_it():
             listed = listed_associativity(mon)
             assert listed == swept_associativity(mon)
             assert bool(listed) == (a * a % 3 != a or b * b % 3 != b)
-            if not listed:
-                reads, tmor = [], mon.tmor
-                mon.tmor = lambda f, g: reads.append(1) or tmor(f, g)
-                mon.validate()
-                assert 0 < len(reads) < mon.cat.n_morphisms ** 3
 
 
 def test_one_corrupted_interchange_entry_lists_every_broken_pair():

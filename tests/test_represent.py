@@ -5,12 +5,14 @@ Linear-context expectations come from a brute-force proof counter that only
 reads the rule declarations, never the built category.
 """
 
+import inspect
 from collections import Counter
 
 import pytest
 
 import refcat.day as day_mod
 import refcat.fincat as fincat_mod
+import refcat.psh as psh_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.duality import negative_encoding_check
@@ -41,6 +43,7 @@ from refcat.fixtures import (
 )
 from refcat.psh import (
     Presheaf,
+    PshDerivation,
     _on_objects,
     natural_families,
     pull_psh,
@@ -756,6 +759,81 @@ def test_genday_decides_each_clause_once_per_pair(name, residuals, tmp_path, mon
     assert len(calls["_genday_residual_clause"]) == 32
     for seen in calls.values():
         assert set(seen.values()) == {1}
+
+
+def arity_mutant(monkeypatch):
+    # The tensor derivation with its first nonempty component emptied.
+    real = day_mod.m_derivation
+
+    def mutant(mrs, P, Q):
+        md = real(mrs, P, Q)
+        comps = list(md.components)
+        comps[next(k for k, comp in enumerate(comps) if comp)] = ()
+        return PshDerivation(md.name, md.source, md.target, md.functor, tuple(comps))
+
+    monkeypatch.setattr(day_mod, "m_derivation", mutant)
+
+
+def push_mutant(monkeypatch):
+    # `push_psh_full` missing the first gluing that joins two classes.
+    src = inspect.getsource(psh_mod.push_psh_full)
+    start, union = "    parent = list(range(len(nodes)))\n", "                    if r1 < r2:\n"
+    assert src.count(start) == src.count(union) == 1
+    src = src.replace(start, start + "    skipped = False\n").replace(
+        union,
+        "                    if r1 != r2 and not skipped:\n"
+        "                        skipped = True\n"
+        "                    elif r1 < r2:\n",
+    )
+    namespace = dict(vars(psh_mod))
+    exec(compile("from __future__ import annotations\n" + src, "<mutant>", "exec"), namespace)
+    monkeypatch.setattr(day_mod, "push_psh_full", namespace["push_psh_full"])
+
+
+def residual_mutant(monkeypatch):
+    # A curried residual that drops the first family at its first nonempty
+    # point.
+    real, real_families = day_mod.curried_residual, psh_mod._families_on_support
+
+    def mutant(*args):
+        dropped = []
+
+        def families(*fargs):
+            found = real_families(*fargs)
+            if found and not dropped:
+                dropped.append(found[0])
+                return found[1:]
+            return found
+
+        psh_mod._families_on_support = families
+        try:
+            return real(*args)
+        finally:
+            psh_mod._families_on_support = real_families
+
+    monkeypatch.setattr(day_mod, "curried_residual", mutant)
+
+
+@pytest.mark.parametrize(
+    "mutate, first",
+    [
+        (arity_mutant, "genday[{},{},{}]: (a) tensor derivation invalid:"),
+        (push_mutant, "genday[{},{a},{}]: (a) pushed tensor of rep({}), rep({a}) is not rep({})"),
+        (residual_mutant, "genday[{},{},{}]: (b) canonical image of {}<={a,b} is not a natural family"),
+    ],
+    ids=["arity", "push", "residual"],
+)
+def test_genday_is_red_on_each_clause_mutant(mutate, first, tmp_path, monkeypatch, capsys):
+    # Each mutant turns genday red with its clause's message and no
+    # exception; an invalid tensor derivation stops clause (a) before the
+    # push reads it.
+    mutate(monkeypatch)
+    path = tmp_path / "w.fix"
+    path.write_text("fixture w lattice-collapse\n")
+    assert main(["verify", str(path), "genday"]) == 1
+    out = capsys.readouterr().out
+    assert "suite genday: 0/1 reports ok" in out
+    assert out.split("  counterexample:\n", 1)[1].splitlines()[0] == f"    {first}"
 
 
 MONOID_LAX_COUNTS = {
