@@ -27,6 +27,9 @@ FIXTURES = (
     ("galois", "fixture galois galois\n", ["--system", "galois"]),
     ("galois.e", "fixture galois galois\n", ["--system", "galois.e"]),
     ("random", "fixture random random seed=5\n", []),
+    # a judgment with three derivations: the naturality constraints and
+    # the representations' action rows are read here
+    ("random-3", "fixture random random seed=3\n", []),
 )
 # fixtures whose duals are also recomputed from the slice x coslice
 # pairing's own rows at every point

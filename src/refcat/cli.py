@@ -18,6 +18,7 @@ import sys as _sys
 
 from . import render, suites, textio
 from .fincat import SIZE_GUARD, SizeGuardExceeded, StructuralError
+from .reports import CheckReport
 from .textio import LoadError
 
 class UsageError(Exception):
@@ -58,13 +59,20 @@ def run_suite(
     ws: Workspace, system: str | None, suite: str, size_guard: int, cross_check: bool
 ) -> list[CheckReport]:
     """All reports of one verification suite, or of every suite for
-    "all", in canonical order."""
+    "all", in canonical order.  A suite stopped by a malformed
+    construction (a StructuralError) is one failed report,
+    `<suite>[<system>]`, and the next suite still runs."""
     key, s = _system_entry(ws, system)
     if suite == "all":
         return [r for sub in SUITES for r in run_suite(ws, system, sub, size_guard, cross_check)]
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}")
-    return getattr(suites, suite.replace("-", "_"))(ws, key, s, size_guard, cross_check)
+    try:
+        return getattr(suites, suite.replace("-", "_"))(ws, key, s, size_guard, cross_check)
+    except StructuralError as exc:
+        stopped = CheckReport(f"{suite}[{s.name}]", "every construction the suite reads is well formed")
+        stopped.record_fail(str(exc))
+        return [stopped]
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +221,9 @@ def _cmd_lift(args, direction: str) -> int:
         payload = None
         if cert is not None:
             payload = {
-                "direction": cert.direction,
-                "base": s.T.mor_names[cert.c],
-                "subject": s.D.objects[cert.subject],
+                "direction": direction,
+                "base": args.c,
+                "subject": args.X,
                 "result": s.D.objects[cert.result],
                 "structural": s.D.mor_names[cert.structural],
                 "factoring_tests": cert.tests,

@@ -275,7 +275,7 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
     return rep
 
 
-def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
+def tensorL_check(sys: RefinementSystem, decl: TensorDecl) -> CheckReport:
     """The declared tensor agrees with the pushforward of the two-formula
     context along 2 -> 1, its double dual recovers it, and a single
     pushforward of the positive side does not: at the context [A*B] the
@@ -291,21 +291,14 @@ def tensorL_check(sys: RefinementSystem, A: str, B: str) -> CheckReport:
     if data is None:
         raise StructuralError("tensorL_check needs a system built by build_linctx")
     mc, _K, ctx_index, u_index = data
-    decl = None
-    for d in mc.tensors:
-        if {d.left, d.right} == {A, B}:
-            decl = d
-            break
-    if decl is None:
-        raise StructuralError(f"missing tensor declaration for ({A},{B})")
     report = CheckReport(
-        name=f"tensorL:{A},{B}",
+        name=f"tensorL:{decl.left},{decl.right}",
         statement="the declared tensor is the pushforward of the paired "
         "context along 2 -> 1 and is recovered by double dualization, "
         "while one pushforward alone is not isomorphic to it",
     )
     fidx = {f: i for i, f in enumerate(mc.formulas)}
-    pair_ctx = ctx_index[tuple(sorted((fidx[A], fidx[B])))]
+    pair_ctx = ctx_index[tuple(sorted((fidx[decl.left], fidx[decl.right])))]
     tens_ctx = ctx_index[(fidx[decl.tensor],)]
     mu = u_index[(2, 1, (0, 0))]
     cert = find_pushforward(sys, mu, pair_ctx)

@@ -112,12 +112,11 @@ class LatticeSystem:
     The indexes map element names to the objects of the refinement and
     base categories; their morphisms are tagged by order pairs (i, j)."""
 
-    __slots__ = ("mrs", "monoids", "src", "tgt", "ref_index", "base_index")
+    __slots__ = ("mrs", "monoids", "ref_index", "base_index")
 
-    def __init__(self, mrs, monoids, src, tgt, ref_index, base_index):
+    def __init__(self, mrs, monoids, ref_index, base_index):
         self.mrs: MonoidalRefinementSystem = mrs
         self.monoids: tuple[MonoidObject, ...] = monoids
-        self.src, self.tgt = src, tgt
         self.ref_index, self.base_index = ref_index, base_index
 
     @property
@@ -165,7 +164,7 @@ def build_lattice(src: LatticeSpec, tgt: LatticeSpec, t_map: dict[str, str]) -> 
     )
     for mo in monoids:
         _raise_if_invalid(mo.validate())
-    return LatticeSystem(mrs, monoids, src, tgt, didx, tidx)
+    return LatticeSystem(mrs, monoids, didx, tidx)
 
 
 def collapse_lattice_fixture() -> LatticeSystem:

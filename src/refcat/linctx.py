@@ -24,18 +24,16 @@ class MultiMorphism(NamedTuple):
     target: str
 
 
-class TensorDecl:
-    """A declared tensor A (x) B with its left-introduction bijection:
-    `table` maps each rule consuming both A and B to the rule consuming
-    A (x) B instead, and must be a bijection between those two rule sets."""
+class TensorDecl(NamedTuple):
+    """A declared tensor A (x) B: the one rule consuming both A and B
+    must be (A, B) -> A (x) B (`validate_multicategory`).  Its
+    left-introduction bijection is then forced: rules compose only
+    through identities, so that rule is the only one consuming A and B
+    and the identity of A (x) B the only one consuming A (x) B."""
 
-    __slots__ = ("left", "right", "tensor", "table")
-
-    def __init__(self, left: str, right: str, tensor: str, table: dict[str, str]):
-        self.left = left
-        self.right = right
-        self.tensor = tensor
-        self.table = table
+    left: str
+    right: str
+    tensor: str
 
 
 class MulticategorySpec:
@@ -106,42 +104,18 @@ def validate_multicategory(mc: MulticategorySpec) -> ValidationReport:
                 report.add("tensor declaration", f"unknown formula {f}")
                 return report
         need = 2 if decl.left == decl.right else 1
-        domain = [
-            mm.name
+        consumers = [
+            (mm.source, mm.target)
             for mm in mc.multimorphisms
             if mm.source.count(decl.left) >= need and decl.right in mm.source
         ]
-        codomain = [
-            mm.name for mm in mc.multimorphisms if decl.tensor in mm.source
-        ]
-        if sorted(decl.table) != sorted(domain):
+        pair = tuple(sorted((decl.left, decl.right), key=order.get))
+        if consumers != [(pair, decl.tensor)]:
             report.add(
-                "tensor bijection",
-                f"table domain is not the rules consuming ({decl.left},{decl.right})",
+                "tensor declaration",
+                f"({decl.left},{decl.right}) -> {decl.tensor} is not the one rule "
+                f"consuming ({decl.left},{decl.right})",
             )
-            continue
-        if sorted(set(decl.table.values())) != sorted(codomain) or len(
-            set(decl.table.values())
-        ) != len(decl.table):
-            report.add(
-                "tensor bijection",
-                f"table is not a bijection onto the rules consuming {decl.tensor}",
-            )
-            continue
-        for src_name, dst_name in decl.table.items():
-            src, dst = rules[src_name], rules[dst_name]
-            reduced = list(src.source)
-            reduced.remove(decl.left)
-            reduced.remove(decl.right)
-            reduced.append(decl.tensor)
-            if dst.target != src.target or dst.source != tuple(
-                sorted(reduced, key=order.get)
-            ):
-                report.add(
-                    "tensor bijection",
-                    f"{src_name} -> {dst_name} does not replace "
-                    f"({decl.left},{decl.right}) by {decl.tensor}",
-                )
     return report
 
 
@@ -279,8 +253,7 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
 
 def default_linear_spec() -> MulticategorySpec:
     """Four formulas, six rules: identities, pairing into the tensor, and
-    a closed constant.  The tensor bijection sends pairing to the tensor
-    identity."""
+    a closed constant."""
     return MulticategorySpec(
         formulas=("A", "B", "A*B", "C"),
         multimorphisms=(
@@ -292,5 +265,5 @@ def default_linear_spec() -> MulticategorySpec:
             MultiMorphism("k", (), "C"),
         ),
         identities={"A": "1A", "B": "1B", "A*B": "1T", "C": "1C"},
-        tensors=(TensorDecl("A", "B", "A*B", {"pair": "1T"}),),
+        tensors=(TensorDecl("A", "B", "A*B"),),
     )

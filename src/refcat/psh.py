@@ -108,9 +108,12 @@ class Presheaf:
         return self._support
 
     def position(self, a: int) -> dict[object, int]:
-        """Payload -> element index at a, built on first use."""
+        """Payload -> element index at a, built on first use; a presheaf
+        without payloads raises a StructuralError naming it."""
         got = self._positions.get(a)
         if got is None:
+            if self.payloads is None:
+                raise StructuralError(f"{self.name} has no payloads")
             got = self._positions[a] = {p: k for k, p in enumerate(self.payloads[a])}
         return got
 
@@ -260,14 +263,16 @@ def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
             got = positions[b] = {h: k for k, h in enumerate(B.mor_in(b))}
         return got
 
-    # The support is a sieve: a morphism into it starts in it.  Each
-    # union keeps the lesser root, so a root is the least node of its
-    # class.
+    # The support must be a sieve: a morphism into it starts in it, else
+    # a StructuralError names phi.  Each union keeps the lesser root, so
+    # a root is the least node of its class.
     for a2 in support:
         n2, pos2 = phi.size(a2), position(F.obj(a2))
         for u in A.mor_in(a2):
-            a, fu, act = A.dom(u), F.mor(u), phi.action[u]
-            n = phi.size(a)
+            a = A.dom(u)
+            if a not in start:
+                raise _not_a_sieve(phi, u)
+            fu, act, n = F.mor(u), phi.action[u], phi.size(a)
             for k, h in enumerate(B.mor_in(F.obj(a))):
                 at2 = start[a2] + pos2[B.compose(h, fu)] * n2
                 at = start[a] + k * n
@@ -421,10 +426,16 @@ def _closing(phi: Presheaf, support: tuple[int, ...]) -> list[list[tuple[int, in
             try:
                 k = pos[A.dom(u)]
             except KeyError:
-                off = f"{A.mor_names[u]} into {A.objects[a2]} starts off it"
-                raise StructuralError(f"the support of {phi.name} is not a sieve: {off}") from None
+                raise _not_a_sieve(phi, u) from None
             closing[max(k, k2)].append((u, k, k2))
     return closing
+
+
+def _not_a_sieve(phi: Presheaf, u: int) -> StructuralError:
+    """The error for a morphism u into the support of phi that starts off it."""
+    A = phi.base
+    off = f"{A.mor_names[u]} into {A.objects[A.cod(u)]} starts off it"
+    return StructuralError(f"the support of {phi.name} is not a sieve: {off}")
 
 
 def _checks(phi: Presheaf, closing, targets: list[int], row) -> list[list[tuple]]:
@@ -539,9 +550,6 @@ class PshDerivation:
         self.target = target
         self.functor = functor  # None means vertical (identity on a shared base)
         self.components = components
-
-    def apply(self, a: int, x: int) -> int:
-        return self.components[a][x]
 
 
 def validate_psh_derivation(d: PshDerivation) -> ValidationReport:

@@ -16,7 +16,7 @@ mirror `lapp_check`, are in `adjunction`, and monoidal structure is in
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .fincat import (
     FinCategory,
@@ -31,20 +31,20 @@ from .reports import CheckReport
 
 
 class RefinementSystem:
-    """A functor t : D -> T with an eager index of derivations by judgment."""
+    """A functor t : D -> T with an eager index of derivations by target."""
 
     def __init__(self, name: str, t: FunctorData):
         self.name = name
         self.t = t
         self.D = t.source
         self.T = t.target
-        # derivations[(P, c, Q)] = sorted tuple of D-morphism indices alpha
-        # with dom alpha = P, cod alpha = Q, t(alpha) = c.
-        index: dict[tuple[int, int, int], list[int]] = {}
+        # derivation_index[Q][(P, c)] = the D-morphisms alpha : P -> Q with
+        # t(alpha) = c, in index order.
+        index: dict[int, dict[tuple[int, int], list[int]]] = {Q: {} for Q in range(self.D.n_objects)}
+        dom, cod, image = self.D.mor_dom, self.D.mor_cod, t.morphism_map
         for a in range(self.D.n_morphisms):
-            key = (self.D.dom(a), t.mor(a), self.D.cod(a))
-            index.setdefault(key, []).append(a)
-        self._derivations = {k: tuple(sorted(v)) for k, v in index.items()}
+            index[cod[a]].setdefault((dom[a], image[a]), []).append(a)
+        self.derivation_index = {Q: {k: tuple(v) for k, v in g.items()} for Q, g in index.items()}
         fibers: dict[int, list[int]] = {A: [] for A in range(self.T.n_objects)}
         for P in range(self.D.n_objects):
             fibers[t.obj(P)].append(P)
@@ -82,13 +82,13 @@ class RefinementSystem:
         """All derivations of the judgment (P, c, Q), in morphism index order."""
         if not self.valid_judgment(P, c, Q):
             raise self._not_a_judgment(P, c, Q)
-        return self._derivations.get((P, c, Q), ())
+        return self.derivation_index[Q].get((P, c), ())
 
     def derivations_unchecked(self, P: int, c: int, Q: int) -> tuple[int, ...]:
         """`derivations` for a caller whose (P, c, Q) is a judgment by
         construction (its legs come from base hom-sets and slice tags):
         the index is read with no check."""
-        return self._derivations.get((P, c, Q), ())
+        return self.derivation_index[Q].get((P, c), ())
 
     def derivations_into(self, c: int, Q: int) -> tuple[tuple[int, int], ...]:
         """The pairs (P, alpha) with alpha a derivation of (P, c, Q), in
@@ -100,8 +100,9 @@ class RefinementSystem:
 
     def _index_into(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
         index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (P, c, Q), alphas in sorted(self._derivations.items()):
-            index.setdefault((c, Q), []).extend((P, alpha) for alpha in alphas)
+        for Q, groups in self.derivation_index.items():
+            for (P, c), alphas in sorted(groups.items()):
+                index.setdefault((c, Q), []).extend((P, alpha) for alpha in alphas)
         return {key: tuple(found) for key, found in index.items()}
 
     def _not_a_judgment(self, P: int, c: int, Q: int) -> StructuralError:
@@ -109,15 +110,6 @@ class RefinementSystem:
             f"{self.name}: ({self.D.object_name(P)}, {self.T.morphism_name(c)}, "
             f"{self.D.object_name(Q)}) is not a judgment"
         )
-
-    def judgments(self):
-        """All valid judgments (P, c, Q), derivable or not, in index order."""
-        for P in range(self.D.n_objects):
-            A = self.shape(P)
-            for Q in range(self.D.n_objects):
-                B = self.shape(Q)
-                for c in self.T.hom(A, B):
-                    yield (P, c, Q)
 
     def judgment_name(self, P: int, c: int, Q: int) -> str:
         return (
@@ -152,36 +144,18 @@ class RefinementSystem:
 # cartesian / opcartesian lifts
 
 
-class LiftCertificate:
-    """Witness that a derivation is a (op)cartesian lift.
-
-    For direction "pullback": `structural` is ell : result -> subject over c,
-    and every derivation (P, d;c, subject) factors uniquely as sigma ; ell
-    with sigma over d.  For "pushforward": `structural` is ell : subject ->
-    result over c, factoring on the other side.  `tests` counts the
-    factoring problems that were solved during certification.
+class LiftCertificate(NamedTuple):
+    """Witness that a derivation is a cartesian lift: `structural` is
+    ell : result -> Q over c, and every derivation (P, d;c, Q) factors
+    uniquely as sigma ; ell with sigma over d.  Found in `sys.op()`, it
+    is an opcartesian lift in `sys`, ell : P -> result, factoring on the
+    other side.  `tests` counts the factoring problems that were solved
+    during certification.
     """
 
-    __slots__ = ("direction", "c", "subject", "result", "structural", "tests")
-
-    def __init__(
-        self, direction: str, c: int, subject: int, result: int, structural: int, tests: int
-    ):
-        self.direction = direction  # "pullback" | "pushforward"
-        self.c = c
-        self.subject = subject
-        self.result = result
-        self.structural = structural
-        self.tests = tests
-
-
-def _by_source_and_base(sys: RefinementSystem, Q: int) -> dict[tuple[int, int], list[int]]:
-    """The derivations into Q grouped by (source, base morphism)."""
-    dom, image = sys.D.mor_dom, sys.t.morphism_map
-    groups: dict[tuple[int, int], list[int]] = {}
-    for beta in sys.D.mor_in(Q):
-        groups.setdefault((dom[beta], image[beta]), []).append(beta)
-    return groups
+    result: int
+    structural: int
+    tests: int
 
 
 def _cartesian_tests(
@@ -192,17 +166,18 @@ def _cartesian_tests(
     for every (P, d) with d : t(P) -> dom c, postcomposition with ell is
     a bijection derivations(P, d, P0) -> derivations(P, d;c, Q).  Only
     the (P, d) where one set is nonempty are visited: those under the
-    betas grouped by (P, x), with d;c = x read from c's inverted row in
-    the opposite base, and those of the sigmas, which must all be met."""
+    betas of the derivation index into Q, grouped by (P, x), with d;c = x
+    read from c's inverted row in the opposite base, and those of the
+    sigmas, which must all be met."""
     # With (P0, c, Q) a judgment, so is every (P, d;c, Q) and (P, d, P0)
     # below: d runs over the morphisms into dom c.
     if not sys.valid_judgment(P0, c, Q):
         raise sys._not_a_judgment(P0, c, Q)
     compose = sys.D.compose
-    sigmas = _by_source_and_base(sys, P0)
+    sigmas = sys.derivation_index[P0]
     before = sys.op().T._inverse_row(c)
     tests = reached = 0
-    for (P, x), betas in _by_source_and_base(sys, Q).items():
+    for (P, x), betas in sys.derivation_index[Q].items():
         for d in before.get(x, ()):
             found = sigmas.get((P, d), ())
             hit = {compose(sigma, ell) for sigma in found}
@@ -234,37 +209,19 @@ def _search_pullback(sys: RefinementSystem, c: int, Q: int) -> LiftCertificate |
     for P0, ell in sys.derivations_into(c, Q):
         tests = _cartesian_tests(sys, c, Q, P0, ell)
         if tests is not None:
-            return LiftCertificate(
-                direction="pullback",
-                c=c,
-                subject=Q,
-                result=P0,
-                structural=ell,
-                tests=tests,
-            )
+            return LiftCertificate(P0, ell, tests)
     return None
 
 
 def find_pushforward(sys: RefinementSystem, c: int, P: int) -> LiftCertificate | None:
-    """Opcartesian lift of c at P, found by running the cartesian search in
-    the opposite system.  Indices are shared, so the certificate reads
-    directly as a pushforward witness in `sys`."""
+    """Opcartesian lift of c at P: the certificate of the cartesian search
+    in the opposite system, which shares every index with `sys`."""
     if sys.T.dom(c) != sys.shape(P):
         raise StructuralError(
             f"{sys.name}: {sys.D.object_name(P)} does not refine the domain "
             f"of {sys.T.morphism_name(c)}"
         )
-    cert_op = find_pullback(sys.op(), c, P)
-    if cert_op is None:
-        return None
-    return LiftCertificate(
-        direction="pushforward",
-        c=c,
-        subject=P,
-        result=cert_op.result,
-        structural=cert_op.structural,
-        tests=cert_op.tests,
-    )
+    return find_pullback(sys.op(), c, P)
 
 
 # ---------------------------------------------------------------------------

@@ -256,20 +256,17 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
 
     Elements at (P, c) are the derivations of (P, c, Q), carried as
     payloads; morphisms act by precomposition.  Built once per system,
-    on its support: the derivations into Q are grouped by their slice
-    point, which also gives the support, and an action row is computed
-    when it is first read."""
+    on its support, the slice points of the derivation index into Q; an
+    action row is computed when it is first read."""
 
     def build() -> Presheaf:
-        D, t = sys.D, sys.t
+        D = sys.D
         S = slice_of(sys, sys.shape(Q))
-        grouped: dict[int, list[int]] = {}
-        for sigma in D.mor_in(Q):
-            grouped.setdefault(S.obj_index[(D.dom(sigma), t.mor(sigma))], []).append(sigma)
+        at = {S.obj_index[point]: ders for point, ders in sys.derivation_index[Q].items()}
         payloads: list[tuple[int, ...]] = [()] * S.cat.n_objects
         elements: list[tuple[str, ...]] = [()] * S.cat.n_objects
-        for i, ders in grouped.items():
-            payloads[i] = tuple(ders)
+        for i, ders in at.items():
+            payloads[i] = ders
             elements[i] = tuple(D.mor_names[d] for d in ders)
         rep = Presheaf(
             f"rep({D.objects[Q]})",
@@ -277,7 +274,7 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
             tuple(elements),
             lambda m: _derivation_row(S, rep, m),
             tuple(payloads),
-            tuple(sorted(grouped)),
+            tuple(sorted(at)),
         )
         return rep
 
@@ -287,10 +284,16 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
 def _derivation_row(S: SliceCategory, phi: Presheaf, m: int) -> tuple[int, ...]:
     """The action of the slice morphism m = (alpha, s, u) on a presheaf of
     derivations over S: each derivation at u is precomposed with alpha
-    and located among the derivations at s."""
+    and located among the derivations at s.  A composite missing at s
+    raises a StructuralError naming phi."""
     alpha, s, u = S.mor_tags[m]
     pos, compose = phi.position(s), S.sys.D.compose
-    return tuple(pos[compose(alpha, x)] for x in phi.payloads[u])
+    try:
+        return tuple(pos[compose(alpha, x)] for x in phi.payloads[u])
+    except KeyError as exc:
+        raise StructuralError(
+            f"{phi.name} lacks {S.sys.D.mor_names[exc.args[0]]} at {S.obj_name(s)}"
+        ) from None
 
 
 def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
@@ -368,7 +371,7 @@ def _holders(sys: RefinementSystem, B: int) -> dict[int, set[int]]:
 
 def _judgment_families(sys: RefinementSystem):
     """The judgments (Q1, c, Q2) that can fail the ff check, in
-    `sys.judgments()` order, each with the support of rep(Q1) and the
+    (Q1, Q2, c) index order, each with the support of rep(Q1) and the
     natural families rep(Q1) => pull_c rep(Q2) as `_families_on_support`
     returns them, one component per support point; and the number of all
     other judgments.
@@ -609,6 +612,8 @@ def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str |
     the point morphisms, read as their derivations, are phi's payloads, and
     on the support every action row agrees.  Off both supports both
     payloads are empty, so only the union of the supports is read."""
+    if phi.payloads is None:
+        return f"{phi.name} has no derivations as payloads"
     for i in sorted(set(phi.support()).union(y.support())):
         if tuple(S.mor_tags[m][0] for m in y.payloads[i]) != phi.payloads[i]:
             return f"point morphisms at {S.obj_name(i)} are not its derivations"

@@ -128,16 +128,7 @@ def negative_encoding(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
 
     data = linctx_data(s)
     if data is not None:
-        mc = data[0]
-        if not mc.tensors:
-            return [
-                _skip_report(
-                    f"negative-encoding[{s.name}]",
-                    "pushforwards are recovered from negative data",
-                    "no tensor declarations in the multicategory",
-                )
-            ]
-        return [tensorL_check(s, d.left, d.right) for d in mc.tensors]
+        return [tensorL_check(s, decl) for decl in data[0].tensors]
     reports = []
     for c in range(s.T.n_morphisms):
         for P in s.fiber(s.T.dom(c)):

@@ -88,6 +88,15 @@ def tmor(sys, name):
     return sys.T.mor_names.index(name)
 
 
+def judgments(sys):
+    """All valid judgments (P, c, Q) of sys, derivable or not, in
+    (P, Q, c) index order."""
+    for P in range(sys.D.n_objects):
+        for Q in range(sys.D.n_objects):
+            for c in sys.T.hom(sys.shape(P), sys.shape(Q)):
+                yield (P, c, Q)
+
+
 def bang_system(cat):
     """A category over the point: refinements of a single shape.
 

@@ -20,6 +20,7 @@ from refcat.duality import (
 )
 from refcat.fincat import FunctorData, StructuralError
 from refcat.fixtures import (
+    TensorDecl,
     hoare_sp,
     hoare_wp,
     random_refsys,
@@ -120,7 +121,7 @@ def test_criterion_4_negative_encodings(hoare, linctx, collapse, ident):
                 attempted += rep.attempted
                 if rep.failed or not rep.ok:
                     failures.append((s.name, c, P))
-    tl = tensorL_check(linctx, "A", "B")
+    tl = tensorL_check(linctx, TensorDecl("A", "B", "A*B"))
     attempted += tl.attempted
     if tl.failed or not tl.ok:
         failures.append(("linctx", "A", "B"))

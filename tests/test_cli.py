@@ -22,6 +22,7 @@ from refcat.cli import main
 from refcat.fincat import FinCategory, OppositeCategory
 from refcat.refsys import RefinementSystem
 from refcat.reports import CheckReport
+from tests.conftest import judgments
 from tests.test_represent import (
     CORRUPTED_REP_FAILURES,
     corrupt_representation,
@@ -337,7 +338,7 @@ def test_verify_linctx_duality_reads_each_section_point_once(linctx_file, monkey
             for i in cut.payloads._got:
                 P, c = tags[i]
                 fills[(id(s), P, s.T.compose(c, d), R)] += 1
-    once = Counter((id(s), *j) for s in (sys, sys.op()) for j in s.judgments())
+    once = Counter((id(s), *j) for s in (sys, sys.op()) for j in judgments(s))
     assert sum(once.values()) == 30182
     assert reads - fills == once and fills - reads == Counter()
 
@@ -611,6 +612,43 @@ def test_verify_ff_exits_1_on_a_corrupted_representation(hoare_file, capsys, mon
     assert f"  attempted 128 passed {128 - failed} failed {failed} skipped 0" in out
     assert counterexample.split(": ", 1)[1] in out
     assert out.endswith("suite ff: 0/1 reports ok\n")
+
+
+# tamper -> ff's first counterexample on hoare
+TAMPERED_FF = {
+    "empty": "pos {s0} =swap=> {s0,s1}: image of swap:{s0}>{s0,s1} has no element at "
+    "({s0,s1},set0;swap): rep({s0,s1}) lacks set0;swap:{s0,s1}>{s0,s1}",
+    **{tamper: failure[1] for tamper, failure in CORRUPTED_REP_FAILURES.items()},
+}
+
+
+@pytest.mark.parametrize("suite", [*cli_mod.SUITES, "all"])
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_FF))
+def test_a_corrupted_representation_is_a_failed_report_in_every_suite(
+    hoare_file, capsys, monkeypatch, tamper, suite
+):
+    # A lookup that a corrupted rep({s0,s1}) breaks raises a
+    # StructuralError naming it, and the suite it stopped is one failed
+    # report: no suite exits 2 or raises, and `all` still prints ff's
+    # counterexample.
+    build = hoare_mod.build_hoare
+
+    def tampered(spec):
+        sys = build(spec)
+        if tamper == "empty":
+            empty_last_support_point(sys, "{s0,s1}")
+        else:
+            corrupt_representation(sys, tamper)
+        return sys
+
+    monkeypatch.setattr(hoare_mod, "build_hoare", tampered)
+    rc = main(["verify", hoare_file, suite])
+    out, err = capsys.readouterr()
+    assert err == ""
+    if suite == "all":
+        assert rc == 1 and f"    {TAMPERED_FF[tamper]}\n" in out
+    else:
+        assert rc in (0, 1)
 
 
 def test_dual_exits_1_on_a_cross_check_disagreement(skew_file, capsys, reversed_pairing_rows):

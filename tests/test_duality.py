@@ -51,7 +51,7 @@ from refcat.psh import (
 )
 from refcat.pairing import Pairing, dual_cross_check, pairing
 from refcat.represent import coslice_action, coslice_of, neg_rep, pos_rep, slice_action, slice_of
-from tests.conftest import bang_system, image_oracle, pred_set
+from tests.conftest import bang_system, image_oracle, judgments, pred_set
 from tests.test_fincat import chain_category
 from tests.test_represent import composite_command
 
@@ -88,7 +88,7 @@ def reference_judgments(sys):
     if cache:
         return cache[0]
     D, T, t = sys.D, sys.T, sys.t
-    obj_tags = tuple(sys.judgments())
+    obj_tags = tuple(judgments(sys))
     obj_index = {tag: i for i, tag in enumerate(obj_tags)}
     mor_tags = []
     for beta in range(D.n_morphisms):
@@ -159,8 +159,8 @@ def test_judgment_category_counts_from_pair_oracle(hoare):
     names_D = hoare.D.objects
     names_T = hoare.T.mor_names
     expected = 0
-    for P1, c1, Q1 in hoare.judgments():
-        for P2, c2, Q2 in hoare.judgments():
+    for P1, c1, Q1 in judgments(hoare):
+        for P2, c2, Q2 in judgments(hoare):
             for d in names_T:
                 if not image_oracle(d, pred_set(names_D[P1])) <= pred_set(names_D[P2]):
                     continue

@@ -37,7 +37,7 @@ from refcat.fixtures import (
 from refcat.lattice import chain_lattice, powerset_lattice
 from refcat.refsys import rapp_check
 from refcat.textio import LoadError, loads
-from tests.conftest import HOARE_FN, bang_system, image_oracle, preimage_oracle
+from tests.conftest import HOARE_FN, bang_system, image_oracle, judgments, preimage_oracle
 from tests.test_refsys import is_fibration, is_opfibration
 from tests.test_represent import context_morphism_count
 
@@ -126,7 +126,7 @@ def test_sp_wp_are_adjoint(c, P, Q):
 
 
 def test_hoare_derivations_are_thin(hoare):
-    for P, c, Q in hoare.judgments():
+    for P, c, Q in judgments(hoare):
         assert len(hoare.derivations(P, c, Q)) <= 1
 
 
@@ -136,12 +136,20 @@ def test_multicategory_validation():
     no_ids = MulticategorySpec(mc.formulas, mc.multimorphisms, {"A": "1A"}, mc.tensors)
     rep = validate_multicategory(no_ids)
     assert not rep.ok and all(v.law == "identities" for v in rep.violations)
-    bad_table = MulticategorySpec(
-        mc.formulas, mc.multimorphisms, dict(mc.identities),
-        (TensorDecl("A", "B", "A*B", {"pair": "1A"}),),
+    # The declared tensor must be the target of the one rule consuming
+    # both formulas: a second such rule, or another target, is refused.
+    cut = MulticategorySpec(
+        mc.formulas,
+        (*mc.multimorphisms, MultiMorphism("cut", ("A", "B"), "C")),
+        dict(mc.identities),
+        mc.tensors,
     )
-    rep = validate_multicategory(bad_table)
-    assert not rep.ok and any(v.law == "tensor bijection" for v in rep.violations)
+    to_c = MulticategorySpec(
+        mc.formulas, mc.multimorphisms, dict(mc.identities), (TensorDecl("A", "B", "C"),)
+    )
+    for bad in (cut, to_c):
+        rep = validate_multicategory(bad)
+        assert [v.law for v in rep.violations] == ["tensor declaration"]
 
 
 def test_rules_that_compose_other_than_through_identities_are_rejected():
@@ -265,7 +273,7 @@ def test_linctx_morphisms_are_the_full_product_enumeration(K):
 
 
 def test_tensor_left_rule_report(linctx):
-    rep = tensorL_check(linctx, "A", "B")
+    rep = tensorL_check(linctx, TensorDecl("A", "B", "A*B"))
     assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (5, 0, 0)
     assert "negative encoding: 3/3 clauses" in rep.notes
     assert "at ([A*B],1>1[0]): single push has 0 elements, the representation has 1" in rep.notes
@@ -274,7 +282,7 @@ def test_tensor_left_rule_report(linctx):
 def test_tensor_left_rule_needs_a_linctx_system(hoare, linctx):
     assert linctx_data(hoare) is None and linctx_data(linctx.op()) is None
     with pytest.raises(StructuralError, match="needs a system built by build_linctx"):
-        tensorL_check(hoare, "A", "B")
+        tensorL_check(hoare, TensorDecl("A", "B", "A*B"))
 
 
 def test_lattice_builders_and_their_refusals():

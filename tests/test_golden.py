@@ -33,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import refcat
+import refcat.represent as represent_mod
 from refcat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,6 +47,9 @@ CASES = {
     "galois": ("fixture galois galois", ["--system", "galois"]),
     "galois.e": ("fixture galois galois", ["--system", "galois.e"]),
     "random": ("fixture random random seed=5", []),
+    # the one golden system with a judgment of several derivations, so
+    # the only one whose searches read a naturality constraint
+    "random-3": ("fixture random random seed=3", []),
 }
 
 
@@ -57,6 +61,19 @@ def test_verify_all_matches_the_golden_transcript(name, tmp_path, capsys):
     assert main(["verify", str(path), "all", *extra]) == 0
     got = capsys.readouterr().out
     assert got == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_a_reversed_derivation_row_turns_random_3_red(tmp_path, monkeypatch, capsys):
+    # Every other golden system has at most one derivation per judgment,
+    # so no family search there reads a naturality constraint and a
+    # wrong action row of a representation stays green; random-3 has a
+    # judgment with three derivations.
+    real = represent_mod._derivation_row
+    monkeypatch.setattr(represent_mod, "_derivation_row", lambda *a: real(*a)[::-1])
+    path = tmp_path / "random-3.fix"
+    path.write_text(CASES["random-3"][0] + "\n")
+    assert main(["verify", str(path), "all"]) == 1
+    capsys.readouterr()
 
 
 def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
@@ -152,6 +169,15 @@ QUERIES = {
     "query-hoare-lifts": (
         HOARE,
         [[cmd, c, X] for cmd in ("pushforward", "pullback") for c in HOARE_MORS for X in HOARE_REFS],
+    ),
+    "query-hoare-lifts-json": (
+        HOARE,
+        [
+            [cmd, c, X, "--json"]
+            for cmd in ("pushforward", "pullback")
+            for c in HOARE_MORS
+            for X in HOARE_REFS
+        ],
     ),
 }
 

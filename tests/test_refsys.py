@@ -40,7 +40,14 @@ from refcat.refsys import (
 )
 from refcat.represent import comma_system, slice_of
 from refcat.textio import loads
-from tests.conftest import HOARE_FN, image_oracle, pred_name, pred_set, preimage_oracle
+from tests.conftest import (
+    HOARE_FN,
+    image_oracle,
+    judgments,
+    pred_name,
+    pred_set,
+    preimage_oracle,
+)
 from tests.test_fincat import discrete_category, reference_validate_functor
 
 
@@ -84,7 +91,7 @@ def right_curry(mon, p, a, b, x, plug):
 def test_hoare_shape_and_judgments(hoare):
     assert hoare.D.n_objects == 4
     assert hoare.T.n_morphisms == 4
-    triples = list(hoare.judgments())
+    triples = list(judgments(hoare))
     assert len(triples) == 4 * 4 * 4
     # thin system: a judgment holds iff the image lands inside the target
     for P, c, Q in triples:
@@ -106,7 +113,7 @@ def test_unchecked_reader_agrees_with_derivations(hoare, linctx, collapse, ident
         random_refsys(5),
     ):
         for s in (sys, sys.op()):
-            for P, c, Q in s.judgments():
+            for P, c, Q in judgments(s):
                 assert s.derivations_unchecked(P, c, Q) == s.derivations(P, c, Q)
     # c starts at contexts of length 1, P has length 0: not a judgment
     c = linctx.T.mor_names.index("1>1[0]")
@@ -121,7 +128,6 @@ def test_every_pushforward_is_the_image(hoare):
         for P, Pname in enumerate(hoare.D.objects):
             cert = find_pushforward(hoare, c, P)
             assert cert is not None, (cname, Pname)
-            assert cert.direction == "pushforward"
             assert hoare.D.objects[cert.result] == pred_name(image_oracle(cname, pred_set(Pname)))
             assert cert.tests > 0
 
@@ -131,7 +137,6 @@ def test_every_pullback_is_the_preimage(hoare):
         for Q, Qname in enumerate(hoare.D.objects):
             cert = find_pullback(hoare, c, Q)
             assert cert is not None, (cname, Qname)
-            assert cert.direction == "pullback"
             assert hoare.D.objects[cert.result] == pred_name(preimage_oracle(cname, pred_set(Qname)))
             assert cert.tests > 0
 
@@ -718,7 +723,7 @@ def test_an_uncertified_pullback_turns_preservation_red(kind, tmp_path, monkeypa
         if not found:
             return None
         P0, ell = found[-1]
-        return refsys_mod.LiftCertificate("pullback", c, Q, P0, ell, 0)
+        return refsys_mod.LiftCertificate(P0, ell, 0)
 
     path = tmp_path / "w.fix"
     path.write_text(f"fixture w {kind}\n")

@@ -65,7 +65,7 @@ from refcat.represent import (
     slice_action,
     slice_of,
 )
-from tests.conftest import HOARE_FN, image_oracle, pred_set
+from tests.conftest import HOARE_FN, image_oracle, judgments, pred_set
 from tests.test_fincat import functors_equal
 from tests.test_refsys import canonical_comma_lifts
 
@@ -131,28 +131,28 @@ def test_neg_rep_sizes_are_derivable_judgments(hoare):
 def test_representation_is_fully_faithful_on_hoare(hoare):
     # one check per judgment on each side, positive and negative
     rep = representation_ff_check(hoare)
-    assert rep.ok and rep.passed == 2 * len(list(hoare.judgments())) > 0
+    assert rep.ok and rep.passed == 2 * len(list(judgments(hoare))) > 0
 
 
 @pytest.mark.parametrize("seed", [None, 3, 11, 42, 1234])
 def test_ff_sweep_finds_the_families_natural_families_finds(hoare, seed):
     # The sweep searches the judgments that can have a family or have a
-    # derivation, in the order of `judgments()`, and finds what the
+    # derivation, in the order of `judgments`, and finds what the
     # one-judgment enumerator finds; every judgment it only counts has
     # neither a derivation nor a family.
     sys = hoare if seed is None else random_refsys(seed)
     for s in (sys, sys.op()):
-        judgments = list(s.judgments())
+        every = list(judgments(s))
         searched, unsearched = represent_mod._judgment_families(s)
         visited = [j for j, _support, _fams in searched]
-        assert len(visited) + unsearched == len(judgments)
-        assert visited == [j for j in judgments if j in set(visited)]
+        assert len(visited) + unsearched == len(every)
+        assert visited == [j for j in every if j in set(visited)]
         for (Q1, c, Q2), support, fams in searched:
             phi = pos_rep(s, Q1)
             want = natural_families(phi, pos_rep(s, Q2), slice_action(s, c))
             assert len(fams) == len(want)
             assert [_on_objects(f, support, phi.base.n_objects) for f in fams] == want
-        for Q1, c, Q2 in set(judgments) - set(visited):
+        for Q1, c, Q2 in set(every) - set(visited):
             assert s.derivations(Q1, c, Q2) == ()
             assert natural_families(pos_rep(s, Q1), pos_rep(s, Q2), slice_action(s, c)) == []
 
@@ -167,7 +167,7 @@ def test_the_sweep_searches_every_derivation_whatever_the_index_of_supports_says
     for sys in (hoare, linctx):
         for s in (sys, sys.op()):
             searched, _ = represent_mod._judgment_families(s)
-            derivable = [j for j in s.judgments() if s.derivations(*j)]
+            derivable = [j for j in judgments(s) if s.derivations(*j)]
             assert [j for j, _support, _fams in searched] == derivable
 
 
@@ -213,7 +213,7 @@ def test_a_rep_with_a_spurious_element_turns_ff_red(which):
         return next(
             (
                 (sys, (P, c, Q))
-                for P, c, Q2 in sys.judgments()
+                for P, c, Q2 in judgments(sys)
                 if Q2 == Q
                 and P < Q
                 and not sys.derivations(P, c, Q)
@@ -227,7 +227,7 @@ def test_a_rep_with_a_spurious_element_turns_ff_red(which):
     rep = representation_ff_check(sys)
     assert not rep.ok
     assert rep.passed + rep.failed + rep.skipped == rep.attempted
-    assert rep.attempted == 2 * len(list(sys.judgments()))
+    assert rep.attempted == 2 * len(list(judgments(sys)))
     assert rep.counterexample.startswith(
         f"pos {sys.judgment_name(P, c, Q)}: 0 derivations but "
     )
@@ -671,7 +671,7 @@ def test_comma_system_embedding(hoare):
     # P |-> (P, id) maps each derivation set bijectively onto the
     # derivation set of the image judgment
     m = cs.embed
-    for P, c, Q in m.source.judgments():
+    for P, c, Q in judgments(m.source):
         image = sorted(m.on_ref.mor(a) for a in m.source.derivations(P, c, Q))
         want = m.target.derivations(m.on_ref.obj(P), m.on_base.mor(c), m.on_ref.obj(Q))
         assert image == list(want)
