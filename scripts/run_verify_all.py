@@ -2,9 +2,10 @@
 """Run every verification suite on every shipped fixture.
 
 Writes the fixture files into a scratch directory, drives the `refcat`
-command line against each, then runs `duality --cross-check` on the
-fixtures in CROSS_CHECK, and exits nonzero if any suite reports a
-failure.  Pass --out DIR to keep the generated files.
+command line against each, runs `duality --cross-check` on the fixtures
+in CROSS_CHECK, then `validate` on linctx at K=5, and exits nonzero if
+any suite reports a failure or the load fails.  Pass --out DIR to keep
+the generated files.
 """
 
 import argparse
@@ -50,6 +51,13 @@ def run(out_dir: Path) -> int:
         rc = refcat(["verify", str(out_dir / f"{name}.fix"), "duality", "--cross-check"])
         worst = max(worst, rc)
         print()
+    # the largest linctx a workspace loads: Fin<=5 is lawful as built, so
+    # the load validates Ctx and the projection only
+    path = out_dir / "linctx-k5.fix"
+    path.write_text("fixture l linctx K=5\n")
+    print("== linctx K=5 validate")
+    worst = max(worst, refcat(["validate", str(path)]))
+    print()
     return worst
 
 

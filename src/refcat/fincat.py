@@ -351,7 +351,11 @@ def _generators(cat: FinCategory) -> tuple[int, ...]:
 
 
 def validate_category(cat: FinCategory) -> ValidationReport:
-    """Check the identity, endpoint and associativity laws, exactly.
+    """Check the identity, endpoint and associativity laws, exactly, once.
+
+    A category whose laws are already known (`_lawful`: it validated ok
+    before, it was built lawful, or it is an opposite or product of
+    lawful categories) gets an empty report and no sweep.
 
     Identity and associativity are only checked once every identity is an
     endomorphism and every composite exists with the right endpoints;
@@ -364,16 +368,10 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     ((f;a);b);h = (f;a);(b;h) = f;(a;(b;h)) = f;((a;b);h).  Only when that
     test fails, or an identity law does, are all triples swept, so the
     violations are listed triple by triple.  A lawful category
-    keeps its generators (`_lawful`), which `validate_functor` reads.
-
-    A comma category over lawful D and T (an opposite is lawful when its
-    original is, `_lawful`) is decided with no sweep: after the endpoint
-    pass, `_componentwise` finds its tags distinct and each row entry the
-    tag of its componentwise composite.  The projection to D x T is then
-    faithful (a morphism is its tag) and preserves identities (found by
-    their tags) and composites, so each law, true in D x T, holds
-    between morphisms with the same ends."""
+    keeps its generators (`_lawful`), which `validate_functor` reads."""
     report = ValidationReport(f"category {cat.name}")
+    if _lawful(cat) is not None:
+        return report
     names, dom, cod = cat.mor_names, cat.mor_dom, cat.mor_cod
     for a in range(cat.n_objects):
         e = cat.id_of(a)
@@ -397,13 +395,6 @@ def validate_category(cat: FinCategory) -> ValidationReport:
                         f"{names[f]};{names[g]} = {names[h]} has wrong endpoints",
                     )
     if report.violations:
-        return report
-    if isinstance(cat, CommaCategory) and all(
-        _lawful(part) is not None or validate_category(part).ok for part in (cat._D, cat._T)
-    ):
-        _componentwise(cat, report)
-        if report.ok:
-            cat._lawful = _generators(cat)
         return report
     for f in range(cat.n_morphisms):
         left = cat.compose(cat.id_of(dom[f]), f)
@@ -451,26 +442,6 @@ def _associative(cat: FinCategory, f: int, g: int, g_pos: tuple[int, ...]) -> bo
     row(f;g) == [row(f)[pos(g;h)] for g;h in row(g)]."""
     row_f = cat._row(f)
     return cat._row(row_f[cat._out_pos[g]]) == tuple(map(row_f.__getitem__, g_pos))
-
-
-def _componentwise(cat: "CommaCategory", report: ValidationReport) -> None:
-    """Record a repeated tag of a comma category, or else each row entry
-    that is not the tag of its componentwise composite."""
-    if len(cat.mor_index) != cat.n_morphisms:
-        report.add("comma-tags", f"{cat.n_morphisms - len(cat.mor_index)} tag(s) repeated")
-        return
-    names, tags = cat.mor_names, cat.mor_tags
-    alphas, es = tuple(tag[0] for tag in tags), tuple(tag[1] for tag in tags)
-    for f in range(cat.n_morphisms):
-        row = cat._row(f)
-        want_alphas, want_es, _us = cat._components(f)
-        read = _gather(row)
-        if read(alphas) == want_alphas and read(es) == want_es:
-            continue
-        for g, h, a, e in zip(cat.mor_out(cat.mor_cod[f]), row, want_alphas, want_es):
-            if (alphas[h], es[h]) != (a, e):
-                law = "componentwise-composition"
-                report.add(law, f"{names[f]};{names[g]} = {names[h]} is not componentwise")
 
 
 class FunctorData:
@@ -538,15 +509,15 @@ def validate_functor(F: FunctorData) -> ValidationReport:
     """Check that F preserves endpoints, identities and composites, exactly.
 
     When both categories are known lawful (`_lawful`: they validated ok,
-    or are products of categories that did) and F preserves endpoints and
-    identities, F(a;b) = F(a);F(b) is checked for every generator a
-    only.  That is exact, by induction on words: if
-    it holds for a and for m, it holds for a;m, since F((a;m);b) =
-    F(a;(m;b)) = F(a);F(m;b) = F(a);(F(m);F(b)) = (F(a);F(m));F(b) =
-    F(a;m);F(b), and F(id) = id covers the empty word.  Otherwise, and on
-    any failure, every composable pair is checked, so the violations are
-    listed pair by pair; a pair whose composite is missing is
-    left to its category's validation."""
+    were built lawful, or are opposites or products of lawful
+    categories) and F preserves endpoints and identities, F(a;b) =
+    F(a);F(b) is checked for every generator a only.  That is exact, by
+    induction on words: if it holds for a and for m, it holds for a;m,
+    since F((a;m);b) = F(a;(m;b)) = F(a);F(m;b) = F(a);(F(m);F(b)) =
+    (F(a);F(m));F(b) = F(a;m);F(b), and F(id) = id covers the empty
+    word.  Otherwise, and on any failure, every composable pair is
+    checked, so the violations are listed pair by pair; a pair whose
+    composite is missing is left to its category's validation."""
     report = ValidationReport(f"functor {F.name}")
     S, T = F.source, F.target
     for f in range(S.n_morphisms):
@@ -578,7 +549,8 @@ def validate_functor(F: FunctorData) -> ValidationReport:
 
 def _lawful(cat: FinCategory) -> tuple[int, ...] | None:
     """The generators of a lawful category, or None: those recorded by
-    validate_category, the original's for an opposite of a lawful
+    validate_category or by a construction that is lawful as built
+    (`linctx.fin_skeleton`), the original's for an opposite of a lawful
     category (a word of them, reversed), or for a product of two lawful
     categories the pairs (a, id) and (id, b), a and b generators of the
     factors.  A product's laws hold factor by factor, and (f, g) =
@@ -773,9 +745,7 @@ def tagged_category(
     composition-totality violation.  The tags and their index are kept
     as `mor_tags` and `mor_index`."""
     tags = tuple(tags)
-    index = {tag: k for k, tag in enumerate(tags)}
-    if len(index) != len(tags):
-        raise StructuralError(f"{name}: {len(tags) - len(index)} tag(s) repeated")
+    index = _tag_index(name, tags)
     get = index.get
     cat = FinCategory(
         name,
@@ -788,51 +758,59 @@ def tagged_category(
     return cat
 
 
+def _tag_index(name: str, tags: tuple) -> dict:
+    """tag |-> its morphism; a repeated tag is a StructuralError."""
+    index = {tag: k for k, tag in enumerate(tags)}
+    if len(index) != len(tags):
+        raise StructuralError(f"{name}: {len(tags) - len(index)} tag(s) repeated")
+    return index
+
+
 class CommaCategory(FinCategory):
     """A comma category on tagged objects (Q, c), Q in D and c in T, and
     morphisms (alpha, e, s, u) from object s to object u, alpha in D and e
     in T; the composite of (alpha, e, s, _) and (alpha2, e2, _, u) is
     (alpha;alpha2, e;e2, s, u).  A row is filled in one pass from D's row
-    of alpha and T's row of e, each read by position; a composite whose
-    tag is not listed is stored as -1, a missing composite.  Its laws are
-    decided from D's and T's (`validate_category`)."""
+    of alpha and T's row of e, each read by position, so every entry is
+    the tag of its componentwise composite; a composite whose tag is not
+    listed is stored as -1, a missing composite.  A repeated tag, or an
+    identity tag missing from the listing, is a StructuralError, as in
+    `tagged_category`.  With distinct tags the projection to D x T is
+    faithful and preserves identities and composites, so the comma is
+    lawful when D and T are, and `verify` does not validate it."""
 
     def __init__(self, name: str, D: FinCategory, T: FinCategory, obj_tags, mor_tags: tuple):
         self.mor_tags = mor_tags
-        self.mor_index = {tag: k for k, tag in enumerate(mor_tags)}
+        self.mor_index = index = _tag_index(name, mor_tags)
         super().__init__(
             name,
             [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags],
             [(f"({D.mor_names[a]},{T.mor_names[e]})#{s}->{u}", s, u) for (a, e, s, u) in mor_tags],
-            [self.mor_index[(D.identity[Q], T.identity[T.cod(c)], i, i)] for i, (Q, c) in enumerate(obj_tags)],
+            [index.get((D.identity[Q], T.identity[T.cod(c)], i, i), -1) for i, (Q, c) in enumerate(obj_tags)],
             None,
         )
         self._D, self._T = D, T
         self._outs: dict[int, tuple[Callable, Callable, tuple[int, ...]]] = {}
 
     def _row(self, f: int) -> tuple[int, ...]:
+        """For f = (alpha, e, s, t) and each g = (alpha2, e2, t, u), in row
+        order: the morphism tagged (alpha;alpha2, e;e2, s, u), or -1, with
+        alpha;alpha2 read from D's row of alpha and e;e2 from T's row of e."""
         row = self._rows[f]
         if row is None:
-            alphas, es, us = self._components(f)
-            tags = zip(alphas, es, repeat(self.mor_tags[f][2]), us)
+            alpha, e, s, t = self.mor_tags[f]
+            got = self._outs.get(t)
+            if got is None:  # where each alpha2 sits in a D row, each e2 in a T row
+                outs = [self.mor_tags[g] for g in self.mor_out(t)]
+                got = self._outs[t] = (
+                    _gather([self._D._out_pos[a2] for a2, _e2, _t, _u in outs]),
+                    _gather([self._T._out_pos[e2] for _a2, e2, _t, _u in outs]),
+                    tuple(u for _a2, _e2, _t, u in outs),
+                )
+            from_d, from_t, us = got
+            tags = zip(from_d(self._D._row(alpha)), from_t(self._T._row(e)), repeat(s), us)
             row = self._rows[f] = tuple(map(self.mor_index.get, tags, repeat(-1)))
         return row
-
-    def _components(self, f: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """For f = (alpha, e, s, t) and each g = (alpha2, e2, t, u), in row
-        order: the alpha;alpha2, read from D's row of alpha, the e;e2, read
-        from T's row of e, and the u."""
-        alpha, e, _s, t = self.mor_tags[f]
-        got = self._outs.get(t)
-        if got is None:  # where each alpha2 sits in a D row, each e2 in a T row
-            outs = [self.mor_tags[g] for g in self.mor_out(t)]
-            got = self._outs[t] = (
-                _gather([self._D._out_pos[a2] for a2, _e2, _t, _u in outs]),
-                _gather([self._T._out_pos[e2] for _a2, e2, _t, _u in outs]),
-                tuple(u for _a2, _e2, _t, u in outs),
-            )
-        from_d, from_t, us = got
-        return from_d(self._D._row(alpha)), from_t(self._T._row(e)), us
 
 
 def _gather(positions: Sequence[int]) -> Callable[[Sequence], tuple]:

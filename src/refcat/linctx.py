@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .fincat import (
     SIZE_GUARD, FinCategory, FunctorData, SizeGuardExceeded, StructuralError, ValidationReport,
-    _backtrack, tagged_category,
+    _backtrack, _generators, tagged_category,
 )
 from .fixtures import _raise_if_invalid, _then, linctx_data
 from .refsys import RefinementSystem
@@ -124,7 +124,9 @@ def fin_skeleton(K: int) -> FinCategory:
     all functions u : m -> n, tagged (m, n, u) with u written as its
     image tuple.  There are sum n^m of them over m, n <= K, counted
     before any is listed: 5,705 at K=5 and 82,207 at K=6, past
-    SIZE_GUARD."""
+    SIZE_GUARD.  Composition is function composition on image tuples, so
+    the category is lawful as built: it records its generators
+    (`fincat._lawful`) and is never swept."""
     estimate = sum(n**m for m in range(K + 1) for n in range(K + 1))
     if estimate > SIZE_GUARD:
         raise SizeGuardExceeded(f"Fin<={K} has too many morphisms", estimate, SIZE_GUARD)
@@ -134,7 +136,7 @@ def fin_skeleton(K: int) -> FinCategory:
         for n in range(K + 1)
         for u in itertools.product(range(n), repeat=m)
     ]
-    return tagged_category(
+    cat = tagged_category(
         f"Fin<={K}",
         [str(n) for n in range(K + 1)],
         tags,
@@ -142,6 +144,8 @@ def fin_skeleton(K: int) -> FinCategory:
         [(m, m, tuple(range(m))) for m in range(K + 1)],
         _then,
     )
+    cat._lawful = _generators(cat)
+    return cat
 
 
 def _rule_maps(by_type, prefixes, delta, gamma):
@@ -179,8 +183,9 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
     sends there.  Rules compose only through identities
     (`validate_multicategory`), so a composite keeps, at each position,
     the outer rule unless it is an identity, and then the one inner rule
-    under it.  The projection keeps u and the context sizes.  All
-    category laws are re-validated after construction.
+    under it.  The projection keeps u and the context sizes.  Ctx and the
+    projection are validated after construction; Fin<=K is lawful as
+    built (`fin_skeleton`).
     """
     _raise_if_invalid(validate_multicategory(mc))
     for mm in mc.multimorphisms:

@@ -59,14 +59,13 @@ class MonoidalStructure:
     def validate(self) -> ValidationReport:
         """The functor laws of the tensor (endpoints, identities and
         interchange), then its unit and associativity laws.  The category
-        is validated first if it has not been: when it is lawful, so is
-        cat x cat, and `validate_functor` decides interchange on the
-        generators of the product.  Morphism associativity is swept over
+        is validated first (no work when its laws are known): when it is
+        lawful, so is cat x cat, and `validate_functor` decides
+        interchange on the generators of the product.  Morphism associativity is swept over
         all triples, so that every failing triple is listed."""
         report = ValidationReport(subject=f"monoidal structure on {self.cat.name}")
         cat = self.cat
-        if cat._lawful is None:
-            validate_category(cat)
+        validate_category(cat)
         report.violations.extend(validate_functor(self.tensor).violations)
         n = cat.n_objects
         for a in range(n):

@@ -231,7 +231,8 @@ def test_corrupted_tables_turn_the_suite_red(skew_file, capsys):
 def test_verify_hoare_reads_only_rows_a_check_can_fail_on(hoare_file, monkeypatch, capsys):
     # Presheaf rows are read only for constraints into sets of two or more
     # elements, and the opposite of a comma category composes through the
-    # comma's own rows: a return to eager row reads fails here, with no
+    # comma's own rows, which are filled only where the lift and transport
+    # clauses compose: a return to eager row reads fails here, with no
     # timing involved.
     filled = []
     checked = psh_mod.Presheaf._checked
@@ -248,7 +249,7 @@ def test_verify_hoare_reads_only_rows_a_check_can_fail_on(hoare_file, monkeypatc
     assert 0 < len(filled) <= 1216
     assert len(commas) == 2
     for cs in commas:
-        assert all(row is not None for row in cs.sys.D._rows)
+        assert 0 < sum(row is not None for row in cs.sys.D._rows) < cs.sys.D.n_morphisms
         assert all(row is None for row in cs.sys.op().D._rows)
 
 
@@ -612,6 +613,28 @@ def test_verify_ff_exits_1_on_a_corrupted_representation(hoare_file, capsys, mon
     assert f"  attempted 128 passed {128 - failed} failed {failed} skipped 0" in out
     assert counterexample.split(": ", 1)[1] in out
     assert out.endswith("suite ff: 0/1 reports ok\n")
+
+
+def test_verify_factorization_compares_the_supports_of_a_representation(
+    hoare_file, capsys, monkeypatch
+):
+    # rep({s0,s1}) loses the first point of its support and keeps its
+    # payloads and rows: only a comparison of supports tells it from the
+    # hom presheaf of its point.
+    build = hoare_mod.build_hoare
+
+    def tampered(spec):
+        sys = build(spec)
+        corrupt_representation(sys, "sieve")
+        return sys
+
+    monkeypatch.setattr(hoare_mod, "build_hoare", tampered)
+    assert main(["verify", hoare_file, "factorization"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "    pos representability of {s0,s1}: "
+        "the support of rep({s0,s1}) is not that of its point\n"
+    ) in out
 
 
 # tamper -> ff's first counterexample on hoare

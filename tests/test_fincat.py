@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refcat.linctx as linctx_mod
 from refcat import psh
 from refcat.day import _strict_left_residual, m_functor
 from refcat.fincat import (
@@ -26,7 +27,14 @@ from refcat.fincat import (
     validate_functor,
     validate_nat_trans,
 )
-from refcat.fixtures import collapse_lattice_fixture, identity_lattice_fixture, random_refsys
+from refcat.fixtures import (
+    build_linctx,
+    collapse_lattice_fixture,
+    default_linear_spec,
+    fin_skeleton,
+    identity_lattice_fixture,
+    random_refsys,
+)
 from refcat.psh import (
     Presheaf,
     PshDerivation,
@@ -41,6 +49,7 @@ from refcat.represent import (
     pos_rep,
     slice_action,
 )
+from tests.conftest import judgments
 
 
 def walking_arrow():
@@ -522,6 +531,97 @@ def test_comma_validation_fills_each_row_once_from_base_rows(hoare, monkeypatch)
     assert pairs == [32640, 32512]
 
 
+def comma_non_generator(hoare):
+    """The comma category of hoare, validated, and its first non-identity
+    morphism that is not a generator (a composite of two others)."""
+    comma = comma_system(hoare).sys.D
+    assert validate_category(comma).ok
+    gens = set(comma._lawful)
+    m = next(m for m in range(comma.n_morphisms) if m not in gens and not comma.is_identity(m))
+    return comma, m
+
+
+# ---------------------------------------------------------------------------
+# Laws by construction.  A comma carries D's and T's laws, and Fin<=K those
+# of function composition, so nothing validates them when they are built;
+# their law check is here, the full sweep with nothing known lawful.
+
+
+def comma_law_failures(s):
+    """The full law sweep of the comma of s: its category, its shape
+    functor, and P |-> (P, id) as a bijection of each derivation set of s
+    onto that of its image judgment."""
+    cs = comma_system(s)
+    assert cs.sys.D._lawful is None
+    failures = [str(v) for v in validate_category(cs.sys.D).violations]
+    if failures:
+        return failures
+    failures += [str(v) for v in validate_functor(cs.sys.t).violations]
+    point = [cs.obj_index[(P, s.T.identity[s.shape(P)])] for P in range(s.D.n_objects)]
+    for P, c, Q in judgments(s):
+        image = sorted(cs.mor_index.get((a, c, point[P], point[Q]), -1) for a in s.derivations(P, c, Q))
+        if image != list(cs.sys.derivations(point[P], c, point[Q])):
+            failures.append(f"embedding: {s.judgment_name(P, c, Q)}")
+    return failures
+
+
+def fin_law_failures(K):
+    T = fin_skeleton(K)
+    T._lawful = None
+    return [str(v) for v in validate_category(T).violations]
+
+
+def test_each_construction_is_lawful_under_the_full_sweep(hoare, collapse, ident, galois):
+    systems = [hoare, collapse.mrs.sys, ident.mrs.sys, galois.left.source, galois.left.target]
+    systems += [random_refsys(seed) for seed in range(6)]
+    systems.append(build_linctx(default_linear_spec(), 2))
+    failures = [(s.name, comma_law_failures(s)) for sys in systems for s in (sys, sys.op())]
+    failures += [(f"Fin<={K}", fin_law_failures(K)) for K in range(5)]
+    assert len(failures) == 29
+    assert [(name, found) for name, found in failures if found] == []
+
+
+def test_the_construction_sweep_sees_a_wrong_comma_composite(hoare, monkeypatch):
+    # f;g, g a non-generator, is moved to another morphism with the same
+    # endpoints in the row of f as the comma fills it from D and T: no
+    # endpoint or identity law sees it, associativity does.
+    comma, g = comma_non_generator(hoare)
+    f, other = next(
+        (f, h)
+        for f in comma.mor_in(comma.dom(g))
+        if not comma.is_identity(f)
+        for h in comma.hom(comma.dom(f), comma.cod(g))
+        if h != comma.compose(f, g)
+    )
+    real = CommaCategory._row
+
+    def tampered(self, x):
+        row = real(self, x)
+        if self.name == comma.name and x == f:
+            k = self._out_pos[g]
+            row = self._rows[x] = row[:k] + (other,) + row[k + 1 :]
+        return row
+
+    monkeypatch.setattr(CommaCategory, "_row", tampered)
+    failures = comma_law_failures(hoare)
+    assert len(failures) == 91
+    assert all(v.startswith("associativity: ") for v in failures)
+
+
+def test_the_construction_sweep_sees_a_wrong_composite_in_fin(monkeypatch):
+    # x |-> 0 from 1 to 2, then the swap of 2, is x |-> 1; the mutant keeps
+    # x |-> 0, so its endpoints are right.
+    real = linctx_mod._then
+    monkeypatch.setattr(
+        linctx_mod,
+        "_then",
+        lambda f, g: f if (f, g) == ((1, 2, (0,)), (2, 2, (1, 0))) else real(f, g),
+    )
+    assert fin_law_failures(1) == []
+    failures = fin_law_failures(2)
+    assert failures and all(v.startswith("associativity: ") for v in failures)
+
+
 def reference_validate_functor(F):
     """The naive functor check that validate_functor must agree with:
     endpoints and identities, then every composable pair read through
@@ -553,11 +653,11 @@ def assert_functor_matches_reference(F):
 @pytest.fixture(scope="module")
 def lawful_functors(hoare):
     """Functors between categories that validated ok, so validate_functor
-    decides composites on the source's generators: the comma shape and
-    embedding of hoare, its slice actions and a product projection."""
+    decides composites on the source's generators: the comma shape of
+    hoare, its slice actions and a product projection."""
     cs = comma_system(hoare)
     assert cs.sys.validate().ok
-    functors = [cs.sys.t, cs.embed.on_ref]
+    functors = [cs.sys.t]
     for e in range(hoare.T.n_morphisms):
         F = slice_action(hoare, e)
         assert validate_category(F.source).ok and validate_category(F.target).ok

@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import refcat.fincat as fincat_mod
 import refcat.hoare as hoare_mod
 from refcat.adjunction import adjunction_check, lapp_check
+from refcat.cli import main
 from refcat.duality import tensorL_check
-from refcat.fincat import SizeGuardExceeded, StructuralError, validate_category
+from refcat.fincat import SizeGuardExceeded, StructuralError
 from refcat.fixtures import (
     HoareSpec,
     MultiMorphism,
@@ -203,19 +205,37 @@ def test_fin_skeleton_counts():
     T = fin_skeleton(3)
     assert T.n_objects == 4
     assert T.n_morphisms == sum(n ** m for m in range(4) for n in range(4)) == 60
-    assert validate_category(T).ok
+    # lawful as built, so never swept here; the full sweep is in
+    # test_fincat.py::test_each_construction_is_lawful_under_the_full_sweep
+    assert T._lawful is not None
     assert T.mor_index == {tag: k for k, tag in enumerate(T.mor_tags)}
     assert T.morphism_name(T.mor_index[2, 3, (2, 0)]) == "2>3[2,0]"
 
 
 def test_fin_skeleton_counts_its_morphisms_before_listing_them():
-    # K=6 would list 82,207 maps and validate about 4e9 composites; the
-    # closed-form count refuses it at once, from a workspace too.
+    # K=6 would list 82,207 maps, and Ctx over them; the closed-form
+    # count refuses it at once, from a workspace too.
     with pytest.raises(SizeGuardExceeded) as err:
         fin_skeleton(6)
     assert (err.value.estimate, err.value.guard) == (82207, 60000)
     with pytest.raises(LoadError, match=r"^<string>:1: Fin<=6 has too many morphisms: estimated 82207 > guard 60000$"):
         loads("fixture l linctx K=6\n")
+
+
+def test_loading_linctx_at_k5_sweeps_no_law_of_fin(tmp_path, monkeypatch, capsys):
+    # Fin<=5 is lawful as built (`fin_skeleton`): loading linctx at K=5
+    # validates Ctx and the projection, and no associativity test reads
+    # Fin<=5.
+    swept = []
+    real = fincat_mod._associative
+    monkeypatch.setattr(
+        fincat_mod, "_associative", lambda cat, *args: swept.append(cat.name) or real(cat, *args)
+    )
+    path = tmp_path / "l.fix"
+    path.write_text("fixture l linctx K=5\n")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "refsys l: 126/2935 over 6/5705 (objects/morphisms)\nok\n"
+    assert "Ctx" in swept and "Fin<=5" not in swept
 
 
 def test_linctx_shape_counts(linctx):
