@@ -3,14 +3,16 @@
 
 Writes the fixture files into a scratch directory, drives the `refcat`
 command line against each, runs `duality --cross-check` on the fixtures
-in CROSS_CHECK, then `validate` on linctx at K=5, and exits nonzero if
-any suite reports a failure or the load fails.  Pass --out DIR to keep
-the generated files.
+in CROSS_CHECK, then `verify all` on linctx at K=4 and `validate` on
+linctx at K=5, and exits nonzero if any suite reports a failure or the
+load fails.  Each run's wall time goes to stderr, so stdout holds the
+transcripts only.  Pass --out DIR to keep the generated files.
 """
 
 import argparse
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # Run from a plain checkout: the checkout's sources come first.
@@ -37,27 +39,34 @@ FIXTURES = (
 CROSS_CHECK = ("hoare", "linctx", "lattice-collapse", "lattice-identity")
 
 
+def timed(title: str, argv: list[str]) -> int:
+    """Run one refcat command under a `== title` header; its wall time
+    goes to stderr."""
+    print(f"== {title}", flush=True)
+    start = time.perf_counter()
+    rc = refcat(argv)
+    print(flush=True)
+    print(f"{title}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+    return rc
+
+
 def run(out_dir: Path) -> int:
     worst = 0
     for name, body, extra in FIXTURES:
         path = out_dir / f"{name.split('.')[0]}.fix"
         path.write_text(body)
-        print(f"== {name}")
-        rc = refcat(["verify", str(path), "all", *extra])
-        worst = max(worst, rc)
-        print()
+        worst = max(worst, timed(name, ["verify", str(path), "all", *extra]))
     for name in CROSS_CHECK:
-        print(f"== {name} duality --cross-check")
-        rc = refcat(["verify", str(out_dir / f"{name}.fix"), "duality", "--cross-check"])
-        worst = max(worst, rc)
-        print()
-    # the largest linctx a workspace loads: Fin<=5 is lawful as built, so
+        argv = ["verify", str(out_dir / f"{name}.fix"), "duality", "--cross-check"]
+        worst = max(worst, timed(f"{name} duality --cross-check", argv))
+    # linctx at K=4, the largest on which `verify all` runs here, and at
+    # K=5, the largest a workspace loads: Fin<=5 is lawful as built, so
     # the load validates Ctx and the projection only
-    path = out_dir / "linctx-k5.fix"
-    path.write_text("fixture l linctx K=5\n")
-    print("== linctx K=5 validate")
-    worst = max(worst, refcat(["validate", str(path)]))
-    print()
+    k4, k5 = out_dir / "linctx-k4.fix", out_dir / "linctx-k5.fix"
+    k4.write_text("fixture l linctx K=4\n")
+    k5.write_text("fixture l linctx K=5\n")
+    worst = max(worst, timed("linctx K=4 all", ["verify", str(k4), "all"]))
+    worst = max(worst, timed("linctx K=5 validate", ["validate", str(k5)]))
     return worst
 
 

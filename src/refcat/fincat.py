@@ -202,6 +202,8 @@ class FinCategory:
             if not (0 <= self.mor_dom[i] < n_obj and 0 <= self.mor_cod[i] < n_obj):
                 raise StructuralError(f"{self.name}: morphism {i} has endpoint out of range")
         for a, e in enumerate(self.identity):
+            if e == -1:  # a tag no morphism carries (`tagged_category`, `CommaCategory`)
+                raise StructuralError(f"{self.name}: identity of object {a} is not listed")
             if not (0 <= e < n_mor):
                 raise StructuralError(f"{self.name}: identity of object {a} out of range")
 
@@ -447,12 +449,14 @@ def _associative(cat: FinCategory, f: int, g: int, g_pos: tuple[int, ...]) -> bo
 class FunctorData:
     """A functor as object and morphism index tables.
 
-    `object_map` is a tuple, or any int sequence (a slice action keeps
-    an `array`).  `morphism_map` is a tuple, checked for range when the
-    functor is made, or a function f |-> image of f, which becomes a
-    `Table`: each image is computed when it is first read and its range
-    checked there.  A tuple is read with no wrapper, which matters where
-    every image is read many times (the tensor-of-tags functors)."""
+    `object_map` is a tuple, checked for range when the functor is made.
+    `morphism_map` is a tuple, checked likewise, or a function f |->
+    image of f, which becomes a `Table`: each image is computed when it
+    is first read and its range checked there.  A tuple is read with no
+    wrapper, which matters where every image is read many times (the
+    tensor-of-tags functors).  A slice action (`represent.SliceAction`)
+    sets both maps itself, computed when read and in range by
+    construction, and takes neither check."""
 
     __slots__ = ("name", "source", "target", "object_map", "morphism_map")
 

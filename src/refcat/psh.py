@@ -465,10 +465,14 @@ def _families_on_support(
     every target is a singleton no row is read.  A step's candidates are
     drawn one at a time when the search reaches it, never listed up
     front.  Families come back as one component per step, in candidate
-    order."""
+    order.  When every target is a singleton the only family is the
+    constant one, returned once `closing` has checked the sieve."""
     if 0 in targets:
         return []
     support = phi.support()
+    if targets.count(1) == len(targets):
+        closing()
+        return [tuple((0,) * phi.size(a) for a in support)]
     checks = _checks(phi, closing(), targets, row)
     return list(
         _backtrack(
@@ -606,7 +610,8 @@ def vertical_iso_psh(
     under that fixed order is the canonical one.  The rows of phi and psi
     are read only for constraints into a set of two or more elements
     (`_checks`): a constraint into a one-element set holds for any
-    components.
+    components, so when every set is a singleton the identity is returned
+    once `_closing` has checked the sieve.
     """
     A = phi.base
     if psi.base is not A:
@@ -615,23 +620,27 @@ def vertical_iso_psh(
         return None
     support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
     sizes = [phi.size(a) for a in support]
-    checks = _checks(phi, _closing(phi, support), sizes, psi.action.__getitem__)
-    res = next(
-        _backtrack(
-            len(support),
-            lambda k, _a: itertools.permutations(range(sizes[k])),
-            lambda k, a: _closes(checks[k], a),
-        ),
-        None,
-    )
-    if res is None:
-        return None
-    inv = []
-    for comp in res:
-        row = [0] * len(comp)
-        for x, y in enumerate(comp):
-            row[y] = x
-        inv.append(tuple(row))
+    closing = _closing(phi, support)
+    if sizes.count(1) == len(sizes):
+        res = inv = [(0,)] * len(support)
+    else:
+        checks = _checks(phi, closing, sizes, psi.action.__getitem__)
+        res = next(
+            _backtrack(
+                len(support),
+                lambda k, _a: itertools.permutations(range(sizes[k])),
+                lambda k, a: _closes(checks[k], a),
+            ),
+            None,
+        )
+        if res is None:
+            return None
+        inv = []
+        for comp in res:
+            row = [0] * len(comp)
+            for x, y in enumerate(comp):
+                row[y] = x
+            inv.append(tuple(row))
     n = A.n_objects
     return (_on_objects(res, support, n), _on_objects(inv, support, n))
 

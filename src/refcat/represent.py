@@ -26,7 +26,7 @@ import functools
 import itertools
 from array import array
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .fincat import (
     Arrows,
@@ -174,35 +174,65 @@ def coslice_of(sys: RefinementSystem, A: int) -> SliceCategory:
     return slice_of(sys.op(), A)
 
 
+class PointImages:
+    """A slice action's object map, computed on each read, with nothing
+    stored per point.  The point j of refinement P is the k-th of P's
+    block, which starts at at[P] in the source slice and at to[P] in the
+    target; it goes to to[P] + maps[P][k], maps[P] being the map of
+    positions of P's shape, so into P's block by construction.  Indexed by
+    0..n-1, as a `Table` is; iterated block by block."""
+
+    __slots__ = ("tags", "at", "to", "maps")
+
+    def __init__(self, tags: Sequence[tuple], at: Sequence[int], to: Sequence[int], maps: tuple):
+        self.tags, self.at, self.to, self.maps = tags, at, to, maps
+
+    def __getitem__(self, j: int) -> int:
+        if j < 0:
+            raise IndexError(f"point index {j} out of range")
+        P = self.tags[j][0]
+        return self.to[P] + self.maps[P][j - self.at[P]]
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __iter__(self) -> Iterator[int]:
+        for to, positions in zip(self.to, self.maps):
+            yield from map(to.__add__, positions)
+
+
 class SliceAction(FunctorData):
     """Postcomposition with e : B1 -> B2 as a functor between slices.
 
     A point (P, c) goes to (P, c;e), in the block of the same refinement,
     so the object map is read once per base object A as a map of
-    positions hom(A, B1) -> hom(A, B2) and laid out block by block as an
-    `array` of the target slice's points.  The preimage of a set of
-    points, the support of a pulled presheaf, is read from the inverse of
-    that map, taken from the laid-out block of one refinement over A when
-    it is asked for.  The image of a slice morphism is looked up
-    (`SliceCategory.mor_of`) when it is first read."""
+    positions hom(A, B1) -> hom(A, B2), and the image of a point is
+    computed from it on each read (`PointImages`).  The preimage of a set
+    of points, the support of a pulled presheaf, is read from the inverse
+    of that map, taken when it is asked for.  The image of a slice
+    morphism is looked up (`SliceCategory.mor_of`) when it is first read.
+    Both maps land in range by construction (`mor_of` returns only a
+    morphism it holds), so neither goes through FunctorData's checks."""
 
     def __init__(self, sys: RefinementSystem, e: int):
         T = sys.T
         S1, S2 = slice_of(sys, T.dom(e)), slice_of(sys, T.cod(e))
-        maps = {
+        self._maps = maps = {
             A: tuple(pos[T.compose(c, e)] for c in T.hom(A, S1.base_obj))
             for A, pos in S2.hom_pos.items()
         }
-        omap = array("i")
-        for P, at in enumerate(S2.offsets):
-            omap.extend(map(at.__add__, maps[sys.shape(P)]))
+        by_refinement = tuple(maps[sys.shape(P)] for P in range(sys.D.n_objects))
+        omap = PointImages(S1.obj_tags, S1.offsets, S2.offsets, by_refinement)
         self.slices = (S1, S2)
 
         def image(k: int) -> int:
             alpha, s, u = S1.mor_tags[k]
             return S2.mor_of(alpha, omap[s], omap[u])
 
-        super().__init__(f"slice[{T.mor_names[e]}]", S1.cat, S2.cat, omap, image)
+        self.name = f"slice[{T.mor_names[e]}]"
+        self.source, self.target = S1.cat, S2.cat
+        self.object_map = omap
+        self.morphism_map = Table(S1.cat.n_morphisms, image)
 
     def preimage(self, points: Iterable[int]) -> tuple[int, ...]:
         """The points of the source slice sent into `points`, in index
@@ -224,13 +254,10 @@ class SliceAction(FunctorData):
 
     def _inverse(self, A: int) -> list[list[int]]:
         """For each position in hom(A, B2), the positions in hom(A, B1)
-        sent there, read from the block of the first refinement over A."""
-        S1, S2 = self.slices
-        P = S1.sys.fiber(A)[0]
-        at, to = S1.offsets[P], S2.offsets[P]
-        fibres: list[list[int]] = [[] for _ in S2.hom_pos[A]]
-        for k in range(len(S1.hom_pos[A])):
-            fibres[self.object_map[at + k] - to].append(k)
+        sent there."""
+        fibres: list[list[int]] = [[] for _ in self.slices[1].hom_pos[A]]
+        for k, k2 in enumerate(self._maps[A]):
+            fibres[k2].append(k)
         return fibres
 
 

@@ -225,8 +225,11 @@ def test_tagged_category_composes_by_tag():
 def test_tagged_category_rejects_repeated_tags_and_uncarried_identities():
     with pytest.raises(StructuralError, match=r"^Z: 1 tag\(s\) repeated$"):
         tagged_category("Z", ["*"], [(0, 0, 0)] * 2, ["e", "e"], [(0, 0, 0)], lambda f, g: f)
-    with pytest.raises(StructuralError, match="identity of object 0 out of range"):
+    with pytest.raises(StructuralError, match=r"^Z: identity of object 0 is not listed$"):
         tagged_category("Z", ["*"], [(0, 0, 1)], ["r1"], [(0, 0, 0)], lambda f, g: f)
+    # an identity index given past the morphisms is out of range, not missing
+    with pytest.raises(StructuralError, match=r"^Z: identity of object 0 out of range$"):
+        FinCategory("Z", ["*"], [("e", 0, 0)], [1], {(0, 0): 0})
 
 
 def test_a_composite_outside_the_tags_is_a_totality_violation():

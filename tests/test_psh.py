@@ -602,11 +602,11 @@ def random_presheaf(name, cat, sizes, rng):
     return Presheaf(name, cat, elements, action)
 
 
-def pruning_cases(seed):
+def pruning_cases(seed, singletons=False):
     """phi over a small category and presheaves to read it against: phi
     itself, a shuffled copy, an unrelated table with the same counts, and
     one over a base along a functor.  Sets have one, two or three
-    elements."""
+    elements, or one only when `singletons` is set."""
     rng = random.Random(seed)
     if seed % 3:
         s = random_refsys(seed % 12)
@@ -615,10 +615,11 @@ def pruning_cases(seed):
         D = fin_skeleton(2)
         t = to_point(D)
         T = t.target
-    sizes = [rng.choice((1, 1, 2)) for _ in D.objects]
+    small, large = ((1,), (1,)) if singletons else ((1, 1, 2), (1, 2, 2, 3))
+    sizes = [rng.choice(small) for _ in D.objects]
     phi = random_presheaf("p", D, sizes, rng)
     same = random_presheaf("q", D, sizes, rng)
-    down = random_presheaf("r", T, [rng.choice((1, 2, 2, 3)) for _ in T.objects], rng)
+    down = random_presheaf("r", T, [rng.choice(large) for _ in T.objects], rng)
     return rng, phi, relabeled(phi, seed), same, down, t
 
 
@@ -651,6 +652,49 @@ def test_readers_skip_exactly_the_constraints_that_cannot_fail():
             assert listed == unpruned_violations(d), seed
             seen["violations"] += bool(listed)
     assert min(seen[k] for k in ("families", "isos", "no iso", "violations")) >= 5, seen
+
+
+def test_one_element_searches_return_their_only_answer(monkeypatch):
+    # When every target set has one element, the family search returns the
+    # constant family and the iso search the identity, without
+    # backtracking: the answers the unpruned copy and the naive search give.
+    real = psh_mod._backtrack
+    searches = []
+    monkeypatch.setattr(psh_mod, "_backtrack", lambda *args: searches.append(args) or real(*args))
+    one_element = 0
+    for seed in range(12):
+        _rng, phi, shuffled, same, down, t = pruning_cases(seed, singletons=True)
+        searches.clear()
+        for psi, F in ((phi, None), (shuffled, None), (same, None), (down, t)):
+            assert natural_families(phi, psi, F) == unpruned_families(phi, psi, F), seed
+        for psi in (shuffled, same):
+            assert vertical_iso_psh(phi, psi)[0] == naive_vertical_iso(phi, psi), seed
+            assert not iso_mismatch(phi, psi), seed
+        one_element += not searches
+    assert one_element >= 5
+
+
+def test_a_singleton_presheaf_off_a_sieve_is_refused_by_every_search(hoare):
+    # Dropping the first support point of a representation leaves one
+    # element at every point of a support that is no longer a sieve: the
+    # one-element searches still run the sieve check, and name phi.
+    from refcat.duality import dual_left
+    from refcat.represent import pos_rep
+
+    Q = hoare.D.objects.index("{s0,s1}")
+    rep = pos_rep(hoare, Q)
+    assert all(rep.size(a) == 1 for a in rep.support())
+    elements, payloads = list(rep.elements), list(rep.payloads)
+    elements[rep.support()[0]] = payloads[rep.support()[0]] = ()
+    phi = Presheaf("phi", rep.base, tuple(elements), lambda m: rep.action[m], tuple(payloads))
+    message = r"^the support of phi is not a sieve: .* starts off it$"
+    for search in (
+        lambda: natural_families(phi, phi),
+        lambda: vertical_iso_psh(phi, phi),
+        lambda: dual_left(hoare, hoare.shape(Q), phi),
+    ):
+        with pytest.raises(StructuralError, match=message):
+            search()
 
 
 def test_skipping_a_constraint_into_a_two_element_set_is_caught(monkeypatch):

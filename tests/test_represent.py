@@ -541,7 +541,7 @@ def test_a_malformed_comma_listing_is_a_failed_factorization_report(
     else:
         first = comma.mor_tags[comma.identity[0]]
         listing_tampered(monkeypatch, comma, lambda tags: tuple(x for x in tags if x != first))
-        message = "comma(hoare): identity of object 0 out of range"
+        message = "comma(hoare): identity of object 0 is not listed"
     path = tmp_path / "h.fix"
     path.write_text("fixture h hoare\n")
     assert main(["verify", str(path), "all"]) == 1

@@ -137,6 +137,7 @@ def assert_tables_match(sys, push_bound=None):
         F = slice_action(sys, e)
         omap, mmap = dense_slice_action(sys, e)
         assert tuple(F.object_map) == omap and tuple(F.morphism_map) == mmap
+        assert_points_stay_in_their_block(F)
         for Q in sys.fiber(T.cod(e)):
             pulled = pull_psh(F, pos_rep(sys, Q))
             assert tables(pulled) == dense_pull(omap, mmap, refs[Q])
@@ -147,6 +148,20 @@ def assert_tables_match(sys, push_bound=None):
             elements, action, reps, unit = dense_push(F, refs[P])
             assert tables(pr.presheaf)[:2] == (elements, action)
             assert pr.reps == reps and pr.unit == unit
+
+
+def assert_points_stay_in_their_block(F):
+    """A slice action's object map, read point by point, agrees with its
+    iteration, sends each point (P, c) into P's block of the target slice,
+    and has no entry past the last point."""
+    S1, S2 = F.slices
+    n = len(S1.obj_tags)
+    images = [F.object_map[j] for j in range(n)]
+    assert len(F.object_map) == n and images == list(F.object_map)
+    for (P, _c), image in zip(S1.obj_tags, images):
+        assert S2.offsets[P] <= image and S2.obj_tags[image][0] == P
+    with pytest.raises(IndexError):
+        F.object_map[n]
 
 
 def assert_both_sides_match(sys, push_bound=None):
@@ -166,6 +181,7 @@ def test_sparse_tables_match_the_dense_reference(hoare, collapse, ident, galois)
         ident.mrs.sys,
         galois.left.source,
         galois.left.target,
+        random_refsys(3),
     ):
         assert_both_sides_match(sys)
 
