@@ -50,7 +50,7 @@ def _system_entry(ws: Workspace, name: str | None) -> tuple[str, RefinementSyste
 # Every suite, in the order `all` runs them; `suites.<name>` runs it, with
 # a dash in the name read as an underscore.
 SUITES = (
-    "laws", "ff", "preservation", "factorization", "genday", "duality",
+    "ff", "preservation", "factorization", "genday", "duality",
     "negative-encoding", "notnot-tensor", "rapp",
 )
 

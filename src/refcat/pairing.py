@@ -1,10 +1,11 @@
 """The slice x coslice pairing as two-argument tables on slice and
 coslice indices (`Pairing`), read straight from the derivation index,
 and `dual_cross_check`, which runs the dualizers' residual on the
-pairing's own rows at every point, so it checks the cut reading, the
-live-point pruning and the mirror in `sys.op()`.  Both dualizers are
-residuals of this one pairing, curried on either side, so they are
-adjoint (Isbell conjugation) once this check holds.
+pairing's own rows at every point, so it checks the dualizers' reading
+of the pairing from the two representations, the live-point pruning
+and the mirror in `sys.op()`.  Both dualizers are residuals of this one
+pairing, curried on either side, so they are adjoint (Isbell
+conjugation) once this check holds.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ def dual_cross_check(sys: RefinementSystem, B: int, inp: Presheaf, out: Presheaf
     of the dual's base, and compare: the families at every point, then the
     action row of every morphism into a nonempty point.  Raises
     StructuralError at the first difference.  The dualizers run the same
-    residual on the cuts; here it is fed by `Pairing`'s rows, searched at
-    every point, and the right side stays on `sys`.  So this checks what
-    the dualizers add to the end formula: the reading of the pairing from
-    the cuts, the pruning to live points, and the mirror in `sys.op()`."""
+    residual on the pairing read from the two representations; here it is
+    fed by `Pairing`'s rows, searched at every point, and the right side
+    stays on `sys`.  So this checks what the dualizers add to the end
+    formula: the reading of the pairing through slice and coslice
+    actions, the pruning to live points, and the mirror in `sys.op()`."""
     pair = pairing(sys, B)
     if side == "left":
         crossed = curried_residual(inp, pair.coslice.cat, pair.size, pair.row)

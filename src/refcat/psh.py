@@ -32,9 +32,9 @@ class Presheaf:
     `elements[a]` names the elements at object a, and `action[f]` maps
     element indices at cod(f) to element indices at dom(f).  `payloads`,
     when present, carries opaque per-element data (the derivations of a
-    representation or a cut, the natural families of a dual); it never
-    takes part in equality or validation.  `elements` and `payloads` are
-    tuples or `Table`s filled on first read.
+    representation, the natural families of a dual); it never takes part
+    in equality or validation.  `payloads` is a tuple; `elements` is a
+    tuple or a `Table` of names filled on first read.
 
     The action comes from a source: a table with one row per morphism,
     or a function f |-> row, which is asked only for morphisms into a
@@ -98,10 +98,8 @@ class Presheaf:
 
     def support(self) -> tuple[int, ...]:
         """The objects with a nonempty element set, in index order: the
-        `support` given when it was built, or else read from the payloads
-        (one per element) or the element sets.  Read so, payloads that
-        are a `Table` are filled at every object; a cut is built without
-        its support, and `duality._section` sets it on a point section."""
+        `support` given when it was built, or else read once from the
+        payloads (one per element) or the element sets."""
         if self._support is None:
             sets = self.elements if self.payloads is None else self.payloads
             self._support = tuple(a for a, e in enumerate(sets) if e)

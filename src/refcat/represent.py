@@ -612,9 +612,11 @@ def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str |
     """Where phi, a presheaf of derivations over S, and the hom presheaf y
     of a point of S differ, table for table, or None: at every slice point
     the point morphisms, read as their derivations, are phi's payloads,
-    the supports are equal, and on the support every action row agrees.
-    Off both supports both payloads are empty, so only the union of the
-    supports is read."""
+    the supports are equal, and on the support every action row into a
+    set of two or more elements agrees.  Off both supports both payloads
+    are empty, so only the union of the supports is read; a row into a
+    one-element set agrees whatever it is, as in `psh._checks`, so it is
+    not read."""
     if phi.payloads is None:
         return f"{phi.name} has no derivations as payloads"
     for i in sorted(set(phi.support()).union(y.support())):
@@ -622,9 +624,10 @@ def _unlike_representable(S: SliceCategory, phi: Presheaf, y: Presheaf) -> str |
             return f"point morphisms at {S.obj_name(i)} are not its derivations"
     if phi.support() != y.support():
         return f"the support of {phi.name} is not that of its point"
+    dom = S.cat.mor_dom
     for j in phi.support():
         for f in S.cat.mor_in(j):
-            if y.action[f] != phi.action[f]:
+            if phi.size(dom[f]) > 1 and y.action[f] != phi.action[f]:
                 return f"precomposition with {S.mor_name(f)} disagrees"
     return None
 

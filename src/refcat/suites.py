@@ -26,19 +26,6 @@ def _skip_report(name: str, statement: str, reason: str) -> CheckReport:
     return rep
 
 
-def laws(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
-    rep = CheckReport(
-        f"laws[{s.name}]",
-        "identity, associativity, endpoint, and projection tables are lawful",
-    )
-    v = s.validate()
-    if v.ok:
-        rep.record_pass()
-    else:
-        rep.record_fail("\n".join(str(x) for x in v.violations))
-    return [rep]
-
-
 def ff(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
     from .represent import representation_ff_check
 

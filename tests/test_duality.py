@@ -1,13 +1,16 @@
 """The slice x coslice pairing, cuts, dualization, and the encoding checks.
 
 The pairing is compared with a reference that builds the whole category
-of judgments and its derivation presheaf.
+of judgments and its derivation presheaf.  The dualizers read it from
+the two representations: the cut at a coslice point (d,R), one column of
+the pairing, is rep(R) pulled along the slice action of d, and that
+identity is checked here against the reference at every point.
 
 The corruption test deliberately breaks an internal action table and
 asserts the machinery notices; it guards against the checks degenerating
 into comparisons of a value with itself.  The dualizers, which read the
-cut derivation sets only on the support of their input, are compared with
-a dense reference that builds every cut presheaf over the whole slice.
+pairing only on the support of their input, are compared with a dense
+reference that builds every cut presheaf over the whole slice.
 """
 
 import itertools
@@ -18,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refcat.duality as duality_mod
+import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.day import notnottensor_check
 from refcat.duality import (
-    _cut,
     dual_left,
     dual_right,
     duality_check,
@@ -50,7 +53,15 @@ from refcat.psh import (
     vertical_iso_psh,
 )
 from refcat.pairing import Pairing, dual_cross_check, pairing
-from refcat.represent import coslice_action, coslice_of, neg_rep, pos_rep, slice_action, slice_of
+from refcat.represent import (
+    coslice_action,
+    coslice_of,
+    factorization_check,
+    neg_rep,
+    pos_rep,
+    slice_action,
+    slice_of,
+)
 from tests.conftest import bang_system, image_oracle, judgments, pred_set
 from tests.test_fincat import chain_category
 from tests.test_represent import composite_command
@@ -240,6 +251,13 @@ def point_section(sys, B, point, side):
     return pull_psh(F, J.der)
 
 
+def cut(s, B, point):
+    """The cut of s at the coslice point (d,R) of B, as the dualizers read
+    it: rep(R) pulled along the slice action of d."""
+    R, d = point
+    return pull_psh(slice_action(s, d), pos_rep(s, R))
+
+
 def test_cut_sections_are_the_pulled_derivation_presheaf(hoare, collapse, ident, galois):
     systems = [
         hoare,
@@ -250,22 +268,21 @@ def test_cut_sections_are_the_pulled_derivation_presheaf(hoare, collapse, ident,
         *(random_refsys(seed) for seed in (5, 11, 123)),
     ]
     for sys in systems:
-        for Q in range(sys.D.n_objects):
-            B = sys.shape(Q)
-            point = (Q, sys.T.identity[B])
+        for B in range(sys.T.n_objects):
             for s, side in ((sys, "pos"), (sys.op(), "neg")):
-                got = _cut(s, B, point)
-                want = point_section(sys, B, point, side)
-                assert got.base is want.base
-                assert got.elements == want.elements
-                assert got.action == want.action
-                assert got.payloads == want.payloads
+                for point in coslice_of(s, B).obj_tags:
+                    got = cut(s, B, point)
+                    want = point_section(sys, B, point, side)
+                    assert got.base is want.base
+                    assert got.elements == want.elements
+                    assert got.action == want.action
+                    assert got.payloads == want.payloads
 
 
 def test_duality_every_hoare_refinement(hoare):
     for Q in range(hoare.D.n_objects):
         rep = duality_check(hoare, Q)
-        assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (4, 0, 0) and not rep.notes
+        assert rep.ok and (rep.passed, rep.failed, rep.skipped) == (2, 0, 0) and not rep.notes
 
 
 def test_duality_every_lattice_refinement(collapse, ident):
@@ -444,41 +461,49 @@ def test_notnottensor_on_lattices(collapse, ident):
                     assert rep.ok and rep.failed == 0 and rep.attempted >= 1
 
 
-def test_corrupted_derivation_action_is_detected():
-    sys = bang_system(skew_pair())
-    clean = sum(duality_check(sys, Q).failed for Q in range(2))
-    assert clean == 0
+def reversed_derivation_row(monkeypatch):
+    """Reverse, in every representation built from now on, the first
+    non-identity action row of its slice that has at least two distinct
+    entries."""
+    orig = represent_mod._derivation_row
 
-    orig = duality_mod._cut_row
-
-    def tampered(slice_, cut, m):
-        # reverse the first non-identity action row of this cut(-, j)
-        # that has at least two distinct entries
+    def tampered(slice_, phi, m):
         S = slice_.cat
         first = next(
             (
                 k
                 for k in range(S.n_morphisms)
-                if not S.is_identity(k) and len(set(orig(slice_, cut, k))) >= 2
+                if not S.is_identity(k) and len(set(orig(slice_, phi, k))) >= 2
             ),
             None,
         )
-        row = orig(slice_, cut, m)
+        row = orig(slice_, phi, m)
         return tuple(reversed(row)) if m == first else row
 
-    duality_mod._cut_row = tampered
-    try:
-        poisoned = bang_system(skew_pair())
-        failures = 0
-        cex = None
-        for Q in range(2):
-            rep = duality_check(poisoned, Q)
-            failures += rep.failed
-            cex = cex or rep.counterexample
-        assert failures >= 1
-        assert cex and "dual" in cex
-    finally:
-        duality_mod._cut_row = orig
+    monkeypatch.setattr(represent_mod, "_derivation_row", tampered)
+
+
+def test_corrupted_derivation_action_is_detected(monkeypatch):
+    sys = bang_system(skew_pair())
+    clean = sum(duality_check(sys, Q).failed for Q in range(2))
+    assert clean == 0
+
+    reversed_derivation_row(monkeypatch)
+    poisoned = bang_system(skew_pair())
+
+    def counterexample(Q):
+        # A reversed row either fails a dual clause or breaks the
+        # naturality of a moved family, which raises (the suite records
+        # that as a failed report).
+        try:
+            return duality_check(poisoned, Q).counterexample
+        except StructuralError as exc:
+            return str(exc)
+
+    assert [counterexample(Q) for Q in range(2)] == [
+        "curried_residual: moved family not natural along g#1->0",
+        None,
+    ]
 
 
 @pytest.mark.parametrize(
@@ -489,27 +514,28 @@ def test_corrupted_derivation_action_is_detected():
     ],
     ids=["hoare", "linctx"],
 )
-def test_a_derivation_off_the_section_support_turns_duality_red(build):
-    # The section cut(-, (Q, id)) is read at every slice point: a
-    # derivation claimed for one judgment (P, c, Q) off the support of
-    # rep(Q) must show up as a failed section, though no dual reads it.
+def test_a_derivation_off_the_point_support_turns_factorization_red(build):
+    # The duality suite reads rep(Q) and neg(Q) and compares neither with
+    # the hom presheaf of the point (Q, id): factorization (i) does.  A
+    # derivation claimed in the index for a judgment (P, c, Q) off that
+    # support must show up there.
     sys = build()
-    T = sys.T
+    D = sys.D
     Q, i = next(
         (Q, i)
-        for Q in range(sys.D.n_objects)
-        for i in range(slice_of(sys, sys.shape(Q)).cat.n_objects)
-        if i not in pos_rep(sys, Q).support()
+        for Q in range(D.n_objects)
+        for i, point in enumerate(slice_of(sys, sys.shape(Q)).obj_tags)
+        if point not in sys.derivation_index[Q]
     )
-    B = sys.shape(Q)
-    P, c = slice_of(sys, B).obj_tags[i]
-    assert sys.derivations(P, T.compose(c, T.identity[B]), Q) == ()
-    real = sys.derivations_unchecked
-    sys.derivations_unchecked = lambda *j: (sys.D.identity[P],) if j == (P, c, Q) else real(*j)
-    rep = duality_check(sys, Q)
-    assert (rep.attempted, rep.failed) == (4, 1)
-    assert rep.counterexample.startswith(f"rep({sys.D.objects[Q]}) is not the derivation presheaf")
-    assert all(not note.startswith("positive section") for note in rep.notes)
+    S = slice_of(sys, sys.shape(Q))
+    P, c = S.obj_tags[i]
+    sys.derivation_index[Q][(P, c)] = (D.identity[P],)
+    rep = factorization_check(sys)
+    assert not rep.ok
+    assert rep.counterexample == (
+        f"pos representability of {D.objects[Q]}: "
+        f"point morphisms at {S.obj_name(i)} are not its derivations"
+    )
 
 
 @pytest.mark.parametrize(
@@ -520,14 +546,19 @@ def test_a_derivation_off_the_section_support_turns_duality_red(build):
     ],
 )
 def test_cut_rows_are_checked_like_presheaf_rows(monkeypatch, corrupt, message):
-    orig = duality_mod._cut_row
-    monkeypatch.setattr(
-        duality_mod, "_cut_row", lambda S, cut, m: corrupt(orig(S, cut, m))
-    )
+    # A dual moves its families along a coslice morphism by the rows of
+    # the negative representations; a corrupted one raises when the
+    # dual's row is read, as any presheaf row does.
     sys = bang_system(skew_pair())
+    orig = represent_mod._derivation_row
+    monkeypatch.setattr(
+        represent_mod,
+        "_derivation_row",
+        lambda S, phi, m: corrupt(orig(S, phi, m)) if S.sys is sys.op() else orig(S, phi, m),
+    )
     with pytest.raises(StructuralError, match=message):
         for Q in range(sys.D.n_objects):
-            dual_left(sys, 0, pos_rep(sys, Q))
+            validate_presheaf(dual_left(sys, 0, pos_rep(sys, Q)))
 
 
 # ---------------------------------------------------------------------------
@@ -693,35 +724,39 @@ def test_sparse_duals_match_the_dense_reference_on_random_systems(seed):
         assert_same_dual(dual_right(sys, B, dl), dense_dual_right(sys, B, dl))
 
 
-def count_cut_reads(sys):
-    """Count the cut derivation sets read from `sys` from now on: a cut
-    reads each of its sets once, through `derivations_unchecked`."""
-    orig = sys.derivations_unchecked
+def count_pairing_reads(monkeypatch):
+    """Count the derivation sets of the pairing that the dualizers read
+    from now on: each is one size asked by `curried_residual`."""
     reads = [0]
+    real = duality_mod.curried_residual
 
-    def counted(*args):
-        reads[0] += 1
-        return orig(*args)
+    def counted(phi, right, size, row, points=None):
+        def counted_size(a, b):
+            reads[0] += 1
+            return size(a, b)
 
-    sys.derivations_unchecked = counted
+        return real(phi, right, counted_size, row, points)
+
+    monkeypatch.setattr(duality_mod, "curried_residual", counted)
     return reads
 
 
-def test_cold_dual_reads_derivations_only_on_the_support():
+def test_cold_dual_reads_derivations_only_on_the_support(monkeypatch):
     B = 3
+    reads = count_pairing_reads(monkeypatch)
     for k in (0, -1):
         sys = build_linctx(default_linear_spec(), 3)
         n_coslice = coslice_of(sys, B).cat.n_objects
         n_slice = slice_of(sys, B).cat.n_objects
         phi = pos_rep(sys, sys.fiber(B)[k])
-        reads = count_cut_reads(sys)
+        reads[0] = 0
         dual_left(sys, B, phi)
         assert 0 < reads[0] <= n_coslice * len(phi.support()) < n_coslice * n_slice
 
 
 def test_a_dual_that_reads_off_the_support_fails_the_read_bound(monkeypatch):
     # The guard above can fail: a dual that forgets that its input's
-    # support is a sieve, and reads every cut over the whole slice, does.
+    # support is a sieve, and reads the pairing over the whole slice, does.
     B = 3
     sys = build_linctx(default_linear_spec(), 3)
     n_coslice = coslice_of(sys, B).cat.n_objects
@@ -732,6 +767,6 @@ def test_a_dual_that_reads_off_the_support_fails_the_read_bound(monkeypatch):
     monkeypatch.setattr(
         duality_mod, "_live_points", lambda s, B, support: range(n_coslice)
     )
-    reads = count_cut_reads(sys)
+    reads = count_pairing_reads(monkeypatch)
     dual_left(sys, B, phi)
     assert reads[0] == n_coslice * n_slice > bound

@@ -12,7 +12,7 @@ with `h.fix` holding `fixture h hoare`, and review the diff.
 The `cross-check-*.txt` files are `refcat verify <file> duality
 --cross-check`: on hoare, linctx and the two lattices every dual is
 recomputed as the residual of the pairing read from its own rows
-rather than from the cuts, and agrees.
+rather than from the two representations, and agrees.
 
 The `query-*.txt` files hold the query commands (slice, coslice,
 represent, dual, pushforward, pullback): for each command a `$` line
@@ -120,17 +120,17 @@ def test_verify_all_reaches_every_public_check(tmp_path, monkeypatch, capsys):
 
 
 def test_linctx_k4_verify_all_keeps_its_transcript(tmp_path, capsys):
-    # The largest shipped-size run (28,665 lines, seconds) is pinned by
+    # The largest shipped-size run (28,662 lines, seconds) is pinned by
     # its digest rather than a golden file.
     path = tmp_path / "k4.fix"
     path.write_text("fixture l linctx K=4\n")
     assert main(["verify", str(path), "all"]) == 0
     out = capsys.readouterr().out
-    assert out.count("\n") == 28665
+    assert out.count("\n") == 28662
     assert hashlib.sha256(out.encode()).hexdigest() == K4_SHA256
 
 
-K4_SHA256 = "4d447396ca4c5cae8b13061a17868eef92469904dca8f7b52564071721ea314a"
+K4_SHA256 = "390155e008bc3a2767d570f8dd7ebf1525664b74ac7c72eef1f3e951d9d7b448"
 
 
 # golden file -> workspace line, for `verify <file> duality --cross-check`

@@ -1,8 +1,9 @@
 """Tables filled on first read against dense eager references.
 
-Representations, pulled and pushed presheaves, cuts and slice actions are
+Representations, pulled and pushed presheaves and slice actions are
 built on their support and fill an action row or a morphism image only
-when it is read.  Here each is compared, table for table, with a
+when it is read; a cut, one column of the pairing, is a representation
+pulled along a slice action.  Here each is compared, table for table, with a
 reference that computes every entry up front by the definition, and
 corrupted fills are shown to raise on read with the messages an eager
 check gives.
@@ -14,17 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import refcat.duality as duality_mod
 import refcat.represent as represent_mod
-from refcat.duality import _cut
 from refcat.fincat import FunctorData, StructuralError, Table, Triples
-from refcat.fixtures import (
-    build_hoare,
-    build_linctx,
-    default_hoare_spec,
-    default_linear_spec,
-    random_refsys,
-)
+from refcat.fixtures import build_linctx, default_linear_spec, random_refsys
 from refcat.psh import Presheaf, pull_psh, push_psh_full, validate_presheaf
 from refcat.represent import (
     coslice_action,
@@ -34,7 +27,7 @@ from refcat.represent import (
     slice_action,
     slice_of,
 )
-from tests.test_duality import dense_cut
+from tests.test_duality import cut, dense_cut
 
 # ---------------------------------------------------------------------------
 # Dense references: every entry computed up front from the definitions.
@@ -132,7 +125,7 @@ def assert_tables_match(sys, push_bound=None):
         assert rep.name == f"rep({sys.D.objects[Q]})" and rep.base is ref.base
         assert tables(rep) == tables(ref)
         B = sys.shape(Q)
-        assert tables(_cut(sys, B, (Q, T.identity[B]))) == tables(ref)
+        assert tables(cut(sys, B, (Q, T.identity[B]))) == tables(ref)
     for e in range(T.n_morphisms):
         F = slice_action(sys, e)
         omap, mmap = dense_slice_action(sys, e)
@@ -197,11 +190,14 @@ def test_sparse_tables_match_the_dense_reference_on_random_systems(seed):
     assert_both_sides_match(random_refsys(seed))
 
 
-def test_cuts_match_the_dense_reference_at_every_coslice_point(hoare, collapse):
-    for sys in (hoare, collapse.mrs.sys, hoare.op()):
+def test_cuts_match_the_dense_reference_at_every_coslice_point(hoare, collapse, ident, galois):
+    # The dualizers read the cut at (d,R) as rep(R) pulled along the slice
+    # action of d, on both sides.
+    shipped = (hoare, collapse.mrs.sys, ident.mrs.sys, galois.left.source, galois.left.target)
+    for sys in (side for s in shipped for side in (s, s.op())):
         for B in range(sys.T.n_objects):
             for j, point in enumerate(coslice_of(sys, B).obj_tags):
-                assert tables(_cut(sys, B, point)) == tables(dense_cut(sys, B, j)[0])
+                assert tables(cut(sys, B, point)) == tables(dense_cut(sys, B, j)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +257,6 @@ def test_corrupted_rows_raise_on_read_from_any_source(corrupt, message, hoare):
         m = next(m for m in range(phi.base.n_morphisms) if phi.action[m])
         with pytest.raises(StructuralError, match=f"presheaf {psi.name}: action at .* {message}"):
             psi.action[m]
-
-
-def test_corrupted_cut_rows_raise_on_read(monkeypatch):
-    sys = build_hoare(default_hoare_spec())
-    orig = duality_mod._cut_row
-    monkeypatch.setattr(duality_mod, "_cut_row", lambda S, cut, m: orig(S, cut, m) + (0,))
-    cut = _cut(sys.op(), 0, (1, sys.T.identity[0]))
-    with pytest.raises(StructuralError, match="has wrong arity"):
-        validate_presheaf(cut)
 
 
 def corrupted_slice_action(shift):
