@@ -2,10 +2,9 @@
 """Run every verification suite on every shipped fixture.
 
 Writes the fixture files into a scratch directory, drives the `refcat`
-command line against each, runs `duality --cross-check` on the fixtures
-in CROSS_CHECK, then `verify all` on linctx at K=4 and `validate` on
-linctx at K=5, and exits nonzero if any suite reports a failure or the
-load fails.  Each run's wall time goes to stderr, so stdout holds the
+command line against each, then runs `verify all` on linctx at K=4 and
+`validate` on linctx at K=5, and exits nonzero if any suite reports a
+failure or the load fails.  Each run's wall time goes to stderr, so stdout holds the
 transcripts only.  Pass --out DIR to keep the generated files.
 """
 
@@ -34,9 +33,6 @@ FIXTURES = (
     # the representations' action rows are read here
     ("random-3", "fixture random random seed=3\n", []),
 )
-# fixtures whose duals are also recomputed from the slice x coslice
-# pairing's own rows at every point
-CROSS_CHECK = ("hoare", "linctx", "lattice-collapse", "lattice-identity")
 
 
 def timed(title: str, argv: list[str]) -> int:
@@ -56,9 +52,6 @@ def run(out_dir: Path) -> int:
         path = out_dir / f"{name.split('.')[0]}.fix"
         path.write_text(body)
         worst = max(worst, timed(name, ["verify", str(path), "all", *extra]))
-    for name in CROSS_CHECK:
-        argv = ["verify", str(out_dir / f"{name}.fix"), "duality", "--cross-check"]
-        worst = max(worst, timed(f"{name} duality --cross-check", argv))
     # linctx at K=4, the largest on which `verify all` runs here, and at
     # K=5, the largest a workspace loads: Fin<=5 is lawful as built, so
     # the load validates Ctx and the projection only

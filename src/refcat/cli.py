@@ -55,20 +55,18 @@ SUITES = (
 )
 
 
-def run_suite(
-    ws: Workspace, system: str | None, suite: str, size_guard: int, cross_check: bool
-) -> list[CheckReport]:
+def run_suite(ws: Workspace, system: str | None, suite: str, size_guard: int) -> list[CheckReport]:
     """All reports of one verification suite, or of every suite for
     "all", in canonical order.  A suite stopped by a malformed
     construction (a StructuralError) is one failed report,
     `<suite>[<system>]`, and the next suite still runs."""
     key, s = _system_entry(ws, system)
     if suite == "all":
-        return [r for sub in SUITES for r in run_suite(ws, system, sub, size_guard, cross_check)]
+        return [r for sub in SUITES for r in run_suite(ws, system, sub, size_guard)]
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}")
     try:
-        return getattr(suites, suite.replace("-", "_"))(ws, key, s, size_guard, cross_check)
+        return getattr(suites, suite.replace("-", "_"))(ws, key, s, size_guard)
     except StructuralError as exc:
         stopped = CheckReport(f"{suite}[{s.name}]", "every construction the suite reads is well formed")
         stopped.record_fail(str(exc))
@@ -253,14 +251,6 @@ def _cmd_dual(args) -> int:
     rep, dual = _duals(side)
     inp = rep(s, X)
     out = dual(s, s.shape(X), inp)
-    if args.cross_check:
-        from .pairing import dual_cross_check
-
-        try:
-            dual_cross_check(s, s.shape(X), inp, out, side)
-        except StructuralError as exc:
-            print(f"cross-check failed: {exc}", file=_sys.stderr)
-            return 1
     if args.json:
         _emit(args, render.to_json(render.presheaf_to_dict(out)))
     else:
@@ -272,7 +262,7 @@ def _cmd_verify(args) -> int:
     if args.size_guard < 0:
         raise UsageError(f"--size-guard must be 0 or more, got {args.size_guard}")
     ws = textio.load(args.file)
-    reports = run_suite(ws, args.system, args.suite, args.size_guard, args.cross_check)
+    reports = run_suite(ws, args.system, args.suite, args.size_guard)
     if args.json:
         _emit(args, render.to_json([r.to_dict() for r in reports]))
     else:
@@ -322,13 +312,6 @@ def _cmd_fixtures(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    cross_check = argparse.ArgumentParser(add_help=False)
-    cross_check.add_argument(
-        "--cross-check",
-        dest="cross_check",
-        action="store_true",
-        help="also recompute each dual from the pairing's own rows at every point",
-    )
     p = argparse.ArgumentParser(
         prog="refcat",
         description="Queries and verification suites for finite refinement systems.",
@@ -379,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("c")
     sp.add_argument("X")
 
-    sp = with_system(sub.add_parser("dual", parents=[common, cross_check], help="dualize a representation"))
+    sp = with_system(sub.add_parser("dual", parents=[common], help="dualize a representation"))
     sp.set_defaults(run=_cmd_dual)
     sp.add_argument("file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--left", metavar="X", help="left dual of the positive representation of X")
     group.add_argument("--right", metavar="X", help="right dual of the negative representation of X")
 
-    sp = with_system(sub.add_parser("verify", parents=[common, cross_check], help="run a verification suite"))
+    sp = with_system(sub.add_parser("verify", parents=[common], help="run a verification suite"))
     sp.set_defaults(run=_cmd_verify)
     sp.add_argument("file")
     sp.add_argument("suite", choices=(*SUITES, "all"))

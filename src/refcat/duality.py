@@ -24,8 +24,7 @@ out.  The left dual searches families only on the support of its input
 and only at the coslice points where every support point has a
 derivation (`_live_points`): the support is a sieve, so a natural family
 is () off it and is determined by its values there, and a point where
-the pairing is empty somewhere on the support has no families.  The
-pairing read whole, and the checks that read it, are in `pairing`.
+the pairing is empty somewhere on the support has no families.
 """
 
 from __future__ import annotations

@@ -447,16 +447,10 @@ def _associative(cat: FinCategory, f: int, g: int, g_pos: tuple[int, ...]) -> bo
 
 
 class FunctorData:
-    """A functor as object and morphism index tables.
-
-    `object_map` is a tuple, checked for range when the functor is made.
-    `morphism_map` is a tuple, checked likewise, or a function f |->
-    image of f, which becomes a `Table`: each image is computed when it
-    is first read and its range checked there.  A tuple is read with no
-    wrapper, which matters where every image is read many times (the
-    tensor-of-tags functors).  A slice action (`represent.SliceAction`)
-    sets both maps itself, computed when read and in range by
-    construction, and takes neither check."""
+    """A functor as object and morphism index tables, tuples checked for
+    length and range when the functor is made.  A slice action
+    (`represent.SliceAction`) sets both maps itself, computed when read
+    and in range by construction, and takes neither check."""
 
     __slots__ = ("name", "source", "target", "object_map", "morphism_map")
 
@@ -466,35 +460,22 @@ class FunctorData:
         source: FinCategory,
         target: FinCategory,
         object_map: Sequence[int],
-        morphism_map: tuple[int, ...] | Callable[[int], int],
+        morphism_map: Sequence[int],
     ):
         self.name = name
         self.source = source
         self.target = target
         self.object_map = object_map
         self.morphism_map = morphism_map
-        lazy = callable(self.morphism_map)
-        if len(self.object_map) != self.source.n_objects:
-            raise StructuralError(f"functor {self.name}: object map has wrong length")
-        if not lazy and len(self.morphism_map) != self.source.n_morphisms:
-            raise StructuralError(f"functor {self.name}: morphism map has wrong length")
-        omap = self.object_map
-        if omap and not (0 <= min(omap) and max(omap) < self.target.n_objects):
-            raise StructuralError(f"functor {self.name}: object image out of range")
-        if lazy:
-            image = self.morphism_map
-            self.morphism_map = Table(
-                self.source.n_morphisms, lambda f: self._in_range(image(f))
-            )
-            return
-        for x in self.morphism_map:
-            if not (0 <= x < self.target.n_morphisms):
-                raise StructuralError(f"functor {self.name}: morphism image out of range")
-
-    def _in_range(self, x: int) -> int:
-        if not (0 <= x < self.target.n_morphisms):
-            raise StructuralError(f"functor {self.name}: morphism image out of range")
-        return x
+        if len(object_map) != source.n_objects:
+            raise StructuralError(f"functor {name}: object map has wrong length")
+        if len(morphism_map) != source.n_morphisms:
+            raise StructuralError(f"functor {name}: morphism map has wrong length")
+        if object_map and not (0 <= min(object_map) and max(object_map) < target.n_objects):
+            raise StructuralError(f"functor {name}: object image out of range")
+        for x in morphism_map:
+            if not (0 <= x < target.n_morphisms):
+                raise StructuralError(f"functor {name}: morphism image out of range")
 
     def obj(self, a: int) -> int:
         return self.object_map[a]

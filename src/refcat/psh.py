@@ -42,11 +42,15 @@ class Presheaf:
     `action` is a `Table`: each row is read from its source on first
     use and checked there for arity and range, so a presheaf built on
     its support does work only where it is nonempty, and a bad row
-    raises when it is read.  The family searches, the iso search and
-    `validate_psh_derivation` read a row only where a naturality
-    constraint can fail on it: a constraint into a one-element set holds
-    whatever the rows are (`_checks`), so a row read by nothing else is
-    never filled, nor checked.
+    raises when it is read.  The check names the presheaf as it was
+    built and holds no reference to it, so a presheaf whose source does
+    not read the presheaf itself is no reference cycle and is freed as
+    soon as it is dropped; `represent.pos_rep`, whose rows read its own
+    positions, is kept for the system's life anyway.  The family
+    searches, the iso search and `validate_psh_derivation` read a row
+    only where a naturality constraint can fail on it: a constraint
+    into a one-element set holds whatever the rows are (`_checks`), so
+    a row read by nothing else is never filled, nor checked.
     """
 
     def __init__(
@@ -73,22 +77,7 @@ class Presheaf:
             raise StructuralError(f"presheaf {name}: action table has wrong length")
         else:
             source = action.__getitem__
-        self.action = Table(base.n_morphisms, lambda f: self._checked(f, source(f)))
-
-    def _checked(self, f: int, row: tuple[int, ...]) -> tuple[int, ...]:
-        """The row of f, once its arity and range are checked."""
-        base = self.base
-        if len(row) != len(self.elements[base.mor_cod[f]]):
-            raise StructuralError(
-                f"presheaf {self.name}: action at {base.mor_names[f]} has wrong arity"
-            )
-        n = len(self.elements[base.mor_dom[f]])
-        for v in row:
-            if not (0 <= v < n):
-                raise StructuralError(
-                    f"presheaf {self.name}: action at {base.mor_names[f]} hits a bad index"
-                )
-        return row
+        self.action = Table(base.n_morphisms, lambda f: _checked(name, base, elements, f, source(f)))
 
     def size(self, a: int) -> int:
         return len(self.elements[a])
@@ -120,6 +109,19 @@ class Presheaf:
 
     def __repr__(self) -> str:
         return f"Presheaf({self.name} over {self.base.name}, {self.total_elements()} elements)"
+
+
+def _checked(name: str, base: FinCategory, elements, f: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of f in the presheaf `name`, once its arity and range are
+    checked.  A module function, so a presheaf's action table holds no
+    reference back to the presheaf."""
+    if len(row) != len(elements[base.mor_cod[f]]):
+        raise StructuralError(f"presheaf {name}: action at {base.mor_names[f]} has wrong arity")
+    n = len(elements[base.mor_dom[f]])
+    for v in row:
+        if not (0 <= v < n):
+            raise StructuralError(f"presheaf {name}: action at {base.mor_names[f]} hits a bad index")
+    return row
 
 
 def validate_presheaf(phi: Presheaf) -> ValidationReport:
@@ -158,15 +160,15 @@ def representable(cat: FinCategory, b: int) -> Presheaf:
     for a in support:
         homs[a] = tuple(grouped[a])
     names = cat.mor_names
-    y = Presheaf(
+    where = functools.cache(lambda a: {m: k for k, m in enumerate(homs[a])})
+    return Presheaf(
         f"y({cat.objects[b]})",
         cat,
         Table(cat.n_objects, lambda a: tuple(names[m] for m in homs[a])),
-        lambda f: tuple(y.position(cat.dom(f))[cat.compose(f, g)] for g in homs[cat.cod(f)]),
+        lambda f: tuple(where(cat.dom(f))[cat.compose(f, g)] for g in homs[cat.cod(f)]),
         tuple(homs),
         tuple(support),
     )
-    return y
 
 
 def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:

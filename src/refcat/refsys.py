@@ -57,7 +57,7 @@ class RefinementSystem:
 
     def memo(self, key: tuple, build: Callable):
         """The construction under `key`: build() on first use, then kept.
-        Slices, representations, pairings, lift searches, strict
+        Slices, slice actions, representations, lift searches, strict
         residuals, genday clause outcomes and the indexes the sweeps read
         are built once per system through here; presheaf pullback needs
         identical base categories.

@@ -283,7 +283,9 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
     Elements at (P, c) are the derivations of (P, c, Q), carried as
     payloads; morphisms act by precomposition.  Built once per system,
     on its support, the slice points of the derivation index into Q; an
-    action row is computed when it is first read."""
+    action row is computed when it is first read, from the presheaf's
+    own positions, so the presheaf is a reference cycle, kept in the
+    system's memo for the system's life."""
 
     def build() -> Presheaf:
         D = sys.D

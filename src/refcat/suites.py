@@ -1,13 +1,12 @@
 """The verification suites `refcat verify` runs, one function per suite,
 named after it (`negative-encoding` is `negative_encoding`).  Each takes
-(workspace, system key, system, size guard, cross-check flag) and
+(workspace, system key, system, size guard) and
 returns its reports; `cli.SUITES` lists them in the order `all` runs
 them.  A suite imports the checks it runs only once it has something to
 check, so a skipped suite compiles none of them."""
 
 from __future__ import annotations
 
-from .fincat import StructuralError
 from .reports import CheckReport
 
 
@@ -26,25 +25,25 @@ def _skip_report(name: str, statement: str, reason: str) -> CheckReport:
     return rep
 
 
-def ff(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def ff(ws, key, s, size_guard) -> list[CheckReport]:
     from .represent import representation_ff_check
 
     return [representation_ff_check(s)]
 
 
-def preservation(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def preservation(ws, key, s, size_guard) -> list[CheckReport]:
     from .represent import preservation_check
 
     return [preservation_check(s)]
 
 
-def factorization(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def factorization(ws, key, s, size_guard) -> list[CheckReport]:
     from .represent import factorization_check
 
     return [factorization_check(s, size_guard)]
 
 
-def genday(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def genday(ws, key, s, size_guard) -> list[CheckReport]:
     if key not in ws.monoidal:
         return [
             _skip_report(
@@ -74,41 +73,20 @@ def genday(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
     ]
 
 
-def duality(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
-    from .duality import _duals, duality_check
+def duality(ws, key, s, size_guard) -> list[CheckReport]:
+    from .duality import duality_check
 
-    reports = [duality_check(s, Q) for Q in range(s.D.n_objects)]
-    out = [
+    return [
         _merge_reports(
             f"duality[{s.name}]",
             "the positive and negative representations of every refinement "
             "are each other's duals",
-            reports,
+            [duality_check(s, Q) for Q in range(s.D.n_objects)],
         )
     ]
-    if cross_check:
-        from .pairing import dual_cross_check
-
-        cross = CheckReport(
-            f"dual-cross[{s.name}]",
-            "the dualizers agree with the residual of the pairing read from its own rows",
-        )
-        for Q in range(s.D.n_objects):
-            B = s.shape(Q)
-            try:
-                for side in ("left", "right"):
-                    rep, dual = _duals(side)
-                    inp = rep(s, Q)
-                    dual_cross_check(s, B, inp, dual(s, B, inp), side)
-            except StructuralError as exc:
-                cross.record_fail(f"{s.D.objects[Q]}: {exc}")
-            else:
-                cross.record_pass()
-        out.append(cross)
-    return out
 
 
-def negative_encoding(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def negative_encoding(ws, key, s, size_guard) -> list[CheckReport]:
     from .duality import negative_encoding_check, tensorL_check
     from .fixtures import linctx_data
     from .refsys import find_pushforward
@@ -141,7 +119,7 @@ def negative_encoding(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
     ]
 
 
-def notnot_tensor(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def notnot_tensor(ws, key, s, size_guard) -> list[CheckReport]:
     if key not in ws.monoids:
         return [
             _skip_report(
@@ -176,7 +154,7 @@ def notnot_tensor(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
     ]
 
 
-def rapp(ws, key, s, size_guard, cross_check) -> list[CheckReport]:
+def rapp(ws, key, s, size_guard) -> list[CheckReport]:
     adj = None
     for name, cand in ws.adjunctions.items():
         if cand.s is s or cand.e is s or name == key:

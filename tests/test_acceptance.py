@@ -26,7 +26,6 @@ from refcat.fixtures import (
     random_refsys,
 )
 from refcat.psh import opcartesian_factoring_check, push_psh_full, push_transpose, representable
-from refcat.pairing import dual_cross_check
 from refcat.refsys import (
     find_pullback,
     find_pushforward,
@@ -40,7 +39,14 @@ from refcat.represent import (
     representation_ff_check,
     slice_action,
 )
-from tests.conftest import bang_system, image_oracle, pred_name, pred_set, preimage_oracle
+from tests.conftest import (
+    bang_system,
+    dual_cross_check,
+    image_oracle,
+    pred_name,
+    pred_set,
+    preimage_oracle,
+)
 from tests.test_duality import skew_pair
 from tests.test_fincat import chain_category, walking_arrow
 from tests.test_fixtures import default_spec

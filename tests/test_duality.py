@@ -1,10 +1,15 @@
 """The slice x coslice pairing, cuts, dualization, and the encoding checks.
 
-The pairing is compared with a reference that builds the whole category
+The pairing read straight from the derivation index (`Pairing`, in
+conftest) is compared with a reference that builds the whole category
 of judgments and its derivation presheaf.  The dualizers read it from
 the two representations: the cut at a coslice point (d,R), one column of
 the pairing, is rep(R) pulled along the slice action of d, and that
 identity is checked here against the reference at every point.
+`dual_cross_check` recomputes each dual from `Pairing`'s rows, on both
+sides of every refinement of every shipped fixture and of random
+systems: the two readings are residuals of one pairing, curried on
+either side, so the dualizers are adjoint (Isbell conjugation).
 
 The corruption test deliberately breaks an internal action table and
 asserts the machinery notices; it guards against the checks degenerating
@@ -13,7 +18,9 @@ pairing only on the support of their input, are compared with a dense
 reference that builds every cut presheaf over the whole slice.
 """
 
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +32,7 @@ import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.day import notnottensor_check
 from refcat.duality import (
+    _duals,
     dual_left,
     dual_right,
     duality_check,
@@ -52,7 +60,6 @@ from refcat.psh import (
     validate_presheaf,
     vertical_iso_psh,
 )
-from refcat.pairing import Pairing, dual_cross_check, pairing
 from refcat.represent import (
     coslice_action,
     coslice_of,
@@ -62,8 +69,18 @@ from refcat.represent import (
     slice_action,
     slice_of,
 )
-from tests.conftest import bang_system, image_oracle, judgments, pred_set
+from refcat.textio import loads
+from tests.conftest import (
+    Pairing,
+    bang_system,
+    dual_cross_check,
+    image_oracle,
+    judgments,
+    pairing,
+    pred_set,
+)
 from tests.test_fincat import chain_category
+from tests.test_golden import CASES
 from tests.test_represent import composite_command
 
 
@@ -300,6 +317,20 @@ def test_triple_dual_collapses(hoare):
         assert vertical_iso_psh(thrice, once) is not None
 
 
+def test_a_dropped_dual_is_freed_without_the_cycle_collector(hoare):
+    # A presheaf's rows are checked with no reference back to it, so a
+    # dual, once every row is read, is no reference cycle.
+    out = dual_left(hoare, 0, pos_rep(hoare, 1))
+    assert list(out.action)
+    ref = weakref.ref(out)
+    gc.disable()
+    try:
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_duals_reverse_the_refinement_order(hoare):
     # Q1 below Q2 gives a family from the dual of Q2 into the dual of Q1
     duals = {Q: dual_left(hoare, 0, pos_rep(hoare, Q)) for Q in range(4)}
@@ -312,11 +343,8 @@ def test_duals_reverse_the_refinement_order(hoare):
 def test_cross_check_route_agrees_on_small_systems():
     for base in (chain_category(2), skew_pair()):
         sys = bang_system(base)
-        for Q in range(sys.D.n_objects):
-            for side, rep, dual in (("left", pos_rep, dual_left), ("right", neg_rep, dual_right)):
-                inp = rep(sys, Q)
-                dual_cross_check(sys, 0, inp, dual(sys, 0, inp), side)
-            assert duality_check(sys, Q).ok
+        cross_check_every_refinement(sys)
+        assert all(duality_check(sys, Q).ok for Q in range(sys.D.n_objects))
 
 
 def test_cross_check_reads_every_dual_row_the_iso_search_skips(hoare):
@@ -340,12 +368,8 @@ def test_cross_check_reads_every_dual_row_the_iso_search_skips(hoare):
     assert skipped > 0
 
 
-def test_cross_check_compares_action_rows(monkeypatch):
-    # A dual_left whose rows are rotated keeps every family and every
-    # row's arity and range, so only a row-by-row comparison sees it.  On
-    # the skew system rep(Q0)'s left dual has two families at every point.
-    # dual_right is dual_left in the opposite system, so it turns too.
-    real = duality_mod.dual_left
+def rotated_dual_left(real):
+    """`real` with every action row of its result rotated by one."""
 
     def rotating(sys, B, phi):
         dual = real(sys, B, phi)
@@ -357,6 +381,15 @@ def test_cross_check_compares_action_rows(monkeypatch):
             dual.payloads,
         )
 
+    return rotating
+
+
+def test_cross_check_compares_action_rows(monkeypatch):
+    # A dual_left whose rows are rotated keeps every family and every
+    # row's arity and range, so only a row-by-row comparison sees it.  On
+    # the skew system rep(Q0)'s left dual has two families at every point.
+    # dual_right is dual_left in the opposite system, so it turns too.
+    rotating = rotated_dual_left(duality_mod.dual_left)
     sys = bang_system(skew_pair())
     plain = dual_left(sys, 0, pos_rep(sys, 0))
     monkeypatch.setattr(duality_mod, "dual_left", rotating)
@@ -372,7 +405,7 @@ def test_cross_check_compares_action_rows(monkeypatch):
 
 def test_cross_check_sees_a_pairing_with_reversed_rows(monkeypatch):
     # The cross-check reads the pairing's rows: reversing each of them
-    # must make it disagree with the dualizers, which read the cuts.
+    # must make it disagree with the dualizers, which read the representations.
     sys = bang_system(skew_pair())
     real = Pairing.row
     monkeypatch.setattr(Pairing, "row", lambda self, f, g: real(self, f, g)[::-1])
@@ -380,6 +413,46 @@ def test_cross_check_sees_a_pairing_with_reversed_rows(monkeypatch):
         inp = rep(sys, 0)
         with pytest.raises(StructuralError):
             dual_cross_check(sys, 0, inp, dual(sys, 0, inp), side)
+
+
+def cross_check_every_refinement(sys):
+    """The reference: both duals of every refinement of sys agree with
+    the residual of the pairing read from the derivation index."""
+    for Q in range(sys.D.n_objects):
+        B = sys.shape(Q)
+        for side in ("left", "right"):
+            rep, dual = _duals(side)
+            inp = rep(sys, Q)
+            dual_cross_check(sys, B, inp, dual(sys, B, inp), side)
+
+
+def shipped_system(name):
+    body, extra = CASES[name]
+    return loads(body + "\n").the_system(extra[1] if extra else None)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dualizers_agree_with_the_pairing_on_every_shipped_fixture(name):
+    cross_check_every_refinement(shipped_system(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=4000))
+def test_dualizers_agree_with_the_pairing_on_random_systems(seed):
+    cross_check_every_refinement(random_refsys(seed))
+
+
+@pytest.mark.parametrize("tamper", ["reversed pairing rows", "rotated dual rows"])
+def test_the_reference_turns_red_on_random_3(tamper, monkeypatch):
+    # random-3 is the one shipped system with a judgment of several
+    # derivations, so the only one where a permuted row can show.
+    if tamper == "reversed pairing rows":
+        real = Pairing.row
+        monkeypatch.setattr(Pairing, "row", lambda self, f, g: real(self, f, g)[::-1])
+    else:
+        monkeypatch.setattr(duality_mod, "dual_left", rotated_dual_left(duality_mod.dual_left))
+    with pytest.raises(StructuralError, match=r"the dualizer disagrees with the residual"):
+        cross_check_every_refinement(shipped_system("random-3"))
 
 
 def invertible(c):

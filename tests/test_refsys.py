@@ -710,7 +710,7 @@ def test_right_constructions_on_a_noncommutative_tensor():
 def test_verify_all_is_green_on_random_systems(seed):
     # Every suite that reads a lift search runs here on a random system.
     ws = loads(f"fixture r random seed={seed}\n")
-    reports = run_suite(ws, None, "all", SIZE_GUARD, False)
+    reports = run_suite(ws, None, "all", SIZE_GUARD)
     assert {r.name: r.counterexample for r in reports if r.failed} == {}
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refcat.represent as represent_mod
-from refcat.fincat import FunctorData, StructuralError, Table, Triples
+from refcat.fincat import StructuralError, Table, Triples
 from refcat.fixtures import build_linctx, default_linear_spec, random_refsys
 from refcat.psh import Presheaf, pull_psh, push_psh_full, validate_presheaf
 from refcat.represent import (
@@ -300,21 +300,6 @@ def test_a_tag_that_no_slice_morphism_carries_raises(linctx):
     assert S.in_off[last] + D._in_pos()[far] >= len(S.into)
     with pytest.raises(StructuralError, match=SLICE_LOOKUP_ERROR):
         S.mor_of(far, 0, last)
-
-
-def test_functor_images_from_a_source_are_checked_on_read(hoare):
-    D = hoare.D
-    reads = []
-
-    def image(f):
-        reads.append(f)
-        return f if f else D.n_morphisms
-
-    F = FunctorData("shifted", D, D, tuple(range(D.n_objects)), image)
-    assert reads == [] and len(F.morphism_map) == D.n_morphisms
-    assert F.mor(1) == 1 and F.mor(1) == 1 and reads == [1]
-    with pytest.raises(StructuralError, match="functor shifted: morphism image out of range"):
-        F.mor(0)
 
 
 def test_triples_behave_like_a_tuple_of_triples():

@@ -39,7 +39,6 @@ EXECUTED = {
     ("fixture g galois", "validate"): LATTICE | {"adjunction"},
     ("fixture r random seed=3", "validate"): {"randsys"},
     ("fixture h hoare", "verify all"): {"hoare"} | VERIFY,
-    ("fixture h hoare", "verify duality --cross-check"): {"hoare", "pairing"} | VERIFY,
     ("fixture l linctx", "verify all"): {"linctx"} | VERIFY,
     ("fixture l lattice-collapse", "verify all"): LATTICE | VERIFY | {"day"},
 }
@@ -89,10 +88,7 @@ print(sorted(n[7:] for n, m in sys.modules.items() if n.startswith("refcat.") an
 @pytest.mark.parametrize(
     "workspace, command",
     sorted(EXECUTED),
-    ids=[
-        f"{c.split()[0]}-{w.split()[2]}" + ("-cross-check" if "--cross-check" in c else "")
-        for w, c in sorted(EXECUTED)
-    ],
+    ids=[f"{c.split()[0]}-{w.split()[2]}" for w, c in sorted(EXECUTED)],
 )
 def test_a_command_executes_exactly_the_modules_it_reaches(tmp_path, workspace, command):
     path = tmp_path / "w.fix"
@@ -135,7 +131,7 @@ print(len(refcat.__all__), sorted({getattr(refcat, n).__module__[7:] for n in re
 """
     )
     assert out == (
-        "61 ['adjunction', 'day', 'duality', 'fincat', 'hoare', 'lattice', "
-        "'linctx', 'monoidal', 'pairing', 'psh', 'randsys', 'refsys', 'reports', "
+        "60 ['adjunction', 'day', 'duality', 'fincat', 'hoare', 'lattice', "
+        "'linctx', 'monoidal', 'psh', 'randsys', 'refsys', 'reports', "
         "'represent', 'textio']\n"
     )
