@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Run every verification suite on every shipped fixture.
 
-Writes the fixture files into a scratch directory, drives the `refcat`
-command line against each, then runs `verify all` on linctx at K=4 and
-`validate` on linctx at K=5, and exits nonzero if any suite reports a
-failure or the load fails.  Each run's wall time goes to stderr, so stdout holds the
-transcripts only.  Pass --out DIR to keep the generated files.
+Writes the fixture files into a scratch directory, runs the `refcat`
+command line against each, then `verify all` on linctx at K=4 and
+`validate` on linctx at K=5, and exits with the worst exit code of the
+runs: nonzero if any suite reports a failure or a load fails.  Each run
+is a fresh child process, so its wall time and its own peak RSS (from
+`os.wait4`) go to stderr, and stdout holds the transcripts only.  Pass
+--out DIR to keep the generated files.
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 # Run from a plain checkout: the checkout's sources come first.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from refcat.cli import main as refcat  # noqa: E402
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # the galois fixture registers both ends of the adjunction, so the suite
 # needs to be pointed at one of them explicitly
@@ -36,13 +38,19 @@ FIXTURES = (
 
 
 def timed(title: str, argv: list[str]) -> int:
-    """Run one refcat command under a `== title` header; its wall time
-    goes to stderr."""
+    """Run one refcat command in a child process under a `== title`
+    header, and return its exit code; its wall time and peak RSS go to
+    stderr."""
     print(f"== {title}", flush=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     start = time.perf_counter()
-    rc = refcat(argv)
+    child = subprocess.Popen([sys.executable, "-m", "refcat", *argv], env=env)
+    _pid, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    # wait4 reaped the child; tell Popen so it does not wait again.
+    child.returncode = rc = os.waitstatus_to_exitcode(status)
     print(flush=True)
-    print(f"{title}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+    print(f"{title}: {wall:.2f} s, {usage.ru_maxrss / 1024:.1f} MB peak RSS", file=sys.stderr)
     return rc
 
 

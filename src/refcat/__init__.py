@@ -42,7 +42,7 @@ _PUBLIC = {
         default_linear_spec validate_multicategory fin_skeleton""",
     "lattice": """LatticeSpec build_lattice collapse_lattice_fixture
         identity_lattice_fixture galois_fixture""",
-    "randsys": "RandomBounds random_refsys",
+    "randsys": "random_refsys",
     "textio": "Workspace LoadError load loads",
     "blocks": "", "render": "", "suites": "",
 }

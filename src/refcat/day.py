@@ -16,7 +16,7 @@ from .duality import dual_left, dual_right
 from .fincat import FunctorData, StructuralError, compose_functors, product
 from .monoidal import find_left_residual, left_curry
 from .psh import (
-    PshDerivation, curried_residual, is_vertical_iso, opcartesian_factoring_check, push_psh,
+    PshDerivation, _index, curried_residual, is_vertical_iso, opcartesian_factoring_check, push_psh,
     push_psh_full, push_transpose, representable, tensor_psh, validate_psh_derivation,
     vertical_iso_psh,
 )
@@ -75,7 +75,8 @@ def m_functor(mrs: MonoidalRefinementSystem, B1: int, B2: int) -> tuple[FunctorD
 
 def m_derivation(mrs: MonoidalRefinementSystem, P: int, Q: int) -> PshDerivation:
     """The tensor derivation rep(P) x rep(Q) => rep(P (x) Q) over the
-    tensor-of-tags functor: a pair of derivations maps to their tensor."""
+    tensor-of-tags functor: a pair of derivations maps to their tensor.
+    One component per point of the external tensor's support."""
     sys = mrs.sys
     D = sys.D
     phiP, phiQ = pos_rep(sys, P), pos_rep(sys, Q)
@@ -83,7 +84,7 @@ def m_derivation(mrs: MonoidalRefinementSystem, P: int, Q: int) -> PshDerivation
     box = tensor_psh(phiP, phiQ, prod)
     target = pos_rep(sys, mrs.mon_ref.tobj(P, Q))
     comps = []
-    for x in range(prod.n_objects):
+    for x in box.support():
         i, j = prod.split_obj(x)
         pos = target.position(F.obj(x))
         row = []
@@ -201,12 +202,12 @@ def _pulled_residual(mrs, P, R, lhs, carrier, F, plugD):
         lambda f, g: omega.action[F.mor(prod.pair_mor(f, g))],
     )
     comps = []
-    for i in range(lhs.base.n_objects):
+    for i in lhs.support():
         row = []
         for sigma in lhs.payloads[i]:
             sig = carrier(sigma)
             fam = []
-            for a in range(phi.base.n_objects):
+            for a in phi.support():
                 vals = []
                 for tau in phi.payloads[a]:
                     der = D.compose(tmor(tau, sig), plugD)
@@ -307,7 +308,7 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
         "representation of a monoid fiber is lax monoidal and preserves residuals",
     )
     fib = sys.fiber(mo.W)
-    Fm, prod = m_functor(mrs, mo.W, mo.W)
+    Fm, _ = m_functor(mrs, mo.W, mo.W)
     Fday = compose_functors(Fm, slice_action(sys, mo.p))
 
     iso_count = 0
@@ -320,9 +321,10 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
                 continue
             md = m_derivation(mrs, P, Q)
             after = pos_rep_derivation(sys, tc.structural)
+            at = _index(md.target)
             comps = tuple(
-                tuple(after.components[Fm.obj(x)][v] for v in md.components[x])
-                for x in range(prod.n_objects)
+                tuple(after.components[at[Fm.obj(x)]][v] for v in comp)
+                for x, comp in zip(md.source.support(), md.components)
             )
             target = pos_rep(sys, tc.result)
             pr = push_psh_full(Fday, md.source)

@@ -22,8 +22,8 @@ system is the slice of `sys.op()`, and the right dual is the left dual
 computed in `sys.op()`.  Only the left, positive, pull side is written
 out.  The left dual searches families only on the support of its input
 and only at the coslice points where every support point has a
-derivation (`_live_points`): the support is a sieve, so a natural family
-is () off it and is determined by its values there, and a point where
+derivation (`_live_points`): the input is empty off its support, so a
+natural family has one component per support point, and a point where
 the pairing is empty somewhere on the support has no families.
 """
 

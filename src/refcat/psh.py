@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Callable, Iterable, Sequence
 
 from .fincat import (
@@ -33,8 +32,9 @@ class Presheaf:
     element indices at cod(f) to element indices at dom(f).  `payloads`,
     when present, carries opaque per-element data (the derivations of a
     representation, the natural families of a dual); it never takes part
-    in equality or validation.  `payloads` is a tuple; `elements` is a
-    tuple or a `Table` of names filled on first read.
+    in equality or validation.  Both tables have one entry per object,
+    as tuples or as `Table`s filled on first read: the presheaves built
+    from others read theirs on demand.
 
     The action comes from a source: a table with one row per morphism,
     or a function f |-> row, which is asked only for morphisms into a
@@ -150,72 +150,65 @@ def validate_presheaf(phi: Presheaf) -> ValidationReport:
 def representable(cat: FinCategory, b: int) -> Presheaf:
     """The presheaf a |-> hom(a, b) with action by precomposition, each
     morphism carried as its payload.  Built on its support, the domains
-    of the morphisms into b: an element set is named, and an action row
-    computed, when it is first read."""
+    of the morphisms into b: an element set is named, a payload read and
+    an action row computed when it is first read."""
     grouped: dict[int, list[int]] = {}
     for m in cat.mor_in(b):
         grouped.setdefault(cat.dom(m), []).append(m)
-    homs: list[tuple[int, ...]] = [()] * cat.n_objects
-    support = sorted(grouped)
-    for a in support:
-        homs[a] = tuple(grouped[a])
-    names = cat.mor_names
+    homs = {a: tuple(ms) for a, ms in grouped.items()}
+    names, n = cat.mor_names, cat.n_objects
     where = functools.cache(lambda a: {m: k for k, m in enumerate(homs[a])})
     return Presheaf(
         f"y({cat.objects[b]})",
         cat,
-        Table(cat.n_objects, lambda a: tuple(names[m] for m in homs[a])),
+        Table(n, lambda a: tuple(names[m] for m in homs.get(a, ()))),
         lambda f: tuple(where(cat.dom(f))[cat.compose(f, g)] for g in homs[cat.cod(f)]),
-        tuple(homs),
-        tuple(support),
+        Table(n, lambda a: homs.get(a, ())),
+        tuple(sorted(homs)),
     )
 
 
 def pull_psh(F: FunctorData, psi: Presheaf) -> Presheaf:
     """Precompose psi with F; elements keep their names.  The support is
     the preimage of psi's support (`F.preimage`, read from an index for a
-    slice action), element sets and payloads are filled there only, and a
-    row is read from psi only for a morphism into the support, on first
-    use."""
+    slice action).  The element and payload tables read psi's at F's
+    image of an object, and a row psi's row at F's image of a morphism,
+    each on first use, so nothing is listed per object."""
     if psi.base is not F.target:
         raise StructuralError(f"pull_psh: {psi.name} does not live over the target of {F.name}")
-    support = F.preimage(psi.support())
-    at, n = F.object_map, F.source.n_objects
-    elements: list[tuple[str, ...]] = [()] * n
-    payloads: list[tuple[object, ...]] | None = None if psi.payloads is None else [()] * n
-    for a in support:
-        elements[a] = psi.elements[at[a]]
-        if payloads is not None:
-            payloads[a] = psi.payloads[at[a]]
+    at, n, payloads = F.object_map, F.source.n_objects, psi.payloads
     return Presheaf(
         f"pull[{F.name}]({psi.name})",
         F.source,
-        tuple(elements),
+        Table(n, lambda a: psi.elements[at[a]]),
         lambda f: psi.action[F.mor(f)],
-        None if payloads is None else tuple(payloads),
-        support,
+        None if payloads is None else Table(n, lambda a: payloads[at[a]]),
+        F.preimage(psi.support()),
     )
 
 
 class PushResult:
-    """Pushforward presheaf plus the coend bookkeeping.
+    """Pushforward presheaf plus the coend bookkeeping, indexed by support.
 
-    `reps` lists one canonical generating node per element, per base
-    object: a node is (source object a, morphism h: b -> F(a), element x
-    of phi(a)), and its element lives at b = dom(h).  `unit` gives the
-    canonical derivation component phi(a) -> pushed(F(a)): x |-> class
-    of (a, id, x).
+    `reps` has one entry per point b of the pushed presheaf's support, in
+    order: one canonical generating node per element at b, a node being
+    (source object a, morphism h: b -> F(a), element x of phi(a)).
+    `unit` has one entry per point a of the support of `source`, phi:
+    the canonical derivation component phi(a) -> pushed(F(a)),
+    x |-> class of (a, id, x).
     """
 
-    __slots__ = ("presheaf", "reps", "unit")
+    __slots__ = ("presheaf", "source", "reps", "unit")
 
     def __init__(
         self,
         presheaf: Presheaf,
+        source: Presheaf,
         reps: tuple[tuple[tuple[int, int, int], ...], ...],
         unit: tuple[tuple[int, ...], ...],
     ):
         self.presheaf = presheaf
+        self.source = source
         self.reps = reps
         self.unit = unit
 
@@ -284,15 +277,16 @@ def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
                         parent[r1] = r2
     cls = [0] * len(nodes)
     roots_at: dict[int, list[int]] = {}
-    reps_at: list[tuple[tuple[int, int, int], ...]] = [()] * B.n_objects
-    elements: list[tuple[str, ...]] = [()] * B.n_objects
+    reps_at: dict[int, tuple[tuple[int, int, int], ...]] = {}
     for b, at in nodes_at.items():
         roots = roots_at[b] = sorted({find(n) for n in at})
         index = {r: i for i, r in enumerate(roots)}
         for n in at:
             cls[n] = index[parent[n]]
-        reps = reps_at[b] = tuple(map(nodes.__getitem__, roots))
-        elements[b] = tuple(f"{B.mor_names[h]}.{phi.elements[a][x]}" for (a, h, x) in reps)
+        reps_at[b] = tuple(map(nodes.__getitem__, roots))
+
+    def names(b: int) -> tuple[str, ...]:
+        return tuple(f"{B.mor_names[h]}.{phi.elements[a][x]}" for (a, h, x) in reps_at.get(b, ()))
 
     def node(a: int, h: int, x: int) -> int:
         return start[a] + position(F.obj(a))[h] * phi.size(a) + x
@@ -313,14 +307,15 @@ def push_psh_full(F: FunctorData, phi: Presheaf) -> PushResult:
                 )
         return out
 
+    pushed_support = tuple(sorted(nodes_at))
     pushed = Presheaf(
-        f"push[{F.name}]({phi.name})", B, tuple(elements), row, support=tuple(sorted(nodes_at))
+        f"push[{F.name}]({phi.name})", B, Table(B.n_objects, names), row, support=pushed_support
     )
-    unit: list[tuple[int, ...]] = [()] * A.n_objects
+    unit = []
     for a in support:
         at = node(a, B.id_of(F.obj(a)), 0)
-        unit[a] = tuple(cls[at : at + phi.size(a)])
-    return PushResult(pushed, tuple(reps_at), tuple(unit))
+        unit.append(tuple(cls[at : at + phi.size(a)]))
+    return PushResult(pushed, phi, tuple(map(reps_at.__getitem__, pushed_support)), tuple(unit))
 
 
 def push_psh(F: FunctorData, phi: Presheaf) -> Presheaf:
@@ -338,20 +333,19 @@ def push_transpose(
     Returns the unique vertical kappa : push_F(phi) => psi with
     unit ; kappa = theta, computed on canonical class representatives and
     then verified: kappa must be natural and must reproduce theta exactly,
-    otherwise theta was not natural to begin with."""
-    comps: list[tuple[int, ...]] = [()] * psi.base.n_objects
-    for b in itertools.compress(range(len(pr.reps)), pr.reps):
-        comps[b] = tuple(psi.apply(h, theta[a][x]) for (a, h, x) in pr.reps[b])
-    kappa = PshDerivation("transpose", pr.presheaf, psi, None, tuple(comps))
+    otherwise theta was not natural to begin with.  theta has one
+    component per point of the support of phi = pr.source, and kappa one
+    per point of the pushed support."""
+    at = _index(pr.source)
+    comps = tuple(tuple(psi.apply(h, theta[at[a]][x]) for (a, h, x) in reps) for reps in pr.reps)
+    kappa = PshDerivation("transpose", pr.presheaf, psi, None, comps)
     rep = validate_psh_derivation(kappa)
     if not rep.ok:
         raise StructuralError(f"push_transpose: {rep.violations[0]}")
-    for a in itertools.compress(range(len(pr.unit)), pr.unit):
-        for x, cls in enumerate(pr.unit[a]):
-            if comps[F.obj(a)][cls] != theta[a][x]:
-                raise StructuralError(
-                    "push_transpose: factoring does not reproduce the derivation"
-                )
+    to = _index(pr.presheaf)
+    for a, unit, comp in zip(pr.source.support(), pr.unit, theta):
+        if any(comps[to[F.obj(a)]][cls] != v for cls, v in zip(unit, comp)):
+            raise StructuralError("push_transpose: factoring does not reproduce the derivation")
     return kappa
 
 
@@ -365,14 +359,14 @@ def opcartesian_factoring_check(
     phi =>_F push_F(phi): for each test codomain omega over the target base,
     postcomposition with the unit must biject vertical derivations
     push_F(phi) => omega with derivations phi =>_F omega."""
+    to = _index(pr.presheaf)
+    where = [to[F.obj(a)] for a in phi.support()]
     for omega in test_codomains:
         vert = natural_families(pr.presheaf, omega, None)
         down = set(natural_families(phi, omega, F))
         seen = set()
         for v in vert:
-            c = tuple(
-                tuple(v[F.obj(a)][cls] for cls in pr.unit[a]) for a in range(phi.base.n_objects)
-            )
+            c = tuple(tuple(v[k][cls] for cls in unit) for k, unit in zip(where, pr.unit))
             if c not in down:
                 return (False, f"factoring through {omega.name} leaves the image")
             if c in seen:
@@ -493,14 +487,10 @@ def _closes(checks, assigned: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _on_objects(
-    family: tuple[tuple[int, ...], ...], support: tuple[int, ...], n_objects: int
-) -> tuple[tuple[int, ...], ...]:
-    """A support-indexed family as a full table: () off the support."""
-    table: list[tuple[int, ...]] = [()] * n_objects
-    for a, comp in zip(support, family):
-        table[a] = comp
-    return tuple(table)
+def _index(phi: Presheaf) -> dict[int, int]:
+    """Support point -> its position in phi's support, the index of a
+    component table out of phi."""
+    return {a: k for k, a in enumerate(phi.support())}
 
 
 def natural_families(
@@ -509,11 +499,11 @@ def natural_families(
     """All families t_a: phi(a) -> psi(F a) natural in a, i.e. derivations
     phi => pull_F(psi).  F = None means both presheaves share a base.
 
-    Returned component tables are indexed by phi's base objects; objects
-    outside phi's support get the empty tuple.  Enumeration is by
-    `_families_on_support`: backtracking over support objects in index
-    order with incremental naturality pruning, reading only the
-    constraints into target sets of two or more elements.
+    Each family has one component per point of phi's support, in order:
+    off the support phi is empty, so there is nothing to map.
+    Enumeration is by `_families_on_support`: backtracking over support
+    objects in index order with incremental naturality pruning, reading
+    only the constraints into target sets of two or more elements.
     """
     A = phi.base
     if F is None:
@@ -527,17 +517,17 @@ def natural_families(
         f_obj = F.obj
         f_mor = F.mor
     support = phi.support()
-    fams = _families_on_support(
+    return _families_on_support(
         phi,
         [psi.size(f_obj(a)) for a in support],
         lambda: _closing(phi, support),
         lambda u: psi.action[f_mor(u)],
     )
-    return [_on_objects(fam, support, A.n_objects) for fam in fams]
 
 
 class PshDerivation:
-    """A derivation between presheaves: base functor plus component tables."""
+    """A derivation between presheaves: base functor plus component tables,
+    one per point of the source's support, in order."""
 
     __slots__ = ("name", "source", "target", "functor", "components")
 
@@ -557,37 +547,30 @@ class PshDerivation:
 
 
 def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
-    """Arity, range, then naturality, checked on the `_closing` table that
-    the family searches use; failing squares are listed in morphism order.
-    Off the support of the source every component must be empty, so only
-    support components are read past their length.  As in the searches, a
-    square into a one-element target set holds whatever the rows are, so
-    its rows are not read."""
+    """Length, then arity and range at each support point in order, then
+    naturality, checked on the `_closing` table that the family searches
+    use; failing squares are listed in morphism order.  The table has one
+    component per point of the source's support, so nothing is read off
+    it.  As in the searches, a square into a one-element target set holds
+    whatever the rows are, so its rows are not read."""
     report = ValidationReport(f"psh-derivation {d.name}")
     phi, psi = d.source, d.target
     A = phi.base
     f_obj = (lambda a: a) if d.functor is None else d.functor.obj
     f_mor = (lambda u: u) if d.functor is None else d.functor.mor
-    table = d.components
-    if len(table) != A.n_objects:
+    comps = d.components
+    support = phi.support()
+    if len(comps) != len(support):
         report.add("arity", "component table has wrong length")
         return report
-    # The first object whose component has the wrong arity, found without
-    # a Python step per object; the nonempty components before it are
-    # then checked for range, in index order.
-    wrong = map(operator.ne, map(len, table), map(len, phi.elements))
-    first = next(itertools.compress(range(A.n_objects), wrong), A.n_objects)
-    for a in itertools.compress(range(first), table):
-        n = psi.size(f_obj(a))
-        if not all(0 <= v < n for v in table[a]):
+    targets = [psi.size(f_obj(a)) for a in support]
+    for a, comp, n in zip(support, comps, targets):
+        if len(comp) != phi.size(a):
+            report.add("arity", f"component at {A.objects[a]} has wrong arity")
+            return report
+        if not all(0 <= v < n for v in comp):
             report.add("range", f"component at {A.objects[a]} out of range")
             return report
-    if first < A.n_objects:
-        report.add("arity", f"component at {A.objects[first]} has wrong arity")
-        return report
-    support = phi.support()
-    comps = [table[a] for a in support]
-    targets = [psi.size(f_obj(a)) for a in support]
     failing = sorted(
         u
         for cl in _closing(phi, support)
@@ -604,7 +587,8 @@ def vertical_iso_psh(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
     """Search for a natural isomorphism over the identity base functor.
 
-    Returns mutually inverse component tables, or None after exhausting the
+    Returns mutually inverse component tables, one component per support
+    point in index order, or None after exhausting the
     search space.  Objects are visited in ascending element count so size
     mismatches and sparse objects prune immediately; the witness found first
     under that fixed order is the canonical one.  The rows of phi and psi
@@ -613,8 +597,7 @@ def vertical_iso_psh(
     components, so when every set is a singleton the identity is returned
     once `_closing` has checked the sieve.
     """
-    A = phi.base
-    if psi.base is not A:
+    if psi.base is not phi.base:
         raise StructuralError("vertical_iso_psh: different bases")
     if not _same_sizes(phi, psi):
         return None
@@ -641,8 +624,8 @@ def vertical_iso_psh(
             for x, y in enumerate(comp):
                 row[y] = x
             inv.append(tuple(row))
-    n = A.n_objects
-    return (_on_objects(res, support, n), _on_objects(inv, support, n))
+    order = sorted(range(len(support)), key=support.__getitem__)
+    return (tuple(res[k] for k in order), tuple(inv[k] for k in order))
 
 
 def _same_sizes(phi: Presheaf, psi: Presheaf) -> bool:
@@ -656,12 +639,12 @@ def _same_sizes(phi: Presheaf, psi: Presheaf) -> bool:
 def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi: Presheaf) -> bool:
     """Is this specific vertical derivation a pointwise bijection?  A natural
     pointwise bijection has a natural inverse, so this decides isomorphy of
-    the canonical comparison maps.  Off the common support the components
-    are checked to be empty by `validate_psh_derivation`."""
+    the canonical comparison maps.  The components are indexed by the
+    common support, and their table is checked by `validate_psh_derivation`."""
     if not _same_sizes(phi, psi):
         return False
-    for a in phi.support():
-        if len(set(components[a])) != phi.size(a):
+    for a, comp in zip(phi.support(), components):
+        if len(set(comp)) != phi.size(a):
             return False
     d = PshDerivation("cmp", phi, psi, None, components)
     return validate_psh_derivation(d).ok
@@ -683,7 +666,9 @@ def curried_residual(
     for (u, id_b) and (id_a, g).  The elements at b, named s{b}.{k}, are
     the natural families phi(a) -> omega(a, b) along G_b, searched on the
     support of phi and only at `points` (every object by default: the
-    caller vouches that no family lands elsewhere).  g moves a family at
+    caller vouches that no family lands elsewhere); they are the payloads,
+    one component per support point of phi, and the element and payload
+    tables are read from them on demand.  g moves a family at
     b2 by postcomposing each component with row(id_a, g); a row is
     computed, and the moved families checked to be natural, when it is
     first read.  The residual over the whole functor category is never
@@ -717,16 +702,12 @@ def curried_residual(
             out.append(k)
         return tuple(out)
 
-    elements: list[tuple[str, ...]] = [()] * right.n_objects
-    payloads: list[tuple] = [()] * right.n_objects
-    for b, fams in fams_at.items():
-        elements[b] = tuple(f"s{b}.{k}" for k in range(len(fams)))
-        payloads[b] = tuple(_on_objects(fam, support, A.n_objects) for fam in fams)
+    n = right.n_objects
     return Presheaf(
         f"res({phi.name})",
         right,
-        tuple(elements),
+        Table(n, lambda b: tuple(f"s{b}.{k}" for k in range(len(fams_at.get(b, ()))))),
         act,
-        tuple(payloads),
+        Table(n, lambda b: tuple(fams_at.get(b, ()))),
         tuple(sorted(b for b, fams in fams_at.items() if fams)),
     )

@@ -3,23 +3,17 @@
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .fincat import FinCategory, FunctorData, StructuralError, tagged_category
 from .fixtures import _then
 from .refsys import RefinementSystem
 
 
-class RandomBounds(NamedTuple):
-    """Bounds for the generator; the defaults keep every derived
-    construction exhaustively checkable."""
-
-    t_objects: int = 3
-    d_objects: int = 6
-    hom: int = 3
-    carrier: int = 3
-    generators: int = 3
-    retries: int = 80
+# Bounds of the generator, small enough to keep every derived
+# construction exhaustively checkable: objects of T and of D, morphisms
+# per hom-set, elements per carrier, generating arrows per category, and
+# draws per seed.
+T_OBJECTS, D_OBJECTS, HOM_BOUND, CARRIER, GENERATORS, RETRIES = 3, 6, 3, 3, 3, 80
 
 
 def _close_concrete(name: str, objects: list[str], ids, seeds, hom_bound, combine) -> FinCategory | None:
@@ -66,23 +60,23 @@ def _close_concrete(name: str, objects: list[str], ids, seeds, hom_bound, combin
     return tagged_category(name, objects, arrows, mor_names, ids, combine)
 
 
-def _try_random(rng: random.Random, bounds: RandomBounds):
-    nt = rng.randint(1, bounds.t_objects)
-    t_car = [rng.randint(1, bounds.carrier) for _ in range(nt)]
+def _try_random(rng: random.Random):
+    nt = rng.randint(1, T_OBJECTS)
+    t_car = [rng.randint(1, CARRIER) for _ in range(nt)]
     seeds = []
-    for _ in range(rng.randint(0, bounds.generators)):
+    for _ in range(rng.randint(0, GENERATORS)):
         a, b = rng.randrange(nt), rng.randrange(nt)
         seeds.append((a, b, tuple(rng.randrange(t_car[b]) for _ in range(t_car[a]))))
     t_ids = [(a, a, tuple(range(k))) for a, k in enumerate(t_car)]
-    T = _close_concrete("T", [f"X{a}" for a in range(nt)], t_ids, seeds, bounds.hom, _then)
+    T = _close_concrete("T", [f"X{a}" for a in range(nt)], t_ids, seeds, HOM_BOUND, _then)
     if T is None:
         return None
 
-    nd = rng.randint(1, bounds.d_objects)
+    nd = rng.randint(1, D_OBJECTS)
     shape = [rng.randrange(nt) for _ in range(nd)]
-    d_car = [rng.randint(1, bounds.carrier) for _ in range(nd)]
+    d_car = [rng.randint(1, CARRIER) for _ in range(nd)]
     d_seeds = []
-    for _ in range(rng.randint(0, bounds.generators)):
+    for _ in range(rng.randint(0, GENERATORS)):
         P, Q = rng.randrange(nd), rng.randrange(nd)
         over = T.hom(shape[P], shape[Q])
         if not over:
@@ -98,29 +92,29 @@ def _try_random(rng: random.Random, bounds: RandomBounds):
         return (f[0], g[1], (T.compose(u, u2), tuple(e2[x] for x in e)))
 
     d_ids = [(P, P, (T.id_of(shape[P]), tuple(range(d_car[P])))) for P in range(nd)]
-    D = _close_concrete("D", [f"P{P}" for P in range(nd)], d_ids, d_seeds, bounds.hom, combine_d)
+    D = _close_concrete("D", [f"P{P}" for P in range(nd)], d_ids, d_seeds, HOM_BOUND, combine_d)
     if D is None:
         return None
     t = FunctorData("proj", D, T, tuple(shape), tuple(data[0] for (_, _, data) in D.mor_tags))
     return RefinementSystem("random", t)
 
 
-def random_refsys(seed: int, bounds: RandomBounds | None = None) -> RefinementSystem:
+def random_refsys(seed: int) -> RefinementSystem:
     """A small random refinement system, deterministic in the seed.
 
     Both categories are built as concrete categories (objects carry
     finite sets, morphisms carry functions) closed under composition, so
     associativity is inherited; the projection forgets the extra data.
-    Samples whose hom-sets overflow the bounds are rejected and redrawn."""
-    bounds = bounds or RandomBounds()
+    Samples whose hom-sets overflow HOM_BOUND are rejected and redrawn,
+    up to RETRIES draws."""
     rng = random.Random(seed)
-    for _ in range(bounds.retries):
-        sys = _try_random(rng, bounds)
+    for _ in range(RETRIES):
+        sys = _try_random(rng)
         if sys is None:
             continue
         report = sys.validate()
         if report.ok:
             return sys
     raise StructuralError(
-        f"no valid system within {bounds.retries} draws for seed {seed}"
+        f"no valid system within {RETRIES} draws for seed {seed}"
     )

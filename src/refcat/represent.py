@@ -282,26 +282,23 @@ def pos_rep(sys: RefinementSystem, Q: int) -> Presheaf:
 
     Elements at (P, c) are the derivations of (P, c, Q), carried as
     payloads; morphisms act by precomposition.  Built once per system,
-    on its support, the slice points of the derivation index into Q; an
-    action row is computed when it is first read, from the presheaf's
-    own positions, so the presheaf is a reference cycle, kept in the
+    on its support, the slice points of the derivation index into Q: the
+    element and payload tables are read from that index, and an action
+    row is computed from the presheaf's own positions, each when it is
+    first read, so the presheaf is a reference cycle, kept in the
     system's memo for the system's life."""
 
     def build() -> Presheaf:
         D = sys.D
         S = slice_of(sys, sys.shape(Q))
         at = {S.obj_index[point]: ders for point, ders in sys.derivation_index[Q].items()}
-        payloads: list[tuple[int, ...]] = [()] * S.cat.n_objects
-        elements: list[tuple[str, ...]] = [()] * S.cat.n_objects
-        for i, ders in at.items():
-            payloads[i] = ders
-            elements[i] = tuple(D.mor_names[d] for d in ders)
+        n, names = S.cat.n_objects, D.mor_names
         rep = Presheaf(
             f"rep({D.objects[Q]})",
             S.cat,
-            tuple(elements),
+            Table(n, lambda i: tuple(names[d] for d in at.get(i, ()))),
             lambda m: _derivation_row(S, rep, m),
-            tuple(payloads),
+            Table(n, lambda i: at.get(i, ())),
             tuple(sorted(at)),
         )
         return rep
@@ -335,7 +332,7 @@ def neg_rep(sys: RefinementSystem, P: int) -> Presheaf:
 def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
     """Postcomposition with a derivation sigma : Q1 -> Q2 over c, as a
     presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c.
-    Components are computed on the support of rep(Q1) and empty off it;
+    Components are computed on the support of rep(Q1), one per point;
     a representation without payloads, or a composite that rep(Q2) lacks,
     raises a StructuralError naming it."""
     D = sys.D
@@ -345,11 +342,11 @@ def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> PshDerivation:
         if rep.payloads is None:
             raise StructuralError(f"{rep.name} has no derivations as payloads")
     F = slice_action(sys, c)
-    comps: list[tuple[int, ...]] = [()] * phi.base.n_objects
+    comps = []
     for i in phi.support():
         pos = psi.position(F.obj(i))
         try:
-            comps[i] = tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i])
+            comps.append(tuple(pos[D.compose(tau, sigma)] for tau in phi.payloads[i]))
         except KeyError as exc:
             raise StructuralError(
                 f"image of {D.mor_names[sigma]} has no element at "
@@ -372,8 +369,8 @@ def representation_ff_check(sys: RefinementSystem) -> CheckReport:
     )
     for s, side in ((sys, "pos"), (sys.op(), "neg")):
         searched, unsearched = _judgment_families(s)
-        for (Q1, c, Q2), support, fams in searched:
-            bad = _ff_failure(s, s.derivations_unchecked(Q1, c, Q2), support, fams)
+        for (Q1, c, Q2), fams in searched:
+            bad = _ff_failure(s, s.derivations_unchecked(Q1, c, Q2), fams)
             if bad is None:
                 rep.record_pass()
             else:
@@ -399,10 +396,10 @@ def _holders(sys: RefinementSystem, B: int) -> dict[int, set[int]]:
 
 def _judgment_families(sys: RefinementSystem):
     """The judgments (Q1, c, Q2) that can fail the ff check, in
-    (Q1, Q2, c) index order, each with the support of rep(Q1) and the
-    natural families rep(Q1) => pull_c rep(Q2) as `_families_on_support`
-    returns them, one component per support point; and the number of all
-    other judgments.
+    (Q1, Q2, c) index order, each with the natural families
+    rep(Q1) => pull_c rep(Q2) as `_families_on_support` returns them, one
+    component per support point of rep(Q1); and the number of all other
+    judgments.
 
     A family sends every support point into rep(Q2), so a judgment can
     have one only where the image of the support under the slice action
@@ -448,16 +445,14 @@ def _judgment_families(sys: RefinementSystem):
                 )
             except StructuralError as exc:  # rep(Q1)'s support is not a sieve
                 fams = exc
-            searched.append(((Q1, c, Q2), support, fams))
+            searched.append(((Q1, c, Q2), fams))
     return searched, unsearched
 
 
-def _ff_failure(
-    sys: RefinementSystem, ders: tuple[int, ...], support: tuple[int, ...], fams: list | StructuralError
-) -> str | None:
+def _ff_failure(sys: RefinementSystem, ders: tuple[int, ...], fams: list | StructuralError) -> str | None:
     """Why postcomposition does not biject the derivations `ders` onto the
-    support-indexed families `fams`, or None if it does; `fams` may be
-    the error that stopped their search."""
+    families `fams`, or None if it does; `fams` may be the error that
+    stopped their search."""
     if isinstance(fams, StructuralError):
         return str(fams)
     fam_set = set(fams)
@@ -467,10 +462,9 @@ def _ff_failure(
             comps = pos_rep_derivation(sys, sigma).components
         except StructuralError as exc:
             return str(exc)
-        key = tuple(comps[a] for a in support)
-        if key not in fam_set:
+        if comps not in fam_set:
             return f"image of {sys.D.mor_names[sigma]} is not a natural family"
-        images.add(key)
+        images.add(comps)
     if len(images) != len(ders):
         return "postcomposition is not injective"
     if len(fams) != len(ders):

@@ -99,6 +99,15 @@ def judgments(sys):
                 yield (P, c, Q)
 
 
+def on_support(table, support):
+    """An object-indexed table as the library indexes families,
+    derivation components and push bookkeeping: its entries at the points
+    of `support`, in order.  Every entry off the support must be empty."""
+    on = set(support)
+    assert not any(entry for a, entry in enumerate(table) if a not in on)
+    return tuple(table[a] for a in support)
+
+
 def bang_system(cat):
     """A category over the point: refinements of a single shape.
 

@@ -76,6 +76,7 @@ from tests.conftest import (
     dual_cross_check,
     image_oracle,
     judgments,
+    on_support,
     pairing,
     pred_set,
 )
@@ -719,9 +720,10 @@ def dense_dual_left(sys, B, phi):
             )
             row.append(fam_index[s][moved])
         action.append(tuple(row))
+    # The library indexes a family by the support of phi.
     return Presheaf(
         f"dualL({phi.name})", Cs.cat, elements, tuple(action),
-        tuple(tuple(fams) for fams in fams_at),
+        tuple(tuple(on_support(fam, phi.support()) for fam in fams) for fams in fams_at),
     )
 
 

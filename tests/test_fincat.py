@@ -49,7 +49,7 @@ from refcat.represent import (
     pos_rep,
     slice_action,
 )
-from tests.conftest import judgments
+from tests.conftest import judgments, on_support
 
 
 def walking_arrow():
@@ -770,8 +770,9 @@ def listed_functor_category(A, C):
 
 
 def naive_families(phi, omega, F):
-    """Every component table phi(a) -> omega(F a), in table order, kept
-    when validate_psh_derivation accepts it."""
+    """Every component table phi(a) -> omega(F a), one per object, in
+    table order, kept when validate_psh_derivation accepts it on the
+    support of phi."""
     tables = [
         itertools.product(range(omega.size(F.obj(a))), repeat=phi.size(a))
         for a in range(phi.base.n_objects)
@@ -779,7 +780,9 @@ def naive_families(phi, omega, F):
     return [
         comps
         for comps in itertools.product(*tables)
-        if validate_psh_derivation(PshDerivation("t?", phi, omega, F, comps)).ok
+        if validate_psh_derivation(
+            PshDerivation("t?", phi, omega, F, on_support(comps, phi.support()))
+        ).ok
     ]
 
 
@@ -839,7 +842,7 @@ def residual_mismatches(phi, omega, right, obj, mor):
     bad = [
         f"families at {right.objects[b]}"
         for b in range(right.n_objects)
-        if got.payloads[b] != want.payloads[b]
+        if got.payloads[b] != tuple(on_support(fam, phi.support()) for fam in want.payloads[b])
     ]
     if bad:
         return bad

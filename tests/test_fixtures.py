@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 import refcat.fincat as fincat_mod
 import refcat.hoare as hoare_mod
+import refcat.randsys as randsys_mod
 from refcat.adjunction import adjunction_check, lapp_check
 from refcat.cli import main
 from refcat.duality import tensorL_check
@@ -23,7 +24,6 @@ from refcat.fixtures import (
     HoareSpec,
     MultiMorphism,
     MulticategorySpec,
-    RandomBounds,
     TensorDecl,
     build_hoare,
     build_lattice,
@@ -348,15 +348,16 @@ def test_galois_adjunction_counts(galois):
     assert l.ok and (l.passed, l.failed, l.skipped) == (8, 0, 1)
 
 
-def test_random_generation_envelope():
-    bounds = RandomBounds()
+def test_random_generation_envelope(monkeypatch):
     for seed in range(60):
         sys = random_refsys(seed)
         assert sys.validate().ok
-        assert sys.T.n_objects <= bounds.t_objects
-        assert sys.D.n_objects <= bounds.d_objects
-    with pytest.raises(StructuralError, match="no valid system"):
-        random_refsys(0, RandomBounds(hom=0, retries=3))
+        assert sys.T.n_objects <= randsys_mod.T_OBJECTS
+        assert sys.D.n_objects <= randsys_mod.D_OBJECTS
+    monkeypatch.setattr(randsys_mod, "HOM_BOUND", 0)
+    monkeypatch.setattr(randsys_mod, "RETRIES", 3)
+    with pytest.raises(StructuralError, match="no valid system within 3 draws"):
+        random_refsys(0)
 
 
 def category_rows(C):

@@ -179,3 +179,58 @@ if __name__ == "__main__":
     for name in sys.argv[1:]:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / f"{name}.txt").write_text(query_transcript(name, Path(tmp)))
+
+
+# Every producer of a family, an iso witness or a derivation, with the
+# (source presheaf, table) pairs to read off its arguments and result.
+def _derivation_tables(_args, d):
+    return [(d.source, d.components)]
+
+
+SUPPORT_INDEXED = {
+    "pos_rep_derivation": _derivation_tables,
+    "push_transpose": _derivation_tables,
+    "m_derivation": _derivation_tables,
+    "_pulled_residual": lambda _args, out: [] if out[0] is None else _derivation_tables(_args, out[0]),
+    "natural_families": lambda args, fams: [(args[0], fam) for fam in fams],
+    "vertical_iso_psh": lambda args, pair: [] if pair is None else [(args[0], t) for t in pair],
+    "curried_residual": lambda args, res: [
+        (args[0], fam) for b in res.support() for fam in res.payloads[b]
+    ],
+}
+
+
+def test_every_family_and_derivation_is_indexed_by_the_support(tmp_path, monkeypatch, capsys):
+    # On every shipped fixture, both sides: each table a producer returns
+    # has one entry per point of its source's support, with that point's
+    # element count of values.  Each producer returns some table out of a
+    # presheaf whose support misses an object, so a producer that returned
+    # one entry per object would turn this red.
+    modules = [importlib.import_module(m.name) for m in pkgutil.walk_packages(refcat.__path__, "refcat.")]
+    wrong, narrow = [], set()
+    for mod in modules:
+        for name, read in SUPPORT_INDEXED.items():
+            real = vars(mod).get(name)
+            if real is None:
+                continue
+
+            def recording(*args, _real=real, _read=read, _name=name):
+                out = _real(*args)
+                for phi, table in _read(args, out):
+                    support = phi.support()
+                    if [len(entry) for entry in table] != [phi.size(a) for a in support]:
+                        wrong.append((_name, phi.name))
+                    if len(support) < phi.base.n_objects:
+                        narrow.add(_name)
+                return out
+
+            monkeypatch.setattr(mod, name, recording)
+    codes = []
+    for name, (body, extra) in CASES.items():
+        path = tmp_path / f"{name.split('.')[0]}.fix"
+        path.write_text(body + "\n")
+        codes.append(main(["verify", str(path), "all", *extra]))
+    capsys.readouterr()
+    assert wrong == []
+    assert narrow == set(SUPPORT_INDEXED)
+    assert codes == [0] * len(CASES)

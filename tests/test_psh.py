@@ -43,6 +43,7 @@ from refcat.psh import (
     validate_psh_derivation,
     vertical_iso_psh,
 )
+from tests.conftest import on_support
 from tests.test_fincat import chain_category, lax_search, terminal_category, walking_arrow
 
 
@@ -200,9 +201,10 @@ def cartesian_failure(theta, test_domains):
     must biject vertical derivations phi => psi0 with derivations
     phi =>_F omega.  None if it does, else the domain where it does not."""
     psi0, omega = theta.source, theta.target
+    at = {a: k for k, a in enumerate(psi0.support())}
     for phi in test_domains:
         images = [
-            tuple(tuple(theta.components[a][y] for y in v[a]) for a in range(phi.base.n_objects))
+            tuple(tuple(theta.components[at[a]][y] for y in comp) for a, comp in zip(phi.support(), v))
             for v in natural_families(phi, psi0)
         ]
         down = natural_families(phi, omega, theta.functor)
@@ -226,7 +228,7 @@ def test_cartesian_certificate(sample):
     pulled = pull_psh(F, psi)
     counit = PshDerivation(
         "counit", pulled, psi, F,
-        tuple(tuple(range(pulled.size(a))) for a in range(base.n_objects)),
+        tuple(tuple(range(pulled.size(a))) for a in pulled.support()),
     )
     assert validate_psh_derivation(counit).ok
     pool = [phi, representable(base, 0), representable(base, 2), pulled]
@@ -243,7 +245,7 @@ def collapse_map(phi):
         tuple(("*",) if a in support else () for a in range(base.n_objects)),
         tuple((0,) if base.cod(f) in support else () for f in range(base.n_morphisms)),
     )
-    comps = tuple((0,) * phi.size(a) for a in range(base.n_objects))
+    comps = tuple((0,) * phi.size(a) for a in phi.support())
     return PshDerivation(f"!{phi.name}", phi, one, None, comps)
 
 
@@ -352,7 +354,9 @@ def test_stepwise_presheaves_push_like_the_oracle(sizes, data):
 def naive_vertical_iso(phi, psi):
     """The first family of permutations that validate_psh_derivation
     accepts, objects taken by ascending (element count, index) and each
-    object's permutations in lexicographic order; None if there is none."""
+    object's permutations in lexicographic order; None if there is none.
+    Components are listed per object, and checked and returned on the
+    support of phi, as the library indexes them."""
     A = phi.base
     if any(phi.size(a) != psi.size(a) for a in range(A.n_objects)):
         return None
@@ -362,8 +366,9 @@ def naive_vertical_iso(phi, psi):
         comps = [()] * A.n_objects
         for a, p in zip(order, family):
             comps[a] = p
-        if validate_psh_derivation(PshDerivation("iso?", phi, psi, None, tuple(comps))).ok:
-            return tuple(comps)
+        comps = on_support(comps, phi.support())
+        if validate_psh_derivation(PshDerivation("iso?", phi, psi, None, comps)).ok:
+            return comps
     return None
 
 
@@ -394,9 +399,9 @@ def iso_mismatch(phi, psi):
     if want is None:
         return got is not None
     fwd, inv = got
-    inverse = all(
-        tuple(inv[a][y] for y in fwd[a]) == tuple(range(phi.size(a)))
-        for a in range(phi.base.n_objects)
+    inverse = len(fwd) == len(inv) == len(phi.support()) and all(
+        tuple(inv[k][y] for y in fwd[k]) == tuple(range(phi.size(a)))
+        for k, a in enumerate(phi.support())
     )
     return fwd != want or not inverse
 
@@ -489,10 +494,44 @@ def test_naturality_violations_match_the_square_by_square_check(data):
         tuple(data.draw(st.integers(0, psi.size(a) - 1)) for _ in range(phi.size(a)))
         for a in range(phi.base.n_objects)
     )
-    report = validate_psh_derivation(PshDerivation("d", phi, psi, None, comps))
+    on = on_support(comps, phi.support())
+    report = validate_psh_derivation(PshDerivation("d", phi, psi, None, on))
     assert [v.detail for v in report.violations] == square_by_square(
         PshDerivation("d", phi, psi, None, comps)
     )
+
+
+def test_a_component_table_is_read_on_the_support(hoare):
+    # A derivation has one component per point of its source's support:
+    # a table with one entry per object is the wrong length, not a second
+    # format.  Arity and range are reported at the first bad support point.
+    from refcat.represent import pos_rep_derivation
+
+    d = next(
+        d
+        for d in (pos_rep_derivation(hoare, sigma) for sigma in range(hoare.D.n_morphisms))
+        if 1 < len(d.source.support()) < d.source.base.n_objects
+    )
+    phi, A = d.source, d.source.base
+    support = phi.support()
+
+    def violations(comps):
+        d2 = PshDerivation("d", phi, d.target, d.functor, tuple(comps))
+        return [str(v) for v in validate_psh_derivation(d2).violations]
+
+    def out_of_range(k):
+        return (d.target.size(d.functor.obj(support[k])),) * phi.size(support[k])
+
+    dense = [()] * A.n_objects
+    for a, comp in zip(support, d.components):
+        dense[a] = comp
+    (one, two, *rest), (first, second) = d.components, (A.objects[a] for a in support[:2])
+    assert violations(d.components) == []
+    assert violations(dense) == ["arity: component table has wrong length"]
+    assert violations([(), out_of_range(1), *rest]) == [f"arity: component at {first} has wrong arity"]
+    assert violations([out_of_range(0), (), *rest]) == [f"range: component at {first} out of range"]
+    assert violations([one, out_of_range(1), *rest]) == [f"range: component at {second} out of range"]
+    assert violations([one, two[:-1], *rest]) == [f"arity: component at {second} has wrong arity"]
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +576,6 @@ def unpruned_search(steps, candidates, constraints):
     return extend(0)
 
 
-def on_objects(fam, support, n):
-    table = [()] * n
-    for a, comp in zip(support, fam):
-        table[a] = comp
-    return tuple(table)
-
-
 def along(F):
     return (lambda a: a, lambda u: u) if F is None else (F.obj, F.mor)
 
@@ -558,11 +590,12 @@ def unpruned_families(phi, psi, F=None):
         lambda k: itertools.product(range(targets[k]), repeat=phi.size(support[k])),
         constraints,
     )
-    return [on_objects(fam, support, phi.base.n_objects) for fam in fams]
+    return list(fams)
 
 
 def unpruned_vertical_iso(phi, psi):
-    """The forward components of the first vertical iso, or None."""
+    """The forward components of the first vertical iso, on the support
+    of phi, or None."""
     if phi.support() != psi.support() or any(phi.size(a) != psi.size(a) for a in phi.support()):
         return None
     support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
@@ -573,7 +606,10 @@ def unpruned_vertical_iso(phi, psi):
         ),
         None,
     )
-    return None if found is None else on_objects(found, support, phi.base.n_objects)
+    if found is None:
+        return None
+    at = dict(zip(support, found))
+    return tuple(at[a] for a in phi.support())
 
 
 def unpruned_violations(d):
@@ -582,9 +618,8 @@ def unpruned_violations(d):
     phi, psi = d.source, d.target
     _f_obj, f_mor = along(d.functor)
     support = phi.support()
-    comps = [d.components[a] for a in support]
     constraints = unpruned_constraints(phi, support, lambda u: psi.action[f_mor(u)])
-    failing = sorted(c[0] for cl in constraints for c in cl if not constraint_holds(c, comps))
+    failing = sorted(c[0] for cl in constraints for c in cl if not constraint_holds(c, d.components))
     return [f"naturality: square at {phi.base.mor_names[u]} fails" for u in failing]
 
 
@@ -645,7 +680,7 @@ def test_readers_skip_exactly_the_constraints_that_cannot_fail():
             f_obj, _ = along(F)
             comps = tuple(
                 tuple(rng.randrange(psi.size(f_obj(a))) for _ in range(phi.size(a)))
-                for a in range(phi.base.n_objects)
+                for a in phi.support()
             )
             d = PshDerivation("d", phi, psi, F, comps)
             listed = [str(v) for v in validate_psh_derivation(d).violations]
@@ -807,6 +842,8 @@ def test_push_kernel_matches_the_tuple_union_find(hoare, linctx):
             pr = push_psh_full(F, phi)
             elements, _class_of, reps, unit, row = tuple_push(F, phi)
             assert tuple(pr.presheaf.elements) == elements
+            # The library indexes reps by the pushed support, the unit by phi's.
+            reps, unit = on_support(reps, pr.presheaf.support()), on_support(unit, phi.support())
             assert (pr.reps, pr.unit) == (reps, unit)
             B = F.target
             for k in range(B.n_morphisms):
@@ -826,7 +863,7 @@ def test_a_tampered_push_row_is_not_well_defined_on_classes(hoare):
         pr = push_psh_full(F, phi)
         _, class_of, _, _, oracle_row = tuple_push(F, phi)
         B = F.target
-        for b, reps in enumerate(pr.reps):
+        for b, reps in zip(pr.presheaf.support(), pr.reps):
             for (a, h, x), k in itertools.product(class_of, B.mor_in(b)):
                 if B.dom(h) != b or reps[class_of[(a, h, x)]][1] == h:
                     continue

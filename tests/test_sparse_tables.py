@@ -27,6 +27,7 @@ from refcat.represent import (
     slice_action,
     slice_of,
 )
+from tests.conftest import on_support
 from tests.test_duality import cut, dense_cut
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,9 @@ def assert_tables_match(sys, push_bound=None):
             pr = push_psh_full(F, pos_rep(sys, P))
             elements, action, reps, unit = dense_push(F, refs[P])
             assert tables(pr.presheaf)[:2] == (elements, action)
-            assert pr.reps == reps and pr.unit == unit
+            # The library indexes reps by the pushed support, the unit by P's.
+            assert pr.reps == on_support(reps, pr.presheaf.support())
+            assert pr.unit == on_support(unit, pr.source.support())
 
 
 def assert_points_stay_in_their_block(F):

@@ -131,7 +131,7 @@ print(len(refcat.__all__), sorted({getattr(refcat, n).__module__[7:] for n in re
 """
     )
     assert out == (
-        "60 ['adjunction', 'day', 'duality', 'fincat', 'hoare', 'lattice', "
+        "59 ['adjunction', 'day', 'duality', 'fincat', 'hoare', 'lattice', "
         "'linctx', 'monoidal', 'psh', 'randsys', 'refsys', 'reports', "
         "'represent', 'textio']\n"
     )
