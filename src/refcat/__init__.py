@@ -23,16 +23,17 @@ import sys as _sys
 # every module but the entry points `cli` and `__main__` -> the public
 # names it defines
 _PUBLIC = {
-    "fincat": """FinCategory FunctorData NatTransData SizeGuardExceeded
-        StructuralError ValidationReport""",
+    "fincat": """FinCategory FunctorData SizeGuardExceeded StructuralError
+        ValidationReport""",
     "refsys": """LiftCertificate RefinementSystem RefSysMorphism find_pullback
         find_pushforward rapp_check""",
     "monoidal": "MonoidalRefinementSystem MonoidalStructure MonoidObject",
-    "adjunction": "RefSysAdjunction adjunction_check",
+    "adjunction": "NatTransData RefSysAdjunction adjunction_check",
     "reports": "CheckReport",
-    "psh": "Presheaf PshDerivation pull_psh push_psh",
-    "represent": """slice_of coslice_of pos_rep neg_rep
-        representation_ff_check preservation_check factorization_check""",
+    "pshcore": "Presheaf PshDerivation",
+    "psh": "pull_psh push_psh",
+    "represent": "slice_of coslice_of pos_rep neg_rep",
+    "repchecks": "representation_ff_check preservation_check factorization_check",
     "day": "genday_check monoid_lax_check notnottensor_check",
     "duality": """dual_left dual_right duality_check negative_encoding_check
         tensorL_check""",

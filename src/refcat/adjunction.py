@@ -1,12 +1,52 @@
-"""Adjunctions of refinement systems: an adjunction living over an
-adjunction, its structural check, and the left-adjoint mirror of
-`refsys.rapp_check`.  Only the galois fixture builds one."""
+"""Natural transformations, adjunctions of refinement systems (an
+adjunction living over an adjunction), their structural check, and the
+left-adjoint mirror of `refsys.rapp_check`.  Only the galois fixture
+builds one."""
 
 from __future__ import annotations
 
-from .fincat import NatTransData, validate_nat_trans
+from .fincat import FunctorData, ValidationReport
 from .refsys import _opposite_functor, rapp_check
 from .reports import CheckReport
+
+
+class NatTransData:
+    """A natural transformation as a component table indexed by source objects."""
+
+    __slots__ = ("name", "source_functor", "target_functor", "components")
+
+    def __init__(
+        self,
+        name: str,
+        source_functor: FunctorData,
+        target_functor: FunctorData,
+        components: tuple[int, ...],
+    ):
+        self.name = name
+        self.source_functor = source_functor
+        self.target_functor = target_functor
+        self.components = components
+
+
+def validate_nat_trans(theta: NatTransData) -> ValidationReport:
+    report = ValidationReport(f"nat-trans {theta.name}")
+    F, G = theta.source_functor, theta.target_functor
+    A, C = F.source, F.target
+    if len(theta.components) != A.n_objects:
+        report.add("arity", "component table has wrong length")
+        return report
+    for a in range(A.n_objects):
+        comp = theta.components[a]
+        if C.dom(comp) != F.obj(a) or C.cod(comp) != G.obj(a):
+            report.add("endpoints", f"component at {A.objects[a]} has wrong endpoints")
+            return report
+    for f in range(A.n_morphisms):
+        a, b = A.dom(f), A.cod(f)
+        lhs = C.compose(F.mor(f), theta.components[b])
+        rhs = C.compose(theta.components[a], G.mor(f))
+        if lhs != rhs:
+            report.add("naturality", f"square at {A.mor_names[f]} does not commute")
+    return report
 
 
 class RefSysAdjunction:

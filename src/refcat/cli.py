@@ -5,9 +5,9 @@ Output is canonical: identical workspace and command give identical bytes.
 
 A command imports the layers it reaches inside the functions that use
 them, so a query never compiles the presheaf, representation or duality
-layers it does not run.  The suite bodies are in `suites`, and the text
-and JSON forms in `render`; each is compiled by the first command that
-reads it.
+layers it does not run, and the parser is built for the one subcommand
+given.  The suite bodies are in `suites`, and the text and JSON forms in
+`render`; each is compiled by the first command that reads it.
 """
 
 from __future__ import annotations
@@ -309,90 +309,109 @@ def _cmd_fixtures(args) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand, in the order help lists them.
+COMMANDS = (
+    "validate", "derive", "slice", "coslice", "represent", "pushforward", "pullback", "dual",
+    "verify", "fixtures",
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When argv starts with a subcommand, only
+    that subcommand's parser is built; the top-level usage line it can
+    still print (for an unrecognized argument) lists every subcommand
+    through `metavar`.  Top-level help and errors build all of them."""
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     p = argparse.ArgumentParser(
         prog="refcat",
         description="Queries and verification suites for finite refinement systems.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def with_system(sp):
-        sp.add_argument("--system", default=None, help="system name (default: the only one)")
+    def add(name: str, help: str, system: bool = True):
+        """The parser of one subcommand, or None if argv asks for another."""
+        if only not in (None, name):
+            return None
+        sp = sub.add_parser(name, parents=[common], help=help)
+        if system:
+            sp.add_argument("--system", default=None, help="system name (default: the only one)")
         return sp
 
-    sp = sub.add_parser("validate", parents=[common], help="load a file and report what it defines")
-    sp.set_defaults(run=_cmd_validate)
-    sp.add_argument("file")
+    if sp := add("validate", "load a file and report what it defines", system=False):
+        sp.set_defaults(run=_cmd_validate)
+        sp.add_argument("file")
 
-    sp = with_system(sub.add_parser("derive", parents=[common], help="list derivations of a judgment"))
-    sp.set_defaults(run=_cmd_derive)
-    sp.add_argument("file")
-    sp.add_argument("P")
-    sp.add_argument("c")
-    sp.add_argument("Q")
+    if sp := add("derive", "list derivations of a judgment"):
+        sp.set_defaults(run=_cmd_derive)
+        sp.add_argument("file")
+        sp.add_argument("P")
+        sp.add_argument("c")
+        sp.add_argument("Q")
 
-    sp = with_system(sub.add_parser("slice", parents=[common], help="print the slice over a base object"))
-    sp.set_defaults(run=lambda args: _cmd_slice(args, co=False))
-    sp.add_argument("file")
-    sp.add_argument("base")
+    if sp := add("slice", "print the slice over a base object"):
+        sp.set_defaults(run=lambda args: _cmd_slice(args, co=False))
+        sp.add_argument("file")
+        sp.add_argument("base")
 
-    sp = with_system(sub.add_parser("coslice", parents=[common], help="print the coslice under a base object"))
-    sp.set_defaults(run=lambda args: _cmd_slice(args, co=True))
-    sp.add_argument("file")
-    sp.add_argument("base")
+    if sp := add("coslice", "print the coslice under a base object"):
+        sp.set_defaults(run=lambda args: _cmd_slice(args, co=True))
+        sp.add_argument("file")
+        sp.add_argument("base")
 
-    sp = with_system(sub.add_parser("represent", parents=[common], help="print a representation presheaf"))
-    sp.set_defaults(run=_cmd_represent)
-    sp.add_argument("file")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pos", metavar="X", help="positive representation of X")
-    group.add_argument("--neg", metavar="X", help="negative representation of X")
+    if sp := add("represent", "print a representation presheaf"):
+        sp.set_defaults(run=_cmd_represent)
+        sp.add_argument("file")
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--pos", metavar="X", help="positive representation of X")
+        group.add_argument("--neg", metavar="X", help="negative representation of X")
 
-    sp = with_system(sub.add_parser("pushforward", parents=[common], help="certify an opcartesian lift"))
-    sp.set_defaults(run=lambda args: _cmd_lift(args, "pushforward"))
-    sp.add_argument("file")
-    sp.add_argument("c")
-    sp.add_argument("X")
+    if sp := add("pushforward", "certify an opcartesian lift"):
+        sp.set_defaults(run=lambda args: _cmd_lift(args, "pushforward"))
+        sp.add_argument("file")
+        sp.add_argument("c")
+        sp.add_argument("X")
 
-    sp = with_system(sub.add_parser("pullback", parents=[common], help="certify a cartesian lift"))
-    sp.set_defaults(run=lambda args: _cmd_lift(args, "pullback"))
-    sp.add_argument("file")
-    sp.add_argument("c")
-    sp.add_argument("X")
+    if sp := add("pullback", "certify a cartesian lift"):
+        sp.set_defaults(run=lambda args: _cmd_lift(args, "pullback"))
+        sp.add_argument("file")
+        sp.add_argument("c")
+        sp.add_argument("X")
 
-    sp = with_system(sub.add_parser("dual", parents=[common], help="dualize a representation"))
-    sp.set_defaults(run=_cmd_dual)
-    sp.add_argument("file")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--left", metavar="X", help="left dual of the positive representation of X")
-    group.add_argument("--right", metavar="X", help="right dual of the negative representation of X")
+    if sp := add("dual", "dualize a representation"):
+        sp.set_defaults(run=_cmd_dual)
+        sp.add_argument("file")
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--left", metavar="X", help="left dual of the positive representation of X")
+        group.add_argument("--right", metavar="X", help="right dual of the negative representation of X")
 
-    sp = with_system(sub.add_parser("verify", parents=[common], help="run a verification suite"))
-    sp.set_defaults(run=_cmd_verify)
-    sp.add_argument("file")
-    sp.add_argument("suite", choices=(*SUITES, "all"))
-    sp.add_argument(
-        "--size-guard",
-        dest="size_guard",
-        type=int,
-        default=SIZE_GUARD,
-        help="skip the comma-category route of factorization past this size",
-    )
+    if sp := add("verify", "run a verification suite"):
+        sp.set_defaults(run=_cmd_verify)
+        sp.add_argument("file")
+        sp.add_argument("suite", choices=(*SUITES, "all"))
+        sp.add_argument(
+            "--size-guard",
+            dest="size_guard",
+            type=int,
+            default=SIZE_GUARD,
+            help="skip the comma-category route of factorization past this size",
+        )
 
-    sp = sub.add_parser("fixtures", parents=[common], help="emit builder fixtures")
-    sp.set_defaults(run=_cmd_fixtures)
-    sp.add_argument("action", choices=("gen",))
-    sp.add_argument("name")
-    sp.add_argument("--seed", type=int, default=None, help="seed for the random fixture")
+    if sp := add("fixtures", "emit builder fixtures", system=False):
+        sp.set_defaults(run=_cmd_fixtures)
+        sp.add_argument("action", choices=("gen",))
+        sp.add_argument("name")
+        sp.add_argument("--seed", type=int, default=None, help="seed for the random fixture")
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = _sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.run(args)
     except (UsageError, LoadError, StructuralError, SizeGuardExceeded) as exc:

@@ -6,15 +6,15 @@ The right residuals are the left residuals of the reversed tensor
 (`MonoidalRefinementSystem.reversed()`).  Genday's residual clauses and
 both sides of the monoid-lax check decide one comparison,
 `_pulled_residual`, against the residual presheaf built directly at the
-functors its currying reaches (`psh.curried_residual`); no functor
+functors its currying reaches (`pshcore.curried_residual`); no functor
 category is listed.
 """
 
 from __future__ import annotations
 
 from .duality import dual_left, dual_right
-from .fincat import FunctorData, StructuralError, compose_functors, product
-from .monoidal import find_left_residual, left_curry
+from .fincat import FunctorData, StructuralError, compose_functors
+from .monoidal import find_left_residual, left_curry, product
 from .psh import (
     PshDerivation, _index, curried_residual, is_vertical_iso, opcartesian_factoring_check, push_psh,
     push_psh_full, push_transpose, representable, tensor_psh, validate_psh_derivation,

@@ -10,7 +10,7 @@ presheaf over a slice is dualized into one over the coslice by the end
 formula, read as a residual: the dual at a point collects the natural
 families of derivations the presheaf can be mapped into, which is the
 residual of the presheaf and the pairing curried on the coslice
-(`psh.curried_residual`).  The checks in this module verify that the
+(`pshcore.curried_residual`).  The checks in this module verify that the
 two representations of a refinement are each other's duals, and that
 pushforwards and declared tensors are recovered from their negative
 encodings up to double dualization, with dualization turning each push
@@ -30,13 +30,7 @@ the pairing is empty somewhere on the support has no families.
 from __future__ import annotations
 
 from .fincat import StructuralError
-from .psh import (
-    Presheaf,
-    curried_residual,
-    pull_psh,
-    push_psh,
-    vertical_iso_psh,
-)
+from .pshcore import Presheaf, curried_residual
 from .refsys import RefinementSystem, find_pushforward
 from .reports import CheckReport
 from .represent import (
@@ -135,6 +129,8 @@ def duality_check(sys: RefinementSystem, Q: int) -> CheckReport:
     dualization: the negative one is the left dual of the positive one
     and the positive one is the right dual of the negative one.  No
     judgment category is built."""
+    from .psh import vertical_iso_psh
+
     D = sys.D
     B = sys.shape(Q)
     rep = CheckReport(
@@ -165,6 +161,8 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
     the left dual of the pushed positive one.  The single push itself
     need not be isomorphic to the representation of the pushforward; its
     status is recorded as a note."""
+    from .psh import pull_psh, push_psh, vertical_iso_psh
+
     D, T = sys.D, sys.T
     rep = CheckReport(
         f"negative-encoding[{sys.name}:{T.mor_names[c]}:{D.objects[P]}]",
@@ -211,6 +209,7 @@ def tensorL_check(sys: RefinementSystem, decl: TensorDecl) -> CheckReport:
     composite keeps its outer rule unless that rule is an identity, so
     the only vertical isos are identities."""
     from .fixtures import linctx_data
+    from .psh import push_psh
 
     data = linctx_data(sys)
     if data is None:

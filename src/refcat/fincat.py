@@ -1,15 +1,16 @@
-"""Finite categories, functors and natural transformations as index tables.
+"""Finite categories and functors as index tables.
 
 Objects and morphisms are dense integer indices in insertion order.  All
 enumerations iterate in index order, which is what makes every construction
 in this package reproducible byte-for-byte.  Composition is total on
 composable pairs; asking for a non-composable composite is a structural
-error, never a silent None.
+error, never a silent None.  The constructions only some commands read live
+with their users: products in `monoidal`, the comma category in
+`repchecks`, natural transformations in `adjunction`.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -152,8 +153,9 @@ class FinCategory:
     `compose` may be a dict over composable pairs (hand-written tables), a
     callable (opposites, products, slices and `tagged_category`), or None
     for a subclass that fills its rows itself by overriding `_row`
-    (`CommaCategory`).  Either way composition is read from one row per
-    morphism f: the composites f;g for g in mor_out(cod f), in that order.
+    (`repchecks.CommaCategory`).  Either way composition is read from one
+    row per morphism f: the composites f;g for g in mor_out(cod f), in
+    that order.
     A row is filled once, on first use, so a large derived table is only
     ever computed for the morphisms something composes.  A pair missing
     from a dict is stored as -1 and raises on use.
@@ -202,7 +204,7 @@ class FinCategory:
             if not (0 <= self.mor_dom[i] < n_obj and 0 <= self.mor_cod[i] < n_obj):
                 raise StructuralError(f"{self.name}: morphism {i} has endpoint out of range")
         for a, e in enumerate(self.identity):
-            if e == -1:  # a tag no morphism carries (`tagged_category`, `CommaCategory`)
+            if e == -1:  # a tag no morphism carries (`tagged_category`, a comma category)
                 raise StructuralError(f"{self.name}: identity of object {a} is not listed")
             if not (0 <= e < n_mor):
                 raise StructuralError(f"{self.name}: identity of object {a} out of range")
@@ -312,6 +314,11 @@ class FinCategory:
         if h < 0:
             raise self._missing(f, g)
         return h
+
+    def _derived_generators(self) -> tuple[int, ...] | None:
+        """Generators known from the categories this one is made from, if
+        they are lawful (`_lawful`); a table given outright has none."""
+        return None
 
     def composable_pairs(self) -> Iterator[tuple[int, int]]:
         for b in range(self.n_objects):
@@ -535,19 +542,11 @@ def validate_functor(F: FunctorData) -> ValidationReport:
 def _lawful(cat: FinCategory) -> tuple[int, ...] | None:
     """The generators of a lawful category, or None: those recorded by
     validate_category or by a construction that is lawful as built
-    (`linctx.fin_skeleton`), the original's for an opposite of a lawful
-    category (a word of them, reversed), or for a product of two lawful
-    categories the pairs (a, id) and (id, b), a and b generators of the
-    factors.  A product's laws hold factor by factor, and (f, g) =
-    (f, id);(id, g)."""
-    if cat._lawful is None and isinstance(cat, OppositeCategory):
-        cat._lawful = _lawful(cat._original)
-    if cat._lawful is None and isinstance(cat, ProductCategory):
-        left, right = _lawful(cat.left), _lawful(cat.right)
-        if left is not None and right is not None:
-            cat._lawful = tuple(
-                cat.pair_mor(a, e) for a in left for e in cat.right.identity
-            ) + tuple(cat.pair_mor(e, b) for e in cat.left.identity for b in right)
+    (`linctx.fin_skeleton`), or those a category made from lawful ones
+    reads off them (`_derived_generators`: an opposite here, a product
+    in `monoidal`)."""
+    if cat._lawful is None:
+        cat._lawful = cat._derived_generators()
     return cat._lawful
 
 
@@ -586,45 +585,6 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
     )
 
 
-class NatTransData:
-    """A natural transformation as a component table indexed by source objects."""
-
-    __slots__ = ("name", "source_functor", "target_functor", "components")
-
-    def __init__(
-        self,
-        name: str,
-        source_functor: FunctorData,
-        target_functor: FunctorData,
-        components: tuple[int, ...],
-    ):
-        self.name = name
-        self.source_functor = source_functor
-        self.target_functor = target_functor
-        self.components = components
-
-
-def validate_nat_trans(theta: NatTransData) -> ValidationReport:
-    report = ValidationReport(f"nat-trans {theta.name}")
-    F, G = theta.source_functor, theta.target_functor
-    A, C = F.source, F.target
-    if len(theta.components) != A.n_objects:
-        report.add("arity", "component table has wrong length")
-        return report
-    for a in range(A.n_objects):
-        comp = theta.components[a]
-        if C.dom(comp) != F.obj(a) or C.cod(comp) != G.obj(a):
-            report.add("endpoints", f"component at {A.objects[a]} has wrong endpoints")
-            return report
-    for f in range(A.n_morphisms):
-        a, b = A.dom(f), A.cod(f)
-        lhs = C.compose(F.mor(f), theta.components[b])
-        rhs = C.compose(theta.components[a], G.mor(f))
-        if lhs != rhs:
-            report.add("naturality", f"square at {A.mor_names[f]} does not commute")
-    return report
-
-
 class OppositeCategory(FinCategory):
     """Same object and morphism indices as `original`, arrows reversed,
     sharing its name and endpoint columns.  The composite f;g is g;f, read
@@ -645,6 +605,10 @@ class OppositeCategory(FinCategory):
         # mor_in(b) here is mor_out(b) in the original.
         self._in_positions = pos
 
+    def _derived_generators(self) -> tuple[int, ...] | None:
+        """The original's generators, each a word of them reversed."""
+        return _lawful(self._original)
+
     def compose(self, f: int, g: int) -> int:
         if self.mor_cod[f] != self.mor_dom[g]:
             raise self._not_composable(f, g)
@@ -658,59 +622,6 @@ class OppositeCategory(FinCategory):
 def opposite(cat: FinCategory) -> OppositeCategory:
     """The opposite of cat: f;g there is g;f read from cat's row of g."""
     return OppositeCategory(cat)
-
-
-class ProductCategory(FinCategory):
-    """Product category with pair indices decodable via divmod."""
-
-    def __init__(self, left: FinCategory, right: FinCategory):
-        self.left = left
-        self.right = right
-        objects = [
-            f"({left.objects[i]},{right.objects[j]})"
-            for i in range(left.n_objects)
-            for j in range(right.n_objects)
-        ]
-        morphisms = []
-        for f in range(left.n_morphisms):
-            for g in range(right.n_morphisms):
-                morphisms.append(
-                    (
-                        f"({left.mor_names[f]},{right.mor_names[g]})",
-                        left.dom(f) * right.n_objects + right.dom(g),
-                        left.cod(f) * right.n_objects + right.cod(g),
-                    )
-                )
-        identity = [
-            left.id_of(i) * right.n_morphisms + right.id_of(j)
-            for i in range(left.n_objects)
-            for j in range(right.n_objects)
-        ]
-
-        n = right.n_morphisms
-
-        def compose(m1: int, m2: int) -> int:
-            f1, g1 = divmod(m1, n)
-            f2, g2 = divmod(m2, n)
-            return left.compose(f1, f2) * n + right.compose(g1, g2)
-
-        super().__init__(f"{left.name}x{right.name}", objects, morphisms, identity, compose)
-
-    def pair_obj(self, a: int, b: int) -> int:
-        return a * self.right.n_objects + b
-
-    def split_obj(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.right.n_objects)
-
-    def pair_mor(self, f: int, g: int) -> int:
-        return f * self.right.n_morphisms + g
-
-    def split_mor(self, m: int) -> tuple[int, int]:
-        return divmod(m, self.right.n_morphisms)
-
-
-def product(left: FinCategory, right: FinCategory) -> ProductCategory:
-    return ProductCategory(left, right)
 
 
 def tagged_category(
@@ -749,53 +660,6 @@ def _tag_index(name: str, tags: tuple) -> dict:
     if len(index) != len(tags):
         raise StructuralError(f"{name}: {len(tags) - len(index)} tag(s) repeated")
     return index
-
-
-class CommaCategory(FinCategory):
-    """A comma category on tagged objects (Q, c), Q in D and c in T, and
-    morphisms (alpha, e, s, u) from object s to object u, alpha in D and e
-    in T; the composite of (alpha, e, s, _) and (alpha2, e2, _, u) is
-    (alpha;alpha2, e;e2, s, u).  A row is filled in one pass from D's row
-    of alpha and T's row of e, each read by position, so every entry is
-    the tag of its componentwise composite; a composite whose tag is not
-    listed is stored as -1, a missing composite.  A repeated tag, or an
-    identity tag missing from the listing, is a StructuralError, as in
-    `tagged_category`.  With distinct tags the projection to D x T is
-    faithful and preserves identities and composites, so the comma is
-    lawful when D and T are, and `verify` does not validate it."""
-
-    def __init__(self, name: str, D: FinCategory, T: FinCategory, obj_tags, mor_tags: tuple):
-        self.mor_tags = mor_tags
-        self.mor_index = index = _tag_index(name, mor_tags)
-        super().__init__(
-            name,
-            [f"({D.objects[Q]},{T.mor_names[c]})" for (Q, c) in obj_tags],
-            [(f"({D.mor_names[a]},{T.mor_names[e]})#{s}->{u}", s, u) for (a, e, s, u) in mor_tags],
-            [index.get((D.identity[Q], T.identity[T.cod(c)], i, i), -1) for i, (Q, c) in enumerate(obj_tags)],
-            None,
-        )
-        self._D, self._T = D, T
-        self._outs: dict[int, tuple[Callable, Callable, tuple[int, ...]]] = {}
-
-    def _row(self, f: int) -> tuple[int, ...]:
-        """For f = (alpha, e, s, t) and each g = (alpha2, e2, t, u), in row
-        order: the morphism tagged (alpha;alpha2, e;e2, s, u), or -1, with
-        alpha;alpha2 read from D's row of alpha and e;e2 from T's row of e."""
-        row = self._rows[f]
-        if row is None:
-            alpha, e, s, t = self.mor_tags[f]
-            got = self._outs.get(t)
-            if got is None:  # where each alpha2 sits in a D row, each e2 in a T row
-                outs = [self.mor_tags[g] for g in self.mor_out(t)]
-                got = self._outs[t] = (
-                    _gather([self._D._out_pos[a2] for a2, _e2, _t, _u in outs]),
-                    _gather([self._T._out_pos[e2] for _a2, e2, _t, _u in outs]),
-                    tuple(u for _a2, _e2, _t, u in outs),
-                )
-            from_d, from_t, us = got
-            tags = zip(from_d(self._D._row(alpha)), from_t(self._T._row(e)), repeat(s), us)
-            row = self._rows[f] = tuple(map(self.mor_index.get, tags, repeat(-1)))
-        return row
 
 
 def _gather(positions: Sequence[int]) -> Callable[[Sequence], tuple]:

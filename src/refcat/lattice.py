@@ -7,11 +7,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fincat import (
-    FinCategory, FunctorData, NatTransData, StructuralError, compose_functors, identity_functor,
-    product, tagged_category,
+    FinCategory, FunctorData, StructuralError, compose_functors, identity_functor, tagged_category,
 )
 from .fixtures import _raise_if_invalid
-from .monoidal import MonoidalRefinementSystem, MonoidalStructure, MonoidObject
+from .monoidal import MonoidalRefinementSystem, MonoidalStructure, MonoidObject, product
 from .refsys import RefinementSystem, RefSysMorphism
 
 
@@ -206,7 +205,7 @@ def galois_fixture() -> RefSysAdjunction:
     high); the right adjoint picks the largest element sent low or high.
     Units and counits are the order witnesses.  Only this builder reads
     the adjunction module."""
-    from .adjunction import RefSysAdjunction
+    from .adjunction import NatTransData, RefSysAdjunction
 
     s = collapse_lattice_fixture()
     e = build_lattice(chain_lattice(2), chain_lattice(2), {"c0": "c0", "c1": "c1"})

@@ -1,14 +1,79 @@
-"""Strict monoidal structure on finite categories and on refinement
-systems, residuals in it, and monoid objects in the base.  Only the
-lattice fixtures carry it."""
+"""Product categories, strict monoidal structure on finite categories
+and on refinement systems, residuals in it, and monoid objects in the
+base.  Only the lattice fixtures carry monoidal structure; `day` also
+reads products of slices."""
 
 from __future__ import annotations
 
 from .fincat import (
-    FunctorData, StructuralError, ValidationReport, compose_functors, validate_category,
-    validate_functor,
+    FinCategory, FunctorData, StructuralError, ValidationReport, _lawful, compose_functors,
+    validate_category, validate_functor,
 )
 from .refsys import _differences, _names
+
+
+class ProductCategory(FinCategory):
+    """Product category with pair indices decodable via divmod."""
+
+    def __init__(self, left: FinCategory, right: FinCategory):
+        self.left = left
+        self.right = right
+        objects = [
+            f"({left.objects[i]},{right.objects[j]})"
+            for i in range(left.n_objects)
+            for j in range(right.n_objects)
+        ]
+        morphisms = []
+        for f in range(left.n_morphisms):
+            for g in range(right.n_morphisms):
+                morphisms.append(
+                    (
+                        f"({left.mor_names[f]},{right.mor_names[g]})",
+                        left.dom(f) * right.n_objects + right.dom(g),
+                        left.cod(f) * right.n_objects + right.cod(g),
+                    )
+                )
+        identity = [
+            left.id_of(i) * right.n_morphisms + right.id_of(j)
+            for i in range(left.n_objects)
+            for j in range(right.n_objects)
+        ]
+
+        n = right.n_morphisms
+
+        def compose(m1: int, m2: int) -> int:
+            f1, g1 = divmod(m1, n)
+            f2, g2 = divmod(m2, n)
+            return left.compose(f1, f2) * n + right.compose(g1, g2)
+
+        super().__init__(f"{left.name}x{right.name}", objects, morphisms, identity, compose)
+
+    def pair_obj(self, a: int, b: int) -> int:
+        return a * self.right.n_objects + b
+
+    def split_obj(self, x: int) -> tuple[int, int]:
+        return divmod(x, self.right.n_objects)
+
+    def pair_mor(self, f: int, g: int) -> int:
+        return f * self.right.n_morphisms + g
+
+    def split_mor(self, m: int) -> tuple[int, int]:
+        return divmod(m, self.right.n_morphisms)
+
+    def _derived_generators(self) -> tuple[int, ...] | None:
+        """For lawful factors, the pairs (a, id) and (id, b), a and b
+        generators of the factors: a product's laws hold factor by factor,
+        and (f, g) = (f, id);(id, g)."""
+        left, right = _lawful(self.left), _lawful(self.right)
+        if left is None or right is None:
+            return None
+        return tuple(self.pair_mor(a, e) for a in left for e in self.right.identity) + tuple(
+            self.pair_mor(e, b) for e in self.left.identity for b in right
+        )
+
+
+def product(left: FinCategory, right: FinCategory) -> ProductCategory:
+    return ProductCategory(left, right)
 
 
 class MonoidalStructure:

@@ -26,19 +26,19 @@ def _skip_report(name: str, statement: str, reason: str) -> CheckReport:
 
 
 def ff(ws, key, s, size_guard) -> list[CheckReport]:
-    from .represent import representation_ff_check
+    from .repchecks import representation_ff_check
 
     return [representation_ff_check(s)]
 
 
 def preservation(ws, key, s, size_guard) -> list[CheckReport]:
-    from .represent import preservation_check
+    from .repchecks import preservation_check
 
     return [preservation_check(s)]
 
 
 def factorization(ws, key, s, size_guard) -> list[CheckReport]:
-    from .represent import factorization_check
+    from .repchecks import factorization_check
 
     return [factorization_check(s, size_guard)]
 

@@ -31,12 +31,11 @@ from refcat.refsys import (
     find_pushforward,
     rapp_check,
 )
+from refcat.repchecks import preservation_check, representation_ff_check
 from refcat.represent import (
     neg_rep,
     pos_rep,
     pos_rep_derivation,
-    preservation_check,
-    representation_ff_check,
     slice_action,
 )
 from tests.conftest import (

@@ -14,7 +14,8 @@ import pytest
 
 import refcat.cli as cli_mod
 import refcat.hoare as hoare_mod
-import refcat.psh as psh_mod
+import refcat.pshcore as pshcore_mod
+import refcat.repchecks as repchecks_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.fincat import FinCategory, OppositeCategory
@@ -214,12 +215,12 @@ def test_verify_hoare_reads_only_rows_a_check_can_fail_on(hoare_file, monkeypatc
     # clauses compose: a return to eager row reads fails here, with no
     # timing involved.
     filled = []
-    checked = psh_mod._checked
-    monkeypatch.setattr(psh_mod, "_checked", lambda *args: filled.append(args[3]) or checked(*args))
+    checked = pshcore_mod._checked
+    monkeypatch.setattr(pshcore_mod, "_checked", lambda *args: filled.append(args[3]) or checked(*args))
     commas = []
-    build = represent_mod.comma_system
+    build = repchecks_mod.comma_system
     monkeypatch.setattr(
-        represent_mod, "comma_system", lambda *args: commas.append(build(*args)) or commas[-1]
+        repchecks_mod, "comma_system", lambda *args: commas.append(build(*args)) or commas[-1]
     )
     assert main(["verify", hoare_file, "all"]) == 0
     capsys.readouterr()
@@ -245,9 +246,9 @@ def test_verify_linctx_ff_searches_only_judgments_that_can_have_a_family(
     # searched or visited; a slice is built with one composite per
     # (derivation, c2), not one per (point, derivation, c2).
     searched = []
-    search = represent_mod._families_on_support
+    search = repchecks_mod._families_on_support
     monkeypatch.setattr(
-        represent_mod, "_families_on_support", lambda *a: searched.append(1) or search(*a)
+        repchecks_mod, "_families_on_support", lambda *a: searched.append(1) or search(*a)
     )
     bulk, visited = [], []
     real_passes, real_pass = CheckReport.record_passes, CheckReport.record_pass
@@ -406,16 +407,16 @@ def test_a_reader_closing_the_pipe_early_gets_no_traceback(hoare_file):
 def test_verify_builds_no_judgment_category_and_no_product(hoare_file, capsys, monkeypatch):
     # verify reads the pairing from the derivation index and puts it on
     # no product category.
-    import refcat.fincat as fincat_mod
+    import refcat.monoidal as monoidal_mod
 
     calls = {"ProductCategory": 0}
-    real_init = fincat_mod.ProductCategory.__init__
+    real_init = monoidal_mod.ProductCategory.__init__
 
     def counted_init(self, *args):
         calls["ProductCategory"] += 1
         real_init(self, *args)
 
-    monkeypatch.setattr(fincat_mod.ProductCategory, "__init__", counted_init)
+    monkeypatch.setattr(monoidal_mod.ProductCategory, "__init__", counted_init)
     assert main(["verify", hoare_file, "all"]) == 0
     assert "suite all: 8/8 reports ok" in capsys.readouterr().out
     assert calls == {"ProductCategory": 0}

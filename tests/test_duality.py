@@ -42,7 +42,6 @@ from refcat.fincat import (
     FinCategory,
     FunctorData,
     StructuralError,
-    product,
     validate_functor,
 )
 from refcat.fixtures import (
@@ -60,10 +59,11 @@ from refcat.psh import (
     validate_presheaf,
     vertical_iso_psh,
 )
+from refcat.monoidal import product
+from refcat.repchecks import factorization_check
 from refcat.represent import (
     coslice_action,
     coslice_of,
-    factorization_check,
     neg_rep,
     pos_rep,
     slice_action,

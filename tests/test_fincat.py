@@ -9,23 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.linctx as linctx_mod
-from refcat import psh
+from refcat import psh, pshcore
 from refcat.day import _strict_left_residual, m_functor
+from refcat.adjunction import NatTransData, validate_nat_trans
 from refcat.fincat import (
     FinCategory,
     FunctorData,
-    NatTransData,
     StructuralError,
     ValidationReport,
     compose_functors,
     identity_functor,
     opposite,
-    ProductCategory,
-    product,
     tagged_category,
     validate_category,
     validate_functor,
-    validate_nat_trans,
 )
 from refcat.fixtures import (
     build_linctx,
@@ -43,8 +40,9 @@ from refcat.psh import (
     representable,
     validate_psh_derivation,
 )
+from refcat.monoidal import ProductCategory, product
+from refcat.repchecks import CommaCategory
 from refcat.represent import (
-    CommaCategory,
     comma_system,
     pos_rep,
     slice_action,
@@ -910,7 +908,8 @@ def lax_search(monkeypatch):
     def lax(steps, candidates, closes):
         return real(steps, candidates, lambda k, a: k == steps - 1 or closes(k, a))
 
-    monkeypatch.setattr(psh, "_backtrack", lax)
+    for mod in (psh, pshcore):
+        monkeypatch.setattr(mod, "_backtrack", lax)
 
 
 def test_a_search_without_one_steps_constraints_fails_the_reference(monkeypatch):

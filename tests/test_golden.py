@@ -10,10 +10,11 @@ a diff.  To regenerate one after an intended change, run for example
 with `h.fix` holding `fixture h hoare`, and review the diff.
 
 The `query-*.txt` files hold the query commands (slice, coslice,
-represent, dual, pushforward, pullback): for each command a `$` line
-with its arguments and exit code, then its stdout.  They pin the order
-in which slice morphisms and presheaf elements are listed.  Regenerate
-one with `python tests/test_golden.py NAME`.
+represent, dual, derive, pushforward, pullback): for each command a `$`
+line with its arguments and exit code, then its stdout.  They pin the
+order in which slice morphisms and presheaf elements are listed.
+`cli-usage.txt` holds the help and usage-error texts of the parser, with
+stderr.  Regenerate one with `python tests/test_golden.py NAME`.
 """
 
 import contextlib
@@ -21,15 +22,17 @@ import hashlib
 import importlib
 import inspect
 import io
+import os
 import pkgutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import refcat
 import refcat.represent as represent_mod
-from refcat.cli import main
+from refcat.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +130,34 @@ HOARE = "fixture h hoare"
 HOARE_REFS = ("{}", "{s0}", "{s1}", "{s0,s1}")
 HOARE_MORS = ("id", "set0", "swap", "set0;swap")
 
+LINCTX = "fixture l linctx"
+# One refinement per context length, a tensor in each from length 1 on;
+# the duals take those of length 2 or less.
+LINCTX_REFS = ("[]", "[A*B]", "[B,A*B]", "[A,A,B]")
+# (P, c, Q): judgments with their one derivation, and three without one.
+LINCTX_JUDGMENTS = (
+    ("[]", "0>0[]", "[]"),
+    ("[A]", "1>1[0]", "[A]"),
+    ("[B]", "1>2[0]", "[B,C]"),
+    ("[A*B]", "1>3[0]", "[A*B,C,C]"),
+    ("[A,B]", "2>2[0,1]", "[A,B]"),
+    ("[B,B]", "2>3[1,0]", "[B,B,C]"),
+    ("[A,A,B]", "3>2[1,0,1]", "[A,A*B]"),
+    ("[A,B,C]", "3>2[0,0,1]", "[A*B,C]"),
+    ("[]", "0>1[]", "[A]"),
+    ("[A]", "1>1[0]", "[B]"),
+    ("[A,B]", "2>2[1,0]", "[A,B]"),
+    ("[A,B]", "2>1[0,0]", "[A*B]"),
+)
+# base morphism -> (dom, cod) context lengths; the lifts take every
+# refinement at the end they start from.
+LINCTX_MORS = {"0>1[]": (0, 1), "1>2[1]": (1, 2), "2>1[0,0]": (2, 1), "2>2[1,0]": (2, 2)}
+LINCTX_CONTEXTS = {
+    0: ("[]",),
+    1: ("[A]", "[B]", "[A*B]", "[C]"),
+    2: ("[A,A]", "[A,B]", "[A,A*B]", "[A,C]", "[B,B]", "[B,A*B]", "[B,C]", "[A*B,A*B]", "[A*B,C]", "[C,C]"),
+}
+
 # golden file -> (workspace line, list of query argument lists)
 QUERIES = {
     "query-hoare-slice": (HOARE, [["slice", "W"], ["coslice", "W"]]),
@@ -152,6 +183,24 @@ QUERIES = {
             for X in HOARE_REFS
         ],
     ),
+    "query-linctx-represent": (
+        LINCTX,
+        [["represent", f"--{side}", X] for X in LINCTX_REFS for side in ("pos", "neg")],
+    ),
+    "query-linctx-dual": (
+        LINCTX,
+        [["dual", f"--{side}", X] for X in LINCTX_REFS[:-1] for side in ("left", "right")],
+    ),
+    "query-linctx-derive": (LINCTX, [["derive", *judgment] for judgment in LINCTX_JUDGMENTS]),
+    "query-linctx-lifts": (
+        LINCTX,
+        [
+            [cmd, c, X]
+            for cmd, end in (("pushforward", 0), ("pullback", 1))
+            for c, shapes in LINCTX_MORS.items()
+            for X in LINCTX_CONTEXTS[shapes[end]]
+        ],
+    ),
 }
 
 
@@ -173,10 +222,53 @@ def test_queries_match_the_golden_transcript(name, tmp_path):
     assert query_transcript(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
 
 
+# The parser's own answers: help, and the usage errors it raises before a
+# command runs (no file is read, so none needs to exist).
+USAGE = (
+    ["--help"],
+    [],
+    ["frobnicate", "w.fix"],
+    *([cmd, "--help"] for cmd in COMMANDS),
+    *([cmd] for cmd in COMMANDS),
+    ["slice", "w.fix", "W", "extra"],
+    ["derive", "w.fix", "P", "c", "Q", "--system"],
+    ["represent", "w.fix"],
+    ["dual", "w.fix", "--left", "X", "--right", "Y"],
+    ["verify", "w.fix", "nosuch"],
+    ["fixtures", "emit", "hoare"],
+)
+
+
+def usage_transcript() -> str:
+    """For each argument list of USAGE, a `$` line with the arguments and
+    the exit code, then stdout and stderr, with help laid out for 80
+    columns."""
+    out = []
+    for args in USAGE:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    rc = main(args)
+                except SystemExit as exc:
+                    rc = exc.code
+        out.append(
+            f"$ refcat {' '.join(args)}  [exit {rc}]\n[stdout]\n{stdout.getvalue()}[stderr]\n{stderr.getvalue()}"
+        )
+    return "".join(out)
+
+
+def test_usage_texts_match_the_golden_transcript():
+    assert usage_transcript() == (GOLDEN / "cli-usage.txt").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
     for name in sys.argv[1:]:
+        if name == "cli-usage":
+            (GOLDEN / f"{name}.txt").write_text(usage_transcript())
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / f"{name}.txt").write_text(query_transcript(name, Path(tmp)))
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import refcat.day as day_mod
 import refcat.psh as psh_mod
+import refcat.pshcore as pshcore_mod
 from refcat.fincat import (
     FinCategory,
     FunctorData,
@@ -461,7 +462,7 @@ def test_candidates_are_drawn_only_when_the_search_reaches_their_step(monkeypatc
             yield t
 
     monkeypatch.setattr(
-        psh_mod,
+        pshcore_mod,
         "itertools",
         SimpleNamespace(product=product, permutations=itertools.permutations),
     )
@@ -695,7 +696,8 @@ def test_one_element_searches_return_their_only_answer(monkeypatch):
     # backtracking: the answers the unpruned copy and the naive search give.
     real = psh_mod._backtrack
     searches = []
-    monkeypatch.setattr(psh_mod, "_backtrack", lambda *args: searches.append(args) or real(*args))
+    for mod in (psh_mod, pshcore_mod):
+        monkeypatch.setattr(mod, "_backtrack", lambda *args: searches.append(args) or real(*args))
     one_element = 0
     for seed in range(12):
         _rng, phi, shuffled, same, down, t = pruning_cases(seed, singletons=True)
@@ -735,9 +737,9 @@ def test_a_singleton_presheaf_off_a_sieve_is_refused_by_every_search(hoare):
 def test_skipping_a_constraint_into_a_two_element_set_is_caught(monkeypatch):
     # The pruning test can fail: readers that also skip constraints into
     # two-element sets find families the unpruned copy refuses.
-    real = psh_mod._checks
+    real = pshcore_mod._checks
     monkeypatch.setattr(
-        psh_mod,
+        pshcore_mod,
         "_checks",
         lambda phi, closing, targets, row: real(phi, closing, [t if t != 2 else 1 for t in targets], row),
     )

@@ -11,11 +11,9 @@ from refcat.fincat import (
     SIZE_GUARD,
     FinCategory,
     FunctorData,
-    NatTransData,
     StructuralError,
     compose_functors,
     identity_functor,
-    product,
     validate_category,
 )
 from refcat.fixtures import (
@@ -24,12 +22,13 @@ from refcat.fixtures import (
     default_hoare_spec,
     random_refsys,
 )
-from refcat.adjunction import RefSysAdjunction, adjunction_check, lapp_check
+from refcat.adjunction import NatTransData, RefSysAdjunction, adjunction_check, lapp_check
 from refcat.monoidal import (
     MonoidalRefinementSystem,
     MonoidalStructure,
     find_left_residual,
     left_curry,
+    product,
 )
 from refcat.refsys import (
     RefinementSystem,

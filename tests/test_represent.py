@@ -16,6 +16,8 @@ import refcat
 import refcat.day as day_mod
 import refcat.fincat as fincat_mod
 import refcat.psh as psh_mod
+import refcat.pshcore as pshcore_mod
+import refcat.repchecks as repchecks_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
 from refcat.duality import negative_encoding_check
@@ -53,17 +55,15 @@ from refcat.psh import (
     validate_psh_derivation,
 )
 from refcat.refsys import _cartesian_tests
+from refcat.repchecks import factorization_check, preservation_check, representation_ff_check
 from refcat.represent import (
     comma_morphism_count,
     comma_system,
     coslice_action,
     coslice_of,
-    factorization_check,
     neg_rep,
     pos_rep,
     pos_rep_derivation,
-    preservation_check,
-    representation_ff_check,
     slice_action,
     slice_of,
 )
@@ -145,7 +145,7 @@ def test_ff_sweep_finds_the_families_natural_families_finds(hoare, seed):
     sys = hoare if seed is None else random_refsys(seed)
     for s in (sys, sys.op()):
         every = list(judgments(s))
-        searched, unsearched = represent_mod._judgment_families(s)
+        searched, unsearched = repchecks_mod._judgment_families(s)
         visited = [j for j, _fams in searched]
         assert len(visited) + unsearched == len(every)
         assert visited == [j for j in every if j in set(visited)]
@@ -162,10 +162,10 @@ def test_the_sweep_searches_every_derivation_whatever_the_index_of_supports_says
     # The judgments with a derivation are added from the derivation index,
     # so an index of rep supports that misses every refinement still
     # leaves each of them searched, not counted.
-    monkeypatch.setattr(represent_mod, "_holders", lambda sys, B: {})
+    monkeypatch.setattr(repchecks_mod, "_holders", lambda sys, B: {})
     for sys in (hoare, linctx):
         for s in (sys, sys.op()):
-            searched, _ = represent_mod._judgment_families(s)
+            searched, _ = repchecks_mod._judgment_families(s)
             derivable = [j for j in judgments(s) if s.derivations(*j)]
             assert [j for j, _fams in searched] == derivable
 
@@ -204,7 +204,7 @@ def test_a_rep_with_a_spurious_element_turns_ff_red(which):
         "hoare": lambda: build_hoare(default_hoare_spec()),
         "linctx": lambda: build_linctx(default_linear_spec(), 3),
     }[which]
-    clean = {j for j, _fams in represent_mod._judgment_families(build())[0]}
+    clean = {j for j, _fams in repchecks_mod._judgment_families(build())[0]}
 
     def target(Q):
         sys = build()
@@ -497,16 +497,16 @@ def test_factorization_counts(hoare, linctx):
 
 
 def listing_tampered(monkeypatch, comma, tamper):
-    """Make `represent.CommaCategory` build the comma named like `comma`
+    """Make `repchecks.CommaCategory` build the comma named like `comma`
     from the listing tamper(tags)."""
-    real = represent_mod.CommaCategory
+    real = repchecks_mod.CommaCategory
 
     def tampered(name, D, T, obj_tags, mor_tags):
         if name == comma.name:
             mor_tags = tamper(mor_tags)
         return real(name, D, T, obj_tags, mor_tags)
 
-    monkeypatch.setattr(represent_mod, "CommaCategory", tampered)
+    monkeypatch.setattr(repchecks_mod, "CommaCategory", tampered)
 
 
 def test_factorization_sees_a_tag_missing_from_the_comma_listing(hoare, monkeypatch):
@@ -568,7 +568,7 @@ def test_comma_route_runs_no_law_sweep_and_scans_no_hom_set(hoare, tmp_path, mon
     monkeypatch.undo()
 
     def is_comma(cat):
-        return isinstance(getattr(cat, "_original", cat), fincat_mod.CommaCategory)
+        return isinstance(getattr(cat, "_original", cat), repchecks_mod.CommaCategory)
 
     found = pkgutil.walk_packages(refcat.__path__, f"{refcat.__name__}.")
     modules = [importlib.import_module(m.name) for m in found]
@@ -619,7 +619,7 @@ def test_representability_clause_compares_payloads_and_rows(hoare):
     # rep(Q) is the hom presheaf of its point (Q, id); the hom presheaf of
     # another refinement's point, or rep(Q) with one action row reversed,
     # is reported.
-    unlike = represent_mod._unlike_representable
+    unlike = repchecks_mod._unlike_representable
     S = slice_of(hoare, 0)
     idW = hoare.T.identity[0]
     points = [S.obj_index[(Q, idW)] for Q in range(4)]
@@ -783,7 +783,7 @@ def push_mutant(monkeypatch):
 def residual_mutant(monkeypatch):
     # A curried residual that drops the first family at its first nonempty
     # point.
-    real, real_families = day_mod.curried_residual, psh_mod._families_on_support
+    real, real_families = day_mod.curried_residual, pshcore_mod._families_on_support
 
     def mutant(*args):
         dropped = []
@@ -795,11 +795,11 @@ def residual_mutant(monkeypatch):
                 return found[1:]
             return found
 
-        psh_mod._families_on_support = families
+        pshcore_mod._families_on_support = families
         try:
             return real(*args)
         finally:
-            psh_mod._families_on_support = real_families
+            pshcore_mod._families_on_support = real_families
 
     monkeypatch.setattr(day_mod, "curried_residual", mutant)
 
