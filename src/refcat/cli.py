@@ -18,7 +18,6 @@ import sys as _sys
 
 from . import render, suites, textio
 from .fincat import SIZE_GUARD, SizeGuardExceeded, StructuralError
-from .reports import CheckReport
 from .textio import LoadError
 
 class UsageError(Exception):
@@ -68,6 +67,8 @@ def run_suite(ws: Workspace, system: str | None, suite: str, size_guard: int) ->
     try:
         return getattr(suites, suite.replace("-", "_"))(ws, key, s, size_guard)
     except StructuralError as exc:
+        from .reports import CheckReport
+
         stopped = CheckReport(f"{suite}[{s.name}]", "every construction the suite reads is well formed")
         stopped.record_fail(str(exc))
         return [stopped]

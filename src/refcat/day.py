@@ -16,19 +16,17 @@ from .duality import dual_left, dual_right
 from .fincat import FunctorData, StructuralError, compose_functors
 from .monoidal import find_left_residual, left_curry, product
 from .psh import (
-    PshDerivation, _index, curried_residual, is_vertical_iso, opcartesian_factoring_check, push_psh,
-    push_psh_full, push_transpose, representable, tensor_psh, validate_psh_derivation,
-    vertical_iso_psh,
+    PshDerivation, _index, curried_residual, generated_iso, is_vertical_iso,
+    opcartesian_factoring_check, push_psh, push_psh_full, push_transpose, representable,
+    tensor_psh, validate_psh_derivation,
 )
 from .refsys import find_pullback, find_pushforward
 from .reports import CheckReport
-from .represent import pos_rep, pos_rep_derivation, slice_action, slice_of
+from .represent import pos_rep, pos_rep_derivation, rep_point, slice_action, slice_of
 
 
 # ---------------------------------------------------------------------------
 # Monoidal structure on slices
-
-
 
 
 def m_functor(mrs: MonoidalRefinementSystem, B1: int, B2: int) -> tuple[FunctorData, ProductCategory]:
@@ -260,6 +258,13 @@ def _genday_residual_clause(mrs, label, side, P, R) -> CheckReport:
 # Fiberwise tensor and residuals over a monoid object
 
 
+def day_functor(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> FunctorData:
+    """m[W,W] followed by the slice action of the multiplication, along
+    which the Day tensor pushes; built once per (monoidal system, monoid)."""
+    Fm, _ = m_functor(mrs, mo.W, mo.W)
+    return mrs.sys.memo(("day", mrs, mo), lambda: compose_functors(Fm, slice_action(mrs.sys, mo.p)))
+
+
 def fiber_tensor(mrs: MonoidalRefinementSystem, mo: MonoidObject, P: int, Q: int):
     """P (x)_W Q as the certified pushforward of the refinement tensor
     along the multiplication, or None when it does not exist."""
@@ -308,8 +313,7 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
         "representation of a monoid fiber is lax monoidal and preserves residuals",
     )
     fib = sys.fiber(mo.W)
-    Fm, _ = m_functor(mrs, mo.W, mo.W)
-    Fday = compose_functors(Fm, slice_action(sys, mo.p))
+    Fday = day_functor(mrs, mo)
 
     iso_count = 0
     coercion_total = 0
@@ -323,7 +327,7 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
             after = pos_rep_derivation(sys, tc.structural)
             at = _index(md.target)
             comps = tuple(
-                tuple(after.components[at[Fm.obj(x)]][v] for v in comp)
+                tuple(after.components[at[md.functor.obj(x)]][v] for v in comp)
                 for x, comp in zip(md.source.support(), md.components)
             )
             target = pos_rep(sys, tc.result)
@@ -342,8 +346,7 @@ def monoid_lax_check(mrs: MonoidalRefinementSystem, mo: MonoidObject) -> CheckRe
 
     # The right residuals are the left ones of the reversed tensors.
     for side, m in (("left", mrs), ("right", mrs.reversed())):
-        Fm, _ = m_functor(m, mo.W, mo.W)
-        Fday = compose_functors(Fm, slice_action(sys, mo.p))
+        Fday = day_functor(m, mo)
         for P in fib:
             for R in fib:
                 cert = fiber_residual_left(m, mo, P, R)
@@ -384,18 +387,15 @@ def notnottensor_check(
     if cert is None:
         rep.record_skip(f"no fiber tensor for ({D.objects[P]}, {D.objects[Q]})")
         return rep
-    Fm, prod = m_functor(mrs, mo.W, mo.W)
-    Fday = compose_functors(Fm, slice_action(sys, mo.p))
-    box = tensor_psh(pos_rep(sys, P), pos_rep(sys, Q), prod)
-    day = push_psh(Fday, box)
-    target = pos_rep(sys, cert.result)
+    Fday = day_functor(mrs, mo)
+    day = push_psh(Fday, tensor_psh(pos_rep(sys, P), pos_rep(sys, Q), Fday.source))
+    target = (pos_rep(sys, cert.result), *rep_point(sys, cert.result))
     rep.check(
-        vertical_iso_psh(target, dual_right(sys, mo.W, dual_left(sys, mo.W, day)))
-        is not None,
+        generated_iso(*target, dual_right(sys, mo.W, dual_left(sys, mo.W, day))),
         f"double dual of the Day tensor is not rep({D.objects[cert.result]})",
     )
     rep.note(
         "Day tensor isomorphic to the fiber tensor representation: "
-        + ("yes" if vertical_iso_psh(day, target) else "no")
+        + ("yes" if generated_iso(*target, day) else "no")
     )
     return rep

@@ -32,12 +32,12 @@ from __future__ import annotations
 from .fincat import StructuralError
 from .pshcore import Presheaf, curried_residual
 from .refsys import RefinementSystem, find_pushforward
-from .reports import CheckReport
 from .represent import (
     coslice_action,
     coslice_of,
     neg_rep,
     pos_rep,
+    rep_point,
     slice_action,
     slice_of,
 )
@@ -127,25 +127,22 @@ def _duals(side: str):
 def duality_check(sys: RefinementSystem, Q: int) -> CheckReport:
     """The two representations of a refinement determine each other by
     dualization: the negative one is the left dual of the positive one
-    and the positive one is the right dual of the negative one.  No
-    judgment category is built."""
-    from .psh import vertical_iso_psh
+    and the positive one is the right dual of the negative one, the first
+    clause in the opposite system.  No judgment category is built."""
+    from .psh import generated_iso
+    from .reports import CheckReport
 
-    D = sys.D
-    B = sys.shape(Q)
+    D, B = sys.D, sys.shape(Q)
     rep = CheckReport(
         f"duality[{sys.name}:{D.objects[Q]}]",
         "positive and negative representations are two duals of one refinement",
     )
-    phi, psi = pos_rep(sys, Q), neg_rep(sys, Q)
-    rep.check(
-        vertical_iso_psh(psi, dual_left(sys, B, phi)) is not None,
-        f"negative rep({D.objects[Q]}) is not the left dual of the positive one",
-    )
-    rep.check(
-        vertical_iso_psh(phi, dual_right(sys, B, psi)) is not None,
-        f"positive rep({D.objects[Q]}) is not the right dual of the negative one",
-    )
+    for s, failure in (
+        (sys, f"negative rep({D.objects[Q]}) is not the left dual of the positive one"),
+        (sys.op(), f"positive rep({D.objects[Q]}) is not the right dual of the negative one"),
+    ):
+        dual = dual_left(s, B, pos_rep(s, Q))
+        rep.check(generated_iso(neg_rep(s, Q), *rep_point(s.op(), Q), dual), failure)
     return rep
 
 
@@ -160,8 +157,11 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
     turns the push into the pull: the pulled negative representation is
     the left dual of the pushed positive one.  The single push itself
     need not be isomorphic to the representation of the pushforward; its
-    status is recorded as a note."""
-    from .psh import pull_psh, push_psh, vertical_iso_psh
+    status is recorded as a note.  The pulled negative representation is
+    generated by the certified pushforward at the coslice point (R, id_B):
+    every derivation out of P over c;d factors through it."""
+    from .psh import generated_iso, pull_psh, push_psh
+    from .reports import CheckReport
 
     D, T = sys.D, sys.T
     rep = CheckReport(
@@ -173,27 +173,28 @@ def negative_encoding_check(sys: RefinementSystem, c: int, P: int) -> CheckRepor
         rep.record_skip(f"no pushforward of {D.objects[P]} along {T.mor_names[c]}")
         return rep
     B = T.cod(c)
-    target = pos_rep(sys, cert.result)
+    target = (pos_rep(sys, cert.result), *rep_point(sys, cert.result))
 
     pulled = pull_psh(coslice_action(sys, c), neg_rep(sys, P))
     rep.check(
-        vertical_iso_psh(target, dual_right(sys, B, pulled)) is not None,
+        generated_iso(*target, dual_right(sys, B, pulled)),
         f"right dual of pulled negative rep({D.objects[P]}) is not rep({D.objects[cert.result]})",
     )
 
     pushed = push_psh(slice_action(sys, c), pos_rep(sys, P))
     dual = dual_left(sys, B, pushed)
+    p = coslice_of(sys, B).obj_index[(cert.result, T.identity[B])]
     rep.check(
-        vertical_iso_psh(pulled, dual) is not None,
+        generated_iso(pulled, p, pulled.position(p)[cert.structural], dual),
         f"pulled negative rep({D.objects[P]}) is not the left dual of pushed rep({D.objects[P]})",
     )
     rep.check(
-        vertical_iso_psh(target, dual_right(sys, B, dual)) is not None,
+        generated_iso(*target, dual_right(sys, B, dual)),
         f"double dual of pushed rep({D.objects[P]}) is not rep({D.objects[cert.result]})",
     )
     rep.note(
         "single push isomorphic to the pushforward representation: "
-        + ("yes" if vertical_iso_psh(pushed, target) else "no")
+        + ("yes" if generated_iso(*target, pushed) else "no")
     )
     return rep
 
@@ -210,6 +211,7 @@ def tensorL_check(sys: RefinementSystem, decl: TensorDecl) -> CheckReport:
     the only vertical isos are identities."""
     from .fixtures import linctx_data
     from .psh import push_psh
+    from .reports import CheckReport
 
     data = linctx_data(sys)
     if data is None:

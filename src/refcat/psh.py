@@ -12,14 +12,12 @@ shares (derivation bijections, curried residuals, dualizers) are in
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable
 
-from .fincat import FinCategory, FunctorData, StructuralError, Table, ValidationReport, _backtrack
+from .fincat import FinCategory, FunctorData, StructuralError, Table, ValidationReport
 from .pshcore import (
     Presheaf,
     PshDerivation,
-    _checks,
     _closes,
     _closing,
     _families_on_support,
@@ -379,58 +377,45 @@ def validate_psh_derivation(d: PshDerivation) -> ValidationReport:
     return report
 
 
-def vertical_iso_psh(
-    phi: Presheaf, psi: Presheaf
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
-    """Search for a natural isomorphism over the identity base functor.
-
-    Returns mutually inverse component tables, one component per support
-    point in index order, or None after exhausting the
-    search space.  Objects are visited in ascending element count so size
-    mismatches and sparse objects prune immediately; the witness found first
-    under that fixed order is the canonical one.  The rows of phi and psi
-    are read only for constraints into a set of two or more elements
-    (`_checks`): a constraint into a one-element set holds for any
-    components, so when every set is a singleton the identity is returned
-    once `_closing` has checked the sieve.
-    """
+def generated_iso(phi: Presheaf, p: int, x0: int, psi: Presheaf) -> bool:
+    """Is phi, generated by its element x0 at p, vertically isomorphic to
+    psi?  An iso theta has theta(phi(m)(x0)) = psi(m)(y) for every m into
+    p, with y = theta_p(x0), so each y in psi(p) forces one table: a y
+    that sends an element to two values is dropped, and `is_vertical_iso`
+    decides the rest, counts first.  The row of m is read only where m's
+    domain has two or more elements.  An element that no m reaches raises a
+    StructuralError naming phi; every morphism into a reached point
+    composes into p, so a support that is not a sieve raises here too."""
     if psi.base is not phi.base:
-        raise StructuralError("vertical_iso_psh: different bases")
-    if not _same_sizes(phi, psi):
-        return None
-    support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
-    sizes = [phi.size(a) for a in support]
-    closing = _closing(phi, support)
-    if sizes.count(1) == len(sizes):
-        res = inv = [(0,)] * len(support)
-    else:
-        checks = _checks(phi, closing, sizes, psi.action.__getitem__)
-        res = next(
-            _backtrack(
-                len(support),
-                lambda k, _a: itertools.permutations(range(sizes[k])),
-                lambda k, a: _closes(checks[k], a),
-            ),
-            None,
-        )
-        if res is None:
-            return None
-        inv = []
-        for comp in res:
-            row = [0] * len(comp)
-            for x, y in enumerate(comp):
-                row[y] = x
-            inv.append(tuple(row))
-    order = sorted(range(len(support)), key=support.__getitem__)
-    return (tuple(res[k] for k in order), tuple(inv[k] for k in order))
-
-
-def _same_sizes(phi: Presheaf, psi: Presheaf) -> bool:
-    """Do phi and psi have element sets of the same size everywhere?"""
-    support = phi.support()
-    return support == psi.support() and all(
-        len(phi.elements[a]) == len(psi.elements[a]) for a in support
-    )
+        raise StructuralError("generated_iso: different bases")
+    A, at, sizes = phi.base, _index(phi), [phi.size(a) for a in phi.support()]
+    reached, forced = set(), []  # forced: (k, x, m), m reaching x at the k-th point
+    for m in A.mor_in(p):
+        k = at.get(A.dom(m))
+        if k is None:
+            raise _not_a_sieve(phi, m)
+        x = 0 if sizes[k] == 1 else phi.action[m][x0]
+        reached.add((k, x))
+        if sizes[k] != 1:
+            forced.append((k, x, m))
+    for k, a in enumerate(phi.support()):
+        for x in range(sizes[k]):
+            if (k, x) not in reached:
+                raise StructuralError(
+                    f"{phi.name} is not generated by {phi.elements[p][x0]} at {A.objects[p]}: "
+                    f"nothing reaches {phi.elements[a][x]} at {A.objects[a]}"
+                )
+    for y in range(psi.size(p)):
+        comps = [[0] if n == 1 else [None] * n for n in sizes]
+        for k, x, m in forced:
+            if comps[k][x] is None:
+                comps[k][x] = psi.action[m][y]
+            elif comps[k][x] != psi.action[m][y]:
+                break
+        else:
+            if is_vertical_iso(tuple(map(tuple, comps)), phi, psi):
+                return True
+    return False
 
 
 def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi: Presheaf) -> bool:
@@ -438,10 +423,9 @@ def is_vertical_iso(components: tuple[tuple[int, ...], ...], phi: Presheaf, psi:
     pointwise bijection has a natural inverse, so this decides isomorphy of
     the canonical comparison maps.  The components are indexed by the
     common support, and their table is checked by `validate_psh_derivation`."""
-    if not _same_sizes(phi, psi):
+    support = phi.support()
+    if support != psi.support() or any(phi.size(a) != psi.size(a) for a in support):
         return False
-    for a, comp in zip(phi.support(), components):
-        if len(set(comp)) != phi.size(a):
-            return False
-    d = PshDerivation("cmp", phi, psi, None, components)
-    return validate_psh_derivation(d).ok
+    if any(len(set(comp)) != phi.size(a) for a, comp in zip(support, components)):
+        return False
+    return validate_psh_derivation(PshDerivation("cmp", phi, psi, None, components)).ok

@@ -39,10 +39,12 @@ class Presheaf:
     not read the presheaf itself is no reference cycle and is freed as
     soon as it is dropped; `represent.pos_rep`, whose rows read its own
     positions, is kept for the system's life anyway.  The family
-    searches, the iso search and `validate_psh_derivation` read a row
-    only where a naturality constraint can fail on it: a constraint
-    into a one-element set holds whatever the rows are (`_checks`), so
-    a row read by nothing else is never filled, nor checked.
+    searches and `validate_psh_derivation` read a row only where a
+    naturality constraint can fail on it: a constraint into a
+    one-element set holds whatever the rows are (`_checks`).  The iso
+    test (`psh.generated_iso`) reads, besides, only the rows of the
+    morphisms into its point whose domain has two or more elements.  A
+    row read by nothing else is never filled, nor checked.
     """
 
     def __init__(

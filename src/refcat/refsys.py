@@ -27,7 +27,6 @@ from .fincat import (
     opposite,
     validate_functor,
 )
-from .reports import CheckReport
 
 
 class RefinementSystem:
@@ -309,6 +308,8 @@ def rapp_check(adj: RefSysAdjunction) -> CheckReport:
     problem along the adjunction; every step of it is a law that
     `adjunction_check` decides, so only the theorem is checked here.  A
     G(ell) that is not a derivation of (G(c*Q), G(c), G(Q)) fails."""
+    from .reports import CheckReport
+
     report = CheckReport(
         name=f"rapp:{adj.name}",
         statement="the right adjoint maps certified pullbacks to certified pullbacks",

@@ -37,6 +37,7 @@ from .represent import (
     comma_system,
     pos_rep,
     pos_rep_derivation,
+    rep_point,
     slice_action,
     slice_of,
 )
@@ -223,8 +224,7 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
     # slice morphism into the point read as its derivation.
     for Q in range(D.n_objects):
         S = slice_of(sys, sys.shape(Q))
-        point = S.obj_index[(Q, T.identity[sys.shape(Q)])]
-        bad = _unlike_representable(S, pos_rep(sys, Q), representable(S.cat, point))
+        bad = _unlike_representable(S, pos_rep(sys, Q), representable(S.cat, rep_point(sys, Q)[0]))
         rep.check(bad is None, f"{side} representability of {D.objects[Q]}: {bad}")
 
     # Comma route: the canonical lifts of the cod projection are

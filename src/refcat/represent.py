@@ -317,6 +317,15 @@ def neg_rep(sys: RefinementSystem, P: int) -> pshcore.Presheaf:
     return pos_rep(sys.op(), P)
 
 
+def rep_point(sys: RefinementSystem, X: int) -> tuple[int, int]:
+    """The slice point (X, id) and the position of id_X among rep(X)'s
+    derivations there, which generates rep(X): the slice morphism
+    (alpha, (P,c), (X,id)) sends it to alpha.  neg(X)'s is on `sys.op()`."""
+    here = (X, sys.T.identity[sys.shape(X)])
+    point = slice_of(sys, sys.shape(X)).obj_index[here]
+    return (point, sys.derivation_index[X][here].index(sys.D.identity[X]))
+
+
 def pos_rep_derivation(sys: RefinementSystem, sigma: int) -> pshcore.PshDerivation:
     """Postcomposition with a derivation sigma : Q1 -> Q2 over c, as a
     presheaf derivation rep(Q1) => rep(Q2) over the slice functor of c.

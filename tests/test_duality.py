@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refcat.day as day_mod
 import refcat.duality as duality_mod
 import refcat.represent as represent_mod
 from refcat.cli import main
@@ -47,6 +48,7 @@ from refcat.fincat import (
 from refcat.fixtures import (
     build_hoare,
     build_linctx,
+    collapse_lattice_fixture,
     default_hoare_spec,
     default_linear_spec,
     random_refsys,
@@ -56,8 +58,8 @@ from refcat.psh import (
     natural_families,
     pull_psh,
     push_psh,
+    generated_iso,
     validate_presheaf,
-    vertical_iso_psh,
 )
 from refcat.monoidal import product
 from refcat.repchecks import factorization_check
@@ -66,6 +68,7 @@ from refcat.represent import (
     coslice_of,
     neg_rep,
     pos_rep,
+    rep_point,
     slice_action,
     slice_of,
 )
@@ -82,6 +85,7 @@ from tests.conftest import (
 )
 from tests.test_fincat import chain_category
 from tests.test_golden import CASES
+from tests.test_psh import naive_vertical_iso
 from tests.test_represent import composite_command
 
 
@@ -313,9 +317,11 @@ def test_duality_every_lattice_refinement(collapse, ident):
 
 def test_triple_dual_collapses(hoare):
     for Q in range(hoare.D.n_objects):
+        # once and thrice are both the negative representation
         once = dual_left(hoare, 0, pos_rep(hoare, Q))
         thrice = dual_left(hoare, 0, dual_right(hoare, 0, once))
-        assert vertical_iso_psh(thrice, once) is not None
+        neg = (neg_rep(hoare, Q), *rep_point(hoare.op(), Q))
+        assert generated_iso(*neg, once) and generated_iso(*neg, thrice)
 
 
 def test_a_dropped_dual_is_freed_without_the_cycle_collector(hoare):
@@ -355,13 +361,14 @@ def test_cross_check_reads_every_dual_row_the_iso_search_skips(hoare):
     skipped = 0
     for Q in range(hoare.D.n_objects):
         B = hoare.shape(Q)
+        # the other side is the positive representation of `other`
         for side, rep, other, dual in (
-            ("left", pos_rep, neg_rep, dual_left),
-            ("right", neg_rep, pos_rep, dual_right),
+            ("left", pos_rep, hoare.op(), dual_left),
+            ("right", neg_rep, hoare, dual_right),
         ):
             inp = rep(hoare, Q)
             out = dual(hoare, B, inp)
-            assert vertical_iso_psh(other(hoare, Q), out) is not None
+            assert generated_iso(pos_rep(other, Q), *rep_point(other, Q), out)
             live = {f for f in range(out.base.n_morphisms) if out.payloads[out.base.cod(f)]}
             skipped += len(live) - len(out.action._got)
             dual_cross_check(hoare, B, inp, out, side)
@@ -484,7 +491,8 @@ def test_dualization_turns_every_push_into_a_pull_on_random_systems():
             for P in s.fiber(s.T.dom(c)):
                 pulled = pull_psh(coslice_action(s, c), neg_rep(s, P))
                 pushed = push_psh(slice_action(s, c), pos_rep(s, P))
-                assert vertical_iso_psh(pulled, dual_left(s, B, pushed)) is not None, (seed, c, P)
+                dual = dual_left(s, B, pushed)
+                assert naive_vertical_iso(pulled, dual) is not None, (seed, c, P)
                 checked += 1
     assert checked == 304
 
@@ -535,6 +543,21 @@ def test_notnottensor_on_lattices(collapse, ident):
                     assert rep.ok and rep.failed == 0 and rep.attempted >= 1
 
 
+def test_the_day_functor_is_composed_once_per_monoidal_system_and_monoid(monkeypatch):
+    # The coercion, both residual sides of monoid-lax and every
+    # notnot-tensor pair read one composite per (mrs, monoid): the left
+    # side shares the coercion's, the right side is the reversed system's.
+    composed = []
+    real = day_mod.compose_functors
+    monkeypatch.setattr(day_mod, "compose_functors", lambda F, G: composed.append(F) or real(F, G))
+    fx = collapse_lattice_fixture()
+    for mo in fx.monoids:
+        assert day_mod.monoid_lax_check(fx.mrs, mo).failed == 0
+        fib = fx.mrs.sys.fiber(mo.W)
+        assert all(notnottensor_check(fx.mrs, mo, P, Q).ok for P in fib for Q in fib)
+    assert fx.monoids and len(composed) == 2 * len(fx.monoids)
+
+
 def reversed_derivation_row(monkeypatch):
     """Reverse, in every representation built from now on, the first
     non-identity action row of its slice that has at least two distinct
@@ -566,16 +589,17 @@ def test_corrupted_derivation_action_is_detected(monkeypatch):
     poisoned = bang_system(skew_pair())
 
     def counterexample(Q):
-        # A reversed row either fails a dual clause or breaks the
-        # naturality of a moved family, which raises (the suite records
-        # that as a failed report).
+        # A reversed row fails a dual clause, breaks the naturality of a
+        # moved family, or leaves a representation that its identity no
+        # longer generates; the last two raise (the suite records that as
+        # a failed report).
         try:
             return duality_check(poisoned, Q).counterexample
         except StructuralError as exc:
             return str(exc)
 
     assert [counterexample(Q) for Q in range(2)] == [
-        "curried_residual: moved family not natural along g#1->0",
+        "rep(a) is not generated by id_a at (a,id*): nothing reaches g at (b,id*)",
         None,
     ]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refcat.linctx as linctx_mod
-from refcat import psh, pshcore
+from refcat import pshcore
 from refcat.day import _strict_left_residual, m_functor
 from refcat.adjunction import NatTransData, validate_nat_trans
 from refcat.fincat import (
@@ -901,15 +901,14 @@ def test_the_curried_residual_matches_the_reference_on_a_group():
 
 
 def lax_search(monkeypatch):
-    """Replace the search behind natural families and vertical isos by a
-    copy that skips the constraints closing at the last step."""
-    real = psh._backtrack
+    """Replace the search behind natural families by a copy that skips
+    the constraints closing at the last step."""
+    real = pshcore._backtrack
 
     def lax(steps, candidates, closes):
         return real(steps, candidates, lambda k, a: k == steps - 1 or closes(k, a))
 
-    for mod in (psh, pshcore):
-        monkeypatch.setattr(mod, "_backtrack", lax)
+    monkeypatch.setattr(pshcore, "_backtrack", lax)
 
 
 def test_a_search_without_one_steps_constraints_fails_the_reference(monkeypatch):

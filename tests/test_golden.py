@@ -273,8 +273,9 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.txt").write_text(query_transcript(name, Path(tmp)))
 
 
-# Every producer of a family, an iso witness or a derivation, with the
-# (source presheaf, table) pairs to read off its arguments and result.
+# Every producer of a family or a derivation, and the reader of the tables
+# the iso test builds, with the (source presheaf, table) pairs to read off
+# its arguments and result.
 def _derivation_tables(_args, d):
     return [(d.source, d.components)]
 
@@ -285,7 +286,7 @@ SUPPORT_INDEXED = {
     "m_derivation": _derivation_tables,
     "_pulled_residual": lambda _args, out: [] if out[0] is None else _derivation_tables(_args, out[0]),
     "natural_families": lambda args, fams: [(args[0], fam) for fam in fams],
-    "vertical_iso_psh": lambda args, pair: [] if pair is None else [(args[0], t) for t in pair],
+    "is_vertical_iso": lambda args, _ok: [(args[1], args[0])],
     "curried_residual": lambda args, res: [
         (args[0], fam) for b in res.support() for fam in res.payloads[b]
     ],

@@ -5,10 +5,18 @@ category of elements, so the quotient computed by push_psh is checked against a
 second implementation rather than against itself.
 """
 
+import contextlib
+import functools
+import inspect
+import io
 import itertools
 import random
+import tempfile
+import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +40,7 @@ from refcat.psh import (
     Presheaf,
     PshDerivation,
     curried_residual,
+    generated_iso,
     is_vertical_iso,
     natural_families,
     opcartesian_factoring_check,
@@ -42,10 +51,11 @@ from refcat.psh import (
     representable,
     validate_presheaf,
     validate_psh_derivation,
-    vertical_iso_psh,
 )
+from refcat.cli import main
 from tests.conftest import on_support
-from tests.test_fincat import chain_category, lax_search, terminal_category, walking_arrow
+from tests.test_fincat import chain_category, cyclic_group, terminal_category, walking_arrow
+from tests.test_golden import CASES
 
 
 def chain_presheaf(base, sizes, steps):
@@ -308,14 +318,15 @@ def test_push_transpose_is_a_valid_derivation(sample):
 
 
 def test_vertical_iso_found_and_refused(sample):
+    # y(2) over the chain is generated by id_2 at 2: a renamed copy is
+    # isomorphic to it, and the sample, with other counts, is not.
     base, phi = sample
+    y = representable(base, 2)
     renamed = Presheaf("renamed", base,
-                       tuple(tuple(f"r{i}" for i in range(len(es))) for es in phi.elements),
-                       phi.action)
-    pair = vertical_iso_psh(phi, renamed)
-    assert pair is not None
-    smaller = representable(base, 0)
-    assert vertical_iso_psh(phi, smaller) is None
+                       tuple(tuple(f"r{i}" for i in range(len(es))) for es in y.elements),
+                       y.action)
+    assert generated_iso(y, 2, 0, renamed)
+    assert not generated_iso(y, 2, 0, phi)
 
 
 def unit_psh():
@@ -349,7 +360,7 @@ def test_stepwise_presheaves_push_like_the_oracle(sizes, data):
 
 
 # ---------------------------------------------------------------------------
-# vertical_iso_psh against a naive filter over every family of permutations
+# generated_iso against a naive filter over every family of permutations
 
 
 def naive_vertical_iso(phi, psi):
@@ -394,17 +405,28 @@ def relabeled(phi, seed):
     return Presheaf(f"shuffled({phi.name})", base, elements, tuple(action))
 
 
-def iso_mismatch(phi, psi):
-    got = vertical_iso_psh(phi, psi)
-    want = naive_vertical_iso(phi, psi)
-    if want is None:
-        return got is not None
-    fwd, inv = got
-    inverse = len(fwd) == len(inv) == len(phi.support()) and all(
-        tuple(inv[k][y] for y in fwd[k]) == tuple(range(phi.size(a)))
-        for k, a in enumerate(phi.support())
-    )
-    return fwd != want or not inverse
+def generator(phi):
+    """(p, x0) for the first element x0 at a point p that generates phi,
+    every element being phi(m)(x0) for some m into p; None if none does."""
+    A = phi.base
+    for p in phi.support():
+        for x0 in range(phi.size(p)):
+            if len({(A.dom(m), phi.apply(m, x0)) for m in A.mor_in(p)}) == phi.total_elements():
+                return (p, x0)
+    return None
+
+
+def iso_mismatch(iso, phi, psi):
+    """Does iso, asked of phi at its generator, disagree with the naive
+    search about whether phi and psi are isomorphic?"""
+    return iso(phi, *generator(phi), psi) != (naive_vertical_iso(phi, psi) is not None)
+
+
+def regular_and_trivial(n):
+    """Z/n acting on itself, generated by 0, and trivially on n elements."""
+    bzn = cyclic_group(n)
+    trivial = Presheaf("trivial", bzn, (tuple(f"t{k}" for k in range(n)),), (tuple(range(n)),) * n)
+    return representable(bzn, 0), trivial
 
 
 def iso_pairs():
@@ -419,23 +441,110 @@ def iso_pairs():
     return pairs + [(collapse, straight)]
 
 
-def test_vertical_iso_is_the_first_naive_witness():
-    pairs = iso_pairs()
+def test_generated_iso_agrees_with_the_naive_search():
+    pairs = [(phi, psi) for phi, psi in iso_pairs() if generator(phi)]
+    pairs.append(regular_and_trivial(3))
     assert [naive_vertical_iso(phi, psi) is None for phi, psi in pairs].count(True) == 1
-    assert not any(iso_mismatch(phi, psi) for phi, psi in pairs)
+    assert not any(iso_mismatch(generated_iso, phi, psi) for phi, psi in pairs)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 200), st.integers(0, 3), st.integers(0, 10**6))
-def test_vertical_iso_is_the_first_naive_witness_on_a_draw(which, b, seed):
+def test_generated_iso_agrees_with_the_naive_search_on_a_draw(which, b, seed):
     base = [walking_arrow(), chain_category(3), fin_skeleton(2), opposite(fin_skeleton(2))][b]
     phi = representable(base, which % base.n_objects)
-    assert not iso_mismatch(phi, relabeled(phi, seed))
+    assert not iso_mismatch(generated_iso, phi, relabeled(phi, seed))
 
 
-def test_a_search_without_one_steps_constraints_picks_a_wrong_iso(monkeypatch):
-    lax_search(monkeypatch)
-    assert any(iso_mismatch(phi, psi) for phi, psi in iso_pairs())
+@functools.cache
+def asked_isos():
+    """(phi, p, x0, psi) for every isomorphism question that `verify all`
+    asks on each golden fixture and on 25 random draws, then each again
+    against two variants of psi.  `verify` meets its witness first at
+    the point and refuses only on counts, so a test that tries too few
+    candidates, or accepts a table that meets no conflict, would agree
+    there by luck: psi with its elements shuffled has the same answer
+    with the witness moved, and psi with every row that is not an
+    identity's sent to the first element keeps the counts and has no
+    isomorphism once a set has two elements."""
+    asked, real = [], psh_mod.generated_iso
+
+    def recording(phi, p, x0, psi):
+        asked.append((phi, p, x0, psi))
+        return real(phi, p, x0, psi)
+
+    workspaces = [*CASES.values(), *((f"fixture r random seed={seed}", []) for seed in range(25))]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        with mock.patch.object(psh_mod, "generated_iso", recording), mock.patch.object(
+            day_mod, "generated_iso", recording
+        ):
+            for body, extra in workspaces:
+                path = Path(tmp) / f"{body.split()[2]}.fix"
+                path.write_text(body + "\n")
+                assert main(["verify", str(path), "all", *extra]) == 0, body
+    shuffled = [(phi, p, x0, relabeled(psi, k)) for k, (phi, p, x0, psi) in enumerate(asked)]
+    collapsed = [(phi, p, x0, to_first(psi)) for phi, p, x0, psi in asked]
+    return tuple(asked + shuffled + collapsed)
+
+
+def to_first(psi):
+    """psi's element sets, with every row that is not an identity's
+    sending each element to the first one."""
+    A = psi.base
+    rows = (
+        tuple(range(psi.size(A.cod(f)))) if A.is_identity(f) else (0,) * psi.size(A.cod(f))
+        for f in range(A.n_morphisms)
+    )
+    return Presheaf(f"first({psi.name})", A, tuple(psi.elements), tuple(rows))
+
+
+def iso_disagreements(iso):
+    """The recorded questions on which iso and the naive search disagree."""
+    return [
+        (phi.name, psi.name)
+        for phi, p, x0, psi in asked_isos()
+        if iso(phi, p, x0, psi) != (naive_vertical_iso(phi, psi) is not None)
+    ]
+
+
+def test_generated_iso_agrees_with_the_naive_search_on_every_question_verify_asks():
+    asked = asked_isos()
+    answers = Counter(naive_vertical_iso(phi, psi) is not None for phi, _p, _x0, psi in asked)
+    assert answers[True] > 500 and answers[False] > 10, answers
+    assert sum(psi.size(p) > 1 for _phi, p, _x0, psi in asked) > 10
+    assert iso_disagreements(generated_iso) == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("for y in range(psi.size(p)):", "for y in range(min(1, psi.size(p))):"),
+        ("if is_vertical_iso(tuple(map(tuple, comps)), phi, psi):", "if True:"),
+    ],
+    ids=["only-y0", "no-is-vertical-iso"],
+)
+def test_the_agreement_on_every_question_is_red_on_each_mutant(old, new):
+    src = inspect.getsource(psh_mod.generated_iso)
+    assert src.count(old) == 1
+    namespace = dict(vars(psh_mod))
+    exec(compile("from __future__ import annotations\n" + src.replace(old, new), "<mutant>", "exec"), namespace)
+    assert iso_disagreements(namespace["generated_iso"]) != []
+
+
+def test_the_regular_action_of_z10_is_decided_in_under_a_second():
+    # The naive search would try 10! tables; the generator fixes one per
+    # element of the target at the point.
+    regular, trivial = regular_and_trivial(10)
+    start = time.perf_counter()
+    assert generated_iso(regular, 0, 0, relabeled(regular, 10))
+    assert not generated_iso(regular, 0, 0, trivial)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_presheaf_not_generated_at_the_point_is_refused_by_name():
+    _regular, trivial = regular_and_trivial(10)
+    with pytest.raises(StructuralError, match=r"^trivial is not generated by t0 at \*: nothing reaches t1 at \*$"):
+        generated_iso(trivial, 0, 0, trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -594,25 +703,6 @@ def unpruned_families(phi, psi, F=None):
     return list(fams)
 
 
-def unpruned_vertical_iso(phi, psi):
-    """The forward components of the first vertical iso, on the support
-    of phi, or None."""
-    if phi.support() != psi.support() or any(phi.size(a) != psi.size(a) for a in phi.support()):
-        return None
-    support = tuple(sorted(phi.support(), key=lambda a: (phi.size(a), a)))
-    constraints = unpruned_constraints(phi, support, psi.action.__getitem__)
-    found = next(
-        unpruned_search(
-            len(support), lambda k: itertools.permutations(range(phi.size(support[k]))), constraints
-        ),
-        None,
-    )
-    if found is None:
-        return None
-    at = dict(zip(support, found))
-    return tuple(at[a] for a in phi.support())
-
-
 def unpruned_violations(d):
     """The naturality violations of a derivation whose components are in
     range, listed in morphism order."""
@@ -662,8 +752,9 @@ def pruning_cases(seed, singletons=False):
 def test_readers_skip_exactly_the_constraints_that_cannot_fail():
     # Into a one-element target set a naturality constraint holds whatever
     # the rows are, so the readers skip it.  On random tables, lawful or
-    # not, with singleton and larger sets, they give the families, the iso
-    # witnesses and the violations that the unpruned copies give.
+    # not, with singleton and larger sets, they give the families and the
+    # violations that the unpruned copies give, and the iso test, where
+    # phi is generated, the answers of the naive search.
     seen = Counter()
     for seed in range(60):
         rng, phi, shuffled, same, down, t = pruning_cases(seed)
@@ -671,12 +762,12 @@ def test_readers_skip_exactly_the_constraints_that_cannot_fail():
             fams = natural_families(phi, psi, F)
             assert fams == unpruned_families(phi, psi, F), (seed, psi.name)
             seen["families"] += len(fams) > 1
-        for psi in (shuffled, same):
-            got = vertical_iso_psh(phi, psi)
-            want = unpruned_vertical_iso(phi, psi)
-            assert (got and got[0]) == want, (seed, psi.name)
-            seen["isos"] += want is not None and max(map(phi.size, phi.support())) > 1
-            seen["no iso"] += want is None
+        gen = generator(phi)
+        for psi in (shuffled, same) if gen else ():
+            got = generated_iso(phi, *gen, psi)
+            assert got == (naive_vertical_iso(phi, psi) is not None), (seed, psi.name)
+            seen["isos"] += got and max(map(phi.size, phi.support())) > 1
+            seen["no iso"] += not got
         for psi, F in ((same, None), (down, t)):
             f_obj, _ = along(F)
             comps = tuple(
@@ -692,23 +783,24 @@ def test_readers_skip_exactly_the_constraints_that_cannot_fail():
 
 def test_one_element_searches_return_their_only_answer(monkeypatch):
     # When every target set has one element, the family search returns the
-    # constant family and the iso search the identity, without
-    # backtracking: the answers the unpruned copy and the naive search give.
-    real = psh_mod._backtrack
+    # constant family without backtracking, and the iso test reads no row
+    # of psi: the answers the unpruned copy and the naive search give.
+    real = pshcore_mod._backtrack
     searches = []
-    for mod in (psh_mod, pshcore_mod):
-        monkeypatch.setattr(mod, "_backtrack", lambda *args: searches.append(args) or real(*args))
-    one_element = 0
+    monkeypatch.setattr(pshcore_mod, "_backtrack", lambda *args: searches.append(args) or real(*args))
+    one_element = generated = 0
     for seed in range(12):
         _rng, phi, shuffled, same, down, t = pruning_cases(seed, singletons=True)
+        gen = generator(phi)
+        for psi in (shuffled, same) if gen else ():
+            assert generated_iso(phi, *gen, psi) and not psi.action._got, seed
+            assert naive_vertical_iso(phi, psi) is not None, seed
+            generated += 1
         searches.clear()
         for psi, F in ((phi, None), (shuffled, None), (same, None), (down, t)):
             assert natural_families(phi, psi, F) == unpruned_families(phi, psi, F), seed
-        for psi in (shuffled, same):
-            assert vertical_iso_psh(phi, psi)[0] == naive_vertical_iso(phi, psi), seed
-            assert not iso_mismatch(phi, psi), seed
         one_element += not searches
-    assert one_element >= 5
+    assert one_element >= 5 and generated >= 10
 
 
 def test_a_singleton_presheaf_off_a_sieve_is_refused_by_every_search(hoare):
@@ -716,7 +808,7 @@ def test_a_singleton_presheaf_off_a_sieve_is_refused_by_every_search(hoare):
     # element at every point of a support that is no longer a sieve: the
     # one-element searches still run the sieve check, and name phi.
     from refcat.duality import dual_left
-    from refcat.represent import pos_rep
+    from refcat.represent import pos_rep, rep_point
 
     Q = hoare.D.objects.index("{s0,s1}")
     rep = pos_rep(hoare, Q)
@@ -727,7 +819,7 @@ def test_a_singleton_presheaf_off_a_sieve_is_refused_by_every_search(hoare):
     message = r"^the support of phi is not a sieve: .* starts off it$"
     for search in (
         lambda: natural_families(phi, phi),
-        lambda: vertical_iso_psh(phi, phi),
+        lambda: generated_iso(phi, *rep_point(hoare, Q), phi),
         lambda: dual_left(hoare, hoare.shape(Q), phi),
     ):
         with pytest.raises(StructuralError, match=message):

@@ -26,14 +26,15 @@ LAYERS = ("fincat", "reports", "refsys", "psh", "represent", "duality", "fixture
 
 # What every command executes: the command line, the loader, the
 # category and refinement-system layers, and the shared fixture helpers.
-BASE = {"cli", "textio", "fincat", "refsys", "reports", "fixtures"}
+# The check reports are executed only where a report is built.
+BASE = {"cli", "textio", "fincat", "refsys", "fixtures"}
 # The slices, and the presheaf tables and family search the
 # representations are made of.
 PRESHEAF = {"pshcore", "represent"}
 # The presheaf algebra and the theorems about the representations.
 CHECKS = {"psh", "repchecks"}
 LATTICE = {"lattice", "monoidal"}
-VERIFY = PRESHEAF | CHECKS | {"duality", "suites"}
+VERIFY = PRESHEAF | CHECKS | {"duality", "suites", "reports"}
 # The homes of the comma category, of products and of natural
 # transformations.
 COMMA_PRODUCT_NAT = {"repchecks", "monoidal", "adjunction"}
@@ -65,7 +66,7 @@ EXECUTED = {
     ("fixture l linctx", "validate"): {"linctx"},
     ("fixture l lattice-collapse", "validate"): LATTICE,
     ("fixture l lattice-identity", "validate"): LATTICE,
-    ("fixture g galois", "validate"): LATTICE | {"adjunction"},
+    ("fixture g galois", "validate"): LATTICE | {"adjunction", "reports"},
     ("fixture r random seed=3", "validate"): {"randsys"},
     ("fixture h hoare", "verify all"): {"hoare"} | VERIFY,
     ("fixture l linctx", "verify all"): {"linctx"} | VERIFY,
