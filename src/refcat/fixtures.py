@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from .fincat import StructuralError, ValidationReport
 from .refsys import RefinementSystem
 
 FAMILIES = ("hoare", "linctx", "lattice", "randsys")
@@ -34,12 +33,6 @@ def __getattr__(name: str):
     if _HOME.get(name) in FAMILIES:
         return getattr(import_module(f".{_HOME[name]}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _raise_if_invalid(report: ValidationReport) -> None:
-    if not report.ok:
-        first = report.violations[0]
-        raise StructuralError(f"{report.subject}: {first.law}: {first.detail}")
 
 
 def _then(f: tuple, g: tuple) -> tuple:

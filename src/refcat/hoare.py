@@ -5,7 +5,7 @@ postconditions and weakest preconditions to check lifts against."""
 from __future__ import annotations
 
 from .fincat import FunctorData, StructuralError, tagged_category
-from .fixtures import _raise_if_invalid, _then
+from .fixtures import _then
 from .refsys import RefinementSystem
 
 # The most transformers a Hoare spec's commands may generate.
@@ -99,7 +99,8 @@ def build_hoare(spec: HoareSpec) -> RefinementSystem:
     T has one object carrying the closed command monoid; D has the
     predicates, with exactly one morphism (P, c) -> Q when c maps P into
     Q.  The projection forgets the predicates.  The resulting system is
-    thin, a fibration, and an opfibration."""
+    thin, a fibration, and an opfibration.  Every composite is a function
+    composite, so the system is lawful as built and is not swept."""
     names, funcs = _transformer_monoid(spec)
     T = tagged_category(
         "W",
@@ -128,9 +129,7 @@ def build_hoare(spec: HoareSpec) -> RefinementSystem:
         _then,
     )
     t = FunctorData("hoare", D, T, (0,) * len(preds), tuple(commands))
-    sys = RefinementSystem("hoare", t)
-    _raise_if_invalid(sys.validate())
-    return sys
+    return RefinementSystem("hoare", t)
 
 
 def _resolve_command(spec: HoareSpec, c) -> tuple[int, ...]:

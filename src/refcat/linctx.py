@@ -11,7 +11,7 @@ from .fincat import (
     SIZE_GUARD, FinCategory, FunctorData, SizeGuardExceeded, StructuralError, ValidationReport,
     _backtrack, _generators, tagged_category,
 )
-from .fixtures import _raise_if_invalid, _then, linctx_data
+from .fixtures import _then, linctx_data
 from .refsys import RefinementSystem
 
 
@@ -183,11 +183,15 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
     sends there.  Rules compose only through identities
     (`validate_multicategory`), so a composite keeps, at each position,
     the outer rule unless it is an identity, and then the one inner rule
-    under it.  The projection keeps u and the context sizes.  Ctx and the
-    projection are validated after construction; Fin<=K is lawful as
-    built (`fin_skeleton`).
+    under it.  The projection keeps u and the context sizes.  Only the
+    spec is validated: once it holds, that composite is total and
+    associative, so Ctx and the projection are lawful as built, as
+    Fin<=K is (`fin_skeleton`), and neither is swept.
     """
-    _raise_if_invalid(validate_multicategory(mc))
+    report = validate_multicategory(mc)
+    if not report.ok:
+        first = report.violations[0]
+        raise StructuralError(f"{report.subject}: {first.law}: {first.detail}")
     for mm in mc.multimorphisms:
         if len(mm.source) > K:
             raise StructuralError(
@@ -251,7 +255,6 @@ def build_linctx(mc: MulticategorySpec, K: int) -> RefinementSystem:
     )
     t = FunctorData("size", D, T, sizes, tuple(u_of))
     sys = RefinementSystem("linctx", t)
-    _raise_if_invalid(sys.validate())
     linctx_data(sys, (mc, K, ctx_index, u_index))
     return sys
 

@@ -5,11 +5,7 @@ reads products of slices."""
 
 from __future__ import annotations
 
-from .fincat import (
-    FinCategory, FunctorData, StructuralError, ValidationReport, _lawful, compose_functors,
-    validate_category, validate_functor,
-)
-from .refsys import _differences, _names
+from .fincat import FinCategory, FunctorData, StructuralError, _lawful
 
 
 class ProductCategory(FinCategory):
@@ -81,8 +77,9 @@ class MonoidalStructure:
     tensor functor cat x cat -> cat.  `pair` is product(cat, cat), and
     obj(a, b) and mor(f, g) give the tensor at each object and morphism
     of it; they are read once, into the tables of `tensor`.  Strictness
-    means the tensor is literally associative and unital, which
-    validate() checks along with its functor laws.
+    means the tensor is literally associative and unital.  The structure
+    is taken as given: its only builder, `lattice`, tensors by meet, which
+    has these laws by construction, and `tests/` decides them.
     """
 
     def __init__(self, pair: ProductCategory, unit: int, obj: Callable, mor: Callable):
@@ -120,49 +117,6 @@ class MonoidalStructure:
 
     def tmor(self, f: int, g: int) -> int:
         return self.tensor.morphism_map[f * self._m + g]
-
-    def validate(self) -> ValidationReport:
-        """The functor laws of the tensor (endpoints, identities and
-        interchange), then its unit and associativity laws.  The category
-        is validated first (no work when its laws are known): when it is
-        lawful, so is cat x cat, and `validate_functor` decides
-        interchange on the generators of the product.  Morphism associativity is swept over
-        all triples, so that every failing triple is listed."""
-        report = ValidationReport(subject=f"monoidal structure on {self.cat.name}")
-        cat = self.cat
-        validate_category(cat)
-        report.violations.extend(validate_functor(self.tensor).violations)
-        n = cat.n_objects
-        for a in range(n):
-            if self.tobj(self.unit, a) != a or self.tobj(a, self.unit) != a:
-                report.add("tensor unit", f"unit law fails at object {cat.object_name(a)}")
-            for b in range(n):
-                for c in range(n):
-                    if self.tobj(self.tobj(a, b), c) != self.tobj(a, self.tobj(b, c)):
-                        report.add(
-                            "tensor associativity",
-                            f"object associativity fails at "
-                            f"({cat.object_name(a)}, {cat.object_name(b)}, "
-                            f"{cat.object_name(c)})"
-                        )
-        m = cat.n_morphisms
-        for f in range(m):
-            for g in range(m):
-                fg = self.tmor(f, g)
-                for h in range(m):
-                    if self.tmor(fg, h) != self.tmor(f, self.tmor(g, h)):
-                        report.add(
-                            "tensor associativity",
-                            f"morphism associativity fails at "
-                            f"({cat.morphism_name(f)}, {cat.morphism_name(g)}, "
-                            f"{cat.morphism_name(h)})"
-                        )
-        for f in range(m):
-            fg = self.tmor(f, cat.identity[self.unit])
-            gf = self.tmor(cat.identity[self.unit], f)
-            if fg != f or gf != f:
-                report.add("tensor unit", f"unit law fails at morphism {cat.morphism_name(f)}")
-        return report
 
 
 def find_left_residual(
@@ -235,39 +189,12 @@ class MonoidalRefinementSystem:
             self._reversed._reversed = self
         return self._reversed
 
-    def validate(self) -> ValidationReport:
-        report = self.sys.validate()
-        report.violations.extend(self.mon_ref.validate().violations)
-        report.violations.extend(self.mon_base.validate().violations)
-        t, D = self.sys.t, self.sys.D
-        pair, base_pair = self.mon_ref.tensor.source, self.mon_base.tensor.source
-        objs, mors = range(D.n_objects), range(D.n_morphisms)
-        t_squared = FunctorData(
-            f"{t.name}x{t.name}",
-            pair,
-            base_pair,
-            tuple(base_pair.pair_obj(t.obj(P), t.obj(Q)) for P in objs for Q in objs),
-            tuple(base_pair.pair_mor(t.mor(f), t.mor(g)) for f in mors for g in mors),
-        )
-        for kind, x, _, _ in _differences(
-            compose_functors(self.mon_ref.tensor, t),
-            compose_functors(t_squared, self.mon_base.tensor),
-        ):
-            x1, x2 = pair.split_obj(x) if kind == "object" else pair.split_mor(x)
-            names = _names(D, kind)
-            report.add(
-                "monoidal projection",
-                f"projection not monoidal at {kind}s ({names[x1]}, {names[x2]})",
-            )
-        if t.obj(self.mon_ref.unit) != self.mon_base.unit:
-            report.add("monoidal projection", "projection does not preserve the monoidal unit")
-        return report
-
 
 class MonoidObject:
     """A monoid in the base of a monoidal refinement system: an object W
     with multiplication p : W (x) W -> W, and optionally a unit morphism
-    from the tensor unit.  Laws are validated, never assumed."""
+    from the tensor unit.  Its laws hold by construction where it is
+    built (`lattice`: the idempotent meet); `tests/` decides them."""
 
     __slots__ = ("mrs", "W", "p", "unit_mor")
 
@@ -276,29 +203,3 @@ class MonoidObject:
         self.W = W
         self.p = p
         self.unit_mor = unit_mor
-
-    def validate(self) -> ValidationReport:
-        T = self.mrs.sys.T
-        mon = self.mrs.mon_base
-        report = ValidationReport(f"monoid {T.objects[self.W]}")
-        if T.dom(self.p) != mon.tobj(self.W, self.W) or T.cod(self.p) != self.W:
-            report.add("endpoints", "multiplication has wrong endpoints")
-            return report
-        idw = T.identity[self.W]
-        lhs = T.compose(mon.tmor(self.p, idw), self.p)
-        rhs = T.compose(mon.tmor(idw, self.p), self.p)
-        if lhs != rhs:
-            report.add("associativity", "p is not associative")
-        if self.unit_mor is not None:
-            u = self.unit_mor
-            if T.dom(u) != mon.unit or T.cod(u) != self.W:
-                report.add("unit endpoints", "unit morphism has wrong endpoints")
-                return report
-            if mon.tobj(mon.unit, self.W) != self.W or mon.tobj(self.W, mon.unit) != self.W:
-                report.add("strict unit", "tensor unit is not strict at W")
-                return report
-            if T.compose(mon.tmor(u, idw), self.p) != idw:
-                report.add("left unit", "unit law (u (x) id) ; p = id fails")
-            if T.compose(mon.tmor(idw, u), self.p) != idw:
-                report.add("right unit", "unit law (id (x) u) ; p = id fails")
-        return report

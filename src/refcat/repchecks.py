@@ -256,15 +256,17 @@ def _factorization_one_side(sys: RefinementSystem, rep: CheckReport, side: str, 
                 break
             lifts.append((src, tgt, ell))
         if bad is None:
+            # alpha transported is the w over id_B2 with ell_s;w = v;ell_u:
+            # the lifts carry identities of D, so w is tagged alpha.
             for k, (alpha, s, u) in enumerate(S1.mor_tags):
                 (src_s, tgt_s, ell_s), (src_u, tgt_u, ell_u) = lifts[s], lifts[u]
                 v = cs.mor_index[(alpha, T.identity[B1], src_s, src_u)]
-                composite = comma.D.compose(v, ell_u)
-                ws = comma.derivations(tgt_s, T.identity[B2], tgt_u)
-                transported = next((w for w in ws if comma.D.compose(ell_s, w) == composite), None)
-                want = S2.mor_tags[F.mor(k)]
-                got = None if transported is None else cs.mor_tags[transported]
-                if got is None or got[0] != want[0]:
+                w = cs.mor_index.get((alpha, T.identity[B2], tgt_s, tgt_u))
+                if (
+                    w is None
+                    or comma.D.compose(ell_s, w) != comma.D.compose(v, ell_u)
+                    or S2.mor_tags[F.mor(k)][0] != alpha
+                ):
                     bad = f"transport of {S1.mor_name(k)} along {T.mor_names[e]} disagrees with the slice action"
                     break
         if not rep.check(bad is None, f"{side} comma transport: {bad}"):

@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import settings
 
-from refcat.fincat import FinCategory, FunctorData, StructuralError
+from refcat.fincat import (
+    FinCategory,
+    FunctorData,
+    StructuralError,
+    ValidationReport,
+    compose_functors,
+    validate_category,
+    validate_functor,
+)
 from refcat.fixtures import (
     build_hoare,
     build_linctx,
@@ -14,7 +22,8 @@ from refcat.fixtures import (
     identity_lattice_fixture,
 )
 from refcat.psh import Presheaf, curried_residual
-from refcat.refsys import RefinementSystem
+from refcat.monoidal import MonoidalRefinementSystem, MonoidalStructure, MonoidObject
+from refcat.refsys import RefinementSystem, _differences, _names
 from refcat.represent import SliceCategory, coslice_of, slice_of
 
 # Deterministic example selection so test output is reproducible run to run.
@@ -201,3 +210,105 @@ def dual_cross_check(sys: RefinementSystem, B: int, inp: Presheaf, out: Presheaf
                 f"dual ({side}): the dualizer disagrees with the residual of the "
                 f"pairing's rows along {base.mor_names[f]}"
             )
+
+
+# ---------------------------------------------------------------------------
+# The monoidal law reference.  `monoidal` takes a tensor, a monoidal
+# system and a monoid as given, since their one builder (`lattice`: the
+# meet) makes them lawful; these sweeps decide their laws here, on the
+# lattice fixtures and on hand-made structures that break them.
+
+
+def monoidal_laws(mon: MonoidalStructure) -> ValidationReport:
+    """The functor laws of the tensor (endpoints, identities and
+    interchange), then its unit and associativity laws.  The category is
+    validated first (no work when its laws are known): when it is lawful,
+    so is cat x cat, and `validate_functor` decides interchange on the
+    generators of the product.  Morphism associativity is swept over all
+    triples, so that every failing triple is listed."""
+    report = ValidationReport(subject=f"monoidal structure on {mon.cat.name}")
+    cat = mon.cat
+    validate_category(cat)
+    report.violations.extend(validate_functor(mon.tensor).violations)
+    n = cat.n_objects
+    for a in range(n):
+        if mon.tobj(mon.unit, a) != a or mon.tobj(a, mon.unit) != a:
+            report.add("tensor unit", f"unit law fails at object {cat.object_name(a)}")
+        for b in range(n):
+            for c in range(n):
+                if mon.tobj(mon.tobj(a, b), c) != mon.tobj(a, mon.tobj(b, c)):
+                    report.add(
+                        "tensor associativity",
+                        f"object associativity fails at "
+                        f"({cat.object_name(a)}, {cat.object_name(b)}, {cat.object_name(c)})",
+                    )
+    m = cat.n_morphisms
+    for f in range(m):
+        for g in range(m):
+            fg = mon.tmor(f, g)
+            for h in range(m):
+                if mon.tmor(fg, h) != mon.tmor(f, mon.tmor(g, h)):
+                    report.add(
+                        "tensor associativity",
+                        f"morphism associativity fails at "
+                        f"({cat.morphism_name(f)}, {cat.morphism_name(g)}, {cat.morphism_name(h)})",
+                    )
+    for f in range(m):
+        if mon.tmor(f, cat.identity[mon.unit]) != f or mon.tmor(cat.identity[mon.unit], f) != f:
+            report.add("tensor unit", f"unit law fails at morphism {cat.morphism_name(f)}")
+    return report
+
+
+def monoidal_system_laws(mrs: MonoidalRefinementSystem) -> ValidationReport:
+    """The system's laws, both tensors' laws, and the projection as a
+    strict monoidal functor: t((x) of a pair) = (x) of t of the pair, and
+    t(unit) = unit."""
+    report = mrs.sys.validate()
+    report.violations.extend(monoidal_laws(mrs.mon_ref).violations)
+    report.violations.extend(monoidal_laws(mrs.mon_base).violations)
+    t, D = mrs.sys.t, mrs.sys.D
+    pair, base_pair = mrs.mon_ref.tensor.source, mrs.mon_base.tensor.source
+    objs, mors = range(D.n_objects), range(D.n_morphisms)
+    t_squared = FunctorData(
+        f"{t.name}x{t.name}",
+        pair,
+        base_pair,
+        tuple(base_pair.pair_obj(t.obj(P), t.obj(Q)) for P in objs for Q in objs),
+        tuple(base_pair.pair_mor(t.mor(f), t.mor(g)) for f in mors for g in mors),
+    )
+    for kind, x, _, _ in _differences(
+        compose_functors(mrs.mon_ref.tensor, t), compose_functors(t_squared, mrs.mon_base.tensor)
+    ):
+        x1, x2 = pair.split_obj(x) if kind == "object" else pair.split_mor(x)
+        names = _names(D, kind)
+        report.add("monoidal projection", f"projection not monoidal at {kind}s ({names[x1]}, {names[x2]})")
+    if t.obj(mrs.mon_ref.unit) != mrs.mon_base.unit:
+        report.add("monoidal projection", "projection does not preserve the monoidal unit")
+    return report
+
+
+def monoid_laws(mo: MonoidObject) -> ValidationReport:
+    """The endpoints and associativity of the multiplication p, and, with
+    a unit morphism u, its endpoints, strictness of the tensor unit at W
+    and both unit laws."""
+    T, mon = mo.mrs.sys.T, mo.mrs.mon_base
+    report = ValidationReport(f"monoid {T.objects[mo.W]}")
+    if T.dom(mo.p) != mon.tobj(mo.W, mo.W) or T.cod(mo.p) != mo.W:
+        report.add("endpoints", "multiplication has wrong endpoints")
+        return report
+    idw = T.identity[mo.W]
+    if T.compose(mon.tmor(mo.p, idw), mo.p) != T.compose(mon.tmor(idw, mo.p), mo.p):
+        report.add("associativity", "p is not associative")
+    u = mo.unit_mor
+    if u is not None:
+        if T.dom(u) != mon.unit or T.cod(u) != mo.W:
+            report.add("unit endpoints", "unit morphism has wrong endpoints")
+            return report
+        if mon.tobj(mon.unit, mo.W) != mo.W or mon.tobj(mo.W, mon.unit) != mo.W:
+            report.add("strict unit", "tensor unit is not strict at W")
+            return report
+        if T.compose(mon.tmor(u, idw), mo.p) != idw:
+            report.add("left unit", "unit law (u (x) id) ; p = id fails")
+        if T.compose(mon.tmor(idw, u), mo.p) != idw:
+            report.add("right unit", "unit law (id (x) u) ; p = id fails")
+    return report

@@ -224,7 +224,7 @@ def test_verify_hoare_reads_only_rows_a_check_can_fail_on(hoare_file, monkeypatc
     )
     assert main(["verify", hoare_file, "all"]) == 0
     capsys.readouterr()
-    assert 0 < len(filled) <= 1216
+    assert 0 < len(filled) <= 304
     assert len(commas) == 2
     for cs in commas:
         assert 0 < sum(row is not None for row in cs.sys.D._rows) < cs.sys.D.n_morphisms

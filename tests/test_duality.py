@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import refcat.day as day_mod
 import refcat.duality as duality_mod
 import refcat.represent as represent_mod
-from refcat.cli import main
+from refcat.cli import main, run_suite
 from refcat.day import notnottensor_check
 from refcat.duality import (
     _duals,
@@ -40,6 +40,7 @@ from refcat.duality import (
     negative_encoding_check,
 )
 from refcat.fincat import (
+    SIZE_GUARD,
     FinCategory,
     FunctorData,
     StructuralError,
@@ -62,7 +63,9 @@ from refcat.psh import (
     validate_presheaf,
 )
 from refcat.monoidal import product
+from refcat.refsys import find_pushforward
 from refcat.repchecks import factorization_check
+from refcat.reports import CheckReport
 from refcat.represent import (
     coslice_action,
     coslice_of,
@@ -495,6 +498,51 @@ def test_dualization_turns_every_push_into_a_pull_on_random_systems():
                 assert naive_vertical_iso(pulled, dual) is not None, (seed, c, P)
                 checked += 1
     assert checked == 304
+
+
+def pushforward_counts(s):
+    """How many (c, P), P over dom c, have a pushforward, and how many not."""
+    found = [find_pushforward(s, c, P) is not None for c in range(s.T.n_morphisms) for P in s.fiber(s.T.dom(c))]
+    return found.count(True), found.count(False)
+
+
+def negative_encoding_unaccounted():
+    """The systems whose negative-encoding report does not account for
+    every (c, P): three clauses per (c, P) with a pushforward and one skip
+    per (c, P) without, on every golden system but linctx (which runs
+    tensorL instead) and on 25 random draws."""
+    cases = [(name, body, extra[-1] if extra else None) for name, (body, extra) in CASES.items()]
+    cases += [(f"random seed={seed}", f"fixture r random seed={seed}", None) for seed in range(25)]
+    unaccounted = []
+    for name, body, system in cases:
+        if name == "linctx":
+            continue
+        ws = loads(body + "\n")
+        [report] = run_suite(ws, system, "negative-encoding", SIZE_GUARD)
+        with_push, without = pushforward_counts(ws.the_system(system))
+        if (report.attempted, report.skipped) != (3 * with_push + without, without):
+            unaccounted.append(name)
+    return unaccounted
+
+
+def test_negative_encoding_skips_each_instance_without_a_pushforward():
+    assert negative_encoding_unaccounted() == []
+
+
+def test_the_accounting_is_red_when_the_suite_drops_lift_less_instances(monkeypatch):
+    # The suite once asked for the pushforward first and dropped the
+    # (c, P) without one, leaving no trace in the report.
+    real = duality_mod.negative_encoding_check
+
+    def prefiltered(s, c, P):
+        if find_pushforward(s, c, P) is None:
+            return CheckReport("dropped", "")
+        return real(s, c, P)
+
+    monkeypatch.setattr(duality_mod, "negative_encoding_check", prefiltered)
+    dropped = negative_encoding_unaccounted()
+    assert {"lattice-collapse", "galois", "random-3"} <= set(dropped)
+    assert "hoare" not in dropped
 
 
 def drop_one_family(X):

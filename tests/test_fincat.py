@@ -8,7 +8,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refcat.hoare as hoare_mod
+import refcat.lattice as lattice_mod
 import refcat.linctx as linctx_mod
+import refcat.randsys as randsys_mod
 from refcat import pshcore
 from refcat.day import _strict_left_residual, m_functor
 from refcat.adjunction import NatTransData, validate_nat_trans
@@ -25,11 +28,15 @@ from refcat.fincat import (
     validate_functor,
 )
 from refcat.fixtures import (
+    build_hoare,
     build_linctx,
     collapse_lattice_fixture,
+    default_hoare_spec,
     default_linear_spec,
     fin_skeleton,
+    galois_fixture,
     identity_lattice_fixture,
+    linctx_data,
     random_refsys,
 )
 from refcat.psh import (
@@ -47,7 +54,7 @@ from refcat.represent import (
     pos_rep,
     slice_action,
 )
-from tests.conftest import judgments, on_support
+from tests.conftest import judgments, monoid_laws, monoidal_system_laws, on_support
 
 
 def walking_arrow():
@@ -543,9 +550,11 @@ def comma_non_generator(hoare):
 
 
 # ---------------------------------------------------------------------------
-# Laws by construction.  A comma carries D's and T's laws, and Fin<=K those
-# of function composition, so nothing validates them when they are built;
-# their law check is here, the full sweep with nothing known lawful.
+# Laws by construction.  A comma carries D's and T's laws, Fin<=K those of
+# function composition, and every fixture builder composes tags (function
+# tables, context maps with their rules, order pairs), so nothing
+# validates them when they are built; their law check is here, the full
+# sweep with nothing known lawful.
 
 
 def comma_law_failures(s):
@@ -572,14 +581,123 @@ def fin_law_failures(K):
     return [str(v) for v in validate_category(T).violations]
 
 
-def test_each_construction_is_lawful_under_the_full_sweep(hoare, collapse, ident, galois):
-    systems = [hoare, collapse.mrs.sys, ident.mrs.sys, galois.left.source, galois.left.target]
-    systems += [random_refsys(seed) for seed in range(6)]
-    systems.append(build_linctx(default_linear_spec(), 2))
-    failures = [(s.name, comma_law_failures(s)) for sys in systems for s in (sys, sys.op())]
+RANDOM_DRAWS = 25
+
+
+def built_systems():
+    """What every fixture builder makes, built afresh: (system, its
+    `LatticeSystem` or None) for hoare, linctx at K=2 and K=3, both
+    lattices, both ends of galois and RANDOM_DRAWS random draws."""
+    adj = galois_fixture()
+    lattices = [collapse_lattice_fixture(), identity_lattice_fixture()]
+    built = [(build_hoare(default_hoare_spec()), None)]
+    built += [(build_linctx(default_linear_spec(), K), None) for K in (2, 3)]
+    built += [(ls.sys, ls) for ls in lattices] + [(adj.s, None), (adj.e, None)]
+    return built + [(random_refsys(seed), None) for seed in range(RANDOM_DRAWS)]
+
+
+def built_law_failures(sys, lattice=None):
+    """The full law sweep of what a builder made, with nothing known
+    lawful (Fin<=K forgets its generators first): both categories and the
+    projection, and for a lattice also both meet tensors, the projection
+    as a strict monoidal functor and every monoid."""
+    if sys.T.name.startswith("Fin<="):
+        sys.T._lawful = None
+    assert (sys.D._lawful, sys.T._lawful) == (None, None)
+    if lattice is None:
+        return [str(v) for v in sys.validate().violations]
+    failures = [str(v) for v in monoidal_system_laws(lattice.mrs).violations]
+    return failures + [str(v) for mo in lattice.monoids for v in monoid_laws(mo).violations]
+
+
+def test_each_construction_is_lawful_under_the_full_sweep():
+    built = built_systems()
+    failures = [(sys.name, built_law_failures(sys, ls)) for sys, ls in built]
+    # The comma of linctx at K=3 is past the size guard.
+    commas = [sys for sys, _ in built if sys.T.name != "Fin<=3"]
+    failures += [(s.name, comma_law_failures(s)) for sys in commas for s in (sys, sys.op())]
     failures += [(f"Fin<={K}", fin_law_failures(K)) for K in range(5)]
-    assert len(failures) == 29
+    assert len(failures) == (7 + RANDOM_DRAWS) + 2 * (6 + RANDOM_DRAWS) + 5
     assert [(name, found) for name, found in failures if found] == []
+
+
+def mistag(monkeypatch, module, cat_name, wrong):
+    """Make `module` build the category named `cat_name` with the
+    composite of tags f and g tagged wrong(f, g) where that is not None:
+    a builder whose composition has one wrong entry."""
+    real = module.tagged_category
+
+    def tampered(name, objects, tags, names, identity, combine):
+        if name == cat_name:
+            combine = lambda f, g, _real=combine: wrong(f, g) or _real(f, g)
+        return real(name, objects, tags, names, identity, combine)
+
+    monkeypatch.setattr(module, "tagged_category", tampered)
+
+
+def assert_laws_fail(sys):
+    """The sweep of a builder's mutant fails on a law: each wrong
+    composite is a listed morphism with the right endpoints."""
+    found = built_law_failures(sys)
+    assert found and not [v for v in found if v.startswith("composition-")], found
+
+
+def test_the_builder_sweep_sees_a_wrong_composite_in_hoare(monkeypatch):
+    # swap;swap on the full predicate is tagged swap, not id: associativity
+    # sees it at (c;swap);swap, and the projection at swap;swap.
+    full_swap = (3, 3, (1, 0))
+    mistag(monkeypatch, hoare_mod, "Pred", lambda f, g: full_swap if f == g == full_swap else None)
+    assert_laws_fail(build_hoare(default_hoare_spec()))
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_the_builder_sweep_sees_a_wrong_composite_in_linctx(monkeypatch, K):
+    # The swap of [C,C] composed with itself is tagged the swap, not the
+    # identity, so (i;swap);swap != i;(swap;swap) for the two maps
+    # i : [C] -> [C,C] that fill the other position with the constant k.
+    C = default_linear_spec().formulas.index("C")
+    ctx = linctx_data(build_linctx(default_linear_spec(), 2))[2][C, C]
+    swap = (ctx, ctx, (1, 0), (C, C))  # the identity rule of C is rule C too
+    mistag(monkeypatch, linctx_mod, "Ctx", lambda f, g: swap if f == g == swap else None)
+    assert_laws_fail(build_linctx(default_linear_spec(), K))
+
+
+def test_the_builder_sweep_sees_a_wrong_composite_in_random_draws(monkeypatch):
+    # combine_d forgets the carrier map of an endomorphism composed second.
+    # The closure lists what that composite gives, so every tag exists and
+    # only the laws can see it, on the draws with such an endomorphism
+    # acting non-trivially.
+    real = randsys_mod._close_concrete
+
+    def tampered(name, objects, ids, seeds, hom_bound, combine):
+        if name == "D":
+
+            def combine(f, g, _real=combine):
+                got = _real(f, g)
+                return (got[0], got[1], (got[2][0], f[2][1])) if g[0] == g[1] else got
+
+        return real(name, objects, ids, seeds, hom_bound, combine)
+
+    monkeypatch.setattr(randsys_mod, "_close_concrete", tampered)
+    red = [seed for seed in range(RANDOM_DRAWS) if built_law_failures(random_refsys(seed))]
+    assert len(red) == 6
+    for seed in red:
+        assert_laws_fail(random_refsys(seed))
+
+
+def test_the_builder_sweep_sees_a_wrong_meet(monkeypatch):
+    # {a} meet {a} is {}: still monotone, so the tensor and the monoidal
+    # laws hold, but on the identity lattice the monoid at {a} multiplies
+    # from {a} (x) {a} = {}, where its p does not start.
+    real = lattice_mod._lattice_tables
+
+    def tampered(spec):
+        idx, leq, meet, top = real(spec)
+        return idx, leq, {**meet, (idx["{a}"], idx["{a}"]): idx["{}"]}, top
+
+    monkeypatch.setattr(lattice_mod, "_lattice_tables", tampered)
+    ls = identity_lattice_fixture()
+    assert built_law_failures(ls.sys, ls) == ["endpoints: multiplication has wrong endpoints"]
 
 
 def test_the_construction_sweep_sees_a_wrong_comma_composite(hoare, monkeypatch):

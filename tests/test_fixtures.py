@@ -39,7 +39,15 @@ from refcat.fixtures import (
 from refcat.lattice import chain_lattice, powerset_lattice
 from refcat.refsys import rapp_check
 from refcat.textio import LoadError, loads
-from tests.conftest import HOARE_FN, bang_system, image_oracle, judgments, preimage_oracle
+from tests.conftest import (
+    HOARE_FN,
+    bang_system,
+    image_oracle,
+    judgments,
+    monoid_laws,
+    monoidal_system_laws,
+    preimage_oracle,
+)
 from tests.test_refsys import is_fibration, is_opfibration
 from tests.test_represent import context_morphism_count
 
@@ -222,20 +230,37 @@ def test_fin_skeleton_counts_its_morphisms_before_listing_them():
         loads("fixture l linctx K=6\n")
 
 
-def test_loading_linctx_at_k5_sweeps_no_law_of_fin(tmp_path, monkeypatch, capsys):
-    # Fin<=5 is lawful as built (`fin_skeleton`): loading linctx at K=5
-    # validates Ctx and the projection, and no associativity test reads
-    # Fin<=5.
+def test_loading_a_fixture_sweeps_no_law_of_what_it_built(tmp_path, monkeypatch, capsys):
+    # Every fixture category is lawful as built, as Fin<=5 is
+    # (`fin_skeleton`): loading each fixture kind, linctx at K=5 too, runs
+    # no associativity test and leaves every category but Fin unswept.
+    # `tests/test_fincat.py` sweeps what the builders make.
     swept = []
     real = fincat_mod._associative
     monkeypatch.setattr(
         fincat_mod, "_associative", lambda cat, *args: swept.append(cat.name) or real(cat, *args)
     )
-    path = tmp_path / "l.fix"
-    path.write_text("fixture l linctx K=5\n")
+    path = tmp_path / "all.fix"
+    path.write_text(
+        "fixture h hoare\nfixture l linctx K=5\nfixture cl lattice-collapse\n"
+        "fixture il lattice-identity\nfixture g galois\nfixture r random seed=3\n"
+    )
     assert main(["validate", str(path)]) == 0
-    assert capsys.readouterr().out == "refsys l: 126/2935 over 6/5705 (objects/morphisms)\nok\n"
-    assert "Ctx" in swept and "Fin<=5" not in swept
+    assert capsys.readouterr().out == (
+        "refsys h: 4/38 over 1/4 (objects/morphisms)\n"
+        "refsys l: 126/2935 over 6/5705 (objects/morphisms)\n"
+        "refsys cl: 4/9 over 3/6 (objects/morphisms)\n"
+        "refsys il: 4/9 over 4/9 (objects/morphisms)\n"
+        "refsys g: 4/9 over 3/6 (objects/morphisms)\n"
+        "refsys g.e: 2/3 over 2/3 (objects/morphisms)\n"
+        "refsys r: 5/11 over 1/3 (objects/morphisms)\n"
+        "adjunction g: P(a,b)/chain3 <-> chain2/chain2\n"
+        "ok\n"
+    )
+    assert swept == []
+    ws = loads(path.read_text())
+    known = {cat.name for s in ws.systems.values() for cat in (s.D, s.T) if cat._lawful is not None}
+    assert known == {"Fin<=5"}
 
 
 def test_linctx_shape_counts(linctx):
@@ -323,7 +348,8 @@ def test_lattice_builders_and_their_refusals():
 def test_collapse_fixture_structure(collapse):
     sys = collapse.mrs.sys
     assert sys.t.object_map == (0, 0, 1, 2)
-    assert collapse.mrs.validate().ok
+    assert monoidal_system_laws(collapse.mrs).ok
+    assert [monoid_laws(m).ok for m in collapse.monoids] == [True] * 3
     # collapsing {a} under {b} kills both lift directions
     assert not is_fibration(sys)[0]
     assert not is_opfibration(sys)[0]
@@ -336,7 +362,7 @@ def test_collapse_fixture_structure(collapse):
 def test_identity_fixture_is_a_bifibration(ident):
     sys = ident.mrs.sys
     assert is_fibration(sys)[0] and is_opfibration(sys)[0]
-    assert ident.mrs.validate().ok
+    assert monoidal_system_laws(ident.mrs).ok
 
 
 def test_galois_adjunction_counts(galois):

@@ -43,6 +43,8 @@ from tests.conftest import (
     HOARE_FN,
     image_oracle,
     judgments,
+    monoidal_laws,
+    monoidal_system_laws,
     pred_name,
     pred_set,
     preimage_oracle,
@@ -474,7 +476,7 @@ def test_an_index_that_drops_a_lift_shows_in_the_preservation_transcript(
 
 
 def test_monoidal_validation_on_the_lattice_fixture(collapse):
-    rep = collapse.mrs.validate()
+    rep = monoidal_system_laws(collapse.mrs)
     assert rep.ok, [v.detail for v in rep.violations]
 
 
@@ -506,10 +508,10 @@ def test_monoidal_validation_checks_associativity_on_morphisms():
     # f (x) (g (x) h) = 2f + g + h.
     cat = iz3()
     assert validate_category(cat).ok
-    rep = iz3_tensor(cat, 2, 2).validate()
+    rep = monoidal_laws(iz3_tensor(cat, 2, 2))
     assert [v.law for v in rep.violations] == ["tensor associativity"] * 18  # f != h
     assert rep.violations[0].detail == "morphism associativity fails at (0, 0, 1)"
-    assert iz3_tensor(cat, 1, 1).validate().ok
+    assert monoidal_laws(iz3_tensor(cat, 1, 1)).ok
 
 
 def with_entry(mon, f, g, value):
@@ -560,7 +562,7 @@ def test_a_corrupted_tensor_entry_is_listed_as_the_full_sweep_lists_it():
     # over every composable pair of cat x cat.
     for mon in tensor_structures():
         cat, pair = mon.cat, mon.tensor.source
-        assert not [v for v in mon.validate().violations if v.law != "tensor associativity"]
+        assert not [v for v in monoidal_laws(mon).violations if v.law != "tensor associativity"]
         for m in range(pair.n_morphisms):
             if m in pair._lawful:
                 continue
@@ -570,7 +572,7 @@ def test_a_corrupted_tensor_entry_is_listed_as_the_full_sweep_lists_it():
             for value in (*hom, *outside):
                 bad = with_entry(mon, f, g, value)
                 functor_laws = [
-                    (v.law, v.detail) for v in bad.validate().violations if not v.law.startswith("tensor ")
+                    (v.law, v.detail) for v in monoidal_laws(bad).violations if not v.law.startswith("tensor ")
                 ]
                 want = [(v.law, v.detail) for v in reference_validate_functor(bad.tensor).violations]
                 assert functor_laws == want
@@ -589,7 +591,7 @@ def swept_associativity(mon):
 
 
 def listed_associativity(mon):
-    return [v.detail for v in mon.validate().violations if v.detail.startswith("morphism associativity")]
+    return [v.detail for v in monoidal_laws(mon).violations if v.detail.startswith("morphism associativity")]
 
 
 def scaled_group_tensor(h, g, a, b):
@@ -610,7 +612,7 @@ def test_tensor_associativity_is_listed_as_the_full_sweep_lists_it():
     validate_category(cat)
     for a, b in itertools.product(range(3), repeat=2):
         for mon in (iz3_tensor(cat, a, b), scaled_group_tensor(2, 3, a, b)):
-            assert [v for v in mon.validate().violations if not v.law.startswith("tensor")] == []
+            assert [v for v in monoidal_laws(mon).violations if not v.law.startswith("tensor")] == []
             listed = listed_associativity(mon)
             assert listed == swept_associativity(mon)
             assert bool(listed) == (a * a % 3 != a or b * b % 3 != b)
@@ -620,20 +622,20 @@ def test_one_corrupted_interchange_entry_lists_every_broken_pair():
     cat = iz3()
     validate_category(cat)
     mon = iz3_tensor(cat, 1, 1)
-    assert mon.validate().ok and mon.tensor.source.pair_mor(2, 2) not in mon.tensor.source._lawful
+    assert monoidal_laws(mon).ok and mon.tensor.source.pair_mor(2, 2) not in mon.tensor.source._lawful
     bad = with_entry(mon, 2, 2, 1)  # 1 (x) 1 = 0 instead of 2
-    broken = [v for v in bad.validate().violations if v.law == "composition"]
+    broken = [v for v in monoidal_laws(bad).violations if v.law == "composition"]
     assert len(broken) == 22
     assert [str(v) for v in broken] == [str(v) for v in reference_validate_functor(bad.tensor).violations]
 
 
 def test_a_broken_projection_square_is_reported_on_a_non_thin_system():
     mrs = group_system(2, 3)
-    assert mrs.validate().ok
+    assert monoidal_system_laws(mrs).ok
     D = mrs.sys.D
     f, g = D.mor_names.index("1@0"), D.mor_names.index("1@1")
     bad = MonoidalRefinementSystem(mrs.sys, with_entry(mrs.mon_ref, f, g, D.mor_names.index("0@1")), mrs.mon_base)
-    squares = [v.detail for v in bad.validate().violations if v.law == "monoidal projection"]
+    squares = [v.detail for v in monoidal_system_laws(bad).violations if v.law == "monoidal projection"]
     assert squares == ["projection not monoidal at morphisms (1@0, 1@1)"]
     # The same comparison for a morphism of systems: doubling on the base
     # does not commute with the identity on D.
@@ -686,7 +688,7 @@ def s3_tensor():
 
 def test_right_constructions_on_a_noncommutative_tensor():
     mon, inv = s3_tensor()
-    assert mon.validate().ok
+    assert monoidal_laws(mon).ok
     assert any(mon.tobj(a, b) != mon.tobj(b, a) for a in range(6) for b in range(6))
     for a in range(6):
         for c in range(6):

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pkgutil
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -590,7 +591,11 @@ def test_comma_route_runs_no_law_sweep_and_scans_no_hom_set(hoare, tmp_path, mon
     path.write_text("fixture h hoare\n")
     assert main(["verify", str(path), "all"]) == 0
     capsys.readouterr()
-    assert calls["validate_category"] > 0 and calls["validate_functor"] > 0
+    # No fixture category is swept either (`tests/test_fincat.py` sweeps
+    # them); validating the system shows the counters are live.
+    assert calls == Counter()
+    build_hoare(default_hoare_spec()).validate()
+    assert (calls["validate_category"], calls["validate_functor"]) == (2, 1) and calls["_associative"] > 0
     assert [k for k in calls if k.endswith("on a comma")] == []
 
 
@@ -613,6 +618,46 @@ def test_factorization_sees_a_corrupted_comma_shape_image(hoare, monkeypatch):
     rep = factorization_check(hoare)
     assert not rep.ok
     assert rep.counterexample.endswith("is not opcartesian")
+
+
+LINCTX_K2_FACTORIZATION = (
+    "check factorization[linctx] [representations factor through slice points and comma transport]\n"
+    "  attempted 46 passed 46 failed 0 skipped 0\n"
+    "\n"
+    "suite factorization: 1/1 reports ok\n"
+)
+
+
+def test_linctx_k2_factorization_decides_both_comma_routes(tmp_path, monkeypatch, capsys):
+    # At K=2 both commas of linctx are under the default guard, so the
+    # lift and transport clauses run on both sides, nothing skipped.
+    path = tmp_path / "l.fix"
+    path.write_text("fixture l linctx K=2\n")
+    assert main(["verify", str(path), "factorization"]) == 0
+    assert capsys.readouterr().out == LINCTX_K2_FACTORIZATION
+
+    # A slice action that sends each non-identity slice morphism to the
+    # identity at the image of its codomain keeps every point: only the
+    # transport clause reads the morphism images, and it turns red.
+    real = repchecks_mod.slice_action
+
+    def tampered(sys, e):
+        F = real(sys, e)
+        S2 = F.slices[1].cat
+        image = lambda k: F.mor(k) if F.source.is_identity(k) else S2.identity[F.obj(F.source.cod(k))]
+        return SimpleNamespace(obj=F.obj, mor=image)
+
+    monkeypatch.setattr(repchecks_mod, "slice_action", tampered)
+    # Each side stops at its first red transport: one failure per side.
+    assert main(["verify", str(path), "factorization"]) == 1
+    assert capsys.readouterr().out == (
+        "check factorization[linctx] [representations factor through slice points and comma transport]\n"
+        "  attempted 34 passed 32 failed 2 skipped 0\n"
+        "  counterexample:\n"
+        "    pos comma transport: transport of 0>1[]|k#0->4 along 1>2[0] disagrees with the slice action\n"
+        "\n"
+        "suite factorization: 0/1 reports ok\n"
+    )
 
 
 def test_representability_clause_compares_payloads_and_rows(hoare):

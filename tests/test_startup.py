@@ -24,17 +24,26 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src"
 LAYERS = ("fincat", "reports", "refsys", "psh", "represent", "duality", "fixtures", "textio")
 
-# What every command executes: the command line, the loader, the
-# category and refinement-system layers, and the shared fixture helpers.
-# The check reports are executed only where a report is built.
-BASE = {"cli", "textio", "fincat", "refsys", "fixtures"}
+# What every command executes: the command line, the loader, and the
+# category and refinement-system layers.  The check reports are executed
+# only where a report is built.
+BASE = {"cli", "textio", "fincat", "refsys"}
 # The slices, and the presheaf tables and family search the
 # representations are made of.
 PRESHEAF = {"pshcore", "represent"}
 # The presheaf algebra and the theorems about the representations.
 CHECKS = {"psh", "repchecks"}
 LATTICE = {"lattice", "monoidal"}
-VERIFY = PRESHEAF | CHECKS | {"duality", "suites", "reports"}
+# What loading a fixture family executes: its module, and the helpers
+# the other families share through `fixtures` (lattice shares none).
+FAMILY = {
+    "hoare": {"hoare", "fixtures"},
+    "linctx": {"linctx", "fixtures"},
+    "random": {"randsys", "fixtures"},
+    "lattice": LATTICE,
+}
+# `suites` reads the linctx data through `fixtures`.
+VERIFY = PRESHEAF | CHECKS | {"duality", "suites", "reports", "fixtures"}
 # The homes of the comma category, of products and of natural
 # transformations.
 COMMA_PRODUCT_NAT = {"repchecks", "monoidal", "adjunction"}
@@ -58,19 +67,19 @@ QUERIES = {
 # before importing their checks, and on the lattice it skips rapp.
 EXECUTED = {
     **{
-        (f"fixture {family[0]} {family}", f"{kind} {args[k]}"): {family} | extra
+        (f"fixture {family[0]} {family}", f"{kind} {args[k]}"): FAMILY[family] | extra
         for kind, (args, extra) in QUERIES.items()
         for k, family in enumerate(("hoare", "linctx"))
     },
-    ("fixture h hoare", "validate"): {"hoare"},
-    ("fixture l linctx", "validate"): {"linctx"},
-    ("fixture l lattice-collapse", "validate"): LATTICE,
-    ("fixture l lattice-identity", "validate"): LATTICE,
-    ("fixture g galois", "validate"): LATTICE | {"adjunction", "reports"},
-    ("fixture r random seed=3", "validate"): {"randsys"},
-    ("fixture h hoare", "verify all"): {"hoare"} | VERIFY,
-    ("fixture l linctx", "verify all"): {"linctx"} | VERIFY,
-    ("fixture l lattice-collapse", "verify all"): LATTICE | VERIFY | {"day"},
+    ("fixture h hoare", "validate"): FAMILY["hoare"],
+    ("fixture l linctx", "validate"): FAMILY["linctx"],
+    ("fixture l lattice-collapse", "validate"): FAMILY["lattice"],
+    ("fixture l lattice-identity", "validate"): FAMILY["lattice"],
+    ("fixture g galois", "validate"): FAMILY["lattice"] | {"adjunction", "reports"},
+    ("fixture r random seed=3", "validate"): FAMILY["random"],
+    ("fixture h hoare", "verify all"): FAMILY["hoare"] | VERIFY,
+    ("fixture l linctx", "verify all"): FAMILY["linctx"] | VERIFY,
+    ("fixture l lattice-collapse", "verify all"): FAMILY["lattice"] | VERIFY | {"day"},
 }
 
 
@@ -119,7 +128,7 @@ print(sorted(n[7:] for n, m in sys.modules.items() if n.startswith("refcat.") an
 """,
         str(path),
     )
-    assert out == f"[]\nswap:{{s0}}>{{s1}}\n{sorted(BASE | {'hoare'})}\n"
+    assert out == f"[]\nswap:{{s0}}>{{s1}}\n{sorted(BASE | FAMILY['hoare'])}\n"
 
 
 @pytest.mark.parametrize(
